@@ -1,29 +1,21 @@
-// Serving throughput benchmark: drives the online prediction server over
-// in-process streams and reports sustained requests/s plus client-observed
-// latency percentiles for cold vs warm cache at 1 and 8 client threads,
-// plus a two-model routed fleet scenario with per-model warm req/s, plus
-// the event-loop front end under 1/8/256/4096 concurrent connections for
-// each wire protocol (newline esm1 and binary esm2, both pipelined eight
-// requests deep per connection so the offered load matches and only the
-// wire format differs), plus an overload scenario (256 connections
-// offering ~4x the admitted capacity against a bounded admission queue)
-// reporting shed rate and retry-converged goodput. Writes
-// BENCH_serve.json next to the binary.
+// Serving throughput benchmark: drives the event-loop front end of the
+// online prediction server over fd-less loopback connections and reports
+// sustained requests/s plus client-observed latency percentiles under
+// 1/8/256/4096 concurrent connections for each wire protocol (newline esm1
+// and binary esm2, both pipelined eight requests deep per connection so
+// the offered load matches and only the wire format differs), plus an
+// overload scenario (256 connections offering ~4x the admitted capacity
+// against a bounded admission queue) reporting shed rate and
+// retry-converged goodput. Writes BENCH_serve.json next to the binary.
 //
-//   ./serve_throughput [--requests N] [--pool N] [--out PATH]
+//   ./serve_throughput [--pool N] [--out PATH]
 //
-// "cold" runs with the prediction cache disabled, so every request goes
-// through the batcher and predict_all; "warm" primes the cache with the
-// whole request pool first, so the measured phase is answered from the
-// sharded LRU. Both phases issue the same request sequence, so the pair
-// isolates the cache's contribution. The fleet scenario serves a two-model
-// manifest and alternates routed requests between the models, measuring
-// what routing and per-model caches cost relative to single-model warm.
-// Event-loop scenarios run warm and self-check: any dropped connection,
-// request error, or stats identity violation aborts the benchmark with a
-// nonzero exit.
+// Every scenario self-checks: any dropped connection, request error, or
+// stats identity violation aborts the benchmark with a nonzero exit. Warm
+// vs cold cache and routed multi-model serving through the shipped
+// esm_serve binary are measured by perfbench's predict_hot and
+// predict_cold workloads.
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -44,7 +36,6 @@
 #include "nets/builder.hpp"
 #include "serve/client.hpp"
 #include "serve/event_loop.hpp"
-#include "serve/fleet.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/transport.hpp"
@@ -66,8 +57,7 @@ std::string fixture_path(const std::string& name) {
 }
 
 /// Trains a small GBDT on ResNet and saves it where the server can load it.
-/// `label_scale` makes fleet variants with genuinely different bytes.
-std::string build_artifact(const std::string& name, double label_scale) {
+std::string build_artifact(const std::string& name) {
   const esm::SupernetSpec spec = esm::resnet_spec();
   esm::SimulatedDevice device(esm::rtx4090_spec(), 7);
   esm::Rng rng(0x5eed);
@@ -76,8 +66,7 @@ std::string build_artifact(const std::string& name, double label_scale) {
   std::vector<double> labels;
   labels.reserve(archs.size());
   for (const esm::ArchConfig& arch : archs) {
-    labels.push_back(label_scale *
-                     device.true_latency_ms(esm::build_graph(spec, arch)));
+    labels.push_back(device.true_latency_ms(esm::build_graph(spec, arch)));
   }
   esm::GbdtConfig gbdt;
   gbdt.n_estimators = 30;
@@ -85,25 +74,6 @@ std::string build_artifact(const std::string& name, double label_scale) {
   surrogate.fit(esm::SurrogateDataset{archs, labels});
   esm::save_surrogate(surrogate, name);
   return name;
-}
-
-/// A two-model manifest routing "edge" and "cloud" at the two artifacts.
-/// Entry paths are basenames: they resolve against the manifest's own
-/// directory, and manifest and artifacts share the fixtures directory.
-std::string build_fleet_manifest(const std::string& artifact_a,
-                                 const std::string& artifact_b) {
-  const auto base = [](const std::string& path) {
-    const std::size_t slash = path.rfind('/');
-    return slash == std::string::npos ? path : path.substr(slash + 1);
-  };
-  esm::serve::FleetManifest manifest;
-  manifest.upsert(
-      {"edge", esm::serve::file_crc32_hex(artifact_a), base(artifact_a)});
-  manifest.upsert(
-      {"cloud", esm::serve::file_crc32_hex(artifact_b), base(artifact_b)});
-  const std::string path = fixture_path("serve_bench.esmf");
-  esm::serve::write_manifest_atomic(manifest, path);
-  return path;
 }
 
 /// Deterministic request pool: depth combinations with rotating per-unit
@@ -131,15 +101,9 @@ std::vector<std::string> arch_pool(std::size_t limit) {
   return pool;
 }
 
-struct PerModelResult {
-  std::string model;
-  std::size_t requests = 0;
-  double req_per_s = 0.0;
-};
-
 struct ScenarioResult {
   std::string name;
-  std::string proto;  ///< event-loop scenarios only: "esm1" or "esm2"
+  std::string proto;  ///< "esm1" or "esm2"
   int clients = 1;
   bool warm = false;
   std::size_t requests = 0;
@@ -148,7 +112,6 @@ struct ScenarioResult {
   double p95_us = 0.0;
   double p99_us = 0.0;
   double p999_us = 0.0;
-  std::vector<PerModelResult> per_model;  ///< fleet scenarios only
   bool overload = false;   ///< overload scenario: report shed fields
   std::size_t shed = 0;    ///< admission attempts answered `overloaded`
   double shed_rate = 0.0;  ///< shed / (ok + shed) admission attempts
@@ -161,154 +124,6 @@ double percentile(std::vector<double>& sorted_us, double p) {
       static_cast<std::size_t>(p / 100.0 *
                                static_cast<double>(sorted_us.size())));
   return sorted_us[index];
-}
-
-ScenarioResult run_scenario(const std::string& artifact,
-                            const std::vector<std::string>& pool, int clients,
-                            bool warm, std::size_t requests_per_client) {
-  esm::serve::ServeConfig config;
-  config.artifact_path = artifact;
-  config.cache_capacity = warm ? 4096 : 0;
-  esm::serve::PredictionServer server(config);
-
-  std::vector<esm::serve::ServeClient> sessions;
-  sessions.reserve(static_cast<std::size_t>(clients));
-  for (int c = 0; c < clients; ++c) {
-    esm::serve::StreamPair pair = esm::serve::make_stream_pair();
-    server.serve(pair.server);
-    sessions.emplace_back(pair.client);
-  }
-  if (warm) {
-    // Prime every pool entry so the measured phase is all cache hits.
-    for (const std::string& arch : pool) sessions[0].predict(arch);
-  }
-
-  std::vector<std::vector<double>> latencies_us(
-      static_cast<std::size_t>(clients));
-  const Clock::time_point begin = Clock::now();
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(clients));
-  for (int c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      std::vector<double>& mine = latencies_us[static_cast<std::size_t>(c)];
-      mine.reserve(requests_per_client);
-      for (std::size_t i = 0; i < requests_per_client; ++i) {
-        const std::string& arch =
-            pool[(static_cast<std::size_t>(c) * 7919 + i * 13) % pool.size()];
-        const Clock::time_point start = Clock::now();
-        sessions[static_cast<std::size_t>(c)].predict(arch);
-        mine.push_back(
-            std::chrono::duration<double, std::micro>(Clock::now() - start)
-                .count());
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  const double elapsed_s =
-      std::chrono::duration<double>(Clock::now() - begin).count();
-
-  std::vector<double> all_us;
-  for (const std::vector<double>& per_client : latencies_us) {
-    all_us.insert(all_us.end(), per_client.begin(), per_client.end());
-  }
-  std::sort(all_us.begin(), all_us.end());
-
-  ScenarioResult result;
-  result.name = std::string(warm ? "warm" : "cold") + "_" +
-                std::to_string(clients) +
-                (clients == 1 ? "_client" : "_clients");
-  result.clients = clients;
-  result.warm = warm;
-  result.requests = all_us.size();
-  result.req_per_s =
-      elapsed_s > 0.0 ? static_cast<double>(all_us.size()) / elapsed_s : 0.0;
-  result.p50_us = percentile(all_us, 50);
-  result.p95_us = percentile(all_us, 95);
-  result.p99_us = percentile(all_us, 99);
-  result.p999_us = percentile(all_us, 99.9);
-  return result;
-}
-
-/// Warm routed two-model workload: every client alternates between the
-/// fleet's models request by request, so each batcher round and cache
-/// lookup carries mixed routes.
-ScenarioResult run_fleet_scenario(const std::string& manifest,
-                                  const std::vector<std::string>& pool,
-                                  int clients,
-                                  std::size_t requests_per_client) {
-  esm::serve::ServeConfig config;
-  config.artifact_path = manifest;
-  config.cache_capacity = 4096;
-  esm::serve::PredictionServer server(config);
-  static const char* kModels[2] = {"edge", "cloud"};
-
-  std::vector<esm::serve::ServeClient> sessions;
-  sessions.reserve(static_cast<std::size_t>(clients));
-  for (int c = 0; c < clients; ++c) {
-    esm::serve::StreamPair pair = esm::serve::make_stream_pair();
-    server.serve(pair.server);
-    sessions.emplace_back(pair.client);
-  }
-  // Prime both per-model caches so the measured phase is all hits.
-  for (const char* model : kModels) {
-    for (const std::string& arch : pool) sessions[0].predict(model, arch);
-  }
-
-  std::vector<std::vector<double>> latencies_us(
-      static_cast<std::size_t>(clients));
-  std::vector<std::array<std::size_t, 2>> counts(
-      static_cast<std::size_t>(clients), {0, 0});
-  const Clock::time_point begin = Clock::now();
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(clients));
-  for (int c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      std::vector<double>& mine = latencies_us[static_cast<std::size_t>(c)];
-      mine.reserve(requests_per_client);
-      for (std::size_t i = 0; i < requests_per_client; ++i) {
-        const std::size_t which = (static_cast<std::size_t>(c) + i) % 2;
-        const std::string& arch =
-            pool[(static_cast<std::size_t>(c) * 7919 + i * 13) % pool.size()];
-        const Clock::time_point start = Clock::now();
-        sessions[static_cast<std::size_t>(c)].predict(kModels[which], arch);
-        mine.push_back(
-            std::chrono::duration<double, std::micro>(Clock::now() - start)
-                .count());
-        ++counts[static_cast<std::size_t>(c)][which];
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  const double elapsed_s =
-      std::chrono::duration<double>(Clock::now() - begin).count();
-
-  std::vector<double> all_us;
-  for (const std::vector<double>& per_client : latencies_us) {
-    all_us.insert(all_us.end(), per_client.begin(), per_client.end());
-  }
-  std::sort(all_us.begin(), all_us.end());
-
-  ScenarioResult result;
-  result.name = "fleet_warm_" + std::to_string(clients) + "_clients";
-  result.clients = clients;
-  result.warm = true;
-  result.requests = all_us.size();
-  result.req_per_s =
-      elapsed_s > 0.0 ? static_cast<double>(all_us.size()) / elapsed_s : 0.0;
-  result.p50_us = percentile(all_us, 50);
-  result.p95_us = percentile(all_us, 95);
-  result.p99_us = percentile(all_us, 99);
-  result.p999_us = percentile(all_us, 99.9);
-  for (std::size_t m = 0; m < 2; ++m) {
-    PerModelResult per;
-    per.model = kModels[m];
-    for (const auto& per_client : counts) per.requests += per_client[m];
-    per.req_per_s = elapsed_s > 0.0
-                        ? static_cast<double>(per.requests) / elapsed_s
-                        : 0.0;
-    result.per_model.push_back(std::move(per));
-  }
-  return result;
 }
 
 /// Event-loop front end under `conns` concurrent loopback connections,
@@ -642,20 +457,10 @@ void write_json(const std::string& path,
         << ", \"req_per_s\": " << r.req_per_s << ", \"p50_us\": " << r.p50_us
         << ", \"p95_us\": " << r.p95_us << ", \"p99_us\": " << r.p99_us
         << ", \"p999_us\": " << r.p999_us;
-    if (!r.proto.empty()) out << ", \"proto\": \"" << r.proto << "\"";
+    out << ", \"proto\": \"" << r.proto << "\"";
     if (r.overload) {
       out << ", \"shed\": " << r.shed << ", \"shed_rate\": " << r.shed_rate
           << ", \"goodput_req_per_s\": " << r.req_per_s;
-    }
-    if (!r.per_model.empty()) {
-      out << ", \"per_model\": {";
-      for (std::size_t m = 0; m < r.per_model.size(); ++m) {
-        const PerModelResult& per = r.per_model[m];
-        out << (m > 0 ? ", " : "") << "\"" << per.model
-            << "\": {\"requests\": " << per.requests
-            << ", \"req_per_s\": " << per.req_per_s << "}";
-      }
-      out << "}";
     }
     out << "}" << (i + 1 < results.size() ? "," : "") << "\n";
   }
@@ -667,47 +472,16 @@ void write_json(const std::string& path,
 int main(int argc, char** argv) {
   esm::ArgParser args(
       "serve_throughput: requests/s and latency percentiles of the online "
-      "prediction server, cold vs warm cache, 1 and 8 client threads");
-  args.add_int("requests", 2000, "requests per client thread per scenario");
+      "prediction server's event-loop front end, esm1 vs esm2");
   args.add_int("pool", 311, "distinct architectures in the request pool");
   args.add_string("out", "BENCH_serve.json", "output JSON path");
   if (!args.parse(argc, argv)) return 0;
 
-  const std::string artifact = build_artifact(fixture_path("serve_bench.esm"), 1.0);
+  const std::string artifact = build_artifact(fixture_path("serve_bench.esm"));
   const std::vector<std::string> pool =
       arch_pool(static_cast<std::size_t>(args.get_int("pool")));
-  const std::size_t per_client =
-      static_cast<std::size_t>(args.get_int("requests"));
 
   std::vector<ScenarioResult> results;
-  for (const bool warm : {false, true}) {
-    for (const int clients : {1, 8}) {
-      results.push_back(run_scenario(artifact, pool, clients, warm,
-                                     per_client));
-      const ScenarioResult& r = results.back();
-      std::cout << r.name << ": " << r.requests << " requests, "
-                << static_cast<long long>(r.req_per_s) << " req/s, p50 "
-                << r.p50_us << " us, p95 " << r.p95_us << " us, p99 "
-                << r.p99_us << " us\n";
-    }
-  }
-
-  const std::string manifest = build_fleet_manifest(
-      artifact, build_artifact(fixture_path("serve_bench_b.esm"), 1.37));
-  results.push_back(run_fleet_scenario(manifest, pool, 8, per_client));
-  {
-    const ScenarioResult& r = results.back();
-    std::cout << r.name << ": " << r.requests << " requests, "
-              << static_cast<long long>(r.req_per_s) << " req/s, p50 "
-              << r.p50_us << " us, p95 " << r.p95_us << " us, p99 "
-              << r.p99_us << " us";
-    for (const PerModelResult& per : r.per_model) {
-      std::cout << ", " << per.model << " "
-                << static_cast<long long>(per.req_per_s) << " req/s";
-    }
-    std::cout << "\n";
-  }
-
   // Event-loop front end: both protocols at each concurrency level, the
   // same ~16k-request workload split across the connections.
   for (const int conns : {1, 8, 256, 4096}) {

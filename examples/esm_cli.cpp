@@ -82,7 +82,6 @@
 #include "esm/framework.hpp"
 #include "esm/pipeline.hpp"
 #include "nas/accuracy_proxy.hpp"
-#include "nas/search.hpp"
 #include "nas/search/engine.hpp"
 #include "nas/search/wire.hpp"
 #include "nets/builder.hpp"

@@ -23,8 +23,10 @@
 #                         a search determinism smoke (`esm_cli search
 #                         --format serve` must print byte-identical front
 #                         payloads to the served `search` verb for the same
-#                         artifact and seed), then
-#                         a scalar-fallback build (-DESM_SIMD=off) running
+#                         artifact and seed), then an hw_nas_search example
+#                         smoke (every Pareto-front member it prints must
+#                         meet its budget on the ground-truth simulator),
+#                         then a scalar-fallback build (-DESM_SIMD=off) running
 #                         the linalg + encoding + parallel + fastpath +
 #                         serve suites (the portable GEMM path must stay
 #                         green and bit-identical), then an FMA build
@@ -37,9 +39,10 @@
 #                         serve + fleet + frame + event-loop + overload +
 #                         chaos suites (journal writes sit on the ordered
 #                         reduction path of the thread pool; serve
-#                         exercises sessions, batcher, routing, and cache
-#                         concurrently; the event loop adds the reactor
-#                         thread against both; overload adds shedding and
+#                         drives the reactor, batcher, routing, and cache
+#                         concurrently from many clients; the event loop
+#                         adds backpressure, drain, and the 10k-connection
+#                         pin; overload adds shedding and
 #                         deadline expiry races; chaos adds the seeded
 #                         fault decorators under the 10k-connection pin)
 #
@@ -101,7 +104,9 @@ for _ in $(seq 1 100); do
 done
 [ -s "$SMOKE_DIR/port" ] || { echo "esm_serve never published its port"; exit 1; }
 SERVE_PORT="$(cat "$SMOKE_DIR/port")"
-printf 'predict 3,5,2,7\nstats\nshutdown\n' \
+# The esm1 client leaves the server running; the esm2 client below sends
+# the shutdown, so both reach a live server.
+printf 'predict 3,5,2,7\nstats\n' \
   | build/examples/esm_serve --connect "$SERVE_PORT" > "$SMOKE_DIR/serve.out" \
   || { echo "esm_serve client reported an error"; exit 1; }
 grep -q "^esm1 ok predict " "$SMOKE_DIR/serve.out" \
@@ -257,6 +262,24 @@ wait "$SEARCH_PID" \
   || { echo "search esm_serve exited non-zero after shutdown"; exit 1; }
 echo "search smoke test passed (CLI front bytes == served front bytes)"
 
+echo "== hw_nas_search example smoke test =="
+# The NAS example end to end: build an MLP predictor with ESM, search the
+# MobileNetV3 space with the engine, and re-check every Pareto-front
+# member it prints on the ground-truth simulator. A member marked NO (true
+# latency over the budget) fails the smoke, as does a nonzero exit.
+build/examples/hw_nas_search > "$SMOKE_DIR/hw_nas.out" \
+  || { echo "hw_nas_search exited non-zero"; cat "$SMOKE_DIR/hw_nas.out"
+       exit 1; }
+grep -qE '\| yes +\|' "$SMOKE_DIR/hw_nas.out" \
+  || { echo "hw_nas_search printed no candidate"; cat "$SMOKE_DIR/hw_nas.out"
+       exit 1; }
+if grep -qE '\| NO +\|' "$SMOKE_DIR/hw_nas.out"; then
+  echo "hw_nas_search smoke FAILED: a front member misses its budget"
+  cat "$SMOKE_DIR/hw_nas.out"
+  exit 1
+fi
+echo "hw_nas_search smoke test passed"
+
 echo "== scalar tier (ESM_SIMD=off: portable GEMM path) =="
 # The vector microkernel and the scalar fallback must agree bit-for-bit;
 # run the math-heavy suites against the fallback so it can never rot.
@@ -292,9 +315,11 @@ echo "== tsan tier (linalg + fault + parallel + journal + serve + fleet + event 
 # event_loop_test puts the reactor thread, the batcher threads, and the
 # client driver threads under TSan at once — including the 10k-connection
 # headline test, which is the strongest cross-thread interleaving we have.
-# overload_test adds admission shedding and dequeue-time deadline expiry
-# racing the batcher; chaos_test adds the seeded fault decorators under
-# the 10k chaos+overload pin, the widest interleaving in the repo.
+# serve_test drives the same reactor from eight concurrent clients, hot
+# reloads under traffic, and routed fleet requests. overload_test adds
+# admission shedding and dequeue-time deadline expiry racing the batcher;
+# chaos_test adds the seeded fault decorators under the 10k chaos+overload
+# pin, the widest interleaving in the repo.
 # search_test runs long searches through predict_all on the pool while the
 # server sheds and expires concurrent search requests.
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \

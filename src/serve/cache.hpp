@@ -2,8 +2,8 @@
 // (ArchConfig::to_string(), optionally generation-prefixed by the server);
 // values are the exact predicted doubles, so a cache hit returns the same
 // bits the miss path computed. Sharding keeps lock contention bounded when
-// many client sessions look up concurrently: each key hashes to one shard
-// with its own mutex and LRU list.
+// the reactor and the batcher look up concurrently: each key hashes to one
+// shard with its own mutex and LRU list.
 #pragma once
 
 #include <cstddef>

@@ -6,10 +6,10 @@
 // esm_serve CLI all drive the server through this one implementation.
 //
 // Two API levels:
-//   - Sync verbs (predict, predict_batch, info, models, stats, reload,
-//     shutdown): send one request, block for its response, throw
-//     esm::ConfigError on structured errors. Same surface as the PR-5
-//     ServeClient, protocol-independent.
+//   - Sync verbs (predict, predict_batch, info, models, stats, search,
+//     reload, shutdown): send one request, block for its response, throw
+//     esm::ConfigError on structured errors; call_line() passes a raw
+//     request line through. Protocol-independent.
 //   - Pipelining (submit/await): queue many requests without waiting, then
 //     collect responses by id. Over esm2 the server completes requests out
 //     of order and the id match is native; over esm1 responses arrive in

@@ -5,29 +5,29 @@ namespace esm::serve {
 const char* to_string(ErrorCode code) {
   switch (code) {
     case ErrorCode::bad_request:
-      return kErrBadRequest;
+      return "bad_request";
     case ErrorCode::bad_arch:
-      return kErrBadArch;
+      return "bad_arch";
     case ErrorCode::unknown_verb:
-      return kErrUnknownVerb;
+      return "unknown_verb";
     case ErrorCode::oversized:
-      return kErrOversized;
+      return "oversized";
     case ErrorCode::reload_failed:
-      return kErrReloadFailed;
+      return "reload_failed";
     case ErrorCode::server_error:
-      return kErrServerError;
+      return "server_error";
     case ErrorCode::unknown_model:
-      return kErrUnknownModel;
+      return "unknown_model";
     case ErrorCode::bad_frame:
-      return kErrBadFrame;
+      return "bad_frame";
     case ErrorCode::overloaded:
-      return kErrOverloaded;
+      return "overloaded";
     case ErrorCode::deadline_exceeded:
-      return kErrDeadlineExceeded;
+      return "deadline_exceeded";
   }
   // A byte from a newer peer: degrade to the backstop token rather than
   // inventing an unparseable one.
-  return kErrServerError;
+  return "server_error";
 }
 
 bool error_code_retryable(ErrorCode code) {

@@ -6,8 +6,8 @@
 // to_string() is the token `esm1` error lines carry, so the two protocols
 // can never drift apart. Both representations are frozen: the numeric
 // values and the strings are wire format, covered by an exhaustive
-// round-trip test (tests/frame_test.cpp), and PR-5/PR-7 era clients that
-// match on the string tokens keep working unchanged.
+// round-trip test (tests/frame_test.cpp), and clients that match on the
+// string tokens keep working unchanged.
 #pragma once
 
 #include <cstdint>
@@ -55,18 +55,5 @@ bool parse_error_code(std::string_view text, ErrorCode& out);
 /// and `deadline_exceeded` means the caller's own budget ran out, so an
 /// automatic retry must not second-guess it.
 bool error_code_retryable(ErrorCode code);
-
-// Legacy string constants, kept so PR-5/PR-7 era callers (and tests)
-// compile unchanged. These are the same wire tokens to_string() returns.
-inline constexpr const char* kErrBadRequest = "bad_request";
-inline constexpr const char* kErrBadArch = "bad_arch";
-inline constexpr const char* kErrUnknownVerb = "unknown_verb";
-inline constexpr const char* kErrOversized = "oversized";
-inline constexpr const char* kErrReloadFailed = "reload_failed";
-inline constexpr const char* kErrServerError = "server_error";
-inline constexpr const char* kErrUnknownModel = "unknown_model";
-inline constexpr const char* kErrBadFrame = "bad_frame";
-inline constexpr const char* kErrOverloaded = "overloaded";
-inline constexpr const char* kErrDeadlineExceeded = "deadline_exceeded";
 
 }  // namespace esm::serve

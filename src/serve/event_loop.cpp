@@ -321,8 +321,7 @@ struct EventLoop::Impl {
       if (r == IoResult::would_block) return;
       if (r == IoResult::closed) {
         // Orderly EOF: answer everything complete (plus a final
-        // unterminated esm1 line, matching the session transport), flush,
-        // then close.
+        // unterminated esm1 line), flush, then close.
         parse_input(conn, /*at_eof=*/true);
         if (find_conn(id) == nullptr) return;
         conn.read_shut = true;
@@ -353,7 +352,7 @@ struct EventLoop::Impl {
       if (conn.read_shut) return;
     }
     // A peer that streams past the line limit without a newline cannot be
-    // resynchronized (same policy as the session transport): drop.
+    // resynchronized: drop.
     if (conn.in.size() > server_max_line() + 2) {
       remove_conn(conn, CloseKind::dropped);
       return;

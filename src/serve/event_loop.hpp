@@ -11,13 +11,13 @@
 //   - The first byte of each connection selects its protocol: 0xE5 is the
 //     esm2 frame magic (outside ASCII), anything else is an esm1 text
 //     line. A connection never switches protocols.
-//   - Requests are handed to PredictionServer::handle_request, the same
-//     transport-agnostic core the thread-per-session path uses, so both
-//     front ends answer bit-identically and share one metrics sink. Cache
-//     hits and control verbs complete inline; prediction misses complete
-//     from the batcher thread. Completions are queued back to the reactor
-//     (self-pipe wake) and written from the loop thread — handlers never
-//     block the loop and never touch a connection from another thread.
+//   - Requests are handed to PredictionServer::handle_request, the
+//     transport-agnostic core, so both protocols answer bit-identically
+//     and share one metrics sink. Cache hits and control verbs complete
+//     inline; prediction misses complete from the batcher thread.
+//     Completions are queued back to the reactor (self-pipe wake) and
+//     written from the loop thread — handlers never block the loop and
+//     never touch a connection from another thread.
 //   - esm1 responses are released strictly in request order per connection
 //     (a per-connection sequence holds completed-out-of-order responses
 //     until their turn); esm2 responses are written the moment they
@@ -37,7 +37,7 @@
 //     pass, every complete request already on the wire is answered and
 //     flushed, partial trailing bytes are discarded, and run() returns
 //     only after every in-flight completion came back — no request that
-//     was read is ever dropped, the same contract the session path keeps.
+//     was read is ever dropped.
 #pragma once
 
 #include <atomic>

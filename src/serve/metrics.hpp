@@ -137,8 +137,8 @@ struct MetricsSnapshot {
   std::vector<std::pair<std::string, ModelCounters>> per_model;
 };
 
-/// Thread-safe metrics sink owned by the server; sessions and the batcher
-/// record into it concurrently.
+/// Thread-safe metrics sink owned by the server; the front end and the
+/// batcher record into it concurrently.
 class ServerMetrics {
  public:
   ServerMetrics();

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
-#include <mutex>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -29,60 +26,6 @@ bool parse_int_token(const std::string& token, long& out) {
   out = v;
   return true;
 }
-
-/// One direction of the in-process pair: a line queue with blocking pop.
-struct Channel {
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::deque<std::string> lines;
-  bool closed = false;
-
-  bool pop(std::string& line) {
-    std::unique_lock<std::mutex> lock(mutex);
-    cv.wait(lock, [&] { return !lines.empty() || closed; });
-    if (lines.empty()) return false;  // closed and drained
-    line = std::move(lines.front());
-    lines.pop_front();
-    return true;
-  }
-
-  // Lines pushed after close() are still queued: the reader drains them
-  // before seeing end-of-stream, which is what lets a draining server
-  // answer every request that was already on the wire.
-  bool push(std::string line) {
-    std::lock_guard<std::mutex> lock(mutex);
-    const bool open = !closed;
-    lines.push_back(std::move(line));
-    cv.notify_all();
-    return open;
-  }
-
-  void close() {
-    std::lock_guard<std::mutex> lock(mutex);
-    closed = true;
-    cv.notify_all();
-  }
-};
-
-/// One end of the pair: reads from one channel, writes to the other.
-class InProcessStream final : public Stream {
- public:
-  InProcessStream(std::shared_ptr<Channel> in, std::shared_ptr<Channel> out)
-      : in_(std::move(in)), out_(std::move(out)) {}
-
-  bool read_line(std::string& line) override { return in_->pop(line); }
-  bool write_line(const std::string& line) override {
-    return out_->push(line);
-  }
-  void close() override {
-    in_->close();
-    out_->close();
-  }
-
- private:
-  std::shared_ptr<Channel> in_;
-  std::shared_ptr<Channel> out_;
-};
 
 }  // namespace
 
@@ -146,13 +89,9 @@ std::string format_ok(const std::string& verb, const std::string& payload) {
   return line;
 }
 
-std::string format_error(const std::string& code, const std::string& detail) {
-  return std::string(kResponsePrefix) + " err " + code + " " +
-         sanitize_one_line(detail);
-}
-
 std::string format_error(ErrorCode code, const std::string& detail) {
-  return format_error(std::string(to_string(code)), detail);
+  return std::string(kResponsePrefix) + " err " + to_string(code) + " " +
+         sanitize_one_line(detail);
 }
 
 std::string format_reply_esm1(const Reply& reply) {
@@ -289,105 +228,5 @@ std::vector<ArchConfig> parse_arch_batch(const SupernetSpec& spec,
   ESM_REQUIRE(!archs.empty(), "empty architecture batch");
   return archs;
 }
-
-StreamPair make_stream_pair() {
-  auto a = std::make_shared<Channel>();
-  auto b = std::make_shared<Channel>();
-  StreamPair pair;
-  pair.client = std::make_shared<InProcessStream>(a, b);
-  pair.server = std::make_shared<InProcessStream>(b, a);
-  return pair;
-}
-
-ServeClient::ServeClient(std::shared_ptr<Stream> stream)
-    : stream_(std::move(stream)) {}
-
-ParsedResponse ServeClient::call(const std::string& request_line) {
-  ESM_REQUIRE(stream_->write_line(request_line),
-              "server stream closed before request could be sent");
-  std::string line;
-  ESM_REQUIRE(stream_->read_line(line),
-              "server stream ended before a response arrived");
-  ParsedResponse response;
-  ESM_REQUIRE(parse_response(line, response),
-              "unparseable server response: '" << line << "'");
-  return response;
-}
-
-ParsedResponse ServeClient::expect_ok(const std::string& request_line) {
-  ParsedResponse response = call(request_line);
-  ESM_REQUIRE(response.ok, "server replied " << response.verb_or_code << ": "
-                                             << response.payload);
-  return response;
-}
-
-double ServeClient::predict(const std::string& arch_spec) {
-  const ParsedResponse response = expect_ok("predict " + arch_spec);
-  return std::strtod(response.payload.c_str(), nullptr);
-}
-
-double ServeClient::predict(const std::string& model,
-                            const std::string& arch_spec) {
-  const ParsedResponse response =
-      expect_ok("predict " + model + " " + arch_spec);
-  return std::strtod(response.payload.c_str(), nullptr);
-}
-
-std::vector<double> ServeClient::predict_batch(
-    const std::vector<std::string>& specs) {
-  return predict_batch("", specs);
-}
-
-std::vector<double> ServeClient::predict_batch(
-    const std::string& model, const std::vector<std::string>& specs) {
-  std::string payload;
-  if (!model.empty()) payload = model + " ";
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (i > 0) payload += ';';
-    payload += specs[i];
-  }
-  const ParsedResponse response = expect_ok("predict_batch " + payload);
-  std::istringstream tokens(response.payload);
-  std::size_t n = 0;
-  ESM_REQUIRE(static_cast<bool>(tokens >> n),
-              "malformed predict_batch payload '" << response.payload << "'");
-  std::vector<double> values;
-  values.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::string v;
-    ESM_REQUIRE(static_cast<bool>(tokens >> v),
-                "predict_batch payload truncated at value " << i);
-    values.push_back(std::strtod(v.c_str(), nullptr));
-  }
-  return values;
-}
-
-std::map<std::string, std::string> ServeClient::info() {
-  return parse_kv_payload(expect_ok("info").payload);
-}
-
-std::map<std::string, std::string> ServeClient::info(
-    const std::string& model) {
-  return parse_kv_payload(expect_ok("info " + model).payload);
-}
-
-std::vector<std::string> ServeClient::models() {
-  const ParsedResponse response = expect_ok("models");
-  std::vector<std::string> names;
-  std::istringstream tokens(response.payload);
-  std::string name;
-  while (tokens >> name) names.push_back(name);
-  return names;
-}
-
-std::map<std::string, std::string> ServeClient::stats() {
-  return parse_kv_payload(expect_ok("stats").payload);
-}
-
-void ServeClient::reload(const std::string& artifact_path) {
-  expect_ok("reload " + artifact_path);
-}
-
-void ServeClient::shutdown() { expect_ok("shutdown"); }
 
 }  // namespace esm::serve

@@ -1,7 +1,8 @@
 // Wire protocol for the online prediction server: newline-delimited framed
-// requests with versioned one-line responses, a transport abstraction
-// (Stream) with an in-process pair for deterministic tests, the shared
-// architecture-request parser, and a small typed client.
+// requests with versioned one-line responses, and the shared
+// architecture-request parser. Transports live in serve/transport.hpp, the
+// front end that runs them in serve/event_loop.hpp, and the one client
+// (speaking this protocol or the binary esm2 frames) in serve/client.hpp.
 //
 // Request grammar (one line per request, no version prefix):
 //   predict [<model>] <arch>  price one architecture
@@ -37,13 +38,12 @@
 //   esm1 ok <verb> <payload>
 //   esm1 err <code> <detail...>
 // The "esm1" prefix versions the response framing; clients reject other
-// prefixes. Error codes are stable tokens (kErr* below); the detail is
-// human-readable free text on the rest of the line.
+// prefixes. Error codes are the stable tokens of serve/error.hpp; the
+// detail is human-readable free text on the rest of the line.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -57,8 +57,7 @@ namespace esm::serve {
 inline constexpr const char* kResponsePrefix = "esm1";
 
 // Error codes live in serve/error.hpp (one ErrorCode space shared by esm1
-// and esm2); the kErr* string constants remain available through that
-// header for existing callers.
+// and esm2).
 
 /// Verb + rest-of-line payload of a request ("" when absent). The verb of
 /// an empty line is "".
@@ -103,11 +102,9 @@ bool extract_deadline_token(std::string& payload, std::uint32_t& deadline_ms,
 /// when the payload is empty.
 std::string format_ok(const std::string& verb, const std::string& payload);
 
-/// Formats "esm1 err <code> <detail>". Newlines in the detail are replaced
-/// with spaces so the response stays one frame.
-std::string format_error(const std::string& code, const std::string& detail);
-
-/// Same, from the shared ErrorCode enum (spells the stable wire token).
+/// Formats "esm1 err <token> <detail>" with the code's stable wire token.
+/// Newlines in the detail are replaced with spaces so the response stays
+/// one frame.
 std::string format_error(ErrorCode code, const std::string& detail);
 
 /// Structured outcome of one request, before protocol rendering: esm1
@@ -159,75 +156,5 @@ ArchConfig parse_arch_request(const SupernetSpec& spec,
 std::vector<ArchConfig> parse_arch_batch(const SupernetSpec& spec,
                                          const std::string& payload,
                                          std::size_t max_archs);
-
-/// Blocking line-oriented transport the server core runs on. Implementations
-/// must be safe for one reader and one writer thread plus concurrent
-/// close().
-class Stream {
- public:
-  virtual ~Stream() = default;
-
-  /// Blocks for the next line (without its '\n'); false on end-of-stream.
-  /// Lines queued before close() are still delivered.
-  virtual bool read_line(std::string& line) = 0;
-
-  /// Writes one line (appends '\n'). Returns false when the line can no
-  /// longer reach the peer.
-  virtual bool write_line(const std::string& line) = 0;
-
-  /// Ends the stream: blocked and future read_line calls return false once
-  /// already-queued lines are drained. Idempotent.
-  virtual void close() = 0;
-};
-
-/// The two ends of an in-process bidirectional stream: what one end writes
-/// the other reads, in order. close() on either end closes both directions
-/// after queued lines drain — this is the transport tests and benches use
-/// to drive the full protocol deterministically without sockets.
-struct StreamPair {
-  std::shared_ptr<Stream> client;
-  std::shared_ptr<Stream> server;
-};
-
-StreamPair make_stream_pair();
-
-/// Minimal typed client over any Stream. Not thread-safe; one client per
-/// thread.
-class ServeClient {
- public:
-  explicit ServeClient(std::shared_ptr<Stream> stream);
-
-  /// Sends one raw request line and blocks for its response. Throws
-  /// esm::ConfigError if the stream ends or the response is unparseable.
-  ParsedResponse call(const std::string& request_line);
-
-  /// predict; throws esm::ConfigError carrying code + detail on err replies.
-  /// The keyless form routes to the fleet's default model; the keyed form
-  /// routes to the named model.
-  double predict(const std::string& arch_spec);
-  double predict(const std::string& model, const std::string& arch_spec);
-
-  /// predict_batch over pre-rendered arch specs, keyless or routed.
-  std::vector<double> predict_batch(const std::vector<std::string>& specs);
-  std::vector<double> predict_batch(const std::string& model,
-                                    const std::vector<std::string>& specs);
-
-  std::map<std::string, std::string> info();
-  std::map<std::string, std::string> info(const std::string& model);
-  std::map<std::string, std::string> stats();
-
-  /// The fleet's model names, in manifest order (the `models` verb).
-  std::vector<std::string> models();
-
-  void reload(const std::string& artifact_path);
-  void shutdown();
-
-  Stream& stream() { return *stream_; }
-
- private:
-  ParsedResponse expect_ok(const std::string& request_line);
-
-  std::shared_ptr<Stream> stream_;
-};
 
 }  // namespace esm::serve

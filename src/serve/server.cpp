@@ -18,11 +18,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double elapsed_us(Clock::time_point since) {
-  return std::chrono::duration<double, std::micro>(Clock::now() - since)
-      .count();
-}
-
 Reply ok_reply(std::string verb, std::string payload) {
   Reply reply;
   reply.verb = std::move(verb);
@@ -119,55 +114,6 @@ std::shared_ptr<const ModelFleet> PredictionServer::fleet() const {
 
 std::shared_ptr<const TrainableSurrogate> PredictionServer::model() const {
   return current_fleet()->default_model().model;
-}
-
-void PredictionServer::serve(std::shared_ptr<Stream> stream) {
-  std::lock_guard<std::mutex> lock(sessions_mutex_);
-  if (stopping()) {
-    stream->close();
-    return;
-  }
-  session_streams_.push_back(stream);
-  session_threads_.emplace_back(
-      [this, stream = std::move(stream)] { session_loop(stream); });
-}
-
-void PredictionServer::session_loop(std::shared_ptr<Stream> stream) {
-  std::string line;
-  while (stream->read_line(line)) {
-    const Clock::time_point start = Clock::now();
-    bool shutdown_requested = false;
-    std::string response;
-    try {
-      response = handle_line(line, shutdown_requested);
-    } catch (const std::exception& e) {
-      // Backstop: no request, however malformed, may crash a session.
-      response = format_error(kErrServerError, e.what());
-    }
-    stream->write_line(response);
-    metrics_.record_latency_us(elapsed_us(start));
-    if (shutdown_requested) {
-      request_stop();
-      break;
-    }
-  }
-  stream->close();
-}
-
-std::string PredictionServer::handle_line(const std::string& line,
-                                          bool& shutdown_requested) {
-  // Blocking adapter over the async core: cache hits and control verbs
-  // complete inline, misses resolve from the batcher thread; either way
-  // the session thread waits here, exactly as it did pre-event-loop.
-  std::promise<Reply> promise;
-  std::future<Reply> future = promise.get_future();
-  handle_request(split_request(line), line.size(),
-                 [&promise](Reply&& reply) {
-                   promise.set_value(std::move(reply));
-                 });
-  const Reply reply = future.get();
-  shutdown_requested = reply.shutdown;
-  return format_reply_esm1(reply);
 }
 
 void PredictionServer::handle_request(const ParsedRequest& request,
@@ -884,24 +830,12 @@ void PredictionServer::summary_loop() {
   }
 }
 
-bool PredictionServer::stopping() const {
-  std::lock_guard<std::mutex> lock(stop_mutex_);
-  return stop_requested_;
-}
-
 void PredictionServer::request_stop() {
   {
     std::lock_guard<std::mutex> lock(stop_mutex_);
-    if (stop_requested_) return;
     stop_requested_ = true;
   }
   stop_cv_.notify_all();
-  // Closing unblocks session readers; lines already queued are still
-  // delivered and answered before the sessions exit (drain semantics).
-  std::lock_guard<std::mutex> lock(sessions_mutex_);
-  for (const std::shared_ptr<Stream>& stream : session_streams_) {
-    stream->close();
-  }
 }
 
 void PredictionServer::wait() {
@@ -915,14 +849,8 @@ void PredictionServer::wait() {
     }
     joining_ = true;
   }
-  // Sessions first: they may still be waiting on the batcher for queued
-  // predictions, so the batcher must outlive them.
-  std::vector<std::thread> sessions;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mutex_);
-    sessions.swap(session_threads_);
-  }
-  for (std::thread& t : sessions) t.join();
+  // The batcher finishes every queued prediction before exiting, so
+  // completions a front end is still waiting on all fire.
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     batcher_stop_ = true;

@@ -1,25 +1,20 @@
 // Long-running prediction server over a fleet of named models: loads a
 // fleet manifest (or a single `.esm` artifact, served as a one-model fleet
-// named "default"), admits concurrent client sessions over any Stream
-// transport, routes each request to a model by its optional key, coalesces
-// pending predictions into per-model batches dispatched through
+// named "default"), routes each request to a model by its optional key,
+// coalesces pending predictions into per-model batches dispatched through
 // predict_all (and so the shared thread pool), answers repeats from each
 // model's own sharded LRU cache, hot-swaps the whole fleet on `reload`
-// between batches, and drains in-flight requests before stopping.
+// between batches, and drains in-flight requests before stopping. The
+// server owns no transport: the epoll event loop (serve/event_loop.hpp)
+// is its front end.
 //
 // Threading model:
-//   - handle_request() is the transport-agnostic core: any front end hands
+//   - handle_request() is the transport-agnostic core: the front end hands
 //     it a split request plus a completion callback. Cache hits, control
 //     verbs, and errors complete inline on the calling thread; predictions
 //     that miss park on the shared pending queue and complete from the
-//     batcher thread. The thread-per-session esm1 path blocks on that
-//     callback (handle_line); the epoll event loop (serve/event_loop.hpp)
-//     instead posts completions back to its reactor, so thousands of
-//     connections share one I/O thread.
-//   - serve(stream) spawns one session thread per client; it reads request
-//     lines, routes them to a fleet model, resolves cache hits inline, and
-//     parks misses on the shared pending queue behind the completion
-//     callback.
+//     batcher thread. The event loop posts completions back to its
+//     reactor, so thousands of connections share one I/O thread.
 //   - one batcher thread drains the pending queue: whatever accumulated
 //     while the previous dispatch was in flight is grouped by model and
 //     each group becomes one predict_all dispatch (the drain is capped at
@@ -40,10 +35,11 @@
 //     cache travels with it: an unchanged entry (same name, same artifact
 //     CRC) keeps its warm cache across the swap, while replaced models get
 //     a fresh generation and an empty cache.
-//   - request_stop()/wait() drain: session streams are closed, sessions
-//     answer every request already on the wire, the batcher finishes the
-//     queue, then every thread is joined. No request that was read is
-//     dropped.
+//   - request_stop()/wait() drain: the batcher finishes the queue and the
+//     search worker every admitted search, then every thread is joined. No
+//     admitted request is dropped. The front end drains first (the event
+//     loop answers every request already on the wire), then stops the
+//     server.
 #pragma once
 
 #include <chrono>
@@ -51,7 +47,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -120,22 +115,13 @@ class PredictionServer {
   PredictionServer(const PredictionServer&) = delete;
   PredictionServer& operator=(const PredictionServer&) = delete;
 
-  /// Admits one client: spawns a session thread that serves `stream` until
-  /// the stream ends or the server drains.
-  void serve(std::shared_ptr<Stream> stream);
-
-  /// Begins the drain: no new sessions are admitted, session streams are
-  /// closed (requests already on the wire still get answers), and wait()
-  /// unblocks once everything finished. Idempotent, callable from any
-  /// thread including a session thread (the `shutdown` verb routes here).
+  /// Begins the drain: wait() unblocks once every admitted request was
+  /// answered. Idempotent, callable from any thread.
   void request_stop();
 
-  /// Blocks until a stop was requested and every session, the batcher, and
-  /// the summary thread have been joined.
+  /// Blocks until a stop was requested and the batcher, the search worker,
+  /// and the summary thread have been joined.
   void wait();
-
-  /// True once a stop was requested (drain begun).
-  bool stopping() const;
 
   MetricsSnapshot metrics() const { return metrics_.snapshot(); }
 
@@ -154,7 +140,7 @@ class PredictionServer {
   std::shared_ptr<const TrainableSurrogate> model() const;
 
   /// Handles one already-split request, transport- and framing-agnostic:
-  /// the esm1 session path and the esm2 event loop both route here.
+  /// both wire protocols of the event loop route here.
   /// `wire_bytes` is the request's on-the-wire size (line or frame payload
   /// length), used for the oversized check. `done` fires exactly once —
   /// inline for cache hits, control verbs, and errors; from the batcher
@@ -162,11 +148,6 @@ class PredictionServer {
   /// unexpected handler exceptions become server_error replies.
   void handle_request(const ParsedRequest& request, std::size_t wire_bytes,
                       ReplyCallback done);
-
-  /// Blocking convenience over handle_request: handles one request line
-  /// and returns the rendered esm1 response; sets `shutdown_requested` for
-  /// the `shutdown` verb. (The thread-per-session transport runs on this.)
-  std::string handle_line(const std::string& line, bool& shutdown_requested);
 
  private:
   /// One prediction waiting for the batcher. `done` is invoked from the
@@ -226,7 +207,6 @@ class PredictionServer {
                std::chrono::steady_clock::time_point deadline,
                std::function<void(double, std::exception_ptr)> done);
 
-  void session_loop(std::shared_ptr<Stream> stream);
   void batcher_loop();
   void search_loop();
   void summary_loop();
@@ -265,11 +245,7 @@ class PredictionServer {
   std::size_t inflight_ = 0;
   bool batcher_stop_ = false;
 
-  std::mutex sessions_mutex_;
-  std::vector<std::thread> session_threads_;
-  std::vector<std::shared_ptr<Stream>> session_streams_;
-
-  mutable std::mutex stop_mutex_;
+  std::mutex stop_mutex_;
   std::condition_variable stop_cv_;
   bool stop_requested_ = false;
   bool joining_ = false;

@@ -22,22 +22,8 @@
 
 #include "common/error.hpp"
 #include "common/retry.hpp"
-#include "common/rng.hpp"
-#include "encoding/registry.hpp"
-#include "hwsim/device.hpp"
-#include "ml/gbdt.hpp"
-#include "nets/builder.hpp"
-#include "nets/sampler.hpp"
-#include "nets/supernet.hpp"
 #include "serve/chaos.hpp"
-#include "serve/client.hpp"
-#include "serve/error.hpp"
-#include "serve/event_loop.hpp"
-#include "serve/protocol.hpp"
-#include "serve/server.hpp"
-#include "serve/transport.hpp"
-#include "surrogate/gbdt_surrogate.hpp"
-#include "surrogate/registry.hpp"
+#include "serve_harness.hpp"
 
 namespace esm {
 namespace {
@@ -45,110 +31,23 @@ namespace {
 using serve::ChaosProfile;
 using serve::EsmClient;
 using serve::EventLoop;
-using serve::EventLoopConfig;
 using serve::LoopbackListener;
-using serve::PredictionServer;
 using serve::Protocol;
 using serve::ServeConfig;
-
-std::string build_artifact(const std::string& name) {
-  const SupernetSpec spec = resnet_spec();
-  SimulatedDevice device(rtx4090_spec(), 7);
-  Rng rng(0x5eed);
-  BalancedSampler sampler(spec, 4);
-  const std::vector<ArchConfig> archs = sampler.sample_n(64, rng);
-  std::vector<double> labels;
-  labels.reserve(archs.size());
-  for (const ArchConfig& arch : archs) {
-    labels.push_back(device.true_latency_ms(build_graph(spec, arch)));
-  }
-  GbdtConfig gbdt;
-  gbdt.n_estimators = 30;
-  GbdtSurrogate surrogate(make_encoder("fcc", spec), gbdt);
-  surrogate.fit(SurrogateDataset{archs, labels});
-  const std::string path = testing::TempDir() + "/" + name;
-  save_surrogate(surrogate, path);
-  return path;
-}
 
 const std::string& artifact() {
   static const std::string path = build_artifact("chaos.esm");
   return path;
 }
 
-std::vector<std::string> arch_pool(std::size_t limit) {
-  static const char* kFeatures[] = {"",        ":k5",       ":k7",
-                                    ":k3e1",   ":k5e0.667", ":k7e1",
-                                    ":k3e0.5", ":k5e1",     ":k7e0.667"};
-  std::vector<std::string> pool;
-  std::size_t n = 0;
-  for (int a = 1; a <= 7 && pool.size() < limit; ++a)
-    for (int b = 1; b <= 7 && pool.size() < limit; ++b)
-      for (int c = 1; c <= 7 && pool.size() < limit; ++c)
-        for (int d = 1; d <= 7 && pool.size() < limit; ++d) {
-          const int depths[4] = {a, b, c, d};
-          std::string request;
-          for (std::size_t u = 0; u < 4; ++u) {
-            if (u > 0) request += ',';
-            request += std::to_string(depths[u]);
-            request += kFeatures[(n + u * 3) % 9];
-          }
-          ++n;
-          pool.push_back(std::move(request));
-        }
-  return pool;
+/// Wraps the harness listener in the chaos decorator, so every accepted
+/// connection suffers the named profile's seeded schedule.
+ListenerDecorator chaos(const char* profile) {
+  return [profile](std::shared_ptr<serve::Listener> listener) {
+    return serve::make_chaos_listener(
+        std::move(listener), serve::chaos_profile_by_name(profile), 0x5eed);
+  };
 }
-
-std::map<std::string, double> offline_predictions(
-    const std::vector<std::string>& specs) {
-  const std::shared_ptr<TrainableSurrogate> model =
-      load_surrogate(artifact());
-  std::vector<ArchConfig> archs;
-  archs.reserve(specs.size());
-  for (const std::string& spec : specs) {
-    archs.push_back(serve::parse_arch_request(model->spec(), spec));
-  }
-  const std::vector<double> values = model->predict_all(archs);
-  std::map<std::string, double> out;
-  for (std::size_t i = 0; i < specs.size(); ++i) out[specs[i]] = values[i];
-  return out;
-}
-
-/// Harness whose listener is wrapped in the chaos decorator, so every
-/// accepted connection suffers the profile's seeded schedule.
-struct ChaosHarness {
-  PredictionServer server;
-  EventLoop loop;
-  std::shared_ptr<LoopbackListener> listener;
-  std::thread thread;
-
-  explicit ChaosHarness(const ChaosProfile& profile, std::uint64_t seed,
-                        ServeConfig config = make_config(),
-                        EventLoopConfig loop_config = EventLoopConfig{})
-      : server(std::move(config)),
-        loop(server, std::move(loop_config)),
-        listener(serve::make_loopback_listener()) {
-    loop.add_listener(serve::make_chaos_listener(listener, profile, seed));
-    thread = std::thread([this] { loop.run(); });
-  }
-
-  ~ChaosHarness() {
-    loop.request_stop();
-    thread.join();
-    server.request_stop();
-    server.wait();
-  }
-
-  static ServeConfig make_config() {
-    ServeConfig config;
-    config.artifact_path = artifact();
-    return config;
-  }
-
-  EsmClient client(Protocol protocol) {
-    return EsmClient(serve::loopback_channel(listener->connect()), protocol);
-  }
-};
 
 TEST(ChaosProfileTest, PresetsAndValidation) {
   EXPECT_FALSE(serve::chaos_profile_by_name("none").any());
@@ -189,8 +88,9 @@ TEST(ChaosTest, MildChaosServesBitIdentically) {
   // Heavy fragmentation and stalls, zero byte loss: every response must
   // match the offline prediction bit-for-bit, with zero drops.
   const std::vector<std::string> pool = arch_pool(64);
-  const std::map<std::string, double> expected = offline_predictions(pool);
-  ChaosHarness harness(serve::chaos_profile_by_name("mild"), 0x5eed);
+  const std::map<std::string, double> expected =
+      offline_predictions(artifact(), pool);
+  Harness harness(serve_config(artifact()), {}, chaos("mild"));
   for (int c = 0; c < 8; ++c) {
     EsmClient client =
         harness.client(c % 2 == 0 ? Protocol::esm1 : Protocol::esm2);
@@ -285,8 +185,9 @@ TEST(ChaosTest, RetryRidesOutHarshChaos) {
   // with reconnect + retry must still converge to the right answer for
   // every spec.
   const std::vector<std::string> pool = arch_pool(32);
-  const std::map<std::string, double> expected = offline_predictions(pool);
-  ChaosHarness harness(serve::chaos_profile_by_name("harsh"), 0x5eed);
+  const std::map<std::string, double> expected =
+      offline_predictions(artifact(), pool);
+  Harness harness(serve_config(artifact()), {}, chaos("harsh"));
 
   EsmClient client = harness.client(Protocol::esm2);
   RetryPolicy policy = RetryPolicy::client_defaults();
@@ -319,12 +220,12 @@ TEST(ChaosTest, TenThousandConnectionsUnderChaosAndOverloadConverge) {
   constexpr int kPerConn = 2;
 
   const std::vector<std::string> pool = arch_pool(311);
-  const std::map<std::string, double> expected = offline_predictions(pool);
+  const std::map<std::string, double> expected =
+      offline_predictions(artifact(), pool);
 
-  ServeConfig config = ChaosHarness::make_config();
+  ServeConfig config = serve_config(artifact());
   config.max_queue = 64;  // offered load far above this admission cap
-  ChaosHarness harness(serve::chaos_profile_by_name("mild"), 0x5eed,
-                       config);
+  Harness harness(config, {}, chaos("mild"));
 
   std::atomic<std::size_t> mismatches{0};
   std::atomic<std::size_t> unexpected_errors{0};

@@ -17,28 +17,15 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
-#include "encoding/registry.hpp"
-#include "hwsim/device.hpp"
-#include "ml/gbdt.hpp"
-#include "nets/builder.hpp"
-#include "nets/sampler.hpp"
-#include "nets/supernet.hpp"
-#include "serve/client.hpp"
 #include "serve/error.hpp"
-#include "serve/event_loop.hpp"
-#include "serve/frame.hpp"
-#include "serve/protocol.hpp"
-#include "serve/server.hpp"
-#include "serve/transport.hpp"
-#include "surrogate/gbdt_surrogate.hpp"
-#include "surrogate/registry.hpp"
+#include "serve_harness.hpp"
 
 namespace esm {
 namespace {
@@ -47,134 +34,19 @@ using serve::EsmClient;
 using serve::EventLoop;
 using serve::EventLoopConfig;
 using serve::Frame;
-using serve::FrameParse;
 using serve::FrameVerb;
 using serve::LoopbackChannel;
-using serve::LoopbackListener;
 using serve::PredictionServer;
 using serve::Protocol;
 using serve::ServeConfig;
-
-/// Trains a small GBDT on 64 ResNet archs and saves it under TempDir.
-std::string build_artifact(const std::string& name) {
-  const SupernetSpec spec = resnet_spec();
-  SimulatedDevice device(rtx4090_spec(), 7);
-  Rng rng(0x5eed);
-  BalancedSampler sampler(spec, 4);
-  const std::vector<ArchConfig> archs = sampler.sample_n(64, rng);
-  std::vector<double> labels;
-  labels.reserve(archs.size());
-  for (const ArchConfig& arch : archs) {
-    labels.push_back(device.true_latency_ms(build_graph(spec, arch)));
-  }
-  GbdtConfig gbdt;
-  gbdt.n_estimators = 30;
-  GbdtSurrogate surrogate(make_encoder("fcc", spec), gbdt);
-  surrogate.fit(SurrogateDataset{archs, labels});
-  const std::string path = testing::TempDir() + "/" + name;
-  save_surrogate(surrogate, path);
-  return path;
-}
 
 const std::string& artifact() {
   static const std::string path = build_artifact("event_loop.esm");
   return path;
 }
 
-/// Distinct request specs (same construction as tests/serve_test.cpp).
-std::vector<std::string> arch_pool(std::size_t limit) {
-  static const char* kFeatures[] = {"",        ":k5",       ":k7",
-                                    ":k3e1",   ":k5e0.667", ":k7e1",
-                                    ":k3e0.5", ":k5e1",     ":k7e0.667"};
-  std::vector<std::string> pool;
-  std::size_t n = 0;
-  for (int a = 1; a <= 7 && pool.size() < limit; ++a)
-    for (int b = 1; b <= 7 && pool.size() < limit; ++b)
-      for (int c = 1; c <= 7 && pool.size() < limit; ++c)
-        for (int d = 1; d <= 7 && pool.size() < limit; ++d) {
-          const int depths[4] = {a, b, c, d};
-          std::string request;
-          for (std::size_t u = 0; u < 4; ++u) {
-            if (u > 0) request += ',';
-            request += std::to_string(depths[u]);
-            request += kFeatures[(n + u * 3) % 9];
-          }
-          ++n;
-          pool.push_back(std::move(request));
-        }
-  return pool;
-}
-
-/// Offline ground truth through the same parser + predict_all path the
-/// server uses; responses must match these bit-for-bit.
-std::map<std::string, double> offline_predictions(
-    const std::vector<std::string>& specs) {
-  const std::shared_ptr<TrainableSurrogate> model =
-      load_surrogate(artifact());
-  std::vector<ArchConfig> archs;
-  archs.reserve(specs.size());
-  for (const std::string& spec : specs) {
-    archs.push_back(serve::parse_arch_request(model->spec(), spec));
-  }
-  const std::vector<double> values = model->predict_all(archs);
-  std::map<std::string, double> out;
-  for (std::size_t i = 0; i < specs.size(); ++i) out[specs[i]] = values[i];
-  return out;
-}
-
-/// Server + event loop + loopback listener running on a background
-/// thread. Declaration order is the required destruction order: the loop
-/// must drain before the server stops.
-struct Harness {
-  PredictionServer server;
-  EventLoop loop;
-  std::shared_ptr<LoopbackListener> listener;
-  std::thread thread;
-
-  explicit Harness(ServeConfig config = make_config(),
-                   EventLoopConfig loop_config = EventLoopConfig{})
-      : server(std::move(config)),
-        loop(server, std::move(loop_config)),
-        listener(serve::make_loopback_listener()) {
-    loop.add_listener(listener);
-    thread = std::thread([this] { loop.run(); });
-  }
-
-  ~Harness() {
-    loop.request_stop();
-    thread.join();
-    server.request_stop();
-    server.wait();
-  }
-
-  static ServeConfig make_config() {
-    ServeConfig config;
-    config.artifact_path = artifact();
-    return config;
-  }
-
-  EsmClient client(Protocol protocol) {
-    return EsmClient(serve::loopback_channel(listener->connect()), protocol);
-  }
-};
-
-/// Reads whole esm2 frames straight off a loopback channel (for tests
-/// that assert on wire order, below EsmClient's id matching).
-Frame next_frame(LoopbackChannel& channel, std::string& buffer) {
-  for (;;) {
-    Frame frame;
-    std::string error;
-    const FrameParse r =
-        serve::parse_frame(buffer, frame, error, 64u << 20);
-    if (r == FrameParse::ok) return frame;
-    EXPECT_EQ(r, FrameParse::need_more) << error;
-    EXPECT_TRUE(channel.receive_some(buffer)) << "server closed early";
-    if (buffer.empty()) return frame;
-  }
-}
-
 TEST(EventLoopTest, Esm1RoundTripsEveryVerb) {
-  Harness harness;
+  Harness harness(serve_config(artifact()));
   EsmClient client = harness.client(Protocol::esm1);
 
   const double value = client.predict("3,5,2,7");
@@ -201,7 +73,7 @@ TEST(EventLoopTest, Esm1RoundTripsEveryVerb) {
 }
 
 TEST(EventLoopTest, Esm2RoundTripsEveryVerb) {
-  Harness harness;
+  Harness harness(serve_config(artifact()));
   EsmClient client = harness.client(Protocol::esm2);
 
   const double value = client.predict("3,5,2,7");
@@ -224,7 +96,7 @@ TEST(EventLoopTest, Esm2RoundTripsEveryVerb) {
 }
 
 TEST(EventLoopTest, ProtocolsAnswerBitIdentically) {
-  Harness harness;
+  Harness harness(serve_config(artifact()));
   EsmClient esm1 = harness.client(Protocol::esm1);
   EsmClient esm2 = harness.client(Protocol::esm2);
   for (const std::string& spec : arch_pool(32)) {
@@ -238,9 +110,10 @@ TEST(EventLoopTest, ProtocolsAnswerBitIdentically) {
 }
 
 TEST(EventLoopTest, MixedProtocolsShareOneListenerConcurrently) {
-  Harness harness;
+  Harness harness(serve_config(artifact()));
   const std::vector<std::string> pool = arch_pool(64);
-  const std::map<std::string, double> expected = offline_predictions(pool);
+  const std::map<std::string, double> expected =
+      offline_predictions(artifact(), pool);
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 6; ++t) {
@@ -265,15 +138,10 @@ TEST(EventLoopTest, Esm2CompletesOutOfOrderMatchedById) {
   // on the wire. The scheduler can still let the batcher win a round
   // (this box has one core), so the overtake is asserted across
   // attempts, while the id<->verb matching must hold on every one.
-  ServeConfig config = Harness::make_config();
+  ServeConfig config = serve_config(artifact());
   config.cache_capacity = 0;  // keep the batch a miss on every attempt
   Harness harness(config);
-  std::string batch;
-  const std::vector<std::string> pool = arch_pool(64);
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    if (i > 0) batch += ';';
-    batch += pool[i];
-  }
+  const std::string batch = join_batch(arch_pool(64));
   bool overtook = false;
   for (int attempt = 0; attempt < 50 && !overtook; ++attempt) {
     std::shared_ptr<LoopbackChannel> channel = harness.listener->connect();
@@ -300,16 +168,11 @@ TEST(EventLoopTest, Esm2CompletesOutOfOrderMatchedById) {
 }
 
 TEST(EventLoopTest, Esm1ResponsesStayInRequestOrder) {
-  Harness harness;
+  Harness harness(serve_config(artifact()));
   std::shared_ptr<LoopbackChannel> channel = harness.listener->connect();
   // Same shape as above, but esm1: even though `models` completes first
   // internally, the wire order must match the request order.
-  std::string batch;
-  const std::vector<std::string> pool = arch_pool(64);
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    if (i > 0) batch += ';';
-    batch += pool[i];
-  }
+  const std::string batch = join_batch(arch_pool(64));
   ASSERT_TRUE(channel->send("predict_batch " + batch + "\nmodels\n"));
   std::string buffer;
   while (buffer.find('\n') == buffer.rfind('\n') ||
@@ -326,7 +189,7 @@ TEST(EventLoopTest, MalformedFrameMatrixAnswersThenCloses) {
   // Each corrupt frame must earn exactly one connection-level error frame
   // (request id 0, code bad_frame) followed by end-of-stream.
   const auto expect_bad_frame = [](std::string wire) {
-    Harness harness;
+    Harness harness(serve_config(artifact()));
     std::shared_ptr<LoopbackChannel> channel = harness.listener->connect();
     ASSERT_TRUE(channel->send(wire));
     std::string buffer;
@@ -377,7 +240,7 @@ TEST(EventLoopTest, MalformedFrameMatrixAnswersThenCloses) {
   }
   {  // valid frame, then interleaved garbage: the first is answered, the
      // garbage earns the bad_frame close
-    Harness harness;
+    Harness harness(serve_config(artifact()));
     std::shared_ptr<LoopbackChannel> channel = harness.listener->connect();
     ASSERT_TRUE(channel->send(valid + "garbage that is not a frame"));
     // Both frames must arrive (the valid request answered, the garbage
@@ -398,7 +261,7 @@ TEST(EventLoopTest, MalformedFrameMatrixAnswersThenCloses) {
 }
 
 TEST(EventLoopTest, TruncatedFrameWaitsInsteadOfClosing) {
-  Harness harness;
+  Harness harness(serve_config(artifact()));
   std::shared_ptr<LoopbackChannel> channel = harness.listener->connect();
   const std::string wire =
       serve::encode_request(3, FrameVerb::predict, "3,5,2,7");
@@ -414,7 +277,7 @@ TEST(EventLoopTest, TruncatedFrameWaitsInsteadOfClosing) {
 }
 
 TEST(EventLoopTest, UnknownFrameVerbEarnsStructuredError) {
-  Harness harness;
+  Harness harness(serve_config(artifact()));
   std::shared_ptr<LoopbackChannel> channel = harness.listener->connect();
   ASSERT_TRUE(channel->send(serve::encode_frame(11, 42, "whatever")));
   std::string buffer;
@@ -432,7 +295,7 @@ TEST(EventLoopTest, UnknownFrameVerbEarnsStructuredError) {
 TEST(EventLoopTest, OversizedEsm2PayloadGetsStructuredError) {
   // Within the frame cap but over ServeConfig::max_line_bytes: the same
   // structured `oversized` error esm1 answers, and the connection lives.
-  ServeConfig config = Harness::make_config();
+  ServeConfig config = serve_config(artifact());
   config.max_line_bytes = 256;
   EventLoopConfig loop_config;
   loop_config.max_frame_payload = 4096;
@@ -452,7 +315,7 @@ TEST(EventLoopTest, BackpressurePausesThenRecovers) {
   EventLoopConfig loop_config;
   loop_config.out_high_watermark = 1024;
   loop_config.out_hard_cap = 1 << 20;
-  Harness harness(Harness::make_config(), loop_config);
+  Harness harness(serve_config(artifact()), loop_config);
   std::shared_ptr<LoopbackChannel> channel = harness.listener->connect(512);
   EsmClient client(serve::loopback_channel(channel), Protocol::esm1);
 
@@ -471,7 +334,7 @@ TEST(EventLoopTest, SlowClientIsDroppedByWriteStall) {
   loop_config.out_high_watermark = 256;
   loop_config.write_stall_timeout_s = 0.05;
   loop_config.tick_ms = 10;
-  Harness harness(Harness::make_config(), loop_config);
+  Harness harness(serve_config(artifact()), loop_config);
   std::shared_ptr<LoopbackChannel> channel = harness.listener->connect(64);
   // Flood without ever reading: output fills its 64-byte window and
   // stalls until the reaper drops the connection.
@@ -491,7 +354,7 @@ TEST(EventLoopTest, Esm1HoldBackQueueIsCapped) {
   // dropped instead of buffering without bound.
   EventLoopConfig loop_config;
   loop_config.max_held_responses = 4;
-  ServeConfig config = Harness::make_config();
+  ServeConfig config = serve_config(artifact());
   config.cache_capacity = 0;
   Harness harness(config, loop_config);
   std::shared_ptr<LoopbackChannel> channel = harness.listener->connect();
@@ -499,13 +362,7 @@ TEST(EventLoopTest, Esm1HoldBackQueueIsCapped) {
   // Head of line: a heavy uncached batch that pins seq 0 in the batcher
   // for milliseconds. The `models` replies complete inline on the reactor
   // thread, so they pile up behind it immediately.
-  const std::vector<std::string> pool = arch_pool(1000);
-  std::string burst = "predict_batch ";
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    if (i > 0) burst += ';';
-    burst += pool[i];
-  }
-  burst += '\n';
+  std::string burst = "predict_batch " + join_batch(arch_pool(1000)) + "\n";
   for (int i = 0; i < 50; ++i) burst += "models\n";
   ASSERT_TRUE(channel->send(burst));
 
@@ -520,8 +377,9 @@ TEST(EventLoopTest, GatherFlushSurvivesTinyWriteWindows) {
   // the gather path must resume mid-buffer without corrupting or
   // reordering any pipelined esm2 response.
   const std::vector<std::string> pool = arch_pool(32);
-  const std::map<std::string, double> expected = offline_predictions(pool);
-  Harness harness;
+  const std::map<std::string, double> expected =
+      offline_predictions(artifact(), pool);
+  Harness harness(serve_config(artifact()));
   std::shared_ptr<LoopbackChannel> channel = harness.listener->connect(64);
   EsmClient client(serve::loopback_channel(channel), Protocol::esm2);
 
@@ -566,7 +424,7 @@ TEST(EventLoopTest, TcpAndLoopbackFlushByteIdentically) {
 
   std::string loopback_bytes;
   {
-    Harness harness;
+    Harness harness(serve_config(artifact()));
     // A small response cap keeps the loopback side making partial
     // gather-flush progress the whole time.
     loopback_bytes =
@@ -575,7 +433,7 @@ TEST(EventLoopTest, TcpAndLoopbackFlushByteIdentically) {
 
   std::string tcp_bytes;
   {
-    PredictionServer server(Harness::make_config());
+    PredictionServer server(serve_config(artifact()));
     EventLoop loop(server);
     int port = 0;
     loop.add_listener(
@@ -596,7 +454,7 @@ TEST(EventLoopTest, IdleConnectionIsReaped) {
   EventLoopConfig loop_config;
   loop_config.idle_timeout_s = 0.05;
   loop_config.tick_ms = 10;
-  Harness harness(Harness::make_config(), loop_config);
+  Harness harness(serve_config(artifact()), loop_config);
   std::shared_ptr<LoopbackChannel> channel = harness.listener->connect();
   ASSERT_TRUE(channel->send("models\n"));
   std::string out;
@@ -610,14 +468,19 @@ TEST(EventLoopTest, IdleConnectionIsReaped) {
 }
 
 TEST(EventLoopTest, DrainAnswersEverythingOnTheWire) {
-  Harness harness;
-  constexpr int kClients = 16;
-  constexpr int kPerClient = 25;
+  Harness harness(serve_config(artifact()));
+  constexpr std::size_t kClients = 16;
+  constexpr std::size_t kPerClient = 25;
+  // Distinct archs everywhere, so every request is a miss that is still
+  // queued in the batcher when the drain begins.
+  const std::vector<std::string> pool = arch_pool(kClients * kPerClient);
   std::vector<std::shared_ptr<LoopbackChannel>> channels;
-  for (int c = 0; c < kClients; ++c) {
+  for (std::size_t c = 0; c < kClients; ++c) {
     channels.push_back(harness.listener->connect());
     std::string burst;
-    for (int i = 0; i < kPerClient; ++i) burst += "predict 3,5,2,7\n";
+    for (std::size_t i = 0; i < kPerClient; ++i) {
+      burst += "predict " + pool[c * kPerClient + i] + "\n";
+    }
     burst += "predict 1,1,1";  // partial trailing line: discarded by drain
     ASSERT_TRUE(channels.back()->send(burst));
   }
@@ -627,19 +490,23 @@ TEST(EventLoopTest, DrainAnswersEverythingOnTheWire) {
     std::string received;
     while (channel->receive_some(received)) {
     }
+    std::istringstream responses(received);
     std::size_t lines = 0;
-    for (const char ch : received) lines += ch == '\n';
-    EXPECT_EQ(lines, static_cast<std::size_t>(kPerClient));
+    std::size_t ok = 0;
+    for (std::string line; std::getline(responses, line); ++lines) {
+      ok += line.rfind("esm1 ok predict ", 0) == 0;
+    }
+    EXPECT_EQ(lines, kPerClient);
+    EXPECT_EQ(ok, kPerClient);
   }
   EXPECT_EQ(harness.loop.stats().dropped, 0u);
 }
 
 TEST(EventLoopTest, ShutdownVerbDrainsTheLoop) {
-  Harness harness;
+  Harness harness(serve_config(artifact()));
   EsmClient client = harness.client(Protocol::esm2);
   client.shutdown();
   harness.thread.join();
-  harness.thread = std::thread([] {});  // keep the destructor's join valid
   // The listener closed with the drain: no new connections.
   EXPECT_EQ(harness.listener->connect(), nullptr);
 }
@@ -647,7 +514,7 @@ TEST(EventLoopTest, ShutdownVerbDrainsTheLoop) {
 TEST(EventLoopTest, PollBackendServesIdentically) {
   EventLoopConfig loop_config;
   loop_config.force_poll = true;
-  Harness harness(Harness::make_config(), loop_config);
+  Harness harness(serve_config(artifact()), loop_config);
   EXPECT_EQ(harness.loop.backend(), "poll");
   EsmClient esm1 = harness.client(Protocol::esm1);
   EsmClient esm2 = harness.client(Protocol::esm2);
@@ -659,7 +526,7 @@ TEST(EventLoopTest, PollBackendServesIdentically) {
 }
 
 TEST(EventLoopTest, TcpTransportEndToEnd) {
-  ServeConfig config = Harness::make_config();
+  ServeConfig config = serve_config(artifact());
   PredictionServer server(config);
   EventLoop loop(server);
   int port = 0;
@@ -697,9 +564,10 @@ TEST(EventLoopTest, TenThousandConcurrentConnectionsZeroDrops) {
   constexpr int kPerConn = 2;
 
   const std::vector<std::string> pool = arch_pool(311);
-  const std::map<std::string, double> expected = offline_predictions(pool);
+  const std::map<std::string, double> expected =
+      offline_predictions(artifact(), pool);
 
-  Harness harness;
+  Harness harness(serve_config(artifact()));
   std::atomic<std::size_t> mismatches{0};
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < kThreads; ++t) {

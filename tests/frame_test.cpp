@@ -19,8 +19,8 @@ namespace esm::serve {
 namespace {
 
 TEST(ErrorCodeTest, WireStringsArePinned) {
-  // These strings are wire format shared with PR-5/PR-7 clients: changing
-  // any of them breaks deployed scripts that match on the token.
+  // These strings are wire format: changing any of them breaks deployed
+  // scripts that match on the token.
   EXPECT_STREQ(to_string(ErrorCode::bad_request), "bad_request");
   EXPECT_STREQ(to_string(ErrorCode::bad_arch), "bad_arch");
   EXPECT_STREQ(to_string(ErrorCode::unknown_verb), "unknown_verb");
@@ -76,22 +76,9 @@ TEST(ErrorCodeTest, UnknownByteDegradesToServerError) {
   EXPECT_STREQ(to_string(static_cast<ErrorCode>(200)), "server_error");
 }
 
-TEST(ErrorCodeTest, LegacyConstantsMatchToString) {
-  EXPECT_STREQ(kErrBadRequest, to_string(ErrorCode::bad_request));
-  EXPECT_STREQ(kErrBadArch, to_string(ErrorCode::bad_arch));
-  EXPECT_STREQ(kErrUnknownVerb, to_string(ErrorCode::unknown_verb));
-  EXPECT_STREQ(kErrOversized, to_string(ErrorCode::oversized));
-  EXPECT_STREQ(kErrReloadFailed, to_string(ErrorCode::reload_failed));
-  EXPECT_STREQ(kErrServerError, to_string(ErrorCode::server_error));
-  EXPECT_STREQ(kErrUnknownModel, to_string(ErrorCode::unknown_model));
-  EXPECT_STREQ(kErrBadFrame, to_string(ErrorCode::bad_frame));
-  EXPECT_STREQ(kErrOverloaded, to_string(ErrorCode::overloaded));
-  EXPECT_STREQ(kErrDeadlineExceeded, to_string(ErrorCode::deadline_exceeded));
-}
-
 TEST(ErrorCodeTest, Esm1ErrorLineUsesTheSameToken) {
   EXPECT_EQ(format_error(ErrorCode::bad_arch, "nope"),
-            format_error(std::string(kErrBadArch), "nope"));
+            "esm1 err bad_arch nope");
 }
 
 TEST(FrameVerbTest, NamesRoundTripAndMatchEsm1) {

@@ -7,7 +7,7 @@
 #include "hwsim/measurement.hpp"
 #include "ml/metrics.hpp"
 #include "nas/accuracy_proxy.hpp"
-#include "nas/search.hpp"
+#include "nas/search/engine.hpp"
 #include "nets/builder.hpp"
 #include "nets/sampler.hpp"
 #include "surrogate/lut_surrogate.hpp"
@@ -154,19 +154,19 @@ TEST(IntegrationTest, SurrogateDrivenNasRespectsRealConstraint) {
   for (const MeasuredSample& s : esm.test_set) lats.push_back(s.latency_ms);
   const double limit = median(lats);
 
-  SearchConfig scfg;
+  search::EngineConfig scfg;
+  scfg.mode = search::Mode::best;
   scfg.population = 32;
   scfg.generations = 10;
-  scfg.parents = 8;
-  scfg.latency_limit_ms = limit;
   scfg.seed = 17;
-  EvolutionarySearch search(cfg.spec, scfg);
+  const search::SearchEngine engine(cfg.spec, scfg);
   const AccuracyProxy proxy(cfg.spec);
-  const SearchResult found = search.run(*esm.predictor, proxy);
+  const search::SearchOutcome found = engine.run(
+      {search::Objective{"rtx4090", esm.predictor.get(), limit}}, proxy);
   ASSERT_TRUE(found.found_feasible);
 
-  const double actual =
-      device.true_latency_ms(build_graph(cfg.spec, found.best.arch));
+  const double actual = device.true_latency_ms(
+      build_graph(cfg.spec, found.candidates[found.best].arch));
   EXPECT_LT(actual, limit * 1.1);  // within 10% of the budget
 }
 

@@ -1,17 +1,10 @@
-// Unit tests for src/nas: the synthetic accuracy proxy, Pareto utilities,
-// and the latency-constrained evolutionary search.
+// Unit tests for src/nas: the synthetic accuracy proxy and the Pareto
+// utilities (the search engine is covered by search_test).
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
-#include "common/error.hpp"
-#include "hwsim/measurement.hpp"
 #include "nas/accuracy_proxy.hpp"
 #include "nas/pareto.hpp"
-#include "nas/search.hpp"
-#include "nets/builder.hpp"
 #include "nets/sampler.hpp"
-#include "surrogate/flops_proxy.hpp"
 
 namespace esm {
 namespace {
@@ -27,21 +20,6 @@ ArchConfig uniform_arch(const SupernetSpec& spec, int depth, int kernel,
   }
   return arch;
 }
-
-/// Oracle predictor backed by the deterministic latency model.
-class OraclePredictor final : public LatencyPredictor {
- public:
-  OraclePredictor(SupernetSpec spec, DeviceSpec device)
-      : spec_(std::move(spec)), model_(std::move(device)) {}
-  double predict_ms(const ArchConfig& arch) const override {
-    return model_.true_latency_ms(build_graph(spec_, arch));
-  }
-  std::string name() const override { return "oracle"; }
-
- private:
-  SupernetSpec spec_;
-  LatencyModel model_;
-};
 
 // -------------------------------------------------------- accuracy proxy
 
@@ -193,123 +171,6 @@ TEST(ParetoTest, RegretAgainstDuplicateCostTruthUsesBestSelected) {
   EXPECT_DOUBLE_EQ(pareto_regret(cost, value, {0}, {1}), 2.0);
   // Selecting the strong point itself cancels the regret.
   EXPECT_DOUBLE_EQ(pareto_regret(cost, value, {0}, {0, 1}), 0.0);
-}
-
-// ---------------------------------------------------------------- search
-
-TEST(SearchTest, ValidatesConfig) {
-  SearchConfig cfg;
-  cfg.latency_limit_ms = 0.0;
-  EXPECT_THROW(EvolutionarySearch(resnet_spec(), cfg), ConfigError);
-  cfg.latency_limit_ms = 1.0;
-  cfg.parents = 100;
-  cfg.population = 10;
-  EXPECT_THROW(EvolutionarySearch(resnet_spec(), cfg), ConfigError);
-}
-
-TEST(SearchTest, MutationStaysInSpace) {
-  const SupernetSpec spec = resnet_spec();
-  SearchConfig cfg;
-  cfg.latency_limit_ms = 5.0;
-  EvolutionarySearch search(spec, cfg);
-  Rng rng(3);
-  RandomSampler sampler(spec);
-  for (int i = 0; i < 100; ++i) {
-    ArchConfig arch = sampler.sample(rng);
-    search.mutate(arch, rng);
-    EXPECT_TRUE(spec.contains(arch));
-  }
-}
-
-TEST(SearchTest, MutationStaysInDenseNetSpace) {
-  const SupernetSpec spec = densenet_spec();
-  SearchConfig cfg;
-  cfg.latency_limit_ms = 5.0;
-  EvolutionarySearch search(spec, cfg);
-  Rng rng(4);
-  RandomSampler sampler(spec);
-  for (int i = 0; i < 100; ++i) {
-    ArchConfig arch = sampler.sample(rng);
-    search.mutate(arch, rng);
-    EXPECT_TRUE(spec.contains(arch)) << arch.to_string();
-  }
-}
-
-TEST(SearchTest, CrossoverMixesParents) {
-  const SupernetSpec spec = resnet_spec();
-  SearchConfig cfg;
-  cfg.latency_limit_ms = 5.0;
-  EvolutionarySearch search(spec, cfg);
-  Rng rng(5);
-  const ArchConfig a = uniform_arch(spec, 1, 3, 0.5);
-  const ArchConfig b = uniform_arch(spec, 7, 7, 1.0);
-  const ArchConfig child = search.crossover(a, b, rng);
-  EXPECT_TRUE(spec.contains(child));
-  for (const UnitConfig& u : child.units) {
-    EXPECT_TRUE(u == a.units[0] || u == b.units[0]);
-  }
-}
-
-TEST(SearchTest, FindsFeasibleSolutionUnderLooseLimit) {
-  const SupernetSpec spec = resnet_spec();
-  const OraclePredictor oracle(spec, rtx4090_spec());
-  const AccuracyProxy proxy(spec);
-  // A loose limit: the median random model qualifies.
-  SearchConfig cfg;
-  cfg.population = 24;
-  cfg.generations = 8;
-  cfg.parents = 8;
-  cfg.latency_limit_ms =
-      oracle.predict_ms(uniform_arch(spec, 4, 5, 2.0 / 3.0));
-  cfg.seed = 6;
-  EvolutionarySearch search(spec, cfg);
-  const SearchResult result = search.run(oracle, proxy);
-  EXPECT_TRUE(result.found_feasible);
-  EXPECT_LE(result.best.predicted_latency_ms, cfg.latency_limit_ms);
-  EXPECT_GT(result.evaluations, cfg.population);
-}
-
-TEST(SearchTest, BeatsRandomSamplingUnderConstraint) {
-  const SupernetSpec spec = resnet_spec();
-  const OraclePredictor oracle(spec, rtx4090_spec());
-  const AccuracyProxy proxy(spec);
-  SearchConfig cfg;
-  cfg.population = 32;
-  cfg.generations = 12;
-  cfg.parents = 8;
-  cfg.latency_limit_ms = oracle.predict_ms(uniform_arch(spec, 4, 5, 1.0));
-  cfg.seed = 7;
-  EvolutionarySearch search(spec, cfg);
-  const SearchResult result = search.run(oracle, proxy);
-  ASSERT_TRUE(result.found_feasible);
-
-  // Best feasible random sample with the same evaluation budget.
-  Rng rng(8);
-  RandomSampler sampler(spec);
-  double best_random = 0.0;
-  for (std::size_t i = 0; i < result.evaluations; ++i) {
-    const ArchConfig arch = sampler.sample(rng);
-    if (oracle.predict_ms(arch) <= cfg.latency_limit_ms) {
-      best_random = std::max(best_random, proxy.top5_accuracy(arch));
-    }
-  }
-  EXPECT_GE(result.best.proxy_accuracy, best_random - 0.002);
-}
-
-TEST(SearchTest, DeterministicUnderSeed) {
-  const SupernetSpec spec = mobilenet_v3_spec();
-  const OraclePredictor oracle(spec, rtx4090_spec());
-  const AccuracyProxy proxy(spec);
-  SearchConfig cfg;
-  cfg.population = 16;
-  cfg.generations = 4;
-  cfg.parents = 4;
-  cfg.latency_limit_ms = 10.0;
-  cfg.seed = 9;
-  EvolutionarySearch search(spec, cfg);
-  const SearchResult a = search.run(oracle, proxy);
-  const SearchResult b = search.run(oracle, proxy);
-  EXPECT_EQ(a.best.arch, b.best.arch);
 }
 
 }  // namespace

@@ -20,63 +20,23 @@
 
 #include "common/error.hpp"
 #include "common/retry.hpp"
-#include "common/rng.hpp"
-#include "encoding/registry.hpp"
-#include "hwsim/device.hpp"
-#include "ml/gbdt.hpp"
-#include "nets/builder.hpp"
-#include "nets/sampler.hpp"
-#include "nets/supernet.hpp"
-#include "serve/client.hpp"
 #include "serve/error.hpp"
-#include "serve/event_loop.hpp"
-#include "serve/frame.hpp"
-#include "serve/protocol.hpp"
-#include "serve/server.hpp"
-#include "serve/transport.hpp"
-#include "surrogate/gbdt_surrogate.hpp"
-#include "surrogate/registry.hpp"
+#include "serve_harness.hpp"
 
 namespace esm {
 namespace {
 
-using serve::ChannelFactory;
 using serve::ClientChannel;
 using serve::EsmClient;
-using serve::EventLoop;
-using serve::EventLoopConfig;
 using serve::Frame;
-using serve::FrameParse;
 using serve::FrameVerb;
 using serve::HedgedClient;
 using serve::LoopbackChannel;
-using serve::LoopbackListener;
-using serve::PredictionServer;
 using serve::Protocol;
 using serve::ServeConfig;
 
-std::string build_artifact(const std::string& name, int estimators) {
-  const SupernetSpec spec = resnet_spec();
-  SimulatedDevice device(rtx4090_spec(), 7);
-  Rng rng(0x5eed);
-  BalancedSampler sampler(spec, 4);
-  const std::vector<ArchConfig> archs = sampler.sample_n(64, rng);
-  std::vector<double> labels;
-  labels.reserve(archs.size());
-  for (const ArchConfig& arch : archs) {
-    labels.push_back(device.true_latency_ms(build_graph(spec, arch)));
-  }
-  GbdtConfig gbdt;
-  gbdt.n_estimators = estimators;
-  GbdtSurrogate surrogate(make_encoder("fcc", spec), gbdt);
-  surrogate.fit(SurrogateDataset{archs, labels});
-  const std::string path = testing::TempDir() + "/" + name;
-  save_surrogate(surrogate, path);
-  return path;
-}
-
 const std::string& artifact() {
-  static const std::string path = build_artifact("overload.esm", 30);
+  static const std::string path = build_artifact("overload.esm");
   return path;
 }
 
@@ -86,31 +46,17 @@ const std::string& artifact() {
 /// instead of evaporating while later requests are still being read.
 const std::string& slow_artifact() {
   static const std::string path =
-      build_artifact("overload_slow.esm", 1500);
+      build_artifact("overload_slow.esm", rtx4090_spec(), 1500);
   return path;
 }
 
-std::vector<std::string> arch_pool(std::size_t limit) {
-  static const char* kFeatures[] = {"",        ":k5",       ":k7",
-                                    ":k3e1",   ":k5e0.667", ":k7e1",
-                                    ":k3e0.5", ":k5e1",     ":k7e0.667"};
-  std::vector<std::string> pool;
-  std::size_t n = 0;
-  for (int a = 1; a <= 7 && pool.size() < limit; ++a)
-    for (int b = 1; b <= 7 && pool.size() < limit; ++b)
-      for (int c = 1; c <= 7 && pool.size() < limit; ++c)
-        for (int d = 1; d <= 7 && pool.size() < limit; ++d) {
-          const int depths[4] = {a, b, c, d};
-          std::string request;
-          for (std::size_t u = 0; u < 4; ++u) {
-            if (u > 0) request += ',';
-            request += std::to_string(depths[u]);
-            request += kFeatures[(n + u * 3) % 9];
-          }
-          ++n;
-          pool.push_back(std::move(request));
-        }
-  return pool;
+/// Queue-pressure setup: the slow model, no cache, one entry per dispatch
+/// round. A 1000-arch batch pins the batcher for tens of milliseconds.
+ServeConfig slow_config() {
+  ServeConfig config = serve_config(slow_artifact());
+  config.cache_capacity = 0;
+  config.max_batch = 1;
+  return config;
 }
 
 /// A slow request: one predict_batch over `archs` distinct architectures
@@ -118,13 +64,7 @@ std::vector<std::string> arch_pool(std::size_t limit) {
 /// Note the server enqueues one batcher entry PER MISS ARCH, so a payload
 /// of N archs occupies N queue slots against max_queue/max_inflight.
 std::string batch_payload(std::size_t archs) {
-  const std::vector<std::string> pool = arch_pool(archs);
-  std::string payload;
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    if (i > 0) payload += ';';
-    payload += pool[i];
-  }
-  return payload;
+  return join_batch(arch_pool(archs));
 }
 
 /// Like batch_payload but built from the deepest archs in the space (28
@@ -142,68 +82,6 @@ std::string heavy_batch_payload(std::size_t archs) {
   return payload;
 }
 
-struct Harness {
-  PredictionServer server;
-  EventLoop loop;
-  std::shared_ptr<LoopbackListener> listener;
-  std::thread thread;
-
-  explicit Harness(ServeConfig config = make_config(),
-                   EventLoopConfig loop_config = EventLoopConfig{})
-      : server(std::move(config)),
-        loop(server, std::move(loop_config)),
-        listener(serve::make_loopback_listener()) {
-    loop.add_listener(listener);
-    thread = std::thread([this] { loop.run(); });
-  }
-
-  ~Harness() {
-    loop.request_stop();
-    thread.join();
-    server.request_stop();
-    server.wait();
-  }
-
-  static ServeConfig make_config() {
-    ServeConfig config;
-    config.artifact_path = artifact();
-    return config;
-  }
-
-  /// Queue-pressure setup: the slow model, no cache, one entry per
-  /// dispatch round. A 1000-arch batch pins the batcher for tens of
-  /// milliseconds.
-  static ServeConfig slow_config() {
-    ServeConfig config;
-    config.artifact_path = slow_artifact();
-    config.cache_capacity = 0;
-    config.max_batch = 1;
-    return config;
-  }
-
-  EsmClient client(Protocol protocol) {
-    return EsmClient(serve::loopback_channel(listener->connect()), protocol);
-  }
-};
-
-Frame next_frame(LoopbackChannel& channel, std::string& buffer) {
-  for (;;) {
-    Frame frame;
-    std::string error;
-    const FrameParse r =
-        serve::parse_frame(buffer, frame, error, 64u << 20);
-    if (r == FrameParse::ok) return frame;
-    EXPECT_EQ(r, FrameParse::need_more) << error;
-    EXPECT_TRUE(channel.receive_some(buffer)) << "server closed early";
-    if (buffer.empty()) return frame;
-  }
-}
-
-std::uint64_t stat(const std::map<std::string, std::string>& stats,
-                   const char* key) {
-  return std::stoull(stats.at(key));
-}
-
 // -- deadlines -------------------------------------------------------------
 
 TEST(OverloadTest, Esm1DeadlineTokenExpiresInQueue) {
@@ -211,7 +89,7 @@ TEST(OverloadTest, Esm1DeadlineTokenExpiresInQueue) {
   // milliseconds (1000 per-arch entries, one per dispatch round); a 1 ms
   // deadline queued behind it must expire at dequeue and answer
   // deadline_exceeded without spending a predict_all slot.
-  Harness harness(Harness::slow_config());
+  Harness harness(slow_config());
   EsmClient client = harness.client(Protocol::esm1);
 
   const std::string slow = heavy_batch_payload(1000);
@@ -241,7 +119,7 @@ TEST(OverloadTest, Esm1DeadlineTokenExpiresInQueue) {
 }
 
 TEST(OverloadTest, Esm2DeadlineFrameExpiresInQueue) {
-  Harness harness(Harness::slow_config());
+  Harness harness(slow_config());
   std::shared_ptr<LoopbackChannel> channel = harness.listener->connect();
 
   constexpr std::uint64_t kPins = 2;
@@ -273,7 +151,7 @@ TEST(OverloadTest, Esm2DeadlineFrameExpiresInQueue) {
 
 TEST(OverloadTest, GenerousDeadlineDoesNotPerturbServing) {
   // A deadline far in the future must serve bit-identically to none.
-  Harness harness;
+  Harness harness(serve_config(artifact()));
   EsmClient client = harness.client(Protocol::esm1);
   const EsmClient::Response plain = client.call("predict", "3,5,2,7");
   const EsmClient::Response budgeted =
@@ -285,7 +163,7 @@ TEST(OverloadTest, GenerousDeadlineDoesNotPerturbServing) {
 }
 
 TEST(OverloadTest, MalformedDeadlineTokenIsBadRequest) {
-  Harness harness;
+  Harness harness(serve_config(artifact()));
   EsmClient client = harness.client(Protocol::esm1);
   const EsmClient::Response bad = client.call("predict", "deadline=zero 3,5,2,7");
   EXPECT_FALSE(bad.ok);
@@ -295,7 +173,7 @@ TEST(OverloadTest, MalformedDeadlineTokenIsBadRequest) {
 TEST(OverloadTest, DefaultDeadlineAppliesWhenRequestCarriesNone) {
   // With a 1 ms server-wide default and the batcher pinned, even plain
   // requests expire; a per-request deadline overrides the default.
-  ServeConfig config = Harness::slow_config();
+  ServeConfig config = slow_config();
   config.default_deadline_ms = 1;
   Harness harness(config);
   EsmClient client = harness.client(Protocol::esm1);
@@ -328,7 +206,7 @@ TEST(OverloadTest, FullQueueShedsWithOverloaded) {
   // for tens of milliseconds: a pipelined flood must be answered — a few
   // served into freed slots, the rest shed immediately with `overloaded`
   // — and the metrics identity must reconcile exactly.
-  ServeConfig config = Harness::slow_config();
+  ServeConfig config = slow_config();
   config.max_queue = 1000;
   Harness harness(config);
   EsmClient client = harness.client(Protocol::esm1);
@@ -375,7 +253,7 @@ TEST(OverloadTest, MaxInflightCapsAdmittedTotal) {
   // queued+inflight stays at 1000 for the entire round, so a pipelined
   // flood against a cap of 1001 finds at most a slot or two and the rest
   // sheds.
-  ServeConfig config = Harness::slow_config();
+  ServeConfig config = slow_config();
   config.max_batch = 1024;
   config.max_inflight = 1001;
   Harness harness(config);
@@ -413,7 +291,7 @@ TEST(OverloadTest, SustainedPressureEntersDegradedMode) {
   // Queue cap 8 -> pressure threshold 4. A pinned batcher plus a full
   // queue holds depth >= 4 across many rounds, so the server must record
   // at least one degraded-mode entry, then recover (gauge back to 0).
-  ServeConfig config = Harness::make_config();
+  ServeConfig config = serve_config(artifact());
   config.cache_capacity = 0;
   config.max_batch = 1;
   config.max_queue = 8;
@@ -598,7 +476,7 @@ TEST(ClientRetryTest, RequestTimeoutWithoutRetryThrows) {
 TEST(ClientRetryTest, EndToEndRetryRidesOutShedding) {
   // Against a real overloaded server: queue cap 1 plus a pinned batcher
   // sheds most of a burst, but a retrying client converges to the answer.
-  ServeConfig config = Harness::make_config();
+  ServeConfig config = serve_config(artifact());
   config.cache_capacity = 0;
   config.max_batch = 1;
   config.max_queue = 1;
@@ -687,8 +565,8 @@ TEST(HedgedClientTest, AllReplicasDeadThrows) {
 TEST(HedgedClientTest, EndToEndAcrossTwoRealServers) {
   // Two independent servers from the same artifact: hedged calls must
   // serve the same values a direct client sees, whichever replica wins.
-  Harness primary;
-  Harness secondary;
+  Harness primary(serve_config(artifact()));
+  Harness secondary(serve_config(artifact()));
   HedgedClient client(
       {[&primary]() -> std::shared_ptr<ClientChannel> {
          return serve::loopback_channel(primary.listener->connect());

@@ -11,37 +11,23 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <future>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/fsio.hpp"
 #include "common/parallel.hpp"
-#include "common/rng.hpp"
-#include "encoding/registry.hpp"
-#include "hwsim/device.hpp"
 #include "hwsim/latency_model.hpp"
-#include "ml/gbdt.hpp"
 #include "nas/accuracy_proxy.hpp"
 #include "nas/search/engine.hpp"
 #include "nas/search/wire.hpp"
-#include "nets/builder.hpp"
-#include "nets/sampler.hpp"
-#include "nets/supernet.hpp"
-#include "serve/client.hpp"
-#include "serve/event_loop.hpp"
 #include "serve/fleet.hpp"
 #include "serve/metrics.hpp"
-#include "serve/protocol.hpp"
-#include "serve/server.hpp"
-#include "serve/transport.hpp"
-#include "surrogate/gbdt_surrogate.hpp"
+#include "serve_harness.hpp"
 #include "surrogate/predictor.hpp"
-#include "surrogate/registry.hpp"
-#include "surrogate/trainable.hpp"
 
 namespace esm {
 namespace {
@@ -54,33 +40,11 @@ using search::ScoredArch;
 using search::SearchEngine;
 using search::SearchOutcome;
 using serve::EsmClient;
-using serve::EventLoop;
 using serve::PredictionServer;
 using serve::Protocol;
 using serve::ServeConfig;
 
 // ------------------------------------------------------------- fixtures
-
-std::string build_artifact(const std::string& name, const DeviceSpec& device,
-                           int estimators) {
-  const SupernetSpec spec = resnet_spec();
-  SimulatedDevice sim(device, 7);
-  Rng rng(0x5eed);
-  BalancedSampler sampler(spec, 4);
-  const std::vector<ArchConfig> archs = sampler.sample_n(64, rng);
-  std::vector<double> labels;
-  labels.reserve(archs.size());
-  for (const ArchConfig& arch : archs) {
-    labels.push_back(sim.true_latency_ms(build_graph(spec, arch)));
-  }
-  GbdtConfig gbdt;
-  gbdt.n_estimators = estimators;
-  GbdtSurrogate surrogate(make_encoder("fcc", spec), gbdt);
-  surrogate.fit(SurrogateDataset{archs, labels});
-  const std::string path = testing::TempDir() + "/" + name;
-  save_surrogate(surrogate, path);
-  return path;
-}
 
 const std::string& gpu_artifact() {
   static const std::string path =
@@ -202,6 +166,19 @@ TEST(SearchEngineTest, SeededRunsAreIdentical) {
             outcome_fingerprint(gpu_model().spec(), small_config(), b));
   // Initial population plus one cohort per generation, scored once each.
   EXPECT_EQ(a.evaluations, 16u * 5u);
+
+  // The same pin on MobileNetV3 under a latency limit, priced by the
+  // hwsim oracle.
+  const SupernetSpec mbv3 = mobilenet_v3_spec();
+  const OraclePredictor oracle(mbv3, rtx4090_spec());
+  const SearchEngine engine(mbv3, small_config());
+  const AccuracyProxy proxy(mbv3);
+  const auto run = [&] {
+    return outcome_fingerprint(
+        mbv3, small_config(),
+        engine.run({Objective{"oracle", &oracle, 10.0}}, proxy));
+  };
+  EXPECT_EQ(run(), run());
 }
 
 TEST(SearchEngineTest, BitIdenticalAtOneVsEightThreads) {
@@ -340,15 +317,27 @@ TEST(SearchEngineTest, CancelCheckAbortsBetweenGenerations) {
 }
 
 TEST(SearchEngineTest, SampledAndMutatedArchsStayPerUnitUniform) {
-  SearchEngine engine(gpu_model().spec(), small_config());
-  Rng rng(11);
-  for (int i = 0; i < 50; ++i) {
-    ArchConfig arch = engine.sample(rng);
-    engine.mutate(arch, rng);
-    gpu_model().spec().validate(arch);
-    // format_arch_request throws on a non-uniform unit — the engine must
-    // never leave the wire-expressible subspace.
-    EXPECT_NO_THROW(search::format_arch_request(gpu_model().spec(), arch));
+  for (const SupernetSpec& spec :
+       {resnet_spec(), mobilenet_v3_spec(), densenet_spec()}) {
+    SearchEngine engine(spec, small_config());
+    Rng rng(11);
+    for (int i = 0; i < 50; ++i) {
+      ArchConfig arch = engine.sample(rng);
+      engine.mutate(arch, rng);
+      EXPECT_NO_THROW(spec.validate(arch)) << spec.name;
+      // format_arch_request throws on a non-uniform unit — the engine must
+      // never leave the wire-expressible subspace.
+      EXPECT_NO_THROW(search::format_arch_request(spec, arch)) << spec.name;
+      // Crossover takes every unit whole from one parent or the other.
+      const ArchConfig other = engine.sample(rng);
+      const ArchConfig child = engine.crossover(arch, other, rng);
+      ASSERT_EQ(child.units.size(), arch.units.size());
+      for (std::size_t u = 0; u < child.units.size(); ++u) {
+        EXPECT_TRUE(child.units[u] == arch.units[u] ||
+                    child.units[u] == other.units[u])
+            << spec.name;
+      }
+    }
   }
 }
 
@@ -506,19 +495,18 @@ TEST(SearchWireTest, FrontPayloadListsFrontInOrder) {
 
 // ------------------------------------------------------------- served verb
 
-ServeConfig single_model_config(const std::string& path) {
-  ServeConfig config;
-  config.artifact_path = path;
-  return config;
-}
-
+/// One request line through the server core, rendered as its esm1 reply.
 std::string served_line(PredictionServer& server, const std::string& line) {
-  bool shutdown = false;
-  return server.handle_line(line, shutdown);
+  std::promise<serve::Reply> reply;
+  server.handle_request(serve::split_request(line), line.size(),
+                        [&reply](serve::Reply&& r) {
+                          reply.set_value(std::move(r));
+                        });
+  return serve::format_reply_esm1(reply.get_future().get());
 }
 
 TEST(ServedSearchTest, MatchesOfflineEngineByteForByte) {
-  PredictionServer server(single_model_config(gpu_artifact()));
+  PredictionServer server(serve_config(gpu_artifact()));
   const std::string request =
       "search population=16 generations=4 seed=42 budget_ms=3.5";
   const std::string reply = served_line(server, request);
@@ -550,7 +538,7 @@ TEST(ServedSearchTest, FleetRoutedMultiModelSearch) {
   const std::string manifest_path = dir + "/fleet.esmf";
   serve::write_manifest_atomic(manifest, manifest_path);
 
-  PredictionServer server(single_model_config(manifest_path));
+  PredictionServer server(serve_config(manifest_path));
   const std::string reply = served_line(
       server, "search population=16 generations=3 seed=7 models=gpu,edge");
   ASSERT_EQ(reply.rfind("esm1 ok search ", 0), 0u) << reply;
@@ -562,7 +550,7 @@ TEST(ServedSearchTest, FleetRoutedMultiModelSearch) {
 }
 
 TEST(ServedSearchTest, RejectsBadRequestsAndOversizedBudgets) {
-  ServeConfig config = single_model_config(gpu_artifact());
+  ServeConfig config = serve_config(gpu_artifact());
   config.max_search_evals = 100;
   PredictionServer server(config);
   const std::string bad = served_line(server, "search frobnicate=1");
@@ -578,43 +566,24 @@ TEST(ServedSearchTest, RejectsBadRequestsAndOversizedBudgets) {
 }
 
 TEST(ServedSearchTest, BothProtocolsReturnIdenticalPayloads) {
-  PredictionServer server(single_model_config(gpu_artifact()));
-  EventLoop loop(server);
-  auto listener = serve::make_loopback_listener();
-  loop.add_listener(listener);
-  std::thread reactor([&] { loop.run(); });
-
+  Harness harness(serve_config(gpu_artifact()));
   const std::string request = "population=12 generations=3 seed=5";
-  EsmClient esm1(serve::loopback_channel(listener->connect()),
-                 Protocol::esm1);
-  EsmClient esm2(serve::loopback_channel(listener->connect()),
-                 Protocol::esm2);
-  const std::string payload1 = esm1.search(request);
-  const std::string payload2 = esm2.search(request);
+  const std::string payload1 = harness.client(Protocol::esm1).search(request);
+  const std::string payload2 = harness.client(Protocol::esm2).search(request);
   EXPECT_EQ(payload1, payload2);
   EXPECT_NE(payload1.find(" front="), std::string::npos);
-
-  loop.request_stop();
-  reactor.join();
-  server.request_stop();
-  server.wait();
 }
 
 TEST(ServedSearchTest, ShedsWhenSearchQueueIsFull) {
-  ServeConfig config = single_model_config(slow_artifact());
+  ServeConfig config = serve_config(slow_artifact());
   config.max_search_queue = 1;
-  PredictionServer server(config);
-  EventLoop loop(server);
-  auto listener = serve::make_loopback_listener();
-  loop.add_listener(listener);
-  std::thread reactor([&] { loop.run(); });
+  Harness harness(config);
 
   // Pipeline two searches: the first is admitted (and keeps the worker
   // busy on the slow model), so the second finds the admitted-but-
   // unanswered total at the cap wherever the race lands and is shed with
   // the retryable `overloaded` code.
-  EsmClient client(serve::loopback_channel(listener->connect()),
-                   Protocol::esm2);
+  EsmClient client = harness.client(Protocol::esm2);
   const std::uint64_t first =
       client.submit("search", "population=64 generations=6 seed=1");
   const std::uint64_t second =
@@ -624,15 +593,10 @@ TEST(ServedSearchTest, ShedsWhenSearchQueueIsFull) {
   EXPECT_EQ(shed.verb_or_code, "overloaded") << shed.raw;
   const EsmClient::Response served = client.await(first);
   EXPECT_TRUE(served.ok) << served.raw;
-
-  loop.request_stop();
-  reactor.join();
-  server.request_stop();
-  server.wait();
 }
 
 TEST(ServedSearchTest, ExpiredDeadlineAnswersDeadlineExceeded) {
-  PredictionServer server(single_model_config(slow_artifact()));
+  PredictionServer server(serve_config(slow_artifact()));
   // 1 ms against a search that needs hundreds: the deadline passes at
   // admission, at dequeue, or between generations — whichever fires, the
   // answer is deadline_exceeded and the search never completes.
@@ -644,7 +608,7 @@ TEST(ServedSearchTest, ExpiredDeadlineAnswersDeadlineExceeded) {
 // ----------------------------------------------------------------- metrics
 
 TEST(ServedSearchTest, MetricsIdentityHoldsWithSearchesInTheMix) {
-  PredictionServer server(single_model_config(gpu_artifact()));
+  PredictionServer server(serve_config(gpu_artifact()));
   EXPECT_EQ(
       served_line(server, "predict 3,5,2,7").rfind("esm1 ok predict ", 0), 0u);
   EXPECT_EQ(

@@ -1,22 +1,22 @@
-// Tests for the online prediction server (src/serve/): protocol round trip
-// for every verb, a malformed/oversized request matrix that must yield
-// structured errors (never a crash), the headline concurrency pin — 10k
-// requests from 8 in-process clients, zero drops, every response
-// bit-identical to offline predict_all, stats counters reconciling exactly —
-// cache hit/miss bit-identity, hot reload without dropping in-flight
-// requests, drain-on-stop, the cache/metrics building blocks, and fleet
-// mode: manifest-served multi-model routing (concurrent routed predictions
-// bit-identical to each model's offline predict_all), per-model stats that
-// sum exactly to the fleet-wide totals, all-or-nothing reload that keeps
-// the old fleet on a corrupt artifact, and warm-cache carry-over for
-// unchanged models.
+// Tests for the online prediction server (src/serve/), driven through the
+// event loop on an fd-less loopback listener with EsmClient over esm1:
+// protocol round trip for every verb, a malformed/oversized request matrix
+// that must yield structured errors (never a crash), the headline
+// concurrency pin — 10k requests from 8 concurrent clients, zero drops,
+// every response bit-identical to offline predict_all, stats counters
+// reconciling exactly — cache hit/miss bit-identity, hot reload without
+// dropping in-flight requests, the cache/metrics building blocks, and
+// fleet mode: manifest-served multi-model routing (concurrent routed
+// predictions bit-identical to each model's offline predict_all),
+// per-model stats that sum exactly to the fleet-wide totals,
+// all-or-nothing reload that keeps the old fleet on a corrupt artifact,
+// and warm-cache carry-over for unchanged models.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <map>
-#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
@@ -24,134 +24,33 @@
 
 #include "common/error.hpp"
 #include "common/fsio.hpp"
-#include "common/rng.hpp"
-#include "encoding/registry.hpp"
-#include "hwsim/device.hpp"
-#include "hwsim/measurement.hpp"
-#include "ml/gbdt.hpp"
-#include "nets/builder.hpp"
-#include "nets/sampler.hpp"
-#include "nets/supernet.hpp"
 #include "serve/cache.hpp"
 #include "serve/fleet.hpp"
 #include "serve/metrics.hpp"
-#include "serve/protocol.hpp"
-#include "serve/server.hpp"
-#include "surrogate/gbdt_surrogate.hpp"
-#include "surrogate/registry.hpp"
+#include "serve_harness.hpp"
 
 namespace esm {
 namespace {
 
+using serve::EsmClient;
 using serve::ParsedResponse;
 using serve::PredictionServer;
-using serve::ServeClient;
-using serve::ServeConfig;
-using serve::StreamPair;
 
-/// Trains a small GBDT on 64 ResNet archs and saves it under TempDir.
-/// `label_scale`/`label_shift` perturb the labels so different variants
-/// yield different predictions (the reload tests need two models that
-/// genuinely disagree).
-std::string build_artifact(const std::string& name, double label_scale,
-                           double label_shift) {
-  const SupernetSpec spec = resnet_spec();
-  SimulatedDevice device(rtx4090_spec(), 7);
-  Rng rng(0x5eed);
-  BalancedSampler sampler(spec, 4);
-  const std::vector<ArchConfig> archs = sampler.sample_n(64, rng);
-  std::vector<double> labels;
-  labels.reserve(archs.size());
-  for (const ArchConfig& arch : archs) {
-    labels.push_back(label_scale *
-                         device.true_latency_ms(build_graph(spec, arch)) +
-                     label_shift);
-  }
-  GbdtConfig gbdt;
-  gbdt.n_estimators = 30;
-  GbdtSurrogate surrogate(make_encoder("fcc", spec), gbdt);
-  surrogate.fit(SurrogateDataset{archs, labels});
-  const std::string path = testing::TempDir() + "/" + name;
-  save_surrogate(surrogate, path);
-  return path;
-}
-
-/// Artifact A (labels = true latency) and B (scaled labels), built once.
+/// Artifact A (labels = true latency), B and C (perturbed labels), built
+/// once each.
 const std::string& artifact_a() {
-  static const std::string path = build_artifact("serve_a.esm", 1.0, 0.0);
+  static const std::string path = build_artifact("serve_a.esm");
   return path;
 }
 const std::string& artifact_b() {
-  static const std::string path = build_artifact("serve_b.esm", 1.37, 0.5);
+  static const std::string path =
+      build_artifact("serve_b.esm", rtx4090_spec(), 30, 1.37, 0.5);
   return path;
 }
 const std::string& artifact_c() {
-  static const std::string path = build_artifact("serve_c.esm", 0.8, 1.1);
+  static const std::string path =
+      build_artifact("serve_c.esm", rtx4090_spec(), 30, 0.8, 1.1);
   return path;
-}
-
-/// The first `limit` ResNet depth combinations as request strings, each
-/// unit annotated with a rotating kernel/expansion feature so distinct
-/// requests map to distinct predictions (depth-only archs share too many
-/// tree leaves to tell a misrouted response apart).
-std::vector<std::string> arch_pool(std::size_t limit) {
-  static const char* kFeatures[] = {"",        ":k5",       ":k7",
-                                    ":k3e1",   ":k5e0.667", ":k7e1",
-                                    ":k3e0.5", ":k5e1",     ":k7e0.667"};
-  std::vector<std::string> pool;
-  std::size_t n = 0;
-  for (int a = 1; a <= 7 && pool.size() < limit; ++a)
-    for (int b = 1; b <= 7 && pool.size() < limit; ++b)
-      for (int c = 1; c <= 7 && pool.size() < limit; ++c)
-        for (int d = 1; d <= 7 && pool.size() < limit; ++d) {
-          const int depths[4] = {a, b, c, d};
-          std::string request;
-          for (std::size_t u = 0; u < 4; ++u) {
-            if (u > 0) request += ',';
-            request += std::to_string(depths[u]);
-            request += kFeatures[(n + u * 3) % 9];
-          }
-          ++n;
-          pool.push_back(std::move(request));
-        }
-  return pool;
-}
-
-/// Offline ground truth: parse each request with the shared parser and
-/// price everything through one predict_all on a separately loaded model.
-std::map<std::string, double> offline_predictions(
-    const std::string& artifact, const std::vector<std::string>& specs) {
-  const std::unique_ptr<TrainableSurrogate> model = load_surrogate(artifact);
-  std::vector<ArchConfig> archs;
-  archs.reserve(specs.size());
-  for (const std::string& s : specs) {
-    archs.push_back(serve::parse_arch_request(model->spec(), s));
-  }
-  const std::vector<double> values = model->predict_all(archs);
-  std::map<std::string, double> expected;
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    expected[specs[i]] = values[i];
-  }
-  return expected;
-}
-
-ServeClient connect(PredictionServer& server) {
-  StreamPair pair = serve::make_stream_pair();
-  server.serve(pair.server);
-  return ServeClient(pair.client);
-}
-
-std::uint64_t stat(const std::map<std::string, std::string>& kv,
-                   const std::string& key) {
-  const auto it = kv.find(key);
-  EXPECT_NE(it, kv.end()) << "stats payload lacks " << key;
-  return it == kv.end() ? 0 : std::stoull(it->second);
-}
-
-ServeConfig test_config(const std::string& artifact) {
-  ServeConfig config;
-  config.artifact_path = artifact;
-  return config;
 }
 
 /// Writes a fleet manifest under TempDir listing (name, artifact) pairs;
@@ -246,9 +145,9 @@ TEST(ProtocolTest, ResponseFormatRoundTrips) {
   EXPECT_EQ(parsed.payload, "1.5");
 
   ASSERT_TRUE(serve::parse_response(
-      serve::format_error(serve::kErrBadArch, "unit 0\nbad"), parsed));
+      serve::format_error(serve::ErrorCode::bad_arch, "unit 0\nbad"), parsed));
   EXPECT_FALSE(parsed.ok);
-  EXPECT_EQ(parsed.verb_or_code, serve::kErrBadArch);
+  EXPECT_EQ(parsed.verb_or_code, "bad_arch");
   EXPECT_EQ(parsed.payload, "unit 0 bad");  // newline sanitized to a space
 
   EXPECT_FALSE(serve::parse_response("hello world", parsed));
@@ -308,8 +207,8 @@ TEST(LatencyHistogramTest, PercentilesAreOrderedAndCounted) {
 // ------------------------------------------------------------ the server
 
 TEST(ServeTest, RoundTripForEveryVerb) {
-  PredictionServer server(test_config(artifact_a()));
-  ServeClient client = connect(server);
+  Harness harness(serve_config(artifact_a()));
+  EsmClient client = harness.client();
 
   const std::vector<std::string> specs = {"3,5,2,7", "1,1,1,1",
                                           "7:k7e1,7:k5,7,7"};
@@ -341,50 +240,52 @@ TEST(ServeTest, RoundTripForEveryVerb) {
   EXPECT_EQ(client.info().at("generation"), "2");
   EXPECT_TRUE(std::isfinite(client.predict("3,5,2,7")));
 
+  // shutdown drains the loop, which closes the listener.
   client.shutdown();
-  server.wait();
-  EXPECT_TRUE(server.stopping());
+  harness.thread.join();
+  EXPECT_EQ(harness.listener->connect(), nullptr);
 }
 
 TEST(ServeTest, MalformedRequestsYieldStructuredErrorsNeverACrash) {
-  PredictionServer server(test_config(artifact_a()));
-  ServeClient client = connect(server);
+  Harness harness(serve_config(artifact_a()));
+  EsmClient client = harness.client();
 
   const std::vector<std::pair<std::string, std::string>> matrix = {
-      {"", serve::kErrBadRequest},
-      {"predict", serve::kErrBadRequest},
+      {"", "bad_request"},
+      {"predict", "bad_request"},
       // "banana" starts with a letter, so fleet routing reads it as a model
       // key — unknown key, structured error (the keyless grammar is only
       // ambiguous for payloads that could never be an architecture).
-      {"predict banana", serve::kErrUnknownModel},
-      {"predict 3,5", serve::kErrBadArch},
-      {"predict 9,9,9,9", serve::kErrBadArch},
-      {"predict 0,5,2,7", serve::kErrBadArch},
-      {"predict 3,,2,7", serve::kErrBadArch},
-      {"predict 3:k4,5,2,7", serve::kErrBadArch},
-      {"predict_batch", serve::kErrBadRequest},
-      {"predict_batch ;", serve::kErrBadArch},
-      {"predict_batch 3,5,2,7;banana", serve::kErrBadArch},
-      {"flarp 1", serve::kErrUnknownVerb},
-      {"\x01\x02garbage", serve::kErrUnknownVerb},
-      {"info extra", serve::kErrUnknownModel},
-      {"stats now", serve::kErrBadRequest},
-      {"shutdown now", serve::kErrBadRequest},
-      {"reload", serve::kErrBadRequest},
-      {"reload /nonexistent/model.esm", serve::kErrReloadFailed},
-      {"predict " + std::string(70 * 1024, '1'), serve::kErrOversized},
-      {"predict_batch " + std::string(70 * 1024, '1'), serve::kErrOversized},
+      {"predict banana", "unknown_model"},
+      {"predict 3,5", "bad_arch"},
+      {"predict 9,9,9,9", "bad_arch"},
+      {"predict 0,5,2,7", "bad_arch"},
+      {"predict 3,,2,7", "bad_arch"},
+      {"predict 3:k4,5,2,7", "bad_arch"},
+      {"predict_batch", "bad_request"},
+      {"predict_batch ;", "bad_arch"},
+      {"predict_batch 3,5,2,7;banana", "bad_arch"},
+      {"flarp 1", "unknown_verb"},
+      {"\x01\x02garbage", "unknown_verb"},
+      {"info extra", "unknown_model"},
+      {"stats now", "bad_request"},
+      {"shutdown now", "bad_request"},
+      {"reload", "bad_request"},
+      {"reload /nonexistent/model.esm", "reload_failed"},
+      {"predict " + std::string(70 * 1024, '1'), "oversized"},
+      {"predict_batch " + std::string(70 * 1024, '1'), "oversized"},
   };
   for (const auto& [request, expected_code] : matrix) {
-    const ParsedResponse response = client.call(request);
+    const EsmClient::Response response = client.call_line(request);
     EXPECT_FALSE(response.ok) << "request '" << request.substr(0, 40) << "'";
     EXPECT_EQ(response.verb_or_code, expected_code)
         << "request '" << request.substr(0, 40) << "': " << response.payload;
   }
 
   // The connection survives the whole matrix: a good request still works
-  // (and "shutdown now" must not have begun a drain).
-  EXPECT_FALSE(server.stopping());
+  // (and "shutdown now" must not have begun a drain: the listener still
+  // accepts).
+  EXPECT_NE(harness.listener->connect(), nullptr);
   EXPECT_TRUE(std::isfinite(client.predict("3,5,2,7")));
 
   // Counters reconcile: every prediction line is exactly one of
@@ -409,13 +310,13 @@ TEST(ServeTest, TenThousandRequestsFromEightClientsBitIdenticalToOffline) {
   const std::map<std::string, double> expected =
       offline_predictions(artifact_a(), pool);
 
-  PredictionServer server(test_config(artifact_a()));
+  Harness harness(serve_config(artifact_a()));
   constexpr int kClients = 8;
   constexpr int kPerClient = 1250;
 
-  std::vector<ServeClient> clients;
+  std::vector<EsmClient> clients;
   clients.reserve(kClients);
-  for (int c = 0; c < kClients; ++c) clients.push_back(connect(server));
+  for (int c = 0; c < kClients; ++c) clients.push_back(harness.client());
 
   std::atomic<int> answered{0};
   std::atomic<int> mismatches{0};
@@ -469,11 +370,11 @@ TEST(ServeTest, TenThousandRequestsFromEightClientsBitIdenticalToOffline) {
 }
 
 TEST(ServeTest, CacheHitReturnsBitIdenticalValueToMissPath) {
-  PredictionServer server(test_config(artifact_a()));
-  ServeClient client = connect(server);
+  Harness harness(serve_config(artifact_a()));
+  EsmClient client = harness.client();
 
-  const ParsedResponse miss = client.call("predict 4,2,6,1");
-  const ParsedResponse hit = client.call("predict 4,2,6,1");
+  const EsmClient::Response miss = client.call_line("predict 4,2,6,1");
+  const EsmClient::Response hit = client.call_line("predict 4,2,6,1");
   ASSERT_TRUE(miss.ok);
   ASSERT_TRUE(hit.ok);
   // The full response line is identical, so the doubles are bit-identical.
@@ -491,8 +392,8 @@ TEST(ServeTest, PredictBatchMatchesOfflinePredictAll) {
   const std::map<std::string, double> expected =
       offline_predictions(artifact_a(), specs);
 
-  PredictionServer server(test_config(artifact_a()));
-  ServeClient client = connect(server);
+  Harness harness(serve_config(artifact_a()));
+  EsmClient client = harness.client();
   const std::vector<double> values = client.predict_batch(specs);
   ASSERT_EQ(values.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -516,9 +417,9 @@ TEST(ServeTest, HotReloadSwapsModelsWithoutDroppingInflightRequests) {
   // The two artifacts genuinely disagree, otherwise this proves nothing.
   ASSERT_NE(expected_a.at(pool[0]), expected_b.at(pool[0]));
 
-  PredictionServer server(test_config(artifact_a()));
-  ServeClient worker = connect(server);
-  ServeClient admin = connect(server);
+  Harness harness(serve_config(artifact_a()));
+  EsmClient worker = harness.client();
+  EsmClient admin = harness.client();
 
   constexpr int kRequests = 400;
   std::atomic<int> answered{0};
@@ -558,56 +459,21 @@ TEST(ServeTest, FailedReloadKeepsServingTheOldModel) {
   const std::map<std::string, double> expected =
       offline_predictions(artifact_a(), specs);
 
-  PredictionServer server(test_config(artifact_a()));
-  ServeClient client = connect(server);
+  Harness harness(serve_config(artifact_a()));
+  EsmClient client = harness.client();
   EXPECT_EQ(client.predict("3,5,2,7"), expected.at("3,5,2,7"));
 
-  const ParsedResponse bad = client.call("reload /nonexistent/path.esm");
+  const EsmClient::Response bad =
+      client.call_line("reload /nonexistent/path.esm");
   EXPECT_FALSE(bad.ok);
-  EXPECT_EQ(bad.verb_or_code, serve::kErrReloadFailed);
+  EXPECT_EQ(bad.verb_or_code, "reload_failed");
 
   EXPECT_EQ(client.predict("3,5,2,7"), expected.at("3,5,2,7"));
   EXPECT_EQ(client.info().at("generation"), "1");
 }
 
-TEST(ServeTest, DrainAnswersEveryRequestAlreadyOnTheWire) {
-  const std::vector<std::string> pool = arch_pool(50);
-  PredictionServer server(test_config(artifact_a()));
-  StreamPair pair = serve::make_stream_pair();
-  server.serve(pair.server);
-
-  // Fire 50 requests without reading a single response, then stop the
-  // server. Drain semantics: every request that reached the wire is
-  // answered before the threads exit.
-  for (const std::string& arch : pool) {
-    ASSERT_TRUE(pair.client->write_line("predict " + arch));
-  }
-  server.request_stop();
-  server.wait();
-
-  std::size_t responses = 0;
-  std::string line;
-  while (pair.client->read_line(line)) {
-    ParsedResponse parsed;
-    ASSERT_TRUE(serve::parse_response(line, parsed));
-    EXPECT_TRUE(parsed.ok) << line;
-    ++responses;
-  }
-  EXPECT_EQ(responses, pool.size());
-}
-
-TEST(ServeTest, RejectsNewSessionsWhileStopping) {
-  PredictionServer server(test_config(artifact_a()));
-  server.request_stop();
-  StreamPair pair = serve::make_stream_pair();
-  server.serve(pair.server);  // refused: stream closed immediately
-  std::string line;
-  EXPECT_FALSE(pair.client->read_line(line));
-  server.wait();
-}
-
 TEST(ServeTest, ConstructorRejectsMissingArtifact) {
-  EXPECT_THROW(PredictionServer(test_config("/nonexistent/model.esm")),
+  EXPECT_THROW(PredictionServer(serve_config("/nonexistent/model.esm")),
                ConfigError);
 }
 
@@ -632,14 +498,14 @@ TEST(FleetServeTest, ThreeModelRoutedPredictionsBitIdenticalToOffline) {
   ASSERT_NE(expected.at("bravo").at(pool[0]),
             expected.at("charlie").at(pool[0]));
 
-  PredictionServer server(test_config(manifest));
+  Harness harness(serve_config(manifest));
   constexpr int kClients = 6;
   constexpr int kPerClient = 400;
   static const char* kNames[3] = {"alpha", "bravo", "charlie"};
 
-  std::vector<ServeClient> clients;
+  std::vector<EsmClient> clients;
   clients.reserve(kClients);
-  for (int c = 0; c < kClients; ++c) clients.push_back(connect(server));
+  for (int c = 0; c < kClients; ++c) clients.push_back(harness.client());
 
   std::atomic<int> answered{0};
   std::atomic<int> mismatches{0};
@@ -704,8 +570,8 @@ TEST(FleetServeTest, KeylessRequestsRouteToTheDefaultModel) {
   const std::map<std::string, double> expected_b =
       offline_predictions(artifact_b(), specs);
 
-  PredictionServer server(test_config(manifest));
-  ServeClient client = connect(server);
+  Harness harness(serve_config(manifest));
+  EsmClient client = harness.client();
 
   // The PR-5 keyless protocol stays valid against a manifest-served fleet:
   // keyless lines hit the default model.
@@ -737,15 +603,15 @@ TEST(FleetServeTest, KeylessRequestsRouteToTheDefaultModel) {
 TEST(FleetServeTest, UnknownModelKeysYieldStructuredErrors) {
   const std::string manifest =
       write_fleet_manifest("fleet_unknown.esmf", {{"alpha", artifact_a()}});
-  PredictionServer server(test_config(manifest));
-  ServeClient client = connect(server);
+  Harness harness(serve_config(manifest));
+  EsmClient client = harness.client();
 
   for (const char* request : {"predict nosuch 3,5,2,7",
                               "predict_batch nosuch 3,5,2,7;1,1,1,1",
                               "info nosuch"}) {
-    const ParsedResponse response = client.call(request);
+    const EsmClient::Response response = client.call_line(request);
     EXPECT_FALSE(response.ok) << request;
-    EXPECT_EQ(response.verb_or_code, serve::kErrUnknownModel) << request;
+    EXPECT_EQ(response.verb_or_code, "unknown_model") << request;
     EXPECT_NE(response.payload.find("nosuch"), std::string::npos) << request;
   }
 
@@ -771,8 +637,8 @@ TEST(FleetServeTest, ReloadWithOneCorruptArtifactChangesNothing) {
   const std::map<std::string, double> expected_b =
       offline_predictions(artifact_b(), specs);
 
-  PredictionServer server(test_config(manifest));
-  ServeClient client = connect(server);
+  Harness harness(serve_config(manifest));
+  EsmClient client = harness.client();
   EXPECT_EQ(client.predict("alpha", specs[0]), expected_a.at(specs[0]));
   EXPECT_EQ(client.predict("bravo", specs[0]), expected_b.at(specs[0]));
   const std::string gen_before = client.info("bravo").at("generation");
@@ -784,9 +650,9 @@ TEST(FleetServeTest, ReloadWithOneCorruptArtifactChangesNothing) {
        {"bravo", artifact_b()},
        {"charlie", artifact_c()}},
       /*bad_crc_for=*/"charlie");
-  const ParsedResponse response = client.call("reload " + bad);
+  const EsmClient::Response response = client.call_line("reload " + bad);
   EXPECT_FALSE(response.ok);
-  EXPECT_EQ(response.verb_or_code, serve::kErrReloadFailed);
+  EXPECT_EQ(response.verb_or_code, "reload_failed");
   // The error names the offending entry.
   EXPECT_NE(response.payload.find("charlie"), std::string::npos)
       << response.payload;
@@ -814,16 +680,16 @@ TEST(FleetServeTest, ReloadWithOneCorruptArtifactChangesNothing) {
 TEST(FleetServeTest, TornManifestReloadKeepsTheOldFleetServing) {
   const std::string manifest =
       write_fleet_manifest("fleet_torn_base.esmf", {{"alpha", artifact_a()}});
-  PredictionServer server(test_config(manifest));
-  ServeClient client = connect(server);
+  Harness harness(serve_config(manifest));
+  EsmClient client = harness.client();
   const double before = client.predict("alpha", "3,5,2,7");
 
   // Torn mid-write: the magic line made it to disk, nothing else did.
   const std::string torn = testing::TempDir() + "/fleet_torn.esmf";
   write_file_atomic(torn, std::string(serve::kManifestMagic) + "\n");
-  const ParsedResponse response = client.call("reload " + torn);
+  const EsmClient::Response response = client.call_line("reload " + torn);
   EXPECT_FALSE(response.ok);
-  EXPECT_EQ(response.verb_or_code, serve::kErrReloadFailed);
+  EXPECT_EQ(response.verb_or_code, "reload_failed");
 
   EXPECT_EQ(client.predict("alpha", "3,5,2,7"), before);
   EXPECT_EQ(client.info().at("generation"), "1");
@@ -832,10 +698,10 @@ TEST(FleetServeTest, TornManifestReloadKeepsTheOldFleetServing) {
 TEST(FleetServeTest, UnchangedModelsKeepTheirWarmCacheAcrossReload) {
   const std::string manifest = write_fleet_manifest(
       "fleet_warm.esmf", {{"alpha", artifact_a()}, {"bravo", artifact_b()}});
-  PredictionServer server(test_config(manifest));
-  ServeClient client = connect(server);
+  Harness harness(serve_config(manifest));
+  EsmClient client = harness.client();
 
-  const ParsedResponse miss = client.call("predict alpha 4,2,6,1");
+  const EsmClient::Response miss = client.call_line("predict alpha 4,2,6,1");
   ASSERT_TRUE(miss.ok);
 
   // bravo's artifact changes (new CRC); alpha's entry is untouched.
@@ -844,7 +710,7 @@ TEST(FleetServeTest, UnchangedModelsKeepTheirWarmCacheAcrossReload) {
   client.reload(swapped);
 
   // alpha answers from its carried-over cache — bit-identical, and a hit.
-  const ParsedResponse hit = client.call("predict alpha 4,2,6,1");
+  const EsmClient::Response hit = client.call_line("predict alpha 4,2,6,1");
   ASSERT_TRUE(hit.ok);
   EXPECT_EQ(hit.payload, miss.payload);
   const std::map<std::string, std::string> stats = client.stats();
