@@ -185,7 +185,13 @@ $PIPELINE --name cloud --device rtx4090 >/dev/null
 # kill -9 mid-pipeline: the rerun resumes from the stage journals (exit 3)
 # or restarts from scratch (exit 0) — either way the published manifest and
 # artifact must be byte-identical to an uninterrupted run's.
-KILL_PIPE="build/examples/esm_cli pipeline --surrogate gbdt --n-initial 48
+# The campaign is sized so the reference run passes its own Acc_TH gate:
+# at --n-initial 48 its worst depth bin scores 28.4% < 30%, nothing is
+# published and there is nothing to compare; at 96 the worst bin scores
+# 62.2%. The smoke pins crash convergence, so the campaign grows and the
+# gate stays. At 96 the run takes ~0.12 s on a 4-core x86 host, so the
+# 0.05 s kill still lands mid-pipeline (the rerun resumes, exit 3).
+KILL_PIPE="build/examples/esm_cli pipeline --surrogate gbdt --n-initial 96
   --n-test 16 --acc-th 0.3 --batch-size 4 --device rpi4 --name edge"
 $KILL_PIPE --manifest-dir "$SMOKE_DIR/fleet_ref" >/dev/null
 timeout -s KILL 0.05 $KILL_PIPE --manifest-dir "$SMOKE_DIR/fleet_kill" \

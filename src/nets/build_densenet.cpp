@@ -3,16 +3,16 @@
 // 2x-compressing transitions (1x1 conv + 2x2 average pool) between blocks,
 // and a BN + GAP + FC head. The searchable per-unit kernel applies to every
 // composite layer's spatial conv of that unit (paper Table I footnote).
-#include <string>
-
 #include "nets/build_detail.hpp"
 #include "nets/builder.hpp"
 
 namespace esm {
 
+using detail::add_binary;
 using detail::add_conv_bn;
 using detail::add_head;
-using detail::strided_dim;
+using detail::add_pool;
+using detail::add_unary;
 
 namespace {
 
@@ -20,54 +20,27 @@ constexpr int kBottleneckFactor = 4;  // 1x1 widens to 4 * growth_rate
 
 /// Appends one DenseNet composite layer (BN-ReLU-1x1 -> BN-ReLU-KxK) and the
 /// concatenation that appends its output to the running features.
-TensorShape add_dense_layer(LayerGraph& g, const std::string& name,
-                            TensorShape in, int growth_rate, int kernel) {
-  Layer bn;
-  bn.kind = LayerKind::kBatchNorm;
-  bn.name = name + "_bn0";
-  bn.input = in;
-  bn.output = in;
-  g.add(bn);
-
-  Layer relu;
-  relu.kind = LayerKind::kRelu;
-  relu.name = name + "_relu0";
-  relu.input = in;
-  relu.output = in;
-  g.add(relu);
-
+TensorShape add_dense_layer(LayerGraph& g, TensorShape in, int growth_rate,
+                            int kernel) {
+  add_unary(g, LayerKind::kBatchNorm, in);
+  add_unary(g, LayerKind::kRelu, in);
   const int bottleneck = kBottleneckFactor * growth_rate;
-  TensorShape x = add_conv_bn(g, name + "_bottleneck", in, bottleneck, 1, 1,
-                              LayerKind::kRelu);
-  x = add_conv_bn(g, name + "_spatial", x, growth_rate, kernel, 1,
-                  detail::kNoActivation);
+  TensorShape x = add_conv_bn(g, in, bottleneck, 1, 1, LayerKind::kRelu);
+  x = add_conv_bn(g, x, growth_rate, kernel, 1, detail::kNoActivation);
 
-  Layer concat;
-  concat.kind = LayerKind::kConcat;
-  concat.name = name + "_concat";
-  concat.input = x;         // the freshly produced growth_rate channels
-  concat.aux_input = in;    // the running feature map being extended
-  concat.output = {in.channels + growth_rate, in.height, in.width};
-  g.add(concat);
-  return concat.output;
+  // Input: the freshly produced growth_rate channels; second operand: the
+  // running feature map being extended.
+  const TensorShape out{in.channels + growth_rate, in.height, in.width};
+  add_binary(g, LayerKind::kConcat, x, in, out);
+  return out;
 }
 
 /// Appends a compressive transition (1x1 conv halving channels + avg pool).
-TensorShape add_transition(LayerGraph& g, const std::string& name,
-                           TensorShape in) {
+TensorShape add_transition(LayerGraph& g, TensorShape in) {
   const int compressed = std::max(1, in.channels / 2);
-  TensorShape x = add_conv_bn(g, name + "_compress", in, compressed, 1, 1,
-                              LayerKind::kRelu);
-  Layer pool;
-  pool.kind = LayerKind::kAvgPool;
-  pool.name = name + "_pool";
-  pool.input = x;
-  pool.kernel = 2;
-  pool.stride = 2;
-  pool.output = {x.channels, strided_dim(x.height, 2),
-                 strided_dim(x.width, 2)};
-  g.add(pool);
-  return pool.output;
+  const TensorShape x =
+      add_conv_bn(g, in, compressed, 1, 1, LayerKind::kRelu);
+  return add_pool(g, LayerKind::kAvgPool, x, 2, 2);
 }
 
 }  // namespace
@@ -77,45 +50,20 @@ LayerGraph build_densenet(const SupernetSpec& spec, const ArchConfig& arch) {
 
   TensorShape x{spec.input_channels, spec.input_resolution,
                 spec.input_resolution};
-  x = add_conv_bn(g, "stem", x, spec.stem_width, 7, 2, LayerKind::kRelu);
-
-  Layer pool;
-  pool.kind = LayerKind::kMaxPool;
-  pool.name = "stem_pool";
-  pool.input = x;
-  pool.kernel = 3;
-  pool.stride = 2;
-  pool.output = {x.channels, strided_dim(x.height, 2),
-                 strided_dim(x.width, 2)};
-  g.add(pool);
-  x = pool.output;
+  x = add_conv_bn(g, x, spec.stem_width, 7, 2, LayerKind::kRelu);
+  x = add_pool(g, LayerKind::kMaxPool, x, 3, 2);
 
   for (std::size_t ui = 0; ui < arch.units.size(); ++ui) {
     const UnitConfig& unit = arch.units[ui];
     const int kernel = unit.blocks.front().kernel;  // one kernel per unit
     for (std::size_t bi = 0; bi < unit.blocks.size(); ++bi) {
-      const std::string name =
-          "u" + std::to_string(ui) + "_l" + std::to_string(bi);
-      x = add_dense_layer(g, name, x, spec.growth_rate, kernel);
+      x = add_dense_layer(g, x, spec.growth_rate, kernel);
     }
-    if (ui + 1 < arch.units.size()) {
-      x = add_transition(g, "t" + std::to_string(ui), x);
-    }
+    if (ui + 1 < arch.units.size()) x = add_transition(g, x);
   }
 
-  Layer bn;
-  bn.kind = LayerKind::kBatchNorm;
-  bn.name = "head_bn";
-  bn.input = x;
-  bn.output = x;
-  g.add(bn);
-  Layer relu;
-  relu.kind = LayerKind::kRelu;
-  relu.name = "head_relu";
-  relu.input = x;
-  relu.output = x;
-  g.add(relu);
-
+  add_unary(g, LayerKind::kBatchNorm, x);
+  add_unary(g, LayerKind::kRelu, x);
   add_head(g, x, spec.num_classes);
   return g;
 }

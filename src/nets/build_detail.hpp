@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cmath>
-#include <string>
 
 #include "nn/graph.hpp"
 
@@ -15,69 +14,78 @@ inline int strided_dim(int in, int stride) { return (in + stride - 1) / stride; 
 /// after the batch norm" (any non-activation kind works; this reads better).
 inline constexpr LayerKind kNoActivation = LayerKind::kBatchNorm;
 
+/// A layer of `kind` mapping `in` to `out`: a 1x1, stride-1, ungrouped op
+/// with no bias and no second operand until the caller says otherwise.
+inline Layer make_layer(LayerKind kind, TensorShape in, TensorShape out) {
+  Layer layer;
+  layer.kind = kind;
+  layer.input = in;
+  layer.output = out;
+  return layer;
+}
+
+/// Appends a shape-preserving single-input layer (batch norm, activation).
+inline void add_unary(LayerGraph& g, LayerKind kind, TensorShape shape) {
+  g.add(make_layer(kind, shape, shape));
+}
+
+/// Appends a two-input layer (add, concat, scale) whose second operand is
+/// `aux`.
+inline void add_binary(LayerGraph& g, LayerKind kind, TensorShape in,
+                       TensorShape aux, TensorShape out) {
+  Layer layer = make_layer(kind, in, out);
+  layer.aux_input = aux;
+  g.add(layer);
+}
+
+/// Appends a biased fully-connected layer on a flattened 1x1 tensor.
+inline TensorShape add_fc(LayerGraph& g, int in_features, int out_features) {
+  const TensorShape out{out_features, 1, 1};
+  Layer fc = make_layer(LayerKind::kFullyConnected, {in_features, 1, 1}, out);
+  fc.has_bias = true;
+  g.add(fc);
+  return out;
+}
+
+/// Appends a layer with a square window (conv or pool) and same padding;
+/// returns its output shape.
+inline TensorShape add_windowed(LayerGraph& g, LayerKind kind, TensorShape in,
+                                int out_channels, int kernel, int stride,
+                                int groups = 1) {
+  const TensorShape out{out_channels, strided_dim(in.height, stride),
+                        strided_dim(in.width, stride)};
+  Layer layer = make_layer(kind, in, out);
+  layer.kernel = kernel;
+  layer.stride = stride;
+  layer.groups = groups;
+  g.add(layer);
+  return out;
+}
+
 /// Appends conv + batch-norm (+ optional activation) with same padding.
-inline TensorShape add_conv_bn(LayerGraph& g, const std::string& name,
-                               TensorShape in, int out_channels, int kernel,
-                               int stride, LayerKind activation,
-                               bool depthwise = false) {
-  TensorShape out{out_channels, strided_dim(in.height, stride),
-                  strided_dim(in.width, stride)};
-  Layer conv;
-  conv.kind = depthwise ? LayerKind::kDepthwiseConv : LayerKind::kConv2d;
-  conv.name = name + (depthwise ? "_dwconv" : "_conv");
-  conv.input = in;
-  conv.output = out;
-  conv.kernel = kernel;
-  conv.stride = stride;
-  conv.groups = depthwise ? in.channels : 1;
-  g.add(conv);
-
-  Layer bn;
-  bn.kind = LayerKind::kBatchNorm;
-  bn.name = name + "_bn";
-  bn.input = out;
-  bn.output = out;
-  g.add(bn);
-
+inline TensorShape add_conv_bn(LayerGraph& g, TensorShape in,
+                               int out_channels, int kernel, int stride,
+                               LayerKind activation, bool depthwise = false) {
+  const TensorShape out = add_windowed(
+      g, depthwise ? LayerKind::kDepthwiseConv : LayerKind::kConv2d, in,
+      out_channels, kernel, stride, depthwise ? in.channels : 1);
+  add_unary(g, LayerKind::kBatchNorm, out);
   if (activation == LayerKind::kRelu || activation == LayerKind::kHSwish) {
-    Layer act;
-    act.kind = activation;
-    act.name = name + (activation == LayerKind::kRelu ? "_relu" : "_hswish");
-    act.input = out;
-    act.output = out;
-    g.add(act);
+    add_unary(g, activation, out);
   }
   return out;
 }
 
-/// Appends an element-wise residual addition.
-inline void add_residual(LayerGraph& g, const std::string& name,
-                         TensorShape shape) {
-  Layer add;
-  add.kind = LayerKind::kAdd;
-  add.name = name + "_add";
-  add.input = shape;
-  add.aux_input = shape;
-  add.output = shape;
-  g.add(add);
+/// Appends a pooling layer (max or average) with a square window.
+inline TensorShape add_pool(LayerGraph& g, LayerKind kind, TensorShape in,
+                            int kernel, int stride) {
+  return add_windowed(g, kind, in, in.channels, kernel, stride);
 }
 
 /// Appends the global-average-pool + fully-connected classification head.
 inline void add_head(LayerGraph& g, TensorShape in, int num_classes) {
-  Layer gap;
-  gap.kind = LayerKind::kGlobalAvgPool;
-  gap.name = "head_gap";
-  gap.input = in;
-  gap.output = {in.channels, 1, 1};
-  g.add(gap);
-
-  Layer fc;
-  fc.kind = LayerKind::kFullyConnected;
-  fc.name = "head_fc";
-  fc.input = {in.channels, 1, 1};
-  fc.output = {num_classes, 1, 1};
-  fc.has_bias = true;
-  g.add(fc);
+  g.add(make_layer(LayerKind::kGlobalAvgPool, in, {in.channels, 1, 1}));
+  (void)add_fc(g, in.channels, num_classes);
 }
 
 /// Rounds a fractional channel count, clamped to at least 1.

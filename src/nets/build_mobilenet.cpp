@@ -3,16 +3,17 @@
 // project) with hard-swish activations, GAP + FC head. The searchable
 // expansion ratio scales the hidden width off a base expansion of 6; the
 // searchable kernel applies to the depthwise conv.
-#include <string>
-
 #include "nets/build_detail.hpp"
 #include "nets/builder.hpp"
 
 namespace esm {
 
+using detail::add_binary;
 using detail::add_conv_bn;
+using detail::add_fc;
 using detail::add_head;
-using detail::add_residual;
+using detail::add_unary;
+using detail::make_layer;
 using detail::scaled_channels;
 
 namespace {
@@ -21,64 +22,28 @@ constexpr double kBaseExpansion = 6.0;
 constexpr int kSeReduction = 4;
 
 /// Appends a squeeze-and-excitation module operating on `shape`.
-void add_squeeze_excite(LayerGraph& g, const std::string& name,
-                        TensorShape shape) {
+void add_squeeze_excite(LayerGraph& g, TensorShape shape) {
+  const TensorShape pooled{shape.channels, 1, 1};
   const int squeezed = std::max(1, shape.channels / kSeReduction);
-
-  Layer gap;
-  gap.kind = LayerKind::kGlobalAvgPool;
-  gap.name = name + "_se_gap";
-  gap.input = shape;
-  gap.output = {shape.channels, 1, 1};
-  g.add(gap);
-
-  Layer fc1;
-  fc1.kind = LayerKind::kFullyConnected;
-  fc1.name = name + "_se_reduce";
-  fc1.input = {shape.channels, 1, 1};
-  fc1.output = {squeezed, 1, 1};
-  fc1.has_bias = true;
-  g.add(fc1);
-
-  Layer relu;
-  relu.kind = LayerKind::kRelu;
-  relu.name = name + "_se_relu";
-  relu.input = fc1.output;
-  relu.output = fc1.output;
-  g.add(relu);
-
-  Layer fc2;
-  fc2.kind = LayerKind::kFullyConnected;
-  fc2.name = name + "_se_expand";
-  fc2.input = {squeezed, 1, 1};
-  fc2.output = {shape.channels, 1, 1};
-  fc2.has_bias = true;
-  g.add(fc2);
-
-  Layer scale;
-  scale.kind = LayerKind::kScale;
-  scale.name = name + "_se_scale";
-  scale.input = shape;
-  scale.aux_input = {shape.channels, 1, 1};
-  scale.output = shape;
-  g.add(scale);
+  g.add(make_layer(LayerKind::kGlobalAvgPool, shape, pooled));
+  add_unary(g, LayerKind::kRelu, add_fc(g, shape.channels, squeezed));
+  (void)add_fc(g, squeezed, shape.channels);
+  add_binary(g, LayerKind::kScale, shape, pooled, shape);
 }
 
 /// Appends one inverted-residual block; returns its output shape.
-TensorShape add_inverted_residual(LayerGraph& g, const std::string& name,
-                                  TensorShape in, int out_channels,
-                                  const BlockConfig& block, int stride) {
+TensorShape add_inverted_residual(LayerGraph& g, TensorShape in,
+                                  int out_channels, const BlockConfig& block,
+                                  int stride) {
   const int hidden =
       scaled_channels(out_channels * kBaseExpansion, block.expansion);
-  TensorShape x = add_conv_bn(g, name + "_expand", in, hidden, 1, 1,
-                              LayerKind::kHSwish);
-  x = add_conv_bn(g, name + "_depthwise", x, hidden, block.kernel, stride,
-                  LayerKind::kHSwish, /*depthwise=*/true);
-  add_squeeze_excite(g, name, x);
-  x = add_conv_bn(g, name + "_project", x, out_channels, 1, 1,
-                  detail::kNoActivation);
+  TensorShape x = add_conv_bn(g, in, hidden, 1, 1, LayerKind::kHSwish);
+  x = add_conv_bn(g, x, hidden, block.kernel, stride, LayerKind::kHSwish,
+                  /*depthwise=*/true);
+  add_squeeze_excite(g, x);
+  x = add_conv_bn(g, x, out_channels, 1, 1, detail::kNoActivation);
   if (stride == 1 && in.channels == out_channels) {
-    add_residual(g, name, x);
+    add_binary(g, LayerKind::kAdd, x, x, x);
   }
   return x;
 }
@@ -91,7 +56,7 @@ LayerGraph build_mobilenet_v3(const SupernetSpec& spec,
 
   TensorShape x{spec.input_channels, spec.input_resolution,
                 spec.input_resolution};
-  x = add_conv_bn(g, "stem", x, spec.stem_width, 3, 2, LayerKind::kHSwish);
+  x = add_conv_bn(g, x, spec.stem_width, 3, 2, LayerKind::kHSwish);
 
   for (std::size_t ui = 0; ui < arch.units.size(); ++ui) {
     const UnitConfig& unit = arch.units[ui];
@@ -99,9 +64,7 @@ LayerGraph build_mobilenet_v3(const SupernetSpec& spec,
     for (std::size_t bi = 0; bi < unit.blocks.size(); ++bi) {
       // Every unit downsamples at its first block (112 -> 56/28/14/7).
       const int stride = bi == 0 ? 2 : 1;
-      const std::string name =
-          "u" + std::to_string(ui) + "_b" + std::to_string(bi);
-      x = add_inverted_residual(g, name, x, width, unit.blocks[bi], stride);
+      x = add_inverted_residual(g, x, width, unit.blocks[bi], stride);
     }
   }
 

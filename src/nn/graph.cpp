@@ -10,12 +10,15 @@ namespace esm {
 void LayerGraph::add(Layer layer) {
   ESM_REQUIRE(layer.input.channels > 0 && layer.input.height > 0 &&
                   layer.input.width > 0,
-              "layer '" << layer.name << "' has a non-positive input shape");
+              "layer " << layers_.size() << " (" << layer_kind_name(layer.kind)
+                       << ") has a non-positive input shape");
   ESM_REQUIRE(layer.output.channels > 0 && layer.output.height > 0 &&
                   layer.output.width > 0,
-              "layer '" << layer.name << "' has a non-positive output shape");
+              "layer " << layers_.size() << " (" << layer_kind_name(layer.kind)
+                       << ") has a non-positive output shape");
   ESM_REQUIRE(layer.kernel >= 1 && layer.stride >= 1 && layer.groups >= 1,
-              "layer '" << layer.name << "' has invalid conv parameters");
+              "layer " << layers_.size() << " (" << layer_kind_name(layer.kind)
+                       << ") has invalid conv parameters");
   layers_.push_back(std::move(layer));
 }
 
@@ -50,8 +53,10 @@ std::string LayerGraph::summary() const {
   os << "LayerGraph '" << name_ << "' (" << layers_.size() << " layers, "
      << format_scientific(total_flops()) << " FLOPs, "
      << format_scientific(total_params()) << " params)\n";
-  for (const Layer& l : layers_) {
-    os << "  " << pad_right(l.name, 28) << pad_right(layer_kind_name(l.kind), 10)
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    const Layer& l = layers_[i];
+    os << "  " << pad_right(std::to_string(i), 6)
+       << pad_right(layer_kind_name(l.kind), 10)
        << l.input.channels << 'x' << l.input.height << 'x' << l.input.width
        << " -> " << l.output.channels << 'x' << l.output.height << 'x'
        << l.output.width << "  k=" << l.kernel << " s=" << l.stride

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 namespace esm {
 
@@ -44,14 +43,14 @@ struct TensorShape {
   bool operator==(const TensorShape&) const = default;
 };
 
-/// One primitive layer in execution order.
+/// One primitive layer in execution order. Layers carry no name: a layer
+/// is identified by its index in the graph and its kind.
 ///
 /// `input` is the primary input shape; `aux_input` is the secondary input for
 /// kAdd (same shape) and kConcat (the tensor being appended). Convolution
 /// parameters are ignored by non-conv kinds.
 struct Layer {
   LayerKind kind = LayerKind::kConv2d;
-  std::string name;
   TensorShape input;
   TensorShape aux_input;  ///< second operand for kAdd / kConcat; else zero
   TensorShape output;

@@ -49,7 +49,7 @@ double LutSurrogate::layer_cost_ms(const Layer& layer) const {
   // runs cold and unfused, exactly like a real isolated-kernel profiling
   // pass — which is precisely why the additive sum mispredicts networks
   // whose element-wise layers execute as fused epilogues.
-  LayerGraph probe("probe:" + layer.name);
+  LayerGraph probe("probe");
   probe.add(layer);
   // A faulted probe (hwsim/faults.hpp) must not poison the table with a
   // zero entry; fall back to the noise-free latency for this layer.

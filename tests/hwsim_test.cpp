@@ -169,12 +169,10 @@ TEST(LatencyModelTest, CacheResidencyDiscountsWarmInput) {
   LatencyModel model(rtx4090_spec());
   Layer producer;
   producer.kind = LayerKind::kConv2d;
-  producer.name = "p";
   producer.input = {64, 56, 56};
   producer.output = {64, 56, 56};
   producer.kernel = 1;
   Layer consumer = producer;
-  consumer.name = "c";
   const LayerCost warm = model.layer_cost(consumer, &producer);
   const LayerCost cold = model.layer_cost(consumer, nullptr);
   EXPECT_LT(warm.memory_ms, cold.memory_ms);

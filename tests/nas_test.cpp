@@ -2,6 +2,8 @@
 // utilities (the search engine is covered by search_test).
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "nas/accuracy_proxy.hpp"
 #include "nas/pareto.hpp"
 #include "nets/sampler.hpp"
@@ -28,6 +30,48 @@ TEST(AccuracyProxyTest, DeterministicPerArchitecture) {
   const AccuracyProxy proxy(spec);
   const ArchConfig arch = uniform_arch(spec, 3, 5);
   EXPECT_DOUBLE_EQ(proxy.top5_accuracy(arch), proxy.top5_accuracy(arch));
+}
+
+TEST(AccuracyProxyTest, GoldenValues) {
+  // Recorded before build_graph and ArchConfig::to_string were rewritten:
+  // the proxy is total FLOPs plus a residual seeded by std::hash of the
+  // arch string, so these bits pin both (for libstdc++'s std::hash).
+  constexpr double kHalf = 0.5;
+  constexpr double kTwoThirds = 2.0 / 3.0;
+  ArchConfig resnet{SupernetKind::kResNet,
+                    {{{{3, kHalf}, {5, kTwoThirds}}},
+                     {{{7, 1.0}}},
+                     {{{3, kTwoThirds}, {3, kHalf}, {5, 1.0}}},
+                     {{{7, kHalf}}}}};
+  ArchConfig mobilenet{SupernetKind::kMobileNetV3,
+                       {{{{5, 1.0}}},
+                        {{{3, kHalf}, {7, kTwoThirds}}},
+                        {{{7, 1.0}, {5, kHalf}}},
+                        {{{3, kTwoThirds}, {3, 1.0}, {5, kHalf},
+                          {7, kTwoThirds}}}}};
+  ArchConfig densenet{SupernetKind::kDenseNet, {}};
+  for (const auto& [depth, kernel] :
+       {std::pair{20, 9}, {1, 1}, {3, 3}, {12, 5}, {2, 7}}) {
+    densenet.units.push_back(
+        UnitConfig{std::vector<BlockConfig>(depth, BlockConfig{kernel, 1.0})});
+  }
+  const struct {
+    const ArchConfig& arch;
+    double seed7;
+    double seed3;
+  } cases[] = {
+      {resnet, 0x1.d6ec72e875f16p-1, 0x1.d86b4e6163165p-1},
+      {mobilenet, 0x1.c65ac87ba7d33p-1, 0x1.c4c4071dfe407p-1},
+      {densenet, 0x1.e70350c1d3beap-1, 0x1.e7744de93d40bp-1},
+  };
+  for (const auto& c : cases) {
+    const SupernetSpec spec = spec_for(c.arch.kind);
+    ASSERT_TRUE(spec.contains(c.arch)) << c.arch.to_string();
+    EXPECT_EQ(AccuracyProxy(spec).top5_accuracy(c.arch), c.seed7)
+        << spec.name;
+    EXPECT_EQ(AccuracyProxy(spec, 3).top5_accuracy(c.arch), c.seed3)
+        << spec.name;
+  }
 }
 
 TEST(AccuracyProxyTest, InPlausibleRange) {

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstdio>
 #include <map>
 #include <set>
+#include <sstream>
 
 #include "common/error.hpp"
 #include "nets/builder.hpp"
@@ -28,6 +32,41 @@ ArchConfig uniform_arch(const SupernetSpec& spec, int depth, int kernel,
     arch.units.push_back(unit);
   }
   return arch;
+}
+
+ArchConfig arch_of(SupernetKind kind,
+                   std::vector<std::vector<BlockConfig>> units) {
+  ArchConfig arch;
+  arch.kind = kind;
+  for (std::vector<BlockConfig>& blocks : units) {
+    arch.units.push_back(UnitConfig{std::move(blocks)});
+  }
+  return arch;
+}
+
+/// One arch per space covering expansions 1/2, 2/3 and 1, DenseNet's
+/// kernel 9 and a two-digit depth (DenseNet's 20).
+std::vector<ArchConfig> golden_archs() {
+  constexpr double kHalf = 0.5;
+  constexpr double kTwoThirds = 2.0 / 3.0;
+  const auto dense = [](int depth, int kernel) {
+    return std::vector<BlockConfig>(depth, BlockConfig{kernel, 1.0});
+  };
+  return {
+      arch_of(SupernetKind::kResNet,
+              {{{3, kHalf}, {5, kTwoThirds}},
+               {{7, 1.0}},
+               {{3, kTwoThirds}, {3, kHalf}, {5, 1.0}},
+               {{7, kHalf}}}),
+      arch_of(SupernetKind::kMobileNetV3,
+              {{{5, 1.0}},
+               {{3, kHalf}, {7, kTwoThirds}},
+               {{7, 1.0}, {5, kHalf}},
+               {{3, kTwoThirds}, {3, 1.0}, {5, kHalf}, {7, kTwoThirds}}}),
+      arch_of(SupernetKind::kDenseNet, {dense(20, 9), dense(1, 1),
+                                        dense(3, 3), dense(12, 5),
+                                        dense(2, 7)}),
+  };
 }
 
 // ------------------------------------------------------------- Table I
@@ -144,6 +183,68 @@ TEST(ArchConfigTest, ToStringIsStableAndDistinct) {
   EXPECT_EQ(a.to_string(), a.to_string());
   EXPECT_NE(a.to_string(), b.to_string());
   EXPECT_NE(a.to_string().find("ResNet"), std::string::npos);
+}
+
+TEST(ArchConfigTest, ToStringGoldenBytes) {
+  // These bytes are the accuracy proxy's hash input, the served cache key,
+  // the dataset-generation quarantine key and a journal CRC input.
+  const std::vector<ArchConfig> archs = golden_archs();
+  EXPECT_EQ(archs[0].to_string(),
+            "ResNet[d=2:k3e0.500,k5e0.667|d=1:k7e1.000|"
+            "d=3:k3e0.667,k3e0.500,k5e1.000|d=1:k7e0.500]");
+  EXPECT_EQ(archs[1].to_string(),
+            "MobileNetV3[d=1:k5e1.000|d=2:k3e0.500,k7e0.667|"
+            "d=2:k7e1.000,k5e0.500|"
+            "d=4:k3e0.667,k3e1.000,k5e0.500,k7e0.667]");
+  EXPECT_EQ(archs[2].to_string(),
+            "DenseNet[d=20:k9e1.000,k9e1.000,k9e1.000,k9e1.000,k9e1.000,"
+            "k9e1.000,k9e1.000,k9e1.000,k9e1.000,k9e1.000,k9e1.000,k9e1.000,"
+            "k9e1.000,k9e1.000,k9e1.000,k9e1.000,k9e1.000,k9e1.000,k9e1.000,"
+            "k9e1.000|d=1:k1e1.000|d=3:k3e1.000,k3e1.000,k3e1.000|"
+            "d=12:k5e1.000,k5e1.000,k5e1.000,k5e1.000,k5e1.000,k5e1.000,"
+            "k5e1.000,k5e1.000,k5e1.000,k5e1.000,k5e1.000,k5e1.000|"
+            "d=2:k7e1.000,k7e1.000]");
+  for (const ArchConfig& arch : archs) {
+    EXPECT_TRUE(spec_for(arch.kind).contains(arch)) << arch.to_string();
+  }
+  EXPECT_EQ(ArchConfig{}.to_string(), "ResNet[]");
+}
+
+/// The ostringstream + snprintf("k%de%.3f") formatter to_string replaced,
+/// kept as the reference its bytes must match.
+std::string stream_formatted(const ArchConfig& arch) {
+  std::ostringstream os;
+  os << supernet_kind_name(arch.kind) << '[';
+  for (std::size_t ui = 0; ui < arch.units.size(); ++ui) {
+    if (ui > 0) os << '|';
+    const UnitConfig& u = arch.units[ui];
+    os << "d=" << u.depth() << ':';
+    for (std::size_t bi = 0; bi < u.blocks.size(); ++bi) {
+      if (bi > 0) os << ',';
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "k%de%.3f", u.blocks[bi].kernel,
+                    u.blocks[bi].expansion);
+      os << buf;
+    }
+  }
+  os << ']';
+  return os.str();
+}
+
+TEST(ArchConfigTest, ToStringMatchesStreamFormatter) {
+  for (const SupernetSpec& spec :
+       {resnet_spec(), mobilenet_v3_spec(), densenet_spec()}) {
+    RandomSampler sampler(spec);
+    Rng rng(2025);
+    for (const ArchConfig& arch : sampler.sample_n(1000, rng)) {
+      ASSERT_EQ(arch.to_string(), stream_formatted(arch));
+    }
+  }
+  // Off-space values format the same way too.
+  const ArchConfig odd = arch_of(
+      SupernetKind::kDenseNet,
+      {{{11, 0.0005}, {-3, 9.9996}, {100, 1234.5678}}, {}, {{0, -0.25}}});
+  EXPECT_EQ(odd.to_string(), stream_formatted(odd));
 }
 
 TEST(ArchConfigTest, EqualityAndOrdering) {
@@ -496,12 +597,17 @@ TEST(BuilderTest, DenseNetChannelGrowth) {
   const LayerGraph g = build_densenet(spec, arch);
   // After unit 0 (3 blocks of growth 32 on a 64-channel stem), the running
   // tensor has 64 + 3*32 = 160 channels; the transition halves it to 80.
+  // The first transition's compress conv sits three layers (conv, bn, relu)
+  // before the first average pool.
   bool found_transition = false;
-  for (const Layer& l : g.layers()) {
-    if (l.name == "t0_compress_conv") {
+  for (std::size_t i = 3; i < g.size(); ++i) {
+    if (g[i].kind == LayerKind::kAvgPool) {
+      const Layer& l = g[i - 3];
+      EXPECT_EQ(l.kind, LayerKind::kConv2d);
       EXPECT_EQ(l.input.channels, 160);
       EXPECT_EQ(l.output.channels, 80);
       found_transition = true;
+      break;
     }
   }
   EXPECT_TRUE(found_transition);
@@ -538,9 +644,14 @@ TEST(BuilderTest, ResNetProjectionOnlyWhereNeeded) {
   // not between same-shape blocks inside a unit.
   const SupernetSpec spec = resnet_spec();
   const LayerGraph g = build_resnet(spec, uniform_arch(spec, 3, 3));
+  // A projection conv directly follows the expand conv's batch norm; every
+  // other conv follows an activation or the stem pool.
   int projections = 0;
-  for (const Layer& l : g.layers()) {
-    if (l.name.find("_proj_conv") != std::string::npos) ++projections;
+  for (std::size_t i = 1; i < g.size(); ++i) {
+    if (g[i].kind == LayerKind::kConv2d &&
+        g[i - 1].kind == LayerKind::kBatchNorm) {
+      ++projections;
+    }
   }
   // One per unit: the first block of each of the 4 units changes channels.
   EXPECT_EQ(projections, 4);
@@ -553,23 +664,33 @@ TEST(BuilderTest, MobileNetHiddenWidthFollowsExpansion) {
       build_mobilenet_v3(spec, uniform_arch(spec, 1, 3, 0.5));
   const LayerGraph g_full =
       build_mobilenet_v3(spec, uniform_arch(spec, 1, 3, 1.0));
-  auto hidden_of = [](const LayerGraph& g, const std::string& name) {
+  // The first block's expand conv is the graph's second standard conv
+  // (the first is the stem).
+  auto first_expand_width = [](const LayerGraph& g) {
+    int convs = 0;
     for (const Layer& l : g.layers()) {
-      if (l.name == name) return l.output.channels;
+      if (l.kind == LayerKind::kConv2d && ++convs == 2) {
+        return l.output.channels;
+      }
     }
     return -1;
   };
   // Unit 0 (width 16): expand conv output = 16 * 6 * e.
-  EXPECT_EQ(hidden_of(g_half, "u0_b0_expand_conv"), 48);
-  EXPECT_EQ(hidden_of(g_full, "u0_b0_expand_conv"), 96);
+  EXPECT_EQ(first_expand_width(g_half), 48);
+  EXPECT_EQ(first_expand_width(g_full), 96);
 }
 
 TEST(BuilderTest, MobileNetSqueezeExciteBottleneck) {
   const SupernetSpec spec = mobilenet_v3_spec();
   const LayerGraph g =
       build_mobilenet_v3(spec, uniform_arch(spec, 1, 3, 1.0));
+  // The SE squeeze FC is the only fully-connected layer followed by a
+  // ReLU (the head's FC is the last layer).
+  int squeezes = 0;
   for (std::size_t i = 0; i + 1 < g.size(); ++i) {
-    if (g[i].name.find("_se_reduce") != std::string::npos) {
+    if (g[i].kind == LayerKind::kFullyConnected &&
+        g[i + 1].kind == LayerKind::kRelu) {
+      ++squeezes;
       // SE squeeze is a quarter of the gated width.
       const Layer& expand = g[i + 2];
       EXPECT_EQ(expand.kind, LayerKind::kFullyConnected);
@@ -577,6 +698,7 @@ TEST(BuilderTest, MobileNetSqueezeExciteBottleneck) {
                 std::max(1, expand.output.channels / 4));
     }
   }
+  EXPECT_EQ(squeezes, 4);  // one SE module per block, 4 units x 1 block
 }
 
 TEST(BuilderTest, DenseNetHeadHasBatchNormBeforePool) {
@@ -593,10 +715,13 @@ TEST(BuilderTest, DenseNetHeadHasBatchNormBeforePool) {
 TEST(BuilderTest, DenseNetUnitKernelAppliesToSpatialConvs) {
   const SupernetSpec spec = densenet_spec();
   const LayerGraph g = build_densenet(spec, uniform_arch(spec, 2, 7));
+  // A composite layer's spatial conv is followed by its batch norm and
+  // then the concat.
   int spatial = 0;
-  for (const Layer& l : g.layers()) {
-    if (l.name.find("_spatial_conv") != std::string::npos) {
-      EXPECT_EQ(l.kernel, 7);
+  for (std::size_t i = 0; i + 2 < g.size(); ++i) {
+    if (g[i].kind == LayerKind::kConv2d &&
+        g[i + 2].kind == LayerKind::kConcat) {
+      EXPECT_EQ(g[i].kernel, 7);
       ++spatial;
     }
   }
@@ -625,15 +750,72 @@ TEST(BuilderTest, GraphNameEncodesArch) {
   EXPECT_EQ(build_graph(spec, arch).name(), arch.to_string());
 }
 
+/// 64-bit FNV-1a over little-endian words.
+struct Fnv1a {
+  std::uint64_t h = 14695981039346656037ull;
+  void fold(std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  }
+  void fold(const TensorShape& s) {
+    fold(static_cast<std::uint64_t>(s.channels));
+    fold(static_cast<std::uint64_t>(s.height));
+    fold(static_cast<std::uint64_t>(s.width));
+  }
+};
+
+/// Checksum of the structural fields of every layer (kind, shapes, conv
+/// parameters, bias) and the bit patterns of the graph's totals.
+std::uint64_t graph_checksum(const LayerGraph& g) {
+  Fnv1a f;
+  for (const Layer& l : g.layers()) {
+    f.fold(static_cast<std::uint64_t>(l.kind));
+    f.fold(l.input);
+    f.fold(l.aux_input);
+    f.fold(l.output);
+    f.fold(static_cast<std::uint64_t>(l.kernel));
+    f.fold(static_cast<std::uint64_t>(l.stride));
+    f.fold(static_cast<std::uint64_t>(l.groups));
+    f.fold(l.has_bias ? 1u : 0u);
+  }
+  f.fold(std::bit_cast<std::uint64_t>(g.total_flops()));
+  f.fold(std::bit_cast<std::uint64_t>(g.total_params()));
+  f.fold(std::bit_cast<std::uint64_t>(g.total_memory_bytes()));
+  return f.h;
+}
+
+TEST(BuilderTest, SampledGraphsMatchRecordedChecksums) {
+  // Recorded from the builders before layers lost their names: the same
+  // arch must keep lowering to the same layers, shapes and totals (the
+  // latency simulator and the accuracy proxy consume exactly these).
+  const std::map<SupernetKind, std::uint64_t> expected{
+      {SupernetKind::kResNet, 0x6af482ad06ff1c2bull},
+      {SupernetKind::kMobileNetV3, 0x57aaaa548f11f6d6ull},
+      {SupernetKind::kDenseNet, 0xe567641613e4ed56ull},
+  };
+  for (const SupernetSpec& spec :
+       {resnet_spec(), mobilenet_v3_spec(), densenet_spec()}) {
+    RandomSampler sampler(spec);
+    Rng rng(14);
+    Fnv1a sample;
+    for (const ArchConfig& arch : sampler.sample_n(64, rng)) {
+      sample.fold(graph_checksum(build_graph(spec, arch)));
+    }
+    EXPECT_EQ(sample.h, expected.at(spec.kind)) << spec.name;
+  }
+}
+
 TEST(BuilderTest, AllShapesChainWithinBlocks) {
-  // Layer shapes should be internally consistent: every named conv's
+  // Layer shapes should be internally consistent: every conv's
   // output channels feed the following batch norm.
   const SupernetSpec spec = resnet_spec();
   const LayerGraph g = build_resnet(spec, uniform_arch(spec, 3, 5, 2.0 / 3.0));
   for (std::size_t i = 0; i + 1 < g.size(); ++i) {
     if (g[i].kind == LayerKind::kConv2d &&
         g[i + 1].kind == LayerKind::kBatchNorm) {
-      EXPECT_EQ(g[i].output, g[i + 1].input) << "at layer " << g[i].name;
+      EXPECT_EQ(g[i].output, g[i + 1].input) << "at layer " << i;
     }
   }
 }

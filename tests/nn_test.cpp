@@ -12,7 +12,6 @@ Layer conv(int cin, int cout, int h, int w, int k, int stride = 1,
            int groups = 1) {
   Layer l;
   l.kind = LayerKind::kConv2d;
-  l.name = "conv";
   l.input = {cin, h, w};
   l.output = {cout, (h + stride - 1) / stride, (w + stride - 1) / stride};
   l.kernel = k;

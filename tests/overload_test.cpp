@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -80,6 +81,50 @@ std::string heavy_batch_payload(std::size_t archs) {
     payload += kVariants[i % 3];
   }
   return payload;
+}
+
+/// Outcome of pin_then_flood: how the flood requests were answered.
+struct Flood {
+  std::size_t served = 0;
+  std::size_t shed = 0;  ///< answered with the retryable `overloaded` error
+};
+
+/// Writes a predict_batch pin and a predict flood as esm1 lines in ONE
+/// send, so the reactor parses the flood right behind the pin instead of
+/// racing separate writes. A flood as large as the pin is admitted whole
+/// only if the batcher computes the entire pin while the reactor parses a
+/// few lines, which no scheduling of a loaded host comes near. esm1
+/// answers a connection in request order; the pin must serve and every
+/// flood request must serve or shed.
+Flood pin_then_flood(LoopbackChannel& channel, const std::string& pin_payload,
+                     const std::vector<std::string>& flood) {
+  std::string wire = "predict_batch " + pin_payload + "\n";
+  for (const std::string& spec : flood) wire += "predict " + spec + "\n";
+  EXPECT_TRUE(channel.send(wire));
+  Flood outcome;
+  std::string buffer;
+  for (std::size_t answered = 0; answered < flood.size() + 1;) {
+    const std::size_t newline = buffer.find('\n');
+    if (newline == std::string::npos) {
+      if (channel.receive_some(buffer)) continue;
+      ADD_FAILURE() << "server closed early";
+      break;
+    }
+    const std::string line = buffer.substr(0, newline);
+    buffer.erase(0, newline + 1);
+    std::istringstream in(line);
+    std::string proto, status, verb_or_code;
+    in >> proto >> status >> verb_or_code;
+    if (answered++ == 0) {
+      EXPECT_EQ(status, "ok") << line;
+    } else if (status == "ok") {
+      ++outcome.served;
+    } else {
+      EXPECT_EQ(verb_or_code, "overloaded") << line;
+      ++outcome.shed;
+    }
+  }
+  return outcome;
 }
 
 // -- deadlines -------------------------------------------------------------
@@ -203,44 +248,30 @@ TEST(OverloadTest, DefaultDeadlineAppliesWhenRequestCarriesNone) {
 TEST(OverloadTest, FullQueueShedsWithOverloaded) {
   // A 999-arch batch against the slow model fills the queue to one slot
   // under its cap, and at one entry per round the queue stays near-full
-  // for tens of milliseconds: a pipelined flood must be answered — a few
-  // served into freed slots, the rest shed immediately with `overloaded`
-  // — and the metrics identity must reconcile exactly.
+  // for tens of milliseconds: a pipelined flood of 1000 predicts must be
+  // answered — a few served into freed slots, the rest shed immediately
+  // with `overloaded` — and the metrics identity must reconcile exactly.
   ServeConfig config = slow_config();
   config.max_queue = 1000;
   Harness harness(config);
-  EsmClient client = harness.client(Protocol::esm1);
+  std::shared_ptr<LoopbackChannel> channel = harness.listener->connect();
 
-  const std::uint64_t slow =
-      client.submit("predict_batch", heavy_batch_payload(999));
-  const std::vector<std::string> pool = arch_pool(64);
-  std::vector<std::uint64_t> ids;
-  for (const std::string& spec : pool) ids.push_back(client.submit("predict", spec));
+  const std::vector<std::string> pool = arch_pool(1000);
+  const Flood flood =
+      pin_then_flood(*channel, heavy_batch_payload(999), pool);
+  EXPECT_EQ(flood.served + flood.shed, pool.size());
+  EXPECT_GT(flood.shed, 0u);
 
-  EXPECT_TRUE(client.await(slow).ok);
-  std::size_t served = 0;
-  std::size_t shed = 0;
-  for (const std::uint64_t id : ids) {
-    const EsmClient::Response response = client.await(id);
-    if (response.ok) {
-      ++served;
-    } else {
-      ASSERT_EQ(response.verb_or_code, "overloaded") << response.raw;
-      ++shed;
-    }
-  }
-  EXPECT_EQ(served + shed, pool.size());
-  EXPECT_GT(shed, 0u);
-
+  EsmClient client(serve::loopback_channel(channel), Protocol::esm1);
   const std::map<std::string, std::string> stats = client.stats();
-  EXPECT_EQ(stat(stats, "shed"), shed);
-  EXPECT_EQ(stat(stats, "errors"), shed);
+  EXPECT_EQ(stat(stats, "shed"), flood.shed);
+  EXPECT_EQ(stat(stats, "errors"), flood.shed);
   EXPECT_EQ(stat(stats, "requests"),
             stat(stats, "hits") + stat(stats, "misses") +
                 stat(stats, "errors"));
   // Shed requests never reach the batcher: every batched arch came from a
   // request that was actually admitted.
-  EXPECT_EQ(stat(stats, "model.default.shed"), shed);
+  EXPECT_EQ(stat(stats, "model.default.shed"), flood.shed);
 
   // The server recovered: a fresh request serves normally.
   EXPECT_GT(client.predict("3,5,2,7"), 0.0);
@@ -248,40 +279,25 @@ TEST(OverloadTest, FullQueueShedsWithOverloaded) {
 
 TEST(OverloadTest, MaxInflightCapsAdmittedTotal) {
   // max_inflight counts queued + currently-dispatching entries, and with
-  // max_batch above the head's size the whole 1000-arch batch dispatches
-  // as one multi-millisecond predict_all round against the slow model —
-  // queued+inflight stays at 1000 for the entire round, so a pipelined
-  // flood against a cap of 1001 finds at most a slot or two and the rest
+  // max_batch above the head's size the 1000-arch batch dispatches in a
+  // few multi-millisecond predict_all rounds against the slow model —
+  // queued+inflight stays near 1000 while they run, so a pipelined flood
+  // of 1000 predicts against a cap of 1001 finds a few slots and the rest
   // sheds.
   ServeConfig config = slow_config();
   config.max_batch = 1024;
   config.max_inflight = 1001;
   Harness harness(config);
-  EsmClient client = harness.client(Protocol::esm1);
+  std::shared_ptr<LoopbackChannel> channel = harness.listener->connect();
 
-  const std::uint64_t slow =
-      client.submit("predict_batch", heavy_batch_payload(1000));
-  const std::vector<std::string> pool = arch_pool(64);
-  std::vector<std::uint64_t> ids;
-  for (const std::string& spec : pool) {
-    ids.push_back(client.submit("predict", spec));
-  }
-  EXPECT_TRUE(client.await(slow).ok);
-  std::size_t served = 0;
-  std::size_t shed = 0;
-  for (const std::uint64_t id : ids) {
-    const EsmClient::Response response = client.await(id);
-    if (response.ok) {
-      ++served;
-    } else {
-      ASSERT_EQ(response.verb_or_code, "overloaded") << response.raw;
-      ++shed;
-    }
-  }
-  EXPECT_EQ(served + shed, pool.size());
-  EXPECT_GT(shed, 0u);
+  const std::vector<std::string> pool = arch_pool(1000);
+  const Flood flood =
+      pin_then_flood(*channel, heavy_batch_payload(1000), pool);
+  EXPECT_EQ(flood.served + flood.shed, pool.size());
+  EXPECT_GT(flood.shed, 0u);
+  EsmClient client(serve::loopback_channel(channel), Protocol::esm1);
   const std::map<std::string, std::string> stats = client.stats();
-  EXPECT_EQ(stat(stats, "shed"), shed);
+  EXPECT_EQ(stat(stats, "shed"), flood.shed);
   EXPECT_EQ(stat(stats, "requests"),
             stat(stats, "hits") + stat(stats, "misses") +
                 stat(stats, "errors"));
