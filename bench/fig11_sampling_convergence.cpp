@@ -58,9 +58,9 @@ int main(int argc, char** argv) {
   struct StrategyStats {
     std::string name;
     // Per-iteration min-bin accuracies across seeds.
-    std::vector<RunningStats> min_bin;
-    std::vector<RunningStats> overall;
-    RunningStats samples_to_converge;
+    std::vector<RunningStats> min_bin{};
+    std::vector<RunningStats> overall{};
+    RunningStats samples_to_converge{};
     int converged_runs = 0;
   };
   std::vector<StrategyStats> strategies{{.name = "balanced"},

@@ -34,7 +34,10 @@
 #                         suites (exact-equality pins switch to tight
 #                         relative tolerances via gemm_fma_enabled()), then
 #                         an ASan build running the linalg + surrogate +
-#                         esm + corruption-matrix suites, then a TSan build
+#                         esm + corruption-matrix suites, then a UBSan
+#                         build running the nets + nn + nas + search suites
+#                         (graph lowering into either sink, the accuracy
+#                         proxy, the constrained rank sort), then a TSan build
 #                         running the linalg + fault + parallel + journal +
 #                         serve + fleet + frame + event-loop + overload +
 #                         chaos suites (journal writes sit on the ordered
@@ -316,6 +319,18 @@ cmake --build build-asan -j "$JOBS" \
   corruption_test
 ctest --test-dir build-asan --output-on-failure \
   -R '^(linalg_test|surrogate_test|surrogate_registry_test|esm_test|corruption_test)$'
+
+echo "== ubsan tier (nets + nn + nas + search suites) =="
+# The builders lower each space into a LayerGraph or a FLOPs accumulator,
+# the accuracy proxy prices through the latter, and the search engine ranks
+# from a flat dominance table. UBSan aborts on its first report here
+# (-fno-sanitize-recover), so any finding fails the tier.
+cmake -B build-ubsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DESM_SANITIZE=undefined >/dev/null
+cmake --build build-ubsan -j "$JOBS" \
+  --target nets_test nn_test nas_test search_test
+ctest --test-dir build-ubsan --output-on-failure \
+  -R '^(nets_test|nn_test|nas_test|search_test)$'
 
 echo "== tsan tier (linalg + fault + parallel + journal + serve + fleet + event loop + overload + chaos + search) =="
 # event_loop_test puts the reactor thread, the batcher threads, and the

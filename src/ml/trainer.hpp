@@ -19,7 +19,7 @@ enum class LrSchedule { kConstant, kCosine };
 struct TrainConfig {
   int epochs = 200;
   std::size_t batch_size = 256;
-  AdamConfig adam;                      ///< lr 0.01, weight decay 1e-4
+  AdamConfig adam{};                    ///< lr 0.01, weight decay 1e-4
   LrSchedule schedule = LrSchedule::kCosine;
   double min_lr_fraction = 0.01;        ///< cosine floor as fraction of lr
   std::uint64_t shuffle_seed = 1;

@@ -11,8 +11,7 @@ AccuracyProxy::AccuracyProxy(SupernetSpec spec, std::uint64_t seed)
     : spec_(std::move(spec)), seed_(seed) {}
 
 double AccuracyProxy::top5_accuracy(const ArchConfig& arch) const {
-  const LayerGraph graph = build_graph(spec_, arch);
-  const double gflops = graph.total_flops() / 1e9;
+  const double gflops = graph_flops(spec_, arch) / 1e9;
   const double capacity_term = 1.0 - std::exp(-gflops / knee_gflops_);
 
   // Deterministic per-architecture residual: hash the canonical string into

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <utility>
 
@@ -11,68 +12,107 @@
 #include "nets/builder.hpp"
 
 namespace esm::search {
-namespace {
+namespace detail {
 
-/// Deb's constrained-domination rule: a feasible candidate dominates any
-/// infeasible one; among infeasible, strictly less violation dominates;
-/// among feasible, Pareto dominance over (latencies minimized, quality
-/// maximized).
-bool dominates(const ScoredArch& a, const ScoredArch& b) {
-  const bool a_feasible = a.violation == 0.0;
-  const bool b_feasible = b.violation == 0.0;
-  if (a_feasible != b_feasible) return a_feasible;
-  if (!a_feasible) return a.violation < b.violation;
-  bool strictly_better = false;
-  for (std::size_t k = 0; k < a.latency_ms.size(); ++k) {
-    if (a.latency_ms[k] > b.latency_ms[k]) return false;
-    if (a.latency_ms[k] < b.latency_ms[k]) strictly_better = true;
-  }
-  if (a.quality < b.quality) return false;
-  if (a.quality > b.quality) strictly_better = true;
-  return strictly_better;
-}
-
-/// Fast non-dominated sort; rank 0 is the non-dominated set. O(n^2)
-/// pairwise comparisons, deterministic (no ordering depends on addresses
-/// or hashing).
 std::vector<std::size_t> non_dominated_ranks(
     const std::vector<ScoredArch>& pop) {
+  // Deb's rule splits the population: a feasible candidate dominates every
+  // infeasible one, and among infeasible ones strictly less violation
+  // dominates. So the feasible candidates take their Pareto ranks among
+  // themselves, and an infeasible one ranks after every feasible front, at
+  // #fronts + the dense rank of its violation.
   const std::size_t n = pop.size();
-  std::vector<std::size_t> dominated_by(n, 0);
-  std::vector<std::vector<std::size_t>> dominates_list(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (dominates(pop[i], pop[j])) {
-        dominates_list[i].push_back(j);
-        ++dominated_by[j];
-      } else if (dominates(pop[j], pop[i])) {
-        dominates_list[j].push_back(i);
-        ++dominated_by[i];
-      }
-    }
-  }
   std::vector<std::size_t> ranks(n, 0);
-  std::vector<std::size_t> current;
+  std::vector<std::size_t> feasible;
+  std::vector<std::size_t> infeasible;
   for (std::size_t i = 0; i < n; ++i) {
-    if (dominated_by[i] == 0) current.push_back(i);
+    (pop[i].violation == 0.0 ? feasible : infeasible).push_back(i);
   }
-  std::size_t rank = 0;
+
+  // One row per feasible candidate, every objective minimized: latencies,
+  // then negated quality.
+  const std::size_t m = feasible.size();
+  const std::size_t dims = n == 0 ? 0 : pop.front().latency_ms.size() + 1;
+  std::vector<double> table;
+  table.reserve(m * dims);
+  for (std::size_t i : feasible) {
+    table.insert(table.end(), pop[i].latency_ms.begin(),
+                 pop[i].latency_ms.end());
+    table.push_back(-pop[i].quality);
+  }
+  // dominates[a * m + b] != 0 iff row a Pareto-dominates row b: no worse
+  // anywhere and better somewhere. Comparisons with NaN are false both
+  // ways, so a NaN coordinate neither helps nor hurts.
+  std::vector<std::uint8_t> dominates(m * m, 0);
+  std::vector<std::size_t> dominated_by(m, 0);
+  for (std::size_t a = 0; a < m; ++a) {
+    const double* x = &table[a * dims];
+    for (std::size_t b = a + 1; b < m; ++b) {
+      const double* y = &table[b * dims];
+      bool a_better = false;
+      bool b_better = false;
+      for (std::size_t k = 0; k < dims; ++k) {
+        a_better |= x[k] < y[k];
+        b_better |= x[k] > y[k];
+      }
+      const bool a_wins = a_better && !b_better;
+      const bool b_wins = b_better && !a_better;
+      dominates[a * m + b] = a_wins;
+      dominates[b * m + a] = b_wins;
+      dominated_by[b] += a_wins;
+      dominated_by[a] += b_wins;
+    }
+  }
+
+  // Peel the fronts: rank r is what remains undominated once ranks < r
+  // are removed. Ranks depend only on the relation, not on visit order.
+  std::vector<std::size_t> current;
+  std::vector<std::size_t> next;
+  for (std::size_t a = 0; a < m; ++a) {
+    if (dominated_by[a] == 0) current.push_back(a);
+  }
+  std::size_t fronts = 0;
+  std::size_t ranked = 0;
   while (!current.empty()) {
-    std::vector<std::size_t> next;
-    for (std::size_t i : current) {
-      ranks[i] = rank;
-      for (std::size_t j : dominates_list[i]) {
-        if (--dominated_by[j] == 0) next.push_back(j);
+    next.clear();
+    for (std::size_t a : current) {
+      ranks[feasible[a]] = fronts;
+      ++ranked;
+      const std::uint8_t* row = &dominates[a * m];
+      for (std::size_t b = 0; b < m; ++b) {
+        if (row[b] != 0 && --dominated_by[b] == 0) next.push_back(b);
       }
     }
-    // Ascending order keeps the next front's processing order (and so any
-    // later stable tie-break on index) deterministic.
-    std::sort(next.begin(), next.end());
-    current = std::move(next);
-    ++rank;
+    current.swap(next);
+    ++fronts;
+  }
+  // A dominance cycle (only NaN scores can make one) leaves its members
+  // unranked at 0; they still dominate every infeasible candidate, which
+  // then never surfaces either and stays at 0 too.
+  if (ranked < m) return ranks;
+
+  // A NaN violation is incomparable with every other violation: dense
+  // rank 0.
+  std::vector<double> levels;
+  for (std::size_t i : infeasible) {
+    if (!std::isnan(pop[i].violation)) levels.push_back(pop[i].violation);
+  }
+  std::sort(levels.begin(), levels.end());
+  levels.erase(std::unique(levels.begin(), levels.end()), levels.end());
+  for (std::size_t i : infeasible) {
+    const double v = pop[i].violation;
+    ranks[i] = fronts;
+    if (!std::isnan(v)) {
+      ranks[i] += static_cast<std::size_t>(
+          std::lower_bound(levels.begin(), levels.end(), v) - levels.begin());
+    }
   }
   return ranks;
 }
+
+}  // namespace detail
+
+namespace {
 
 /// NSGA-II crowding distance per candidate, computed within each rank.
 /// Boundary points get +inf; interior points accumulate normalized gaps
@@ -329,7 +369,8 @@ SearchOutcome SearchEngine::run(const std::vector<Objective>& objectives,
 
     for (int gen = 0; gen < config_.generations; ++gen) {
       check_cancel();
-      const std::vector<std::size_t> ranks = non_dominated_ranks(population);
+      const std::vector<std::size_t> ranks =
+          detail::non_dominated_ranks(population);
       const std::vector<double> crowding =
           crowding_distances(population, ranks);
       std::vector<std::size_t> rank0;
@@ -366,7 +407,7 @@ SearchOutcome SearchEngine::run(const std::vector<Objective>& objectives,
 
       // Elitist environmental selection over parents + offspring.
       const std::vector<std::size_t> all_ranks =
-          non_dominated_ranks(population);
+          detail::non_dominated_ranks(population);
       const std::vector<double> all_crowding =
           crowding_distances(population, all_ranks);
       std::vector<std::size_t> order(population.size());

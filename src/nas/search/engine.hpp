@@ -153,6 +153,16 @@ class SearchEngine {
   EngineConfig config_;
 };
 
+namespace detail {
+
+/// Constrained non-dominated sort (Deb's rule) of `pop`: rank 0 is the
+/// non-dominated set. Internal to SearchEngine::run; declared here so
+/// tests can compare it against a reference sort.
+std::vector<std::size_t> non_dominated_ranks(
+    const std::vector<ScoredArch>& pop);
+
+}  // namespace detail
+
 /// Ground-truth audit of a search outcome on hwsim (paper Fig. 2b): true
 /// latency of every candidate on `device`, the true feasible front, and
 /// how far the surrogate-selected front falls short of it.

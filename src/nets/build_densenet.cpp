@@ -20,7 +20,8 @@ constexpr int kBottleneckFactor = 4;  // 1x1 widens to 4 * growth_rate
 
 /// Appends one DenseNet composite layer (BN-ReLU-1x1 -> BN-ReLU-KxK) and the
 /// concatenation that appends its output to the running features.
-TensorShape add_dense_layer(LayerGraph& g, TensorShape in, int growth_rate,
+template <class G>
+TensorShape add_dense_layer(G& g, TensorShape in, int growth_rate,
                             int kernel) {
   add_unary(g, LayerKind::kBatchNorm, in);
   add_unary(g, LayerKind::kRelu, in);
@@ -36,7 +37,8 @@ TensorShape add_dense_layer(LayerGraph& g, TensorShape in, int growth_rate,
 }
 
 /// Appends a compressive transition (1x1 conv halving channels + avg pool).
-TensorShape add_transition(LayerGraph& g, TensorShape in) {
+template <class G>
+TensorShape add_transition(G& g, TensorShape in) {
   const int compressed = std::max(1, in.channels / 2);
   const TensorShape x =
       add_conv_bn(g, in, compressed, 1, 1, LayerKind::kRelu);
@@ -45,9 +47,9 @@ TensorShape add_transition(LayerGraph& g, TensorShape in) {
 
 }  // namespace
 
-LayerGraph build_densenet(const SupernetSpec& spec, const ArchConfig& arch) {
-  LayerGraph g(arch.to_string());
-
+template <class G>
+void detail::lower_densenet(G& g, const SupernetSpec& spec,
+                            const ArchConfig& arch) {
   TensorShape x{spec.input_channels, spec.input_resolution,
                 spec.input_resolution};
   x = add_conv_bn(g, x, spec.stem_width, 7, 2, LayerKind::kRelu);
@@ -65,6 +67,17 @@ LayerGraph build_densenet(const SupernetSpec& spec, const ArchConfig& arch) {
   add_unary(g, LayerKind::kBatchNorm, x);
   add_unary(g, LayerKind::kRelu, x);
   add_head(g, x, spec.num_classes);
+}
+
+template void detail::lower_densenet(LayerGraph&, const SupernetSpec&,
+                                     const ArchConfig&);
+template void detail::lower_densenet(detail::FlopsSink&,
+                                     const SupernetSpec&,
+                                     const ArchConfig&);
+
+LayerGraph build_densenet(const SupernetSpec& spec, const ArchConfig& arch) {
+  LayerGraph g(arch.to_string());
+  detail::lower_densenet(g, spec, arch);
   return g;
 }
 

@@ -22,7 +22,8 @@ constexpr double kBaseExpansion = 6.0;
 constexpr int kSeReduction = 4;
 
 /// Appends a squeeze-and-excitation module operating on `shape`.
-void add_squeeze_excite(LayerGraph& g, TensorShape shape) {
+template <class G>
+void add_squeeze_excite(G& g, TensorShape shape) {
   const TensorShape pooled{shape.channels, 1, 1};
   const int squeezed = std::max(1, shape.channels / kSeReduction);
   g.add(make_layer(LayerKind::kGlobalAvgPool, shape, pooled));
@@ -32,7 +33,8 @@ void add_squeeze_excite(LayerGraph& g, TensorShape shape) {
 }
 
 /// Appends one inverted-residual block; returns its output shape.
-TensorShape add_inverted_residual(LayerGraph& g, TensorShape in,
+template <class G>
+TensorShape add_inverted_residual(G& g, TensorShape in,
                                   int out_channels, const BlockConfig& block,
                                   int stride) {
   const int hidden =
@@ -50,10 +52,9 @@ TensorShape add_inverted_residual(LayerGraph& g, TensorShape in,
 
 }  // namespace
 
-LayerGraph build_mobilenet_v3(const SupernetSpec& spec,
-                              const ArchConfig& arch) {
-  LayerGraph g(arch.to_string());
-
+template <class G>
+void detail::lower_mobilenet_v3(G& g, const SupernetSpec& spec,
+                                const ArchConfig& arch) {
   TensorShape x{spec.input_channels, spec.input_resolution,
                 spec.input_resolution};
   x = add_conv_bn(g, x, spec.stem_width, 3, 2, LayerKind::kHSwish);
@@ -69,6 +70,18 @@ LayerGraph build_mobilenet_v3(const SupernetSpec& spec,
   }
 
   add_head(g, x, spec.num_classes);
+}
+
+template void detail::lower_mobilenet_v3(LayerGraph&, const SupernetSpec&,
+                                         const ArchConfig&);
+template void detail::lower_mobilenet_v3(detail::FlopsSink&,
+                                         const SupernetSpec&,
+                                         const ArchConfig&);
+
+LayerGraph build_mobilenet_v3(const SupernetSpec& spec,
+                              const ArchConfig& arch) {
+  LayerGraph g(arch.to_string());
+  detail::lower_mobilenet_v3(g, spec, arch);
   return g;
 }
 

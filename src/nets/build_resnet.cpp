@@ -18,7 +18,8 @@ namespace {
 /// Appends one bottleneck block. The searchable expansion ratio scales the
 /// bottleneck's middle width (base out/4, as in OFA-ResNet); the searchable
 /// kernel applies to the middle spatial conv.
-TensorShape add_bottleneck(LayerGraph& g, TensorShape in, int out_channels,
+template <class G>
+TensorShape add_bottleneck(G& g, TensorShape in, int out_channels,
                            const BlockConfig& block, int stride) {
   const int mid = scaled_channels(out_channels / 4.0, block.expansion);
   TensorShape x = add_conv_bn(g, in, mid, 1, 1, LayerKind::kRelu);
@@ -37,9 +38,9 @@ TensorShape add_bottleneck(LayerGraph& g, TensorShape in, int out_channels,
 
 }  // namespace
 
-LayerGraph build_resnet(const SupernetSpec& spec, const ArchConfig& arch) {
-  LayerGraph g(arch.to_string());
-
+template <class G>
+void detail::lower_resnet(G& g, const SupernetSpec& spec,
+                          const ArchConfig& arch) {
   TensorShape x{spec.input_channels, spec.input_resolution,
                 spec.input_resolution};
   x = add_conv_bn(g, x, spec.stem_width, 7, 2, LayerKind::kRelu);
@@ -56,6 +57,17 @@ LayerGraph build_resnet(const SupernetSpec& spec, const ArchConfig& arch) {
   }
 
   add_head(g, x, spec.num_classes);
+}
+
+template void detail::lower_resnet(LayerGraph&, const SupernetSpec&,
+                                   const ArchConfig&);
+template void detail::lower_resnet(detail::FlopsSink&,
+                                   const SupernetSpec&,
+                                   const ArchConfig&);
+
+LayerGraph build_resnet(const SupernetSpec& spec, const ArchConfig& arch) {
+  LayerGraph g(arch.to_string());
+  detail::lower_resnet(g, spec, arch);
   return g;
 }
 

@@ -3,7 +3,9 @@
 // Each builder expands one ArchConfig into the full execution trace of the
 // concrete network (stem, every block's primitive layers, transitions, and
 // the classification head), with exact activation shapes. The hardware
-// simulator and lookup-table profiler both consume these graphs.
+// simulator and lookup-table profiler both consume these graphs. Readers
+// that need only the FLOPs total use graph_flops(), which runs the same
+// lowering into an accumulator instead of a graph.
 #pragma once
 
 #include "nets/arch.hpp"
@@ -26,5 +28,10 @@ LayerGraph build_densenet(const SupernetSpec& spec, const ArchConfig& arch);
 
 /// Validates `arch` against `spec` and dispatches to the right builder.
 LayerGraph build_graph(const SupernetSpec& spec, const ArchConfig& arch);
+
+/// build_graph(spec, arch).total_flops(), bit for bit, without building the
+/// graph: validates `arch` and runs every per-layer check the same way, so
+/// it throws the same esm::ConfigError.
+double graph_flops(const SupernetSpec& spec, const ArchConfig& arch);
 
 }  // namespace esm

@@ -7,18 +7,16 @@
 
 namespace esm {
 
+void detail::reject_layer(const Layer& layer, std::size_t index,
+                          const char* defect) {
+  std::ostringstream os;
+  os << "layer " << index << " (" << layer_kind_name(layer.kind) << ") has "
+     << defect;
+  throw_config_error("check_layer", __FILE__, __LINE__, os.str());
+}
+
 void LayerGraph::add(Layer layer) {
-  ESM_REQUIRE(layer.input.channels > 0 && layer.input.height > 0 &&
-                  layer.input.width > 0,
-              "layer " << layers_.size() << " (" << layer_kind_name(layer.kind)
-                       << ") has a non-positive input shape");
-  ESM_REQUIRE(layer.output.channels > 0 && layer.output.height > 0 &&
-                  layer.output.width > 0,
-              "layer " << layers_.size() << " (" << layer_kind_name(layer.kind)
-                       << ") has a non-positive output shape");
-  ESM_REQUIRE(layer.kernel >= 1 && layer.stride >= 1 && layer.groups >= 1,
-              "layer " << layers_.size() << " (" << layer_kind_name(layer.kind)
-                       << ") has invalid conv parameters");
+  check_layer(layer, layers_.size());
   layers_.push_back(std::move(layer));
 }
 

@@ -60,6 +60,8 @@ struct Layer {
   bool has_bias = false;
 
   /// Multiply-accumulate-based floating-point operations (1 MAC = 2 FLOPs).
+  /// Inline: graph_flops sums it per layer, and at each builder call site
+  /// the kind is a constant the switch folds away.
   double flops() const;
 
   /// Trainable parameter count (weights + bias + BN affine pairs).
@@ -77,5 +79,41 @@ struct Layer {
   /// FLOPs per byte of memory traffic; 0 for pure data-movement layers.
   double arithmetic_intensity() const;
 };
+
+inline double Layer::flops() const {
+  const double out_elems = static_cast<double>(output.elements());
+  const double in_elems = static_cast<double>(input.elements());
+  switch (kind) {
+    case LayerKind::kConv2d: {
+      const double macs_per_out =
+          static_cast<double>(input.channels) / groups * kernel * kernel;
+      return 2.0 * out_elems * macs_per_out + (has_bias ? out_elems : 0.0);
+    }
+    case LayerKind::kDepthwiseConv:
+      return 2.0 * out_elems * kernel * kernel +
+             (has_bias ? out_elems : 0.0);
+    case LayerKind::kFullyConnected:
+      return 2.0 * in_elems * output.channels +
+             (has_bias ? static_cast<double>(output.channels) : 0.0);
+    case LayerKind::kBatchNorm:
+      return 2.0 * out_elems;  // fused scale + shift
+    case LayerKind::kRelu:
+      return out_elems;
+    case LayerKind::kHSwish:
+      return 4.0 * out_elems;  // x * relu6(x + 3) / 6
+    case LayerKind::kMaxPool:
+    case LayerKind::kAvgPool:
+      return out_elems * kernel * kernel;
+    case LayerKind::kGlobalAvgPool:
+      return in_elems;
+    case LayerKind::kAdd:
+      return out_elems;
+    case LayerKind::kConcat:
+      return 0.0;  // pure data movement
+    case LayerKind::kScale:
+      return out_elems;
+  }
+  return 0.0;
+}
 
 }  // namespace esm

@@ -9,7 +9,7 @@ namespace esm {
 FlopsProxy::FlopsProxy(SupernetSpec spec) : spec_(std::move(spec)) {}
 
 double FlopsProxy::gflops(const ArchConfig& arch) const {
-  return build_graph(spec_, arch).total_flops() / 1e9;
+  return graph_flops(spec_, arch) / 1e9;
 }
 
 void FlopsProxy::fit(std::span<const ArchConfig> archs,

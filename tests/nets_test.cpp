@@ -9,6 +9,9 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "nets/builder.hpp"
@@ -804,6 +807,63 @@ TEST(BuilderTest, SampledGraphsMatchRecordedChecksums) {
       sample.fold(graph_checksum(build_graph(spec, arch)));
     }
     EXPECT_EQ(sample.h, expected.at(spec.kind)) << spec.name;
+  }
+}
+
+TEST(BuilderTest, GraphFlopsMatchesBuiltGraphBitForBit) {
+  for (const SupernetSpec& spec :
+       {resnet_spec(), mobilenet_v3_spec(), densenet_spec()}) {
+    RandomSampler sampler(spec);
+    Rng rng(23);
+    for (const ArchConfig& arch : sampler.sample_n(1000, rng)) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(graph_flops(spec, arch)),
+                std::bit_cast<std::uint64_t>(
+                    build_graph(spec, arch).total_flops()))
+          << spec.name << " " << arch.to_string();
+    }
+  }
+}
+
+/// what() of the ConfigError `f` throws; empty if it throws none.
+template <class F>
+std::string config_error_of(F&& f) {
+  try {
+    f();
+  } catch (const ConfigError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(BuilderTest, GraphFlopsThrowsTheSameConfigError) {
+  const SupernetSpec resnet = resnet_spec();
+  ArchConfig short_arch = uniform_arch(resnet, 2, 3);
+  short_arch.units.pop_back();
+  ArchConfig wrong_kind = uniform_arch(resnet, 2, 3);
+  wrong_kind.kind = SupernetKind::kDenseNet;
+  ArchConfig mixed_kernels = uniform_arch(densenet_spec(), 2, 3);
+  mixed_kernels.units[0].blocks[1].kernel = 5;
+  // Specs that lower a bad layer: the stem's input, and the head's output
+  // (the last layer, so the reported index must match too).
+  SupernetSpec no_input = mobilenet_v3_spec();
+  no_input.input_resolution = 0;
+  SupernetSpec no_classes = densenet_spec();
+  no_classes.num_classes = 0;
+  const std::vector<std::pair<SupernetSpec, ArchConfig>> bad{
+      {resnet, short_arch},
+      {resnet, wrong_kind},
+      {resnet, uniform_arch(resnet, 8, 3)},
+      {resnet, uniform_arch(resnet, 2, 4)},
+      {resnet, uniform_arch(resnet, 2, 3, 0.77)},
+      {densenet_spec(), mixed_kernels},
+      {no_input, uniform_arch(no_input, 2, 3)},
+      {no_classes, uniform_arch(no_classes, 2, 3)},
+  };
+  for (const auto& [spec, arch] : bad) {
+    const std::string built =
+        config_error_of([&] { (void)build_graph(spec, arch); });
+    ASSERT_FALSE(built.empty()) << spec.name << " " << arch.to_string();
+    EXPECT_EQ(config_error_of([&] { (void)graph_flops(spec, arch); }), built);
   }
 }
 

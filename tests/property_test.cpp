@@ -17,10 +17,6 @@
 namespace esm {
 namespace {
 
-std::vector<SupernetSpec> all_specs() {
-  return {resnet_spec(), mobilenet_v3_spec(), densenet_spec()};
-}
-
 std::string space_name(SupernetKind kind) {
   return supernet_kind_name(kind);
 }

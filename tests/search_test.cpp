@@ -9,9 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -354,6 +356,231 @@ TEST(SearchEngineTest, ValidatesConfigAndObjectives) {
   EXPECT_THROW(engine.run({Objective{"m", nullptr, 0.0}}, proxy), ConfigError);
   EXPECT_THROW(engine.run({Objective{"m", &gpu_model(), -1.0}}, proxy),
                ConfigError);
+}
+
+/// 64-bit FNV-1a over little-endian words and raw bytes.
+struct Fnv1a {
+  std::uint64_t h = 14695981039346656037ull;
+  void fold_byte(std::uint8_t byte) {
+    h ^= byte;
+    h *= 1099511628211ull;
+  }
+  void fold(std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) fold_byte((v >> (8 * byte)) & 0xff);
+  }
+  void fold(double v) { fold(std::bit_cast<std::uint64_t>(v)); }
+  void fold(const std::string& s) {
+    fold(static_cast<std::uint64_t>(s.size()));
+    for (char c : s) fold_byte(static_cast<std::uint8_t>(c));
+  }
+};
+
+/// Digest of everything a search hands back: every candidate's canonical
+/// string and the bit patterns of its scores, then the front, the winner,
+/// the feasibility flag and the evaluation count.
+std::uint64_t outcome_digest(const SearchOutcome& outcome) {
+  Fnv1a f;
+  for (const ScoredArch& c : outcome.candidates) {
+    f.fold(c.arch.to_string());
+    for (double ms : c.latency_ms) f.fold(ms);
+    f.fold(c.quality);
+    f.fold(c.violation);
+  }
+  f.fold(static_cast<std::uint64_t>(outcome.front.size()));
+  for (std::size_t i : outcome.front) f.fold(static_cast<std::uint64_t>(i));
+  f.fold(static_cast<std::uint64_t>(outcome.best));
+  f.fold(static_cast<std::uint64_t>(outcome.found_feasible));
+  f.fold(static_cast<std::uint64_t>(outcome.evaluations));
+  return f.h;
+}
+
+TEST(SearchEngineTest, GoldenOutcomeDigest) {
+  // Recorded before the constrained sort and the proxy's FLOPs path were
+  // rewritten: any change to candidates, scores, ranks or selection moves
+  // a digest. Priced by the hwsim oracle, so no trained model is involved;
+  // std::hash inside the accuracy proxy makes the values libstdc++-specific.
+  struct Case {
+    const char* label;
+    SupernetSpec spec;
+    Mode mode;
+    Algorithm algorithm;
+    double gpu_limit_ms;  ///< 0 = unconstrained
+    double edge_limit_ms; ///< < 0 = no second objective; 0 = unconstrained
+    double min_quality;
+    bool mixed;  ///< the first cohort straddles the limits
+    std::uint64_t expected;
+  };
+  const std::vector<Case> cases{
+      {"resnet pareto", resnet_spec(), Mode::pareto,
+       Algorithm::evolutionary, 0.0, -1.0, 0.0, false,
+       0xdc570df2320efe75ull},
+      {"mobilenet best mixed", mobilenet_v3_spec(), Mode::best,
+       Algorithm::evolutionary, 1.2, -1.0, 0.0, true,
+       0x11997758a83f7769ull},
+      {"densenet fastest", densenet_spec(), Mode::fastest,
+       Algorithm::evolutionary, 0.0, -1.0, 0.945, false,
+       0x4a49ec622d9a4b42ull},
+      {"resnet random mixed", resnet_spec(), Mode::pareto,
+       Algorithm::random_search, 2.8, -1.0, 0.0, true,
+       0xa34481f23afba667ull},
+      {"mobilenet impossible", mobilenet_v3_spec(), Mode::best,
+       Algorithm::evolutionary, 1e-4, -1.0, 0.0, false,
+       0x9e01919223038dbaull},
+      {"resnet joint mixed", resnet_spec(), Mode::pareto,
+       Algorithm::evolutionary, 3.0, 450.0, 0.0, true,
+       0x47f0a6c65fad33e8ull},
+      {"densenet joint best", densenet_spec(), Mode::best,
+       Algorithm::evolutionary, 0.0, 0.0, 0.0, false,
+       0x06218292211a9275ull},
+  };
+  for (const Case& c : cases) {
+    EngineConfig config;
+    config.mode = c.mode;
+    config.algorithm = c.algorithm;
+    config.population = 24;
+    config.generations = 5;
+    config.min_quality = c.min_quality;
+    config.seed = 17;
+    const OraclePredictor gpu(c.spec, rtx4090_spec());
+    const OraclePredictor edge(c.spec, raspberry_pi4_spec());
+    std::vector<Objective> objectives{{"gpu", &gpu, c.gpu_limit_ms}};
+    if (c.edge_limit_ms >= 0.0) {
+      objectives.push_back({"edge", &edge, c.edge_limit_ms});
+    }
+    const SearchEngine engine(c.spec, config);
+    if (c.mixed) {
+      // The first cohort is the seed's first `population` samples; it must
+      // hold feasible and infeasible archs, so selection ranks both.
+      Rng rng(config.seed);
+      std::size_t feasible = 0;
+      for (std::size_t i = 0; i < config.population; ++i) {
+        const ArchConfig arch = engine.sample(rng);
+        if (gpu.predict_ms(arch) <= c.gpu_limit_ms &&
+            (c.edge_limit_ms <= 0.0 ||
+             edge.predict_ms(arch) <= c.edge_limit_ms)) {
+          ++feasible;
+        }
+      }
+      EXPECT_GT(feasible, 0u) << c.label;
+      EXPECT_LT(feasible, config.population) << c.label;
+    }
+    const SearchOutcome outcome =
+        engine.run(objectives, AccuracyProxy(c.spec));
+    EXPECT_EQ(outcome_digest(outcome), c.expected) << c.label;
+  }
+}
+
+// ------------------------------------------ constrained non-dominated sort
+
+/// Reference for detail::non_dominated_ranks: the engine's original
+/// pairwise sort. Deb's constrained-domination rule: a feasible candidate
+/// dominates any infeasible one; among infeasible, strictly less violation
+/// dominates; among feasible, Pareto dominance over (latencies minimized,
+/// quality maximized).
+bool reference_dominates(const ScoredArch& a, const ScoredArch& b) {
+  const bool a_feasible = a.violation == 0.0;
+  const bool b_feasible = b.violation == 0.0;
+  if (a_feasible != b_feasible) return a_feasible;
+  if (!a_feasible) return a.violation < b.violation;
+  bool strictly_better = false;
+  for (std::size_t k = 0; k < a.latency_ms.size(); ++k) {
+    if (a.latency_ms[k] > b.latency_ms[k]) return false;
+    if (a.latency_ms[k] < b.latency_ms[k]) strictly_better = true;
+  }
+  if (a.quality < b.quality) return false;
+  if (a.quality > b.quality) strictly_better = true;
+  return strictly_better;
+}
+
+std::vector<std::size_t> reference_ranks(const std::vector<ScoredArch>& pop) {
+  const std::size_t n = pop.size();
+  std::vector<std::size_t> dominated_by(n, 0);
+  std::vector<std::vector<std::size_t>> dominates_list(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      if (reference_dominates(pop[i], pop[j])) {
+        dominates_list[i].push_back(j);
+        ++dominated_by[j];
+      } else if (reference_dominates(pop[j], pop[i])) {
+        dominates_list[j].push_back(i);
+        ++dominated_by[i];
+      }
+    }
+  }
+  std::vector<std::size_t> ranks(n, 0);
+  std::vector<std::size_t> current;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (dominated_by[i] == 0) current.push_back(i);
+  }
+  std::size_t rank = 0;
+  while (!current.empty()) {
+    std::vector<std::size_t> next;
+    for (std::size_t i : current) {
+      ranks[i] = rank;
+      for (std::size_t j : dominates_list[i]) {
+        if (--dominated_by[j] == 0) next.push_back(j);
+      }
+    }
+    std::sort(next.begin(), next.end());
+    current = std::move(next);
+    ++rank;
+  }
+  return ranks;
+}
+
+/// A seeded population on a coarse grid, so exact ties, duplicate points
+/// and equal violations are common. `nan_share` of the scores are NaN.
+std::vector<ScoredArch> grid_population(Rng& rng, std::size_t n,
+                                        std::size_t latencies,
+                                        double feasible_share,
+                                        double nan_share) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto score = [&](double value) {
+    return rng.bernoulli(nan_share) ? nan : value;
+  };
+  std::vector<ScoredArch> pop;
+  pop.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i > 0 && rng.bernoulli(0.2)) {
+      pop.push_back(pop[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<int>(i) - 1))]);
+      continue;
+    }
+    ScoredArch c;
+    for (std::size_t k = 0; k < latencies; ++k) {
+      c.latency_ms.push_back(score(rng.uniform_int(0, 4)));
+    }
+    c.quality = score(rng.uniform_int(0, 4) / 4.0);
+    c.violation = rng.bernoulli(feasible_share)
+                      ? 0.0
+                      : score(rng.uniform_int(1, 4) * 0.25);
+    pop.push_back(std::move(c));
+  }
+  return pop;
+}
+
+TEST(NonDominatedRanksTest, MatchesPairwiseReferenceSort) {
+  Rng rng(2024);
+  std::size_t populations = 0;
+  for (std::size_t latencies = 1; latencies <= 3; ++latencies) {
+    for (double feasible_share : {1.0, 0.0, 0.3, 0.7}) {
+      for (double nan_share : {0.0, 0.1}) {
+        for (std::size_t n : {0u, 1u, 2u, 7u, 40u, 128u, 256u}) {
+          for (int draw = 0; draw < 4; ++draw) {
+            const std::vector<ScoredArch> pop = grid_population(
+                rng, n, latencies, feasible_share, nan_share);
+            ASSERT_EQ(search::detail::non_dominated_ranks(pop),
+                      reference_ranks(pop))
+                << "latencies " << latencies << " feasible "
+                << feasible_share << " nan " << nan_share << " n " << n
+                << " draw " << draw;
+            ++populations;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(populations, 3u * 4u * 2u * 7u * 4u);
 }
 
 // ---------------------------------------------------------- verify_front

@@ -2,7 +2,10 @@
 // table (with bias correction), and the FLOPs proxy.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
+#include <map>
 
 #include "common/archive.hpp"
 #include "common/error.hpp"
@@ -398,6 +401,35 @@ TEST(FlopsProxyTest, ValidatesInput) {
   const auto archs = sampler.sample_n(2, rng);
   const std::vector<double> y{1.0};
   EXPECT_THROW(proxy.fit(archs, y), ConfigError);
+}
+
+TEST(FlopsProxyTest, GoldenFitAndPredict) {
+  // Recorded while FlopsProxy still summed a built LayerGraph's FLOPs: the
+  // raw GFLOPs and the calibrated predictions keep their exact bits.
+  const std::map<SupernetKind, std::uint64_t> expected{
+      {SupernetKind::kResNet, 0x36ff7a0ee8f97a1full},
+      {SupernetKind::kMobileNetV3, 0x3adf5e808f5d3160ull},
+      {SupernetKind::kDenseNet, 0x53895c566ec6a360ull},
+  };
+  for (const SupernetSpec& spec :
+       {resnet_spec(), mobilenet_v3_spec(), densenet_spec()}) {
+    const TestData data = make_data(spec, raspberry_pi4_spec(), 64, 32, 21);
+    FlopsProxy proxy(spec);
+    proxy.fit(data.train_archs, data.train_y);
+    std::uint64_t h = 14695981039346656037ull;  // FNV-1a over value bits
+    auto fold = [&h](double value) {
+      const auto bits = std::bit_cast<std::uint64_t>(value);
+      for (int byte = 0; byte < 8; ++byte) {
+        h ^= (bits >> (8 * byte)) & 0xff;
+        h *= 1099511628211ull;
+      }
+    };
+    for (const ArchConfig& arch : data.test_archs) {
+      fold(proxy.gflops(arch));
+      fold(proxy.predict_ms(arch));
+    }
+    EXPECT_EQ(h, expected.at(spec.kind)) << spec.name;
+  }
 }
 
 }  // namespace
