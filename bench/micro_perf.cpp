@@ -111,6 +111,7 @@ void BM_MlpTrainEpoch(benchmark::State& state) {
   const AdamConfig adam;
   Matrix batch_x(256, x.cols());
   std::vector<double> batch_y(256);
+  Mlp::TrainWorkspace workspace;
   for (auto _ : state) {
     for (std::size_t off = 0; off + 256 <= archs.size(); off += 256) {
       for (std::size_t i = 0; i < 256; ++i) {
@@ -120,7 +121,7 @@ void BM_MlpTrainEpoch(benchmark::State& state) {
         batch_y[i] = y[off + i];
       }
       benchmark::DoNotOptimize(
-          mlp.train_batch(batch_x, batch_y, adam, 0.0));
+          mlp.train_batch(batch_x, batch_y, adam, 0.0, workspace));
     }
   }
 }

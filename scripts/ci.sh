@@ -27,17 +27,19 @@
 #                         smoke (every Pareto-front member it prints must
 #                         meet its budget on the ground-truth simulator),
 #                         then a scalar-fallback build (-DESM_SIMD=off) running
-#                         the linalg + encoding + parallel + fastpath +
-#                         serve suites (the portable GEMM path must stay
-#                         green and bit-identical), then an FMA build
-#                         (-DESM_FMA=ON) running the linalg + fastpath
+#                         the linalg + ml + encoding + parallel + fastpath +
+#                         serve suites (the portable GEMM and training-step
+#                         paths must stay green and bit-identical, trained
+#                         golden digests included), then an FMA build
+#                         (-DESM_FMA=ON) running the linalg + ml + fastpath
 #                         suites (exact-equality pins switch to tight
 #                         relative tolerances via gemm_fma_enabled()), then
 #                         an ASan build running the linalg + surrogate +
 #                         esm + corruption-matrix suites, then a UBSan
-#                         build running the nets + nn + nas + search suites
-#                         (graph lowering into either sink, the accuracy
-#                         proxy, the constrained rank sort), then a TSan build
+#                         build running the nets + nn + nas + search + ml
+#                         suites (graph lowering into either sink, the
+#                         accuracy proxy, the constrained rank sort, the
+#                         training step), then a TSan build
 #                         running the linalg + fault + parallel + journal +
 #                         serve + fleet + frame + event-loop + overload +
 #                         chaos suites (journal writes sit on the ordered
@@ -292,24 +294,28 @@ echo "hw_nas_search smoke test passed"
 echo "== scalar tier (ESM_SIMD=off: portable GEMM path) =="
 # The vector microkernel and the scalar fallback must agree bit-for-bit;
 # run the math-heavy suites against the fallback so it can never rot.
+# ml_test's trained-bit digests were recorded on the vector build, so they
+# also pin the vectorized training step to the portable one.
 # (fastpath_test replaces operator new, so it runs here and in the plain
 # build but stays out of the sanitizer tiers, which bring their own
 # allocators.)
 cmake -B build-scalar -S . -DCMAKE_BUILD_TYPE=Release \
   -DESM_SIMD=off >/dev/null
 cmake --build build-scalar -j "$JOBS" \
-  --target linalg_test encoding_test parallel_test fastpath_test serve_test
+  --target linalg_test ml_test encoding_test parallel_test fastpath_test \
+  serve_test
 ctest --test-dir build-scalar --output-on-failure \
-  -R '^(linalg_test|encoding_test|parallel_test|fastpath_test|serve_test)$'
+  -R '^(linalg_test|ml_test|encoding_test|parallel_test|fastpath_test|serve_test)$'
 
 echo "== fma tier (ESM_FMA=ON: contracted microkernel) =="
-# FMA contraction changes mul+add rounding, so the exact-equality pins in
-# linalg_test and fastpath_test switch to tight relative tolerances (they
-# branch on gemm_fma_enabled()); the suites must still pass end to end.
+# FMA contraction changes mul+add rounding, in the GEMM kernel and in the
+# training step alike, so the exact-equality pins in linalg_test, ml_test
+# and fastpath_test switch to tight relative tolerances (they branch on
+# gemm_fma_enabled()); the suites must still pass end to end.
 cmake -B build-fma -S . -DCMAKE_BUILD_TYPE=Release -DESM_FMA=ON >/dev/null
-cmake --build build-fma -j "$JOBS" --target linalg_test fastpath_test
+cmake --build build-fma -j "$JOBS" --target linalg_test ml_test fastpath_test
 ctest --test-dir build-fma --output-on-failure \
-  -R '^(linalg_test|fastpath_test)$'
+  -R '^(linalg_test|ml_test|fastpath_test)$'
 
 echo "== asan tier (linalg + surrogate + esm + corruption suites) =="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -320,17 +326,18 @@ cmake --build build-asan -j "$JOBS" \
 ctest --test-dir build-asan --output-on-failure \
   -R '^(linalg_test|surrogate_test|surrogate_registry_test|esm_test|corruption_test)$'
 
-echo "== ubsan tier (nets + nn + nas + search suites) =="
+echo "== ubsan tier (nets + nn + nas + search + ml suites) =="
 # The builders lower each space into a LayerGraph or a FLOPs accumulator,
-# the accuracy proxy prices through the latter, and the search engine ranks
-# from a flat dominance table. UBSan aborts on its first report here
-# (-fno-sanitize-recover), so any finding fails the tier.
+# the accuracy proxy prices through the latter, the search engine ranks
+# from a flat dominance table, and the training step indexes its workspace
+# and the kernel's row-interleaved column tail. UBSan aborts on its first
+# report here (-fno-sanitize-recover), so any finding fails the tier.
 cmake -B build-ubsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DESM_SANITIZE=undefined >/dev/null
 cmake --build build-ubsan -j "$JOBS" \
-  --target nets_test nn_test nas_test search_test
+  --target nets_test nn_test nas_test search_test ml_test
 ctest --test-dir build-ubsan --output-on-failure \
-  -R '^(nets_test|nn_test|nas_test|search_test)$'
+  -R '^(nets_test|nn_test|nas_test|search_test|ml_test)$'
 
 echo "== tsan tier (linalg + fault + parallel + journal + serve + fleet + event loop + overload + chaos + search) =="
 # event_loop_test puts the reactor thread, the batcher threads, and the

@@ -154,25 +154,56 @@ inline void micro_tile(AView a, const double* b, std::size_t ldb, double* c,
   }
 }
 
-// Scalar column tail for the trailing n % kMicroCols output columns.
+// Scalar column tail for the trailing n % kMicroCols output columns (all of
+// them when n < kMicroCols, e.g. the MLP's n = 1 output layer). Each output
+// element is one ascending-k chain of separate mul and add, so a lone chain
+// runs at the add latency; kTailRows rows of one column are interleaved so
+// that many independent chains are in flight at once. Rounding is that of
+// the single-chain loop: interleaving only reorders *different* elements.
+constexpr std::size_t kTailRows = 8;
+
+template <bool kAccumulate, std::size_t kRows>
+inline void tail_tile(AView a, const double* b, std::size_t ldb, double* c,
+                      std::size_t ldc, std::size_t i, std::size_t j,
+                      std::size_t p0, std::size_t p1) {
+  double acc[kRows];
+  for (std::size_t r = 0; r < kRows; ++r) {
+    acc[r] = kAccumulate ? c[(i + r) * ldc + j] : 0.0;
+  }
+  const double* ap = a.ptr + i * a.row_stride + p0 * a.k_stride;
+  const double* bp = b + p0 * ldb + j;
+  for (std::size_t p = p0; p < p1; ++p) {
+    const double bv = *bp;
+    for (std::size_t r = 0; r < kRows; ++r) {
+      acc[r] += ap[r * a.row_stride] * bv;
+    }
+    ap += a.k_stride;
+    bp += ldb;
+  }
+  for (std::size_t r = 0; r < kRows; ++r) c[(i + r) * ldc + j] = acc[r];
+}
+
 template <bool kAccumulate>
 void tail_cols(AView a, const double* b, std::size_t ldb, double* c,
                std::size_t ldc, std::size_t m0, std::size_t m1,
                std::size_t j0, std::size_t n, std::size_t p0,
                std::size_t p1) {
-  for (std::size_t i = m0; i < m1; ++i) {
-    const double* arow0 = a.ptr + i * a.row_stride + p0 * a.k_stride;
-    double* crow = c + i * ldc;
-    for (std::size_t j = j0; j < n; ++j) {
-      double acc = kAccumulate ? crow[j] : 0.0;
-      const double* ap = arow0;
-      const double* bp = b + p0 * ldb + j;
-      for (std::size_t p = p0; p < p1; ++p) {
-        acc += *ap * *bp;
-        ap += a.k_stride;
-        bp += ldb;
-      }
-      crow[j] = acc;
+  for (std::size_t j = j0; j < n; ++j) {
+    std::size_t i = m0;
+    for (; i + kTailRows <= m1; i += kTailRows) {
+      tail_tile<kAccumulate, kTailRows>(a, b, ldb, c, ldc, i, j, p0, p1);
+    }
+    // The remaining 0..7 rows as at most one 4-, one 2- and one 1-row tile.
+    if ((m1 - i) & 4) {
+      tail_tile<kAccumulate, 4>(a, b, ldb, c, ldc, i, j, p0, p1);
+      i += 4;
+    }
+    if ((m1 - i) & 2) {
+      tail_tile<kAccumulate, 2>(a, b, ldb, c, ldc, i, j, p0, p1);
+      i += 2;
+    }
+    if ((m1 - i) & 1) {
+      tail_tile<kAccumulate, 1>(a, b, ldb, c, ldc, i, j, p0, p1);
     }
   }
 }
@@ -270,14 +301,6 @@ void Matrix::reshape(std::size_t rows, std::size_t cols) {
 
 void Matrix::fill(double value) {
   for (double& x : data_) x = value;
-}
-
-void Matrix::add_scaled(const Matrix& other, double alpha) {
-  ESM_CHECK(rows_ == other.rows_ && cols_ == other.cols_,
-            "add_scaled shape mismatch");
-  for (std::size_t i = 0; i < data_.size(); ++i) {
-    data_[i] += alpha * other.data_[i];
-  }
 }
 
 Matrix Matrix::transposed() const {

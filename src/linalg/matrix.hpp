@@ -69,9 +69,6 @@ class Matrix {
     for (double& x : data_) x = f(x);
   }
 
-  /// this += alpha * other. Shapes must match.
-  void add_scaled(const Matrix& other, double alpha);
-
   /// Transposed copy.
   Matrix transposed() const;
 

@@ -1,6 +1,7 @@
 #include "ml/mlp.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -44,16 +45,58 @@ std::size_t Mlp::parameter_count() const {
 
 namespace {
 
-/// h = x * w^T + b, then optional ReLU.
+// The element-wise loops below are written as selects over flat arrays, not
+// as conditional stores, so they compile to vector code (this file takes
+// the GEMM kernel's ISA flags, DESIGN.md §6g). Each element keeps its exact
+// operation sequence — a select picks between the same two values the old
+// branch did, including -0.0 and NaN — so vectorizing changes no bits.
+
+/// h = x * w^T + b, then optional ReLU (`v < 0 ? 0 : v` keeps -0.0 and NaN).
 void dense_forward(const Matrix& x, const Matrix& w,
                    const std::vector<double>& b, bool relu, Matrix& out) {
   gemm_a_bt(x, w, out);
+  const std::size_t cols = out.cols();
+  const double* bias = b.data();
   for (std::size_t r = 0; r < out.rows(); ++r) {
-    auto row = out.row(r);
-    for (std::size_t c = 0; c < out.cols(); ++c) {
-      row[c] += b[c];
-      if (relu && row[c] < 0.0) row[c] = 0.0;
+    double* row = out.data() + r * cols;
+    if (relu) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        const double v = row[c] + bias[c];
+        row[c] = v < 0.0 ? 0.0 : v;
+      }
+    } else {
+      for (std::size_t c = 0; c < cols; ++c) row[c] += bias[c];
     }
+  }
+}
+
+/// Backward ReLU: zero the delta wherever the layer's output was <= 0
+/// (+0.0 and -0.0 included, NaN excluded).
+void relu_mask(Matrix& delta, const Matrix& act) {
+  double* d = delta.data();
+  const double* a = act.data();
+  for (std::size_t i = 0; i < delta.size(); ++i) {
+    d[i] = a[i] <= 0.0 ? 0.0 : d[i];
+  }
+}
+
+/// Adam over n parameters. With kDecay the coupled weight decay is folded
+/// into the gradient first (grad + wd * param, PyTorch Adam). Per element
+/// this is the same expression, in the same order, as the one-at-a-time
+/// update: no reciprocal multiply, no reassociation.
+template <bool kDecay>
+void adam_update(double* __restrict param, const double* __restrict grad,
+                 double* __restrict m, double* __restrict v, std::size_t n,
+                 const AdamConfig& cfg, double lr, double bias1,
+                 double bias2) {
+  for (std::size_t i = 0; i < n; ++i) {
+    double g = grad[i];
+    if constexpr (kDecay) g += cfg.weight_decay * param[i];
+    m[i] = cfg.beta1 * m[i] + (1.0 - cfg.beta1) * g;
+    v[i] = cfg.beta2 * v[i] + (1.0 - cfg.beta2) * g * g;
+    const double m_hat = m[i] / bias1;
+    const double v_hat = v[i] / bias2;
+    param[i] -= lr * m_hat / (std::sqrt(v_hat) + cfg.epsilon);
   }
 }
 
@@ -143,32 +186,33 @@ Mlp Mlp::load(const ArchiveReader& archive, const std::string& prefix) {
 }
 
 double Mlp::train_batch(const Matrix& x, std::span<const double> y,
-                        const AdamConfig& cfg, double lr_override) {
+                        const AdamConfig& cfg, double lr_override,
+                        TrainWorkspace& ws) {
   ESM_REQUIRE(output_dim() == 1, "train_batch requires a scalar-output MLP");
+  ESM_REQUIRE(x.cols() == input_dim(),
+              "MLP input dim " << x.cols() << " != " << input_dim());
   ESM_REQUIRE(x.rows() == y.size(), "train_batch batch-size mismatch");
   ESM_REQUIRE(x.rows() > 0, "train_batch requires a non-empty batch");
   const std::size_t batch = x.rows();
   const double lr = lr_override > 0.0 ? lr_override : cfg.learning_rate;
 
-  // Forward with cached activations (activations[0] is the input).
-  std::vector<Matrix> activations;
-  activations.reserve(layers_.size() + 1);
-  activations.push_back(x);
+  // Forward, keeping every layer's output; layer i reads x (i == 0) or
+  // the output of layer i - 1.
+  ws.acts.resize(layers_.size());
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     const bool relu = i + 1 < layers_.size();
-    Matrix h;
-    dense_forward(activations.back(), layers_[i].w, layers_[i].b, relu, h);
-    activations.push_back(std::move(h));
+    dense_forward(i == 0 ? x : ws.acts[i - 1], layers_[i].w, layers_[i].b,
+                  relu, ws.acts[i]);
   }
 
   // MSE loss and its gradient at the output.
-  const Matrix& out = activations.back();
-  Matrix delta(batch, 1);
+  const Matrix& out = ws.acts.back();
+  ws.delta.reshape(batch, 1);
   double loss = 0.0;
   for (std::size_t r = 0; r < batch; ++r) {
     const double diff = out(r, 0) - y[r];
     loss += diff * diff;
-    delta(r, 0) = 2.0 * diff / static_cast<double>(batch);
+    ws.delta(r, 0) = 2.0 * diff / static_cast<double>(batch);
   }
   loss /= static_cast<double>(batch);
 
@@ -179,54 +223,38 @@ double Mlp::train_batch(const Matrix& x, std::span<const double> y,
   // Backward pass, updating layer by layer from the top.
   for (std::size_t ii = layers_.size(); ii-- > 0;) {
     Dense& layer = layers_[ii];
-    const Matrix& input = activations[ii];
+    const Matrix& input = ii == 0 ? x : ws.acts[ii - 1];
 
     // Gradients: dW = delta^T * input, db = column sums of delta.
-    Matrix grad_w;
-    gemm_at_b(delta, input, grad_w);
-    std::vector<double> grad_b(layer.b.size(), 0.0);
-    for (std::size_t r = 0; r < delta.rows(); ++r) {
-      const auto row = delta.row(r);
-      for (std::size_t c = 0; c < grad_b.size(); ++c) grad_b[c] += row[c];
-    }
-    // Coupled weight decay (PyTorch Adam): grad += wd * w.
-    if (cfg.weight_decay != 0.0) {
-      grad_w.add_scaled(layer.w, cfg.weight_decay);
+    gemm_at_b(ws.delta, input, ws.grad_w);
+    ws.grad_b.assign(layer.b.size(), 0.0);
+    double* grad_b = ws.grad_b.data();
+    for (std::size_t r = 0; r < batch; ++r) {
+      const auto row = ws.delta.row(r);
+      for (std::size_t c = 0; c < row.size(); ++c) grad_b[c] += row[c];
     }
 
-    // Propagate delta to the previous layer before updating weights.
+    // Propagate delta to the previous layer through the weights as they
+    // were before this step, masked by that layer's ReLU.
     if (ii > 0) {
-      Matrix prev_delta;
-      gemm(delta, layer.w, prev_delta);  // (B x out) * (out x in)
-      // ReLU mask of the previous activation.
-      const Matrix& prev_act = activations[ii];
-      for (std::size_t r = 0; r < prev_delta.rows(); ++r) {
-        auto drow = prev_delta.row(r);
-        const auto arow = prev_act.row(r);
-        for (std::size_t c = 0; c < prev_delta.cols(); ++c) {
-          if (arow[c] <= 0.0) drow[c] = 0.0;
-        }
-      }
-      delta = std::move(prev_delta);
+      gemm(ws.delta, layer.w, ws.prev_delta);  // (B x out) * (out x in)
+      relu_mask(ws.prev_delta, input);
     }
 
-    // Adam update.
-    auto adam_update = [&](double& param, double grad, double& m, double& v) {
-      m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad;
-      v = cfg.beta2 * v + (1.0 - cfg.beta2) * grad * grad;
-      const double m_hat = m / bias1;
-      const double v_hat = v / bias2;
-      param -= lr * m_hat / (std::sqrt(v_hat) + cfg.epsilon);
-    };
-    for (std::size_t r = 0; r < layer.w.rows(); ++r) {
-      for (std::size_t c = 0; c < layer.w.cols(); ++c) {
-        adam_update(layer.w(r, c), grad_w(r, c), layer.m_w(r, c),
-                    layer.v_w(r, c));
-      }
+    if (cfg.weight_decay != 0.0) {
+      adam_update<true>(layer.w.data(), ws.grad_w.data(), layer.m_w.data(),
+                        layer.v_w.data(), layer.w.size(), cfg, lr, bias1,
+                        bias2);
+    } else {
+      adam_update<false>(layer.w.data(), ws.grad_w.data(), layer.m_w.data(),
+                         layer.v_w.data(), layer.w.size(), cfg, lr, bias1,
+                         bias2);
     }
-    for (std::size_t c = 0; c < layer.b.size(); ++c) {
-      adam_update(layer.b[c], grad_b[c], layer.m_b[c], layer.v_b[c]);
-    }
+    adam_update<false>(layer.b.data(), grad_b, layer.m_b.data(),
+                       layer.v_b.data(), layer.b.size(), cfg, lr, bias1,
+                       bias2);
+
+    if (ii > 0) std::swap(ws.delta, ws.prev_delta);
   }
   return loss;
 }

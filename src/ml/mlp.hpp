@@ -66,10 +66,22 @@ class Mlp {
 
   double predict_one(std::span<const double> features) const;
 
-  /// One Adam step on a minibatch (MSE loss, scalar output). Returns the
-  /// batch's mean squared error *before* the step.
+  /// Reusable buffers for train_batch: every layer's output, the delta
+  /// being back-propagated and the one below it, and the gradients. Warm
+  /// after one step at a given batch size; later steps at that size
+  /// allocate nothing. The input batch itself is read in place.
+  struct TrainWorkspace {
+    std::vector<Matrix> acts;  ///< acts[i] = output of layer i
+    Matrix delta, prev_delta;
+    Matrix grad_w;
+    std::vector<double> grad_b;
+  };
+
+  /// One Adam step on a minibatch (MSE loss, scalar output) through `ws`.
+  /// Returns the batch's mean squared error *before* the step.
   double train_batch(const Matrix& x, std::span<const double> y,
-                     const AdamConfig& cfg, double lr_override);
+                     const AdamConfig& cfg, double lr_override,
+                     TrainWorkspace& ws);
 
   /// Persists the network (dims + weights; optimizer state is not saved).
   void save(ArchiveWriter& archive, const std::string& prefix) const;

@@ -48,6 +48,7 @@ TrainResult MlpTrainer::fit(Mlp& mlp, const Matrix& x,
   TrainResult result;
   Matrix batch_x(batch, x.cols());
   std::vector<double> batch_y(batch);
+  Mlp::TrainWorkspace workspace;
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
     rng.shuffle(order);
     const double lr = epoch_lr(epoch);
@@ -60,7 +61,8 @@ TrainResult MlpTrainer::fit(Mlp& mlp, const Matrix& x,
         for (std::size_t c = 0; c < x.cols(); ++c) dst[c] = src[c];
         batch_y[i] = y[order[off + i]];
       }
-      epoch_loss += mlp.train_batch(batch_x, batch_y, config_.adam, lr);
+      epoch_loss += mlp.train_batch(batch_x, batch_y, config_.adam, lr,
+                                     workspace);
       ++batches;
     }
     if (batches > 0) {

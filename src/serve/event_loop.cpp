@@ -573,9 +573,15 @@ struct EventLoop::Impl {
   /// One-time drain sweep: stop accepting, give every connection a final
   /// read pass (complete requests already on the wire get answers), then
   /// discard partial trailing bytes and mark everything closing.
+  /// Connections still queued at a listener were made before the stop, so
+  /// they count as on the wire: they are accepted first, and closing the
+  /// listener then refuses only connections made after it.
   void sweep_drain() {
     drain_swept = true;
     for (const std::shared_ptr<Listener>& listener : listeners) {
+      while (std::shared_ptr<Connection> io = listener->accept_one()) {
+        register_conn(std::move(io));
+      }
       if (listener->poll_fd() >= 0) poller->remove(listener->poll_fd());
       listener->close();
     }

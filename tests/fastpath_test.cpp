@@ -1,7 +1,9 @@
-// Pins the fused encode->standardize->batched-GEMM inference fast path:
-// once a thread's workspace is warm, MlpSurrogate::predict_all performs a
-// constant number of heap allocations regardless of batch size (no per-arch
-// allocations), while staying bit-identical to per-arch predict_ms.
+// Pins the allocation-free hot paths. Inference: once a thread's workspace
+// is warm, MlpSurrogate::predict_all (the fused encode->standardize->
+// batched-GEMM path) performs a constant number of heap allocations
+// regardless of batch size (no per-arch allocations), while staying
+// bit-identical to per-arch predict_ms. Training: once its workspace is
+// warm, Mlp::train_batch allocates nothing.
 //
 // The whole-program operator new replacement below counts allocations, so
 // this binary stays out of the sanitizer tiers in scripts/ci.sh (ASan wants
@@ -21,6 +23,7 @@
 #include "common/rng.hpp"
 #include "encoding/encoder.hpp"
 #include "encoding/encoders.hpp"
+#include "ml/mlp.hpp"
 #include "nets/sampler.hpp"
 #include "surrogate/mlp_surrogate.hpp"
 
@@ -101,6 +104,33 @@ TEST(FastPathTest, PredictAllAllocationCountIsBatchSizeIndependent) {
     } else {
       EXPECT_EQ(large_out[i], scalar) << "arch " << i;
     }
+  }
+}
+
+TEST(FastPathTest, WarmTrainBatchAllocatesNothing) {
+  // The training step keeps its activations, deltas and gradients in the
+  // caller's workspace and reads the batch in place: once one step has
+  // warmed the workspace, further steps at the same batch size allocate
+  // nothing, for the paper predictor and for a batch of one.
+  set_thread_count(1);
+  for (const std::size_t batch : {std::size_t{256}, std::size_t{1}}) {
+    Rng rng(17);
+    Mlp mlp = Mlp::paper_predictor(36, rng);
+    Matrix x(batch, 36);
+    std::vector<double> y(batch);
+    for (std::size_t r = 0; r < batch; ++r) {
+      for (std::size_t c = 0; c < 36; ++c) x(r, c) = rng.uniform(-1.0, 1.0);
+      y[r] = rng.normal();
+    }
+    const AdamConfig adam;
+    Mlp::TrainWorkspace ws;
+    (void)mlp.train_batch(x, y, adam, 0.0, ws);
+    const std::uint64_t allocs = allocs_during([&] {
+      for (int step = 0; step < 5; ++step) {
+        (void)mlp.train_batch(x, y, adam, 0.0, ws);
+      }
+    });
+    EXPECT_EQ(allocs, 0u) << "batch " << batch;
   }
 }
 

@@ -87,14 +87,6 @@ TEST(MatrixTest, FillAndApply) {
   EXPECT_DOUBLE_EQ(m(1, 1), 5.0);
 }
 
-TEST(MatrixTest, AddScaled) {
-  Matrix a = Matrix::from_rows({{1.0, 2.0}});
-  const Matrix b = Matrix::from_rows({{10.0, 20.0}});
-  a.add_scaled(b, 0.5);
-  EXPECT_DOUBLE_EQ(a(0, 0), 6.0);
-  EXPECT_DOUBLE_EQ(a(0, 1), 12.0);
-}
-
 TEST(MatrixTest, Transposed) {
   const Matrix m = Matrix::from_rows({{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}});
   const Matrix t = m.transposed();
@@ -371,6 +363,36 @@ TEST(GemmEquivalenceTest, MultiKBlockSplitIsExact) {
   Matrix out;
   gemm(a, b, out);
   expect_gemm_exact(out, naive_mul(a, b));
+}
+
+TEST(GemmEquivalenceTest, ColumnTailRowInterleaveIsExact) {
+  // The column tail (n % micro-tile width, all of n when n is narrower)
+  // interleaves 8 rows, then a 4-, 2- and 1-row remainder: m = 1..9 hits
+  // every remainder and one full group plus a row. n = 1 is the MLP output
+  // layer, 36 the FCC input width; k = 300 adds an accumulate-mode k-block
+  // behind the store-mode one.
+  Rng rng(4242);
+  const std::size_t ns[] = {1, 4, 15, 17, 36};
+  const std::size_t ks[] = {7, 300};
+  for (std::size_t m = 1; m <= 9; ++m) {
+    for (std::size_t n : ns) {
+      for (std::size_t k : ks) {
+        const Matrix a = random_matrix(m, k, rng);
+        const Matrix b = random_matrix(k, n, rng);
+        const Matrix want = naive_mul(a, b);
+        Matrix out;
+        gemm(a, b, out);
+        expect_gemm_exact(out, want);
+        gemm_at_b(a.transposed(), b, out);
+        expect_gemm_exact(out, want);
+        gemm_a_bt(a, b.transposed(), out);
+        expect_gemm_exact(out, want);
+        if (HasFailure()) {
+          FAIL() << "tail mismatch at m=" << m << " k=" << k << " n=" << n;
+        }
+      }
+    }
+  }
 }
 
 TEST(GemmEquivalenceTest, ReusedOutputIsOverwrittenCompletely) {

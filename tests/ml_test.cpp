@@ -2,8 +2,14 @@
 // regression, decision trees, and gradient boosting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
 
+#include "common/archive.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "ml/dataset.hpp"
@@ -210,9 +216,10 @@ TEST(MlpTest, TrainBatchReturnsDecreasingLoss) {
   make_data([](std::span<const double> r) { return r[0]; }, 128, 1, rng, x, y);
   Mlp mlp({1, 8, 1}, rng);
   const AdamConfig adam;
-  const double first = mlp.train_batch(x, y, adam, 0.0);
+  Mlp::TrainWorkspace ws;
+  const double first = mlp.train_batch(x, y, adam, 0.0, ws);
   double last = first;
-  for (int i = 0; i < 200; ++i) last = mlp.train_batch(x, y, adam, 0.0);
+  for (int i = 0; i < 200; ++i) last = mlp.train_batch(x, y, adam, 0.0, ws);
   EXPECT_LT(last, first * 0.1);
 }
 
@@ -228,7 +235,8 @@ TEST(MlpTest, WeightDecayShrinksWeights) {
   Mlp strong({2, 4, 1}, rng);
   AdamConfig decay;
   decay.weight_decay = 1.0;
-  for (int i = 0; i < 500; ++i) strong.train_batch(x, y, decay, 0.0);
+  Mlp::TrainWorkspace ws;
+  for (int i = 0; i < 500; ++i) strong.train_batch(x, y, decay, 0.0, ws);
   Matrix probe = Matrix::from_rows({{1.0, 1.0}});
   EXPECT_NEAR(strong.predict(probe)[0], 0.0, 0.05);
 }
@@ -278,6 +286,336 @@ TEST(TrainerTest, CosineScheduleConvergesLikeConstant) {
     trainer.fit(mlp, x, y);
     EXPECT_LT(rmse(mlp.predict(x), y), 0.1);
   }
+}
+
+// ------------------------------------------------- trained-bit pins
+
+/// 64-bit FNV-1a over little-endian words.
+struct Fnv1a {
+  std::uint64_t h = 14695981039346656037ull;
+  void fold(std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  }
+  void fold(double v) { fold(std::bit_cast<std::uint64_t>(v)); }
+};
+
+/// Every weight and bias of `mlp`, layer by layer, as saved (%.17g text
+/// round-trips every finite double exactly).
+std::vector<std::vector<double>> mlp_parameters(const Mlp& mlp,
+                                                std::size_t layers) {
+  ArchiveWriter w;
+  mlp.save(w, "m");
+  const ArchiveReader r = ArchiveReader::from_string(w.to_string());
+  std::vector<std::vector<double>> params;
+  for (std::size_t i = 0; i < layers; ++i) {
+    params.push_back(r.get_doubles("m.w" + std::to_string(i)));
+    params.push_back(r.get_doubles("m.b" + std::to_string(i)));
+  }
+  return params;
+}
+
+struct GoldenFit {
+  std::size_t input_dim;
+  std::size_t batch_size;
+  std::size_t samples;
+  double weight_decay;
+  std::uint64_t digest;
+};
+
+/// Seeded fit of the paper predictor: a cosine-scheduled multi-epoch fit,
+/// then `kEpochs` single-epoch constant-rate fits that continue from it, so
+/// each of those epochs reports its loss. Folds every loss the trainer
+/// reports and every trained weight and bias bit.
+std::uint64_t golden_fit_digest(const GoldenFit& g) {
+  constexpr int kEpochs = 3;
+  Rng rng(1000 + g.input_dim + g.batch_size);
+  Matrix x;
+  std::vector<double> y;
+  make_data(
+      [](std::span<const double> r) {
+        double s = 0.0;
+        for (std::size_t j = 0; j < r.size(); ++j) {
+          s += (j % 3 == 0 ? 1.5 : -0.5) * r[j] + r[j] * r[(j + 1) % r.size()];
+        }
+        return s;
+      },
+      g.samples, g.input_dim, rng, x, y);
+  Mlp mlp = Mlp::paper_predictor(g.input_dim, rng);
+  TrainConfig cfg{.epochs = kEpochs, .batch_size = g.batch_size};
+  cfg.adam.weight_decay = g.weight_decay;
+  Fnv1a f;
+  f.fold(MlpTrainer(cfg).fit(mlp, x, y).final_train_mse);
+  cfg.epochs = 1;
+  cfg.schedule = LrSchedule::kConstant;
+  for (int e = 0; e < kEpochs; ++e) {
+    cfg.shuffle_seed = 7 + static_cast<std::uint64_t>(e);
+    f.fold(MlpTrainer(cfg).fit(mlp, x, y).final_train_mse);
+  }
+  for (const std::vector<double>& p : mlp_parameters(mlp, 3)) {
+    for (double v : p) f.fold(v);
+  }
+  return f.h;
+}
+
+// Pins the exact bits seeded training produces: input dims 36 (FCC), 7 and
+// 64; batch sizes 1, 7 and 256 plus one larger than the data (clamped);
+// coupled weight decay on and off. The training step must keep every
+// element's operation sequence (ascending-k products, separate multiply
+// and add, the same Adam expression), so these digests hold on every SIMD
+// backend and thread count. ESM_FMA=ON contracts mul+add in the training
+// step too, so there the digests are not compared; the reference-step
+// tests below bound the drift instead.
+TEST(MlpTest, GoldenTrainedBitsDigest) {
+  const GoldenFit golden[] = {
+      {36, 256, 600, 1e-4, 0x0daa42224c6ec399ull},
+      {36, 256, 600, 0.0, 0xb821fb721233e254ull},
+      {36, 256, 100, 1e-4, 0xf342a1e1234b4261ull},  // batch > data
+      {7, 7, 50, 1e-4, 0xb6fe45f8022b5926ull},
+      {7, 7, 50, 0.0, 0x6bc29de398329558ull},
+      {64, 1, 20, 1e-4, 0x138ae6ec83341c06ull},
+      {64, 1, 20, 0.0, 0x59a68708cee7401full},
+  };
+  for (const GoldenFit& g : golden) {
+    const std::uint64_t digest = golden_fit_digest(g);
+    if (gemm_fma_enabled()) continue;
+    EXPECT_EQ(digest, g.digest)
+        << std::hex << "dim " << std::dec << g.input_dim << " batch "
+        << g.batch_size << " n " << g.samples << " wd " << g.weight_decay
+        << ": digest 0x" << std::hex << digest;
+  }
+}
+
+// A test-local copy of the reference training step: naive ascending-k
+// loops, a branchy ReLU and mask, and the Adam expression element by
+// element. The shipped step must match it bit for bit (or, under ESM_FMA,
+// to a tight relative tolerance).
+struct RefDense {
+  std::size_t out = 0, in = 0;
+  std::vector<double> w, b, m_w, v_w, m_b, v_b;
+};
+
+std::vector<RefDense> ref_from(const Mlp& mlp, std::size_t layers) {
+  const auto params = mlp_parameters(mlp, layers);
+  std::vector<RefDense> net(layers);
+  for (std::size_t i = 0; i < layers; ++i) {
+    net[i].w = params[2 * i];
+    net[i].b = params[2 * i + 1];
+    net[i].out = net[i].b.size();
+    net[i].in = net[i].w.size() / net[i].out;
+    net[i].m_w.assign(net[i].w.size(), 0.0);
+    net[i].v_w.assign(net[i].w.size(), 0.0);
+    net[i].m_b.assign(net[i].out, 0.0);
+    net[i].v_b.assign(net[i].out, 0.0);
+  }
+  return net;
+}
+
+double ref_train_batch(std::vector<RefDense>& net, long long& step,
+                       const Matrix& x, std::span<const double> y,
+                       const AdamConfig& cfg, double lr) {
+  const std::size_t batch = x.rows();
+  // acts[i] is the (batch x width) input of layer i; acts.back() the output.
+  std::vector<std::vector<double>> acts;
+  acts.emplace_back(x.data(), x.data() + x.size());
+  for (std::size_t i = 0; i < net.size(); ++i) {
+    const RefDense& l = net[i];
+    const std::vector<double>& in = acts.back();
+    std::vector<double> h(batch * l.out);
+    for (std::size_t r = 0; r < batch; ++r) {
+      for (std::size_t o = 0; o < l.out; ++o) {
+        double acc = 0.0;
+        for (std::size_t k = 0; k < l.in; ++k) {
+          acc += in[r * l.in + k] * l.w[o * l.in + k];
+        }
+        acc += l.b[o];
+        if (i + 1 < net.size() && acc < 0.0) acc = 0.0;
+        h[r * l.out + o] = acc;
+      }
+    }
+    acts.push_back(std::move(h));
+  }
+  std::vector<double> delta(batch);
+  double loss = 0.0;
+  for (std::size_t r = 0; r < batch; ++r) {
+    const double diff = acts.back()[r] - y[r];
+    loss += diff * diff;
+    delta[r] = 2.0 * diff / static_cast<double>(batch);
+  }
+  loss /= static_cast<double>(batch);
+  ++step;
+  const double bias1 = 1.0 - std::pow(cfg.beta1, static_cast<double>(step));
+  const double bias2 = 1.0 - std::pow(cfg.beta2, static_cast<double>(step));
+  for (std::size_t ii = net.size(); ii-- > 0;) {
+    RefDense& l = net[ii];
+    const std::vector<double>& in = acts[ii];
+    std::vector<double> gw(l.w.size()), gb(l.out, 0.0);
+    for (std::size_t o = 0; o < l.out; ++o) {
+      for (std::size_t k = 0; k < l.in; ++k) {
+        double acc = 0.0;
+        for (std::size_t r = 0; r < batch; ++r) {
+          acc += delta[r * l.out + o] * in[r * l.in + k];
+        }
+        gw[o * l.in + k] = acc;
+      }
+    }
+    for (std::size_t r = 0; r < batch; ++r) {
+      for (std::size_t o = 0; o < l.out; ++o) gb[o] += delta[r * l.out + o];
+    }
+    if (cfg.weight_decay != 0.0) {
+      for (std::size_t j = 0; j < gw.size(); ++j) {
+        gw[j] += cfg.weight_decay * l.w[j];
+      }
+    }
+    if (ii > 0) {
+      std::vector<double> prev(batch * l.in);
+      for (std::size_t r = 0; r < batch; ++r) {
+        for (std::size_t k = 0; k < l.in; ++k) {
+          double acc = 0.0;
+          for (std::size_t o = 0; o < l.out; ++o) {
+            acc += delta[r * l.out + o] * l.w[o * l.in + k];
+          }
+          if (in[r * l.in + k] <= 0.0) acc = 0.0;
+          prev[r * l.in + k] = acc;
+        }
+      }
+      delta = std::move(prev);
+    }
+    auto adam = [&](double& param, double grad, double& m, double& v) {
+      m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad;
+      v = cfg.beta2 * v + (1.0 - cfg.beta2) * grad * grad;
+      const double m_hat = m / bias1;
+      const double v_hat = v / bias2;
+      param -= lr * m_hat / (std::sqrt(v_hat) + cfg.epsilon);
+    };
+    for (std::size_t j = 0; j < l.w.size(); ++j) {
+      adam(l.w[j], gw[j], l.m_w[j], l.v_w[j]);
+    }
+    for (std::size_t o = 0; o < l.out; ++o) {
+      adam(l.b[o], gb[o], l.m_b[o], l.v_b[o]);
+    }
+  }
+  return loss;
+}
+
+/// Saves `net` under the keys Mlp::save uses, so equal archive text means
+/// equal bits for every finite value and the same sign for every NaN.
+std::string ref_archive_text(const std::vector<RefDense>& net) {
+  std::vector<double> dims{static_cast<double>(net.front().in)};
+  for (const RefDense& l : net) dims.push_back(static_cast<double>(l.out));
+  ArchiveWriter ref;
+  ref.put_doubles("m.dims", dims);
+  for (std::size_t i = 0; i < net.size(); ++i) {
+    ref.put_doubles("m.w" + std::to_string(i), net[i].w);
+    ref.put_doubles("m.b" + std::to_string(i), net[i].b);
+  }
+  return ref.to_string();
+}
+
+std::string mlp_archive_text(const Mlp& mlp) {
+  ArchiveWriter w;
+  mlp.save(w, "m");
+  return w.to_string();
+}
+
+/// Builds an MLP from explicit weights and biases through the archive.
+Mlp mlp_with(const std::vector<std::size_t>& dims,
+             const std::vector<std::vector<double>>& w,
+             const std::vector<std::vector<double>>& b) {
+  ArchiveWriter a;
+  std::vector<double> d(dims.begin(), dims.end());
+  a.put_doubles("m.dims", d);
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    a.put_doubles("m.w" + std::to_string(i), w[i]);
+    a.put_doubles("m.b" + std::to_string(i), b[i]);
+  }
+  return Mlp::load(ArchiveReader::from_string(a.to_string()), "m");
+}
+
+void expect_step_matches_reference(Mlp& mlp, const Matrix& x,
+                                   std::span<const double> y, int steps) {
+  std::vector<RefDense> ref = ref_from(mlp, 3);
+  long long ref_step = 0;
+  AdamConfig cfg;
+  Mlp::TrainWorkspace ws;
+  for (int s = 0; s < steps; ++s) {
+    const double lr = s == 1 ? 0.003 : 0.0;  // 0 = the config's rate
+    const double got = mlp.train_batch(x, y, cfg, lr, ws);
+    const double want = ref_train_batch(ref, ref_step, x, y, cfg,
+                                        lr > 0.0 ? lr : cfg.learning_rate);
+    if (std::isnan(want)) {
+      EXPECT_TRUE(std::isnan(got)) << "step " << s;
+    } else if (gemm_fma_enabled()) {
+      EXPECT_NEAR(got, want, 1e-12 * std::max(1.0, std::abs(want)));
+    } else {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                std::bit_cast<std::uint64_t>(want))
+          << "loss bits differ at step " << s;
+    }
+  }
+  if (gemm_fma_enabled()) {
+    const auto got = mlp_parameters(mlp, 3);
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      for (std::size_t j = 0; j < ref[i].w.size(); ++j) {
+        if (std::isnan(ref[i].w[j])) continue;
+        EXPECT_NEAR(got[2 * i][j], ref[i].w[j], 1e-9);
+      }
+    }
+    return;
+  }
+  EXPECT_EQ(mlp_archive_text(mlp), ref_archive_text(ref));
+}
+
+TEST(MlpTest, TrainBatchMatchesReferenceOnSignedZerosAtTheReluEdge) {
+  // Forward sums start at +0.0, so a pre-activation can never be -0.0;
+  // -0.0 reaches the step through the inputs and the biases instead.
+  // Hidden units 0 and 3 have all-zero weights and a ±0 bias, so their
+  // pre-activation is exactly +0.0 on every row: the ReLU keeps it and the
+  // backward mask (`<= 0`) must zero its delta. Rows 0 and 1 are all-zero
+  // inputs, which put every first-layer unit on the edge at once.
+  const std::vector<std::size_t> dims{5, 6, 4, 1};
+  Rng rng(31);
+  std::vector<std::vector<double>> w(3), b(3);
+  for (std::size_t i = 0; i + 1 < dims.size(); ++i) {
+    for (std::size_t o = 0; o < dims[i + 1]; ++o) {
+      for (std::size_t k = 0; k < dims[i]; ++k) {
+        const bool dead = i < 2 && (o == 0 || o == 3);
+        w[i].push_back(dead ? (k % 2 ? -0.0 : 0.0) : rng.normal(0.0, 0.7));
+      }
+      b[i].push_back(o % 2 ? -0.0 : 0.0);
+    }
+  }
+  Mlp mlp = mlp_with(dims, w, b);
+  Matrix x(9, 5);
+  std::vector<double> y(9);
+  for (std::size_t r = 0; r < 9; ++r) {
+    for (std::size_t c = 0; c < 5; ++c) {
+      x(r, c) = r < 2 ? ((r + c) % 2 ? -0.0 : 0.0)
+                      : (c == r % 5 ? -0.0 : rng.uniform(-1.0, 1.0));
+    }
+    y[r] = rng.normal();
+  }
+  expect_step_matches_reference(mlp, x, y, 3);
+}
+
+TEST(MlpTest, TrainBatchMatchesReferenceWhenNanReachesTheMask) {
+  // A NaN input poisons its row's pre-activations: `< 0` and `<= 0` are
+  // both false on NaN, so the ReLU and the backward mask must pass it
+  // through exactly as the branchy reference does.
+  Rng rng(32);
+  Mlp mlp({4, 8, 8, 1}, rng);
+  Matrix x(5, 4);
+  std::vector<double> y(5);
+  for (std::size_t r = 0; r < 5; ++r) {
+    for (std::size_t c = 0; c < 4; ++c) x(r, c) = rng.uniform(-1.0, 1.0);
+    y[r] = rng.normal();
+  }
+  x(2, 1) = std::numeric_limits<double>::quiet_NaN();
+  x(3, 0) = 0.0;
+  x(3, 2) = -0.0;
+  expect_step_matches_reference(mlp, x, y, 2);
 }
 
 // ------------------------------------------------------- linear regression
