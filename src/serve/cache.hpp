@@ -1,6 +1,8 @@
-// Sharded LRU prediction cache. Keys are canonical architecture strings
-// (ArchConfig::to_string(), optionally generation-prefixed by the server);
-// values are the exact predicted doubles, so a cache hit returns the same
+// Sharded LRU prediction cache. The server keys it with packed canonical
+// architecture keys (serve::arch_cache_key: the model generation plus one
+// mixed-radix code per unit, short enough for std::string's inline
+// buffer, so a lookup allocates nothing); any string works as a key.
+// Values are the exact predicted doubles, so a cache hit returns the same
 // bits the miss path computed. Sharding keeps lock contention bounded when
 // the reactor and the batcher look up concurrently: each key hashes to one
 // shard with its own mutex and LRU list.
@@ -16,7 +18,7 @@
 
 namespace esm::serve {
 
-/// Thread-safe LRU map from canonical arch strings to predicted latencies.
+/// Thread-safe LRU map from canonical arch keys to predicted latencies.
 /// A capacity of 0 disables caching entirely (every get misses, put is a
 /// no-op). The total capacity is split evenly over the shards (each shard
 /// gets at least one slot), so the effective capacity is

@@ -5,6 +5,7 @@
 #include "common/checksum.hpp"
 #include "common/error.hpp"
 #include "common/fsio.hpp"
+#include "serve/metrics.hpp"
 #include "surrogate/registry.hpp"
 
 namespace esm::serve {
@@ -179,7 +180,7 @@ void write_manifest_atomic(const FleetManifest& manifest,
 std::shared_ptr<const ModelFleet> ModelFleet::load(
     const std::string& manifest_path, const ModelFleet* previous,
     std::uint64_t& generation_counter, std::size_t cache_capacity,
-    std::size_t cache_shards) {
+    std::size_t cache_shards, ServerMetrics& metrics) {
   const std::string manifest_bytes = read_file(manifest_path,
                                                "fleet manifest");
   const FleetManifest manifest =
@@ -236,6 +237,7 @@ std::shared_ptr<const ModelFleet> ModelFleet::load(
   }
   generation_counter = next_generation;
   fleet->default_index_ = manifest.find(manifest.default_model);
+  fleet->resolve_sections(metrics);
   return fleet;
 }
 
@@ -244,7 +246,7 @@ std::shared_ptr<const ModelFleet> ModelFleet::single(
     const std::string& crc32_hex,
     std::shared_ptr<const TrainableSurrogate> model,
     std::uint64_t& generation_counter, std::size_t cache_capacity,
-    std::size_t cache_shards) {
+    std::size_t cache_shards, ServerMetrics& metrics) {
   ESM_REQUIRE(valid_model_name(name),
               "invalid model name '" << name << "'");
   auto fleet = std::shared_ptr<ModelFleet>(new ModelFleet());
@@ -260,10 +262,17 @@ std::shared_ptr<const ModelFleet> ModelFleet::single(
       std::make_shared<PredictionCache>(cache_capacity, cache_shards);
   fleet->models_.push_back(std::move(loaded));
   fleet->default_index_ = 0;
+  fleet->resolve_sections(metrics);
   return fleet;
 }
 
-const FleetModel* ModelFleet::find(const std::string& name) const {
+void ModelFleet::resolve_sections(ServerMetrics& metrics) {
+  for (FleetModel& model : models_) {
+    model.metrics = metrics.model_section(model.name);
+  }
+}
+
+const FleetModel* ModelFleet::find(std::string_view name) const {
   for (const FleetModel& model : models_) {
     if (model.name == name) return &model;
   }

@@ -35,12 +35,16 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "serve/cache.hpp"
 #include "surrogate/trainable.hpp"
 
 namespace esm::serve {
+
+class ModelMetrics;
+class ServerMetrics;
 
 /// First line of every manifest; bump on incompatible format changes.
 inline constexpr const char* kManifestMagic = "esm-fleet v1";
@@ -111,6 +115,10 @@ struct FleetModel {
   /// object travels with the model across fleet swaps (an unchanged model
   /// keeps its warm cache through a reload).
   std::shared_ptr<PredictionCache> cache;
+  /// This model's stats section, resolved by name when the fleet loads
+  /// (never null). A model carried across a reload resolves to the same
+  /// section.
+  ModelMetrics* metrics = nullptr;
 };
 
 /// An immutable fleet snapshot: the server swaps a shared_ptr<const
@@ -125,11 +133,12 @@ class ModelFleet {
   /// esm::ConfigError naming the entry and nothing is returned. `previous`
   /// (may be null) lets entries whose name AND artifact CRC are unchanged
   /// carry over their loaded model, generation, and warm cache; every
-  /// other entry gets a fresh generation from `generation_counter`.
+  /// other entry gets a fresh generation from `generation_counter`. Every
+  /// model's stats section in `metrics` is resolved once, here.
   static std::shared_ptr<const ModelFleet> load(
       const std::string& manifest_path, const ModelFleet* previous,
       std::uint64_t& generation_counter, std::size_t cache_capacity,
-      std::size_t cache_shards);
+      std::size_t cache_shards, ServerMetrics& metrics);
 
   /// A one-model fleet around an already-loaded artifact (single-artifact
   /// serving, the PR-5 mode). The model is named `name` and is the default.
@@ -138,10 +147,10 @@ class ModelFleet {
       const std::string& crc32_hex,
       std::shared_ptr<const TrainableSurrogate> model,
       std::uint64_t& generation_counter, std::size_t cache_capacity,
-      std::size_t cache_shards);
+      std::size_t cache_shards, ServerMetrics& metrics);
 
   /// The model named `name`, or nullptr.
-  const FleetModel* find(const std::string& name) const;
+  const FleetModel* find(std::string_view name) const;
 
   const FleetModel& default_model() const {
     return models_[default_index_];
@@ -161,6 +170,9 @@ class ModelFleet {
 
  private:
   ModelFleet() = default;
+
+  /// Points every model at its stats section in `metrics`.
+  void resolve_sections(ServerMetrics& metrics);
 
   std::vector<FleetModel> models_;
   std::size_t default_index_ = 0;

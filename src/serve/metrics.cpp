@@ -67,9 +67,11 @@ ModelCounters ModelMetrics::snapshot() const {
 }
 
 ServerMetrics::ServerMetrics() : start_(std::chrono::steady_clock::now()) {
-  // Eagerly create the routing-failure section so every predict-line path
-  // has a non-null section before the first request arrives.
-  model_section(kUnroutedSection);
+  // Eagerly create and list the routing-failure section so every
+  // predict-line path has a non-null section before the first request
+  // arrives.
+  unrouted_ = model_section(kUnroutedSection);
+  unrouted_->mark_routed();
 }
 
 ModelMetrics* ServerMetrics::model_section(const std::string& name) {
@@ -198,6 +200,7 @@ MetricsSnapshot ServerMetrics::snapshot() const {
     std::lock_guard<std::mutex> lock(sections_mutex_);
     snap.per_model.reserve(sections_.size());
     for (const auto& [name, section] : sections_) {
+      if (!section->routed_.load(std::memory_order_relaxed)) continue;
       snap.per_model.emplace_back(name, section->snapshot());
     }
   }

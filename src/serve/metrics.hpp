@@ -87,8 +87,20 @@ class ModelMetrics {
  public:
   ModelCounters snapshot() const;
 
+  /// Lists this section in snapshots from now on. Servers resolve a
+  /// model's section when its fleet loads, ahead of any traffic, and mark
+  /// it as each request routes to it, so stats list exactly the models
+  /// requests have reached.
+  void mark_routed() {
+    if (!routed_.load(std::memory_order_relaxed)) {
+      routed_.store(true, std::memory_order_relaxed);
+    }
+  }
+
  private:
   friend class ServerMetrics;
+
+  std::atomic<bool> routed_{false};
 
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> hits_{0};
@@ -146,8 +158,12 @@ class ServerMetrics {
   /// The per-model section for `name`, created on first use; the returned
   /// pointer stays valid for the metrics object's lifetime. Sections are
   /// never removed, so summed per-model counters always reconcile with the
-  /// fleet-wide totals.
+  /// fleet-wide totals. Snapshots list a section once it is marked routed
+  /// (ModelMetrics::mark_routed).
   ModelMetrics* model_section(const std::string& name);
+
+  /// The "_unrouted" section (always listed), without a name lookup.
+  ModelMetrics* unrouted() const { return unrouted_; }
 
   /// Classifies one predict/predict_batch line; exactly one of hit, miss,
   /// or (via count_predict_error) error per line. `model` attributes the
@@ -239,6 +255,7 @@ class ServerMetrics {
   /// the map grows; the mutex guards only lookup/insert, never recording.
   mutable std::mutex sections_mutex_;
   std::map<std::string, std::unique_ptr<ModelMetrics>> sections_;
+  ModelMetrics* unrouted_ = nullptr;
 };
 
 }  // namespace esm::serve

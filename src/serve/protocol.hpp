@@ -31,8 +31,10 @@
 // refined per unit with block features: "<depth>:k<kernel>" or
 // "<depth>:k<kernel>e<expansion>" (the feature applies to every block of
 // that unit; omitted features take the space's first option). This is the
-// exact grammar `esm_cli measure --archs` files and `predict --stdin` use —
-// parse_arch_request() is the single shared implementation.
+// exact grammar `esm_cli measure --archs` files and `predict --stdin` use.
+// One scanner in protocol.cpp walks it in place; parse_arch_request() (an
+// ArchConfig, for the CLI and the batcher) and arch_cache_key() (the
+// packed key a served predict looks up) are thin layers over it.
 //
 // Response grammar (one line per request, in request order):
 //   esm1 ok <verb> <payload>
@@ -45,6 +47,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "nets/arch.hpp"
@@ -75,16 +78,18 @@ struct ParsedRequest {
 ParsedRequest split_request(const std::string& line);
 
 /// A request payload split into its optional routing key and the rest.
+/// Both fields are views into the payload passed to split_model_key, so
+/// they are valid only while that string is.
 struct RoutedPayload {
-  std::string model;  ///< "" when the request is keyless
-  std::string rest;   ///< the payload with the key (and one space) removed
+  std::string_view model;  ///< "" when the request is keyless
+  std::string_view rest;   ///< the payload with the key (and one space) removed
 };
 
 /// Splits the optional leading model key off a predict/predict_batch/info
 /// payload: if the first space-separated token starts with a letter it is
 /// the routing key, otherwise the whole payload is returned as `rest`.
 /// Leading whitespace never turns an arch into a key (" 3,5" stays keyless).
-RoutedPayload split_model_key(const std::string& payload);
+RoutedPayload split_model_key(std::string_view payload);
 
 /// Strips an optional leading "deadline=<ms>" token off a predict or
 /// predict_batch payload (it precedes the optional model key:
@@ -136,9 +141,13 @@ bool parse_response(const std::string& line, ParsedResponse& out);
 /// Parses a "k1=v1 k2=v2 ..." payload (info/stats responses) into a map.
 std::map<std::string, std::string> parse_kv_payload(const std::string& payload);
 
-/// Full-precision latency formatting used by responses and CSV output
-/// ("%.17g": round-trips a double exactly).
+/// Full-precision latency formatting used by responses and CSV output:
+/// the bytes of printf("%.17g"), which round-trips a double exactly.
 std::string format_latency(double value_ms);
+
+/// Appends format_latency(value_ms) to `out` without a temporary string
+/// (the predict_batch reply joins its values this way).
+void append_latency(std::string& out, double value_ms);
 
 /// Parses one architecture request against `spec` — the shared parser for
 /// the server protocol, `esm_cli measure --archs` files, and `esm_cli
@@ -147,14 +156,41 @@ std::string format_latency(double value_ms);
 /// snapped to the nearest spec option within 1e-2 (so "0.667" selects 2/3).
 /// Throws esm::ConfigError with the offending token on any violation,
 /// including spec validation (unit count, depth range, unknown kernel).
-ArchConfig parse_arch_request(const SupernetSpec& spec,
-                              const std::string& text);
+ArchConfig parse_arch_request(const SupernetSpec& spec, std::string_view text);
 
 /// Splits a predict_batch payload on ';' and parses every element; throws
 /// esm::ConfigError naming the failing element, on an empty batch, or when
 /// the batch exceeds `max_archs`.
 std::vector<ArchConfig> parse_arch_batch(const SupernetSpec& spec,
-                                         const std::string& payload,
+                                         std::string_view payload,
                                          std::size_t max_archs);
+
+/// Parses one architecture request straight into its packed prediction
+/// cache key, without building an ArchConfig: a LEB128 varint of
+/// `generation`, then one LEB128 mixed-radix code per unit,
+/// ((depth - min_depth) * |kernels| + kernel_index) * |expansions| +
+/// expansion_index. Every shipped space fits in 15 bytes, so the key lives
+/// in std::string's inline buffer and costs no allocation. The key is
+/// canonical: two spellings share it exactly when their parsed ArchConfigs
+/// share to_string(), except that a space without expansion options (whose
+/// encoders ignore the expansion) drops the expansion from the key.
+/// Accepts and rejects exactly what parse_arch_request does, with the same
+/// esm::ConfigError text.
+std::string arch_cache_key(const SupernetSpec& spec, std::uint64_t generation,
+                           std::string_view text);
+
+/// One predict_batch element: its packed cache key and its text (a view
+/// into the payload, which a cache miss re-parses with parse_arch_request).
+struct KeyedArch {
+  std::string key;
+  std::string_view text;
+};
+
+/// parse_arch_batch's element split, limit and errors, with each element
+/// parsed by arch_cache_key.
+std::vector<KeyedArch> arch_cache_keys(const SupernetSpec& spec,
+                                       std::uint64_t generation,
+                                       std::string_view payload,
+                                       std::size_t max_archs);
 
 }  // namespace esm::serve

@@ -50,6 +50,16 @@ bool deadline_passed(Clock::time_point deadline, Clock::time_point now) {
   return deadline != Clock::time_point::max() && now >= deadline;
 }
 
+/// The predict_batch ok payload: the count, then every value.
+std::string batch_payload(const std::vector<double>& values) {
+  std::string payload = std::to_string(values.size());
+  for (double v : values) {
+    payload += ' ';
+    append_latency(payload, v);
+  }
+  return payload;
+}
+
 }  // namespace
 
 PredictionServer::PredictionServer(ServeConfig config)
@@ -82,12 +92,13 @@ void PredictionServer::install_source(const std::string& path) {
   std::shared_ptr<const ModelFleet> next;
   if (FleetManifest::looks_like_manifest(bytes)) {
     next = ModelFleet::load(path, previous.get(), generation_counter_,
-                            config_.cache_capacity, config_.cache_shards);
+                            config_.cache_capacity, config_.cache_shards,
+                            metrics_);
   } else {
     next = ModelFleet::single("default", path, crc32_hex(crc32(bytes)),
                               load_surrogate(path, bytes),
                               generation_counter_, config_.cache_capacity,
-                              config_.cache_shards);
+                              config_.cache_shards, metrics_);
   }
   {
     std::lock_guard<std::mutex> lock(fleet_mutex_);
@@ -137,10 +148,8 @@ void PredictionServer::dispatch_request(const ParsedRequest& request,
                           request.verb == "predict_batch" || is_search;
 
   if (wire_bytes > config_.max_line_bytes) {
-    is_predict
-        ? metrics_.count_predict_error(metrics_.model_section(
-              kUnroutedSection))
-        : metrics_.count_control_line(true);
+    is_predict ? metrics_.count_predict_error(metrics_.unrouted())
+               : metrics_.count_control_line(true);
     done(error_reply(ErrorCode::oversized,
                      "request of " + std::to_string(wire_bytes) +
                          " bytes exceeds the " +
@@ -152,13 +161,19 @@ void PredictionServer::dispatch_request(const ParsedRequest& request,
   if (is_predict) {
     // Deadline sources, most specific first: the esm1 "deadline=<ms>"
     // payload token, the esm2 v2 frame field, then the server default.
-    std::string payload = request.payload;
+    // Only a payload carrying the token is copied (to strip it).
+    std::string_view payload = request.payload;
     std::uint32_t deadline_ms = request.deadline_ms;
-    std::string deadline_error;
-    if (!extract_deadline_token(payload, deadline_ms, deadline_error)) {
-      metrics_.count_predict_error(metrics_.model_section(kUnroutedSection));
-      done(error_reply(ErrorCode::bad_request, deadline_error));
-      return;
+    std::string stripped;
+    if (payload.starts_with("deadline=")) {
+      stripped = request.payload;
+      std::string deadline_error;
+      if (!extract_deadline_token(stripped, deadline_ms, deadline_error)) {
+        metrics_.count_predict_error(metrics_.unrouted());
+        done(error_reply(ErrorCode::bad_request, deadline_error));
+        return;
+      }
+      payload = stripped;
     }
     if (deadline_ms == 0) deadline_ms = config_.default_deadline_ms;
     const Clock::time_point deadline =
@@ -167,11 +182,11 @@ void PredictionServer::dispatch_request(const ParsedRequest& request,
                                               deadline_ms);
     if (is_search) {
       // An empty payload is a valid search (every knob has a default).
-      handle_search(payload, deadline, std::move(done));
+      handle_search(std::string(payload), deadline, std::move(done));
       return;
     }
     if (payload.empty()) {
-      metrics_.count_predict_error(metrics_.model_section(kUnroutedSection));
+      metrics_.count_predict_error(metrics_.unrouted());
       done(error_reply(ErrorCode::bad_request,
                        request.verb == "predict"
                            ? "predict needs an architecture"
@@ -234,25 +249,35 @@ void PredictionServer::dispatch_request(const ParsedRequest& request,
                        "stats, reload, shutdown)"));
 }
 
+const FleetModel* PredictionServer::route(
+    const ModelFleet& fleet, std::string_view model_key,
+    ReplyCallback& done) {
+  const FleetModel* model = model_key.empty() ? &fleet.default_model()
+                                              : fleet.find(model_key);
+  if (model == nullptr) {
+    metrics_.count_predict_error(metrics_.unrouted());
+    done(error_reply(ErrorCode::unknown_model,
+                     "unknown model '" + std::string(model_key) +
+                         "' (see the models verb)"));
+    return nullptr;
+  }
+  model->metrics->mark_routed();
+  return model;
+}
+
 void PredictionServer::handle_predict(
-    const std::string& payload, std::chrono::steady_clock::time_point deadline,
+    std::string_view payload, std::chrono::steady_clock::time_point deadline,
     ReplyCallback done) {
+  // A hit goes payload -> packed key -> cache -> reply: no ArchConfig and
+  // no string beyond the reply's own payload.
   const RoutedPayload routed = split_model_key(payload);
   const std::shared_ptr<const ModelFleet> fleet = current_fleet();
-  const FleetModel* model = routed.model.empty()
-                                ? &fleet->default_model()
-                                : fleet->find(routed.model);
-  if (model == nullptr) {
-    metrics_.count_predict_error(metrics_.model_section(kUnroutedSection));
-    done(error_reply(ErrorCode::unknown_model,
-                     "unknown model '" + routed.model +
-                         "' (see the models verb)"));
-    return;
-  }
-  ModelMetrics* section = metrics_.model_section(model->name);
-  ArchConfig arch;
+  const FleetModel* model = route(*fleet, routed.model, done);
+  if (model == nullptr) return;
+  ModelMetrics* section = model->metrics;
+  std::string key;
   try {
-    arch = parse_arch_request(model->model->spec(), routed.rest);
+    key = arch_cache_key(model->model->spec(), model->generation, routed.rest);
   } catch (const ConfigError& e) {
     metrics_.count_predict_error(section);
     done(error_reply(ErrorCode::bad_arch, e.what()));
@@ -266,8 +291,6 @@ void PredictionServer::handle_predict(
                      DeadlineExceededError().what()));
     return;
   }
-  const std::string key =
-      std::to_string(model->generation) + '|' + arch.to_string();
   if (const std::optional<double> hit = model->cache->get(key)) {
     metrics_.count_archs(1, 0, section);
     metrics_.count_predict_line(true, section);
@@ -275,6 +298,8 @@ void PredictionServer::handle_predict(
     return;
   }
   metrics_.count_archs(0, 1, section);
+  // Only a miss builds the ArchConfig, from the same text, for the batcher.
+  ArchConfig arch = parse_arch_request(model->model->spec(), routed.rest);
   enqueue(std::move(arch), std::shared_ptr<const FleetModel>(fleet, model),
           deadline,
           [this, section, key, cache = model->cache,
@@ -306,25 +331,17 @@ void PredictionServer::handle_predict(
 }
 
 void PredictionServer::handle_predict_batch(
-    const std::string& payload, std::chrono::steady_clock::time_point deadline,
+    std::string_view payload, std::chrono::steady_clock::time_point deadline,
     ReplyCallback done) {
   const RoutedPayload routed = split_model_key(payload);
   const std::shared_ptr<const ModelFleet> fleet = current_fleet();
-  const FleetModel* model = routed.model.empty()
-                                ? &fleet->default_model()
-                                : fleet->find(routed.model);
-  if (model == nullptr) {
-    metrics_.count_predict_error(metrics_.model_section(kUnroutedSection));
-    done(error_reply(ErrorCode::unknown_model,
-                     "unknown model '" + routed.model +
-                         "' (see the models verb)"));
-    return;
-  }
-  ModelMetrics* section = metrics_.model_section(model->name);
-  std::vector<ArchConfig> archs;
+  const FleetModel* model = route(*fleet, routed.model, done);
+  if (model == nullptr) return;
+  ModelMetrics* section = model->metrics;
+  std::vector<KeyedArch> keys;
   try {
-    archs = parse_arch_batch(model->model->spec(), routed.rest,
-                             config_.max_batch_archs);
+    keys = arch_cache_keys(model->model->spec(), model->generation,
+                           routed.rest, config_.max_batch_archs);
   } catch (const ConfigError& e) {
     metrics_.count_predict_error(section);
     done(error_reply(ErrorCode::bad_arch, e.what()));
@@ -335,6 +352,27 @@ void PredictionServer::handle_predict_batch(
     done(error_reply(ErrorCode::deadline_exceeded,
                      DeadlineExceededError().what()));
     return;
+  }
+
+  // Hits are read and every miss's ArchConfig is built up front, so once
+  // `remaining` is set the loop below does nothing but enqueue.
+  struct Miss {
+    std::size_t index;
+    std::string key;
+    ArchConfig arch;
+  };
+  std::vector<double> values(keys.size(), 0.0);
+  std::vector<Miss> misses;
+  std::uint64_t hit_count = 0;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (const std::optional<double> hit = model->cache->get(keys[i].key)) {
+      values[i] = *hit;
+      ++hit_count;
+    } else {
+      misses.push_back(
+          Miss{i, std::move(keys[i].key),
+               parse_arch_request(model->model->spec(), keys[i].text)});
+    }
   }
 
   // Join state shared by the per-miss completions. Each completion writes
@@ -352,28 +390,10 @@ void PredictionServer::handle_predict_batch(
   };
 
   auto join = std::make_shared<BatchJoin>();
-  join->values.assign(archs.size(), 0.0);
+  join->values = std::move(values);
   join->section = section;
   join->cache = model->cache;
   join->done = std::move(done);
-
-  struct Miss {
-    std::size_t index;
-    std::string key;
-    ArchConfig arch;
-  };
-  std::vector<Miss> misses;
-  std::uint64_t hit_count = 0;
-  for (std::size_t i = 0; i < archs.size(); ++i) {
-    std::string key =
-        std::to_string(model->generation) + '|' + archs[i].to_string();
-    if (const std::optional<double> hit = model->cache->get(key)) {
-      join->values[i] = *hit;
-      ++hit_count;
-    } else {
-      misses.push_back(Miss{i, std::move(key), std::move(archs[i])});
-    }
-  }
   metrics_.count_archs(hit_count, misses.size(), section);
 
   auto finalize = [this](BatchJoin& state) {
@@ -398,18 +418,12 @@ void PredictionServer::handle_predict_batch(
       return;
     }
     metrics_.count_predict_line(false, state.section);
-    std::ostringstream os;
-    os << state.values.size();
-    for (double v : state.values) os << ' ' << format_latency(v);
-    state.done(ok_reply("predict_batch", os.str()));
+    state.done(ok_reply("predict_batch", batch_payload(state.values)));
   };
 
   if (misses.empty()) {
     metrics_.count_predict_line(true, section);
-    std::ostringstream os;
-    os << join->values.size();
-    for (double v : join->values) os << ' ' << format_latency(v);
-    join->done(ok_reply("predict_batch", os.str()));
+    join->done(ok_reply("predict_batch", batch_payload(join->values)));
     return;
   }
 
@@ -446,7 +460,7 @@ void PredictionServer::handle_search(
   try {
     request = search::parse_search_request(payload);
   } catch (const ConfigError& e) {
-    metrics_.count_predict_error(metrics_.model_section(kUnroutedSection));
+    metrics_.count_predict_error(metrics_.unrouted());
     done(error_reply(ErrorCode::bad_request, e.what()));
     return;
   }
@@ -462,7 +476,7 @@ void PredictionServer::handle_search(
     for (const std::string& name : request.models) {
       const FleetModel* model = fleet->find(name);
       if (model == nullptr) {
-        metrics_.count_predict_error(metrics_.model_section(kUnroutedSection));
+        metrics_.count_predict_error(metrics_.unrouted());
         done(error_reply(ErrorCode::unknown_model,
                          "unknown model '" + name +
                              "' (see the models verb)"));
@@ -472,7 +486,8 @@ void PredictionServer::handle_search(
     }
   }
   // The search line is attributed to the primary (first) model's section.
-  job.section = metrics_.model_section(job.models.front()->name);
+  job.section = job.models.front()->metrics;
+  job.section->mark_routed();
   const std::string& space = job.models.front()->model->spec().name;
   for (const std::shared_ptr<const FleetModel>& model : job.models) {
     if (model->model->spec().name != space) {
@@ -781,7 +796,7 @@ void PredictionServer::batcher_loop() {
           break;
         }
       }
-      if (!found) groups.push_back({key, {i}});
+      if (!found) groups.emplace_back(key, std::vector<std::size_t>{i});
     }
     for (const auto& [model, indices] : groups) {
       std::vector<ArchConfig> archs;

@@ -50,6 +50,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -182,7 +183,13 @@ class PredictionServer {
   void dispatch_request(const ParsedRequest& request, std::size_t wire_bytes,
                         ReplyCallback& done);
 
-  void handle_predict(const std::string& payload,
+  /// Resolves a request's optional model key against `fleet` and marks
+  /// the model's stats section routed; on an unknown key, answers
+  /// unknown_model through `done` and returns null.
+  const FleetModel* route(const ModelFleet& fleet, std::string_view model_key,
+                          ReplyCallback& done);
+
+  void handle_predict(std::string_view payload,
                       std::chrono::steady_clock::time_point deadline,
                       ReplyCallback done);
   /// Validates and admits one `search` request; the reply completes from
@@ -192,7 +199,7 @@ class PredictionServer {
   void handle_search(const std::string& payload,
                      std::chrono::steady_clock::time_point deadline,
                      ReplyCallback done);
-  void handle_predict_batch(const std::string& payload,
+  void handle_predict_batch(std::string_view payload,
                             std::chrono::steady_clock::time_point deadline,
                             ReplyCallback done);
   Reply handle_info(const std::string& payload);

@@ -32,6 +32,7 @@
 #include "nets/sampler.hpp"
 #include "nets/supernet.hpp"
 #include "serve/fleet.hpp"
+#include "serve/metrics.hpp"
 #include "serve/protocol.hpp"
 #include "surrogate/gbdt_surrogate.hpp"
 #include "surrogate/registry.hpp"
@@ -241,10 +242,11 @@ TEST(ModelFleetTest, LoadFailuresNameTheEntryAndDrawNoGenerations) {
   };
   for (const auto& [manifest, entry] : matrix) {
     std::uint64_t generation_counter = 7;
+    serve::ServerMetrics metrics;
     expect_throw_mentioning(
         [&] {
           serve::ModelFleet::load(manifest, nullptr, generation_counter, 16,
-                                  1);
+                                  1, metrics);
         },
         entry, manifest);
     // All-or-nothing: a failed load draws nothing from the counter.
@@ -261,9 +263,10 @@ TEST(ModelFleetTest, ResolvesRelativePathsAgainstTheManifestDirectory) {
   serve::write_manifest_atomic(m, dir + "/manifest.esmf");
 
   std::uint64_t generation_counter = 0;
+  serve::ServerMetrics metrics;
   const std::shared_ptr<const serve::ModelFleet> fleet =
       serve::ModelFleet::load(dir + "/manifest.esmf", nullptr,
-                              generation_counter, 16, 1);
+                              generation_counter, 16, 1, metrics);
   ASSERT_NE(fleet->find("a"), nullptr);
   EXPECT_EQ(fleet->find("a")->artifact_path, dir + "/a.esm");
   EXPECT_EQ(fleet->default_model().name, "a");
@@ -284,8 +287,10 @@ TEST(ModelFleetTest, CarryOverKeepsModelGenerationAndCacheWhenUnchanged) {
   first.upsert({"b", serve::file_crc32_hex(v1), v1});
   serve::write_manifest_atomic(first, path);
   std::uint64_t generation_counter = 0;
+  serve::ServerMetrics metrics;
   const std::shared_ptr<const serve::ModelFleet> fleet1 =
-      serve::ModelFleet::load(path, nullptr, generation_counter, 16, 1);
+      serve::ModelFleet::load(path, nullptr, generation_counter, 16, 1,
+                              metrics);
   EXPECT_EQ(fleet1->find("a")->generation, 1u);
   EXPECT_EQ(fleet1->find("b")->generation, 2u);
   fleet1->find("a")->cache->put("warm", 42.0);
@@ -295,13 +300,17 @@ TEST(ModelFleetTest, CarryOverKeepsModelGenerationAndCacheWhenUnchanged) {
   second.upsert({"b", serve::file_crc32_hex(v2), v2});
   serve::write_manifest_atomic(second, path);
   const std::shared_ptr<const serve::ModelFleet> fleet2 =
-      serve::ModelFleet::load(path, fleet1.get(), generation_counter, 16, 1);
+      serve::ModelFleet::load(path, fleet1.get(), generation_counter, 16, 1,
+                              metrics);
 
   // Unchanged entry: same loaded instance, generation, and warm cache.
   EXPECT_EQ(fleet2->find("a")->generation, 1u);
   EXPECT_EQ(fleet2->find("a")->model, fleet1->find("a")->model);
   EXPECT_EQ(fleet2->find("a")->cache, fleet1->find("a")->cache);
   EXPECT_EQ(fleet2->find("a")->cache->get("warm"), 42.0);
+  // Every model keeps its stats section by name, changed or not.
+  EXPECT_EQ(fleet2->find("a")->metrics, metrics.model_section("a"));
+  EXPECT_EQ(fleet2->find("b")->metrics, fleet1->find("b")->metrics);
   // Changed entry: fresh instance and generation.
   EXPECT_EQ(fleet2->find("b")->generation, 3u);
   EXPECT_NE(fleet2->find("b")->model, fleet1->find("b")->model);
@@ -368,9 +377,10 @@ TEST(PipelineTest, PublishesGatedModelsIntoOneLoadableManifest) {
 
   // The published manifest is fully servable.
   std::uint64_t generation_counter = 0;
+  serve::ServerMetrics metrics;
   const std::shared_ptr<const serve::ModelFleet> fleet =
       serve::ModelFleet::load(first.manifest_path, nullptr,
-                              generation_counter, 16, 1);
+                              generation_counter, 16, 1, metrics);
   ASSERT_EQ(fleet->models().size(), 2u);
   const ArchConfig arch =
       serve::parse_arch_request(fleet->find("edge")->model->spec(),

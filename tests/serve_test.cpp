@@ -14,8 +14,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
@@ -166,6 +170,46 @@ TEST(ProtocolTest, SplitRequestSeparatesVerbAndPayload) {
 TEST(ProtocolTest, FormatLatencyRoundTripsDoublesExactly) {
   const double value = 1.23456789012345678e-3;
   EXPECT_EQ(std::strtod(serve::format_latency(value).c_str(), nullptr), value);
+}
+
+TEST(ProtocolTest, FormatLatencyWritesThePrintfBytes) {
+  // format_latency and append_latency must write exactly what
+  // printf("%.17g") writes: the reply bytes of every served prediction.
+  std::vector<double> values = {
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      DBL_MIN / 3.0,
+      DBL_MIN,
+      -DBL_MIN,
+      DBL_MAX,
+      -DBL_MAX,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      1.0, 2.0, 10.0, 100.0, 1e15, 1e16, 1e17, 9007199254740993.0, 1e21,
+      1e22, 1e23, 0.5, 0.25, 1.5, 2.5, 0.1, 0.3, 1e-5, 1e-4, 123.456,
+      1.23456789012345678e-3, 0.83203017711639404};
+  Rng rng(0xF0A7);
+  for (int i = 0; i < 20000; ++i) {
+    // Raw bit patterns cover every exponent (NaN payloads included); the
+    // scaled draws cover the latencies servers actually print.
+    values.push_back(std::bit_cast<double>(rng()));
+    values.push_back(rng.uniform(0.0, 50.0));
+    values.push_back(
+        std::ldexp(rng.uniform(1.0, 2.0), rng.uniform_int(-1074, 1023)));
+    values.push_back(static_cast<double>(rng.uniform_int(-100000, 100000)));
+  }
+  for (const double v : values) {
+    char want[64];
+    std::snprintf(want, sizeof(want), "%.17g", v);
+    EXPECT_EQ(serve::format_latency(v), want);
+    std::string joined = "3 ";
+    serve::append_latency(joined, v);
+    EXPECT_EQ(joined, std::string("3 ") + want);
+  }
 }
 
 // ------------------------------------------------------- cache + metrics
@@ -719,6 +763,70 @@ TEST(FleetServeTest, UnchangedModelsKeepTheirWarmCacheAcrossReload) {
   // alpha kept its generation; bravo (same name, new bytes) got a fresh one.
   EXPECT_EQ(client.info("alpha").at("generation"), "1");
   EXPECT_EQ(client.info("bravo").at("generation"), "3");
+}
+
+TEST(FleetServeTest, StatsListTheModelsRequestsReachedAcrossReloads) {
+  // Sections are resolved when a fleet loads but listed only once a
+  // request routes to their model, and they outlive the model's removal.
+  const std::string manifest = write_fleet_manifest(
+      "fleet_sections.esmf",
+      {{"alpha", artifact_a()}, {"bravo", artifact_b()}});
+  Harness harness(serve_config(manifest));
+  EsmClient client = harness.client();
+  ASSERT_TRUE(client.call_line("predict alpha 4,2,6,1").ok);
+  std::map<std::string, std::string> stats = client.stats();
+  EXPECT_EQ(stat(stats, "model.alpha.requests"), 1u);
+  EXPECT_EQ(stats.count("model.bravo.requests"), 0u);
+
+  client.reload(write_fleet_manifest("fleet_sections2.esmf",
+                                     {{"bravo", artifact_b()}}));
+  stats = client.stats();
+  EXPECT_EQ(stat(stats, "model.alpha.requests"), 1u);
+  EXPECT_EQ(stats.count("model.bravo.requests"), 0u);
+  ASSERT_TRUE(client.call_line("predict 4,2,6,1").ok);
+  stats = client.stats();
+  EXPECT_EQ(stat(stats, "model.bravo.requests"), 1u);
+  EXPECT_EQ(stat(stats, "requests"), 2u);
+}
+
+TEST(ServeTest, DenseNetExpansionSpellingsShareOneEntryAndOneValue) {
+  // DenseNet has no expansion options and its encoders read none, so its
+  // packed cache key drops the expansion: a spelling with one and a
+  // spelling without must predict the same bits and share one entry.
+  const SupernetSpec spec = densenet_spec();
+  Rng rng(0xDE75E);
+  BalancedSampler sampler(spec, 4);
+  const std::vector<ArchConfig> archs = sampler.sample_n(64, rng);
+  std::vector<double> labels;
+  for (const ArchConfig& arch : archs) {
+    labels.push_back(0.1 * arch.total_blocks() +
+                     arch.units[0].blocks[0].kernel);
+  }
+  GbdtConfig gbdt;
+  gbdt.n_estimators = 20;
+  GbdtSurrogate surrogate(make_encoder("fcc", spec), gbdt);
+  surrogate.fit(SurrogateDataset{archs, labels});
+  const std::string artifact = testing::TempDir() + "/serve_dense.esm";
+  save_surrogate(surrogate, artifact);
+
+  const std::string with = "9:k5e2.5,3,20:k1,1,7:k9e1";
+  const std::string without = "9:k5,3,20:k1,1,7:k9";
+  const double offline =
+      surrogate.predict_ms(serve::parse_arch_request(spec, with));
+  EXPECT_EQ(surrogate.predict_ms(serve::parse_arch_request(spec, without)),
+            offline);
+
+  Harness harness(serve_config(artifact));
+  EsmClient client = harness.client();
+  const EsmClient::Response first = client.call_line("predict " + with);
+  const EsmClient::Response second = client.call_line("predict " + without);
+  ASSERT_TRUE(first.ok) << first.payload;
+  ASSERT_TRUE(second.ok) << second.payload;
+  EXPECT_EQ(first.payload, serve::format_latency(offline));
+  EXPECT_EQ(second.payload, first.payload);
+  const std::map<std::string, std::string> stats = client.stats();
+  EXPECT_EQ(stat(stats, "arch_misses"), 1u);
+  EXPECT_EQ(stat(stats, "arch_hits"), 1u);
 }
 
 }  // namespace
