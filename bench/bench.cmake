@@ -1,5 +1,5 @@
-# Benchmark harness: one executable per paper table/figure plus ablations
-# and a google-benchmark micro suite. Binaries land in build/bench/.
+# Benchmark harness: one executable per paper table/figure plus ablations.
+# Binaries land in build/bench/.
 
 add_library(esm_benchutil STATIC bench/bench_util.cpp)
 target_include_directories(esm_benchutil PUBLIC ${CMAKE_SOURCE_DIR}/src ${CMAKE_SOURCE_DIR}/bench)
@@ -27,10 +27,6 @@ esm_bench(ablation_encodings)
 esm_bench(ablation_models)
 esm_bench(ablation_measurement)
 
-add_executable(micro_perf bench/micro_perf.cpp)
-target_link_libraries(micro_perf PRIVATE esm_benchutil esm_warnings benchmark::benchmark)
-set_target_properties(micro_perf PROPERTIES
-  RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 esm_bench(serve_throughput)
 target_link_libraries(serve_throughput PRIVATE esm_serve)
 esm_bench(search_bench)

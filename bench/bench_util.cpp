@@ -1,7 +1,6 @@
 #include "bench_util.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <ostream>
 
 #include "common/error.hpp"
@@ -109,46 +108,6 @@ void print_scatter_sample(std::ostream& os, const LatencyPredictor& predictor,
                    format_percent(std::abs(pred - actual) / actual, 1)});
   }
   table.print(os);
-}
-
-void write_parallel_bench_json(
-    const std::string& path,
-    const std::vector<ParallelBenchRecord>& records,
-    const ParallelBenchMeta& meta) {
-  std::ofstream out(path);
-  ESM_REQUIRE(out.good(), "cannot open " << path << " for writing");
-  out << "{\n";
-  out << "  \"meta\": {\"backend\": \"" << meta.backend
-      << "\", \"simd_width\": " << meta.simd_width
-      << ", \"fma\": " << (meta.fma ? "true" : "false")
-      << ", \"peak_gflops\": " << meta.peak_gflops
-      << ", \"threads\": " << meta.threads << "},\n";
-  out << "  \"records\": [\n";
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const ParallelBenchRecord& r = records[i];
-    const double speedup =
-        r.threaded_ns > 0.0 ? r.serial_ns / r.threaded_ns : 0.0;
-    out << "    {\"name\": \"" << r.name
-        << "\", \"serial_ns\": " << r.serial_ns
-        << ", \"threaded_ns\": " << r.threaded_ns
-        << ", \"threads\": " << r.threads << ", \"speedup\": " << speedup
-        << ", \"identical\": " << (r.identical ? "true" : "false");
-    if (r.flops > 0.0) {
-      // ns -> s cancels the G in GFLOPS: flops / ns == Gflops / s.
-      out << ", \"gflops_serial\": " << (r.serial_ns > 0.0 ? r.flops / r.serial_ns : 0.0)
-          << ", \"gflops_threaded\": " << (r.threaded_ns > 0.0 ? r.flops / r.threaded_ns : 0.0);
-      if (meta.peak_gflops > 0.0 && r.serial_ns > 0.0) {
-        out << ", \"fraction_of_peak\": "
-            << (r.flops / r.serial_ns) / meta.peak_gflops;
-      }
-      if (r.bytes > 0.0) {
-        out << ", \"arithmetic_intensity\": " << r.flops / r.bytes;
-      }
-    }
-    out << "}" << (i + 1 < records.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n";
-  out << "}\n";
 }
 
 }  // namespace esm::bench

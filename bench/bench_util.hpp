@@ -81,33 +81,4 @@ SurrogateResult evaluate_predictor(const LatencyPredictor& predictor,
 void print_scatter_sample(std::ostream& os, const LatencyPredictor& predictor,
                           const LabeledSet& test, std::size_t n_points);
 
-/// One serial-vs-threaded timing of a hot path, for BENCH_parallel.json.
-struct ParallelBenchRecord {
-  std::string name;
-  double serial_ns = 0.0;    ///< best-of-reps wall time, 1 thread
-  double threaded_ns = 0.0;  ///< best-of-reps wall time, `threads` threads
-  int threads = 1;
-  bool identical = false;    ///< threaded output bit-matched the serial run
-  double flops = 0.0;  ///< useful arithmetic ops per run (0: not a FLOP kernel)
-  double bytes = 0.0;  ///< compulsory bytes moved per run (0: skip intensity)
-};
-
-/// Build/host facts the GFLOPS columns are judged against.
-struct ParallelBenchMeta {
-  std::string backend;        ///< gemm_backend(): avx512 / avx2 / ...
-  std::size_t simd_width = 1; ///< doubles per vector lane group
-  bool fma = false;           ///< kernel built with fused multiply-add
-  double peak_gflops = 0.0;   ///< measured single-core FP peak (gemm_peak_gflops)
-  int threads = 1;
-};
-
-/// Writes `{"meta": ..., "records": [...]}` to `path`. Each record carries
-/// derived speedup; records with `flops` set also get achieved GFLOPS
-/// (serial and threaded), and with `bytes` set the arithmetic intensity
-/// (flops/byte, using compulsory traffic, so an upper bound) plus the
-/// serial fraction of the measured single-core peak.
-void write_parallel_bench_json(const std::string& path,
-                               const std::vector<ParallelBenchRecord>& records,
-                               const ParallelBenchMeta& meta);
-
 }  // namespace esm::bench

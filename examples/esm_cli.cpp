@@ -42,13 +42,14 @@
 //             measured, 2 shortfall, 3 resumed-and-complete.
 //   pipeline  measure -> train -> gate -> publish in one crash-safe
 //             command: journaled measurement campaigns (auto-resumed from
-//             <manifest-dir>/.pipeline/), deterministic training, the
-//             Acc_TH gate, and an atomic publish of <name>.esm plus the
-//             fleet manifest esm_serve serves from. Rerunning after a
-//             kill at ANY stage converges to a byte-identical published
-//             manifest; a model failing the gate is never published.
-//             Exit codes: 0 published, 2 gate failed, 3 resumed-and-
-//             published.
+//             <manifest-dir>/.pipeline/), the same train -> evaluate ->
+//             extend loop as `train` (extension rounds are journaled
+//             too), and an atomic publish of <name>.esm plus the fleet
+//             manifest esm_serve serves from. Rerunning after a kill at
+//             ANY stage converges to a byte-identical published manifest;
+//             a model that does not pass Acc_TH within --max-iters is
+//             never published. Exit codes: 0 published, 2 gate failed, 3
+//             resumed-and-published.
 //
 // Examples:
 //   esm_cli train --surrogate gbdt --encoder fcc -o /tmp/m.esm
@@ -90,12 +91,6 @@
 
 namespace {
 
-std::string format_full(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
 /// Samples `count` architectures with the shared verification stream so
 /// `train` and `predict` price the same models in different processes.
 std::vector<esm::ArchConfig> verification_archs(const esm::SupernetSpec& spec,
@@ -120,7 +115,7 @@ void print_predictions(const esm::LatencyPredictor& predictor,
     for (int d : archs[i].depths()) depths.push_back(std::to_string(d));
     table.add_row({"[" + esm::join(depths, ",") + "]",
                    std::to_string(archs[i].total_blocks()),
-                   format_full(predicted[i])});
+                   esm::format_g17(predicted[i])});
   }
   table.print(std::cout);
 }
@@ -201,7 +196,7 @@ int run_predict_stdin(const esm::TrainableSurrogate& predictor) {
   const std::vector<double> predicted = predictor.predict_all(archs);
   std::cout << "arch,predicted_ms\n";
   for (std::size_t i = 0; i < archs.size(); ++i) {
-    std::cout << archs[i].to_string() << ',' << format_full(predicted[i])
+    std::cout << archs[i].to_string() << ',' << esm::format_g17(predicted[i])
               << '\n';
   }
   return 0;
@@ -372,9 +367,9 @@ int run_search(const esm::ArgParser& args) {
           std::find(check.true_front.begin(), check.true_front.end(), i) !=
           check.true_front.end();
       os << esm::search::format_arch_request(spec, c.arch) << ','
-         << format_full(c.quality) << ',' << format_full(check.true_ms[i])
-         << ',' << (on_truth ? 1 : 0);
-      for (double ms : c.latency_ms) os << ',' << format_full(ms);
+         << esm::format_g17(c.quality) << ','
+         << esm::format_g17(check.true_ms[i]) << ',' << (on_truth ? 1 : 0);
+      for (double ms : c.latency_ms) os << ',' << esm::format_g17(ms);
       os << "\n";
     }
     return os.str();
@@ -390,12 +385,12 @@ int run_search(const esm::ArgParser& args) {
        << ",\n  \"evaluations\": " << outcome.evaluations
        << ",\n  \"feasible\": " << (outcome.found_feasible ? "true" : "false")
        << ",\n  \"verify_device\": \"" << device.name
-       << "\",\n  \"pareto_regret\": " << format_full(check.regret)
-       << ",\n  \"front_jaccard\": " << format_full(check.jaccard)
+       << "\",\n  \"pareto_regret\": " << esm::format_g17(check.regret)
+       << ",\n  \"front_jaccard\": " << esm::format_g17(check.jaccard)
        << ",\n  \"objectives\": [";
     for (std::size_t k = 0; k < objectives.size(); ++k) {
       os << (k ? ", " : "") << "{\"name\": \"" << objectives[k].name
-         << "\", \"limit_ms\": " << format_full(objectives[k].limit_ms)
+         << "\", \"limit_ms\": " << esm::format_g17(objectives[k].limit_ms)
          << "}";
     }
     os << "],\n  \"front\": [";
@@ -404,11 +399,11 @@ int run_search(const esm::ArgParser& args) {
       const esm::search::ScoredArch& c = outcome.candidates[i];
       os << (n ? "," : "") << "\n    {\"arch\": \""
          << esm::search::format_arch_request(spec, c.arch)
-         << "\", \"quality\": " << format_full(c.quality)
-         << ", \"true_ms\": " << format_full(check.true_ms[i])
+         << "\", \"quality\": " << esm::format_g17(c.quality)
+         << ", \"true_ms\": " << esm::format_g17(check.true_ms[i])
          << ", \"predicted_ms\": [";
       for (std::size_t k = 0; k < c.latency_ms.size(); ++k) {
-        os << (k ? ", " : "") << format_full(c.latency_ms[k]);
+        os << (k ? ", " : "") << esm::format_g17(c.latency_ms[k]);
       }
       os << "]}";
     }
@@ -643,7 +638,7 @@ int run_measure(const esm::ArgParser& args) {
   if (!csv_path.empty()) {
     esm::CsvWriter csv(csv_path, {"arch", "latency_ms"});
     for (const esm::MeasuredSample& s : measured) {
-      csv.add_row({s.arch.to_string(), format_full(s.latency_ms)});
+      csv.add_row({s.arch.to_string(), esm::format_g17(s.latency_ms)});
     }
     std::cout << "Wrote " << csv.row_count() << " sample(s) to " << csv_path
               << "\n";
@@ -697,6 +692,8 @@ int run_pipeline_cmd(const esm::ArgParser& args) {
   config.esm.ensemble_members =
       static_cast<std::size_t>(args.get_int("ensemble-members"));
   config.esm.n_initial = static_cast<int>(args.get_int("n-initial"));
+  config.esm.n_step = static_cast<int>(args.get_int("n-step"));
+  config.esm.max_iterations = static_cast<int>(args.get_int("max-iters"));
   config.esm.n_test = static_cast<int>(args.get_int("n-test"));
   config.esm.n_bins = static_cast<int>(args.get_int("n-bins"));
   config.esm.acc_threshold = args.get_double("acc-th");
@@ -718,7 +715,8 @@ int run_pipeline_cmd(const esm::ArgParser& args) {
   const esm::PipelineResult result = esm::run_pipeline(config);
 
   std::cout << "Measured " << result.train_measured << " train / "
-            << result.test_measured << " test samples";
+            << result.test_measured << " test samples in "
+            << result.iterations << " iteration(s)";
   if (result.replayed_batches > 0) {
     std::cout << " (" << result.replayed_batches
               << " batch(es) replayed from journals)";
@@ -728,7 +726,9 @@ int run_pipeline_cmd(const esm::ArgParser& args) {
             << ", worst bin "
             << esm::format_percent(result.eval.min_bin_accuracy) << ".\n";
   if (!result.gate_passed) {
-    std::cout << "Gate FAILED: nothing was published (manifest untouched).\n";
+    std::cout << "Gate FAILED after " << result.iterations
+              << " iteration(s): nothing was published (manifest "
+                 "untouched).\n";
     return 2;
   }
   std::cout << "Published " << result.artifact_path << " [crc32 "
@@ -791,10 +791,10 @@ int main(int argc, char** argv) {
                   "rtx3080maxq|threadripper|rpi4");
   args.add_string("strategy", "balanced", "sampling (train): random|balanced");
   args.add_int("n-initial", 300, "N_I (train)");
-  args.add_int("n-step", 100, "N_Step (train)");
+  args.add_int("n-step", 100, "N_Step (train/pipeline)");
   args.add_int("n-bins", 5, "N_Bins (train/eval)");
   args.add_double("acc-th", 0.95, "Acc_TH (train/eval)");
-  args.add_int("max-iters", 20, "iteration budget (train)");
+  args.add_int("max-iters", 20, "iteration budget (train/pipeline)");
   args.add_int("count", 10,
                "architectures to price/measure (train/predict/eval/measure)");
   args.add_double("budget-ms", 3.0,
@@ -847,7 +847,9 @@ int main(int argc, char** argv) {
                 "predict: read arch requests one per line from stdin (same "
                 "grammar as the serve protocol) and emit full-precision "
                 "CSV on stdout");
-  args.add_int("threads", 0, "worker threads (measure); 0 = hardware");
+  args.add_int("threads", 0,
+               "worker threads (measure/pipeline); 0 = the ESM_THREADS "
+               "environment variable (default serial)");
   args.add_string("name", "default",
                   "model name to publish under (pipeline)");
   args.add_string("manifest-dir", "/tmp/esm_fleet",

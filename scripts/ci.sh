@@ -192,24 +192,34 @@ $PIPELINE --name cloud --device rtx4090 >/dev/null
 
 # kill -9 mid-pipeline: the rerun resumes from the stage journals (exit 3)
 # or restarts from scratch (exit 0) — either way the published manifest and
-# artifact must be byte-identical to an uninterrupted run's.
-# The campaign is sized so the reference run passes its own Acc_TH gate:
-# at --n-initial 48 its worst depth bin scores 28.4% < 30%, nothing is
-# published and there is nothing to compare; at 96 the worst bin scores
-# 62.2%. The smoke pins crash convergence, so the campaign grows and the
-# gate stays. At 96 the run takes ~0.12 s on a 4-core x86 host, so the
-# 0.05 s kill still lands mid-pipeline (the rerun resumes, exit 3).
-KILL_PIPE="build/examples/esm_cli pipeline --surrogate gbdt --n-initial 96
+# artifact must be byte-identical to an uninterrupted run's. At N_I 48 the
+# worst depth bin fails the first gate, so the run extends its dataset and
+# the kills can land in an extension round; a second kill lets the resumed
+# run get further before it dies.
+KILL_PIPE="build/examples/esm_cli pipeline --surrogate gbdt --n-initial 48
   --n-test 16 --acc-th 0.3 --batch-size 4 --device rpi4 --name edge"
-$KILL_PIPE --manifest-dir "$SMOKE_DIR/fleet_ref" >/dev/null
-timeout -s KILL 0.05 $KILL_PIPE --manifest-dir "$SMOKE_DIR/fleet_kill" \
-  >/dev/null 2>&1 || true
+$KILL_PIPE --manifest-dir "$SMOKE_DIR/fleet_ref" > "$SMOKE_DIR/fleet_ref.out"
+grep -q " in [2-9][0-9]* iteration(s)" "$SMOKE_DIR/fleet_ref.out" \
+  || { echo "fleet smoke FAILED: the reference pipeline did not extend"; \
+       cat "$SMOKE_DIR/fleet_ref.out"; exit 1; }
+for kill_s in 0.05 0.2; do
+  timeout -s KILL "$kill_s" $KILL_PIPE --manifest-dir "$SMOKE_DIR/fleet_kill" \
+    >/dev/null 2>&1 || true
+done
 $KILL_PIPE --manifest-dir "$SMOKE_DIR/fleet_kill" >/dev/null \
   || [ $? -eq 3 ]
 cmp "$SMOKE_DIR/fleet_ref/manifest.esmf" "$SMOKE_DIR/fleet_kill/manifest.esmf" \
   || { echo "fleet smoke FAILED: resumed pipeline manifest differs"; exit 1; }
 cmp "$SMOKE_DIR/fleet_ref/edge.esm" "$SMOKE_DIR/fleet_kill/edge.esm" \
   || { echo "fleet smoke FAILED: resumed pipeline artifact differs"; exit 1; }
+# Out of iterations before the gate passes: exit 2, nothing published.
+EXHAUST_STATUS=0
+$KILL_PIPE --max-iters 1 --manifest-dir "$SMOKE_DIR/fleet_exhaust" >/dev/null \
+  || EXHAUST_STATUS=$?
+[ "$EXHAUST_STATUS" -eq 2 ] \
+  || { echo "fleet smoke FAILED: an unconverged pipeline exited $EXHAUST_STATUS, not 2"; exit 1; }
+[ ! -e "$SMOKE_DIR/fleet_exhaust/manifest.esmf" ] \
+  || { echo "fleet smoke FAILED: an unconverged pipeline published"; exit 1; }
 echo "killed pipeline converged to byte-identical published bytes"
 
 build/examples/esm_serve --manifest "$FLEET_DIR/manifest.esmf" --port 0 \

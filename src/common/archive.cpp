@@ -1,6 +1,5 @@
 #include "common/archive.hpp"
 
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -8,6 +7,7 @@
 
 #include "common/checksum.hpp"
 #include "common/error.hpp"
+#include "common/strings.hpp"
 
 namespace esm {
 namespace {
@@ -18,12 +18,6 @@ constexpr const char* kFooterKey = "esm-archive-crc32";
 // artifacts written by earlier builds keep working, just unprotected.
 constexpr long long kFormatVersion = 2;
 constexpr long long kOldestReadableVersion = 1;
-
-std::string format_value(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 bool valid_key(const std::string& key) {
   if (key.empty()) return false;
@@ -46,7 +40,7 @@ void ArchiveWriter::put_string(const std::string& key,
 
 void ArchiveWriter::put_double(const std::string& key, double value) {
   ESM_REQUIRE(valid_key(key), "invalid archive key: '" << key << "'");
-  entries_.emplace_back(key, "1 " + format_value(value));
+  entries_.emplace_back(key, "1 " + format_g17(value));
 }
 
 void ArchiveWriter::put_int(const std::string& key, long long value) {
@@ -59,7 +53,7 @@ void ArchiveWriter::put_doubles(const std::string& key,
   ESM_REQUIRE(valid_key(key), "invalid archive key: '" << key << "'");
   std::ostringstream os;
   os << values.size();
-  for (double v : values) os << ' ' << format_value(v);
+  for (double v : values) os << ' ' << format_g17(v);
   entries_.emplace_back(key, os.str());
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <sstream>
 
@@ -11,6 +12,19 @@ std::string format_double(double value, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", precision, value);
   return buf;
+}
+
+void append_g17(std::string& out, double value) {
+  char buf[32];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), value,
+                                std::chars_format::general, 17)
+                      .ptr);
+}
+
+std::string format_g17(double value) {
+  std::string out;
+  append_g17(out, value);
+  return out;
 }
 
 std::string format_percent(double fraction, int precision) {

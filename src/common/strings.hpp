@@ -10,6 +10,15 @@ namespace esm {
 /// Formats a double with `precision` digits after the decimal point.
 std::string format_double(double value, int precision = 3);
 
+/// Appends `value` exactly as printf("%.17g") prints it, which round-trips
+/// every double. std::to_chars in general format is specified as that
+/// printf conversion, so the bytes match while skipping its locale and
+/// format parsing; wire payloads, archives and journals all print this way.
+void append_g17(std::string& out, double value);
+
+/// append_g17 into a fresh string.
+std::string format_g17(double value);
+
 /// Formats a fraction in [0,1] as a percentage string, e.g. 0.976 -> "97.6%".
 std::string format_percent(double fraction, int precision = 1);
 

@@ -77,7 +77,7 @@ struct EsmConfig {
 
   // --- execution ---
   /// Worker threads for the shared pool (measurement fan-out, GEMM bands,
-  /// tree split scans). 0 = defer to the ESM_THREADS environment variable
+  /// tree split scans), set by each DatasetGenerator. 0 = ESM_THREADS
   /// (default: serial); 1 = force serial; N = pool of N. Results are
   /// bit-identical at every setting (see common/parallel.hpp).
   int threads = 0;

@@ -32,6 +32,8 @@ DatasetGenerator::DatasetGenerator(const EsmConfig& config,
                                    SimulatedDevice& device, Rng rng)
     : config_(config), device_(&device), rng_(rng) {
   config_.validate();
+  // 0 leaves whatever ESM_THREADS (or set_thread_count) set in place.
+  if (config_.threads > 0) set_thread_count(config_.threads);
 
   // The config's fault profile (if any) governs the device from the first
   // baseline session on; a config without faults leaves whatever profile

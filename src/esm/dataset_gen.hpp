@@ -100,7 +100,8 @@ class DatasetGenerator {
  public:
   /// Draws the reference models and establishes their baseline latencies
   /// over several sessions (median per reference). Installs the config's
-  /// fault profile on the device if the config declares one. With
+  /// fault profile on the device if the config declares one, and applies
+  /// config.threads (when > 0) to the shared pool. With
   /// config.journal set, opens (and on resume, replays the header of) the
   /// campaign journal; a resumed construction restores the journaled
   /// baselines without re-measuring them.

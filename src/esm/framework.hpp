@@ -9,13 +9,17 @@
 //      re-evaluate; repeat until every bin passes or the iteration budget
 //      runs out.
 //
-// The run records per-iteration telemetry (dataset size, per-bin accuracy,
-// measurement cost, training cost) that the Fig. 11 bench replays.
+// Steps 2-4 are run_esm_loop(), fed by EsmFramework's DatasetGenerator or
+// the pipeline's journaled campaign (esm/pipeline.hpp). The run records
+// per-iteration telemetry (dataset size, per-bin accuracy, measurement
+// cost, training cost) that the Fig. 11 bench replays.
 //
 // The surrogate family and encoding are chosen by registry key from
 // EsmConfig (surrogate/encoder); the loop never names a concrete type.
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -50,6 +54,21 @@ struct EsmResult {
   std::vector<MeasuredSample> test_set;
 };
 
+/// Measures a batch of architectures; returns the samples that survived.
+using MeasureFn =
+    std::function<std::vector<MeasuredSample>(const std::vector<ArchConfig>&)>;
+
+/// Steps 2-4 over a measured initial train set and held-out test set. Each
+/// iteration fits a fresh `config.surrogate` (seeded `predictor_seed`; the
+/// LUT profiles on `device`, whose cost clock the reports read) and, until
+/// a fit passes or `config.max_iterations` runs out, measures the Algorithm
+/// 1 archs drawn from `extension_rng` through `measure`.
+EsmResult run_esm_loop(const EsmConfig& config,
+                       std::vector<MeasuredSample> train_set,
+                       std::vector<MeasuredSample> test_set,
+                       const MeasureFn& measure, Rng& extension_rng,
+                       std::uint64_t predictor_seed, SimulatedDevice& device);
+
 /// Drives the full ESM loop against a (simulated) device.
 class EsmFramework {
  public:
@@ -67,7 +86,6 @@ class EsmFramework {
   const EsmConfig& config() const { return config_; }
 
  private:
-  std::unique_ptr<TrainableSurrogate> make_predictor() const;
   EsmResult run_impl(std::optional<std::vector<MeasuredSample>> test_set);
 
   EsmConfig config_;

@@ -12,6 +12,7 @@
 
 #include "common/checksum.hpp"
 #include "common/error.hpp"
+#include "common/strings.hpp"
 #include "esm/config.hpp"
 
 #if defined(_WIN32)
@@ -26,12 +27,6 @@ namespace {
 constexpr const char* kMagicLine = "esm-journal v1";
 constexpr const char* kTypeCampaign = "campaign";
 constexpr const char* kTypeBatch = "batch";
-
-std::string format_value(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 /// Serializes token groups `key count v0 v1 ...` into one record body.
 class BodyWriter {
@@ -50,11 +45,11 @@ class BodyWriter {
     put_token(key, value ? "1" : "0");
   }
   void put_double(const std::string& key, double value) {
-    put_token(key, format_value(value));
+    put_token(key, format_g17(value));
   }
   void put_doubles(const std::string& key, const std::vector<double>& values) {
     begin_group(key, values.size());
-    for (double v : values) os_ << ' ' << format_value(v);
+    for (double v : values) os_ << ' ' << format_g17(v);
   }
   void put_tokens(const std::string& key,
                   const std::vector<std::string>& values) {
@@ -297,17 +292,17 @@ std::uint32_t campaign_config_crc(const EsmConfig& c) {
   os << c.spec.name << '|' << supernet_kind_name(c.spec.kind) << '|'
      << c.spec.num_units << '|' << c.spec.min_blocks_per_unit << '|'
      << c.spec.max_blocks_per_unit << '|' << c.seed << '|'
-     << c.n_reference_models << '|' << format_value(c.qc_variance_limit)
+     << c.n_reference_models << '|' << format_g17(c.qc_variance_limit)
      << '|' << c.qc_max_attempts << '|' << c.qc_baseline_sessions << '|'
-     << format_value(c.faults.timeout_prob) << '|'
-     << format_value(c.faults.timeout_cost_s) << '|'
-     << format_value(c.faults.read_error_prob) << '|'
-     << format_value(c.faults.dropout_prob) << '|'
-     << format_value(c.faults.stuck_clock_prob) << '|'
-     << format_value(c.faults.stuck_clock_slowdown) << '|'
-     << c.retry.max_attempts << '|' << format_value(c.retry.backoff_base_s)
-     << '|' << format_value(c.retry.backoff_multiplier) << '|'
-     << format_value(c.retry.backoff_jitter) << '|'
+     << format_g17(c.faults.timeout_prob) << '|'
+     << format_g17(c.faults.timeout_cost_s) << '|'
+     << format_g17(c.faults.read_error_prob) << '|'
+     << format_g17(c.faults.dropout_prob) << '|'
+     << format_g17(c.faults.stuck_clock_prob) << '|'
+     << format_g17(c.faults.stuck_clock_slowdown) << '|'
+     << c.retry.max_attempts << '|' << format_g17(c.retry.backoff_base_s)
+     << '|' << format_g17(c.retry.backoff_multiplier) << '|'
+     << format_g17(c.retry.backoff_jitter) << '|'
      << c.retry.batch_retry_budget;
   return crc32(os.str());
 }

@@ -1,13 +1,12 @@
 #include "esm/pipeline.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/fsio.hpp"
-#include "esm/dataset_gen.hpp"
+#include "esm/framework.hpp"
 #include "hwsim/device.hpp"
 #include "nets/sampler.hpp"
 #include "serve/fleet.hpp"
@@ -16,49 +15,50 @@
 namespace esm {
 namespace {
 
-/// One journaled measurement stage: samples `count` archs deterministically
-/// from (spec, strategy, seed), measures them in `batch_size` chunks (one
-/// journal record each), resuming from `journal_path` when a previous
-/// attempt left one behind. Returns the samples and accumulates the
-/// replayed-batch count.
-std::vector<MeasuredSample> measure_stage(
-    const PipelineConfig& config, const std::string& journal_path,
-    SamplingStrategy strategy, std::size_t count, std::uint64_t stage_seed,
-    std::size_t& replayed_batches, std::size_t& measured) {
-  EsmConfig stage = config.esm;
-  stage.seed = stage_seed;
-  stage.journal.path = journal_path;
-  stage.journal.resume = true;  // a missing journal is an empty resume
-  stage.journal.durable = config.durable;
-  stage.validate();
+/// One journaled measurement campaign: a device, generator and arch stream
+/// seeded from `seed` alone, so a rerun issues the identical requests and
+/// the journal answers every batch it holds.
+struct Campaign {
+  Campaign(const PipelineConfig& pipeline, std::string journal_path,
+           std::uint64_t seed)
+      : config([&] {
+          EsmConfig stage = pipeline.esm;
+          stage.seed = seed;
+          // Resume always: a missing journal is an empty resume.
+          stage.journal = {std::move(journal_path), true, pipeline.durable};
+          return stage;
+        }()),
+        device(device_by_name(pipeline.device), seed),
+        generator(config, device, Rng(seed).split()),
+        arch_rng(seed ^ 0x7e57a5c5ull),
+        batch_size(pipeline.batch_size) {}
 
-  SimulatedDevice device(device_by_name(config.device), stage_seed);
-  Rng rng(stage_seed);
-  DatasetGenerator generator(stage, device, rng.split());
-
-  // The arch list is a pure function of spec/strategy/seed, so a resumed
-  // invocation re-issues the identical batch partition and the journal
-  // answers the already-measured prefix.
-  const std::unique_ptr<ArchSampler> sampler =
-      make_sampler(stage.spec, strategy, stage.n_bins);
-  Rng arch_rng(stage_seed ^ 0x7e57a5c5ull);
-  const std::vector<ArchConfig> archs = sampler->sample_n(count, arch_rng);
-
-  const std::size_t batch_size =
-      config.batch_size > 0 ? config.batch_size : archs.size();
-  std::vector<MeasuredSample> samples;
-  for (std::size_t begin = 0; begin < archs.size(); begin += batch_size) {
-    const std::size_t end = std::min(begin + batch_size, archs.size());
-    const std::vector<ArchConfig> chunk(archs.begin() + begin,
-                                        archs.begin() + end);
-    const BatchResult batch = generator.measure_batch(chunk);
-    samples.insert(samples.end(), batch.samples.begin(),
-                   batch.samples.end());
+  /// Measures `archs` in `batch_size` chunks, one journal record each.
+  std::vector<MeasuredSample> measure(const std::vector<ArchConfig>& archs) {
+    const std::size_t step = batch_size > 0 ? batch_size : archs.size();
+    std::vector<MeasuredSample> samples;
+    for (std::size_t begin = 0; begin < archs.size(); begin += step) {
+      const std::size_t end = std::min(begin + step, archs.size());
+      const BatchResult batch = generator.measure_batch(
+          std::vector<ArchConfig>(archs.begin() + begin, archs.begin() + end));
+      samples.insert(samples.end(), batch.samples.begin(),
+                     batch.samples.end());
+    }
+    return samples;
   }
-  replayed_batches += generator.replayed_batches();
-  measured = samples.size();
-  return samples;
-}
+
+  std::vector<MeasuredSample> sample_and_measure(SamplingStrategy strategy,
+                                                 int count) {
+    return measure(make_sampler(config.spec, strategy, config.n_bins)
+                       ->sample_n(static_cast<std::size_t>(count), arch_rng));
+  }
+
+  EsmConfig config;
+  SimulatedDevice device;
+  DatasetGenerator generator;
+  Rng arch_rng;
+  std::size_t batch_size;
+};
 
 }  // namespace
 
@@ -84,49 +84,33 @@ PipelineResult run_pipeline(const PipelineConfig& config) {
   // Stages 1-2: journaled measurement. Distinct stage seeds keep the two
   // campaigns (and their journals) independent; both derive only from the
   // config, so a rerun issues the identical campaigns.
-  const std::vector<MeasuredSample> train_set = measure_stage(
-      config, journal_stem + ".train.journal", config.esm.strategy,
-      static_cast<std::size_t>(config.esm.n_initial), config.esm.seed,
-      result.replayed_batches, result.train_measured);
-  const std::vector<MeasuredSample> test_set = measure_stage(
-      config, journal_stem + ".test.journal", SamplingStrategy::kBalanced,
-      static_cast<std::size_t>(config.esm.n_test),
-      config.esm.seed ^ 0x9e3779b97f4a7c15ull, result.replayed_batches,
-      result.test_measured);
-  ESM_REQUIRE(!train_set.empty(), "pipeline measured no training samples");
-  ESM_REQUIRE(!test_set.empty(), "pipeline measured no test samples");
+  Campaign train(config, journal_stem + ".train.journal", config.esm.seed);
+  Campaign test(config, journal_stem + ".test.journal",
+                config.esm.seed ^ 0x9e3779b97f4a7c15ull);
+  std::vector<MeasuredSample> train_set =
+      train.sample_and_measure(config.esm.strategy, config.esm.n_initial);
+  std::vector<MeasuredSample> test_set = test.sample_and_measure(
+      SamplingStrategy::kBalanced, config.esm.n_test);
+  result.test_measured = test_set.size();
 
-  // Stage 3: train. Deterministic in (samples, config, seed); the LUT
-  // family profiles the context device instead of fitting, so it gets its
-  // own deterministically seeded instance.
+  // Stages 3-4: the loop. Extension archs come from the train campaign's
+  // arch stream and the eval report alone and land as train-journal
+  // records, so a rerun re-derives every round and the journal replays it.
+  // The LUT family profiles its context device: a separate seeded one.
   SimulatedDevice train_device(device_by_name(config.device),
                                config.esm.seed);
-  SurrogateContext context;
-  context.spec = config.esm.spec;
-  context.encoder = config.esm.encoder;
-  context.train = config.esm.train;
-  context.seed = config.esm.seed;
-  context.device = &train_device;
-  context.ensemble_members = config.esm.ensemble_members;
-  const std::unique_ptr<TrainableSurrogate> surrogate =
-      SurrogateRegistry::instance().create(config.esm.surrogate, context);
-
-  std::vector<ArchConfig> train_archs;
-  std::vector<double> train_latencies;
-  train_archs.reserve(train_set.size());
-  train_latencies.reserve(train_set.size());
-  for (const MeasuredSample& sample : train_set) {
-    train_archs.push_back(sample.arch);
-    train_latencies.push_back(sample.latency_ms);
-  }
-  surrogate->fit(SurrogateDataset{train_archs, train_latencies});
-
-  // Stage 4: gate. A model below Acc_TH never reaches the manifest.
-  const BinwiseEvaluator evaluator(config.esm.spec, config.esm.n_bins,
-                                   config.esm.acc_threshold);
-  result.eval = evaluator.evaluate(*surrogate, test_set);
-  result.gate_passed = result.eval.passed(config.esm.eval_strategy,
-                                          config.esm.acc_threshold);
+  const EsmResult loop = run_esm_loop(
+      config.esm, std::move(train_set), std::move(test_set),
+      [&](const std::vector<ArchConfig>& archs) {
+        return train.measure(archs);
+      },
+      train.arch_rng, config.esm.seed, train_device);
+  result.train_measured = loop.final_train_set_size;
+  result.iterations = static_cast<int>(loop.iterations.size());
+  result.replayed_batches =
+      train.generator.replayed_batches() + test.generator.replayed_batches();
+  result.eval = loop.iterations.back().eval;
+  result.gate_passed = loop.converged;
   if (!result.gate_passed) return result;
 
   // Stage 5: publish, artifact before manifest. Both writes are atomic;
@@ -135,7 +119,7 @@ PipelineResult run_pipeline(const PipelineConfig& config) {
   result.artifact_path =
       config.manifest_dir + "/" + config.model_name + ".esm";
   result.artifact_crc32 =
-      save_surrogate_atomic(*surrogate, result.artifact_path);
+      save_surrogate_atomic(*loop.predictor, result.artifact_path);
 
   result.manifest_path = config.manifest_dir + "/" + config.manifest_file;
   serve::FleetManifest manifest;

@@ -116,8 +116,8 @@ bool gemm_fma_enabled();
 
 /// Measures the attainable multiply-add peak of this build (same vector
 /// width and contraction rules as the microkernel) by timing independent
-/// mul+add chains for ~`seconds`. Used by bench/micro_perf.cpp to report
-/// fraction-of-peak; not a hot-path function.
+/// mul+add chains for ~`seconds`. Benchmarks report GEMM throughput as a
+/// fraction of it; not a hot-path function.
 double gemm_peak_gflops(double seconds = 0.02);
 
 /// y = A * x for a vector x. Requires x.size() == A.cols().

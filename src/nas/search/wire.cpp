@@ -5,18 +5,10 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/strings.hpp"
 
 namespace esm::search {
 namespace {
-
-/// Shortest round-trip-exact rendering, byte-identical to the serving
-/// protocol's format_latency (both are %.17g, and the payload contract
-/// depends on the bytes matching).
-std::string format_double(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
 
 double parse_double(const std::string& key, const std::string& text) {
   char* end = nullptr;
@@ -125,10 +117,10 @@ std::string format_search_request(const SearchRequest& request) {
      << " generations=" << request.config.generations
      << " seed=" << request.config.seed;
   if (request.config.min_quality > 0.0) {
-    os << " min_quality=" << format_double(request.config.min_quality);
+    os << " min_quality=" << format_g17(request.config.min_quality);
   }
   if (request.config.front_bias > 0.0) {
-    os << " bias=" << format_double(request.config.front_bias);
+    os << " bias=" << format_g17(request.config.front_bias);
   }
   if (!request.models.empty()) {
     os << " models=";
@@ -141,7 +133,7 @@ std::string format_search_request(const SearchRequest& request) {
     os << " limits_ms=";
     for (std::size_t i = 0; i < request.limits_ms.size(); ++i) {
       if (i > 0) os << ',';
-      os << format_double(request.limits_ms[i]);
+      os << format_g17(request.limits_ms[i]);
     }
   }
   return os.str();
@@ -179,11 +171,11 @@ std::string format_front_payload(const SupernetSpec& spec,
   auto entry = [&](const ScoredArch& c) {
     std::string text = format_arch_request(spec, c.arch);
     text += '|';
-    text += format_double(c.quality);
+    text += format_g17(c.quality);
     text += '|';
     for (std::size_t k = 0; k < c.latency_ms.size(); ++k) {
       if (k > 0) text += ',';
-      text += format_double(c.latency_ms[k]);
+      text += format_g17(c.latency_ms[k]);
     }
     return text;
   };

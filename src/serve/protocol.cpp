@@ -1,13 +1,13 @@
 #include "serve/protocol.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/strings.hpp"
 
 namespace esm::serve {
 namespace {
@@ -284,20 +284,7 @@ std::map<std::string, std::string> parse_kv_payload(
   return kv;
 }
 
-void append_latency(std::string& out, double value_ms) {
-  // to_chars in general format at precision 17 is specified as
-  // printf("%.17g"), so the bytes match it exactly (serve_test pins it).
-  char buf[32];
-  out.append(buf, std::to_chars(buf, buf + sizeof(buf), value_ms,
-                                std::chars_format::general, 17)
-                      .ptr);
-}
-
-std::string format_latency(double value_ms) {
-  std::string out;
-  append_latency(out, value_ms);
-  return out;
-}
+std::string format_latency(double value_ms) { return format_g17(value_ms); }
 
 ArchConfig parse_arch_request(const SupernetSpec& spec,
                               std::string_view text) {

@@ -142,12 +142,8 @@ bool parse_response(const std::string& line, ParsedResponse& out);
 std::map<std::string, std::string> parse_kv_payload(const std::string& payload);
 
 /// Full-precision latency formatting used by responses and CSV output:
-/// the bytes of printf("%.17g"), which round-trips a double exactly.
+/// format_g17 (common/strings.hpp), the bytes of printf("%.17g").
 std::string format_latency(double value_ms);
-
-/// Appends format_latency(value_ms) to `out` without a temporary string
-/// (the predict_batch reply joins its values this way).
-void append_latency(std::string& out, double value_ms);
 
 /// Parses one architecture request against `spec` — the shared parser for
 /// the server protocol, `esm_cli measure --archs` files, and `esm_cli

@@ -10,6 +10,7 @@
 #include "common/checksum.hpp"
 #include "common/error.hpp"
 #include "common/fsio.hpp"
+#include "common/strings.hpp"
 #include "nas/search/wire.hpp"
 #include "surrogate/registry.hpp"
 
@@ -55,7 +56,7 @@ std::string batch_payload(const std::vector<double>& values) {
   std::string payload = std::to_string(values.size());
   for (double v : values) {
     payload += ' ';
-    append_latency(payload, v);
+    append_g17(payload, v);
   }
   return payload;
 }
@@ -134,8 +135,9 @@ void PredictionServer::handle_request(const ParsedRequest& request,
     dispatch_request(request, wire_bytes, done);
   } catch (const std::exception& e) {
     // Backstop: no request, however malformed, may take down its
-    // transport. Handlers invoke `done` as their final action, so an
-    // exception escaping here means `done` has not fired yet.
+    // transport. Handlers borrow `done` and move it out only where a
+    // completion takes it over, never before a step that can throw, so an
+    // exception escaping here means `done` is still ours to answer.
     if (done) done(error_reply(ErrorCode::server_error, e.what()));
   }
 }
@@ -182,7 +184,7 @@ void PredictionServer::dispatch_request(const ParsedRequest& request,
                                               deadline_ms);
     if (is_search) {
       // An empty payload is a valid search (every knob has a default).
-      handle_search(std::string(payload), deadline, std::move(done));
+      handle_search(std::string(payload), deadline, done);
       return;
     }
     if (payload.empty()) {
@@ -195,9 +197,9 @@ void PredictionServer::dispatch_request(const ParsedRequest& request,
       return;
     }
     if (request.verb == "predict") {
-      handle_predict(payload, deadline, std::move(done));
+      handle_predict(payload, deadline, done);
     } else {
-      handle_predict_batch(payload, deadline, std::move(done));
+      handle_predict_batch(payload, deadline, done);
     }
     return;
   }
@@ -267,7 +269,7 @@ const FleetModel* PredictionServer::route(
 
 void PredictionServer::handle_predict(
     std::string_view payload, std::chrono::steady_clock::time_point deadline,
-    ReplyCallback done) {
+    ReplyCallback& done) {
   // A hit goes payload -> packed key -> cache -> reply: no ArchConfig and
   // no string beyond the reply's own payload.
   const RoutedPayload routed = split_model_key(payload);
@@ -300,39 +302,46 @@ void PredictionServer::handle_predict(
   metrics_.count_archs(0, 1, section);
   // Only a miss builds the ArchConfig, from the same text, for the batcher.
   ArchConfig arch = parse_arch_request(model->model->spec(), routed.rest);
-  enqueue(std::move(arch), std::shared_ptr<const FleetModel>(fleet, model),
-          deadline,
-          [this, section, key, cache = model->cache,
-           done = std::move(done)](double value, std::exception_ptr error) {
-            if (error == nullptr) {
-              cache->put(key, value);
-              metrics_.count_predict_line(false, section);
-              done(ok_reply("predict", format_latency(value)));
-              return;
-            }
-            try {
-              std::rethrow_exception(error);
-            } catch (const OverloadedError& e) {
-              metrics_.count_predict_error(
-                  section, ServerMetrics::ErrorKind::shed);
-              done(error_reply(ErrorCode::overloaded, e.what()));
-            } catch (const DeadlineExceededError& e) {
-              metrics_.count_predict_error(
-                  section, ServerMetrics::ErrorKind::expired);
-              done(error_reply(ErrorCode::deadline_exceeded, e.what()));
-            } catch (const ConfigError& e) {
-              metrics_.count_predict_error(section);
-              done(error_reply(ErrorCode::bad_arch, e.what()));
-            } catch (const std::exception& e) {
-              metrics_.count_predict_error(section);
-              done(error_reply(ErrorCode::server_error, e.what()));
-            }
-          });
+  auto completion = [this, section, key, cache = model->cache,
+                     done = std::move(done)](double value,
+                                             std::exception_ptr error) {
+    if (error == nullptr) {
+      cache->put(key, value);
+      metrics_.count_predict_line(false, section);
+      done(ok_reply("predict", format_latency(value)));
+      return;
+    }
+    try {
+      std::rethrow_exception(error);
+    } catch (const OverloadedError& e) {
+      metrics_.count_predict_error(section, ServerMetrics::ErrorKind::shed);
+      done(error_reply(ErrorCode::overloaded, e.what()));
+    } catch (const DeadlineExceededError& e) {
+      metrics_.count_predict_error(section,
+                                   ServerMetrics::ErrorKind::expired);
+      done(error_reply(ErrorCode::deadline_exceeded, e.what()));
+    } catch (const ConfigError& e) {
+      metrics_.count_predict_error(section);
+      done(error_reply(ErrorCode::bad_arch, e.what()));
+    } catch (const std::exception& e) {
+      metrics_.count_predict_error(section);
+      done(error_reply(ErrorCode::server_error, e.what()));
+    }
+  };
+  try {
+    enqueue(std::move(arch), std::shared_ptr<const FleetModel>(fleet, model),
+            deadline, std::move(completion));
+  } catch (const std::exception&) {
+    // Wrapping the completion allocates before it moves from it, so a
+    // failed wrap leaves `completion` (and the reply it owns) intact;
+    // enqueue itself answers every failure once it holds the completion.
+    completion(0.0, std::current_exception());
+  }
 }
 
 void PredictionServer::handle_predict_batch(
     std::string_view payload, std::chrono::steady_clock::time_point deadline,
-    ReplyCallback done) {
+    ReplyCallback& done) {
   const RoutedPayload routed = split_model_key(payload);
   const std::shared_ptr<const ModelFleet> fleet = current_fleet();
   const FleetModel* model = route(*fleet, routed.model, done);
@@ -389,12 +398,16 @@ void PredictionServer::handle_predict_batch(
     std::exception_ptr first_error;
   };
 
+  metrics_.count_archs(hit_count, misses.size(), section);
+  if (misses.empty()) {
+    metrics_.count_predict_line(true, section);
+    done(ok_reply("predict_batch", batch_payload(values)));
+    return;
+  }
   auto join = std::make_shared<BatchJoin>();
   join->values = std::move(values);
   join->section = section;
   join->cache = model->cache;
-  join->done = std::move(done);
-  metrics_.count_archs(hit_count, misses.size(), section);
 
   auto finalize = [this](BatchJoin& state) {
     if (state.first_error != nullptr) {
@@ -421,38 +434,47 @@ void PredictionServer::handle_predict_batch(
     state.done(ok_reply("predict_batch", batch_payload(state.values)));
   };
 
-  if (misses.empty()) {
-    metrics_.count_predict_line(true, section);
-    join->done(ok_reply("predict_batch", batch_payload(join->values)));
-    return;
-  }
-
-  // The counter must reach its full value before any completion can fire,
-  // so every miss is enqueued only after `remaining` is set.
+  // From here on the join owns the reply. The counter must reach its
+  // full value before any completion can fire, so every miss is enqueued
+  // only after `remaining` is set.
+  join->done = std::move(done);
   join->remaining.store(misses.size(), std::memory_order_relaxed);
-  for (Miss& miss : misses) {
-    enqueue(std::move(miss.arch),
-            std::shared_ptr<const FleetModel>(fleet, model), deadline,
-            [join, finalize, index = miss.index, key = std::move(miss.key)](
-                double value, std::exception_ptr error) {
-              if (error == nullptr) {
-                join->values[index] = value;
-                join->cache->put(key, value);
-              } else {
-                std::lock_guard<std::mutex> lock(join->error_mutex);
-                if (join->first_error == nullptr) join->first_error = error;
-              }
-              if (join->remaining.fetch_sub(1, std::memory_order_acq_rel) ==
-                  1) {
-                finalize(*join);
-              }
-            });
+  const auto settle = [finalize](BatchJoin& state, std::size_t count,
+                                 std::exception_ptr error) {
+    if (error != nullptr) {
+      std::lock_guard<std::mutex> lock(state.error_mutex);
+      if (state.first_error == nullptr) state.first_error = error;
+    }
+    if (state.remaining.fetch_sub(count, std::memory_order_acq_rel) ==
+        count) {
+      finalize(state);
+    }
+  };
+  std::size_t enqueued = 0;
+  try {
+    for (Miss& miss : misses) {
+      enqueue(std::move(miss.arch),
+              std::shared_ptr<const FleetModel>(fleet, model), deadline,
+              [join, settle, index = miss.index, key = std::move(miss.key)](
+                  double value, std::exception_ptr error) {
+                if (error == nullptr) {
+                  join->values[index] = value;
+                  join->cache->put(key, value);
+                }
+                settle(*join, 1, error);
+              });
+      ++enqueued;
+    }
+  } catch (const std::exception&) {
+    // A completion that could not be wrapped never reached the batcher,
+    // nor did the misses after it: they settle here, as one error.
+    settle(*join, misses.size() - enqueued, std::current_exception());
   }
 }
 
 void PredictionServer::handle_search(
     const std::string& payload, std::chrono::steady_clock::time_point deadline,
-    ReplyCallback done) {
+    ReplyCallback& done) {
   // Parse + validate inline so malformed queries reject without touching
   // the worker. Anything failing before a model is resolved attributes to
   // the "_unrouted" section, same as predict routing failures.
@@ -530,14 +552,18 @@ void PredictionServer::handle_search(
   }
   job.done = std::move(done);
   bool shed = false;
-  {
+  try {
     std::lock_guard<std::mutex> lock(search_mutex_);
     if (config_.max_search_queue != 0 &&
         search_queue_.size() + search_inflight_ >= config_.max_search_queue) {
       shed = true;
     } else {
-      search_queue_.push_back(std::move(job));
+      search_queue_.push_back(std::move(job));  // strong guarantee
     }
+  } catch (const std::exception& e) {
+    metrics_.count_predict_error(job.section);
+    job.done(error_reply(ErrorCode::server_error, e.what()));
+    return;
   }
   if (shed) {
     metrics_.count_predict_error(job.section, ServerMetrics::ErrorKind::shed);
@@ -697,8 +723,8 @@ void PredictionServer::enqueue(
   pending.model = std::move(model);
   pending.deadline = deadline;
   pending.done = std::move(done);
-  bool shed = false;
-  {
+  std::exception_ptr rejected;
+  try {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     // Admission control: shed instead of queueing unboundedly. The caller
     // gets the rejection inline (never a stall), and nothing was admitted,
@@ -709,13 +735,15 @@ void PredictionServer::enqueue(
         config_.max_inflight != 0 &&
         queue_.size() + inflight_ >= config_.max_inflight;
     if (queue_full || inflight_full) {
-      shed = true;
+      rejected = std::make_exception_ptr(OverloadedError());
     } else {
-      queue_.push_back(std::move(pending));
+      queue_.push_back(std::move(pending));  // strong guarantee
     }
+  } catch (const std::exception&) {
+    rejected = std::current_exception();  // the queue could not grow
   }
-  if (shed) {
-    pending.done(0.0, std::make_exception_ptr(OverloadedError()));
+  if (rejected != nullptr) {
+    pending.done(0.0, rejected);
     return;
   }
   queue_cv_.notify_one();

@@ -180,6 +180,10 @@ class PredictionServer {
 
   std::shared_ptr<const ModelFleet> current_fleet() const;
 
+  /// Routes one request. It and the handlers below borrow `done`: they
+  /// answer through it, or move it into the completion that takes the
+  /// request over, and a throw before that handoff leaves it for
+  /// handle_request's backstop to answer.
   void dispatch_request(const ParsedRequest& request, std::size_t wire_bytes,
                         ReplyCallback& done);
 
@@ -191,17 +195,17 @@ class PredictionServer {
 
   void handle_predict(std::string_view payload,
                       std::chrono::steady_clock::time_point deadline,
-                      ReplyCallback done);
+                      ReplyCallback& done);
   /// Validates and admits one `search` request; the reply completes from
   /// the search worker thread (or inline on rejection). Counts into the
   /// prediction-line identity exactly like predict: one `requests`
   /// increment classified miss (the front was computed) or error.
   void handle_search(const std::string& payload,
                      std::chrono::steady_clock::time_point deadline,
-                     ReplyCallback done);
+                     ReplyCallback& done);
   void handle_predict_batch(std::string_view payload,
                             std::chrono::steady_clock::time_point deadline,
-                            ReplyCallback done);
+                            ReplyCallback& done);
   Reply handle_info(const std::string& payload);
   Reply handle_models();
   Reply handle_stats();
@@ -209,7 +213,9 @@ class PredictionServer {
 
   /// Queues one architecture for the batcher against `model`; `done` is
   /// invoked from the batcher thread — or inline with an OverloadedError
-  /// when admission control sheds the entry (queue or in-flight cap hit).
+  /// when admission control sheds the entry (queue or in-flight cap hit),
+  /// or with the exception when the queue cannot grow. Only wrapping
+  /// `done` into the parameter can throw out of this call.
   void enqueue(ArchConfig arch, std::shared_ptr<const FleetModel> model,
                std::chrono::steady_clock::time_point deadline,
                std::function<void(double, std::exception_ptr)> done);

@@ -4,13 +4,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
 
+#include "common/archive.hpp"
+#include "common/checksum.hpp"
 #include "common/error.hpp"
 #include "esm/config.hpp"
 #include "esm/dataset_gen.hpp"
 #include "esm/evaluator.hpp"
 #include "esm/extension.hpp"
 #include "esm/framework.hpp"
+#include "hwsim/device.hpp"
 
 namespace esm {
 namespace {
@@ -448,6 +454,91 @@ TEST(FrameworkTest, ValidatesConfigAtConstruction) {
   cfg.n_step = 0;
   SimulatedDevice device(rtx4090_spec(), 39);
   EXPECT_THROW(EsmFramework(cfg, device), ConfigError);
+}
+
+// ------------------------------------------------------ framework goldens
+
+/// Digest of everything a framework run produces that is not wall-clock
+/// time: each iteration report, the final train and test sets, the
+/// measurement-cost clock, and the saved artifact bytes. Doubles enter
+/// as their bit patterns, so any drift in any bit changes the digest.
+std::string run_digest(const EsmResult& result) {
+  std::string text;
+  const auto put = [&](double v) {
+    text += std::to_string(std::bit_cast<std::uint64_t>(v));
+    text += ' ';
+  };
+  text += std::to_string(result.converged) + ' ' +
+          std::to_string(result.final_train_set_size) + '\n';
+  for (const IterationReport& it : result.iterations) {
+    text += std::to_string(it.iteration) + ' ' +
+            std::to_string(it.train_set_size) + ' ' +
+            std::to_string(it.passed) + ' ';
+    put(it.measurement_seconds);
+    put(it.eval.overall_accuracy);
+    put(it.eval.min_bin_accuracy);
+    for (const BinAccuracy& bin : it.eval.bins) {
+      text += std::to_string(bin.count) + ' ';
+      put(bin.accuracy);
+    }
+    text += '\n';
+  }
+  for (const auto* set : {&result.train_set, &result.test_set}) {
+    for (const MeasuredSample& s : *set) {
+      text += s.arch.to_string() + ' ';
+      put(s.latency_ms);
+    }
+    text += '\n';
+  }
+  put(result.total_measurement_seconds);
+  ArchiveWriter artifact;
+  result.predictor->save(artifact);
+  const std::string bytes = artifact.to_string();
+  return std::to_string(result.iterations.size()) + ':' +
+         crc32_hex(crc32(text)) + ':' + crc32_hex(crc32(bytes));
+}
+
+// Golden digests of three framework runs, which pin every bit the loop
+// computes: restructuring it (the callback that measures, the seeds, the
+// order of fits, profiling and extensions) must not change them.
+TEST(FrameworkGoldenTest, MultiIterationRunIsBitIdentical) {
+  EsmConfig cfg = small_config();
+  cfg.acc_threshold = 0.74;  // passes after two extension rounds
+  cfg.max_iterations = 4;
+  SimulatedDevice device(rtx4090_spec(), 51);
+  const EsmResult result = EsmFramework(cfg, device).run();
+  EXPECT_TRUE(result.converged);
+  EXPECT_EQ(run_digest(result), "3:3c719900:1819bf3b");
+}
+
+TEST(FrameworkGoldenTest, SuppliedTestSetRunIsBitIdentical) {
+  EsmConfig cfg = small_config();
+  cfg.surrogate = "gbdt";
+  cfg.acc_threshold = 0.999;  // unreachable: every iteration extends
+  cfg.max_iterations = 3;
+  SimulatedDevice measured_on(rtx4090_spec(), 53);
+  EsmConfig donor = cfg;
+  donor.max_iterations = 1;
+  const std::vector<MeasuredSample> test_set =
+      EsmFramework(donor, measured_on).run().test_set;
+  SimulatedDevice device(rtx4090_spec(), 55);
+  const EsmResult result = EsmFramework(cfg, device).run(test_set);
+  EXPECT_EQ(result.iterations.size(), 3u);
+  EXPECT_EQ(run_digest(result), "3:dfc92285:b8ddc4b0");
+}
+
+TEST(FrameworkGoldenTest, LutRunProfilesOnTheMeasuringDevice) {
+  // The LUT surrogate profiles its layers on the context device, which
+  // in the framework is the measuring device: profiling between
+  // extension rounds advances that device, and the digest pins the order.
+  EsmConfig cfg = small_config();
+  cfg.surrogate = "lut";
+  cfg.acc_threshold = 0.999;
+  cfg.max_iterations = 2;
+  SimulatedDevice device(device_by_name("rpi4"), 57);
+  const EsmResult result = EsmFramework(cfg, device).run();
+  EXPECT_EQ(result.iterations.size(), 2u);
+  EXPECT_EQ(run_digest(result), "2:7e6cc9c3:9436b606");
 }
 
 }  // namespace

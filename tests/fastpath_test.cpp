@@ -7,6 +7,9 @@
 // PredictionServer::handle_request for an esm2 predict allocates an exact,
 // itemized count on a cache hit and on a miss; parsing the arch, building
 // its cache key, the cache lookup and the latency formatting add none.
+// The same counter injects failures: when the k-th allocation inside a
+// warm handle_request throws std::bad_alloc, for every k, the request is
+// still answered exactly once.
 //
 // The whole-program operator new replacement below counts allocations, so
 // this binary stays out of the sanitizer tiers in scripts/ci.sh (ASan wants
@@ -15,10 +18,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <iterator>
+#include <memory>
 #include <new>
 #include <string>
 #include <thread>
@@ -39,12 +44,23 @@
 
 namespace {
 std::atomic<std::uint64_t> g_new_calls{0};
+// Fault injection on the calling thread: while t_fail_at > 0, its
+// t_fail_at-th allocation (counted in t_seen) throws std::bad_alloc.
+thread_local std::uint64_t t_fail_at = 0;
+thread_local std::uint64_t t_seen = 0;
+
+// Out of line and cold, so operator new stays small enough to inline:
+// an opaque operator new makes GCC flag the inlined delete's free().
+[[gnu::noinline, gnu::cold]] void count_toward_failure() {
+  if (++t_seen == t_fail_at) throw std::bad_alloc();
+}
 }  // namespace
 
 // Replacement allocation functions must live at global scope. new[] is not
 // replaced separately: the default operator new[] forwards here.
 void* operator new(std::size_t size) {
   g_new_calls.fetch_add(1, std::memory_order_relaxed);
+  if (t_fail_at != 0) count_toward_failure();
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
@@ -144,12 +160,12 @@ TEST(FastPathTest, WarmTrainBatchAllocatesNothing) {
   }
 }
 
-/// One esm2 predict as the event loop hands it to the server: the frame
+/// One esm2 request as the event loop hands it to the server: the frame
 /// decoded, its verb named, its payload moved out of the frame.
-serve::ParsedRequest esm2_predict(std::uint64_t id, const std::string& payload,
+serve::ParsedRequest esm2_request(std::uint64_t id, serve::FrameVerb verb,
+                                  const std::string& payload,
                                   std::size_t& wire_bytes) {
-  std::string buffer =
-      serve::encode_request(id, serve::FrameVerb::predict, payload);
+  std::string buffer = serve::encode_request(id, verb, payload);
   serve::Frame frame;
   std::string error;
   EXPECT_EQ(serve::parse_frame(buffer, frame, error, 1 << 20),
@@ -183,8 +199,10 @@ serve::ReplyCallback completion(ReplySlot& slot, std::uint64_t request_id) {
   };
 }
 
-TEST(FastPathTest, ServedPredictAllocatesOnlyItsReplyAndCompletion) {
-  set_thread_count(1);
+/// A server over a small trained MLP with a one-shard, 8-entry cache:
+/// once full, every miss inserts one entry and evicts one, so no rehash
+/// lands in a measured window.
+serve::ServeConfig small_served_config() {
   const SupernetSpec spec = resnet_spec();
   TrainConfig train;
   train.epochs = 5;
@@ -198,22 +216,25 @@ TEST(FastPathTest, ServedPredictAllocatesOnlyItsReplyAndCompletion) {
     latencies.push_back(1.0 + 0.05 * static_cast<double>(arch.total_blocks()));
   }
   surrogate.fit(train_archs, latencies);
-  const std::string artifact = testing::TempDir() + "/fastpath_served.esm";
-  save_surrogate(surrogate, artifact);
-
-  // A full one-shard cache: every miss inserts one entry and evicts one,
-  // so no rehash lands in a measured window.
   serve::ServeConfig config;
-  config.artifact_path = artifact;
+  config.artifact_path = testing::TempDir() + "/fastpath_served.esm";
+  save_surrogate(surrogate, config.artifact_path);
   config.cache_capacity = 8;
   config.cache_shards = 1;
-  serve::PredictionServer server(config);
+  return config;
+}
+
+TEST(FastPathTest, ServedPredictAllocatesOnlyItsReplyAndCompletion) {
+  set_thread_count(1);
+  const SupernetSpec spec = resnet_spec();
+  serve::PredictionServer server(small_served_config());
 
   std::uint64_t next_id = 1;
   const auto serve_one = [&](const std::string& payload) {
     std::size_t wire_bytes = 0;
     const std::uint64_t id = next_id++;
-    const serve::ParsedRequest request = esm2_predict(id, payload, wire_bytes);
+    const serve::ParsedRequest request =
+        esm2_request(id, serve::FrameVerb::predict, payload, wire_bytes);
     ReplySlot slot;
     const std::uint64_t allocs = allocs_during([&] {
       server.handle_request(request, wire_bytes, completion(slot, id));
@@ -267,6 +288,106 @@ TEST(FastPathTest, ServedPredictAllocatesOnlyItsReplyAndCompletion) {
   for (int i = 0; i < 5; ++i) miss_allocs += serve_one(routed(archs[i]));
   EXPECT_EQ(miss_allocs, 5u * (20u + predict_allocs) + 1u);
   EXPECT_EQ(serve_one(routed(archs[0])), 2u);
+}
+
+/// Counts every reply a completion delivers, so a request answered twice
+/// (or never) shows.
+struct CountingSlot {
+  serve::Reply reply;
+  std::atomic<int> replies{0};
+};
+
+serve::ReplyCallback counting_completion(std::shared_ptr<CountingSlot> slot) {
+  return [slot = std::move(slot)](serve::Reply&& reply) {
+    slot->reply = std::move(reply);
+    slot->replies.fetch_add(1, std::memory_order_release);
+  };
+}
+
+/// Waits up to 10 s for a first reply; false if none came.
+bool await_reply(const CountingSlot& slot) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (slot.replies.load(std::memory_order_acquire) == 0) {
+    if (std::chrono::steady_clock::now() > give_up) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+TEST(FastPathTest, EveryRequestIsAnsweredOnceWhenAnAllocationFails) {
+  set_thread_count(1);
+  serve::PredictionServer server(small_served_config());
+  std::uint64_t next_id = 1;
+  // Distinct archs, none served before, so each one misses the cache.
+  int next_fresh = 0;
+  const auto fresh_arch = [&] {
+    const int n = next_fresh++;
+    return "default " + std::to_string(1 + n % 7) + "," +
+           std::to_string(1 + n / 7 % 7) + "," +
+           std::to_string(1 + n / 49 % 7) + ",5";
+  };
+  // Serves one request with the k-th allocation on this thread inside
+  // handle_request failing (k = 0: none; the batcher thread's own
+  // allocations never fail), waits for its reply, then for the batcher to
+  // drain past it (a later miss answered means every earlier completion
+  // fired). Returns whether the injection fired.
+  const auto serve_failing = [&](serve::FrameVerb verb,
+                                 const std::string& payload,
+                                 std::uint64_t k, const std::string& what) {
+    std::size_t wire_bytes = 0;
+    const serve::ParsedRequest request =
+        esm2_request(next_id++, verb, payload, wire_bytes);
+    const auto slot = std::make_shared<CountingSlot>();
+    serve::ReplyCallback done = counting_completion(slot);
+    t_seen = 0;
+    t_fail_at = k;
+    server.handle_request(request, wire_bytes, std::move(done));
+    t_fail_at = 0;
+    const bool fired = k != 0 && t_seen >= k;
+    if (!await_reply(*slot)) {
+      ADD_FAILURE() << what << ", allocation " << k << ": never answered";
+      return false;
+    }
+    const auto barrier = std::make_shared<CountingSlot>();
+    const serve::ParsedRequest drain = esm2_request(
+        next_id++, serve::FrameVerb::predict, fresh_arch(), wire_bytes);
+    server.handle_request(drain, wire_bytes, counting_completion(barrier));
+    EXPECT_TRUE(await_reply(*barrier));
+    EXPECT_EQ(slot->replies.load(), 1) << what << ", allocation " << k;
+    EXPECT_TRUE(slot->reply.ok ||
+                slot->reply.code == serve::ErrorCode::server_error)
+        << what << ", allocation " << k << ": " << slot->reply.payload;
+    if (!fired) {
+      EXPECT_TRUE(slot->reply.ok) << what << ": " << slot->reply.payload;
+    }
+    return fired;
+  };
+  const std::string hit = "default 3:k5,5:k7e0.667,2,7:k3e1";
+  // Warm-up: the batcher's workspace, the pending queue, the histogram.
+  for (int i = 0; i < 16; ++i) {
+    serve_failing(serve::FrameVerb::predict, fresh_arch(), 0, "warm-up");
+  }
+  // Every k up to the request's allocation count on this thread; the
+  // first k that no allocation reaches ends the sweep.
+  const auto sweep = [&](serve::FrameVerb verb, const auto& payload,
+                         const std::string& what) {
+    std::uint64_t k = 1;
+    for (; k < 64; ++k) {
+      serve_failing(serve::FrameVerb::predict, hit, 0, "re-warm");
+      if (!serve_failing(verb, payload(), k, what)) break;
+    }
+    EXPECT_GT(k, 1u) << what << " made no allocation to fail";
+    EXPECT_LT(k, 64u) << what;
+  };
+  sweep(serve::FrameVerb::predict, [&] { return hit; }, "cache hit");
+  sweep(serve::FrameVerb::predict, fresh_arch, "cache miss");
+  sweep(serve::FrameVerb::predict_batch,
+        [&] {
+          return hit + ";" + fresh_arch().substr(8) + ";" +
+                 fresh_arch().substr(8);
+        },
+        "mixed predict_batch");
 }
 
 }  // namespace

@@ -5,12 +5,13 @@
 // each error naming the offending entry, nothing published, the staged
 // generation counter untouched), carry-over of unchanged models across
 // loads, the durable-I/O primitives they ride on, and the measure -> train
-// -> gate -> publish pipeline: gate failures never publish, and a rerun —
-// after completion, after a simulated crash between artifact and manifest,
-// or after losing a journal — converges to a byte-identical published
-// state.
+// -> extend -> gate -> publish pipeline: gate failures never publish, and a
+// rerun — after completion, after a simulated crash between artifact and
+// manifest, after losing a journal, or after a kill at any record of its
+// extension rounds — converges to a byte-identical published state.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -358,6 +359,7 @@ TEST(PipelineTest, PublishesGatedModelsIntoOneLoadableManifest) {
   ASSERT_TRUE(first.gate_passed)
       << "overall accuracy " << first.eval.overall_accuracy;
   ASSERT_TRUE(first.published);
+  EXPECT_EQ(first.iterations, 1);
   EXPECT_EQ(first.train_measured, 32u);
   EXPECT_EQ(first.test_measured, 20u);
   EXPECT_EQ(first.replayed_batches, 0u);
@@ -427,12 +429,15 @@ TEST(PipelineTest, RerunConvergesToByteIdenticalPublishedState) {
 TEST(PipelineTest, GateFailureNeverPublishesAndTheRerunResumes) {
   const std::string dir = fresh_dir("fleet_pipe_gate");
   PipelineConfig config = small_pipeline(dir, "edge");
-  // Unreachable bar for a 32-sample model: every bin at 99.99 %.
+  // Unreachable bar for a 32-sample model: every bin at 99.99 %. One
+  // iteration: the loop gives up without extending.
   config.esm.acc_threshold = 0.9999;
   config.esm.eval_strategy = EvalStrategy::kBinWise;
+  config.esm.max_iterations = 1;
 
   const PipelineResult failed = run_pipeline(config);
   EXPECT_FALSE(failed.gate_passed);
+  EXPECT_EQ(failed.iterations, 1);
   EXPECT_FALSE(failed.published);
   EXPECT_TRUE(failed.artifact_path.empty());
   EXPECT_FALSE(path_exists(dir + "/manifest.esmf"));
@@ -449,6 +454,103 @@ TEST(PipelineTest, GateFailureNeverPublishesAndTheRerunResumes) {
   EXPECT_GT(passed.replayed_batches, 0u);
   EXPECT_TRUE(path_exists(dir + "/manifest.esmf"));
   EXPECT_TRUE(path_exists(dir + "/edge.esm"));
+}
+
+/// First `lines` lines of `text` (a journal cut after a record boundary).
+std::string line_prefix(const std::string& text, std::size_t lines) {
+  std::size_t pos = 0;
+  for (std::size_t i = 0; i < lines; ++i) pos = text.find('\n', pos) + 1;
+  return text.substr(0, pos);
+}
+
+std::size_t count_lines(const std::string& text) {
+  return static_cast<std::size_t>(
+      std::count(text.begin(), text.end(), '\n'));
+}
+
+// A pipeline that extends its dataset three times before every bin passes:
+// each extension round lands as records in the train journal, so a kill
+// at any record boundary (or mid-record) is resumed by replaying the
+// rounds it re-derives, and the published bytes never change.
+TEST(PipelineTest, KillAtAnyExtensionRecordConvergesToTheSameBytes) {
+  const std::string ref_dir = fresh_dir("fleet_pipe_extend_ref");
+  PipelineConfig config = small_pipeline(ref_dir, "edge");
+  config.esm.eval_strategy = EvalStrategy::kBinWise;
+  config.esm.acc_threshold = 0.75;
+  config.esm.n_step = 16;
+  config.esm.max_iterations = 8;
+  const PipelineResult ref = run_pipeline(config);
+  ASSERT_TRUE(ref.published);
+  ASSERT_GE(ref.iterations, 3) << "the case must cross 2+ extension rounds";
+  EXPECT_GT(ref.train_measured, 32u);
+  const std::string manifest = read_file(ref.manifest_path, "manifest");
+  const std::string artifact = read_file(ref.artifact_path, "artifact");
+  const std::string train_journal =
+      read_file(ref_dir + "/.pipeline/edge.train.journal", "train journal");
+  const std::string test_journal =
+      read_file(ref_dir + "/.pipeline/edge.test.journal", "test journal");
+  // Magic and campaign header, then one line per measured batch.
+  const std::size_t train_records = count_lines(train_journal) - 2;
+  const std::size_t test_records = count_lines(test_journal) - 2;
+  ASSERT_GT(train_records, 4u) << "initial batches plus extension rounds";
+
+  const std::string dir = testing::TempDir() + "/fleet_pipe_extend_kill";
+  config.manifest_dir = dir;
+  const auto rerun_from = [&](const std::string& train_bytes,
+                              std::size_t replayed,
+                              const std::string& context) {
+    std::filesystem::remove_all(dir);
+    make_dirs(dir + "/.pipeline");
+    write_file_atomic(dir + "/.pipeline/edge.train.journal", train_bytes);
+    write_file_atomic(dir + "/.pipeline/edge.test.journal", test_journal);
+    const PipelineResult rerun = run_pipeline(config);
+    ASSERT_TRUE(rerun.published) << context;
+    EXPECT_EQ(rerun.iterations, ref.iterations) << context;
+    EXPECT_EQ(rerun.replayed_batches, test_records + replayed) << context;
+    EXPECT_EQ(read_file(rerun.manifest_path, "manifest"), manifest)
+        << context;
+    EXPECT_EQ(read_file(rerun.artifact_path, "artifact"), artifact)
+        << context;
+    EXPECT_EQ(read_file(dir + "/.pipeline/edge.train.journal", "journal"),
+              train_journal)
+        << context;
+  };
+  // Killed before the header, then after each record.
+  rerun_from("", 0, "empty train journal");
+  for (std::size_t k = 0; k <= train_records; ++k) {
+    rerun_from(line_prefix(train_journal, 2 + k), k,
+               "train journal cut after record " + std::to_string(k));
+  }
+  // Killed mid-record: the torn tail is dropped and that batch re-measured.
+  const std::size_t last = train_journal.rfind('\n', train_journal.size() - 2);
+  rerun_from(train_journal.substr(0, last + 1 + 17), train_records - 1,
+             "torn final record");
+
+  // A rerun that re-derives a different extension round than the journal
+  // holds is refused, never measured over: here N_Step changed.
+  PipelineConfig changed = config;
+  changed.manifest_dir = ref_dir;
+  changed.esm.n_step = 12;
+  expect_throw_mentioning([&] { run_pipeline(changed); },
+                          "written for a different batch",
+                          "rerun with a different N_Step");
+  EXPECT_EQ(read_file(ref.artifact_path, "artifact"), artifact);
+}
+
+TEST(PipelineTest, ExhaustedIterationsPublishNothing) {
+  const std::string dir = fresh_dir("fleet_pipe_exhaust");
+  PipelineConfig config = small_pipeline(dir, "edge");
+  config.esm.eval_strategy = EvalStrategy::kBinWise;
+  config.esm.acc_threshold = 0.75;  // needs 4 iterations (see above)
+  config.esm.n_step = 16;
+  config.esm.max_iterations = 2;
+  const PipelineResult result = run_pipeline(config);
+  EXPECT_FALSE(result.gate_passed);
+  EXPECT_FALSE(result.published);
+  EXPECT_EQ(result.iterations, 2);
+  EXPECT_GT(result.train_measured, 32u);  // it did extend once
+  EXPECT_FALSE(path_exists(dir + "/manifest.esmf"));
+  EXPECT_FALSE(path_exists(dir + "/edge.esm"));
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 
 #include "common/checksum.hpp"
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "esm/dataset_gen.hpp"
 #include "esm/framework.hpp"
 #include "esm/journal.hpp"
@@ -384,6 +385,11 @@ CampaignRun run_campaign(EsmConfig cfg,
   const std::size_t limit = std::min(stop_after, batches.size());
   for (std::size_t b = 0; b < limit; ++b) {
     const BatchResult result = generator.measure_batch(batches[b]);
+    // The generator applied cfg.threads: the batch really ran at that
+    // thread count.
+    if (cfg.threads > 0) {
+      EXPECT_EQ(thread_count(), cfg.threads);
+    }
     for (const MeasuredSample& s : result.samples) {
       os << s.arch.to_string() << ',' << full_double(s.latency_ms) << '\n';
     }
