@@ -3,16 +3,16 @@
 // Server mode:
 //   esm_serve model.esm [--port N] [--port-file PATH] [--cache N]
 //             [--max-batch N] [--summary-s SEC] [--threads N]
-//             [--idle-timeout-s SEC] [--backend epoll|poll]
-//             [--max-queue N] [--max-inflight N] [--deadline-ms N]
-//             [--max-searches N] [--chaos PROFILE] [--chaos-seed N]
+//             [--idle-timeout-s SEC] [--max-queue N] [--max-inflight N]
+//             [--deadline-ms N] [--max-searches N] [--chaos PROFILE]
+//             [--chaos-seed N]
 //   esm_serve --manifest fleet/manifest.esmf [...]
 //   Serves a single `.esm` artifact or a whole fleet manifest (`esm_cli
 //   pipeline` publishes these); the two are told apart by file content, so
 //   the positional form works for both. Binds 127.0.0.1:N (N = 0 lets the
 //   kernel pick; the chosen port is printed as "listening on
 //   127.0.0.1:<port>" and written to --port-file when given). All
-//   connections are multiplexed on one epoll (or poll) reactor thread —
+//   connections are multiplexed on one epoll reactor thread —
 //   see src/serve/event_loop.hpp — speaking both wire protocols on the
 //   same port: the newline-delimited esm1 protocol of
 //   src/serve/protocol.hpp and the length-prefixed binary esm2 protocol
@@ -116,11 +116,7 @@ int run_server(const esm::ArgParser& args) {
               << " [crc32 " << boot.artifact_crc32 << "]\n";
   }
 
-  const std::string backend = args.get_string("backend");
-  ESM_REQUIRE(backend == "epoll" || backend == "poll",
-              "--backend must be epoll or poll, got \"" << backend << "\"");
   esm::serve::EventLoopConfig loop_config;
-  loop_config.force_poll = backend == "poll";
   loop_config.idle_timeout_s = args.get_double("idle-timeout-s");
   loop_config.external_stop_check = [] { return g_stop.load(); };
   esm::serve::EventLoop loop(server, loop_config);
@@ -140,8 +136,7 @@ int run_server(const esm::ArgParser& args) {
               << "\n";
   }
   loop.add_listener(std::move(listener));
-  std::cout << "listening on 127.0.0.1:" << port << " [" << loop.backend()
-            << "]" << std::endl;
+  std::cout << "listening on 127.0.0.1:" << port << std::endl;
   const std::string port_file = args.get_string("port-file");
   if (!port_file.empty()) {
     std::ofstream out(port_file);
@@ -164,9 +159,8 @@ int run_server(const esm::ArgParser& args) {
                esm::serve::ServerMetrics::summary_line(server.metrics())
                    .c_str());
   std::fprintf(stderr,
-               "event_loop backend=%s accepted=%llu closed=%llu "
-               "dropped=%llu requests=%llu\n",
-               loop.backend().c_str(),
+               "event_loop accepted=%llu closed=%llu dropped=%llu "
+               "requests=%llu\n",
                static_cast<unsigned long long>(stats.accepted),
                static_cast<unsigned long long>(stats.closed),
                static_cast<unsigned long long>(stats.dropped),
@@ -272,9 +266,6 @@ int main(int argc, char** argv) {
                "prediction threads (0 = ESM_THREADS / serial default)");
   args.add_double("idle-timeout-s", 0.0,
                   "drop connections idle this long (0 = never)");
-  args.add_string("backend", "epoll",
-                  "reactor backend: epoll (falls back to poll off Linux) "
-                  "or poll");
   args.add_int("max-queue", 0,
                "admission queue bound; excess requests are shed with the "
                "retryable `overloaded` error (0 = unbounded)");

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 
 #include "common/error.hpp"
@@ -311,12 +310,6 @@ Matrix Matrix::transposed() const {
   return t;
 }
 
-double Matrix::frobenius_norm() const {
-  double acc = 0.0;
-  for (double x : data_) acc += x * x;
-  return std::sqrt(acc);
-}
-
 void gemm(const Matrix& a, const Matrix& b, Matrix& out) {
   ESM_CHECK(a.cols() == b.rows(), "gemm shape mismatch: " << a.cols()
                                                           << " vs "
@@ -357,30 +350,6 @@ void gemm_a_bt(const Matrix& a, const Matrix& b, Matrix& out) {
     }
   }
   gemm_dispatch({a.data(), k, 1}, bt_scratch.data(), n, out, m, n, k);
-}
-
-std::vector<double> matvec(const Matrix& a, std::span<const double> x) {
-  ESM_CHECK(a.cols() == x.size(), "matvec shape mismatch");
-  std::vector<double> y(a.rows(), 0.0);
-  parallel_for(band_grain(a.rows(), a.cols()), a.rows(),
-               [&](std::size_t r0, std::size_t r1) {
-                 for (std::size_t i = r0; i < r1; ++i) {
-                   const double* row = a.data() + i * a.cols();
-                   double acc = 0.0;
-                   for (std::size_t j = 0; j < a.cols(); ++j) {
-                     acc += row[j] * x[j];
-                   }
-                   y[i] = acc;
-                 }
-               });
-  return y;
-}
-
-double dot(std::span<const double> a, std::span<const double> b) {
-  ESM_CHECK(a.size() == b.size(), "dot length mismatch");
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) acc += a[i] * b[i];
-  return acc;
 }
 
 const char* gemm_backend() { return kGemmBackend; }

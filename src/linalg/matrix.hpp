@@ -72,9 +72,6 @@ class Matrix {
   /// Transposed copy.
   Matrix transposed() const;
 
-  /// Frobenius norm.
-  double frobenius_norm() const;
-
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
@@ -82,14 +79,16 @@ class Matrix {
 };
 
 // The GEMM variants below share one cache-blocked, register-tiled,
-// vectorized microkernel (see DESIGN.md §6g). Large outputs are
-// parallelized over row bands via esm::parallel_for (common/parallel.hpp);
-// small multiplies — the MLP serving shape in particular — stay on the
-// caller thread entirely. Each output element accumulates its k-products
-// in ascending-k order with separate multiply and add (no FMA contraction
-// unless the ESM_FMA build option is on), no matter the SIMD width, tiling,
-// or thread count — so results are bit-identical at every ESM_THREADS
-// setting, on every backend, and to the historical serial kernels.
+// vectorized microkernel (see DESIGN.md §6g). Outputs of 8M multiply-adds
+// and up are parallelized over row bands via esm::parallel_for
+// (common/parallel.hpp); of the shipped binaries only the benches' large
+// full-batch passes reach that (16-58M in fig9 and ablation_encodings).
+// Every serving and esm_cli training multiply stays on the caller thread.
+// Each output element accumulates its k-products in ascending-k order with
+// separate multiply and add (no FMA contraction unless the ESM_FMA build
+// option is on), no matter the SIMD width, tiling, or thread count — so
+// results are bit-identical at every ESM_THREADS setting, on every
+// backend, and to the historical serial kernels.
 // `out` must not alias `a` or `b` (checked); a and b may alias each other.
 
 /// out = a * b. Shapes: (m x k) * (k x n) -> (m x n). `out` is resized.
@@ -119,11 +118,5 @@ bool gemm_fma_enabled();
 /// mul+add chains for ~`seconds`. Benchmarks report GEMM throughput as a
 /// fraction of it; not a hot-path function.
 double gemm_peak_gflops(double seconds = 0.02);
-
-/// y = A * x for a vector x. Requires x.size() == A.cols().
-std::vector<double> matvec(const Matrix& a, std::span<const double> x);
-
-/// Dot product of equal-length spans.
-double dot(std::span<const double> a, std::span<const double> b);
 
 }  // namespace esm

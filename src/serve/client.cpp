@@ -6,7 +6,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
@@ -458,121 +457,5 @@ void EsmClient::reload(const std::string& artifact_path) {
 }
 
 void EsmClient::shutdown() { expect_ok("shutdown", ""); }
-
-HedgedClient::HedgedClient(std::vector<ChannelFactory> endpoints,
-                           Protocol protocol, double hedge_delay_s)
-    : endpoints_(std::move(endpoints)),
-      protocol_(protocol),
-      hedge_delay_s_(hedge_delay_s) {
-  ESM_REQUIRE(!endpoints_.empty(),
-              "hedged client: need at least one endpoint");
-  for (const ChannelFactory& factory : endpoints_) {
-    ESM_REQUIRE(factory != nullptr, "hedged client: null endpoint factory");
-  }
-  ESM_REQUIRE(hedge_delay_s_ > 0.0,
-              "hedged client: hedge_delay_s must be > 0");
-  clients_.resize(endpoints_.size());
-}
-
-EsmClient* HedgedClient::replica(std::size_t index) {
-  if (clients_[index] == nullptr) {
-    clients_[index] =
-        std::make_unique<EsmClient>(endpoints_[index](), protocol_);
-  }
-  return clients_[index].get();
-}
-
-void HedgedClient::discard(std::size_t index) {
-  if (clients_[index] != nullptr) {
-    clients_[index]->close();
-    clients_[index].reset();
-  }
-}
-
-std::size_t HedgedClient::connected() const {
-  std::size_t n = 0;
-  for (const std::unique_ptr<EsmClient>& client : clients_) {
-    n += client != nullptr ? 1 : 0;
-  }
-  return n;
-}
-
-EsmClient::Response HedgedClient::call(const std::string& verb,
-                                       const std::string& payload) {
-  struct Hedge {
-    std::size_t index;
-    std::uint64_t id;
-  };
-  std::vector<Hedge> inflight;
-  std::string last_error = "hedged call: every replica failed";
-  std::size_t next = 0;
-
-  for (;;) {
-    // Launch the next hedge: the primary immediately, then one more each
-    // time a hedge window elapses without a winner.
-    if (next < endpoints_.size()) {
-      const std::size_t index = next++;
-      try {
-        EsmClient* client = replica(index);
-        inflight.push_back({index, client->submit(verb, payload)});
-      } catch (const ConfigError& error) {
-        last_error = error.what();
-        discard(index);
-      }
-    }
-    if (inflight.empty()) {
-      if (next >= endpoints_.size()) throw ConfigError(last_error);
-      continue;  // this replica never launched; move to the next one now
-    }
-    // Wait one hedge window (indefinitely once every replica is in),
-    // polling the in-flight replicas round-robin in short slices so the
-    // first response anywhere wins.
-    const double window =
-        next < endpoints_.size() ? hedge_delay_s_ : 0.25;
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::duration_cast<
-                              std::chrono::steady_clock::duration>(
-                              std::chrono::duration<double>(window));
-    while (!inflight.empty() &&
-           std::chrono::steady_clock::now() < deadline) {
-      for (std::size_t i = 0; i < inflight.size();) {
-        const double slice = std::min(0.01, window);
-        EsmClient::Response response;
-        bool done = false;
-        try {
-          done = clients_[inflight[i].index]->await_for(inflight[i].id,
-                                                        slice, response);
-        } catch (const ConfigError& error) {
-          // This replica's stream died; drop it from the race.
-          last_error = error.what();
-          discard(inflight[i].index);
-          inflight.erase(inflight.begin() +
-                         static_cast<std::ptrdiff_t>(i));
-          continue;
-        }
-        if (done) {
-          // First response wins. Losing replicas have an orphaned request
-          // in flight, so tear them down; they reconnect on the next call.
-          const std::size_t winner = inflight[i].index;
-          for (const Hedge& hedge : inflight) {
-            if (hedge.index != winner) discard(hedge.index);
-          }
-          return response;
-        }
-        ++i;
-      }
-    }
-    if (inflight.empty() && next >= endpoints_.size()) {
-      throw ConfigError(last_error);
-    }
-  }
-}
-
-double HedgedClient::predict(const std::string& arch_spec) {
-  const EsmClient::Response response = call("predict", arch_spec);
-  ESM_REQUIRE(response.ok, "server replied " << response.verb_or_code << ": "
-                                             << response.payload);
-  return std::strtod(response.payload.c_str(), nullptr);
-}
 
 }  // namespace esm::serve

@@ -23,8 +23,7 @@
 // error_code_retryable) or, when a reconnect factory is installed, on
 // transport failure and per-request timeout. Backoff sleeps real
 // wall-clock seconds drawn from seeded Rng substreams, so retry schedules
-// are deterministic. HedgedClient races the same request across replica
-// endpoints with first-response-wins.
+// are deterministic.
 //
 // Not thread-safe: one EsmClient per thread.
 #pragma once
@@ -67,7 +66,7 @@ class ClientChannel {
 };
 
 /// Produces a fresh channel to (the same) server; used by EsmClient
-/// reconnects and by HedgedClient replica endpoints.
+/// reconnects.
 using ChannelFactory = std::function<std::shared_ptr<ClientChannel>()>;
 
 /// Connects a blocking TCP socket to `host`:`port`. Throws
@@ -197,42 +196,6 @@ class EsmClient {
   std::uint64_t retry_draws_ = 0;  ///< substream counter for jitter
   double request_timeout_s_ = 0.0;
   ChannelFactory reconnect_;
-};
-
-/// Races one logical request across replica endpoints: the primary gets it
-/// first; every `hedge_delay_s` without a response the next replica gets a
-/// copy, and the first response to arrive wins. Losing replicas are torn
-/// down (their late responses must not desync a pipeline), reconnecting
-/// lazily on the next call. The winning response is returned as-is — a
-/// structured error from the fastest replica still wins, so wrap calls
-/// with EsmClient::set_retry on each replica when retry semantics are
-/// wanted on top.
-///
-/// Not thread-safe: one HedgedClient per thread.
-class HedgedClient {
- public:
-  /// One factory per replica, primary first. `hedge_delay_s` must be > 0.
-  HedgedClient(std::vector<ChannelFactory> endpoints, Protocol protocol,
-               double hedge_delay_s);
-
-  /// Sends `verb payload` to the primary, hedging to further replicas on
-  /// delay, and returns the first response. Throws esm::ConfigError when
-  /// every replica fails at the transport level.
-  EsmClient::Response call(const std::string& verb, const std::string& payload);
-
-  double predict(const std::string& arch_spec);
-
-  /// Replicas currently connected (for tests).
-  std::size_t connected() const;
-
- private:
-  EsmClient* replica(std::size_t index);
-  void discard(std::size_t index);
-
-  std::vector<ChannelFactory> endpoints_;
-  Protocol protocol_;
-  double hedge_delay_s_;
-  std::vector<std::unique_ptr<EsmClient>> clients_;
 };
 
 }  // namespace esm::serve

@@ -1,20 +1,18 @@
 #include "serve/event_loop.hpp"
 
 #include <fcntl.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <deque>
 #include <map>
 #include <mutex>
 #include <unordered_map>
 #include <utility>
 #include <vector>
-
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
 
 #include "common/error.hpp"
 #include "serve/frame.hpp"
@@ -29,9 +27,9 @@ double elapsed_us(Clock::time_point since) {
       .count();
 }
 
-/// Readiness backend: epoll when the kernel provides it, poll otherwise.
-/// Only real fds register here — the TCP sockets, the listeners, and the
-/// self-pipe. Fd-less loopback connections never touch the poller.
+/// Readiness via epoll(7). Only real fds register here — the TCP sockets,
+/// the listeners, and the self-pipe. Fd-less loopback connections never
+/// touch the poller.
 class Poller {
  public:
   struct Event {
@@ -41,72 +39,30 @@ class Poller {
     bool hangup = false;
   };
 
-  virtual ~Poller() = default;
-  virtual void add(int fd, bool want_read, bool want_write) = 0;
-  virtual void update(int fd, bool want_read, bool want_write) = 0;
-  virtual void remove(int fd) = 0;
-  virtual void wait(std::vector<Event>& out, int timeout_ms) = 0;
-};
-
-class PollPoller final : public Poller {
- public:
-  void add(int fd, bool want_read, bool want_write) override {
-    update(fd, want_read, want_write);
-  }
-
-  void update(int fd, bool want_read, bool want_write) override {
-    short events = 0;
-    if (want_read) events |= POLLIN;
-    if (want_write) events |= POLLOUT;
-    interest_[fd] = events;
-  }
-
-  void remove(int fd) override { interest_.erase(fd); }
-
-  void wait(std::vector<Event>& out, int timeout_ms) override {
-    fds_.clear();
-    for (const auto& [fd, events] : interest_) {
-      fds_.push_back(pollfd{fd, events, 0});
-    }
-    const int n = ::poll(fds_.data(), fds_.size(), timeout_ms);
-    if (n <= 0) return;
-    for (const pollfd& p : fds_) {
-      if (p.revents == 0) continue;
-      Event e;
-      e.fd = p.fd;
-      e.readable = (p.revents & (POLLIN | POLLHUP | POLLERR)) != 0;
-      e.writable = (p.revents & POLLOUT) != 0;
-      e.hangup = (p.revents & (POLLHUP | POLLERR | POLLNVAL)) != 0;
-      out.push_back(e);
+  Poller() : epfd_(::epoll_create1(EPOLL_CLOEXEC)) {
+    if (epfd_ < 0) {
+      throw ConfigError(std::string("epoll_create1(): ") +
+                        std::strerror(errno));
     }
   }
+  ~Poller() { ::close(epfd_); }
 
- private:
-  std::map<int, short> interest_;
-  std::vector<pollfd> fds_;
-};
+  Poller(const Poller&) = delete;
+  Poller& operator=(const Poller&) = delete;
 
-#ifdef __linux__
-class EpollPoller final : public Poller {
- public:
-  explicit EpollPoller(int epfd) : epfd_(epfd) {}
-  ~EpollPoller() override { ::close(epfd_); }
-
-  void add(int fd, bool want_read, bool want_write) override {
+  void add(int fd, bool want_read, bool want_write) {
     epoll_event ev = make_event(fd, want_read, want_write);
     ::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev);
   }
 
-  void update(int fd, bool want_read, bool want_write) override {
+  void update(int fd, bool want_read, bool want_write) {
     epoll_event ev = make_event(fd, want_read, want_write);
     ::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev);
   }
 
-  void remove(int fd) override {
-    ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
-  }
+  void remove(int fd) { ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr); }
 
-  void wait(std::vector<Event>& out, int timeout_ms) override {
+  void wait(std::vector<Event>& out, int timeout_ms) {
     epoll_event events[256];
     const int n = ::epoll_wait(epfd_, events, 256, timeout_ms);
     for (int i = 0; i < n; ++i) {
@@ -130,22 +86,6 @@ class EpollPoller final : public Poller {
 
   int epfd_;
 };
-#endif
-
-std::unique_ptr<Poller> make_poller(bool force_poll, std::string* backend) {
-#ifdef __linux__
-  if (!force_poll) {
-    const int epfd = ::epoll_create1(EPOLL_CLOEXEC);
-    if (epfd >= 0) {
-      *backend = "epoll";
-      return std::make_unique<EpollPoller>(epfd);
-    }
-  }
-#endif
-  (void)force_poll;
-  *backend = "poll";
-  return std::make_unique<PollPoller>();
-}
 
 enum class Proto { unknown, esm1, esm2 };
 
@@ -194,7 +134,7 @@ struct EventLoop::Impl {
   PredictionServer& server;
   EventLoopConfig config;
 
-  std::unique_ptr<Poller> poller;
+  Poller poller;
   int wake_read_fd = -1;
   int wake_write_fd = -1;
   std::atomic<bool> wake_pending{false};
@@ -235,7 +175,7 @@ struct EventLoop::Impl {
     }
     wake_read_fd = fds[0];
     wake_write_fd = fds[1];
-    poller->add(wake_read_fd, true, false);
+    poller.add(wake_read_fd, true, false);
   }
 
   /// Coalesced wake: one byte in the pipe no matter how many callers.
@@ -264,7 +204,7 @@ struct EventLoop::Impl {
     owner.active_.fetch_add(1, std::memory_order_relaxed);
     Conn* raw = conn.get();
     if (raw->fd >= 0) {
-      poller->add(raw->fd, true, false);
+      poller.add(raw->fd, true, false);
       fd_to_conn[raw->fd] = raw->id;
     } else {
       // Fd-less: readiness arrives through the notifier; pick up anything
@@ -288,7 +228,7 @@ struct EventLoop::Impl {
 
   void remove_conn(Conn& conn, CloseKind kind) {
     if (conn.fd >= 0) {
-      poller->remove(conn.fd);
+      poller.remove(conn.fd);
       fd_to_conn.erase(conn.fd);
     }
     conn.io->close();
@@ -517,7 +457,7 @@ struct EventLoop::Impl {
       if (r == IoResult::would_block) {
         if (conn.fd >= 0 && !conn.want_write) {
           conn.want_write = true;
-          poller->update(conn.fd, !conn.paused && !conn.read_shut, true);
+          poller.update(conn.fd, !conn.paused && !conn.read_shut, true);
         }
         break;
       }
@@ -526,7 +466,7 @@ struct EventLoop::Impl {
     }
     if (conn.out.empty() && conn.want_write) {
       conn.want_write = false;
-      poller->update(conn.fd, !conn.paused && !conn.read_shut, false);
+      poller.update(conn.fd, !conn.paused && !conn.read_shut, false);
     }
 
     // Backpressure transitions around the watermarks. Held-back esm1
@@ -535,12 +475,12 @@ struct EventLoop::Impl {
     const std::size_t buffered_bytes = conn.out_bytes + conn.held_bytes;
     if (!conn.paused && buffered_bytes > config.out_high_watermark) {
       conn.paused = true;
-      if (conn.fd >= 0) poller->update(conn.fd, false, conn.want_write);
+      if (conn.fd >= 0) poller.update(conn.fd, false, conn.want_write);
     } else if (conn.paused &&
                buffered_bytes <= config.out_high_watermark / 2) {
       conn.paused = false;
       if (conn.fd >= 0) {
-        poller->update(conn.fd, !conn.read_shut, conn.want_write);
+        poller.update(conn.fd, !conn.read_shut, conn.want_write);
       }
       const std::uint64_t id = conn.id;
       read_conn(conn);
@@ -582,7 +522,7 @@ struct EventLoop::Impl {
       while (std::shared_ptr<Connection> io = listener->accept_one()) {
         register_conn(std::move(io));
       }
-      if (listener->poll_fd() >= 0) poller->remove(listener->poll_fd());
+      if (listener->poll_fd() >= 0) poller.remove(listener->poll_fd());
       listener->close();
     }
     std::vector<std::uint64_t> ids;
@@ -648,7 +588,7 @@ struct EventLoop::Impl {
                        !pending_ready.empty() || pending_accept;
       }
       events.clear();
-      poller->wait(events, have_pending ? 0 : config.tick_ms);
+      poller.wait(events, have_pending ? 0 : config.tick_ms);
       drain_wake_pipe();
 
       // Fd events: listeners accept, connections read/flush.
@@ -721,7 +661,6 @@ struct EventLoop::Impl {
 
 EventLoop::EventLoop(PredictionServer& server, EventLoopConfig config)
     : impl_(std::make_unique<Impl>(*this, server, std::move(config))) {
-  impl_->poller = make_poller(impl_->config.force_poll, &backend_);
   impl_->init_wake_pipe();
 }
 
@@ -729,7 +668,7 @@ EventLoop::~EventLoop() = default;
 
 void EventLoop::add_listener(std::shared_ptr<Listener> listener) {
   if (listener->poll_fd() >= 0) {
-    impl_->poller->add(listener->poll_fd(), true, false);
+    impl_->poller.add(listener->poll_fd(), true, false);
   } else {
     Impl* impl = impl_.get();
     listener->set_ready_notifier([impl] {

@@ -3,8 +3,7 @@
 //
 // Design:
 //   - One thread (the caller of run()) owns every connection. Fd-backed
-//     connections (TCP) register their fd with the poller — epoll(7) when
-//     available, poll(2) otherwise, selected at runtime — while fd-less
+//     connections (TCP) register their fd with epoll(7), while fd-less
 //     connections (the loopback transport) signal readiness through a
 //     notifier that marks the connection ready and wakes the reactor via
 //     its self-pipe. Both kinds flow through identical parse/flush code.
@@ -71,9 +70,6 @@ struct EventLoopConfig {
   /// Seconds a connection may leave output unflushed (slow client) before
   /// it is dropped. 0 disables.
   double write_stall_timeout_s = 30.0;
-  /// Forces the poll(2) backend even when epoll is available (tests cover
-  /// both backends with this).
-  bool force_poll = false;
   /// Polled once per tick; returning true begins the drain. Wired to the
   /// signal flag by esm_serve so SIGINT/SIGTERM stop the loop without the
   /// old 200 ms accept-poll race (the signal handler also writes the wake
@@ -120,13 +116,9 @@ class EventLoop {
   };
   Stats stats() const;
 
-  /// "epoll" or "poll" — which backend the reactor selected.
-  const std::string& backend() const { return backend_; }
-
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
-  std::string backend_;
 
   std::atomic<std::uint64_t> accepted_{0};
   std::atomic<std::uint64_t> closed_{0};

@@ -154,34 +154,6 @@ void scan_arch(const SupernetSpec& spec, std::string_view text, Emit&& emit) {
   }
 }
 
-/// Splits a predict_batch payload on ';' (a trailing ';' adds no element)
-/// and parses each element into `archs`, prefixing an element's error with
-/// its 1-based index.
-template <typename T, typename Parse>
-void parse_batch(std::string_view payload, std::size_t max_archs,
-                 std::vector<T>& archs, Parse&& parse) {
-  std::size_t index = 0;
-  std::size_t next = 0;
-  while (next < payload.size()) {
-    const std::size_t semicolon = payload.find(';', next);
-    const std::string_view element = payload.substr(
-        next, semicolon == std::string_view::npos ? semicolon
-                                                  : semicolon - next);
-    next = semicolon == std::string_view::npos ? payload.size()
-                                               : semicolon + 1;
-    ++index;
-    ESM_REQUIRE(archs.size() < max_archs,
-                "batch exceeds the " << max_archs << "-architecture limit");
-    try {
-      archs.push_back(parse(element));
-    } catch (const ConfigError& e) {
-      throw ConfigError("batch element " + std::to_string(index) + ": " +
-                        e.what());
-    }
-  }
-  ESM_REQUIRE(!archs.empty(), "empty architecture batch");
-}
-
 void append_varint(std::string& out, std::uint64_t value) {
   while (value >= 0x80) {
     out += static_cast<char>((value & 0x7F) | 0x80);
@@ -301,16 +273,6 @@ ArchConfig parse_arch_request(const SupernetSpec& spec,
   return arch;
 }
 
-std::vector<ArchConfig> parse_arch_batch(const SupernetSpec& spec,
-                                         std::string_view payload,
-                                         std::size_t max_archs) {
-  std::vector<ArchConfig> archs;
-  parse_batch(payload, max_archs, archs, [&](std::string_view element) {
-    return parse_arch_request(spec, element);
-  });
-  return archs;
-}
-
 std::string arch_cache_key(const SupernetSpec& spec, std::uint64_t generation,
                            std::string_view text) {
   const std::uint64_t kernels = spec.kernel_options.size();
@@ -350,11 +312,28 @@ std::vector<KeyedArch> arch_cache_keys(const SupernetSpec& spec,
                                        std::uint64_t generation,
                                        std::string_view payload,
                                        std::size_t max_archs) {
-  std::vector<KeyedArch> keys;
-  parse_batch(payload, max_archs, keys, [&](std::string_view element) {
-    return KeyedArch{arch_cache_key(spec, generation, element), element};
-  });
-  return keys;
+  // Split on ';' (a trailing ';' adds no element), prefixing an element's
+  // error with its 1-based index.
+  std::vector<KeyedArch> archs;
+  std::size_t next = 0;
+  while (next < payload.size()) {
+    const std::size_t semicolon = payload.find(';', next);
+    const std::string_view element = payload.substr(
+        next, semicolon == std::string_view::npos ? semicolon
+                                                  : semicolon - next);
+    next = semicolon == std::string_view::npos ? payload.size()
+                                               : semicolon + 1;
+    ESM_REQUIRE(archs.size() < max_archs,
+                "batch exceeds the " << max_archs << "-architecture limit");
+    try {
+      archs.push_back({arch_cache_key(spec, generation, element), element});
+    } catch (const ConfigError& e) {
+      throw ConfigError("batch element " + std::to_string(archs.size() + 1) +
+                        ": " + e.what());
+    }
+  }
+  ESM_REQUIRE(!archs.empty(), "empty architecture batch");
+  return archs;
 }
 
 }  // namespace esm::serve

@@ -154,13 +154,6 @@ std::string format_latency(double value_ms);
 /// including spec validation (unit count, depth range, unknown kernel).
 ArchConfig parse_arch_request(const SupernetSpec& spec, std::string_view text);
 
-/// Splits a predict_batch payload on ';' and parses every element; throws
-/// esm::ConfigError naming the failing element, on an empty batch, or when
-/// the batch exceeds `max_archs`.
-std::vector<ArchConfig> parse_arch_batch(const SupernetSpec& spec,
-                                         std::string_view payload,
-                                         std::size_t max_archs);
-
 /// Parses one architecture request straight into its packed prediction
 /// cache key, without building an ArchConfig: a LEB128 varint of
 /// `generation`, then one LEB128 mixed-radix code per unit,
@@ -182,8 +175,9 @@ struct KeyedArch {
   std::string_view text;
 };
 
-/// parse_arch_batch's element split, limit and errors, with each element
-/// parsed by arch_cache_key.
+/// Splits a predict_batch payload on ';' and keys every element with
+/// arch_cache_key; throws esm::ConfigError naming the failing element, on
+/// an empty batch, or when the batch exceeds `max_archs`.
 std::vector<KeyedArch> arch_cache_keys(const SupernetSpec& spec,
                                        std::uint64_t generation,
                                        std::string_view payload,

@@ -51,6 +51,40 @@ bool deadline_passed(Clock::time_point deadline, Clock::time_point now) {
   return deadline != Clock::time_point::max() && now >= deadline;
 }
 
+/// Counts one failed prediction line on `section` and returns its reply:
+/// the one mapping from a predict or predict_batch failure to its wire
+/// error code and metrics ErrorKind.
+Reply failure_reply(ServerMetrics& metrics, ModelMetrics* section,
+                    std::exception_ptr error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const OverloadedError& e) {
+    metrics.count_predict_error(section, ServerMetrics::ErrorKind::shed);
+    return error_reply(ErrorCode::overloaded, e.what());
+  } catch (const DeadlineExceededError& e) {
+    metrics.count_predict_error(section, ServerMetrics::ErrorKind::expired);
+    return error_reply(ErrorCode::deadline_exceeded, e.what());
+  } catch (const ConfigError& e) {
+    metrics.count_predict_error(section);
+    return error_reply(ErrorCode::bad_arch, e.what());
+  } catch (const std::exception& e) {
+    metrics.count_predict_error(section);
+    return error_reply(ErrorCode::server_error, e.what());
+  }
+}
+
+/// Hands one queued prediction its outcome. A completion that throws has
+/// nowhere left to report to; swallowing it keeps the caller (the batcher
+/// thread, or an inline shed) alive, and the entry is never answered a
+/// second time.
+void answer(const std::function<void(double, std::exception_ptr)>& done,
+            double value, std::exception_ptr error) noexcept {
+  try {
+    done(value, std::move(error));
+  } catch (...) {
+  }
+}
+
 /// The predict_batch ok payload: the count, then every value.
 std::string batch_payload(const std::vector<double>& values) {
   std::string payload = std::to_string(values.size());
@@ -305,28 +339,18 @@ void PredictionServer::handle_predict(
   auto completion = [this, section, key, cache = model->cache,
                      done = std::move(done)](double value,
                                              std::exception_ptr error) {
-    if (error == nullptr) {
-      cache->put(key, value);
-      metrics_.count_predict_line(false, section);
-      done(ok_reply("predict", format_latency(value)));
-      return;
-    }
+    // A failure to cache or format the value answers server_error: the
+    // reply is decided in full before `done` runs, exactly once.
+    Reply reply;
     try {
-      std::rethrow_exception(error);
-    } catch (const OverloadedError& e) {
-      metrics_.count_predict_error(section, ServerMetrics::ErrorKind::shed);
-      done(error_reply(ErrorCode::overloaded, e.what()));
-    } catch (const DeadlineExceededError& e) {
-      metrics_.count_predict_error(section,
-                                   ServerMetrics::ErrorKind::expired);
-      done(error_reply(ErrorCode::deadline_exceeded, e.what()));
-    } catch (const ConfigError& e) {
-      metrics_.count_predict_error(section);
-      done(error_reply(ErrorCode::bad_arch, e.what()));
-    } catch (const std::exception& e) {
-      metrics_.count_predict_error(section);
-      done(error_reply(ErrorCode::server_error, e.what()));
+      if (error != nullptr) std::rethrow_exception(error);
+      cache->put(key, value);
+      reply = ok_reply("predict", format_latency(value));
+      metrics_.count_predict_line(false, section);
+    } catch (...) {
+      reply = failure_reply(metrics_, section, std::current_exception());
     }
+    done(std::move(reply));
   };
   try {
     enqueue(std::move(arch), std::shared_ptr<const FleetModel>(fleet, model),
@@ -410,28 +434,17 @@ void PredictionServer::handle_predict_batch(
   join->cache = model->cache;
 
   auto finalize = [this](BatchJoin& state) {
-    if (state.first_error != nullptr) {
-      try {
+    Reply reply;
+    try {
+      if (state.first_error != nullptr) {
         std::rethrow_exception(state.first_error);
-      } catch (const OverloadedError& e) {
-        metrics_.count_predict_error(state.section,
-                                     ServerMetrics::ErrorKind::shed);
-        state.done(error_reply(ErrorCode::overloaded, e.what()));
-      } catch (const DeadlineExceededError& e) {
-        metrics_.count_predict_error(state.section,
-                                     ServerMetrics::ErrorKind::expired);
-        state.done(error_reply(ErrorCode::deadline_exceeded, e.what()));
-      } catch (const ConfigError& e) {
-        metrics_.count_predict_error(state.section);
-        state.done(error_reply(ErrorCode::bad_arch, e.what()));
-      } catch (const std::exception& e) {
-        metrics_.count_predict_error(state.section);
-        state.done(error_reply(ErrorCode::server_error, e.what()));
       }
-      return;
+      reply = ok_reply("predict_batch", batch_payload(state.values));
+      metrics_.count_predict_line(false, state.section);
+    } catch (...) {
+      reply = failure_reply(metrics_, state.section, std::current_exception());
     }
-    metrics_.count_predict_line(false, state.section);
-    state.done(ok_reply("predict_batch", batch_payload(state.values)));
+    state.done(std::move(reply));
   };
 
   // From here on the join owns the reply. The counter must reach its
@@ -459,7 +472,11 @@ void PredictionServer::handle_predict_batch(
                   double value, std::exception_ptr error) {
                 if (error == nullptr) {
                   join->values[index] = value;
-                  join->cache->put(key, value);
+                  try {
+                    join->cache->put(key, value);
+                  } catch (...) {
+                    error = std::current_exception();
+                  }
                 }
                 settle(*join, 1, error);
               });
@@ -586,6 +603,9 @@ void PredictionServer::search_loop() {
       search_queue_.pop_front();
       ++search_inflight_;
     }
+    // The reply is decided in full before `done` runs, so a completion
+    // that throws is never answered a second time.
+    Reply reply;
     try {
       // Dequeue-time expiry: a search whose deadline lapsed while waiting
       // behind another must not burn the worker.
@@ -611,25 +631,30 @@ void PredictionServer::search_loop() {
           objectives, proxy, [deadline = job.deadline] {
             return deadline_passed(deadline, Clock::now());
           });
+      reply = ok_reply(
+          "search", search::format_front_payload(spec, job.config, outcome));
       metrics_.count_search(outcome.evaluations);
       metrics_.count_predict_line(false, job.section);
-      job.done(ok_reply(
-          "search", search::format_front_payload(spec, job.config, outcome)));
     } catch (const search::SearchCancelled&) {
       metrics_.count_predict_error(job.section,
                                    ServerMetrics::ErrorKind::expired);
-      job.done(error_reply(ErrorCode::deadline_exceeded,
-                           DeadlineExceededError().what()));
+      reply = error_reply(ErrorCode::deadline_exceeded,
+                          DeadlineExceededError().what());
     } catch (const DeadlineExceededError& e) {
       metrics_.count_predict_error(job.section,
                                    ServerMetrics::ErrorKind::expired);
-      job.done(error_reply(ErrorCode::deadline_exceeded, e.what()));
+      reply = error_reply(ErrorCode::deadline_exceeded, e.what());
     } catch (const ConfigError& e) {
       metrics_.count_predict_error(job.section);
-      job.done(error_reply(ErrorCode::bad_request, e.what()));
+      reply = error_reply(ErrorCode::bad_request, e.what());
     } catch (const std::exception& e) {
       metrics_.count_predict_error(job.section);
-      job.done(error_reply(ErrorCode::server_error, e.what()));
+      reply = error_reply(ErrorCode::server_error, e.what());
+    }
+    try {
+      job.done(std::move(reply));
+    } catch (...) {
+      // Nowhere left to report to; the worker serves the next search.
     }
     {
       std::lock_guard<std::mutex> lock(search_mutex_);
@@ -743,7 +768,7 @@ void PredictionServer::enqueue(
     rejected = std::current_exception();  // the queue could not grow
   }
   if (rejected != nullptr) {
-    pending.done(0.0, rejected);
+    answer(pending.done, 0.0, rejected);
     return;
   }
   queue_cv_.notify_one();
@@ -790,31 +815,63 @@ void PredictionServer::batcher_loop() {
       // Everything that accumulated while the previous round was in
       // flight coalesces into this round (bounded by the round's cap).
       const std::size_t n = std::min(depth, batch_cap);
-      drained.reserve(n);
+      try {
+        drained.reserve(n);
+      } catch (...) {
+        // No room for the round: the oldest entry takes the failure, so
+        // the batcher still makes progress.
+        Pending oldest = std::move(queue_.front());
+        queue_.pop_front();
+        lock.unlock();
+        answer(oldest.done, 0.0, std::current_exception());
+        continue;
+      }
       for (std::size_t i = 0; i < n; ++i) {
         drained.push_back(std::move(queue_.front()));
         queue_.pop_front();
       }
       inflight_ += n;
     }
-    // Dequeue-time expiry: entries whose deadline passed while queued are
-    // answered without spending a predict_all slot on them.
-    const Clock::time_point now = Clock::now();
-    std::vector<char> expired(drained.size(), 0);
+    dispatch_round(drained);
+    {
+      std::lock_guard<std::mutex> lock(queue_mutex_);
+      inflight_ -= drained.size();
+    }
+  }
+}
+
+void PredictionServer::dispatch_round(std::vector<Pending>& drained) {
+  // Every entry is answered exactly once, through answer(), after its
+  // value or error is known. Each step that can fail (the bookkeeping
+  // vectors, the batch copy, predict_all) falls back to predicting the
+  // entries it covers one at a time.
+  const auto answer_alone = [](Pending& p) noexcept {
+    double value = 0.0;
+    std::exception_ptr error;
+    try {
+      value = p.model->model->predict_ms(p.arch);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    answer(p.done, value, std::move(error));
+  };
+  // Dequeue-time expiry: entries whose deadline passed while queued are
+  // answered without spending a predict_all slot on them. Group by model:
+  // each group is one predict_all dispatch against the model instance the
+  // requests were routed to. Entries keep their fleet snapshot alive, so a
+  // concurrent reload never invalidates a group.
+  const Clock::time_point now = Clock::now();
+  std::vector<char> expired;
+  std::exception_ptr expiry;  // shared by the round's expired entries
+  std::vector<std::pair<const FleetModel*, std::vector<std::size_t>>> groups;
+  try {
+    expired.assign(drained.size(), 0);
     for (std::size_t i = 0; i < drained.size(); ++i) {
       if (deadline_passed(drained[i].deadline, now)) {
         expired[i] = 1;
-        drained[i].done(0.0,
-                        std::make_exception_ptr(DeadlineExceededError()));
+        if (!expiry) expiry = std::make_exception_ptr(DeadlineExceededError());
+        continue;
       }
-    }
-    // Group by model: each group is one predict_all dispatch against the
-    // model instance the requests were routed to. Entries keep their fleet
-    // snapshot alive, so a concurrent reload never invalidates a group.
-    std::vector<std::pair<const FleetModel*, std::vector<std::size_t>>>
-        groups;
-    for (std::size_t i = 0; i < drained.size(); ++i) {
-      if (expired[i]) continue;
       const FleetModel* key = drained[i].model.get();
       bool found = false;
       for (auto& group : groups) {
@@ -826,36 +883,30 @@ void PredictionServer::batcher_loop() {
       }
       if (!found) groups.emplace_back(key, std::vector<std::size_t>{i});
     }
-    for (const auto& [model, indices] : groups) {
+  } catch (...) {
+    // No room to group the round; nothing has been answered yet.
+    for (Pending& p : drained) answer_alone(p);
+    return;
+  }
+  for (std::size_t i = 0; i < drained.size(); ++i) {
+    if (expired[i]) answer(drained[i].done, 0.0, expiry);
+  }
+  for (const auto& [model, indices] : groups) {
+    metrics_.count_batch(indices.size());
+    std::vector<double> values;  // stays empty when the batch fails
+    try {
       std::vector<ArchConfig> archs;
       archs.reserve(indices.size());
       for (std::size_t i : indices) archs.push_back(drained[i].arch);
-      metrics_.count_batch(indices.size());
-      try {
-        const std::vector<double> values = model->model->predict_all(archs);
-        for (std::size_t k = 0; k < indices.size(); ++k) {
-          drained[indices[k]].done(values[k], nullptr);
-        }
-      } catch (...) {
-        // Per-arch fallback: one failing architecture (e.g. a layer a
-        // device-less LUT never profiled) must not poison the coalesced
-        // requests of other clients.
-        for (std::size_t i : indices) {
-          Pending& p = drained[i];
-          double value = 0.0;
-          std::exception_ptr error;
-          try {
-            value = model->model->predict_ms(p.arch);
-          } catch (...) {
-            error = std::current_exception();
-          }
-          p.done(value, error);
-        }
-      }
+      values = model->model->predict_all(archs);
+    } catch (...) {
+      // Per-arch fallback below: one failing architecture (e.g. a layer a
+      // device-less LUT never profiled) must not poison the coalesced
+      // requests of other clients.
     }
-    {
-      std::lock_guard<std::mutex> lock(queue_mutex_);
-      inflight_ -= drained.size();
+    for (std::size_t k = 0; k < indices.size(); ++k) {
+      Pending& p = drained[indices[k]];
+      values.empty() ? answer_alone(p) : answer(p.done, values[k], nullptr);
     }
   }
 }

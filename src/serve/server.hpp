@@ -221,6 +221,8 @@ class PredictionServer {
                std::function<void(double, std::exception_ptr)> done);
 
   void batcher_loop();
+  /// Predicts and answers one drained batcher round.
+  void dispatch_round(std::vector<Pending>& drained);
   void search_loop();
   void summary_loop();
 

@@ -1,4 +1,4 @@
-// Tests for the epoll/poll reactor front end (serve/event_loop.hpp), the
+// Tests for the epoll reactor front end (serve/event_loop.hpp), the
 // transport abstractions (serve/transport.hpp), and the EsmClient library
 // (serve/client.hpp): both protocols round-tripping every verb through the
 // loop, esm1 and esm2 sharing one listener concurrently, esm2 pipelining
@@ -6,11 +6,14 @@
 // response ordering, the malformed-frame rejection matrix at the
 // connection level, backpressure (pause/resume and the slow-client drop),
 // idle timeouts, drain semantics (every request on the wire answered,
-// partial trailing bytes discarded), the poll(2) backend, a real-TCP
-// smoke, and the headline pin: 10,000 concurrent fd-less connections,
-// zero drops, every response bit-identical to offline predict_all, stats
-// reconciling exactly.
+// partial trailing bytes discarded), a real-TCP smoke, and the headline
+// pin: 10,000 concurrent fd-less connections, zero drops, every response
+// bit-identical to offline predict_all, stats reconciling exactly.
 #include <gtest/gtest.h>
+
+#include <fcntl.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -511,18 +514,26 @@ TEST(EventLoopTest, ShutdownVerbDrainsTheLoop) {
   EXPECT_EQ(harness.listener->connect(), nullptr);
 }
 
-TEST(EventLoopTest, PollBackendServesIdentically) {
-  EventLoopConfig loop_config;
-  loop_config.force_poll = true;
-  Harness harness(serve_config(artifact()), loop_config);
-  EXPECT_EQ(harness.loop.backend(), "poll");
-  EsmClient esm1 = harness.client(Protocol::esm1);
-  EsmClient esm2 = harness.client(Protocol::esm2);
-  const EsmClient::Response a = esm1.call("predict", "3,5,2,7");
-  const EsmClient::Response b = esm2.call("predict", "3,5,2,7");
-  ASSERT_TRUE(a.ok);
-  ASSERT_TRUE(b.ok);
-  EXPECT_EQ(a.payload, b.payload);
+TEST(EventLoopTest, EpollFailureIsAConfigError) {
+  // With no descriptor left to hand out, epoll_create1 fails (EMFILE) and
+  // constructing the loop reports it, naming the call.
+  PredictionServer server(serve_config(artifact()));
+  const int lowest_free = ::open("/dev/null", O_RDONLY);
+  ASSERT_GE(lowest_free, 0);
+  ::close(lowest_free);
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit tight = saved;
+  tight.rlim_cur = static_cast<rlim_t>(lowest_free);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &tight), 0);
+  std::string error;
+  try {
+    EventLoop loop(server);
+  } catch (const ConfigError& e) {
+    error = e.what();
+  }
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  EXPECT_EQ(error.rfind("epoll_create1(): ", 0), 0u) << error;
 }
 
 TEST(EventLoopTest, TcpTransportEndToEnd) {

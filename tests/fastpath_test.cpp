@@ -22,6 +22,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <future>
 #include <iterator>
 #include <memory>
 #include <new>
@@ -388,6 +389,94 @@ TEST(FastPathTest, EveryRequestIsAnsweredOnceWhenAnAllocationFails) {
                  fresh_arch().substr(8);
         },
         "mixed predict_batch");
+}
+
+TEST(FastPathTest, EveryBatchedEntryIsAnsweredOnceWhenABatcherAllocationFails) {
+  // The same sweep on the batcher thread: an arming miss's completion,
+  // which runs there, arms that thread's injector for its k-th next
+  // allocation, then holds the batcher until two misses and a mixed
+  // predict_batch are queued, so they drain as one round. Wherever the
+  // failure lands (the round's bookkeeping, the batch copy, predict_all,
+  // a cache insert, a reply), every request is answered exactly once.
+  set_thread_count(1);
+  serve::PredictionServer server(small_served_config());
+  std::uint64_t next_id = 1;
+  int next_fresh = 0;
+  const auto fresh_arch = [&] {
+    const int n = next_fresh++;
+    return std::to_string(1 + n % 7) + "," + std::to_string(1 + n / 7 % 7) +
+           "," + std::to_string(1 + n / 49 % 7) + ",6";
+  };
+  const auto submit = [&](serve::FrameVerb verb, const std::string& payload,
+                          serve::ReplyCallback done) {
+    std::size_t wire_bytes = 0;
+    const serve::ParsedRequest request =
+        esm2_request(next_id++, verb, payload, wire_bytes);
+    server.handle_request(request, wire_bytes, std::move(done));
+  };
+  const std::string hit = "3:k5,5:k7e0.667,2,7:k3e1";
+  // Serves one round with the k-th batcher allocation failing; returns
+  // whether the injection fired before the closing miss disarmed it.
+  const auto serve_round = [&](std::uint64_t k) {
+    const auto armer = std::make_shared<CountingSlot>();
+    std::promise<void> queued;
+    const std::shared_future<void> go = queued.get_future().share();
+    submit(serve::FrameVerb::predict, fresh_arch(),
+           [armer, go, k](serve::Reply&& reply) {
+             armer->reply = std::move(reply);
+             armer->replies.fetch_add(1, std::memory_order_release);
+             go.wait();
+             t_seen = 0;
+             t_fail_at = k;
+           });
+    EXPECT_TRUE(await_reply(*armer)) << "allocation " << k;
+    std::vector<std::shared_ptr<CountingSlot>> slots;
+    for (int i = 0; i < 3; ++i) {
+      slots.push_back(std::make_shared<CountingSlot>());
+      if (i < 2) {
+        submit(serve::FrameVerb::predict, fresh_arch(),
+               counting_completion(slots.back()));
+      } else {
+        submit(serve::FrameVerb::predict_batch,
+               hit + ";" + fresh_arch() + ";" + fresh_arch(),
+               counting_completion(slots.back()));
+      }
+    }
+    queued.set_value();
+    for (const auto& slot : slots) {
+      EXPECT_TRUE(await_reply(*slot)) << "allocation " << k;
+    }
+    const auto closer = std::make_shared<CountingSlot>();
+    const auto fired = std::make_shared<std::atomic<bool>>(false);
+    submit(serve::FrameVerb::predict, fresh_arch(),
+           [closer, fired](serve::Reply&& reply) {
+             fired->store(t_fail_at != 0 && t_seen >= t_fail_at);
+             t_fail_at = 0;
+             closer->reply = std::move(reply);
+             closer->replies.fetch_add(1, std::memory_order_release);
+           });
+    EXPECT_TRUE(await_reply(*closer)) << "allocation " << k;
+    slots.push_back(armer);
+    slots.push_back(closer);
+    for (const auto& slot : slots) {
+      EXPECT_EQ(slot->replies.load(), 1) << "allocation " << k;
+      EXPECT_TRUE(slot->reply.ok ||
+                  slot->reply.code == serve::ErrorCode::server_error)
+          << "allocation " << k << ": " << slot->reply.payload;
+    }
+    return fired->load();
+  };
+  submit(serve::FrameVerb::predict, hit,
+         counting_completion(std::make_shared<CountingSlot>()));
+  for (int i = 0; i < 4; ++i) serve_round(0);  // warm-up
+  std::uint64_t k = 1;
+  for (; k < 256; ++k) {
+    if (!serve_round(k)) break;
+  }
+  EXPECT_GT(k, 1u) << "the batcher made no allocation to fail";
+  EXPECT_LT(k, 256u);
+  const serve::MetricsSnapshot snap = server.metrics();
+  EXPECT_EQ(snap.requests, snap.hits + snap.misses + snap.errors);
 }
 
 }  // namespace

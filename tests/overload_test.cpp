@@ -4,8 +4,7 @@
 // answering `overloaded` instead of stalling, degraded mode under
 // sustained pressure, the shed/expired/degraded metrics reconciling with
 // the accounting identity, and the client side: RetryPolicy-driven
-// retries of retryable errors, per-request timeouts with reconnect, and
-// hedged requests across replicas with first-response-wins.
+// retries of retryable errors and per-request timeouts with reconnect.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -31,7 +30,6 @@ using serve::ClientChannel;
 using serve::EsmClient;
 using serve::Frame;
 using serve::FrameVerb;
-using serve::HedgedClient;
 using serve::LoopbackChannel;
 using serve::Protocol;
 using serve::ServeConfig;
@@ -329,7 +327,7 @@ TEST(OverloadTest, SustainedPressureEntersDegradedMode) {
                 stat(stats, "errors"));
 }
 
-// -- client retry / timeout / hedging --------------------------------------
+// -- client retry / timeout -----------------------------------------------
 
 /// Scripted channel: replays canned esm1 responses, one per send.
 class ScriptedChannel final : public ClientChannel {
@@ -529,76 +527,6 @@ TEST(ClientRetryTest, EndToEndRetryRidesOutShedding) {
             stat(stats, "hits") + stat(stats, "misses") +
                 stat(stats, "errors"));
   EXPECT_EQ(stat(stats, "errors"), stat(stats, "shed"));
-}
-
-TEST(HedgedClientTest, HedgesToSecondReplicaWhenPrimaryHangs) {
-  auto hanging = std::make_shared<ScriptedChannel>(std::vector<std::string>{});
-  hanging->hang_when_exhausted();
-  auto healthy = std::make_shared<ScriptedChannel>(std::vector<std::string>{
-      "esm1 ok predict 4.5\n",
-  });
-  HedgedClient client(
-      {[hanging]() -> std::shared_ptr<ClientChannel> { return hanging; },
-       [healthy]() -> std::shared_ptr<ClientChannel> { return healthy; }},
-      Protocol::esm1, /*hedge_delay_s=*/0.02);
-  EXPECT_EQ(client.predict("3,5,2,7"), 4.5);
-  // The winner stays connected; the hanging loser was torn down.
-  EXPECT_EQ(client.connected(), 1u);
-  EXPECT_EQ(hanging->sends(), 1);
-}
-
-TEST(HedgedClientTest, PrimaryWinsWithoutHedging) {
-  auto primary = std::make_shared<ScriptedChannel>(std::vector<std::string>{
-      "esm1 ok predict 5.5\n",
-  });
-  int secondary_connects = 0;
-  HedgedClient client(
-      {[primary]() -> std::shared_ptr<ClientChannel> { return primary; },
-       [&secondary_connects]() -> std::shared_ptr<ClientChannel> {
-         ++secondary_connects;
-         return std::make_shared<ScriptedChannel>(
-             std::vector<std::string>{});
-       }},
-      Protocol::esm1, /*hedge_delay_s=*/5.0);
-  EXPECT_EQ(client.predict("3,5,2,7"), 5.5);
-  EXPECT_EQ(secondary_connects, 0) << "no hedge should have launched";
-}
-
-TEST(HedgedClientTest, AllReplicasDeadThrows) {
-  HedgedClient client(
-      {[]() -> std::shared_ptr<ClientChannel> {
-         return std::make_shared<ScriptedChannel>(
-             std::vector<std::string>{});
-       },
-       []() -> std::shared_ptr<ClientChannel> {
-         return std::make_shared<ScriptedChannel>(
-             std::vector<std::string>{});
-       }},
-      Protocol::esm1, /*hedge_delay_s=*/0.01);
-  EXPECT_THROW(client.predict("3,5,2,7"), ConfigError);
-}
-
-TEST(HedgedClientTest, EndToEndAcrossTwoRealServers) {
-  // Two independent servers from the same artifact: hedged calls must
-  // serve the same values a direct client sees, whichever replica wins.
-  Harness primary(serve_config(artifact()));
-  Harness secondary(serve_config(artifact()));
-  HedgedClient client(
-      {[&primary]() -> std::shared_ptr<ClientChannel> {
-         return serve::loopback_channel(primary.listener->connect());
-       },
-       [&secondary]() -> std::shared_ptr<ClientChannel> {
-         return serve::loopback_channel(secondary.listener->connect());
-       }},
-      Protocol::esm2, /*hedge_delay_s=*/0.05);
-  EsmClient direct = primary.client(Protocol::esm2);
-  for (const std::string& spec : arch_pool(16)) {
-    const EsmClient::Response hedged = client.call("predict", spec);
-    const EsmClient::Response expected = direct.call("predict", spec);
-    ASSERT_TRUE(hedged.ok) << hedged.raw;
-    ASSERT_TRUE(expected.ok);
-    EXPECT_EQ(hedged.payload, expected.payload) << spec;
-  }
 }
 
 }  // namespace

@@ -14,9 +14,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <future>
 #include <map>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -743,6 +747,112 @@ TEST(FleetServeTest, StatsListTheModelsRequestsReachedAcrossReloads) {
   stats = client.stats();
   EXPECT_EQ(stat(stats, "model.bravo.requests"), 1u);
   EXPECT_EQ(stat(stats, "requests"), 2u);
+}
+
+/// Counts the invocations of one ReplyCallback, so a request answered
+/// twice (or never) shows.
+struct CompletionProbe {
+  std::atomic<int> calls{0};
+  std::atomic<bool> ok{false};
+};
+
+/// A ReplyCallback feeding `probe`; throws on its first call when
+/// `throw_first` is set.
+serve::ReplyCallback probe_callback(std::shared_ptr<CompletionProbe> probe,
+                                    bool throw_first) {
+  return [probe = std::move(probe), throw_first](serve::Reply&& reply) {
+    probe->ok.store(reply.ok);
+    if (probe->calls.fetch_add(1) == 0 && throw_first) {
+      throw std::runtime_error("completion failed");
+    }
+  };
+}
+
+/// Waits up to 10 s for a first call; false if none came.
+bool await_first_call(const CompletionProbe& probe) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (probe.calls.load() == 0) {
+    if (std::chrono::steady_clock::now() > give_up) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+TEST(ServeTest, ThrowingCompletionIsInvokedExactlyOnce) {
+  // A ReplyCallback that throws must not make the batcher answer its
+  // entry, or the entries coalesced with it, a second time, nor take the
+  // batcher thread down; likewise for the search worker.
+  PredictionServer server(serve_config(artifact_a()));
+  const std::vector<std::string> pool = arch_pool(16);  // distinct misses
+  std::size_t next = 0;
+  const auto submit = [&](serve::ReplyCallback done) {
+    serve::ParsedRequest request;
+    request.verb = "predict";
+    request.payload = pool.at(next++);
+    server.handle_request(request, request.payload.size(), std::move(done));
+  };
+
+  // Alone: one miss whose completion throws.
+  const auto lone = std::make_shared<CompletionProbe>();
+  submit(probe_callback(lone, true));
+  ASSERT_TRUE(await_first_call(*lone));
+
+  // Coalesced: a gate miss holds the batcher inside its completion while
+  // three plain misses and then a throwing one queue behind it, so all
+  // four drain into one round and the throw comes after the others were
+  // answered.
+  std::promise<void> open;
+  const std::shared_future<void> opened = open.get_future().share();
+  const auto gate = std::make_shared<CompletionProbe>();
+  submit([gate, opened](serve::Reply&&) {
+    gate->calls.fetch_add(1);
+    opened.wait();
+  });
+  ASSERT_TRUE(await_first_call(*gate));
+  std::vector<std::shared_ptr<CompletionProbe>> round;
+  for (int i = 0; i < 4; ++i) {
+    round.push_back(std::make_shared<CompletionProbe>());
+    submit(probe_callback(round.back(), i == 3));
+  }
+  open.set_value();
+  for (const auto& probe : round) ASSERT_TRUE(await_first_call(*probe));
+
+  // The batcher is alive: a later miss is served. Its round runs after
+  // every earlier one, so a second invocation would have landed by now.
+  const auto after = std::make_shared<CompletionProbe>();
+  submit(probe_callback(after, false));
+  ASSERT_TRUE(await_first_call(*after));
+  EXPECT_TRUE(after->ok.load());
+
+  // The search worker keeps the same rule: a throwing completion is
+  // invoked once, and the next search is served.
+  std::vector<std::shared_ptr<CompletionProbe>> searches;
+  for (int i = 0; i < 2; ++i) {
+    searches.push_back(std::make_shared<CompletionProbe>());
+    serve::ParsedRequest request;
+    request.verb = "search";
+    request.payload = "population=8 generations=1 seed=" + std::to_string(i);
+    server.handle_request(request, request.payload.size(),
+                          probe_callback(searches.back(), i == 0));
+  }
+  ASSERT_TRUE(await_first_call(*searches[1]));
+  for (const auto& probe : searches) {
+    EXPECT_EQ(probe->calls.load(), 1);
+    EXPECT_TRUE(probe->ok.load());
+  }
+
+  EXPECT_EQ(lone->calls.load(), 1);
+  EXPECT_EQ(gate->calls.load(), 1);
+  for (const auto& probe : round) {
+    EXPECT_EQ(probe->calls.load(), 1);
+    EXPECT_TRUE(probe->ok.load());
+  }
+  const serve::MetricsSnapshot snap = server.metrics();
+  EXPECT_GE(snap.max_batch, 4u) << "the four misses did not coalesce";
+  EXPECT_EQ(snap.requests, 9u);
+  EXPECT_EQ(snap.errors, 0u);
+  EXPECT_EQ(snap.requests, snap.hits + snap.misses + snap.errors);
 }
 
 TEST(ServeTest, DenseNetExpansionSpellingsShareOneEntryAndOneValue) {

@@ -1,11 +1,9 @@
-// Unit tests for src/surrogate: the MLP surrogate, the layer-wise lookup
-// table (with bias correction), and the FLOPs proxy.
+// Unit tests for src/surrogate: the MLP surrogate and the layer-wise lookup
+// table (with bias correction).
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <cstdio>
-#include <map>
 
 #include "common/archive.hpp"
 #include "common/error.hpp"
@@ -14,7 +12,6 @@
 #include "ml/metrics.hpp"
 #include "nets/builder.hpp"
 #include "nets/sampler.hpp"
-#include "surrogate/flops_proxy.hpp"
 #include "surrogate/ensemble_surrogate.hpp"
 #include "surrogate/gcn_surrogate.hpp"
 #include "surrogate/lut_surrogate.hpp"
@@ -345,91 +342,6 @@ TEST(GcnSurrogateTest, PredictBeforeFitThrows) {
   GcnSurrogate gcn(resnet_spec(), {.hidden = 8, .epochs = 2});
   ArchConfig arch;
   EXPECT_THROW(gcn.predict_ms(arch), ConfigError);
-}
-
-// ---------------------------------------------------------- FLOPs proxy
-
-TEST(FlopsProxyTest, GflopsPositiveAndMonotone) {
-  const SupernetSpec spec = resnet_spec();
-  FlopsProxy proxy(spec);
-  ArchConfig small, large;
-  small.kind = large.kind = spec.kind;
-  for (int u = 0; u < 4; ++u) {
-    UnitConfig s, l;
-    s.blocks = {{3, 0.5}};
-    for (int b = 0; b < 7; ++b) l.blocks.push_back({7, 1.0});
-    small.units.push_back(s);
-    large.units.push_back(l);
-  }
-  EXPECT_GT(proxy.gflops(small), 0.0);
-  EXPECT_GT(proxy.gflops(large), proxy.gflops(small) * 3.0);
-}
-
-TEST(FlopsProxyTest, CalibrationFitsAffineMap) {
-  const SupernetSpec spec = resnet_spec();
-  const TestData data = make_data(spec, raspberry_pi4_spec(), 200, 50, 13);
-  FlopsProxy proxy(spec);
-  proxy.fit(data.train_archs, data.train_y);
-  // On the compute-bound Pi, FLOPs explain latency reasonably well.
-  EXPECT_GT(mean_accuracy(proxy.predict_all(data.test_archs), data.test_y),
-            0.7);
-}
-
-TEST(FlopsProxyTest, NotablyWorseThanHardwareAwareSurrogate) {
-  // The paper's core argument against proxy metrics: hardware-agnostic
-  // FLOPs cannot match a hardware-aware surrogate on a device with
-  // irregular kernel behaviour.
-  const SupernetSpec spec = resnet_spec();
-  const TestData gpu = make_data(spec, rtx4090_spec(), 1200, 300, 14);
-  FlopsProxy proxy(spec);
-  proxy.fit(gpu.train_archs, gpu.train_y);
-  const double proxy_acc =
-      mean_accuracy(proxy.predict_all(gpu.test_archs), gpu.test_y);
-
-  MlpSurrogate surrogate(make_encoder(EncodingKind::kFcc, spec),
-                         fast_train(), 15);
-  surrogate.fit(gpu.train_archs, gpu.train_y);
-  const double surrogate_acc =
-      mean_accuracy(surrogate.predict_all(gpu.test_archs), gpu.test_y);
-  EXPECT_GT(surrogate_acc, proxy_acc + 0.03);
-}
-
-TEST(FlopsProxyTest, ValidatesInput) {
-  FlopsProxy proxy(resnet_spec());
-  Rng rng(15);
-  RandomSampler sampler(resnet_spec());
-  const auto archs = sampler.sample_n(2, rng);
-  const std::vector<double> y{1.0};
-  EXPECT_THROW(proxy.fit(archs, y), ConfigError);
-}
-
-TEST(FlopsProxyTest, GoldenFitAndPredict) {
-  // Recorded while FlopsProxy still summed a built LayerGraph's FLOPs: the
-  // raw GFLOPs and the calibrated predictions keep their exact bits.
-  const std::map<SupernetKind, std::uint64_t> expected{
-      {SupernetKind::kResNet, 0x36ff7a0ee8f97a1full},
-      {SupernetKind::kMobileNetV3, 0x3adf5e808f5d3160ull},
-      {SupernetKind::kDenseNet, 0x53895c566ec6a360ull},
-  };
-  for (const SupernetSpec& spec :
-       {resnet_spec(), mobilenet_v3_spec(), densenet_spec()}) {
-    const TestData data = make_data(spec, raspberry_pi4_spec(), 64, 32, 21);
-    FlopsProxy proxy(spec);
-    proxy.fit(data.train_archs, data.train_y);
-    std::uint64_t h = 14695981039346656037ull;  // FNV-1a over value bits
-    auto fold = [&h](double value) {
-      const auto bits = std::bit_cast<std::uint64_t>(value);
-      for (int byte = 0; byte < 8; ++byte) {
-        h ^= (bits >> (8 * byte)) & 0xff;
-        h *= 1099511628211ull;
-      }
-    };
-    for (const ArchConfig& arch : data.test_archs) {
-      fold(proxy.gflops(arch));
-      fold(proxy.predict_ms(arch));
-    }
-    EXPECT_EQ(h, expected.at(spec.kind)) << spec.name;
-  }
 }
 
 }  // namespace
