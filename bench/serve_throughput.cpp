@@ -154,8 +154,7 @@ ScenarioResult run_event_loop_scenario(const std::string& artifact,
   std::thread loop_thread([&loop] { loop.run(); });
 
   {  // Prime every pool entry so the measured phase is all cache hits.
-    serve::EsmClient primer(serve::loopback_channel(listener->connect()),
-                            proto);
+    serve::EsmClient primer(listener->connect(), proto);
     for (const std::string& arch : pool) primer.predict(arch);
     primer.close();
   }
@@ -175,8 +174,7 @@ ScenarioResult run_event_loop_scenario(const std::string& artifact,
       std::vector<serve::EsmClient> clients;
       clients.reserve(local);
       for (std::size_t c = 0; c < local; ++c) {
-        clients.emplace_back(serve::loopback_channel(listener->connect()),
-                             proto);
+        clients.emplace_back(listener->connect(), proto);
       }
       std::vector<std::deque<std::pair<std::uint64_t, Clock::time_point>>>
           pending(local);
@@ -224,8 +222,7 @@ ScenarioResult run_event_loop_scenario(const std::string& artifact,
   // Reconcile before tearing anything down, then drain the loop.
   std::map<std::string, std::string> stats;
   {
-    serve::EsmClient auditor(serve::loopback_channel(listener->connect()),
-                             proto);
+    serve::EsmClient auditor(listener->connect(), proto);
     stats = auditor.stats();
     auditor.close();
   }
@@ -274,7 +271,7 @@ ScenarioResult run_event_loop_scenario(const std::string& artifact,
 }
 
 /// Overload scenario: `conns` connections keep eight-deep pipelines in
-/// flight against a server whose admitted concurrency (max_inflight) is a
+/// flight against a server whose admitted concurrency (max_queue) is a
 /// quarter of the offered concurrency, so roughly 4x capacity is offered
 /// and the admission gate sheds the excess with the retryable
 /// `overloaded` error. Cold cache: every admitted request really spends a
@@ -296,7 +293,7 @@ ScenarioResult run_overload_scenario(const std::string& artifact,
   serve::ServeConfig config;
   config.artifact_path = artifact;
   config.cache_capacity = 0;
-  config.max_inflight = offered / 4;  // offered load = 4x admitted capacity
+  config.max_queue = offered / 4;  // offered load = 4x admitted capacity
   serve::PredictionServer server(config);
   serve::EventLoop loop(server);
   const std::shared_ptr<serve::LoopbackListener> listener =
@@ -321,8 +318,7 @@ ScenarioResult run_overload_scenario(const std::string& artifact,
       std::vector<serve::EsmClient> clients;
       clients.reserve(local);
       for (std::size_t c = 0; c < local; ++c) {
-        clients.emplace_back(serve::loopback_channel(listener->connect()),
-                             serve::Protocol::esm2);
+        clients.emplace_back(listener->connect(), serve::Protocol::esm2);
       }
       struct Pending {
         std::uint64_t id;
@@ -389,8 +385,7 @@ ScenarioResult run_overload_scenario(const std::string& artifact,
 
   std::map<std::string, std::string> stats;
   {
-    serve::EsmClient auditor(serve::loopback_channel(listener->connect()),
-                             serve::Protocol::esm2);
+    serve::EsmClient auditor(listener->connect(), serve::Protocol::esm2);
     stats = auditor.stats();
     auditor.close();
   }

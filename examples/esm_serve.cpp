@@ -3,9 +3,8 @@
 // Server mode:
 //   esm_serve model.esm [--port N] [--port-file PATH] [--cache N]
 //             [--max-batch N] [--summary-s SEC] [--threads N]
-//             [--idle-timeout-s SEC] [--max-queue N] [--max-inflight N]
-//             [--deadline-ms N] [--max-searches N] [--chaos PROFILE]
-//             [--chaos-seed N]
+//             [--idle-timeout-s SEC] [--max-queue N] [--deadline-ms N]
+//             [--max-searches N] [--chaos PROFILE] [--chaos-seed N]
 //   esm_serve --manifest fleet/manifest.esmf [...]
 //   Serves a single `.esm` artifact or a whole fleet manifest (`esm_cli
 //   pipeline` publishes these); the two are told apart by file content, so
@@ -21,9 +20,9 @@
 //   request already on the wire is answered before exit; a final stats
 //   summary goes to stderr.
 //
-//   Overload safety (PR 9): --max-queue / --max-inflight bound the
-//   admission queue (excess requests are shed immediately with the
-//   retryable `overloaded` error), --deadline-ms stamps a default
+//   Overload safety: --max-queue caps the predictions admitted but not
+//   yet answered, queued plus dispatching (excess requests are shed
+//   immediately with the retryable `overloaded` error), --deadline-ms stamps a default
 //   per-request deadline onto requests that carry none (expired requests
 //   answer `deadline_exceeded` without spending a predict slot), and
 //   --chaos wraps the listener in the deterministic fault-injection
@@ -89,8 +88,6 @@ int run_server(const esm::ArgParser& args) {
   config.max_batch = static_cast<std::size_t>(args.get_int("max-batch"));
   config.summary_period_s = args.get_double("summary-s");
   config.max_queue = static_cast<std::size_t>(args.get_int("max-queue"));
-  config.max_inflight =
-      static_cast<std::size_t>(args.get_int("max-inflight"));
   config.default_deadline_ms =
       static_cast<std::uint32_t>(args.get_int("deadline-ms"));
   config.max_search_queue =
@@ -267,10 +264,8 @@ int main(int argc, char** argv) {
   args.add_double("idle-timeout-s", 0.0,
                   "drop connections idle this long (0 = never)");
   args.add_int("max-queue", 0,
-               "admission queue bound; excess requests are shed with the "
-               "retryable `overloaded` error (0 = unbounded)");
-  args.add_int("max-inflight", 0,
-               "cap on queued + dispatching entries before shedding "
+               "cap on queued + dispatching predictions; excess requests "
+               "are shed with the retryable `overloaded` error "
                "(0 = unbounded)");
   args.add_int("deadline-ms", 0,
                "default per-request deadline in ms for requests that carry "

@@ -104,32 +104,7 @@ class TcpChannel final : public ClientChannel {
   int fd_;
 };
 
-class LoopbackClientChannel final : public ClientChannel {
- public:
-  explicit LoopbackClientChannel(std::shared_ptr<LoopbackChannel> channel)
-      : channel_(std::move(channel)) {}
-
-  bool send(std::string_view bytes) override { return channel_->send(bytes); }
-  bool receive_some(std::string& out) override {
-    return channel_->receive_some(out);
-  }
-  bool receive_some_for(std::string& out, int timeout_ms,
-                        bool* timed_out) override {
-    return channel_->receive_some_for(out, timeout_ms, timed_out);
-  }
-  void close() override { channel_->close(); }
-
- private:
-  std::shared_ptr<LoopbackChannel> channel_;
-};
-
 }  // namespace
-
-bool ClientChannel::receive_some_for(std::string& out, int /*timeout_ms*/,
-                                     bool* timed_out) {
-  if (timed_out) *timed_out = false;
-  return receive_some(out);
-}
 
 std::shared_ptr<ClientChannel> connect_tcp(const std::string& host, int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -149,11 +124,6 @@ std::shared_ptr<ClientChannel> connect_tcp(const std::string& host, int port) {
                            << "): " << std::strerror(err));
   }
   return std::make_shared<TcpChannel>(fd);
-}
-
-std::shared_ptr<ClientChannel> loopback_channel(
-    std::shared_ptr<LoopbackChannel> channel) {
-  return std::make_shared<LoopbackClientChannel>(std::move(channel));
 }
 
 EsmClient::EsmClient(std::shared_ptr<ClientChannel> channel, Protocol protocol)

@@ -2,7 +2,7 @@
 //
 // Speaks esm1 (newline text) or esm2 (binary frames, serve/frame.hpp) over
 // any blocking byte channel: a TCP socket (connect_tcp) or the in-process
-// loopback transport (loopback_channel), so tests, benches, and the
+// loopback transport (LoopbackListener::connect), so tests, benches, and the
 // esm_serve CLI all drive the server through this one implementation.
 //
 // Two API levels:
@@ -42,29 +42,6 @@
 
 namespace esm::serve {
 
-/// Blocking byte channel to a server. Implementations: TCP, loopback.
-class ClientChannel {
- public:
-  virtual ~ClientChannel() = default;
-
-  /// Writes all of `bytes`; false once the server closed.
-  virtual bool send(std::string_view bytes) = 0;
-
-  /// Blocks for at least one response byte, appended to `out`; false on
-  /// end-of-stream with nothing buffered.
-  virtual bool receive_some(std::string& out) = 0;
-
-  /// Like receive_some but gives up after `timeout_ms` milliseconds,
-  /// setting *timed_out (when non-null) and returning false. The base
-  /// implementation blocks indefinitely, ignoring the timeout — override
-  /// where the transport can wait boundedly (TCP via poll(2), loopback via
-  /// its condition variable).
-  virtual bool receive_some_for(std::string& out, int timeout_ms,
-                                bool* timed_out);
-
-  virtual void close() = 0;
-};
-
 /// Produces a fresh channel to (the same) server; used by EsmClient
 /// reconnects.
 using ChannelFactory = std::function<std::shared_ptr<ClientChannel>()>;
@@ -72,11 +49,6 @@ using ChannelFactory = std::function<std::shared_ptr<ClientChannel>()>;
 /// Connects a blocking TCP socket to `host`:`port`. Throws
 /// esm::ConfigError when the connection cannot be established.
 std::shared_ptr<ClientChannel> connect_tcp(const std::string& host, int port);
-
-/// Adapts a loopback client half (LoopbackListener::connect) to a
-/// ClientChannel.
-std::shared_ptr<ClientChannel> loopback_channel(
-    std::shared_ptr<LoopbackChannel> channel);
 
 enum class Protocol { esm1, esm2 };
 

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstring>
 #include <deque>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <unordered_map>
@@ -125,6 +126,7 @@ struct Completion {
   std::uint64_t seq = 0;  ///< esm1 ordering slot (unused for esm2)
   std::string bytes;      ///< rendered response, ready for the wire
   bool shutdown = false;
+  bool lost = false;  ///< rendering failed: the connection is dropped
 };
 
 }  // namespace
@@ -153,6 +155,9 @@ struct EventLoop::Impl {
   bool draining = false;
   bool drain_swept = false;
   std::size_t outstanding = 0;  ///< completions not yet delivered
+  /// pending_completions' capacity, reserved on the reactor ahead of
+  /// `outstanding` so a completion callback queues without allocating.
+  std::size_t completion_slots = 0;
 
   Impl(EventLoop& owner_, PredictionServer& server_, EventLoopConfig config_)
       : owner(owner_), server(server_), config(std::move(config_)) {}
@@ -346,9 +351,16 @@ struct EventLoop::Impl {
   /// Hands one parsed request to the server core. The completion callback
   /// may fire inline (cache hit, control verb) or later from the batcher
   /// thread; either way it renders the response for this connection's
-  /// protocol and queues it back to the reactor.
+  /// protocol and queues it back to the reactor. It never throws: its
+  /// queue slot is reserved here, and a response it cannot render drops
+  /// the connection instead, so `outstanding` always falls back to zero.
   void submit(Conn& conn, const ParsedRequest& request, std::size_t wire_bytes,
               std::uint8_t verb_byte, std::uint64_t request_id = 0) {
+    if (outstanding >= completion_slots) {
+      std::lock_guard<std::mutex> lock(pending_mutex);
+      pending_completions.reserve(2 * (outstanding + 1));
+      completion_slots = pending_completions.capacity();
+    }
     const std::uint64_t conn_id = conn.id;
     const std::uint64_t seq = conn.next_seq++;
     const Proto proto = conn.proto;
@@ -365,17 +377,21 @@ struct EventLoop::Impl {
           completion.conn_id = conn_id;
           completion.seq = seq;
           completion.shutdown = reply.shutdown;
-          if (proto == Proto::esm2) {
-            completion.bytes =
-                reply.ok ? encode_ok_response(request_id, verb_byte,
-                                              reply.payload)
-                         : encode_error_response(
-                               request_id,
-                               static_cast<std::uint8_t>(reply.code),
-                               reply.payload);
-          } else {
-            completion.bytes = format_reply_esm1(reply);
-            completion.bytes += '\n';
+          try {
+            if (proto == Proto::esm2) {
+              completion.bytes =
+                  reply.ok ? encode_ok_response(request_id, verb_byte,
+                                                reply.payload)
+                           : encode_error_response(
+                                 request_id,
+                                 static_cast<std::uint8_t>(reply.code),
+                                 reply.payload);
+            } else {
+              completion.bytes = format_reply_esm1(reply);
+              completion.bytes += '\n';
+            }
+          } catch (...) {
+            completion.lost = true;
           }
           {
             std::lock_guard<std::mutex> lock(pending_mutex);
@@ -400,6 +416,13 @@ struct EventLoop::Impl {
     if (conn == nullptr) return;  // connection died while in flight
     if (conn->inflight > 0) --conn->inflight;
     conn->last_activity = Clock::now();
+    if (completion.lost) {
+      // A response missing from the stream (esm1 order would wait on it
+      // forever) ends the connection.
+      if (completion.shutdown) begin_drain();
+      remove_conn(*conn, CloseKind::dropped);
+      return;
+    }
     if (conn->proto == Proto::esm1) {
       if (completion.seq == conn->next_emit) {
         queue_bytes(*conn, std::move(completion.bytes));
@@ -624,7 +647,11 @@ struct EventLoop::Impl {
       bool check_accept = false;
       {
         std::lock_guard<std::mutex> lock(pending_mutex);
-        completions.swap(pending_completions);
+        // Moved out, not swapped: pending_completions keeps the capacity
+        // submit() reserved for the completions still outstanding.
+        completions.assign(std::make_move_iterator(pending_completions.begin()),
+                           std::make_move_iterator(pending_completions.end()));
+        pending_completions.clear();
         ready.swap(pending_ready);
         check_accept = pending_accept;
         pending_accept = false;

@@ -83,40 +83,35 @@ ModelMetrics* ServerMetrics::model_section(const std::string& name) {
 
 void ServerMetrics::count_predict_line(bool all_from_cache,
                                        ModelMetrics* model) {
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  (all_from_cache ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
   model->requests_.fetch_add(1, std::memory_order_relaxed);
   (all_from_cache ? model->hits_ : model->misses_)
       .fetch_add(1, std::memory_order_relaxed);
 }
 
-void ServerMetrics::count_predict_error(ModelMetrics* model, ErrorKind kind) {
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  errors_.fetch_add(1, std::memory_order_relaxed);
-  model->requests_.fetch_add(1, std::memory_order_relaxed);
-  model->errors_.fetch_add(1, std::memory_order_relaxed);
-  if (kind == ErrorKind::shed) {
-    shed_.fetch_add(1, std::memory_order_relaxed);
-    model->shed_.fetch_add(1, std::memory_order_relaxed);
-  } else if (kind == ErrorKind::expired) {
-    expired_.fetch_add(1, std::memory_order_relaxed);
-    model->expired_.fetch_add(1, std::memory_order_relaxed);
+void ServerMetrics::count_error(ModelMetrics* section, ErrorCode code) {
+  if (section == nullptr) {
+    control_requests_.fetch_add(1, std::memory_order_relaxed);
+    control_errors_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  section->requests_.fetch_add(1, std::memory_order_relaxed);
+  section->errors_.fetch_add(1, std::memory_order_relaxed);
+  if (code == ErrorCode::overloaded) {
+    section->shed_.fetch_add(1, std::memory_order_relaxed);
+  } else if (code == ErrorCode::deadline_exceeded) {
+    section->expired_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
 void ServerMetrics::count_archs(std::uint64_t hits, std::uint64_t misses,
                                 ModelMetrics* model) {
-  archs_.fetch_add(hits + misses, std::memory_order_relaxed);
-  arch_hits_.fetch_add(hits, std::memory_order_relaxed);
-  arch_misses_.fetch_add(misses, std::memory_order_relaxed);
   model->archs_.fetch_add(hits + misses, std::memory_order_relaxed);
   model->arch_hits_.fetch_add(hits, std::memory_order_relaxed);
   model->arch_misses_.fetch_add(misses, std::memory_order_relaxed);
 }
 
-void ServerMetrics::count_control_line(bool error) {
+void ServerMetrics::count_control_line() {
   control_requests_.fetch_add(1, std::memory_order_relaxed);
-  if (error) control_errors_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ServerMetrics::count_batch(std::size_t n) {
@@ -162,18 +157,9 @@ void ServerMetrics::set_artifact(const std::string& path,
 
 MetricsSnapshot ServerMetrics::snapshot() const {
   MetricsSnapshot snap;
-  snap.requests = requests_.load(std::memory_order_relaxed);
-  snap.hits = hits_.load(std::memory_order_relaxed);
-  snap.misses = misses_.load(std::memory_order_relaxed);
-  snap.errors = errors_.load(std::memory_order_relaxed);
-  snap.shed = shed_.load(std::memory_order_relaxed);
-  snap.expired = expired_.load(std::memory_order_relaxed);
   snap.degraded = degraded_.load(std::memory_order_relaxed) ? 1 : 0;
   snap.degraded_entries =
       degraded_entries_.load(std::memory_order_relaxed);
-  snap.archs = archs_.load(std::memory_order_relaxed);
-  snap.arch_hits = arch_hits_.load(std::memory_order_relaxed);
-  snap.arch_misses = arch_misses_.load(std::memory_order_relaxed);
   snap.control_requests = control_requests_.load(std::memory_order_relaxed);
   snap.control_errors = control_errors_.load(std::memory_order_relaxed);
   snap.batches = batches_.load(std::memory_order_relaxed);
@@ -199,9 +185,22 @@ MetricsSnapshot ServerMetrics::snapshot() const {
   {
     std::lock_guard<std::mutex> lock(sections_mutex_);
     snap.per_model.reserve(sections_.size());
+    // The fleet-wide totals are the sums over every section, listed or
+    // not, so they equal the per-model sums by construction.
     for (const auto& [name, section] : sections_) {
-      if (!section->routed_.load(std::memory_order_relaxed)) continue;
-      snap.per_model.emplace_back(name, section->snapshot());
+      const ModelCounters c = section->snapshot();
+      snap.requests += c.requests;
+      snap.hits += c.hits;
+      snap.misses += c.misses;
+      snap.errors += c.errors;
+      snap.shed += c.shed;
+      snap.expired += c.expired;
+      snap.archs += c.archs;
+      snap.arch_hits += c.arch_hits;
+      snap.arch_misses += c.arch_misses;
+      if (section->routed_.load(std::memory_order_relaxed)) {
+        snap.per_model.emplace_back(name, c);
+      }
     }
   }
   return snap;

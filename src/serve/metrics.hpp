@@ -5,31 +5,31 @@
 // stderr summary.
 //
 // Counter accounting contract (pinned by tests/serve_test.cpp): every
-// `predict`/`predict_batch` request line increments `requests` exactly once
-// and is classified as exactly one of `hits` (answered entirely from
-// cache), `misses` (at least one prediction computed), or `errors`
-// (structured error reply) — so requests == hits + misses + errors always.
-// Per-architecture accounting runs alongside: archs == arch_hits +
+// `predict`/`predict_batch`/`search` request line increments `requests`
+// exactly once and is classified as exactly one of `hits` (answered
+// entirely from cache), `misses` (at least one prediction computed), or
+// `errors` (structured error reply) — so requests == hits + misses + errors
+// always. Per-architecture accounting runs alongside: archs == arch_hits +
 // arch_misses, and every arch miss passes through exactly one dispatched
 // batch, so batched_archs == arch_misses. Control verbs (info, stats,
 // reload, shutdown, unknown) are tallied separately in control_requests /
 // control_errors and never disturb the prediction identity.
 //
-// Overload extension of the contract (PR 9): `shed` counts prediction
-// lines answered `overloaded` (admission control turned them away) and
-// `expired` counts lines answered `deadline_exceeded`; both are subsets of
-// `errors` recorded by the same single increment, so shed + expired <=
-// errors and the requests identity is untouched. `degraded` is a 0/1 gauge
-// (the batcher is currently shrinking its batch cap under sustained queue
-// pressure) and `degraded_entries` counts transitions into that mode.
+// Errors are counted from their wire code, in one place (count_error):
+// `shed` counts the error lines answered `overloaded` (admission control
+// turned them away) and `expired` those answered `deadline_exceeded`, so
+// shed + expired <= errors and the requests identity is untouched.
+// `degraded` is a 0/1 gauge (the batcher is currently shrinking its batch
+// cap while queued plus dispatching entries stay above half of max_queue)
+// and `degraded_entries` counts transitions into that mode.
 //
-// Fleet extension of the contract: every prediction-line increment is
-// attributed to exactly one per-model section at the same time — the model
-// the request routed to, or the reserved "_unrouted" section when routing
-// itself failed (unknown model name) — so each fleet-wide total equals the
-// sum of that counter over all per-model sections, exactly. Sections are
-// never dropped (a model removed by reload keeps its section), otherwise
-// the sums would stop reconciling mid-flight.
+// Fleet extension of the contract: every prediction-line counter lives in
+// exactly one per-model section — the model the request routed to, or the
+// reserved "_unrouted" section when routing itself failed (unknown model
+// name) — and the fleet-wide totals are the sums over every section, so
+// totals == Σ model.* holds by construction. Sections are never dropped
+// (a model removed by reload keeps its section and its share of the
+// totals).
 #pragma once
 
 #include <array>
@@ -42,6 +42,8 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "serve/error.hpp"
 
 namespace esm::serve {
 
@@ -165,28 +167,24 @@ class ServerMetrics {
   /// The "_unrouted" section (always listed), without a name lookup.
   ModelMetrics* unrouted() const { return unrouted_; }
 
-  /// Classifies one predict/predict_batch line; exactly one of hit, miss,
-  /// or (via count_predict_error) error per line. `model` attributes the
-  /// same increment to a per-model section (never null — routing failures
-  /// use the "_unrouted" section), keeping totals and section sums equal
-  /// by construction.
+  /// Classifies one prediction line (predict, predict_batch, search) that
+  /// was answered ok: a hit when `all_from_cache`, else a miss. `model` is
+  /// the section the line routed to (never null).
   void count_predict_line(bool all_from_cache, ModelMetrics* model);
 
-  /// How a prediction line came to be an error: `shed` (admission control
-  /// answered `overloaded`), `expired` (`deadline_exceeded`), or any other
-  /// structured error. All three are the same single error increment — the
-  /// kind only decides which sub-counter tallies alongside, keeping
-  /// shed + expired <= errors by construction.
-  enum class ErrorKind { other, shed, expired };
-  void count_predict_error(ModelMetrics* model,
-                           ErrorKind kind = ErrorKind::other);
+  /// Counts one line answered with `code`: a prediction line on `section`
+  /// (the "_unrouted" section when routing failed), or a control line when
+  /// `section` is null. A prediction error also counts as `shed` when the
+  /// code is `overloaded` and as `expired` when it is `deadline_exceeded`.
+  void count_error(ModelMetrics* section, ErrorCode code);
 
   /// Per-architecture accounting inside prediction lines.
   void count_archs(std::uint64_t hits, std::uint64_t misses,
                    ModelMetrics* model);
 
-  /// Classifies one control line (info/stats/reload/shutdown/unknown).
-  void count_control_line(bool error);
+  /// Counts one control line (info/models/stats/reload/shutdown) answered
+  /// ok; failed ones go through count_error.
+  void count_control_line();
 
   /// Records one dispatched predict_all batch of `n` architectures.
   void count_batch(std::size_t n);
@@ -195,7 +193,7 @@ class ServerMetrics {
 
   /// Records one NAS search answered ok and how many architectures its
   /// engine scored. The request line itself goes through
-  /// count_predict_line/count_predict_error like any prediction line (so
+  /// count_predict_line/count_error like any prediction line (so
   /// the requests identity holds); search evaluations deliberately stay
   /// out of the arch counters (archs == arch_hits + arch_misses ==
   /// batched_archs tracks the batcher only).
@@ -222,17 +220,8 @@ class ServerMetrics {
   static std::string summary_line(const MetricsSnapshot& snap);
 
  private:
-  std::atomic<std::uint64_t> requests_{0};
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> errors_{0};
-  std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> expired_{0};
   std::atomic<bool> degraded_{false};
   std::atomic<std::uint64_t> degraded_entries_{0};
-  std::atomic<std::uint64_t> archs_{0};
-  std::atomic<std::uint64_t> arch_hits_{0};
-  std::atomic<std::uint64_t> arch_misses_{0};
   std::atomic<std::uint64_t> control_requests_{0};
   std::atomic<std::uint64_t> control_errors_{0};
   std::atomic<std::uint64_t> batches_{0};

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdio>
 #include <sstream>
-#include <stdexcept>
 #include <utility>
 
 #include "common/checksum.hpp"
@@ -19,6 +18,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+constexpr const char* kShedDetail = "server overloaded: admission queue full";
+constexpr const char* kExpiredDetail =
+    "deadline passed before the request was served";
+
 Reply ok_reply(std::string verb, std::string payload) {
   Reply reply;
   reply.verb = std::move(verb);
@@ -26,61 +29,21 @@ Reply ok_reply(std::string verb, std::string payload) {
   return reply;
 }
 
-Reply error_reply(ErrorCode code, std::string detail) {
-  Reply reply;
-  reply.ok = false;
-  reply.code = code;
-  reply.payload = std::move(detail);
-  return reply;
-}
-
-// Internal signals travelling through the (value, exception_ptr) completion
-// callbacks; the completion catch chains map them to their wire error code
-// and metrics ErrorKind.
-struct OverloadedError : std::runtime_error {
-  OverloadedError()
-      : std::runtime_error("server overloaded: admission queue full") {}
-};
-
-struct DeadlineExceededError : std::runtime_error {
-  DeadlineExceededError()
-      : std::runtime_error("deadline passed before the request was served") {}
-};
-
 bool deadline_passed(Clock::time_point deadline, Clock::time_point now) {
   return deadline != Clock::time_point::max() && now >= deadline;
 }
 
-/// Counts one failed prediction line on `section` and returns its reply:
-/// the one mapping from a predict or predict_batch failure to its wire
-/// error code and metrics ErrorKind.
-Reply failure_reply(ServerMetrics& metrics, ModelMetrics* section,
-                    std::exception_ptr error) {
-  try {
-    std::rethrow_exception(error);
-  } catch (const OverloadedError& e) {
-    metrics.count_predict_error(section, ServerMetrics::ErrorKind::shed);
-    return error_reply(ErrorCode::overloaded, e.what());
-  } catch (const DeadlineExceededError& e) {
-    metrics.count_predict_error(section, ServerMetrics::ErrorKind::expired);
-    return error_reply(ErrorCode::deadline_exceeded, e.what());
-  } catch (const ConfigError& e) {
-    metrics.count_predict_error(section);
-    return error_reply(ErrorCode::bad_arch, e.what());
-  } catch (const std::exception& e) {
-    metrics.count_predict_error(section);
-    return error_reply(ErrorCode::server_error, e.what());
-  }
+bool is_prediction_verb(const std::string& verb) {
+  return verb == "predict" || verb == "predict_batch" || verb == "search";
 }
 
-/// Hands one queued prediction its outcome. A completion that throws has
-/// nowhere left to report to; swallowing it keeps the caller (the batcher
-/// thread, or an inline shed) alive, and the entry is never answered a
-/// second time.
-void answer(const std::function<void(double, std::exception_ptr)>& done,
-            double value, std::exception_ptr error) noexcept {
+/// Hands a callback its one answer. A callback that throws has nowhere
+/// left to report to; swallowing it keeps the caller (the batcher or
+/// search thread, the reactor) alive, and nothing answers it again.
+template <typename Callback, typename... Args>
+void answer(Callback& done, Args&&... args) noexcept {
   try {
-    done(value, std::move(error));
+    done(std::forward<Args>(args)...);
   } catch (...) {
   }
 }
@@ -162,36 +125,67 @@ std::shared_ptr<const TrainableSurrogate> PredictionServer::model() const {
   return current_fleet()->default_model().model;
 }
 
-void PredictionServer::handle_request(const ParsedRequest& request,
-                                      std::size_t wire_bytes,
-                                      ReplyCallback done) {
+Reply PredictionServer::fail(ModelMetrics* section, ErrorCode code,
+                             std::string detail) {
+  Reply reply;
+  reply.ok = false;
+  reply.code = code;
+  reply.payload = std::move(detail);
+  metrics_.count_error(section, code);
+  return reply;
+}
+
+Reply PredictionServer::fail(ModelMetrics* section, const Failure& failure,
+                             ErrorCode config_code) {
+  if (failure.error == nullptr) {
+    return fail(section, failure.code,
+                failure.code == ErrorCode::overloaded ? kShedDetail
+                                                      : kExpiredDetail);
+  }
   try {
-    dispatch_request(request, wire_bytes, done);
+    std::rethrow_exception(failure.error);
+  } catch (const ConfigError& e) {
+    return fail(section, config_code, e.what());
+  } catch (const search::SearchCancelled&) {
+    return fail(section, ErrorCode::deadline_exceeded, kExpiredDetail);
   } catch (const std::exception& e) {
-    // Backstop: no request, however malformed, may take down its
-    // transport. Handlers borrow `done` and move it out only where a
-    // completion takes it over, never before a step that can throw, so an
-    // exception escaping here means `done` is still ours to answer.
-    if (done) done(error_reply(ErrorCode::server_error, e.what()));
+    return fail(section, ErrorCode::server_error, e.what());
   }
 }
 
-void PredictionServer::dispatch_request(const ParsedRequest& request,
-                                        std::size_t wire_bytes,
-                                        ReplyCallback& done) {
+void PredictionServer::handle_request(const ParsedRequest& request,
+                                      std::size_t wire_bytes,
+                                      ReplyCallback done) {
+  ModelMetrics* section =
+      is_prediction_verb(request.verb) ? metrics_.unrouted() : nullptr;
+  std::optional<Reply> reply;
+  try {
+    reply = dispatch_request(request, wire_bytes, section, done);
+  } catch (const std::exception&) {
+    // Backstop: no request, however malformed, may take down its
+    // transport. While `done` is set nobody answered or counted the line,
+    // and it counts on the section it routed to; once a completion took
+    // `done` over, the completion answers.
+    if (!done) return;
+    reply = fail(section, Failure{std::current_exception()},
+                 ErrorCode::server_error);
+  }
+  // Invoked outside the try, so a callback that throws is never answered a
+  // second time by the backstop.
+  if (reply && done) answer(done, std::move(*reply));
+}
+
+std::optional<Reply> PredictionServer::dispatch_request(
+    const ParsedRequest& request, std::size_t wire_bytes,
+    ModelMetrics*& section, ReplyCallback& done) {
   const bool is_search = request.verb == "search";
-  const bool is_predict = request.verb == "predict" ||
-                          request.verb == "predict_batch" || is_search;
+  const bool is_predict = is_prediction_verb(request.verb);
 
   if (wire_bytes > config_.max_line_bytes) {
-    is_predict ? metrics_.count_predict_error(metrics_.unrouted())
-               : metrics_.count_control_line(true);
-    done(error_reply(ErrorCode::oversized,
-                     "request of " + std::to_string(wire_bytes) +
-                         " bytes exceeds the " +
-                         std::to_string(config_.max_line_bytes) +
-                         "-byte limit"));
-    return;
+    return fail(section, ErrorCode::oversized,
+                "request of " + std::to_string(wire_bytes) +
+                    " bytes exceeds the " +
+                    std::to_string(config_.max_line_bytes) + "-byte limit");
   }
 
   if (is_predict) {
@@ -205,9 +199,8 @@ void PredictionServer::dispatch_request(const ParsedRequest& request,
       stripped = request.payload;
       std::string deadline_error;
       if (!extract_deadline_token(stripped, deadline_ms, deadline_error)) {
-        metrics_.count_predict_error(metrics_.unrouted());
-        done(error_reply(ErrorCode::bad_request, deadline_error));
-        return;
+        return fail(section, ErrorCode::bad_request,
+                    std::move(deadline_error));
       }
       payload = stripped;
     }
@@ -218,140 +211,117 @@ void PredictionServer::dispatch_request(const ParsedRequest& request,
                                               deadline_ms);
     if (is_search) {
       // An empty payload is a valid search (every knob has a default).
-      handle_search(std::string(payload), deadline, done);
-      return;
+      return handle_search(std::string(payload), deadline, section, done);
     }
     if (payload.empty()) {
-      metrics_.count_predict_error(metrics_.unrouted());
-      done(error_reply(ErrorCode::bad_request,
-                       request.verb == "predict"
-                           ? "predict needs an architecture"
-                           : "predict_batch needs ';'-separated "
-                             "architectures"));
-      return;
+      return fail(section, ErrorCode::bad_request,
+                  request.verb == "predict"
+                      ? "predict needs an architecture"
+                      : "predict_batch needs ';'-separated architectures");
     }
-    if (request.verb == "predict") {
-      handle_predict(payload, deadline, done);
-    } else {
-      handle_predict_batch(payload, deadline, done);
-    }
-    return;
+    return request.verb == "predict"
+               ? handle_predict(payload, deadline, section, done)
+               : handle_predict_batch(payload, deadline, section, done);
   }
   if (request.verb == "info") {
     // `info` takes an optional model key; validation happens inside.
-    done(handle_info(request.payload));
-    return;
+    return handle_info(request.payload);
   }
   if (request.verb == "models" || request.verb == "stats" ||
       request.verb == "shutdown") {
     if (!request.payload.empty()) {
-      metrics_.count_control_line(true);
-      done(error_reply(ErrorCode::bad_request,
-                       request.verb + " takes no payload"));
-      return;
+      return fail(nullptr, ErrorCode::bad_request,
+                  request.verb + " takes no payload");
     }
-    metrics_.count_control_line(false);
-    if (request.verb == "models") {
-      done(handle_models());
-      return;
-    }
-    if (request.verb == "stats") {
-      done(handle_stats());
-      return;
-    }
-    Reply reply = ok_reply("shutdown", "draining");
-    reply.shutdown = true;
-    done(std::move(reply));
-    return;
+    if (request.verb == "stats") return handle_stats();
+    Reply reply = request.verb == "models" ? handle_models()
+                                           : ok_reply("shutdown", "draining");
+    reply.shutdown = request.verb == "shutdown";
+    metrics_.count_control_line();
+    return reply;
   }
   if (request.verb == "reload") {
     if (request.payload.empty()) {
-      metrics_.count_control_line(true);
-      done(error_reply(ErrorCode::bad_request,
-                       "reload needs a manifest or artifact path"));
-      return;
+      return fail(nullptr, ErrorCode::bad_request,
+                  "reload needs a manifest or artifact path");
     }
-    done(handle_reload(request.payload));
-    return;
+    return handle_reload(request.payload);
   }
-  metrics_.count_control_line(true);
   if (request.verb.empty()) {
-    done(error_reply(ErrorCode::bad_request, "empty request line"));
-    return;
+    return fail(nullptr, ErrorCode::bad_request, "empty request line");
   }
-  done(error_reply(ErrorCode::unknown_verb,
-                   "unknown verb '" + request.verb +
-                       "' (predict, predict_batch, search, info, models, "
-                       "stats, reload, shutdown)"));
+  return fail(nullptr, ErrorCode::unknown_verb,
+              "unknown verb '" + request.verb +
+                  "' (predict, predict_batch, search, info, models, "
+                  "stats, reload, shutdown)");
 }
 
-const FleetModel* PredictionServer::route(
-    const ModelFleet& fleet, std::string_view model_key,
-    ReplyCallback& done) {
+const FleetModel* PredictionServer::route(const ModelFleet& fleet,
+                                          std::string_view model_key) {
   const FleetModel* model = model_key.empty() ? &fleet.default_model()
                                               : fleet.find(model_key);
-  if (model == nullptr) {
-    metrics_.count_predict_error(metrics_.unrouted());
-    done(error_reply(ErrorCode::unknown_model,
-                     "unknown model '" + std::string(model_key) +
-                         "' (see the models verb)"));
-    return nullptr;
-  }
-  model->metrics->mark_routed();
+  if (model != nullptr) model->metrics->mark_routed();
   return model;
 }
 
-void PredictionServer::handle_predict(
+Reply PredictionServer::unknown_model(ModelMetrics* section,
+                                      std::string_view key) {
+  return fail(section, ErrorCode::unknown_model,
+              "unknown model '" + std::string(key) +
+                  "' (see the models verb)");
+}
+
+std::optional<Reply> PredictionServer::handle_predict(
     std::string_view payload, std::chrono::steady_clock::time_point deadline,
-    ReplyCallback& done) {
+    ModelMetrics*& section, ReplyCallback& done) {
   // A hit goes payload -> packed key -> cache -> reply: no ArchConfig and
   // no string beyond the reply's own payload.
   const RoutedPayload routed = split_model_key(payload);
   const std::shared_ptr<const ModelFleet> fleet = current_fleet();
-  const FleetModel* model = route(*fleet, routed.model, done);
-  if (model == nullptr) return;
-  ModelMetrics* section = model->metrics;
+  const FleetModel* model = route(*fleet, routed.model);
+  if (model == nullptr) return unknown_model(section, routed.model);
+  section = model->metrics;
   std::string key;
   try {
     key = arch_cache_key(model->model->spec(), model->generation, routed.rest);
-  } catch (const ConfigError& e) {
-    metrics_.count_predict_error(section);
-    done(error_reply(ErrorCode::bad_arch, e.what()));
-    return;
+  } catch (...) {
+    return fail(section, Failure{std::current_exception()},
+                ErrorCode::bad_arch);
   }
   // Admission-time expiry: a dead-on-arrival request must not take a cache
   // or batch slot from live ones.
   if (deadline_passed(deadline, Clock::now())) {
-    metrics_.count_predict_error(section, ServerMetrics::ErrorKind::expired);
-    done(error_reply(ErrorCode::deadline_exceeded,
-                     DeadlineExceededError().what()));
-    return;
+    return fail(section, ErrorCode::deadline_exceeded, kExpiredDetail);
   }
   if (const std::optional<double> hit = model->cache->get(key)) {
+    Reply reply = ok_reply("predict", format_latency(*hit));
     metrics_.count_archs(1, 0, section);
     metrics_.count_predict_line(true, section);
-    done(ok_reply("predict", format_latency(*hit)));
-    return;
+    return reply;
   }
-  metrics_.count_archs(0, 1, section);
   // Only a miss builds the ArchConfig, from the same text, for the batcher.
   ArchConfig arch = parse_arch_request(model->model->spec(), routed.rest);
   auto completion = [this, section, key, cache = model->cache,
                      done = std::move(done)](double value,
-                                             std::exception_ptr error) {
-    // A failure to cache or format the value answers server_error: the
-    // reply is decided in full before `done` runs, exactly once.
+                                             const Failure* failure) {
+    // The reply is decided in full before `done` runs, exactly once; a
+    // failure to cache or format the value answers server_error.
     Reply reply;
     try {
-      if (error != nullptr) std::rethrow_exception(error);
-      cache->put(key, value);
-      reply = ok_reply("predict", format_latency(value));
-      metrics_.count_predict_line(false, section);
+      if (failure != nullptr) {
+        reply = fail(section, *failure, ErrorCode::bad_arch);
+      } else {
+        cache->put(key, value);
+        reply = ok_reply("predict", format_latency(value));
+        metrics_.count_predict_line(false, section);
+      }
     } catch (...) {
-      reply = failure_reply(metrics_, section, std::current_exception());
+      reply = fail(section, Failure{std::current_exception()},
+                   ErrorCode::bad_arch);
     }
     done(std::move(reply));
   };
+  metrics_.count_archs(0, 1, section);
   try {
     enqueue(std::move(arch), std::shared_ptr<const FleetModel>(fleet, model),
             deadline, std::move(completion));
@@ -359,32 +329,30 @@ void PredictionServer::handle_predict(
     // Wrapping the completion allocates before it moves from it, so a
     // failed wrap leaves `completion` (and the reply it owns) intact;
     // enqueue itself answers every failure once it holds the completion.
-    completion(0.0, std::current_exception());
+    const Failure failure{std::current_exception()};
+    answer(completion, 0.0, &failure);
   }
+  return std::nullopt;
 }
 
-void PredictionServer::handle_predict_batch(
+std::optional<Reply> PredictionServer::handle_predict_batch(
     std::string_view payload, std::chrono::steady_clock::time_point deadline,
-    ReplyCallback& done) {
+    ModelMetrics*& section, ReplyCallback& done) {
   const RoutedPayload routed = split_model_key(payload);
   const std::shared_ptr<const ModelFleet> fleet = current_fleet();
-  const FleetModel* model = route(*fleet, routed.model, done);
-  if (model == nullptr) return;
-  ModelMetrics* section = model->metrics;
+  const FleetModel* model = route(*fleet, routed.model);
+  if (model == nullptr) return unknown_model(section, routed.model);
+  section = model->metrics;
   std::vector<KeyedArch> keys;
   try {
     keys = arch_cache_keys(model->model->spec(), model->generation,
                            routed.rest, config_.max_batch_archs);
-  } catch (const ConfigError& e) {
-    metrics_.count_predict_error(section);
-    done(error_reply(ErrorCode::bad_arch, e.what()));
-    return;
+  } catch (...) {
+    return fail(section, Failure{std::current_exception()},
+                ErrorCode::bad_arch);
   }
   if (deadline_passed(deadline, Clock::now())) {
-    metrics_.count_predict_error(section, ServerMetrics::ErrorKind::expired);
-    done(error_reply(ErrorCode::deadline_exceeded,
-                     DeadlineExceededError().what()));
-    return;
+    return fail(section, ErrorCode::deadline_exceeded, kExpiredDetail);
   }
 
   // Hits are read and every miss's ArchConfig is built up front, so once
@@ -411,22 +379,22 @@ void PredictionServer::handle_predict_batch(
   // Join state shared by the per-miss completions. Each completion writes
   // its own slot, so the only cross-thread coordination is the remaining
   // counter (acq_rel: the finalizing thread observes every slot write) and
-  // the error mutex.
+  // the failure mutex.
   struct BatchJoin {
     std::vector<double> values;
     ModelMetrics* section = nullptr;
     std::shared_ptr<PredictionCache> cache;
     ReplyCallback done;
     std::atomic<std::size_t> remaining{0};
-    std::mutex error_mutex;
-    std::exception_ptr first_error;
+    std::mutex failure_mutex;
+    std::optional<Failure> first_failure;
   };
 
-  metrics_.count_archs(hit_count, misses.size(), section);
   if (misses.empty()) {
+    Reply reply = ok_reply("predict_batch", batch_payload(values));
+    metrics_.count_archs(hit_count, 0, section);
     metrics_.count_predict_line(true, section);
-    done(ok_reply("predict_batch", batch_payload(values)));
-    return;
+    return reply;
   }
   auto join = std::make_shared<BatchJoin>();
   join->values = std::move(values);
@@ -436,27 +404,30 @@ void PredictionServer::handle_predict_batch(
   auto finalize = [this](BatchJoin& state) {
     Reply reply;
     try {
-      if (state.first_error != nullptr) {
-        std::rethrow_exception(state.first_error);
+      if (state.first_failure) {
+        reply = fail(state.section, *state.first_failure, ErrorCode::bad_arch);
+      } else {
+        reply = ok_reply("predict_batch", batch_payload(state.values));
+        metrics_.count_predict_line(false, state.section);
       }
-      reply = ok_reply("predict_batch", batch_payload(state.values));
-      metrics_.count_predict_line(false, state.section);
     } catch (...) {
-      reply = failure_reply(metrics_, state.section, std::current_exception());
+      reply = fail(state.section, Failure{std::current_exception()},
+                   ErrorCode::bad_arch);
     }
     state.done(std::move(reply));
   };
 
-  // From here on the join owns the reply. The counter must reach its
-  // full value before any completion can fire, so every miss is enqueued
-  // only after `remaining` is set.
+  // From here on the join owns the reply, so the archs count only now. The
+  // counter must reach its full value before any completion can fire, so
+  // every miss is enqueued only after `remaining` is set.
+  metrics_.count_archs(hit_count, misses.size(), section);
   join->done = std::move(done);
   join->remaining.store(misses.size(), std::memory_order_relaxed);
   const auto settle = [finalize](BatchJoin& state, std::size_t count,
-                                 std::exception_ptr error) {
-    if (error != nullptr) {
-      std::lock_guard<std::mutex> lock(state.error_mutex);
-      if (state.first_error == nullptr) state.first_error = error;
+                                 const Failure* failure) {
+    if (failure != nullptr) {
+      std::lock_guard<std::mutex> lock(state.failure_mutex);
+      if (!state.first_failure) state.first_failure = *failure;
     }
     if (state.remaining.fetch_sub(count, std::memory_order_acq_rel) ==
         count) {
@@ -469,39 +440,42 @@ void PredictionServer::handle_predict_batch(
       enqueue(std::move(miss.arch),
               std::shared_ptr<const FleetModel>(fleet, model), deadline,
               [join, settle, index = miss.index, key = std::move(miss.key)](
-                  double value, std::exception_ptr error) {
-                if (error == nullptr) {
+                  double value, const Failure* failure) {
+                Failure put_failure;
+                if (failure == nullptr) {
                   join->values[index] = value;
                   try {
                     join->cache->put(key, value);
                   } catch (...) {
-                    error = std::current_exception();
+                    put_failure.error = std::current_exception();
+                    failure = &put_failure;
                   }
                 }
-                settle(*join, 1, error);
+                settle(*join, 1, failure);
               });
       ++enqueued;
     }
   } catch (const std::exception&) {
     // A completion that could not be wrapped never reached the batcher,
-    // nor did the misses after it: they settle here, as one error.
-    settle(*join, misses.size() - enqueued, std::current_exception());
+    // nor did the misses after it: they settle here, as one failure.
+    const Failure failure{std::current_exception()};
+    answer(settle, *join, misses.size() - enqueued, &failure);
   }
+  return std::nullopt;
 }
 
-void PredictionServer::handle_search(
+std::optional<Reply> PredictionServer::handle_search(
     const std::string& payload, std::chrono::steady_clock::time_point deadline,
-    ReplyCallback& done) {
+    ModelMetrics*& section, ReplyCallback& done) {
   // Parse + validate inline so malformed queries reject without touching
   // the worker. Anything failing before a model is resolved attributes to
   // the "_unrouted" section, same as predict routing failures.
   search::SearchRequest request;
   try {
     request = search::parse_search_request(payload);
-  } catch (const ConfigError& e) {
-    metrics_.count_predict_error(metrics_.unrouted());
-    done(error_reply(ErrorCode::bad_request, e.what()));
-    return;
+  } catch (...) {
+    return fail(section, Failure{std::current_exception()},
+                ErrorCode::bad_request);
   }
   const std::shared_ptr<const ModelFleet> fleet = current_fleet();
   SearchJob job;
@@ -514,81 +488,67 @@ void PredictionServer::handle_search(
   } else {
     for (const std::string& name : request.models) {
       const FleetModel* model = fleet->find(name);
-      if (model == nullptr) {
-        metrics_.count_predict_error(metrics_.unrouted());
-        done(error_reply(ErrorCode::unknown_model,
-                         "unknown model '" + name +
-                             "' (see the models verb)"));
-        return;
-      }
+      if (model == nullptr) return unknown_model(section, name);
       job.models.push_back(std::shared_ptr<const FleetModel>(fleet, model));
     }
   }
   // The search line is attributed to the primary (first) model's section.
   job.section = job.models.front()->metrics;
   job.section->mark_routed();
+  section = job.section;
   const std::string& space = job.models.front()->model->spec().name;
   for (const std::shared_ptr<const FleetModel>& model : job.models) {
     if (model->model->spec().name != space) {
-      metrics_.count_predict_error(job.section);
-      done(error_reply(ErrorCode::bad_request,
-                       "search models must share one space; '" +
-                           model->name + "' serves " +
-                           model->model->spec().name + ", not " + space));
-      return;
+      return fail(job.section, ErrorCode::bad_request,
+                  "search models must share one space; '" + model->name +
+                      "' serves " + model->model->spec().name + ", not " +
+                      space);
     }
   }
   const std::size_t budget =
       request.config.population *
       (static_cast<std::size_t>(request.config.generations) + 1);
   if (config_.max_search_evals != 0 && budget > config_.max_search_evals) {
-    metrics_.count_predict_error(job.section);
-    done(error_reply(ErrorCode::bad_request,
-                     "search budget of " + std::to_string(budget) +
-                         " evaluations exceeds the server cap of " +
-                         std::to_string(config_.max_search_evals)));
-    return;
+    return fail(job.section, ErrorCode::bad_request,
+                "search budget of " + std::to_string(budget) +
+                    " evaluations exceeds the server cap of " +
+                    std::to_string(config_.max_search_evals));
   }
   try {
     // Engine-config validation (probability ranges, fastest-mode floor)
     // happens here so the requester gets bad_request inline, not a
     // server_error from the worker.
     search::SearchEngine(job.models.front()->model->spec(), request.config);
-  } catch (const ConfigError& e) {
-    metrics_.count_predict_error(job.section);
-    done(error_reply(ErrorCode::bad_request, e.what()));
-    return;
+  } catch (...) {
+    return fail(job.section, Failure{std::current_exception()},
+                ErrorCode::bad_request);
   }
   // Admission-time expiry, same rule as predictions.
   if (deadline_passed(deadline, Clock::now())) {
-    metrics_.count_predict_error(job.section,
-                                 ServerMetrics::ErrorKind::expired);
-    done(error_reply(ErrorCode::deadline_exceeded,
-                     DeadlineExceededError().what()));
-    return;
+    return fail(job.section, ErrorCode::deadline_exceeded, kExpiredDetail);
   }
-  job.done = std::move(done);
   bool shed = false;
   try {
     std::lock_guard<std::mutex> lock(search_mutex_);
-    if (config_.max_search_queue != 0 &&
-        search_queue_.size() + search_inflight_ >= config_.max_search_queue) {
-      shed = true;
-    } else {
-      search_queue_.push_back(std::move(job));  // strong guarantee
+    shed = config_.max_search_queue != 0 &&
+           search_queue_.size() + search_inflight_ >=
+               config_.max_search_queue;
+    if (!shed) {
+      // The job takes `done` over only once the queue has grown.
+      search_queue_.emplace_back();
+      job.done = std::move(done);
+      search_queue_.back() = std::move(job);
     }
-  } catch (const std::exception& e) {
-    metrics_.count_predict_error(job.section);
-    job.done(error_reply(ErrorCode::server_error, e.what()));
-    return;
+  } catch (...) {
+    return fail(job.section, Failure{std::current_exception()},
+                ErrorCode::bad_request);
   }
   if (shed) {
-    metrics_.count_predict_error(job.section, ServerMetrics::ErrorKind::shed);
-    job.done(error_reply(ErrorCode::overloaded,
-                         "server overloaded: search queue full"));
-    return;
+    return fail(job.section, ErrorCode::overloaded,
+                "server overloaded: search queue full");
   }
   search_cv_.notify_one();
+  return std::nullopt;
 }
 
 void PredictionServer::search_loop() {
@@ -610,52 +570,39 @@ void PredictionServer::search_loop() {
       // Dequeue-time expiry: a search whose deadline lapsed while waiting
       // behind another must not burn the worker.
       if (deadline_passed(job.deadline, Clock::now())) {
-        throw DeadlineExceededError();
+        reply = fail(job.section, ErrorCode::deadline_exceeded,
+                     kExpiredDetail);
+      } else {
+        const SupernetSpec& spec = job.models.front()->model->spec();
+        const search::SearchEngine engine(spec, job.config);
+        const AccuracyProxy proxy(spec);
+        std::vector<search::Objective> objectives;
+        objectives.reserve(job.models.size());
+        for (std::size_t i = 0; i < job.models.size(); ++i) {
+          search::Objective objective;
+          objective.name = job.models[i]->name;
+          objective.predictor = job.models[i]->model.get();
+          objective.limit_ms =
+              job.limits_ms.empty() ? 0.0 : job.limits_ms[i];
+          objectives.push_back(std::move(objective));
+        }
+        // Deadlines keep cutting between generations; a server drain does
+        // NOT cancel an admitted search (drain answers everything
+        // admitted).
+        const search::SearchOutcome outcome = engine.run(
+            objectives, proxy, [deadline = job.deadline] {
+              return deadline_passed(deadline, Clock::now());
+            });
+        reply = ok_reply("search", search::format_front_payload(
+                                       spec, job.config, outcome));
+        metrics_.count_search(outcome.evaluations);
+        metrics_.count_predict_line(false, job.section);
       }
-      const SupernetSpec& spec = job.models.front()->model->spec();
-      const search::SearchEngine engine(spec, job.config);
-      const AccuracyProxy proxy(spec);
-      std::vector<search::Objective> objectives;
-      objectives.reserve(job.models.size());
-      for (std::size_t i = 0; i < job.models.size(); ++i) {
-        search::Objective objective;
-        objective.name = job.models[i]->name;
-        objective.predictor = job.models[i]->model.get();
-        objective.limit_ms =
-            job.limits_ms.empty() ? 0.0 : job.limits_ms[i];
-        objectives.push_back(std::move(objective));
-      }
-      // Deadlines keep cutting between generations; a server drain does
-      // NOT cancel an admitted search (drain answers everything admitted).
-      const search::SearchOutcome outcome = engine.run(
-          objectives, proxy, [deadline = job.deadline] {
-            return deadline_passed(deadline, Clock::now());
-          });
-      reply = ok_reply(
-          "search", search::format_front_payload(spec, job.config, outcome));
-      metrics_.count_search(outcome.evaluations);
-      metrics_.count_predict_line(false, job.section);
-    } catch (const search::SearchCancelled&) {
-      metrics_.count_predict_error(job.section,
-                                   ServerMetrics::ErrorKind::expired);
-      reply = error_reply(ErrorCode::deadline_exceeded,
-                          DeadlineExceededError().what());
-    } catch (const DeadlineExceededError& e) {
-      metrics_.count_predict_error(job.section,
-                                   ServerMetrics::ErrorKind::expired);
-      reply = error_reply(ErrorCode::deadline_exceeded, e.what());
-    } catch (const ConfigError& e) {
-      metrics_.count_predict_error(job.section);
-      reply = error_reply(ErrorCode::bad_request, e.what());
-    } catch (const std::exception& e) {
-      metrics_.count_predict_error(job.section);
-      reply = error_reply(ErrorCode::server_error, e.what());
-    }
-    try {
-      job.done(std::move(reply));
     } catch (...) {
-      // Nowhere left to report to; the worker serves the next search.
+      reply = fail(job.section, Failure{std::current_exception()},
+                   ErrorCode::bad_request);
     }
+    answer(job.done, std::move(reply));
     {
       std::lock_guard<std::mutex> lock(search_mutex_);
       --search_inflight_;
@@ -665,19 +612,9 @@ void PredictionServer::search_loop() {
 
 Reply PredictionServer::handle_info(const std::string& payload) {
   const std::shared_ptr<const ModelFleet> fleet = current_fleet();
-  const FleetModel* model = nullptr;
-  if (payload.empty()) {
-    model = &fleet->default_model();
-  } else {
-    model = fleet->find(payload);
-    if (model == nullptr) {
-      metrics_.count_control_line(true);
-      return error_reply(ErrorCode::unknown_model,
-                         "unknown model '" + payload +
-                             "' (see the models verb)");
-    }
-  }
-  metrics_.count_control_line(false);
+  const FleetModel* model =
+      payload.empty() ? &fleet->default_model() : fleet->find(payload);
+  if (model == nullptr) return unknown_model(nullptr, payload);
   const MetricsSnapshot snap = metrics_.snapshot();
   std::ostringstream os;
   os << "proto=1 model=" << model->name << " kind=" << model->model->kind()
@@ -694,7 +631,9 @@ Reply PredictionServer::handle_info(const std::string& payload) {
     os << " manifest_crc32=" << fleet->manifest_crc32()
        << " manifest=" << fleet->source_path();
   }
-  return ok_reply("info", os.str());
+  Reply reply = ok_reply("info", os.str());
+  metrics_.count_control_line();
+  return reply;
 }
 
 Reply PredictionServer::handle_models() {
@@ -713,11 +652,17 @@ Reply PredictionServer::handle_stats() {
   for (const FleetModel& model : fleet->models()) {
     cache_size += model.cache->size();
   }
-  std::string payload = ServerMetrics::stats_payload(metrics_.snapshot());
+  // The payload counts this stats line itself, which is recorded once
+  // the reply is built.
+  MetricsSnapshot snap = metrics_.snapshot();
+  ++snap.control_requests;
+  std::string payload = ServerMetrics::stats_payload(snap);
   payload += " models=" + std::to_string(fleet->models().size()) +
              " cache_size=" + std::to_string(cache_size) +
              " cache_capacity=" + std::to_string(config_.cache_capacity);
-  return ok_reply("stats", payload);
+  Reply reply = ok_reply("stats", std::move(payload));
+  metrics_.count_control_line();
+  return reply;
 }
 
 Reply PredictionServer::handle_reload(const std::string& path) {
@@ -726,58 +671,59 @@ Reply PredictionServer::handle_reload(const std::string& path) {
   } catch (const std::exception& e) {
     // The old fleet keeps serving; install_source swaps only after every
     // entry of the new fleet loaded (all-or-nothing).
-    metrics_.count_control_line(true);
-    return error_reply(ErrorCode::reload_failed, e.what());
+    return fail(nullptr, ErrorCode::reload_failed, e.what());
   }
-  metrics_.count_control_line(false);
   metrics_.count_reload();
   const std::shared_ptr<const ModelFleet> fleet = current_fleet();
   const FleetModel& def = fleet->default_model();
-  return ok_reply("reload",
-                  "models=" + std::to_string(fleet->models().size()) +
-                      " default=" + def.name + " generation=" +
-                      std::to_string(def.generation) + " source=" + path);
+  Reply reply =
+      ok_reply("reload", "models=" + std::to_string(fleet->models().size()) +
+                             " default=" + def.name + " generation=" +
+                             std::to_string(def.generation) +
+                             " source=" + path);
+  metrics_.count_control_line();
+  return reply;
 }
 
-void PredictionServer::enqueue(
-    ArchConfig arch, std::shared_ptr<const FleetModel> model,
-    std::chrono::steady_clock::time_point deadline,
-    std::function<void(double, std::exception_ptr)> done) {
+void PredictionServer::enqueue(ArchConfig arch,
+                               std::shared_ptr<const FleetModel> model,
+                               std::chrono::steady_clock::time_point deadline,
+                               PendingDone done) {
   Pending pending;
   pending.arch = std::move(arch);
   pending.model = std::move(model);
   pending.deadline = deadline;
   pending.done = std::move(done);
-  std::exception_ptr rejected;
+  Failure rejected{nullptr, ErrorCode::overloaded};
+  bool admitted = false;
   try {
     std::lock_guard<std::mutex> lock(queue_mutex_);
-    // Admission control: shed instead of queueing unboundedly. The caller
-    // gets the rejection inline (never a stall), and nothing was admitted,
-    // so the drain guarantee ("every admitted entry is answered") holds.
-    const bool queue_full =
-        config_.max_queue != 0 && queue_.size() >= config_.max_queue;
-    const bool inflight_full =
-        config_.max_inflight != 0 &&
-        queue_.size() + inflight_ >= config_.max_inflight;
-    if (queue_full || inflight_full) {
-      rejected = std::make_exception_ptr(OverloadedError());
-    } else {
+    // Admission control: shed instead of queueing unboundedly. The cap
+    // counts queued plus dispatching entries; the caller gets the
+    // rejection inline (never a stall), and nothing was admitted, so the
+    // drain guarantee ("every admitted entry is answered") holds.
+    if (config_.max_queue == 0 ||
+        queue_.size() + inflight_ < config_.max_queue) {
       queue_.push_back(std::move(pending));  // strong guarantee
+      admitted = true;
     }
   } catch (const std::exception&) {
-    rejected = std::current_exception();  // the queue could not grow
+    rejected.error = std::current_exception();  // the queue could not grow
   }
-  if (rejected != nullptr) {
-    answer(pending.done, 0.0, rejected);
+  if (!admitted) {
+    answer(pending.done, 0.0, &rejected);
     return;
   }
   queue_cv_.notify_one();
 }
 
 void PredictionServer::batcher_loop() {
-  // Degraded mode: under sustained queue pressure the dispatch cap halves,
-  // so rounds turn around faster and deadline checks run more often; the
-  // mode lifts once the queue falls well below the pressure threshold.
+  // Degraded mode: under sustained pressure the dispatch cap halves, so
+  // rounds turn around faster and deadline checks run more often; the mode
+  // lifts once the load falls well below the pressure threshold. The load
+  // is what admission counts against max_queue: the entries queued now
+  // plus the round that just finished, which held its slots while they
+  // arrived.
   const std::size_t pressure_threshold =
       config_.max_queue > 0
           ? std::max<std::size_t>(1, config_.max_queue / 2)
@@ -785,10 +731,13 @@ void PredictionServer::batcher_loop() {
   constexpr std::size_t kPressureRoundsToDegrade = 4;
   std::size_t pressure_rounds = 0;
   bool degraded = false;
+  std::size_t last_round = 0;
   for (;;) {
     std::vector<Pending> drained;
     {
       std::unique_lock<std::mutex> lock(queue_mutex_);
+      // A batcher that goes idle has no round holding slots any more.
+      if (queue_.empty()) last_round = 0;
       queue_cv_.wait(lock,
                      [this] { return !queue_.empty() || batcher_stop_; });
       if (queue_.empty()) {
@@ -796,15 +745,15 @@ void PredictionServer::batcher_loop() {
         if (degraded) metrics_.set_degraded(false);
         return;
       }
-      const std::size_t depth = queue_.size();
-      if (depth >= pressure_threshold) {
+      const std::size_t load = queue_.size() + last_round;
+      if (load >= pressure_threshold) {
         if (++pressure_rounds >= kPressureRoundsToDegrade && !degraded) {
           degraded = true;
           metrics_.set_degraded(true);
         }
       } else {
         pressure_rounds = 0;
-        if (degraded && depth <= pressure_threshold / 2) {
+        if (degraded && load <= pressure_threshold / 2) {
           degraded = false;
           metrics_.set_degraded(false);
         }
@@ -814,7 +763,7 @@ void PredictionServer::batcher_loop() {
                    : config_.max_batch;
       // Everything that accumulated while the previous round was in
       // flight coalesces into this round (bounded by the round's cap).
-      const std::size_t n = std::min(depth, batch_cap);
+      const std::size_t n = std::min(queue_.size(), batch_cap);
       try {
         drained.reserve(n);
       } catch (...) {
@@ -823,7 +772,8 @@ void PredictionServer::batcher_loop() {
         Pending oldest = std::move(queue_.front());
         queue_.pop_front();
         lock.unlock();
-        answer(oldest.done, 0.0, std::current_exception());
+        const Failure failure{std::current_exception()};
+        answer(oldest.done, 0.0, &failure);
         continue;
       }
       for (std::size_t i = 0; i < n; ++i) {
@@ -831,6 +781,7 @@ void PredictionServer::batcher_loop() {
         queue_.pop_front();
       }
       inflight_ += n;
+      last_round = n;
     }
     dispatch_round(drained);
     {
@@ -847,13 +798,13 @@ void PredictionServer::dispatch_round(std::vector<Pending>& drained) {
   // entries it covers one at a time.
   const auto answer_alone = [](Pending& p) noexcept {
     double value = 0.0;
-    std::exception_ptr error;
+    Failure failure;
     try {
       value = p.model->model->predict_ms(p.arch);
     } catch (...) {
-      error = std::current_exception();
+      failure.error = std::current_exception();
     }
-    answer(p.done, value, std::move(error));
+    answer(p.done, value, failure.error ? &failure : nullptr);
   };
   // Dequeue-time expiry: entries whose deadline passed while queued are
   // answered without spending a predict_all slot on them. Group by model:
@@ -862,14 +813,12 @@ void PredictionServer::dispatch_round(std::vector<Pending>& drained) {
   // concurrent reload never invalidates a group.
   const Clock::time_point now = Clock::now();
   std::vector<char> expired;
-  std::exception_ptr expiry;  // shared by the round's expired entries
   std::vector<std::pair<const FleetModel*, std::vector<std::size_t>>> groups;
   try {
     expired.assign(drained.size(), 0);
     for (std::size_t i = 0; i < drained.size(); ++i) {
       if (deadline_passed(drained[i].deadline, now)) {
         expired[i] = 1;
-        if (!expiry) expiry = std::make_exception_ptr(DeadlineExceededError());
         continue;
       }
       const FleetModel* key = drained[i].model.get();
@@ -888,8 +837,9 @@ void PredictionServer::dispatch_round(std::vector<Pending>& drained) {
     for (Pending& p : drained) answer_alone(p);
     return;
   }
+  const Failure expiry{nullptr, ErrorCode::deadline_exceeded};
   for (std::size_t i = 0; i < drained.size(); ++i) {
-    if (expired[i]) answer(drained[i].done, 0.0, expiry);
+    if (expired[i]) answer(drained[i].done, 0.0, &expiry);
   }
   for (const auto& [model, indices] : groups) {
     metrics_.count_batch(indices.size());

@@ -46,9 +46,11 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -65,7 +67,9 @@ namespace esm::serve {
 /// Invoked exactly once with the outcome of one request handled through
 /// PredictionServer::handle_request — inline on the calling thread for
 /// cache hits, control verbs, and errors, or from the batcher thread for
-/// predictions that had to be computed. Must not throw.
+/// predictions that had to be computed. Must not throw: the server gives
+/// the callback up before invoking it and swallows a throw, so a callback
+/// that throws is still invoked only once, but its reply is lost.
 using ReplyCallback = std::function<void(Reply&&)>;
 
 struct ServeConfig {
@@ -79,14 +83,12 @@ struct ServeConfig {
   std::size_t max_batch_archs = 1024;   ///< archs per predict_batch request
   double summary_period_s = 0.0;        ///< >0: periodic stderr summary
 
-  // Overload protection (PR 9). All three default off, which keeps the
-  // pre-overload behaviour (and wire bytes) exactly.
-  /// Cap on the pending-prediction queue; a miss arriving at the cap is
-  /// answered `overloaded` immediately instead of waiting. 0 = unbounded.
+  // Overload protection. Both default off, which keeps the pre-overload
+  // behaviour (and wire bytes) exactly.
+  /// Cap on predictions admitted but not yet answered: queued plus the
+  /// round currently dispatching. A miss arriving at the cap is answered
+  /// `overloaded` immediately instead of waiting. 0 = unbounded.
   std::size_t max_queue = 0;
-  /// Cap on predictions admitted but not yet answered (queued plus the
-  /// batch currently dispatching); misses beyond it shed. 0 = unbounded.
-  std::size_t max_inflight = 0;
   /// Deadline applied to prediction requests that carry none of their own
   /// (esm2 v2 header field or esm1 "deadline=<ms>" token). 0 = none.
   std::uint32_t default_deadline_ms = 0;
@@ -145,14 +147,26 @@ class PredictionServer {
   /// `wire_bytes` is the request's on-the-wire size (line or frame payload
   /// length), used for the oversized check. `done` fires exactly once —
   /// inline for cache hits, control verbs, and errors; from the batcher
-  /// thread for predictions that miss — and never throws out of this call:
-  /// unexpected handler exceptions become server_error replies.
+  /// thread for predictions that miss — and nothing throws out of this
+  /// call: unexpected handler exceptions become server_error replies, and
+  /// every error reply is counted once, from its code (fail()).
   void handle_request(const ParsedRequest& request, std::size_t wire_bytes,
                       ReplyCallback done);
 
  private:
-  /// One prediction waiting for the batcher. `done` is invoked from the
-  /// batcher thread with the value, or with the per-arch failure.
+  /// Why a queued prediction has no value: `error` when an exception
+  /// failed it, else the queue's own verdict in `code` (overloaded when
+  /// admission shed it, deadline_exceeded when it expired while queued).
+  struct Failure {
+    std::exception_ptr error;
+    ErrorCode code = ErrorCode::server_error;
+  };
+  /// Invoked once per queued prediction: with its value, or with the
+  /// failure that took its place (null on success).
+  using PendingDone =
+      std::function<void(double value, const Failure* failure)>;
+
+  /// One prediction waiting for the batcher.
   struct Pending {
     ArchConfig arch;
     /// Aliased into the fleet snapshot the request was routed against;
@@ -162,7 +176,7 @@ class PredictionServer {
     /// deadline passed with deadline_exceeded instead of predicting them.
     std::chrono::steady_clock::time_point deadline =
         std::chrono::steady_clock::time_point::max();
-    std::function<void(double value, std::exception_ptr error)> done;
+    PendingDone done;
   };
 
   /// One admitted NAS search waiting for (or running on) the search
@@ -180,45 +194,69 @@ class PredictionServer {
 
   std::shared_ptr<const ModelFleet> current_fleet() const;
 
-  /// Routes one request. It and the handlers below borrow `done`: they
-  /// answer through it, or move it into the completion that takes the
-  /// request over, and a throw before that handoff leaves it for
-  /// handle_request's backstop to answer.
-  void dispatch_request(const ParsedRequest& request, std::size_t wire_bytes,
-                        ReplyCallback& done);
+  /// The one failure path: counts a failed request line once, from its
+  /// code, on `section` (a prediction line; "_unrouted" when routing
+  /// failed) or as a control line when `section` is null, and returns its
+  /// reply. The reply is built before the count, so a throw counts nothing.
+  Reply fail(ModelMetrics* section, ErrorCode code, std::string detail);
+
+  /// The one exception -> code map, then fail(): a ConfigError is the
+  /// request's own fault and answers the verb's `config_code` (bad_arch for
+  /// predictions, bad_request for search), a cancelled search
+  /// deadline_exceeded, anything else server_error. A failure without an
+  /// exception answers its own code.
+  Reply fail(ModelMetrics* section, const Failure& failure,
+             ErrorCode config_code);
+
+  /// Routes one request. It and the handlers below return the reply to
+  /// answer inline, or nullopt once they moved `done` into the completion
+  /// that took the request over. They never move it before a step that can
+  /// throw, so while `done` is set, nobody answered or counted the line.
+  /// `section` is where the line counts: "_unrouted" for a prediction verb
+  /// (null for a control verb) until a handler routes it to its model.
+  std::optional<Reply> dispatch_request(const ParsedRequest& request,
+                                        std::size_t wire_bytes,
+                                        ModelMetrics*& section,
+                                        ReplyCallback& done);
 
   /// Resolves a request's optional model key against `fleet` and marks
-  /// the model's stats section routed; on an unknown key, answers
-  /// unknown_model through `done` and returns null.
-  const FleetModel* route(const ModelFleet& fleet, std::string_view model_key,
-                          ReplyCallback& done);
+  /// the model's stats section routed; null for an unknown key.
+  static const FleetModel* route(const ModelFleet& fleet,
+                                 std::string_view model_key);
 
-  void handle_predict(std::string_view payload,
-                      std::chrono::steady_clock::time_point deadline,
-                      ReplyCallback& done);
+  /// The unknown_model reply for `key`, counted on `section`.
+  Reply unknown_model(ModelMetrics* section, std::string_view key);
+
+  std::optional<Reply> handle_predict(
+      std::string_view payload,
+      std::chrono::steady_clock::time_point deadline, ModelMetrics*& section,
+      ReplyCallback& done);
   /// Validates and admits one `search` request; the reply completes from
   /// the search worker thread (or inline on rejection). Counts into the
   /// prediction-line identity exactly like predict: one `requests`
   /// increment classified miss (the front was computed) or error.
-  void handle_search(const std::string& payload,
-                     std::chrono::steady_clock::time_point deadline,
-                     ReplyCallback& done);
-  void handle_predict_batch(std::string_view payload,
-                            std::chrono::steady_clock::time_point deadline,
-                            ReplyCallback& done);
+  std::optional<Reply> handle_search(
+      const std::string& payload,
+      std::chrono::steady_clock::time_point deadline, ModelMetrics*& section,
+      ReplyCallback& done);
+  std::optional<Reply> handle_predict_batch(
+      std::string_view payload,
+      std::chrono::steady_clock::time_point deadline, ModelMetrics*& section,
+      ReplyCallback& done);
   Reply handle_info(const std::string& payload);
   Reply handle_models();
   Reply handle_stats();
   Reply handle_reload(const std::string& path);
 
   /// Queues one architecture for the batcher against `model`; `done` is
-  /// invoked from the batcher thread — or inline with an OverloadedError
-  /// when admission control sheds the entry (queue or in-flight cap hit),
-  /// or with the exception when the queue cannot grow. Only wrapping
-  /// `done` into the parameter can throw out of this call.
+  /// invoked from the batcher thread — or inline with an `overloaded`
+  /// failure when admission control sheds the entry (queued plus
+  /// dispatching at max_queue), or with the exception when the queue
+  /// cannot grow. Only wrapping `done` into the parameter can throw out of
+  /// this call.
   void enqueue(ArchConfig arch, std::shared_ptr<const FleetModel> model,
                std::chrono::steady_clock::time_point deadline,
-               std::function<void(double, std::exception_ptr)> done);
+               PendingDone done);
 
   void batcher_loop();
   /// Predicts and answers one drained batcher round.
@@ -256,7 +294,7 @@ class PredictionServer {
   std::deque<Pending> queue_;
   /// Entries drained into the dispatch round currently running; together
   /// with queue_.size() this is the admitted-but-unanswered total that
-  /// max_inflight caps. Guarded by queue_mutex_.
+  /// max_queue caps. Guarded by queue_mutex_.
   std::size_t inflight_ = 0;
   bool batcher_stop_ = false;
 

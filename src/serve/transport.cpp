@@ -38,8 +38,8 @@ IoResult Connection::write_some_vec(const std::string_view* bufs,
   return IoResult::ok;
 }
 
-bool LoopbackChannel::receive_some_for(std::string& out, int /*timeout_ms*/,
-                                       bool* timed_out) {
+bool ClientChannel::receive_some_for(std::string& out, int /*timeout_ms*/,
+                                     bool* timed_out) {
   if (timed_out != nullptr) *timed_out = false;
   return receive_some(out);
 }
@@ -274,12 +274,12 @@ class LoopbackConnection final : public Connection {
   std::shared_ptr<LoopbackState> state_;
 };
 
-class LoopbackChannelImpl final : public LoopbackChannel {
+class LoopbackClient final : public ClientChannel {
  public:
-  explicit LoopbackChannelImpl(std::shared_ptr<LoopbackState> state)
+  explicit LoopbackClient(std::shared_ptr<LoopbackState> state)
       : state_(std::move(state)) {}
 
-  ~LoopbackChannelImpl() override { close(); }
+  ~LoopbackClient() override { close(); }
 
   bool send(std::string_view bytes) override {
     ReadyNotifier notify;
@@ -359,12 +359,12 @@ class LoopbackChannelImpl final : public LoopbackChannel {
 
 class LoopbackListenerImpl final : public LoopbackListener {
  public:
-  std::shared_ptr<LoopbackChannel> connect(
+  std::shared_ptr<ClientChannel> connect(
       std::size_t response_buffer_cap) override {
     auto state = std::make_shared<LoopbackState>();
     state->response_cap = response_buffer_cap;
     auto server = std::make_shared<LoopbackConnection>(state);
-    auto client = std::make_shared<LoopbackChannelImpl>(state);
+    auto client = std::make_shared<LoopbackClient>(state);
     ReadyNotifier notify;
     {
       std::lock_guard<std::mutex> lock(mutex_);

@@ -3,7 +3,7 @@
 //
 //   * TCP (make_tcp_listener / adopt_fd_connection): real sockets with
 //     O_NONBLOCK fds. poll_fd() exposes the fd so the event loop registers
-//     it with epoll/poll and readiness arrives from the kernel.
+//     it with epoll and readiness arrives from the kernel.
 //
 //   * loopback (make_loopback_listener): fd-less in-process connections
 //     over plain byte buffers. poll_fd() is -1; readiness arrives through
@@ -102,27 +102,29 @@ std::unique_ptr<Listener> make_tcp_listener(int port, int* bound_port);
 /// takes ownership of the fd).
 std::shared_ptr<Connection> adopt_fd_connection(int fd);
 
-/// Client end of one loopback connection. Thread-safe; blocking calls are
-/// for driver threads in tests and benches, never the event loop.
-class LoopbackChannel {
+/// Blocking byte channel from a client to a server: a TCP socket
+/// (connect_tcp, serve/client.hpp) or the client end of one loopback
+/// connection (LoopbackListener::connect). Blocking calls are for driver
+/// threads in tests, benches and clients, never the event loop.
+class ClientChannel {
  public:
-  virtual ~LoopbackChannel() = default;
+  virtual ~ClientChannel() = default;
 
-  /// Queues `bytes` for the server and wakes the event loop. False once
-  /// the server side closed.
+  /// Writes all of `bytes`; false once the server side closed.
   virtual bool send(std::string_view bytes) = 0;
 
   /// Blocks until response bytes are available or the server side closed,
-  /// then moves everything buffered into `out` (append). False on
-  /// end-of-stream with nothing buffered.
+  /// then appends what arrived to `out`. False on end-of-stream with
+  /// nothing buffered.
   virtual bool receive_some(std::string& out) = 0;
 
   /// Like receive_some, but gives up after `timeout_ms` milliseconds:
-  /// returns false with `*timed_out` set when nothing arrived in time.
-  /// On data or end-of-stream behaves exactly like receive_some (with
-  /// `*timed_out` false). The base implementation ignores the timeout and
-  /// blocks; the loopback transport overrides it with a bounded wait,
-  /// which is what gives the client its per-request timeouts in tests.
+  /// returns false with `*timed_out` (when non-null) set when nothing
+  /// arrived in time. On data or end-of-stream behaves exactly like
+  /// receive_some (with `*timed_out` false). The base implementation
+  /// ignores the timeout and blocks; TCP (poll(2)) and loopback (its
+  /// condition variable) override it with a bounded wait, which is what
+  /// gives the client its per-request timeouts.
   virtual bool receive_some_for(std::string& out, int timeout_ms,
                                 bool* timed_out);
 
@@ -138,7 +140,7 @@ class LoopbackListener : public Listener {
   /// `response_buffer_cap` bounds the server-to-client buffer: a full
   /// buffer makes the server's write_some report would_block until the
   /// client drains, which is how tests exercise backpressure (0 = none).
-  virtual std::shared_ptr<LoopbackChannel> connect(
+  virtual std::shared_ptr<ClientChannel> connect(
       std::size_t response_buffer_cap = 0) = 0;
 };
 

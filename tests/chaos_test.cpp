@@ -197,7 +197,7 @@ TEST(ChaosTest, RetryRidesOutHarshChaos) {
   client.set_retry(policy, 0x5eed);
   client.set_request_timeout(2.0);
   client.set_reconnect([&harness]() {
-    return serve::loopback_channel(harness.listener->connect());
+    return harness.listener->connect();
   });
 
   for (const std::string& spec : pool) {
@@ -243,9 +243,8 @@ TEST(ChaosTest, TenThousandConnectionsUnderChaosAndOverloadConverge) {
       // is awaited — the full offered load hits the admission queue at
       // once, far above max_queue.
       for (std::size_t c = begin; c < end; ++c) {
-        clients.emplace_back(
-            serve::loopback_channel(harness.listener->connect()),
-            c % 2 == 0 ? Protocol::esm1 : Protocol::esm2);
+        clients.emplace_back(harness.listener->connect(),
+                             c % 2 == 0 ? Protocol::esm1 : Protocol::esm2);
         for (int i = 0; i < kPerConn; ++i) {
           const std::string& spec = pool[(c * 7 + i * 131) % pool.size()];
           sent[c - begin].push_back(

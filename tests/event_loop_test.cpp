@@ -38,7 +38,7 @@ using serve::EventLoop;
 using serve::EventLoopConfig;
 using serve::Frame;
 using serve::FrameVerb;
-using serve::LoopbackChannel;
+using serve::ClientChannel;
 using serve::PredictionServer;
 using serve::Protocol;
 using serve::ServeConfig;
@@ -147,7 +147,7 @@ TEST(EventLoopTest, Esm2CompletesOutOfOrderMatchedById) {
   const std::string batch = join_batch(arch_pool(64));
   bool overtook = false;
   for (int attempt = 0; attempt < 50 && !overtook; ++attempt) {
-    std::shared_ptr<LoopbackChannel> channel = harness.listener->connect();
+    std::shared_ptr<ClientChannel> channel = harness.listener->connect();
     std::string wire =
         serve::encode_request(1, FrameVerb::predict_batch, batch);
     wire += serve::encode_request(2, FrameVerb::models, "");
@@ -172,7 +172,7 @@ TEST(EventLoopTest, Esm2CompletesOutOfOrderMatchedById) {
 
 TEST(EventLoopTest, Esm1ResponsesStayInRequestOrder) {
   Harness harness(serve_config(artifact()));
-  std::shared_ptr<LoopbackChannel> channel = harness.listener->connect();
+  std::shared_ptr<ClientChannel> channel = harness.listener->connect();
   // Same shape as above, but esm1: even though `models` completes first
   // internally, the wire order must match the request order.
   const std::string batch = join_batch(arch_pool(64));
@@ -193,7 +193,7 @@ TEST(EventLoopTest, MalformedFrameMatrixAnswersThenCloses) {
   // (request id 0, code bad_frame) followed by end-of-stream.
   const auto expect_bad_frame = [](std::string wire) {
     Harness harness(serve_config(artifact()));
-    std::shared_ptr<LoopbackChannel> channel = harness.listener->connect();
+    std::shared_ptr<ClientChannel> channel = harness.listener->connect();
     ASSERT_TRUE(channel->send(wire));
     std::string buffer;
     const Frame frame = next_frame(*channel, buffer);
@@ -244,7 +244,7 @@ TEST(EventLoopTest, MalformedFrameMatrixAnswersThenCloses) {
   {  // valid frame, then interleaved garbage: the first is answered, the
      // garbage earns the bad_frame close
     Harness harness(serve_config(artifact()));
-    std::shared_ptr<LoopbackChannel> channel = harness.listener->connect();
+    std::shared_ptr<ClientChannel> channel = harness.listener->connect();
     ASSERT_TRUE(channel->send(valid + "garbage that is not a frame"));
     // Both frames must arrive (the valid request answered, the garbage
     // closed out), but esm2 completion order is intentionally unordered:
@@ -265,7 +265,7 @@ TEST(EventLoopTest, MalformedFrameMatrixAnswersThenCloses) {
 
 TEST(EventLoopTest, TruncatedFrameWaitsInsteadOfClosing) {
   Harness harness(serve_config(artifact()));
-  std::shared_ptr<LoopbackChannel> channel = harness.listener->connect();
+  std::shared_ptr<ClientChannel> channel = harness.listener->connect();
   const std::string wire =
       serve::encode_request(3, FrameVerb::predict, "3,5,2,7");
   // Drip-feed: the parser must wait at every cut, then answer normally.
@@ -281,7 +281,7 @@ TEST(EventLoopTest, TruncatedFrameWaitsInsteadOfClosing) {
 
 TEST(EventLoopTest, UnknownFrameVerbEarnsStructuredError) {
   Harness harness(serve_config(artifact()));
-  std::shared_ptr<LoopbackChannel> channel = harness.listener->connect();
+  std::shared_ptr<ClientChannel> channel = harness.listener->connect();
   ASSERT_TRUE(channel->send(serve::encode_frame(11, 42, "whatever")));
   std::string buffer;
   const Frame frame = next_frame(*channel, buffer);
@@ -319,8 +319,8 @@ TEST(EventLoopTest, BackpressurePausesThenRecovers) {
   loop_config.out_high_watermark = 1024;
   loop_config.out_hard_cap = 1 << 20;
   Harness harness(serve_config(artifact()), loop_config);
-  std::shared_ptr<LoopbackChannel> channel = harness.listener->connect(512);
-  EsmClient client(serve::loopback_channel(channel), Protocol::esm1);
+  std::shared_ptr<ClientChannel> channel = harness.listener->connect(512);
+  EsmClient client(channel, Protocol::esm1);
 
   constexpr int kRequests = 200;
   std::vector<std::uint64_t> ids;
@@ -338,7 +338,7 @@ TEST(EventLoopTest, SlowClientIsDroppedByWriteStall) {
   loop_config.write_stall_timeout_s = 0.05;
   loop_config.tick_ms = 10;
   Harness harness(serve_config(artifact()), loop_config);
-  std::shared_ptr<LoopbackChannel> channel = harness.listener->connect(64);
+  std::shared_ptr<ClientChannel> channel = harness.listener->connect(64);
   // Flood without ever reading: output fills its 64-byte window and
   // stalls until the reaper drops the connection.
   for (int i = 0; i < 50; ++i) {
@@ -360,7 +360,7 @@ TEST(EventLoopTest, Esm1HoldBackQueueIsCapped) {
   ServeConfig config = serve_config(artifact());
   config.cache_capacity = 0;
   Harness harness(config, loop_config);
-  std::shared_ptr<LoopbackChannel> channel = harness.listener->connect();
+  std::shared_ptr<ClientChannel> channel = harness.listener->connect();
 
   // Head of line: a heavy uncached batch that pins seq 0 in the batcher
   // for milliseconds. The `models` replies complete inline on the reactor
@@ -383,8 +383,8 @@ TEST(EventLoopTest, GatherFlushSurvivesTinyWriteWindows) {
   const std::map<std::string, double> expected =
       offline_predictions(artifact(), pool);
   Harness harness(serve_config(artifact()));
-  std::shared_ptr<LoopbackChannel> channel = harness.listener->connect(64);
-  EsmClient client(serve::loopback_channel(channel), Protocol::esm2);
+  std::shared_ptr<ClientChannel> channel = harness.listener->connect(64);
+  EsmClient client(channel, Protocol::esm2);
 
   std::vector<std::pair<std::uint64_t, std::string>> sent;
   for (int i = 0; i < 64; ++i) {
@@ -431,7 +431,7 @@ TEST(EventLoopTest, TcpAndLoopbackFlushByteIdentically) {
     // A small response cap keeps the loopback side making partial
     // gather-flush progress the whole time.
     loopback_bytes =
-        collect(serve::loopback_channel(harness.listener->connect(48)));
+        collect(harness.listener->connect(48));
   }
 
   std::string tcp_bytes;
@@ -458,7 +458,7 @@ TEST(EventLoopTest, IdleConnectionIsReaped) {
   loop_config.idle_timeout_s = 0.05;
   loop_config.tick_ms = 10;
   Harness harness(serve_config(artifact()), loop_config);
-  std::shared_ptr<LoopbackChannel> channel = harness.listener->connect();
+  std::shared_ptr<ClientChannel> channel = harness.listener->connect();
   ASSERT_TRUE(channel->send("models\n"));
   std::string out;
   ASSERT_TRUE(channel->receive_some(out));
@@ -477,7 +477,7 @@ TEST(EventLoopTest, DrainAnswersEverythingOnTheWire) {
   // Distinct archs everywhere, so every request is a miss that is still
   // queued in the batcher when the drain begins.
   const std::vector<std::string> pool = arch_pool(kClients * kPerClient);
-  std::vector<std::shared_ptr<LoopbackChannel>> channels;
+  std::vector<std::shared_ptr<ClientChannel>> channels;
   for (std::size_t c = 0; c < kClients; ++c) {
     channels.push_back(harness.listener->connect());
     std::string burst;
@@ -489,7 +489,7 @@ TEST(EventLoopTest, DrainAnswersEverythingOnTheWire) {
   }
   // Every complete request sent before the stop must be answered.
   harness.loop.request_stop();
-  for (const std::shared_ptr<LoopbackChannel>& channel : channels) {
+  for (const std::shared_ptr<ClientChannel>& channel : channels) {
     std::string received;
     while (channel->receive_some(received)) {
     }
@@ -592,9 +592,8 @@ TEST(EventLoopTest, TenThousandConcurrentConnectionsZeroDrops) {
       // Phase 1: open every connection and pipeline every request before
       // awaiting anything — all connections are concurrently in flight.
       for (std::size_t c = begin; c < end; ++c) {
-        clients.emplace_back(
-            serve::loopback_channel(harness.listener->connect()),
-            c % 2 == 0 ? Protocol::esm1 : Protocol::esm2);
+        clients.emplace_back(harness.listener->connect(),
+                             c % 2 == 0 ? Protocol::esm1 : Protocol::esm2);
         for (int i = 0; i < kPerConn; ++i) {
           const std::string& spec = pool[(c * 7 + i * 131) % pool.size()];
           sent[c - begin].push_back(

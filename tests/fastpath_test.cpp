@@ -9,7 +9,8 @@
 // its cache key, the cache lookup and the latency formatting add none.
 // The same counter injects failures: when the k-th allocation inside a
 // warm handle_request throws std::bad_alloc, for every k, the request is
-// still answered exactly once.
+// still answered exactly once, and a client of the event loop still hears
+// back when the batcher's k-th allocation fails.
 //
 // The whole-program operator new replacement below counts allocations, so
 // this binary stays out of the sanitizer tiers in scripts/ci.sh (ASan wants
@@ -37,9 +38,11 @@
 #include "encoding/encoders.hpp"
 #include "ml/mlp.hpp"
 #include "nets/sampler.hpp"
+#include "serve/event_loop.hpp"
 #include "serve/frame.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
+#include "serve/transport.hpp"
 #include "surrogate/mlp_surrogate.hpp"
 #include "surrogate/registry.hpp"
 
@@ -328,11 +331,19 @@ TEST(FastPathTest, EveryRequestIsAnsweredOnceWhenAnAllocationFails) {
            std::to_string(1 + n / 7 % 7) + "," +
            std::to_string(1 + n / 49 % 7) + ",5";
   };
+  // Errors counted on the "default" section, where every line here routes.
+  const auto default_errors = [](const serve::MetricsSnapshot& snap) {
+    for (const auto& [section, counters] : snap.per_model) {
+      if (section == "default") return counters.errors;
+    }
+    return std::uint64_t{0};
+  };
   // Serves one request with the k-th allocation on this thread inside
   // handle_request failing (k = 0: none; the batcher thread's own
   // allocations never fail), waits for its reply, then for the batcher to
   // drain past it (a later miss answered means every earlier completion
-  // fired). Returns whether the injection fired.
+  // fired). A failed line counts one error, on the model it routed to,
+  // wherever the allocation failed. Returns whether the injection fired.
   const auto serve_failing = [&](serve::FrameVerb verb,
                                  const std::string& payload,
                                  std::uint64_t k, const std::string& what) {
@@ -341,6 +352,7 @@ TEST(FastPathTest, EveryRequestIsAnsweredOnceWhenAnAllocationFails) {
         esm2_request(next_id++, verb, payload, wire_bytes);
     const auto slot = std::make_shared<CountingSlot>();
     serve::ReplyCallback done = counting_completion(slot);
+    const serve::MetricsSnapshot before = server.metrics();
     t_seen = 0;
     t_fail_at = k;
     server.handle_request(request, wire_bytes, std::move(done));
@@ -362,6 +374,12 @@ TEST(FastPathTest, EveryRequestIsAnsweredOnceWhenAnAllocationFails) {
     if (!fired) {
       EXPECT_TRUE(slot->reply.ok) << what << ": " << slot->reply.payload;
     }
+    const serve::MetricsSnapshot after = server.metrics();
+    const std::uint64_t failed = slot->reply.ok ? 0 : 1;
+    EXPECT_EQ(after.errors - before.errors, failed)
+        << what << ", allocation " << k;
+    EXPECT_EQ(default_errors(after) - default_errors(before), failed)
+        << what << ", allocation " << k;
     return fired;
   };
   const std::string hit = "default 3:k5,5:k7e0.667,2,7:k3e1";
@@ -477,6 +495,85 @@ TEST(FastPathTest, EveryBatchedEntryIsAnsweredOnceWhenABatcherAllocationFails) {
   EXPECT_LT(k, 256u);
   const serve::MetricsSnapshot snap = server.metrics();
   EXPECT_EQ(snap.requests, snap.hits + snap.misses + snap.errors);
+}
+
+TEST(FastPathTest, EventLoopAnswersOrDropsWhenABatcherAllocationFails) {
+  // The event loop's completion callback runs on the batcher thread for a
+  // miss and must not throw. The batcher's k-th allocation fails, for
+  // every k a client miss's round reaches, rendering its response
+  // included: the client always hears back, with a reply or (when its
+  // response could not be rendered) the end of its stream, and the loop
+  // still drains.
+  set_thread_count(1);
+  serve::PredictionServer server(small_served_config());
+  serve::EventLoop loop(server);
+  const std::shared_ptr<serve::LoopbackListener> listener =
+      serve::make_loopback_listener();
+  loop.add_listener(listener);
+  std::thread reactor([&loop] { loop.run(); });
+  int next_fresh = 0;
+  const auto fresh_arch = [&] {
+    const int n = next_fresh++;
+    return std::to_string(1 + n % 7) + "," + std::to_string(1 + n / 7 % 7) +
+           "," + std::to_string(1 + n / 49 % 7) + ",7";
+  };
+  // Served straight through the core, so `done` runs on the batcher.
+  const auto submit = [&](const std::string& payload,
+                          serve::ReplyCallback done) {
+    serve::ParsedRequest request;
+    request.verb = "predict";
+    request.payload = payload;
+    server.handle_request(request, payload.size(), std::move(done));
+  };
+  const auto within_10s = [](const auto& ready) {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!ready() && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
+    return ready();
+  };
+  std::uint64_t k = 1;
+  for (; k < 256; ++k) {
+    // An arming miss holds the batcher in its completion until the
+    // client's miss is admitted, then arms the injector for the next round.
+    std::promise<void> admitted;
+    const std::shared_future<void> go = admitted.get_future().share();
+    const auto holding = std::make_shared<std::atomic<bool>>(false);
+    submit(fresh_arch(), [go, k, holding](serve::Reply&&) {
+      holding->store(true);
+      go.wait();
+      t_seen = 0;
+      t_fail_at = k;
+    });
+    ASSERT_TRUE(within_10s([&] { return holding->load(); }));
+    const std::shared_ptr<serve::ClientChannel> client = listener->connect();
+    const std::uint64_t misses = server.metrics().arch_misses;
+    ASSERT_TRUE(client->send("predict " + fresh_arch() + "\n"));
+    ASSERT_TRUE(
+        within_10s([&] { return server.metrics().arch_misses > misses; }));
+    admitted.set_value();
+    std::string bytes;
+    bool timed_out = false;
+    if (client->receive_some_for(bytes, 10000, &timed_out)) {
+      EXPECT_EQ(bytes.rfind("esm1 ", 0), 0u)
+          << "allocation " << k << ": " << bytes;
+    }
+    ASSERT_FALSE(timed_out) << "allocation " << k << ": never answered";
+    client->close();
+    // A closing miss disarms the injector and reports whether it fired.
+    const auto fired = std::make_shared<std::atomic<int>>(-1);
+    submit(fresh_arch(), [fired](serve::Reply&&) {
+      fired->store(t_fail_at != 0 && t_seen >= t_fail_at ? 1 : 0);
+      t_fail_at = 0;
+    });
+    ASSERT_TRUE(within_10s([&] { return fired->load() >= 0; }));
+    if (fired->load() == 0) break;
+  }
+  EXPECT_GT(k, 1u) << "the round made no allocation to fail";
+  EXPECT_LT(k, 256u);
+  loop.request_stop();
+  reactor.join();
 }
 
 }  // namespace

@@ -10,8 +10,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <future>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -30,7 +32,6 @@ using serve::ClientChannel;
 using serve::EsmClient;
 using serve::Frame;
 using serve::FrameVerb;
-using serve::LoopbackChannel;
 using serve::Protocol;
 using serve::ServeConfig;
 
@@ -61,7 +62,7 @@ ServeConfig slow_config() {
 /// A slow request: one predict_batch over `archs` distinct architectures
 /// with the cache off keeps the batcher busy for a full dispatch round.
 /// Note the server enqueues one batcher entry PER MISS ARCH, so a payload
-/// of N archs occupies N queue slots against max_queue/max_inflight.
+/// of N archs occupies N admission slots against max_queue.
 std::string batch_payload(std::size_t archs) {
   return join_batch(arch_pool(archs));
 }
@@ -81,6 +82,42 @@ std::string heavy_batch_payload(std::size_t archs) {
   return payload;
 }
 
+/// Hands one request line straight to the server core, as a front end
+/// would after framing it.
+void submit_line(serve::PredictionServer& server, const std::string& verb,
+                 const std::string& payload, std::uint32_t deadline_ms,
+                 serve::ReplyCallback done) {
+  serve::ParsedRequest request;
+  request.verb = verb;
+  request.payload = payload;
+  request.deadline_ms = deadline_ms;
+  server.handle_request(request, payload.size(), std::move(done));
+}
+
+/// A completion that holds the batcher inside its dispatch round until
+/// the test opens it.
+struct Gate {
+  std::promise<void> open;
+  std::shared_future<void> opened = open.get_future().share();
+  std::atomic<bool> entered{false};
+
+  serve::ReplyCallback callback() {
+    return [this](serve::Reply&&) {
+      entered.store(true);
+      opened.wait();
+    };
+  }
+  /// Spins until the batcher reached this completion (10 s at most).
+  bool wait_entered() const {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!entered.load() && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
+    return entered.load();
+  }
+};
+
 /// Outcome of pin_then_flood: how the flood requests were answered.
 struct Flood {
   std::size_t served = 0;
@@ -94,7 +131,7 @@ struct Flood {
 /// few lines, which no scheduling of a loaded host comes near. esm1
 /// answers a connection in request order; the pin must serve and every
 /// flood request must serve or shed.
-Flood pin_then_flood(LoopbackChannel& channel, const std::string& pin_payload,
+Flood pin_then_flood(ClientChannel& channel, const std::string& pin_payload,
                      const std::vector<std::string>& flood) {
   std::string wire = "predict_batch " + pin_payload + "\n";
   for (const std::string& spec : flood) wire += "predict " + spec + "\n";
@@ -159,11 +196,13 @@ TEST(OverloadTest, Esm1DeadlineTokenExpiresInQueue) {
   EXPECT_EQ(stat(stats, "requests"),
             stat(stats, "hits") + stat(stats, "misses") +
                 stat(stats, "errors"));
+  expect_one_error(serve::MetricsSnapshot{}, harness.server.metrics(),
+                   "deadline_exceeded", "default");
 }
 
 TEST(OverloadTest, Esm2DeadlineFrameExpiresInQueue) {
   Harness harness(slow_config());
-  std::shared_ptr<LoopbackChannel> channel = harness.listener->connect();
+  std::shared_ptr<ClientChannel> channel = harness.listener->connect();
 
   constexpr std::uint64_t kPins = 2;
   const std::string slow = heavy_batch_payload(1000);
@@ -208,9 +247,12 @@ TEST(OverloadTest, GenerousDeadlineDoesNotPerturbServing) {
 TEST(OverloadTest, MalformedDeadlineTokenIsBadRequest) {
   Harness harness(serve_config(artifact()));
   EsmClient client = harness.client(Protocol::esm1);
+  const serve::MetricsSnapshot before = harness.server.metrics();
   const EsmClient::Response bad = client.call("predict", "deadline=zero 3,5,2,7");
   EXPECT_FALSE(bad.ok);
   EXPECT_EQ(bad.verb_or_code, "bad_request");
+  expect_one_error(before, harness.server.metrics(), "bad_request",
+                   "_unrouted");
 }
 
 TEST(OverloadTest, DefaultDeadlineAppliesWhenRequestCarriesNone) {
@@ -244,66 +286,107 @@ TEST(OverloadTest, DefaultDeadlineAppliesWhenRequestCarriesNone) {
 // -- admission control -----------------------------------------------------
 
 TEST(OverloadTest, FullQueueShedsWithOverloaded) {
-  // A 999-arch batch against the slow model fills the queue to one slot
-  // under its cap, and at one entry per round the queue stays near-full
-  // for tens of milliseconds: a pipelined flood of 1000 predicts must be
-  // answered — a few served into freed slots, the rest shed immediately
-  // with `overloaded` — and the metrics identity must reconcile exactly.
-  ServeConfig config = slow_config();
-  config.max_queue = 1000;
-  Harness harness(config);
-  std::shared_ptr<LoopbackChannel> channel = harness.listener->connect();
+  // The admission cap counts queued plus dispatching entries. A 999-arch
+  // batch against the slow model fills it to one slot under the cap, and
+  // it stays near-full for tens of milliseconds whether the batcher takes
+  // one entry per round (max_batch 1: the pin waits queued) or most of the
+  // pin in a few multi-millisecond predict_all rounds (max_batch 1024: the
+  // pin waits dispatching). Either way a pipelined flood of 1000 predicts
+  // must be answered — a few served into freed slots, the rest shed
+  // immediately with `overloaded` — and the metrics identity must
+  // reconcile exactly.
+  for (const std::size_t max_batch : {std::size_t{1}, std::size_t{1024}}) {
+    SCOPED_TRACE("max_batch " + std::to_string(max_batch));
+    ServeConfig config = slow_config();
+    config.max_batch = max_batch;
+    config.max_queue = 1000;
+    Harness harness(config);
+    std::shared_ptr<ClientChannel> channel = harness.listener->connect();
 
-  const std::vector<std::string> pool = arch_pool(1000);
-  const Flood flood =
-      pin_then_flood(*channel, heavy_batch_payload(999), pool);
-  EXPECT_EQ(flood.served + flood.shed, pool.size());
-  EXPECT_GT(flood.shed, 0u);
+    const std::vector<std::string> pool = arch_pool(1000);
+    const Flood flood =
+        pin_then_flood(*channel, heavy_batch_payload(999), pool);
+    EXPECT_EQ(flood.served + flood.shed, pool.size());
+    EXPECT_GT(flood.shed, 0u);
 
-  EsmClient client(serve::loopback_channel(channel), Protocol::esm1);
-  const std::map<std::string, std::string> stats = client.stats();
-  EXPECT_EQ(stat(stats, "shed"), flood.shed);
-  EXPECT_EQ(stat(stats, "errors"), flood.shed);
-  EXPECT_EQ(stat(stats, "requests"),
-            stat(stats, "hits") + stat(stats, "misses") +
-                stat(stats, "errors"));
-  // Shed requests never reach the batcher: every batched arch came from a
-  // request that was actually admitted.
-  EXPECT_EQ(stat(stats, "model.default.shed"), flood.shed);
+    EsmClient client(channel, Protocol::esm1);
+    const std::map<std::string, std::string> stats = client.stats();
+    EXPECT_EQ(stat(stats, "shed"), flood.shed);
+    EXPECT_EQ(stat(stats, "errors"), flood.shed);
+    EXPECT_EQ(stat(stats, "requests"),
+              stat(stats, "hits") + stat(stats, "misses") +
+                  stat(stats, "errors"));
+    // Shed requests never reach the batcher: every batched arch came from
+    // a request that was actually admitted.
+    EXPECT_EQ(stat(stats, "model.default.shed"), flood.shed);
+    EXPECT_EQ(stat(stats, "model.default.errors"), flood.shed);
+    EXPECT_EQ(stat(stats, "expired"), 0u);
 
-  // The server recovered: a fresh request serves normally.
-  EXPECT_GT(client.predict("3,5,2,7"), 0.0);
+    // The server recovered: a fresh request serves normally.
+    EXPECT_GT(client.predict("3,5,2,7"), 0.0);
+  }
 }
 
-TEST(OverloadTest, MaxInflightCapsAdmittedTotal) {
-  // max_inflight counts queued + currently-dispatching entries, and with
-  // max_batch above the head's size the 1000-arch batch dispatches in a
-  // few multi-millisecond predict_all rounds against the slow model —
-  // queued+inflight stays near 1000 while they run, so a pipelined flood
-  // of 1000 predicts against a cap of 1001 finds a few slots and the rest
-  // sheds.
-  ServeConfig config = slow_config();
-  config.max_batch = 1024;
-  config.max_inflight = 1001;
-  Harness harness(config);
-  std::shared_ptr<LoopbackChannel> channel = harness.listener->connect();
+TEST(OverloadTest, AdmissionCapCountsTheDispatchingRound) {
+  // Deterministic shed and expiry, straight through the server core. A
+  // gate miss holds the batcher inside its dispatch round, so with
+  // max_queue 2 one more miss queues and the next is shed: the cap counts
+  // the dispatching entry too. The queued miss's deadline lapses behind
+  // the gate and it expires at dequeue. Each failed line moves the stats
+  // by one error, on the model it routed to.
+  ServeConfig config = serve_config(artifact());
+  config.max_queue = 2;
+  config.max_batch = 1;
+  config.max_batch_archs = 1 << 19;
+  config.max_line_bytes = 16 << 20;
+  serve::PredictionServer server(config);
+  const auto store = [](std::optional<serve::Reply>& slot) {
+    return [&slot](serve::Reply&& reply) { slot = std::move(reply); };
+  };
 
-  const std::vector<std::string> pool = arch_pool(1000);
-  const Flood flood =
-      pin_then_flood(*channel, heavy_batch_payload(1000), pool);
-  EXPECT_EQ(flood.served + flood.shed, pool.size());
-  EXPECT_GT(flood.shed, 0u);
-  EsmClient client(serve::loopback_channel(channel), Protocol::esm1);
-  const std::map<std::string, std::string> stats = client.stats();
-  EXPECT_EQ(stat(stats, "shed"), flood.shed);
-  EXPECT_EQ(stat(stats, "requests"),
-            stat(stats, "hits") + stat(stats, "misses") +
-                stat(stats, "errors"));
+  // Admission expiry: the deadline clock starts when the line is routed,
+  // and the batch is checked against it only once every architecture has
+  // been scanned into a cache key. Scanning 300k architectures (~8 MB)
+  // takes ~170 ms on a 4-vCPU x86-64 host, two orders of magnitude past
+  // the 1 ms deadline, so only a host scanning over 8 GB/s could admit it.
+  serve::MetricsSnapshot before = server.metrics();
+  std::optional<serve::Reply> late_batch;
+  submit_line(server, "predict_batch", heavy_batch_payload(300000), 1,
+              store(late_batch));
+  ASSERT_TRUE(late_batch.has_value());
+  EXPECT_EQ(late_batch->code, serve::ErrorCode::deadline_exceeded);
+  expect_one_error(before, server.metrics(), "deadline_exceeded", "default");
+
+  const std::vector<std::string> pool = arch_pool(3);
+  Gate gate;
+  submit_line(server, "predict", pool[0], 0, gate.callback());
+  ASSERT_TRUE(gate.wait_entered());
+
+  std::promise<serve::Reply> queued;
+  submit_line(server, "predict", pool[1], 100,
+              [&queued](serve::Reply&& reply) {
+                queued.set_value(std::move(reply));
+              });
+  before = server.metrics();
+  std::optional<serve::Reply> shed;
+  submit_line(server, "predict", pool[2], 0, store(shed));
+  ASSERT_TRUE(shed.has_value());
+  EXPECT_EQ(shed->code, serve::ErrorCode::overloaded);
+  EXPECT_EQ(shed->payload, "server overloaded: admission queue full");
+  expect_one_error(before, server.metrics(), "overloaded", "default");
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  before = server.metrics();
+  gate.open.set_value();
+  const serve::Reply expired = queued.get_future().get();
+  EXPECT_EQ(expired.code, serve::ErrorCode::deadline_exceeded);
+  EXPECT_EQ(expired.payload, "deadline passed before the request was served");
+  expect_one_error(before, server.metrics(), "deadline_exceeded", "default");
 }
 
 TEST(OverloadTest, SustainedPressureEntersDegradedMode) {
   // Queue cap 8 -> pressure threshold 4. A pinned batcher plus a full
-  // queue holds depth >= 4 across many rounds, so the server must record
+  // queue holds the load >= 4 across many rounds, so the server must record
   // at least one degraded-mode entry, then recover (gauge back to 0).
   ServeConfig config = serve_config(artifact());
   config.cache_capacity = 0;
@@ -325,6 +408,63 @@ TEST(OverloadTest, SustainedPressureEntersDegradedMode) {
   EXPECT_EQ(stat(stats, "requests"),
             stat(stats, "hits") + stat(stats, "misses") +
                 stat(stats, "errors"));
+}
+
+TEST(OverloadTest, SustainedPressureEntersDegradedModeAtFullBatches) {
+  // The same cap of 8 at the default max_batch: a round swallows the
+  // whole queue, so the queue alone never stays deep while the round
+  // holds its slots; the pressure has to count the dispatching round, as
+  // admission does. Deterministic through the core: gate completions hold
+  // the batcher inside rounds of 1 and 7 entries while the test fills the
+  // cap behind each, so four rounds in a row start at a load of 8.
+  ServeConfig config = serve_config(artifact());
+  config.cache_capacity = 0;
+  config.max_queue = 8;
+  ASSERT_EQ(config.max_batch, 64u);
+  Gate gates[5];
+  std::atomic<std::size_t> answered{0};
+  std::atomic<std::size_t> ok{0};
+  const auto count = [&answered, &ok](serve::Reply&& reply) {
+    if (reply.ok) ok.fetch_add(1);
+    answered.fetch_add(1);
+  };
+  const std::vector<std::string> pool = arch_pool(32);
+  std::size_t next = 0;
+  serve::PredictionServer server(config);
+  // Round 1 holds gate 0 alone; behind it go gate 1 and six more misses,
+  // which round 2 takes whole; behind that only gate 2 fits, and so on.
+  for (std::size_t g = 0; g < 5; ++g) {
+    submit_line(server, "predict", pool[next++], 0, gates[g].callback());
+    if (g % 2 == 1) {
+      for (int i = 0; i < 6; ++i) {
+        submit_line(server, "predict", pool[next++], 0, count);
+      }
+    }
+    if (g > 0) gates[g - 1].open.set_value();
+    ASSERT_TRUE(gates[g].wait_entered()) << "gate " << g;
+  }
+  // Rounds 2 to 5 started at a load of 8 >= 4 (half the cap).
+  EXPECT_EQ(server.metrics().degraded, 1u);
+  EXPECT_EQ(server.metrics().degraded_entries, 1u);
+  EXPECT_EQ(server.metrics().shed, 0u);
+  gates[4].open.set_value();
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (answered.load() < 12 && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(ok.load(), 12u);
+
+  // A lone request after the flood starts a round at a load of at most
+  // 2, a quarter of the cap, and the mode lifts before it is answered.
+  std::promise<serve::Reply> last;
+  submit_line(server, "predict", pool[next++], 0,
+              [&last](serve::Reply&& reply) {
+                last.set_value(std::move(reply));
+              });
+  EXPECT_TRUE(last.get_future().get().ok);
+  EXPECT_EQ(server.metrics().degraded, 0u);
+  EXPECT_EQ(server.metrics().degraded_entries, 1u);
 }
 
 // -- client retry / timeout -----------------------------------------------

@@ -62,6 +62,13 @@ const std::string& edge_artifact() {
 
 /// A heavyweight model (50x the trees) so a served search occupies the
 /// worker long enough for the shed/deadline tests to observe it running.
+/// A DenseNet-space model, for searches that mix spaces.
+const std::string& dense_artifact() {
+  static const std::string path = build_artifact(
+      "search_dense.esm", rtx4090_spec(), 30, 1.0, 0.0, densenet_spec());
+  return path;
+}
+
 const std::string& slow_artifact() {
   static const std::string path =
       build_artifact("search_slow.esm", rtx4090_spec(), 1500);
@@ -771,21 +778,47 @@ TEST(ServedSearchTest, FleetRoutedMultiModelSearch) {
   ASSERT_EQ(reply.rfind("esm1 ok search ", 0), 0u) << reply;
   EXPECT_NE(reply.find(" feasible=1"), std::string::npos) << reply;
 
+  serve::MetricsSnapshot before = server.metrics();
   const std::string unknown =
       served_line(server, "search models=tpu population=4 generations=1");
   EXPECT_EQ(unknown.rfind("esm1 err unknown_model ", 0), 0u) << unknown;
+  expect_one_error(before, server.metrics(), "unknown_model", "_unrouted");
+
+  // Models of different spaces cannot share one search: rejected on the
+  // primary model's section.
+  manifest.upsert({"dense", serve::file_crc32_hex(dense_artifact()),
+                   dense_artifact()});
+  serve::write_manifest_atomic(manifest, manifest_path);
+  PredictionServer mixed(serve_config(manifest_path));
+  before = mixed.metrics();
+  const std::string spaces = served_line(
+      mixed, "search models=gpu,dense population=4 generations=1");
+  EXPECT_EQ(spaces.rfind("esm1 err bad_request ", 0), 0u) << spaces;
+  EXPECT_NE(spaces.find("share one space"), std::string::npos) << spaces;
+  expect_one_error(before, mixed.metrics(), "bad_request", "gpu");
 }
 
 TEST(ServedSearchTest, RejectsBadRequestsAndOversizedBudgets) {
   ServeConfig config = serve_config(gpu_artifact());
   config.max_search_evals = 100;
   PredictionServer server(config);
+  serve::MetricsSnapshot before = server.metrics();
   const std::string bad = served_line(server, "search frobnicate=1");
   EXPECT_EQ(bad.rfind("esm1 err bad_request ", 0), 0u) << bad;
+  expect_one_error(before, server.metrics(), "bad_request", "_unrouted");
+  before = server.metrics();
   const std::string huge =
       served_line(server, "search population=100 generations=10");
   EXPECT_EQ(huge.rfind("esm1 err bad_request ", 0), 0u) << huge;
   EXPECT_NE(huge.find("budget"), std::string::npos) << huge;
+  expect_one_error(before, server.metrics(), "bad_request", "default");
+  // The engine's own config check (fastest mode needs a quality floor)
+  // rejects at admission, on the routed model.
+  before = server.metrics();
+  const std::string floorless = served_line(
+      server, "search mode=fastest min_quality=0 population=8 generations=1");
+  EXPECT_EQ(floorless.rfind("esm1 err bad_request ", 0), 0u) << floorless;
+  expect_one_error(before, server.metrics(), "bad_request", "default");
   // At the cap is admitted: population x (generations + 1) == 100.
   const std::string ok =
       served_line(server, "search population=20 generations=4 seed=1");
@@ -811,6 +844,7 @@ TEST(ServedSearchTest, ShedsWhenSearchQueueIsFull) {
   // unanswered total at the cap wherever the race lands and is shed with
   // the retryable `overloaded` code.
   EsmClient client = harness.client(Protocol::esm2);
+  const serve::MetricsSnapshot before = harness.server.metrics();
   const std::uint64_t first =
       client.submit("search", "population=64 generations=6 seed=1");
   const std::uint64_t second =
@@ -818,6 +852,7 @@ TEST(ServedSearchTest, ShedsWhenSearchQueueIsFull) {
   const EsmClient::Response shed = client.await(second);
   EXPECT_FALSE(shed.ok);
   EXPECT_EQ(shed.verb_or_code, "overloaded") << shed.raw;
+  expect_one_error(before, harness.server.metrics(), "overloaded", "default");
   const EsmClient::Response served = client.await(first);
   EXPECT_TRUE(served.ok) << served.raw;
 }
@@ -827,9 +862,20 @@ TEST(ServedSearchTest, ExpiredDeadlineAnswersDeadlineExceeded) {
   // 1 ms against a search that needs hundreds: the deadline passes at
   // admission, at dequeue, or between generations — whichever fires, the
   // answer is deadline_exceeded and the search never completes.
+  serve::MetricsSnapshot before = server.metrics();
   const std::string reply = served_line(
       server, "search deadline=1 population=512 generations=50 seed=1");
   EXPECT_EQ(reply.rfind("esm1 err deadline_exceeded ", 0), 0u) << reply;
+  expect_one_error(before, server.metrics(), "deadline_exceeded", "default");
+  // 100 ms is ample to be admitted and dequeued but far short of the
+  // search, so the engine's cancel check ends it between generations.
+  before = server.metrics();
+  const std::string cancelled = served_line(
+      server, "search deadline=100 population=512 generations=50 seed=1");
+  EXPECT_EQ(cancelled, "esm1 err deadline_exceeded deadline passed before "
+                       "the request was served");
+  expect_one_error(before, server.metrics(), "deadline_exceeded", "default");
+  EXPECT_EQ(server.metrics().searches, 0u);
 }
 
 // ----------------------------------------------------------------- metrics

@@ -25,6 +25,7 @@
 #include "serve/client.hpp"
 #include "serve/event_loop.hpp"
 #include "serve/frame.hpp"
+#include "serve/metrics.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/transport.hpp"
@@ -33,15 +34,16 @@
 
 namespace esm {
 
-/// Trains a GBDT on 64 balanced ResNet samples labelled with `device`'s
-/// true latency and saves it under TempDir. `label_scale`/`label_shift`
-/// perturb the labels so variants genuinely disagree (reload tests).
+/// Trains a GBDT on 64 balanced samples of `spec` (ResNet by default)
+/// labelled with `device`'s true latency and saves it under TempDir.
+/// `label_scale`/`label_shift` perturb the labels so variants genuinely
+/// disagree (reload tests).
 inline std::string build_artifact(const std::string& name,
                                   const DeviceSpec& device = rtx4090_spec(),
                                   int estimators = 30,
                                   double label_scale = 1.0,
-                                  double label_shift = 0.0) {
-  const SupernetSpec spec = resnet_spec();
+                                  double label_shift = 0.0,
+                                  const SupernetSpec& spec = resnet_spec()) {
   SimulatedDevice sim(device, 7);
   Rng rng(0x5eed);
   BalancedSampler sampler(spec, 4);
@@ -130,6 +132,42 @@ inline std::uint64_t stat(const std::map<std::string, std::string>& kv,
   return it == kv.end() ? 0 : std::stoull(it->second);
 }
 
+/// One per-model section of a metrics snapshot; zeros while the section
+/// is not listed.
+inline serve::ModelCounters section_counters(
+    const serve::MetricsSnapshot& snap, const std::string& name) {
+  for (const auto& [section, counters] : snap.per_model) {
+    if (section == name) return counters;
+  }
+  return {};
+}
+
+/// Asserts what one failed request line answered `code` (its esm1 token)
+/// moved between two snapshots: one `errors`, plus one `shed` only when
+/// the code is `overloaded` and one `expired` only when it is
+/// `deadline_exceeded`, in the totals and in `model.<section>` — or, for a
+/// control line (empty `section`), one control error and no prediction
+/// error. Ok lines in between move none of these counters.
+inline void expect_one_error(const serve::MetricsSnapshot& before,
+                             const serve::MetricsSnapshot& after,
+                             const std::string& code,
+                             const std::string& section) {
+  const std::uint64_t line = section.empty() ? 0 : 1;
+  const std::uint64_t shed = code == "overloaded" ? line : 0;
+  const std::uint64_t expired = code == "deadline_exceeded" ? line : 0;
+  EXPECT_EQ(after.errors - before.errors, line) << code;
+  EXPECT_EQ(after.shed - before.shed, shed) << code;
+  EXPECT_EQ(after.expired - before.expired, expired) << code;
+  EXPECT_EQ(after.control_errors - before.control_errors, 1 - line) << code;
+  if (section.empty()) return;
+  const serve::ModelCounters was = section_counters(before, section);
+  const serve::ModelCounters now = section_counters(after, section);
+  EXPECT_EQ(now.errors - was.errors, 1u) << code << " on model." << section;
+  EXPECT_EQ(now.shed - was.shed, shed) << code << " on model." << section;
+  EXPECT_EQ(now.expired - was.expired, expired)
+      << code << " on model." << section;
+}
+
 /// Wraps the loopback listener before the loop registers it (the chaos
 /// suite installs its seeded fault decorators here).
 using ListenerDecorator = std::function<std::shared_ptr<serve::Listener>(
@@ -167,14 +205,13 @@ struct Harness {
   }
 
   serve::EsmClient client(serve::Protocol protocol = serve::Protocol::esm1) {
-    return serve::EsmClient(serve::loopback_channel(listener->connect()),
-                            protocol);
+    return serve::EsmClient(listener->connect(), protocol);
   }
 };
 
 /// Reads whole esm2 frames straight off a loopback channel (for tests
 /// that assert on wire order, below EsmClient's id matching).
-inline serve::Frame next_frame(serve::LoopbackChannel& channel,
+inline serve::Frame next_frame(serve::ClientChannel& channel,
                                std::string& buffer) {
   for (;;) {
     serve::Frame frame;

@@ -254,36 +254,47 @@ TEST(ServeTest, MalformedRequestsYieldStructuredErrorsNeverACrash) {
   Harness harness(serve_config(artifact_a()));
   EsmClient client = harness.client();
 
-  const std::vector<std::pair<std::string, std::string>> matrix = {
-      {"", "bad_request"},
-      {"predict", "bad_request"},
+  // Each row: the request, its error code, and the stats section its one
+  // error lands on ("" = a control line).
+  struct Row {
+    std::string request;
+    std::string code;
+    std::string section;
+  };
+  const std::vector<Row> matrix = {
+      {"", "bad_request", ""},
+      {"predict", "bad_request", "_unrouted"},
       // "banana" starts with a letter, so fleet routing reads it as a model
       // key — unknown key, structured error (the keyless grammar is only
       // ambiguous for payloads that could never be an architecture).
-      {"predict banana", "unknown_model"},
-      {"predict 3,5", "bad_arch"},
-      {"predict 9,9,9,9", "bad_arch"},
-      {"predict 0,5,2,7", "bad_arch"},
-      {"predict 3,,2,7", "bad_arch"},
-      {"predict 3:k4,5,2,7", "bad_arch"},
-      {"predict_batch", "bad_request"},
-      {"predict_batch ;", "bad_arch"},
-      {"predict_batch 3,5,2,7;banana", "bad_arch"},
-      {"flarp 1", "unknown_verb"},
-      {"\x01\x02garbage", "unknown_verb"},
-      {"info extra", "unknown_model"},
-      {"stats now", "bad_request"},
-      {"shutdown now", "bad_request"},
-      {"reload", "bad_request"},
-      {"reload /nonexistent/model.esm", "reload_failed"},
-      {"predict " + std::string(70 * 1024, '1'), "oversized"},
-      {"predict_batch " + std::string(70 * 1024, '1'), "oversized"},
+      {"predict banana", "unknown_model", "_unrouted"},
+      {"predict 3,5", "bad_arch", "default"},
+      {"predict 9,9,9,9", "bad_arch", "default"},
+      {"predict 0,5,2,7", "bad_arch", "default"},
+      {"predict 3,,2,7", "bad_arch", "default"},
+      {"predict 3:k4,5,2,7", "bad_arch", "default"},
+      {"predict_batch", "bad_request", "_unrouted"},
+      {"predict_batch ;", "bad_arch", "default"},
+      {"predict_batch 3,5,2,7;banana", "bad_arch", "default"},
+      {"flarp 1", "unknown_verb", ""},
+      {"\x01\x02garbage", "unknown_verb", ""},
+      {"info extra", "unknown_model", ""},
+      {"stats now", "bad_request", ""},
+      {"shutdown now", "bad_request", ""},
+      {"reload", "bad_request", ""},
+      {"reload /nonexistent/model.esm", "reload_failed", ""},
+      {"predict " + std::string(70 * 1024, '1'), "oversized", "_unrouted"},
+      {"predict_batch " + std::string(70 * 1024, '1'), "oversized",
+       "_unrouted"},
   };
-  for (const auto& [request, expected_code] : matrix) {
-    const EsmClient::Response response = client.call_line(request);
-    EXPECT_FALSE(response.ok) << "request '" << request.substr(0, 40) << "'";
-    EXPECT_EQ(response.verb_or_code, expected_code)
-        << "request '" << request.substr(0, 40) << "': " << response.payload;
+  for (const Row& row : matrix) {
+    SCOPED_TRACE("request '" + row.request.substr(0, 40) + "'");
+    const serve::MetricsSnapshot before = harness.server.metrics();
+    const EsmClient::Response response = client.call_line(row.request);
+    EXPECT_FALSE(response.ok);
+    EXPECT_EQ(response.verb_or_code, row.code) << response.payload;
+    expect_one_error(before, harness.server.metrics(), row.code,
+                     row.section);
   }
 
   // The connection survives the whole matrix: a good request still works
@@ -853,6 +864,31 @@ TEST(ServeTest, ThrowingCompletionIsInvokedExactlyOnce) {
   EXPECT_EQ(snap.requests, 9u);
   EXPECT_EQ(snap.errors, 0u);
   EXPECT_EQ(snap.requests, snap.hits + snap.misses + snap.errors);
+
+  // Inline answers keep the rule too: a throwing callback on a cache hit,
+  // on a control verb and on an inline error is invoked once, and the
+  // line is counted once.
+  const auto inline_line = [&](const std::string& line) {
+    const auto probe = std::make_shared<CompletionProbe>();
+    server.handle_request(serve::split_request(line), line.size(),
+                          probe_callback(probe, true));
+    return probe;
+  };
+  const auto hit = inline_line("predict " + pool.front());
+  const auto stats = inline_line("stats");
+  const auto bad_arch = inline_line("predict 3,5");
+  EXPECT_EQ(hit->calls.load(), 1);
+  EXPECT_TRUE(hit->ok.load());
+  EXPECT_EQ(stats->calls.load(), 1);
+  EXPECT_TRUE(stats->ok.load());
+  EXPECT_EQ(bad_arch->calls.load(), 1);
+  EXPECT_FALSE(bad_arch->ok.load());
+  const serve::MetricsSnapshot end = server.metrics();
+  EXPECT_EQ(end.hits, snap.hits + 1);
+  EXPECT_EQ(end.errors, 1u);
+  EXPECT_EQ(end.control_requests, snap.control_requests + 1);
+  EXPECT_EQ(end.control_errors, 0u);
+  EXPECT_EQ(end.requests, end.hits + end.misses + end.errors);
 }
 
 TEST(ServeTest, DenseNetExpansionSpellingsShareOneEntryAndOneValue) {
