@@ -29,7 +29,6 @@ esm_bench(ablation_measurement)
 
 esm_bench(serve_throughput)
 target_link_libraries(serve_throughput PRIVATE esm_serve)
-esm_bench(search_bench)
 
 esm_bench(extension_energy)
 esm_bench(extension_transfer)

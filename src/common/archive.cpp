@@ -1,9 +1,11 @@
 #include "common/archive.hpp"
 
+#include <algorithm>
+#include <cerrno>
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 
 #include "common/checksum.hpp"
 #include "common/error.hpp"
@@ -19,73 +21,156 @@ constexpr const char* kFooterKey = "esm-archive-crc32";
 constexpr long long kFormatVersion = 2;
 constexpr long long kOldestReadableVersion = 1;
 
+bool is_space(char c) {
+  return c == ' ' || c == '\n' || c == '\t' || c == '\r' || c == '\v' ||
+         c == '\f';
+}
+
 bool valid_key(const std::string& key) {
-  if (key.empty()) return false;
-  for (char c : key) {
-    if (c == ' ' || c == '\n' || c == '\t' || c == '\r') return false;
+  return !key.empty() && std::none_of(key.begin(), key.end(), is_space);
+}
+
+/// Reads the `key count v0 v1 ...` groups of `line` into `groups`; with
+/// `one_group`, the line must hold exactly one. `where` ("", or " at line
+/// N") places each error.
+void parse_groups(std::string_view line, bool one_group,
+                  const std::string& where,
+                  std::map<std::string, std::vector<std::string>>& groups) {
+  std::size_t pos = 0;
+  const auto next = [&](std::string_view& token) {
+    while (pos < line.size() && is_space(line[pos])) ++pos;
+    const std::size_t begin = pos;
+    while (pos < line.size() && !is_space(line[pos])) ++pos;
+    token = line.substr(begin, pos - begin);
+    return !token.empty();
+  };
+  std::string_view token;
+  while (next(token) || one_group) {
+    ESM_REQUIRE(!token.empty(), "archive parse error" << where);
+    std::string key(token);
+    std::size_t count = 0;
+    const bool counted = next(token);
+    const auto [end, ec] =
+        std::from_chars(token.data(), token.data() + token.size(), count);
+    ESM_REQUIRE(counted && ec == std::errc() &&
+                    end == token.data() + token.size(),
+                "archive entry '" << key << "' has no valid count" << where);
+    // A hostile count (e.g. from a bit flip in the digits) must not drive a
+    // huge reserve(): each value needs at least two bytes ("v "), so the
+    // line length bounds the plausible element count.
+    ESM_REQUIRE(count <= line.size(),
+                "archive entry '" << key << "' declares " << count
+                                  << " values but its line is only "
+                                  << line.size() << " bytes long" << where);
+    std::vector<std::string> values;
+    values.reserve(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      ESM_REQUIRE(next(token),
+                  "archive entry '" << key << "' truncated" << where);
+      values.emplace_back(token);
+    }
+    ESM_REQUIRE(!one_group || !next(token),
+                "archive entry '" << key << "' has trailing garbage '"
+                                  << token << "'" << where);
+    ESM_REQUIRE(groups.emplace(key, std::move(values)).second,
+                "duplicate archive key '" << key << "'" << where);
+    if (one_group) return;
   }
-  return true;
+}
+
+long long parse_int(const std::string& key, const std::string& raw) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(raw.c_str(), &end, 10);
+  ESM_REQUIRE(!raw.empty() && *end == '\0' && errno == 0,
+              "archive key '" << key << "' is not an integer: " << raw);
+  return v;
+}
+
+double parse_double(const std::string& key, const std::string& raw) {
+  char* end = nullptr;
+  const double v = std::strtod(raw.c_str(), &end);
+  ESM_REQUIRE(!raw.empty() && *end == '\0',
+              "archive key '" << key << "' is not a number: " << raw);
+  return v;
 }
 
 }  // namespace
 
+std::uint64_t parse_u64(const std::string& key, const std::string& raw) {
+  char* end = nullptr;
+  errno = 0;
+  const std::uint64_t v = std::strtoull(raw.c_str(), &end, 10);
+  ESM_REQUIRE(!raw.empty() && *end == '\0' && errno == 0 &&
+                  raw.find('-') == std::string::npos,
+              "archive key '" << key << "' is not a u64: " << raw);
+  return v;
+}
+
 void ArchiveWriter::put_string(const std::string& key,
                                const std::string& value) {
-  ESM_REQUIRE(valid_key(key), "invalid archive key: '" << key << "'");
-  ESM_REQUIRE(valid_key(value),
-              "archive string values must be whitespace-free: '" << value
-                                                                 << "'");
-  entries_.emplace_back(key, "1 " + value);
+  put_strings(key, {value});
 }
 
 void ArchiveWriter::put_double(const std::string& key, double value) {
-  ESM_REQUIRE(valid_key(key), "invalid archive key: '" << key << "'");
-  entries_.emplace_back(key, "1 " + format_g17(value));
+  put_doubles(key, {value});
 }
 
 void ArchiveWriter::put_int(const std::string& key, long long value) {
-  ESM_REQUIRE(valid_key(key), "invalid archive key: '" << key << "'");
-  entries_.emplace_back(key, "1 " + std::to_string(value));
+  put_strings(key, {std::to_string(value)});
+}
+
+void ArchiveWriter::put_u64(const std::string& key, std::uint64_t value) {
+  put_strings(key, {std::to_string(value)});
+}
+
+void ArchiveWriter::put_bool(const std::string& key, bool value) {
+  put_strings(key, {value ? "1" : "0"});
 }
 
 void ArchiveWriter::put_doubles(const std::string& key,
                                 const std::vector<double>& values) {
   ESM_REQUIRE(valid_key(key), "invalid archive key: '" << key << "'");
-  std::ostringstream os;
-  os << values.size();
-  for (double v : values) os << ' ' << format_g17(v);
-  entries_.emplace_back(key, os.str());
+  std::string payload = std::to_string(values.size());
+  for (double v : values) {
+    payload += ' ';
+    append_g17(payload, v);
+  }
+  entries_.emplace_back(key, std::move(payload));
 }
 
 void ArchiveWriter::put_strings(const std::string& key,
                                 const std::vector<std::string>& values) {
   ESM_REQUIRE(valid_key(key), "invalid archive key: '" << key << "'");
-  std::ostringstream os;
-  os << values.size();
+  std::string payload = std::to_string(values.size());
   for (const std::string& v : values) {
     ESM_REQUIRE(valid_key(v),
                 "archive string values must be whitespace-free: '" << v
                                                                    << "'");
-    os << ' ' << v;
+    payload.append(" ").append(v);
   }
-  entries_.emplace_back(key, os.str());
+  entries_.emplace_back(key, std::move(payload));
 }
 
 std::string ArchiveWriter::to_string() const {
-  std::ostringstream os;
-  os << kMagicPrefix << kFormatVersion << '\n';
+  std::string content = kMagicPrefix + std::to_string(kFormatVersion) + '\n';
   for (const auto& [key, payload] : entries_) {
-    os << key << ' ' << payload << '\n';
+    content.append(key).append(" ").append(payload).append("\n");
   }
   // The footer checksums every byte above it, so any later truncation or
   // bit flip — header, keys, values, even whitespace — is detected on load.
-  std::string content = os.str();
   const std::uint32_t crc = crc32(content);
-  content += kFooterKey;
-  content += ' ';
-  content += crc32_hex(crc);
-  content += '\n';
+  content.append(kFooterKey).append(" ").append(crc32_hex(crc)).append("\n");
   return content;
+}
+
+std::string ArchiveWriter::to_line() const {
+  std::string line;
+  for (const auto& [key, payload] : entries_) {
+    if (!line.empty()) line += ' ';
+    line.append(key).append(" ").append(payload);
+  }
+  return line;
 }
 
 void ArchiveWriter::save(const std::string& path) const {
@@ -96,13 +181,12 @@ void ArchiveWriter::save(const std::string& path) const {
 }
 
 ArchiveReader ArchiveReader::from_string(const std::string& content) {
-  std::istringstream in(content);
-  std::string header;
-  std::getline(in, header);
-  if (!header.empty() && header.back() == '\r') header.pop_back();
-  ESM_REQUIRE(header.rfind(kMagicPrefix, 0) == 0,
+  std::string_view header(content.data(),
+                          std::min(content.find('\n'), content.size()));
+  if (!header.empty() && header.back() == '\r') header.remove_suffix(1);
+  ESM_REQUIRE(header.substr(0, std::strlen(kMagicPrefix)) == kMagicPrefix,
               "not an ESM archive (bad header: '" << header << "')");
-  const std::string version_text = header.substr(std::strlen(kMagicPrefix));
+  const std::string version_text(header.substr(std::strlen(kMagicPrefix)));
   char* end = nullptr;
   const long long version = std::strtoll(version_text.c_str(), &end, 10);
   ESM_REQUIRE(end != nullptr && *end == '\0' && !version_text.empty(),
@@ -116,7 +200,7 @@ ArchiveReader ArchiveReader::from_string(const std::string& content) {
   // before it. Locate and verify the footer before parsing entries, so a
   // truncated or bit-flipped file is rejected with a precise error instead
   // of surfacing as a confusing entry-level parse failure.
-  std::string body = content;
+  std::string_view body = content;
   ArchiveReader reader;
   if (version >= 2) {
     // Find the start of the last non-empty line.
@@ -126,76 +210,48 @@ ArchiveReader ArchiveReader::from_string(const std::string& content) {
     const std::size_t line_start = body.rfind('\n', end_pos == 0 ? 0 : end_pos - 1);
     const std::size_t footer_begin =
         (line_start == std::string::npos) ? 0 : line_start + 1;
-    std::string footer = body.substr(footer_begin, end_pos - footer_begin);
-    if (!footer.empty() && footer.back() == '\r') footer.pop_back();
-    ESM_REQUIRE(footer.rfind(kFooterKey, 0) == 0 &&
+    const std::string_view footer =
+        body.substr(footer_begin, end_pos - footer_begin);
+    ESM_REQUIRE(footer.substr(0, std::strlen(kFooterKey)) == kFooterKey &&
                     footer.size() > std::strlen(kFooterKey) &&
                     footer[std::strlen(kFooterKey)] == ' ',
                 "truncated archive: v" << version
                                        << " requires a trailing '" << kFooterKey
                                        << "' footer, found none");
     std::uint32_t stored = 0;
-    const std::string hex = footer.substr(std::strlen(kFooterKey) + 1);
+    const std::string hex(footer.substr(std::strlen(kFooterKey) + 1));
     ESM_REQUIRE(parse_crc32_hex(hex, stored),
                 "truncated archive: malformed checksum footer '" << footer
                                                                  << "'");
-    const std::uint32_t actual = crc32(
-        std::string_view(body.data(), footer_begin));
+    const std::uint32_t actual = crc32(body.substr(0, footer_begin));
     ESM_REQUIRE(actual == stored,
                 "archive checksum mismatch: footer says "
                     << hex << " but contents hash to " << crc32_hex(actual)
                     << " (file is corrupt or was modified)");
-    body.resize(footer_begin);
+    body = body.substr(0, footer_begin);
     reader.checksummed_ = true;
   }
 
-  std::istringstream entries_in(body);
-  std::string skip_header;
-  std::getline(entries_in, skip_header);
-  std::string line;
+  // One group per line after the header; empty lines are skipped.
+  std::size_t pos = body.find('\n');
   int line_no = 1;
-  while (std::getline(entries_in, line)) {
+  while (pos != std::string_view::npos && pos + 1 < body.size()) {
+    const std::size_t begin = pos + 1;
+    pos = body.find('\n', begin);
     ++line_no;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
+    std::string_view line = body.substr(begin, pos - begin);
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
     if (line.empty()) continue;
-    std::istringstream tokens(line);
-    std::string key;
-    std::size_t count = 0;
-    ESM_REQUIRE(static_cast<bool>(tokens >> key >> count),
-                "archive parse error at line " << line_no);
-    // A hostile count (e.g. from a bit flip in the digits) must not drive a
-    // huge reserve(): each value needs at least two bytes ("v "), so the
-    // line length bounds the plausible element count.
-    ESM_REQUIRE(count <= line.size(),
-                "archive entry '" << key << "' declares " << count
-                                  << " values but line " << line_no
-                                  << " is only " << line.size()
-                                  << " bytes long");
-    std::vector<std::string> values;
-    values.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      std::string v;
-      ESM_REQUIRE(static_cast<bool>(tokens >> v),
-                  "archive entry '" << key << "' truncated at line "
-                                    << line_no);
-      values.push_back(std::move(v));
-    }
-    std::string trailing;
-    ESM_REQUIRE(!(tokens >> trailing),
-                "archive entry '" << key << "' has trailing garbage '"
-                                  << trailing << "' at line " << line_no);
-    ESM_REQUIRE(reader.entries_.emplace(key, std::move(values)).second,
-                "duplicate archive key '" << key << "'");
+    parse_groups(line, /*one_group=*/true,
+                 " at line " + std::to_string(line_no), reader.entries_);
   }
   return reader;
 }
 
-ArchiveReader ArchiveReader::from_file(const std::string& path) {
-  std::ifstream in(path);
-  ESM_REQUIRE(in.good(), "cannot open archive: " << path);
-  std::ostringstream content;
-  content << in.rdbuf();
-  return from_string(content.str());
+ArchiveReader ArchiveReader::from_line(std::string_view line) {
+  ArchiveReader reader;
+  parse_groups(line, /*one_group=*/false, "", reader.entries_);
+  return reader;
 }
 
 bool ArchiveReader::has(const std::string& key) const {
@@ -211,21 +267,21 @@ std::string ArchiveReader::get_string(const std::string& key) const {
 }
 
 double ArchiveReader::get_double(const std::string& key) const {
-  const std::string raw = get_string(key);
-  char* end = nullptr;
-  const double v = std::strtod(raw.c_str(), &end);
-  ESM_REQUIRE(end != nullptr && *end == '\0',
-              "archive key '" << key << "' is not a number: " << raw);
-  return v;
+  return parse_double(key, get_string(key));
 }
 
 long long ArchiveReader::get_int(const std::string& key) const {
-  const std::string raw = get_string(key);
-  char* end = nullptr;
-  const long long v = std::strtoll(raw.c_str(), &end, 10);
-  ESM_REQUIRE(end != nullptr && *end == '\0',
-              "archive key '" << key << "' is not an integer: " << raw);
-  return v;
+  return parse_int(key, get_string(key));
+}
+
+std::uint64_t ArchiveReader::get_u64(const std::string& key) const {
+  return parse_u64(key, get_string(key));
+}
+
+bool ArchiveReader::get_bool(const std::string& key) const {
+  const long long v = get_int(key);
+  ESM_REQUIRE(v == 0 || v == 1, "archive key '" << key << "' is not a bool");
+  return v == 1;
 }
 
 std::vector<std::string> ArchiveReader::get_strings(
@@ -241,11 +297,7 @@ std::vector<double> ArchiveReader::get_doubles(const std::string& key) const {
   std::vector<double> out;
   out.reserve(it->second.size());
   for (const std::string& raw : it->second) {
-    char* end = nullptr;
-    const double v = std::strtod(raw.c_str(), &end);
-    ESM_REQUIRE(end != nullptr && *end == '\0',
-                "archive key '" << key << "' holds a non-number: " << raw);
-    out.push_back(v);
+    out.push_back(parse_double(key, raw));
   }
   return out;
 }

@@ -1,13 +1,13 @@
-// Minimal typed key-value archive for model persistence.
-//
-// Text format, one entry per line, closed by a checksum footer:
+// The one token-group codec, for `.esm` surrogate archives and for
+// campaign-journal record bodies (esm/journal.hpp): whitespace-free groups
+// `<key> <count> <v0> <v1> ...`. A file holds one group per line, closed
+// by a checksum footer; a journal body joins the groups on one line
+// (to_line/from_line) and the journal frames and checksums it:
 //   esm-archive v2
 //   <key> <count> <v0> <v1> ...
 //   esm-archive-crc32 <8-hex-digit CRC32>
-// Keys are written/read in any order; vectors of doubles, vectors of
-// whitespace-free strings, scalars, and single strings are supported. Used
-// to save and load trained surrogates (MLP weights, GBDT stages, LUT
-// tables, standardizers, encoder/spec identity).
+// Keys are written/read in any order; vectors of doubles and of
+// whitespace-free strings, and scalars of each type, are supported.
 //
 // The header line carries the container format version. Readers reject
 // duplicate keys and any version newer than the one this build writes,
@@ -18,16 +18,18 @@
 // byte before the footer line. A v2 archive with a missing footer is
 // reported as truncated, and one whose bytes do not match the footer as a
 // checksum mismatch — a single flipped bit anywhere in the file is caught.
-// v1 archives (no footer) still load, with checksummed() reporting false
-// so callers can note the missing protection. Entry parsing is hardened
-// independently of the checksum: declared counts are bounds-checked
-// against the line length, truncated vectors and trailing garbage are
-// rejected, and every error names the offending key and line.
+// v1 archives (no footer) still load, with checksummed() reporting false.
+// Group parsing is hardened independently: counts are whole decimal tokens
+// bounded by the line length, truncated groups and tokens after a file
+// line's group are rejected, numbers must fill their token and fit their
+// type (a u64 takes no sign, a bool is 0 or 1), and every error names the
+// offending key (and, in a file, the line).
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace esm {
@@ -38,6 +40,8 @@ class ArchiveWriter {
   void put_string(const std::string& key, const std::string& value);
   void put_double(const std::string& key, double value);
   void put_int(const std::string& key, long long value);
+  void put_u64(const std::string& key, std::uint64_t value);
+  void put_bool(const std::string& key, bool value);
   void put_doubles(const std::string& key, const std::vector<double>& values);
   /// Every element must be a non-empty whitespace-free token.
   void put_strings(const std::string& key,
@@ -46,8 +50,11 @@ class ArchiveWriter {
   /// Writes the archive; throws esm::ConfigError on I/O failure.
   void save(const std::string& path) const;
 
-  /// Renders the archive to a string (used by tests).
+  /// Renders the archive file to a string (used by tests).
   std::string to_string() const;
+
+  /// The groups joined on one line, with no header, footer or newline.
+  std::string to_line() const;
 
  private:
   // Preserves insertion order for stable output.
@@ -58,16 +65,18 @@ class ArchiveWriter {
 /// keys or type mismatches.
 class ArchiveReader {
  public:
-  /// Loads from a file; throws esm::ConfigError on open/parse failure.
-  static ArchiveReader from_file(const std::string& path);
-
-  /// Parses from a string (used by tests).
+  /// Parses archive file bytes; throws esm::ConfigError on parse failure.
   static ArchiveReader from_string(const std::string& content);
+
+  /// Parses one line of space-separated groups, as to_line() renders them.
+  static ArchiveReader from_line(std::string_view line);
 
   bool has(const std::string& key) const;
   std::string get_string(const std::string& key) const;
   double get_double(const std::string& key) const;
   long long get_int(const std::string& key) const;
+  std::uint64_t get_u64(const std::string& key) const;
+  bool get_bool(const std::string& key) const;
   std::vector<double> get_doubles(const std::string& key) const;
   std::vector<std::string> get_strings(const std::string& key) const;
 
@@ -75,9 +84,17 @@ class ArchiveReader {
   /// for pre-footer v1 archives, which load without integrity protection.
   bool checksummed() const { return checksummed_; }
 
+  /// Every group, by key.
+  const std::map<std::string, std::vector<std::string>>& groups() const {
+    return entries_;
+  }
+
  private:
   std::map<std::string, std::vector<std::string>> entries_;
   bool checksummed_ = false;
 };
+
+/// Parses `raw` as get_u64() does, naming `key` in the error.
+std::uint64_t parse_u64(const std::string& key, const std::string& raw);
 
 }  // namespace esm

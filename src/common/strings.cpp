@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
+
+#include "common/error.hpp"
 
 namespace esm {
 
@@ -67,6 +71,43 @@ std::string to_lower(std::string s) {
     return static_cast<char>(std::tolower(c));
   });
   return s;
+}
+
+void parse_rate_profile(const std::string& text, const char* label,
+                        std::initializer_list<RateField> fields) {
+  std::size_t start = 0;
+  while (start <= text.size()) {
+    const std::size_t comma = text.find(',', start);
+    const std::string pair = text.substr(
+        start, comma == std::string::npos ? std::string::npos : comma - start);
+    start = comma == std::string::npos ? text.size() + 1 : comma + 1;
+    if (pair.empty()) continue;
+    const std::size_t eq = pair.find('=');
+    ESM_REQUIRE(eq != std::string::npos,
+                label << ": expected key=value, got '" << pair << "'");
+    const std::string key = to_lower(pair.substr(0, eq));
+    const std::string value = pair.substr(eq + 1);
+    char* end = nullptr;
+    errno = 0;  // std::stod's checks, without its exceptions
+    const double parsed = std::strtod(value.c_str(), &end);
+    ESM_REQUIRE(end != value.c_str() && errno != ERANGE,
+                label << ": '" << key << "=" << value << "' is not a number");
+    ESM_REQUIRE(end == value.c_str() + value.size(),
+                label << ": trailing junk in '" << key << "=" << value << "'");
+    const RateField* field =
+        std::find_if(fields.begin(), fields.end(),
+                     [&key](const RateField& f) { return key == f.key; });
+    if (field == fields.end()) {
+      std::string valid;
+      for (const RateField& f : fields) {
+        valid += valid.empty() ? "" : ", ";
+        valid += f.key;
+      }
+      ESM_REQUIRE(false, label << ": unknown key '" << key << "' (valid: "
+                               << valid << ")");
+    }
+    *field->value = parsed;
+  }
 }
 
 }  // namespace esm

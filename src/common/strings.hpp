@@ -2,6 +2,7 @@
 // log lines in the bench harnesses.
 #pragma once
 
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -40,5 +41,18 @@ bool starts_with(const std::string& s, const std::string& prefix);
 
 /// Lower-cases ASCII characters.
 std::string to_lower(std::string s);
+
+/// One key of a rate profile and the field its value lands in.
+struct RateField {
+  const char* key;
+  double* value;
+};
+
+/// Parses comma-separated `key=value` pairs (keys case-insensitive, empty
+/// pairs skipped) into the matching `fields`. Throws esm::ConfigError,
+/// prefixed with `label` (e.g. "fault profile"), on a pair without '=', a
+/// value that is not a whole number, or a key not in `fields`.
+void parse_rate_profile(const std::string& text, const char* label,
+                        std::initializer_list<RateField> fields);
 
 }  // namespace esm

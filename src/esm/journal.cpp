@@ -4,14 +4,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <utility>
 
+#include "common/archive.hpp"
 #include "common/checksum.hpp"
 #include "common/error.hpp"
+#include "common/fsio.hpp"
 #include "common/strings.hpp"
 #include "esm/config.hpp"
 
@@ -28,159 +28,21 @@ constexpr const char* kMagicLine = "esm-journal v1";
 constexpr const char* kTypeCampaign = "campaign";
 constexpr const char* kTypeBatch = "batch";
 
-/// Serializes token groups `key count v0 v1 ...` into one record body.
-class BodyWriter {
- public:
-  void put_token(const std::string& key, const std::string& value) {
-    begin_group(key, 1);
-    os_ << ' ' << value;
-  }
-  void put_int(const std::string& key, long long value) {
-    put_token(key, std::to_string(value));
-  }
-  void put_u64(const std::string& key, std::uint64_t value) {
-    put_token(key, std::to_string(value));
-  }
-  void put_bool(const std::string& key, bool value) {
-    put_token(key, value ? "1" : "0");
-  }
-  void put_double(const std::string& key, double value) {
-    put_token(key, format_g17(value));
-  }
-  void put_doubles(const std::string& key, const std::vector<double>& values) {
-    begin_group(key, values.size());
-    for (double v : values) os_ << ' ' << format_g17(v);
-  }
-  void put_tokens(const std::string& key,
-                  const std::vector<std::string>& values) {
-    begin_group(key, values.size());
-    for (const std::string& v : values) os_ << ' ' << v;
-  }
-
-  std::string str() const { return os_.str(); }
-
- private:
-  void begin_group(const std::string& key, std::size_t count) {
-    if (!first_) os_ << ' ';
-    first_ = false;
-    os_ << key << ' ' << count;
-  }
-
-  std::ostringstream os_;
-  bool first_ = true;
-};
-
-/// Parses a record body back into typed groups. Every getter throws
-/// esm::ConfigError (with the offending key) on missing or ill-typed data,
-/// so a record that passed its CRC but carries an unexpected shape is still
-/// rejected cleanly.
-class BodyReader {
- public:
-  explicit BodyReader(const std::string& body) {
-    std::istringstream in(body);
-    std::string key;
-    while (in >> key) {
-      std::size_t count = 0;
-      ESM_REQUIRE(static_cast<bool>(in >> count),
-                  "journal record group '" << key << "' has no count");
-      ESM_REQUIRE(count <= body.size(),
-                  "journal record group '" << key << "' declares implausible "
-                  "count " << count);
-      std::vector<std::string> values;
-      values.reserve(count);
-      for (std::size_t i = 0; i < count; ++i) {
-        std::string v;
-        ESM_REQUIRE(static_cast<bool>(in >> v),
-                    "journal record group '" << key << "' truncated");
-        values.push_back(std::move(v));
-      }
-      ESM_REQUIRE(groups_.emplace(key, std::move(values)).second,
-                  "duplicate journal record group '" << key << "'");
-    }
-  }
-
-  std::string get_token(const std::string& key) const {
-    const auto& g = group(key);
-    ESM_REQUIRE(g.size() == 1,
-                "journal record group '" << key << "' is not a scalar");
-    return g.front();
-  }
-  long long get_int(const std::string& key) const {
-    return parse_int(key, get_token(key));
-  }
-  std::uint64_t get_u64(const std::string& key) const {
-    const std::string raw = get_token(key);
-    char* end = nullptr;
-    errno = 0;
-    const std::uint64_t v = std::strtoull(raw.c_str(), &end, 10);
-    ESM_REQUIRE(end != nullptr && *end == '\0' && errno == 0 &&
-                    raw.find('-') == std::string::npos,
-                "journal record group '" << key << "' is not a u64: " << raw);
-    return v;
-  }
-  bool get_bool(const std::string& key) const {
-    const long long v = get_int(key);
-    ESM_REQUIRE(v == 0 || v == 1,
-                "journal record group '" << key << "' is not a bool");
-    return v == 1;
-  }
-  double get_double(const std::string& key) const {
-    return parse_double(key, get_token(key));
-  }
-  std::vector<double> get_doubles(const std::string& key) const {
-    const auto& g = group(key);
-    std::vector<double> out;
-    out.reserve(g.size());
-    for (const std::string& raw : g) out.push_back(parse_double(key, raw));
-    return out;
-  }
-  std::vector<std::string> get_tokens(const std::string& key) const {
-    return group(key);
-  }
-
- private:
-  const std::vector<std::string>& group(const std::string& key) const {
-    const auto it = groups_.find(key);
-    ESM_REQUIRE(it != groups_.end(),
-                "journal record group missing: '" << key << "'");
-    return it->second;
-  }
-  static long long parse_int(const std::string& key, const std::string& raw) {
-    char* end = nullptr;
-    errno = 0;
-    const long long v = std::strtoll(raw.c_str(), &end, 10);
-    ESM_REQUIRE(end != nullptr && *end == '\0' && errno == 0,
-                "journal record group '" << key << "' is not an integer: "
-                                         << raw);
-    return v;
-  }
-  static double parse_double(const std::string& key, const std::string& raw) {
-    char* end = nullptr;
-    const double v = std::strtod(raw.c_str(), &end);
-    ESM_REQUIRE(end != nullptr && *end == '\0' && !raw.empty(),
-                "journal record group '" << key << "' is not a number: "
-                                         << raw);
-    return v;
-  }
-
-  std::map<std::string, std::vector<std::string>> groups_;
-};
-
 std::string encode_header(const CampaignHeader& h) {
-  BodyWriter w;
-  w.put_token("type", kTypeCampaign);
-  w.put_token("config_crc", crc32_hex(h.config_crc));
+  ArchiveWriter w;
+  w.put_string("type", kTypeCampaign);
+  w.put_string("config_crc", crc32_hex(h.config_crc));
   w.put_u64("seed", h.seed);
   w.put_int("baseline_sessions", h.baseline_sessions);
   w.put_doubles("baselines", h.baselines);
   w.put_double("cost_seconds", h.cost_seconds);
   w.put_u64("rng_digest", h.rng_digest);
-  return w.str();
+  return w.to_line();
 }
 
-CampaignHeader decode_header(const BodyReader& r) {
+CampaignHeader decode_header(const ArchiveReader& r) {
   CampaignHeader h;
-  ESM_REQUIRE(parse_crc32_hex(r.get_token("config_crc"), h.config_crc),
+  ESM_REQUIRE(parse_crc32_hex(r.get_string("config_crc"), h.config_crc),
               "journal campaign record has a malformed config_crc");
   h.seed = r.get_u64("seed");
   h.baseline_sessions = static_cast<int>(r.get_int("baseline_sessions"));
@@ -191,10 +53,10 @@ CampaignHeader decode_header(const BodyReader& r) {
 }
 
 std::string encode_batch(const BatchRecord& b) {
-  BodyWriter w;
-  w.put_token("type", kTypeBatch);
+  ArchiveWriter w;
+  w.put_string("type", kTypeBatch);
   w.put_u64("requested", b.requested);
-  w.put_token("request_crc", crc32_hex(b.request_crc));
+  w.put_string("request_crc", crc32_hex(b.request_crc));
   w.put_int("sessions", b.sessions);
   w.put_bool("has_qc", b.has_qc);
   w.put_int("qc_attempts", b.qc.attempts);
@@ -223,18 +85,18 @@ std::string encode_batch(const BatchRecord& b) {
     indices.push_back(std::to_string(s.todo_index));
     values.push_back(s.latency_ms);
   }
-  w.put_tokens("sample_index", indices);
+  w.put_strings("sample_index", indices);
   w.put_doubles("sample_ms", values);
-  w.put_tokens("quarantine_keys", b.quarantined);
+  w.put_strings("quarantine_keys", b.quarantined);
   w.put_double("cost_total", b.cost_total);
   w.put_u64("rng_digest", b.rng_digest);
-  return w.str();
+  return w.to_line();
 }
 
-BatchRecord decode_batch(const BodyReader& r) {
+BatchRecord decode_batch(const ArchiveReader& r) {
   BatchRecord b;
   b.requested = static_cast<std::size_t>(r.get_u64("requested"));
-  ESM_REQUIRE(parse_crc32_hex(r.get_token("request_crc"), b.request_crc),
+  ESM_REQUIRE(parse_crc32_hex(r.get_string("request_crc"), b.request_crc),
               "journal batch record has a malformed request_crc");
   b.sessions = static_cast<int>(r.get_int("sessions"));
   b.has_qc = r.get_bool("has_qc");
@@ -258,22 +120,18 @@ BatchRecord decode_batch(const BodyReader& r) {
   b.report.qc_passed = r.get_bool("r_qc_passed");
   b.report.cost_seconds = r.get_double("r_cost_seconds");
   b.report.backoff_seconds = r.get_double("r_backoff_seconds");
-  const std::vector<std::string> indices = r.get_tokens("sample_index");
+  const std::vector<std::string> indices = r.get_strings("sample_index");
   const std::vector<double> values = r.get_doubles("sample_ms");
   ESM_REQUIRE(indices.size() == values.size(),
               "journal batch record sample_index/sample_ms length mismatch ("
                   << indices.size() << " vs " << values.size() << ")");
   b.samples.reserve(indices.size());
   for (std::size_t i = 0; i < indices.size(); ++i) {
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long idx = std::strtoull(indices[i].c_str(), &end, 10);
-    ESM_REQUIRE(end != nullptr && *end == '\0' && errno == 0,
-                "journal batch record sample_index holds a non-index: "
-                    << indices[i]);
-    b.samples.push_back({static_cast<std::size_t>(idx), values[i]});
+    b.samples.push_back(
+        {static_cast<std::size_t>(parse_u64("sample_index", indices[i])),
+         values[i]});
   }
-  b.quarantined = r.get_tokens("quarantine_keys");
+  b.quarantined = r.get_strings("quarantine_keys");
   b.report.quarantined_archs = b.quarantined;
   b.cost_total = r.get_double("cost_total");
   b.rng_digest = r.get_u64("rng_digest");
@@ -415,8 +273,8 @@ CampaignResume CampaignResume::from_string(const std::string& content) {
                         << crc32_hex(stored_crc) << ", computed "
                         << crc32_hex(actual_crc) << ")");
         if (!seq_gap) {
-          const BodyReader reader(body);
-          const std::string type = reader.get_token("type");
+          const ArchiveReader reader = ArchiveReader::from_line(body);
+          const std::string type = reader.get_string("type");
           if (seq == 0) {
             ESM_REQUIRE(type == kTypeCampaign,
                         "journal record 0 must be the campaign header, found "
@@ -457,11 +315,8 @@ CampaignResume CampaignResume::from_string(const std::string& content) {
 }
 
 CampaignResume CampaignResume::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) return CampaignResume{};  // missing file: fresh campaign
-  std::ostringstream content;
-  content << in.rdbuf();
-  return from_string(content.str());
+  if (!path_exists(path)) return CampaignResume{};  // fresh campaign
+  return from_string(read_file(path, "journal"));
 }
 
 // ------------------------------------------------------- CampaignJournal

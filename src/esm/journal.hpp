@@ -15,10 +15,12 @@
 //
 // `seq` is a contiguous sequence number starting at 0, `crc32` is the CRC32
 // (common/checksum.hpp) of exactly the body bytes, and `body` is a stream
-// of whitespace-free token groups `key count v0 v1 ...` (the archive
-// convention). Record 0 describes the campaign (config digest, seed,
-// reference baselines, baseline-session count, accumulated simulated cost,
-// RNG fingerprint); every later record is one measure_batch() call: the
+// of whitespace-free token groups `key count v0 v1 ...` on one line,
+// encoded and decoded by the one token-group codec of `.esm` archives
+// (ArchiveWriter::to_line / ArchiveReader::from_line, common/archive.hpp).
+// Record 0 describes the campaign (config digest, seed, reference
+// baselines, baseline-session count, accumulated simulated cost, RNG
+// fingerprint); every later record is one measure_batch() call: the
 // surviving samples (todo-index + latency), the QcReport, the
 // DatasetReport, the newly quarantined architecture keys, and the RNG
 // fingerprint after the batch.

@@ -13,23 +13,6 @@ namespace {
 /// measurement noise stream without advancing it.
 constexpr std::uint64_t kFaultNoiseStream = 0xfa017ab1ull;
 
-double parse_rate(const std::string& key, const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(value, &used);
-    ESM_REQUIRE(used == value.size(),
-                "fault profile: trailing junk in '" << key << "=" << value
-                                                   << "'");
-    return v;
-  } catch (const ConfigError&) {
-    throw;
-  } catch (const std::exception&) {
-    ESM_REQUIRE(false, "fault profile: '" << key << "=" << value
-                                          << "' is not a number");
-  }
-  return 0.0;  // unreachable
-}
-
 }  // namespace
 
 const char* measure_outcome_name(MeasureOutcome outcome) {
@@ -93,39 +76,13 @@ FaultProfile parse_fault_profile(const std::string& text) {
     return fault_profile_by_name(text);
   }
   FaultProfile profile;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    const std::string pair = text.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    start = comma == std::string::npos ? text.size() + 1 : comma + 1;
-    if (pair.empty()) continue;
-    const std::size_t eq = pair.find('=');
-    ESM_REQUIRE(eq != std::string::npos,
-                "fault profile: expected key=value, got '" << pair << "'");
-    const std::string key = to_lower(pair.substr(0, eq));
-    const double value = parse_rate(key, pair.substr(eq + 1));
-    if (key == "timeout_prob") {
-      profile.timeout_prob = value;
-    } else if (key == "timeout_cost_s") {
-      profile.timeout_cost_s = value;
-    } else if (key == "read_error_prob") {
-      profile.read_error_prob = value;
-    } else if (key == "dropout_prob") {
-      profile.dropout_prob = value;
-    } else if (key == "stuck_clock_prob") {
-      profile.stuck_clock_prob = value;
-    } else if (key == "stuck_clock_slowdown") {
-      profile.stuck_clock_slowdown = value;
-    } else {
-      ESM_REQUIRE(false,
-                  "fault profile: unknown key '"
-                      << key
-                      << "' (valid: timeout_prob, timeout_cost_s, "
-                         "read_error_prob, dropout_prob, stuck_clock_prob, "
-                         "stuck_clock_slowdown)");
-    }
-  }
+  parse_rate_profile(text, "fault profile",
+                     {{"timeout_prob", &profile.timeout_prob},
+                      {"timeout_cost_s", &profile.timeout_cost_s},
+                      {"read_error_prob", &profile.read_error_prob},
+                      {"dropout_prob", &profile.dropout_prob},
+                      {"stuck_clock_prob", &profile.stuck_clock_prob},
+                      {"stuck_clock_slowdown", &profile.stuck_clock_slowdown}});
   profile.validate();
   return profile;
 }

@@ -10,6 +10,7 @@
 #include "hwsim/latency_model.hpp"
 #include "nas/pareto.hpp"
 #include "nets/builder.hpp"
+#include "nets/sampler.hpp"
 
 namespace esm::search {
 namespace detail {
@@ -229,17 +230,9 @@ ArchConfig SearchEngine::sample(Rng& rng) const {
   for (int u = 0; u < spec_.num_units; ++u) {
     const int depth =
         rng.uniform_int(spec_.min_blocks_per_unit, spec_.max_blocks_per_unit);
-    const int kernel = spec_.kernel_options[static_cast<std::size_t>(
-        rng.uniform_int(0,
-                        static_cast<int>(spec_.kernel_options.size()) - 1))];
-    double expansion = 1.0;
-    if (!spec_.expansion_options.empty()) {
-      expansion = spec_.expansion_options[static_cast<std::size_t>(
-          rng.uniform_int(
-              0, static_cast<int>(spec_.expansion_options.size()) - 1))];
-    }
     UnitConfig unit;
-    unit.blocks.assign(static_cast<std::size_t>(depth), {kernel, expansion});
+    unit.blocks.assign(static_cast<std::size_t>(depth),
+                       random_block(spec_, rng));
     arch.units.push_back(std::move(unit));
   }
   return arch;
@@ -257,16 +250,8 @@ void SearchEngine::mutate(ArchConfig& arch, Rng& rng) const {
       }
     }
     if (rng.bernoulli(config_.mutate_block_prob)) {
-      const int kernel = spec_.kernel_options[static_cast<std::size_t>(
-          rng.uniform_int(0,
-                          static_cast<int>(spec_.kernel_options.size()) - 1))];
-      double expansion = 1.0;
-      if (!spec_.expansion_options.empty()) {
-        expansion = spec_.expansion_options[static_cast<std::size_t>(
-            rng.uniform_int(
-                0, static_cast<int>(spec_.expansion_options.size()) - 1))];
-      }
-      for (BlockConfig& b : unit.blocks) b = {kernel, expansion};
+      const BlockConfig block = random_block(spec_, rng);
+      for (BlockConfig& b : unit.blocks) b = block;
     }
   }
 }

@@ -12,7 +12,7 @@
 //     and per-unit mutation. Elitist (mu+lambda): parents and offspring
 //     compete for the next generation.
 //   - random_search: the same evaluation budget spent on i.i.d. samples —
-//     the baseline the evolutionary engine must beat (bench/search_bench).
+//     the baseline the evolutionary engine must beat (search_test pins it).
 //
 // Determinism is a hard contract, same idiom as PR-1/PR-3 plan-then-
 // execute: every RNG draw happens serially on one generator, and scoring

@@ -39,15 +39,10 @@ UnitConfig random_unit(const SupernetSpec& spec, int depth, Rng& rng) {
   UnitConfig unit;
   unit.blocks.reserve(static_cast<std::size_t>(depth));
   if (spec.kernel_per_unit) {
-    // One kernel chosen per unit, replicated to every block (DenseNet).
-    const int kernel = spec.kernel_options[static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<int>(spec.kernel_options.size()) - 1))];
-    for (int i = 0; i < depth; ++i) {
-      BlockConfig b;
-      b.kernel = kernel;
-      b.expansion = 1.0;
-      unit.blocks.push_back(b);
-    }
+    // One block's features chosen per unit, replicated to every block
+    // (DenseNet).
+    unit.blocks.assign(static_cast<std::size_t>(depth),
+                       random_block(spec, rng));
   } else {
     for (int i = 0; i < depth; ++i) {
       unit.blocks.push_back(random_block(spec, rng));

@@ -8,23 +8,6 @@
 namespace esm::serve {
 namespace {
 
-double parse_rate(const std::string& key, const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(value, &used);
-    ESM_REQUIRE(used == value.size(),
-                "chaos profile: trailing junk in '" << key << "=" << value
-                                                    << "'");
-    return v;
-  } catch (const ConfigError&) {
-    throw;
-  } catch (const std::exception&) {
-    ESM_REQUIRE(false, "chaos profile: '" << key << "=" << value
-                                          << "' is not a number");
-  }
-  return 0.0;  // unreachable
-}
-
 class ChaosConnection final : public Connection {
  public:
   ChaosConnection(std::shared_ptr<Connection> inner, ChaosProfile profile,
@@ -205,35 +188,12 @@ ChaosProfile parse_chaos_profile(const std::string& text) {
     return chaos_profile_by_name(text);
   }
   ChaosProfile profile;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    const std::string pair = text.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    start = comma == std::string::npos ? text.size() + 1 : comma + 1;
-    if (pair.empty()) continue;
-    const std::size_t eq = pair.find('=');
-    ESM_REQUIRE(eq != std::string::npos,
-                "chaos profile: expected key=value, got '" << pair << "'");
-    const std::string key = to_lower(pair.substr(0, eq));
-    const double value = parse_rate(key, pair.substr(eq + 1));
-    if (key == "short_read_p") {
-      profile.short_read_p = value;
-    } else if (key == "short_write_p") {
-      profile.short_write_p = value;
-    } else if (key == "stall_p") {
-      profile.stall_p = value;
-    } else if (key == "reset_p") {
-      profile.reset_p = value;
-    } else if (key == "connect_fail_p") {
-      profile.connect_fail_p = value;
-    } else {
-      ESM_REQUIRE(false, "chaos profile: unknown key '"
-                             << key
-                             << "' (short_read_p, short_write_p, stall_p, "
-                                "reset_p, connect_fail_p)");
-    }
-  }
+  parse_rate_profile(text, "chaos profile",
+                     {{"short_read_p", &profile.short_read_p},
+                      {"short_write_p", &profile.short_write_p},
+                      {"stall_p", &profile.stall_p},
+                      {"reset_p", &profile.reset_p},
+                      {"connect_fail_p", &profile.connect_fail_p}});
   profile.validate();
   return profile;
 }

@@ -103,18 +103,18 @@ void ServerMetrics::count_error(ModelMetrics* section, ErrorCode code) {
   }
 }
 
-void ServerMetrics::count_archs(std::uint64_t hits, std::uint64_t misses,
-                                ModelMetrics* model) {
-  model->archs_.fetch_add(hits + misses, std::memory_order_relaxed);
+void ServerMetrics::count_arch_hits(std::uint64_t hits, ModelMetrics* model) {
+  model->archs_.fetch_add(hits, std::memory_order_relaxed);
   model->arch_hits_.fetch_add(hits, std::memory_order_relaxed);
-  model->arch_misses_.fetch_add(misses, std::memory_order_relaxed);
 }
 
 void ServerMetrics::count_control_line() {
   control_requests_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void ServerMetrics::count_batch(std::size_t n) {
+void ServerMetrics::count_batch(std::size_t n, ModelMetrics* model) {
+  model->archs_.fetch_add(n, std::memory_order_relaxed);
+  model->arch_misses_.fetch_add(n, std::memory_order_relaxed);
   batches_.fetch_add(1, std::memory_order_relaxed);
   batched_archs_.fetch_add(n, std::memory_order_relaxed);
   std::uint64_t seen = max_batch_.load(std::memory_order_relaxed);

@@ -10,10 +10,11 @@
 // entirely from cache), `misses` (at least one prediction computed), or
 // `errors` (structured error reply) — so requests == hits + misses + errors
 // always. Per-architecture accounting runs alongside: archs == arch_hits +
-// arch_misses, and every arch miss passes through exactly one dispatched
-// batch, so batched_archs == arch_misses. Control verbs (info, stats,
-// reload, shutdown, unknown) are tallied separately in control_requests /
-// control_errors and never disturb the prediction identity.
+// arch_misses, and an arch miss is counted by the dispatched batch that
+// prices it, so batched_archs == arch_misses even while the server sheds
+// or expires queued misses. Control verbs (info, stats, reload, shutdown,
+// unknown) are tallied separately in control_requests / control_errors
+// and never disturb the prediction identity.
 //
 // Errors are counted from their wire code, in one place (count_error):
 // `shed` counts the error lines answered `overloaded` (admission control
@@ -178,16 +179,18 @@ class ServerMetrics {
   /// code is `overloaded` and as `expired` when it is `deadline_exceeded`.
   void count_error(ModelMetrics* section, ErrorCode code);
 
-  /// Per-architecture accounting inside prediction lines.
-  void count_archs(std::uint64_t hits, std::uint64_t misses,
-                   ModelMetrics* model);
+  /// Counts architectures of a prediction line answered from cache.
+  void count_arch_hits(std::uint64_t hits, ModelMetrics* model);
 
   /// Counts one control line (info/models/stats/reload/shutdown) answered
   /// ok; failed ones go through count_error.
   void count_control_line();
 
-  /// Records one dispatched predict_all batch of `n` architectures.
-  void count_batch(std::size_t n);
+  /// Records one dispatched predict_all batch of `n` architectures, all
+  /// routed to `model`, as that model's arch misses: a miss shed at
+  /// admission or expired at dequeue is priced by no batch and counts in
+  /// neither counter.
+  void count_batch(std::size_t n, ModelMetrics* model);
 
   void count_reload();
 

@@ -295,7 +295,7 @@ std::optional<Reply> PredictionServer::handle_predict(
   }
   if (const std::optional<double> hit = model->cache->get(key)) {
     Reply reply = ok_reply("predict", format_latency(*hit));
-    metrics_.count_archs(1, 0, section);
+    metrics_.count_arch_hits(1, section);
     metrics_.count_predict_line(true, section);
     return reply;
   }
@@ -321,7 +321,6 @@ std::optional<Reply> PredictionServer::handle_predict(
     }
     done(std::move(reply));
   };
-  metrics_.count_archs(0, 1, section);
   try {
     enqueue(std::move(arch), std::shared_ptr<const FleetModel>(fleet, model),
             deadline, std::move(completion));
@@ -392,7 +391,7 @@ std::optional<Reply> PredictionServer::handle_predict_batch(
 
   if (misses.empty()) {
     Reply reply = ok_reply("predict_batch", batch_payload(values));
-    metrics_.count_archs(hit_count, 0, section);
+    metrics_.count_arch_hits(hit_count, section);
     metrics_.count_predict_line(true, section);
     return reply;
   }
@@ -417,10 +416,11 @@ std::optional<Reply> PredictionServer::handle_predict_batch(
     state.done(std::move(reply));
   };
 
-  // From here on the join owns the reply, so the archs count only now. The
-  // counter must reach its full value before any completion can fire, so
-  // every miss is enqueued only after `remaining` is set.
-  metrics_.count_archs(hit_count, misses.size(), section);
+  // From here on the join owns the reply, so the hits count only now (each
+  // miss counts in the batch that prices it). The counter must reach its
+  // full value before any completion can fire, so every miss is enqueued
+  // only after `remaining` is set.
+  metrics_.count_arch_hits(hit_count, section);
   join->done = std::move(done);
   join->remaining.store(misses.size(), std::memory_order_relaxed);
   const auto settle = [finalize](BatchJoin& state, std::size_t count,
@@ -833,8 +833,12 @@ void PredictionServer::dispatch_round(std::vector<Pending>& drained) {
       if (!found) groups.emplace_back(key, std::vector<std::size_t>{i});
     }
   } catch (...) {
-    // No room to group the round; nothing has been answered yet.
-    for (Pending& p : drained) answer_alone(p);
+    // No room to group the round; nothing has been answered yet. Each
+    // entry is priced alone, as a batch of one.
+    for (Pending& p : drained) {
+      metrics_.count_batch(1, p.model->metrics);
+      answer_alone(p);
+    }
     return;
   }
   const Failure expiry{nullptr, ErrorCode::deadline_exceeded};
@@ -842,7 +846,7 @@ void PredictionServer::dispatch_round(std::vector<Pending>& drained) {
     if (expired[i]) answer(drained[i].done, 0.0, &expiry);
   }
   for (const auto& [model, indices] : groups) {
-    metrics_.count_batch(indices.size());
+    metrics_.count_batch(indices.size(), model->metrics);
     std::vector<double> values;  // stays empty when the batch fails
     try {
       std::vector<ArchConfig> archs;

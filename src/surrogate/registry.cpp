@@ -1,8 +1,6 @@
 #include "surrogate/registry.hpp"
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "common/checksum.hpp"
@@ -164,11 +162,7 @@ std::string save_surrogate_atomic(const TrainableSurrogate& surrogate,
 }
 
 std::unique_ptr<TrainableSurrogate> load_surrogate(const std::string& path) {
-  std::ifstream in(path);
-  ESM_REQUIRE(in.good(), "cannot open archive: " << path);
-  std::ostringstream contents;
-  contents << in.rdbuf();
-  return load_surrogate(path, contents.str());
+  return load_surrogate(path, read_file(path, "archive"));
 }
 
 std::unique_ptr<TrainableSurrogate> load_surrogate(

@@ -25,6 +25,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "fuzz_mutator.hpp"
 #include "nets/supernet.hpp"
 #include "serve/protocol.hpp"
 
@@ -255,55 +256,18 @@ constexpr std::string_view kInserts[] = {
 
 /// Applies one random mutation to `s`; `seeds` supplies splice partners.
 void mutate(std::string& s, const std::vector<std::string>& seeds, Rng& rng) {
-  const auto pos = [&](std::size_t size) {
-    return static_cast<std::size_t>(rng.uniform_u64(size + 1));
-  };
+  static const char* const kNumbers[] = {
+      "0", "-3", "+3", "1e3", "0x10", "inf", "nan", "20", "21", "7", "8",
+      "2.5", "99999999999999999999"};
   switch (rng.uniform_int(0, 8)) {
-    case 0:  // bit flip
-      if (!s.empty()) {
-        s[pos(s.size() - 1)] ^= static_cast<char>(1 << rng.uniform_int(0, 7));
-      }
-      break;
-    case 1: {  // splice with another seed
-      const std::string& other = seeds[rng.uniform_u64(seeds.size())];
-      s = s.substr(0, pos(s.size())) + other.substr(pos(other.size()));
-      break;
-    }
-    case 2:  // truncate
-      s.resize(pos(s.size()));
-      break;
-    case 3: {  // duplicate one unit token
-      const std::size_t comma = s.find(',', pos(s.size()));
-      const std::size_t begin = s.rfind(',', comma == 0 ? 0 : comma - 1);
-      const std::size_t from = begin == std::string::npos ? 0 : begin + 1;
-      const std::size_t to = comma == std::string::npos ? s.size() : comma;
-      if (from < to) s.insert(to, "," + s.substr(from, to - from));
-      break;
-    }
-    case 4:  // delete a byte
-      if (!s.empty()) s.erase(pos(s.size() - 1), 1);
-      break;
-    case 5: {  // insert a hostile fragment
-      s.insert(pos(s.size()),
-               std::string(kInserts[rng.uniform_u64(std::size(kInserts))]));
-      break;
-    }
-    case 6: {  // replace a digit run with a hostile number
-      const std::size_t start = s.find_first_of("0123456789", pos(s.size()));
-      if (start == std::string::npos) break;
-      const std::size_t stop = s.find_first_not_of("0123456789.", start);
-      static const char* kNumbers[] = {"0",    "-3",   "+3",  "1e3",
-                                       "0x10", "inf",  "nan", "20",
-                                       "21",   "7",    "8",   "2.5",
-                                       "99999999999999999999"};
-      s.replace(start, stop == std::string::npos ? s.size() - start
-                                                 : stop - start,
-                kNumbers[rng.uniform_int(0, 12)]);
-      break;
-    }
-    case 7:  // random byte
-      s.insert(pos(s.size()), 1, static_cast<char>(rng.uniform_int(0, 255)));
-      break;
+    case 0: fuzz::flip_bit(s, rng); break;
+    case 1: fuzz::splice(s, seeds, rng); break;
+    case 2: fuzz::truncate(s, rng); break;
+    case 3: fuzz::duplicate_field(s, ',', rng); break;  // one unit token
+    case 4: fuzz::erase_byte(s, rng); break;
+    case 5: fuzz::insert_fragment(s, kInserts, rng); break;
+    case 6: fuzz::replace_number(s, kNumbers, rng); break;
+    case 7: fuzz::insert_random_byte(s, rng); break;
     default:  // a second canonical arch joined as a batch element
       s += ';' + seeds[rng.uniform_u64(seeds.size())];
       break;

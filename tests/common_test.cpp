@@ -1,4 +1,5 @@
-// Unit tests for src/common: RNG, statistics, strings, tables, CSV, argparse.
+// Unit tests for src/common: RNG, statistics, strings, tables, CSV, argparse,
+// and the archive codec, including a seeded fuzz of its two framings.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -7,18 +8,22 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/archive.hpp"
 #include "common/argparse.hpp"
+#include "common/checksum.hpp"
 #include "common/csv.hpp"
 #include "common/error.hpp"
+#include "common/fsio.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
+#include "fuzz_mutator.hpp"
 
 namespace esm {
 namespace {
@@ -457,7 +462,8 @@ TEST(ArchiveTest, FileRoundTrip) {
     writer.put_doubles("w", {1.5, 2.5});
     writer.save(path);
   }
-  const ArchiveReader reader = ArchiveReader::from_file(path);
+  const ArchiveReader reader =
+      ArchiveReader::from_string(read_file(path, "archive"));
   EXPECT_EQ(reader.get_doubles("w").size(), 2u);
   std::remove(path.c_str());
 }
@@ -575,6 +581,149 @@ TEST(ArchiveTest, RejectsKeysWithWhitespace) {
   ArchiveWriter writer;
   EXPECT_THROW(writer.put_int("bad key", 1), ConfigError);
   EXPECT_THROW(writer.put_string("k", "two words"), ConfigError);
+}
+
+TEST(ArchiveTest, RoundTripsOneLineOfGroups) {
+  // The journal's record body: the same groups, space-joined on one line.
+  ArchiveWriter writer;
+  writer.put_string("type", "batch");
+  writer.put_u64("seed", 18446744073709551615ull);
+  writer.put_bool("has_qc", true);
+  writer.put_doubles("ms", {1.5, 0.25});
+  writer.put_strings("none", {});
+  const std::string line = writer.to_line();
+  EXPECT_EQ(line,
+            "type 1 batch seed 1 18446744073709551615 has_qc 1 1 "
+            "ms 2 1.5 0.25 none 0");
+  const ArchiveReader reader = ArchiveReader::from_line(line);
+  EXPECT_EQ(reader.get_string("type"), "batch");
+  EXPECT_EQ(reader.get_u64("seed"), 18446744073709551615ull);
+  EXPECT_TRUE(reader.get_bool("has_qc"));
+  EXPECT_EQ(reader.get_doubles("ms"), (std::vector<double>{1.5, 0.25}));
+  EXPECT_TRUE(reader.get_strings("none").empty());
+  EXPECT_THROW(ArchiveReader::from_line("a 1 x a 1 y"), ConfigError);
+  EXPECT_THROW(ArchiveReader::from_line("a 2 x"), ConfigError);
+  EXPECT_THROW(ArchiveReader::from_line("a"), ConfigError);
+  EXPECT_THROW(ArchiveReader::from_line("a 1x y"), ConfigError);
+}
+
+TEST(ArchiveTest, NumbersMustFitAndFillTheirToken) {
+  const ArchiveReader reader = ArchiveReader::from_line(
+      "big 1 9223372036854775808 neg 1 -1 two 1 2 wide 1 "
+      "18446744073709551616 half 1 0.5x");
+  EXPECT_THROW(reader.get_int("big"), ConfigError);  // overflows long long
+  EXPECT_EQ(reader.get_u64("big"), 9223372036854775808ull);
+  EXPECT_EQ(reader.get_int("neg"), -1);
+  EXPECT_THROW(reader.get_u64("neg"), ConfigError);
+  EXPECT_THROW(reader.get_u64("wide"), ConfigError);
+  EXPECT_THROW(reader.get_bool("two"), ConfigError);
+  EXPECT_THROW(reader.get_double("half"), ConfigError);
+}
+
+// ------------------------------------------------------- codec fuzzing
+
+/// Decodes `text` with `parse`; nullopt when it throws ConfigError.
+template <typename F>
+std::optional<ArchiveReader> try_decode(F&& parse) {
+  try {
+    return parse();
+  } catch (const ConfigError&) {
+    return std::nullopt;
+  }
+}
+
+/// The groups written back through the codec.
+ArchiveWriter reencode(const ArchiveReader& reader) {
+  ArchiveWriter writer;
+  for (const auto& [key, values] : reader.groups()) {
+    writer.put_strings(key, values);
+  }
+  return writer;
+}
+
+/// Reads each group through one typed getter, rotated by `salt` so that
+/// across cases every getter meets every group: each getter either
+/// answers or throws ConfigError.
+void read_typed(const ArchiveReader& reader, int salt) {
+  for (const auto& [key, values] : reader.groups()) {
+    try {
+      switch (salt++ % 5) {
+        case 0: reader.get_int(key); break;
+        case 1: reader.get_u64(key); break;
+        case 2: reader.get_bool(key); break;
+        case 3: reader.get_double(key); break;
+        default: reader.get_doubles(key); break;
+      }
+    } catch (const ConfigError&) {
+    }
+  }
+}
+
+TEST(ArchiveFuzzTest, MutatedArchivesAndLinesRejectOrRoundTrip) {
+  // Seeded generated input for both framings of the codec: archive file
+  // bytes (their CRC footer recomputed, so parsing gets past it) and
+  // one-line record bodies. Each case must throw ConfigError or decode to
+  // groups whose re-encoding decodes to the same groups.
+  ArchiveWriter model;
+  model.put_string("esm.kind", "mlp");
+  model.put_int("esm.format", 3);
+  model.put_int("mlp.seed", -7);
+  model.put_u64("rng_digest", 0xdeadbeefcafef00dull);
+  model.put_bool("lut.bias_corrected", true);
+  model.put_double("lr", 0.001);
+  model.put_doubles("w0", {0.5, -1.25, 3e-7, 1e300, 4.9406564584124654e-324});
+  model.put_doubles("empty", {});
+  model.put_strings("keys", {"conv3x3", "ResNet[d=2:k3e1,k3e1]"});
+  ArchiveWriter record;
+  record.put_string("type", "batch");
+  record.put_string("request_crc", crc32_hex(0x0badf00du));
+  record.put_u64("requested", 6);
+  record.put_bool("has_qc", false);
+  record.put_strings("sample_index", {"0", "2", "3"});
+  record.put_doubles("sample_ms", {1.5, 2.25, 0.875});
+  const std::vector<std::string> files = {model.to_string(),
+                                          record.to_string()};
+  std::vector<std::string> bodies;  // each file without its footer line
+  for (const std::string& file : files) {
+    bodies.push_back(file.substr(0, file.rfind('\n', file.size() - 2) + 1));
+  }
+  const std::vector<std::string> lines = {model.to_line(), record.to_line()};
+
+  Rng rng(0xC0DEC);
+  constexpr int kCases = 20000;
+  int decoded = 0;
+  for (int c = 0; c < kCases; ++c) {
+    const bool as_file = c % 2 == 0;
+    const std::vector<std::string>& seeds = as_file ? bodies : lines;
+    std::string text = seeds[rng.uniform_u64(seeds.size())];
+    const int mutations = rng.uniform_int(1, 4);
+    for (int m = 0; m < mutations; ++m) {
+      fuzz::mutate_groups(text, seeds, as_file ? '\n' : ' ', rng);
+    }
+    std::optional<ArchiveReader> reader;
+    if (as_file) {
+      if (!text.empty() && text.back() != '\n' && rng.bernoulli(0.9)) {
+        text += '\n';
+      }
+      text += "esm-archive-crc32 " + crc32_hex(crc32(text)) + "\n";
+      reader = try_decode([&] { return ArchiveReader::from_string(text); });
+    } else {
+      reader = try_decode([&] { return ArchiveReader::from_line(text); });
+    }
+    if (!reader) continue;
+    ++decoded;
+    read_typed(*reader, c);
+    const ArchiveWriter writer = reencode(*reader);
+    ASSERT_EQ(ArchiveReader::from_string(writer.to_string()).groups(),
+              reader->groups())
+        << "case " << c;
+    ASSERT_EQ(ArchiveReader::from_line(writer.to_line()).groups(),
+              reader->groups())
+        << "case " << c;
+  }
+  // The mutator must reach both sides of the grammar.
+  EXPECT_GT(decoded, kCases / 10);
+  EXPECT_LT(decoded, kCases * 9 / 10);
 }
 
 // ---------------------------------------------------------------- error

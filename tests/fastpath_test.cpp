@@ -548,10 +548,17 @@ TEST(FastPathTest, EventLoopAnswersOrDropsWhenABatcherAllocationFails) {
     });
     ASSERT_TRUE(within_10s([&] { return holding->load(); }));
     const std::shared_ptr<serve::ClientChannel> client = listener->connect();
-    const std::uint64_t misses = server.metrics().arch_misses;
+    const std::uint64_t submitted = loop.stats().requests;
     ASSERT_TRUE(client->send("predict " + fresh_arch() + "\n"));
+    // Once the reactor has taken the miss, it answers a probe only after
+    // handle_request returned, i.e. after the miss was admitted.
     ASSERT_TRUE(
-        within_10s([&] { return server.metrics().arch_misses > misses; }));
+        within_10s([&] { return loop.stats().requests > submitted; }));
+    const std::shared_ptr<serve::ClientChannel> probe = listener->connect();
+    ASSERT_TRUE(probe->send("info\n"));
+    std::string info;
+    ASSERT_TRUE(probe->receive_some_for(info, 10000, nullptr));
+    probe->close();
     admitted.set_value();
     std::string bytes;
     bool timed_out = false;

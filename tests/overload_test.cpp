@@ -333,7 +333,8 @@ TEST(OverloadTest, AdmissionCapCountsTheDispatchingRound) {
   // max_queue 2 one more miss queues and the next is shed: the cap counts
   // the dispatching entry too. The queued miss's deadline lapses behind
   // the gate and it expires at dequeue. Each failed line moves the stats
-  // by one error, on the model it routed to.
+  // by one error, on the model it routed to, and only the gate's miss is
+  // priced: batched_archs == arch_misses holds while the server sheds.
   ServeConfig config = serve_config(artifact());
   config.max_queue = 2;
   config.max_batch = 1;
@@ -374,6 +375,7 @@ TEST(OverloadTest, AdmissionCapCountsTheDispatchingRound) {
   EXPECT_EQ(shed->code, serve::ErrorCode::overloaded);
   EXPECT_EQ(shed->payload, "server overloaded: admission queue full");
   expect_one_error(before, server.metrics(), "overloaded", "default");
+  EXPECT_EQ(server.metrics().arch_misses, before.arch_misses);
 
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
   before = server.metrics();
@@ -381,7 +383,12 @@ TEST(OverloadTest, AdmissionCapCountsTheDispatchingRound) {
   const serve::Reply expired = queued.get_future().get();
   EXPECT_EQ(expired.code, serve::ErrorCode::deadline_exceeded);
   EXPECT_EQ(expired.payload, "deadline passed before the request was served");
-  expect_one_error(before, server.metrics(), "deadline_exceeded", "default");
+  const serve::MetricsSnapshot after = server.metrics();
+  expect_one_error(before, after, "deadline_exceeded", "default");
+  EXPECT_EQ(after.arch_misses, 1u);
+  EXPECT_EQ(section_counters(after, "default").arch_misses, 1u);
+  EXPECT_EQ(after.batched_archs, after.arch_misses);
+  EXPECT_EQ(after.archs, after.arch_hits + after.arch_misses);
 }
 
 TEST(OverloadTest, SustainedPressureEntersDegradedMode) {
