@@ -31,7 +31,7 @@
 #include "bench_util.hpp"
 #include "common/error.hpp"
 #include "common/fsio.hpp"
-#include "encoding/registry.hpp"
+#include "encoding/encoder.hpp"
 #include "ml/gbdt.hpp"
 #include "nets/builder.hpp"
 #include "serve/client.hpp"

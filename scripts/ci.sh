@@ -35,11 +35,13 @@
 #                         suites (exact-equality pins switch to tight
 #                         relative tolerances via gemm_fma_enabled()), then
 #                         one ASan + UBSan build running the common +
-#                         journal + linalg + surrogate + esm +
+#                         journal + linalg + encoding + surrogate + esm +
 #                         corruption-matrix + nets + nn + nas + search + ml +
 #                         serve + frame + arch-fuzz + event-loop + overload
 #                         suites (the archive codec and the journal records
-#                         it decodes under seeded generated input, graph
+#                         it decodes under seeded generated input, the
+#                         encoding table that resolves every loaded
+#                         artifact's esm.encoder string, graph
 #                         lowering into either sink, the accuracy proxy, the
 #                         constrained rank sort, the training step, the
 #                         in-place scanners of untrusted request bytes, the
@@ -332,12 +334,14 @@ cmake --build build-fma -j "$JOBS" --target linalg_test ml_test fastpath_test
 ctest --test-dir build-fma --output-on-failure \
   -R '^(linalg_test|ml_test|fastpath_test)$'
 
-echo "== asan+ubsan tier (common + journal + linalg + surrogate + esm + corruption + nets + nn + nas + search + ml + serve + frame + arch fuzz + event loop + overload suites) =="
+echo "== asan+ubsan tier (common + journal + linalg + encoding + surrogate + esm + corruption + nets + nn + nas + search + ml + serve + frame + arch fuzz + event loop + overload suites) =="
 # One build carries both sanitizers. The wire arch scanner walks untrusted
 # request bytes in place and the frame decoder slices them; serve_test and
 # frame_test drive both, and arch_fuzz_test feeds the scanner 120k mutated
 # requests. common_test and journal_test feed the one token-group codec
-# mutated archive files and journal record bodies. The builders lower each
+# mutated archive files and journal record bodies. encoding_test drives the
+# encoding table, which resolves the esm.encoder string of every loaded
+# artifact (untrusted bytes) to a kind. The builders lower each
 # space into a LayerGraph or a FLOPs accumulator, the accuracy proxy prices
 # through the latter, the search engine ranks from a flat dominance table,
 # and the training step indexes its workspace and the kernel's
@@ -349,12 +353,12 @@ echo "== asan+ubsan tier (common + journal + linalg + surrogate + esm + corrupti
 cmake -B build-asan-ubsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DESM_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan-ubsan -j "$JOBS" \
-  --target common_test journal_test linalg_test surrogate_test \
+  --target common_test journal_test linalg_test encoding_test surrogate_test \
   surrogate_registry_test esm_test corruption_test nets_test nn_test \
   nas_test search_test ml_test serve_test frame_test arch_fuzz_test \
   event_loop_test overload_test
 ctest --test-dir build-asan-ubsan --output-on-failure \
-  -R '^(common_test|journal_test|linalg_test|surrogate_test|surrogate_registry_test|esm_test|corruption_test|nets_test|nn_test|nas_test|search_test|ml_test|serve_test|frame_test|arch_fuzz_test|event_loop_test|overload_test)$'
+  -R '^(common_test|journal_test|linalg_test|encoding_test|surrogate_test|surrogate_registry_test|esm_test|corruption_test|nets_test|nn_test|nas_test|search_test|ml_test|serve_test|frame_test|arch_fuzz_test|event_loop_test|overload_test)$'
 
 echo "== tsan tier (linalg + fault + parallel + journal + serve + fleet + event loop + overload + chaos + search) =="
 # event_loop_test puts the reactor thread, the batcher threads, and the

@@ -1,52 +1,79 @@
 #include "encoding/encoder.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 #include "common/strings.hpp"
 #include "encoding/encoders.hpp"
 
 namespace esm {
+namespace {
 
-const char* encoding_kind_name(EncodingKind kind) {
-  switch (kind) {
-    case EncodingKind::kOneHot: return "one-hot";
-    case EncodingKind::kFeature: return "feature";
-    case EncodingKind::kStatistical: return "statistical";
-    case EncodingKind::kFeatureCount: return "fc";
-    case EncodingKind::kFcc: return "fcc";
+struct EncodingRow {
+  EncodingKind kind;
+  const char* key;    // stored in artifacts
+  const char* name;   // printed by Encoder::name()
+  const char* alias;  // long spelling, also accepted on input
+  std::unique_ptr<Encoder> (*make)(const SupernetSpec& spec);
+};
+
+template <typename E>
+std::unique_ptr<Encoder> make_row_encoder(const SupernetSpec& spec) {
+  return std::make_unique<E>(spec);
+}
+
+// Baseline-first: the order keys(), error lists and ablations follow.
+constexpr EncodingRow kEncodings[] = {
+    {EncodingKind::kOneHot, "onehot", "one-hot", "one-hot",
+     &make_row_encoder<OneHotEncoder>},
+    {EncodingKind::kFeature, "feature", "feature", "feature",
+     &make_row_encoder<FeatureEncoder>},
+    {EncodingKind::kStatistical, "stat", "statistical", "statistical",
+     &make_row_encoder<StatisticalEncoder>},
+    {EncodingKind::kFeatureCount, "fc", "fc", "feature-count",
+     &make_row_encoder<FeatureCountEncoder>},
+    {EncodingKind::kFcc, "fcc", "fcc", "feature-combination-count",
+     &make_row_encoder<FccEncoder>},
+};
+
+const EncodingRow& row(EncodingKind kind) {
+  for (const EncodingRow& r : kEncodings) {
+    if (r.kind == kind) return r;
   }
-  return "unknown";
+  throw ConfigError("unknown encoding kind");
+}
+
+}  // namespace
+
+const char* encoding_kind_name(EncodingKind kind) { return row(kind).name; }
+
+std::string encoder_registry_key(EncodingKind kind) { return row(kind).key; }
+
+std::optional<EncodingKind> find_encoding_kind(const std::string& name) {
+  const std::string lower = to_lower(name);
+  for (const EncodingRow& r : kEncodings) {
+    if (lower == r.key || lower == r.name || lower == r.alias) return r.kind;
+  }
+  return std::nullopt;
 }
 
 EncodingKind encoding_kind_from_name(const std::string& name) {
-  const std::string lower = to_lower(name);
-  if (lower == "one-hot" || lower == "onehot") return EncodingKind::kOneHot;
-  if (lower == "feature") return EncodingKind::kFeature;
-  if (lower == "statistical" || lower == "stat") {
-    return EncodingKind::kStatistical;
+  const std::optional<EncodingKind> kind = find_encoding_kind(name);
+  if (!kind) {
+    throw ConfigError("unknown encoder key '" + name +
+                      "' (registered: " + join(encoder_keys(), ", ") + ")");
   }
-  if (lower == "fc" || lower == "feature-count") {
-    return EncodingKind::kFeatureCount;
-  }
-  if (lower == "fcc" || lower == "feature-combination-count") {
-    return EncodingKind::kFcc;
-  }
-  throw ConfigError("unknown encoding: " + name);
+  return *kind;
 }
 
 std::vector<EncodingKind> all_encoding_kinds() {
-  return {EncodingKind::kOneHot, EncodingKind::kFeature,
-          EncodingKind::kStatistical, EncodingKind::kFeatureCount,
-          EncodingKind::kFcc};
+  std::vector<EncodingKind> kinds;
+  for (const EncodingRow& r : kEncodings) kinds.push_back(r.kind);
+  return kinds;
 }
 
-void Encoder::encode_into(const ArchConfig& arch,
-                          std::span<double> out) const {
-  ESM_CHECK(out.size() == dimension(), "encode_into buffer size mismatch");
-  const std::vector<double> z = encode(arch);
-  ESM_CHECK(z.size() == dimension(), "encoder produced a wrong-size vector");
-  std::copy(z.begin(), z.end(), out.begin());
+std::vector<std::string> encoder_keys() {
+  std::vector<std::string> keys;
+  for (const EncodingRow& r : kEncodings) keys.emplace_back(r.key);
+  return keys;
 }
 
 Matrix Encoder::encode_all(std::span<const ArchConfig> archs) const {
@@ -69,19 +96,12 @@ double Encoder::sparsity(const ArchConfig& arch) const {
 
 std::unique_ptr<Encoder> make_encoder(EncodingKind kind,
                                       const SupernetSpec& spec) {
-  switch (kind) {
-    case EncodingKind::kOneHot:
-      return std::make_unique<OneHotEncoder>(spec);
-    case EncodingKind::kFeature:
-      return std::make_unique<FeatureEncoder>(spec);
-    case EncodingKind::kStatistical:
-      return std::make_unique<StatisticalEncoder>(spec);
-    case EncodingKind::kFeatureCount:
-      return std::make_unique<FeatureCountEncoder>(spec);
-    case EncodingKind::kFcc:
-      return std::make_unique<FccEncoder>(spec);
-  }
-  throw ConfigError("unknown encoding kind");
+  return row(kind).make(spec);
+}
+
+std::unique_ptr<Encoder> make_encoder(const std::string& name,
+                                      const SupernetSpec& spec) {
+  return make_encoder(encoding_kind_from_name(name), spec);
 }
 
 }  // namespace esm

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -37,11 +38,27 @@ enum class EncodingKind {
   kFcc,
 };
 
+// Every function below reads one table (encoder.cpp) holding, per kind,
+// its key, display name and long alias, baseline-first.
+
+/// Display name ("statistical"), as printed in "MLP+..." labels.
 const char* encoding_kind_name(EncodingKind kind);
+
+/// Canonical key ("stat"), as stored in the artifact's esm.encoder.
+std::string encoder_registry_key(EncodingKind kind);
+
+/// Resolves a key, display name or alias, case-insensitively.
+std::optional<EncodingKind> find_encoding_kind(const std::string& name);
+
+/// Same, but throws ConfigError listing the canonical keys when the name
+/// is unknown.
 EncodingKind encoding_kind_from_name(const std::string& name);
 
 /// All five kinds, baseline-first.
 std::vector<EncodingKind> all_encoding_kinds();
+
+/// Their canonical keys, in the same order.
+std::vector<std::string> encoder_keys();
 
 /// Translates architectures of one space into fixed-width feature vectors.
 class Encoder {
@@ -56,12 +73,11 @@ class Encoder {
 
   /// Encodes one architecture into a caller-provided buffer of exactly
   /// dimension() entries (zero-filled first, then written — bit-identical
-  /// to encode()). The default delegates to encode(); the concrete
-  /// encoders override it to write in place, so batch paths
-  /// (encode_all, the fused MlpSurrogate::predict_all) fill preallocated
-  /// matrix rows with zero per-architecture heap allocations.
+  /// to encode()), so batch paths (encode_all, the fused
+  /// MlpSurrogate::predict_all) fill preallocated matrix rows with zero
+  /// per-architecture heap allocations.
   virtual void encode_into(const ArchConfig& arch,
-                           std::span<double> out) const;
+                           std::span<double> out) const = 0;
 
   virtual EncodingKind kind() const = 0;
   virtual const SupernetSpec& spec() const = 0;
@@ -78,6 +94,10 @@ class Encoder {
 
 /// Factory for the encoder of a given kind over a given space.
 std::unique_ptr<Encoder> make_encoder(EncodingKind kind,
+                                      const SupernetSpec& spec);
+
+/// Same, for a key, display name or alias (see encoding_kind_from_name).
+std::unique_ptr<Encoder> make_encoder(const std::string& name,
                                       const SupernetSpec& spec);
 
 }  // namespace esm

@@ -2,7 +2,7 @@
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
-#include "encoding/registry.hpp"
+#include "encoding/encoder.hpp"
 #include "surrogate/registry.hpp"
 
 namespace esm {
@@ -27,10 +27,10 @@ void EsmConfig::validate() const {
                   << surrogate << "' (registered: "
                   << join(SurrogateRegistry::instance().keys(), ", ")
                   << ")");
-  ESM_REQUIRE(EncoderRegistry::instance().has(encoder),
+  ESM_REQUIRE(find_encoding_kind(encoder).has_value(),
               "config: unknown encoder '"
                   << encoder << "' (registered: "
-                  << join(EncoderRegistry::instance().keys(), ", ") << ")");
+                  << join(encoder_keys(), ", ") << ")");
   ESM_REQUIRE(ensemble_members >= 2,
               "config: ensemble_members must be >= 2");
   ESM_REQUIRE(n_initial >= 1, "config: N_I must be >= 1");

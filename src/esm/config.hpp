@@ -39,8 +39,8 @@ struct JournalOptions {
 struct EsmConfig {
   SupernetSpec spec;                                   ///< architecture space
   SamplingStrategy strategy = SamplingStrategy::kBalanced;  ///< input 1
-  std::string surrogate = "mlp";  ///< input 2: surrogate-registry key
-  std::string encoder = "fcc";    ///< input 6 (eta): encoder-registry key
+  std::string surrogate = "mlp";  ///< input 2: surrogate family key
+  std::string encoder = "fcc";    ///< input 6 (eta): encoding key
   std::size_t ensemble_members = 4;  ///< width of the "ensemble" surrogate
   int n_initial = 300;                                 ///< input 3 (N_I)
   int n_step = 100;                                    ///< input 4 (N_Step)

@@ -14,8 +14,8 @@
 // per-iteration telemetry (dataset size, per-bin accuracy, measurement
 // cost, training cost) that the Fig. 11 bench replays.
 //
-// The surrogate family and encoding are chosen by registry key from
-// EsmConfig (surrogate/encoder); the loop never names a concrete type.
+// The surrogate family and encoding are chosen by key from EsmConfig
+// (surrogate/encoder); the loop never names a concrete type.
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,7 @@
 #include "nas/search/wire.hpp"
 
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -25,6 +27,18 @@ long parse_long(const std::string& key, const std::string& text) {
   ESM_REQUIRE(!text.empty() && end != nullptr && *end == '\0',
               "'" << text << "' is not an integer for search key '" << key
                   << "'");
+  return value;
+}
+
+/// One whole unsigned 64-bit decimal token: no '-', no overflow.
+std::uint64_t parse_u64(const std::string& key, const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
+  ESM_REQUIRE(!text.empty() && end != nullptr && *end == '\0' &&
+                  errno == 0 && text.find('-') == std::string::npos,
+              "'" << text << "' is not an unsigned 64-bit integer for search "
+                  "key '" << key << "'");
   return value;
 }
 
@@ -66,8 +80,7 @@ SearchRequest parse_search_request(const std::string& payload) {
       ESM_REQUIRE(n >= 1 && n <= 100000, "generations out of range: " << n);
       request.config.generations = static_cast<int>(n);
     } else if (key == "seed") {
-      request.config.seed =
-          static_cast<std::uint64_t>(parse_long(key, value));
+      request.config.seed = parse_u64(key, value);
     } else if (key == "min_quality") {
       request.config.min_quality = parse_double(key, value);
     } else if (key == "bias") {

@@ -27,7 +27,7 @@ struct EnsemblePrediction {
 class EnsembleSurrogate final : public TrainableSurrogate {
  public:
   /// Creates `members` MLP surrogates over fresh encoder instances of the
-  /// encoder-registry key (e.g. "fcc"); member i derives its seed from
+  /// encoding key (e.g. "fcc"); member i derives its seed from
   /// `seed` so members differ by initialization and minibatch order only.
   EnsembleSurrogate(const std::string& encoder_key, const SupernetSpec& spec,
                     TrainConfig train_config, std::size_t members,

@@ -3,7 +3,7 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "encoding/registry.hpp"
+#include "encoding/encoder.hpp"
 
 namespace esm {
 

@@ -5,7 +5,7 @@
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
-#include "encoding/registry.hpp"
+#include "encoding/encoder.hpp"
 
 namespace esm {
 

@@ -1,13 +1,13 @@
 #include "surrogate/registry.hpp"
 
 #include <cstdio>
-#include <utility>
+#include <map>
 
 #include "common/checksum.hpp"
 #include "common/error.hpp"
 #include "common/fsio.hpp"
 #include "common/strings.hpp"
-#include "encoding/registry.hpp"
+#include "encoding/encoder.hpp"
 #include "surrogate/ensemble_surrogate.hpp"
 #include "surrogate/gbdt_surrogate.hpp"
 #include "surrogate/lut_surrogate.hpp"
@@ -29,110 +29,117 @@ std::map<std::string, double> read_lut_table(const ArchiveReader& archive) {
   return table;
 }
 
-}  // namespace
-
-SurrogateRegistry& SurrogateRegistry::instance() {
-  // Built-ins are registered here, not via self-registering globals: this
-  // library links statically, and unreferenced registration TUs would be
-  // dead-stripped.
-  static SurrogateRegistry* registry = [] {
-    auto* r = new SurrogateRegistry();
-    r->add(
-        "mlp",
-        [](const SurrogateContext& ctx) -> std::unique_ptr<TrainableSurrogate> {
-          return std::make_unique<MlpSurrogate>(
-              make_encoder(ctx.encoder, ctx.spec), ctx.train, ctx.seed);
-        },
-        [](const ArchiveReader& archive, const SurrogateContext& ctx)
-            -> std::unique_ptr<TrainableSurrogate> {
-          return MlpSurrogate::load_state(
-              archive, "", make_encoder(ctx.encoder, ctx.spec));
-        });
-    r->add(
-        "lut",
-        [](const SurrogateContext& ctx) -> std::unique_ptr<TrainableSurrogate> {
-          ESM_REQUIRE(ctx.device != nullptr,
-                      "the 'lut' surrogate needs a device to profile on");
-          auto lut = std::make_unique<LutSurrogate>(ctx.spec, *ctx.device);
-          lut->set_encoder_key(ctx.encoder);
-          return lut;
-        },
-        [](const ArchiveReader& archive, const SurrogateContext& ctx)
-            -> std::unique_ptr<TrainableSurrogate> {
-          auto lut = std::make_unique<LutSurrogate>(ctx.spec,
-                                                    read_lut_table(archive));
-          lut->set_encoder_key(ctx.encoder);
-          if (archive.get_int("lut.bias_corrected") != 0) {
-            lut->set_bias_state(archive.get_doubles("lut.bias.weights"),
-                                archive.get_double("lut.bias.intercept"));
-          }
-          return lut;
-        });
-    r->add(
-        "gbdt",
-        [](const SurrogateContext& ctx) -> std::unique_ptr<TrainableSurrogate> {
-          return std::make_unique<GbdtSurrogate>(
-              make_encoder(ctx.encoder, ctx.spec));
-        },
-        [](const ArchiveReader& archive, const SurrogateContext& ctx)
-            -> std::unique_ptr<TrainableSurrogate> {
-          return GbdtSurrogate::load_state(
-              archive, make_encoder(ctx.encoder, ctx.spec));
-        });
-    r->add(
-        "ensemble",
-        [](const SurrogateContext& ctx) -> std::unique_ptr<TrainableSurrogate> {
-          return std::make_unique<EnsembleSurrogate>(
-              ctx.encoder, ctx.spec, ctx.train, ctx.ensemble_members,
-              ctx.seed);
-        },
-        [](const ArchiveReader& archive, const SurrogateContext& ctx)
-            -> std::unique_ptr<TrainableSurrogate> {
-          return EnsembleSurrogate::load_state(archive, ctx.encoder,
-                                               ctx.spec);
-        });
-    return r;
-  }();
-  return *registry;
+/// The LUT never encodes; its header records the canonical key of the
+/// encoding the run was configured with, or "none" for a LUT built
+/// outside one.
+std::string lut_encoder_key(const std::string& name) {
+  return name == "none" ? name
+                        : encoder_registry_key(encoding_kind_from_name(name));
 }
 
-void SurrogateRegistry::add(const std::string& key, Factory factory,
-                            Loader loader) {
-  ESM_REQUIRE(!key.empty() && factory && loader,
-              "surrogate registration needs key+factory+loader");
-  ESM_REQUIRE(
-      entries_.emplace(key, Entry{std::move(factory), std::move(loader)})
-          .second,
-      "surrogate key already registered: '" << key << "'");
-  order_.push_back(key);
+using Surrogate = std::unique_ptr<TrainableSurrogate>;
+
+struct Family {
+  const char* key;
+  Surrogate (*create)(const SurrogateContext& ctx);
+  Surrogate (*load)(const ArchiveReader& archive, const SurrogateContext& ctx);
+};
+
+constexpr Family kFamilies[] = {
+    {"mlp",
+     [](const SurrogateContext& ctx) -> Surrogate {
+       return std::make_unique<MlpSurrogate>(
+           make_encoder(ctx.encoder, ctx.spec), ctx.train, ctx.seed);
+     },
+     [](const ArchiveReader& archive, const SurrogateContext& ctx)
+         -> Surrogate {
+       return MlpSurrogate::load_state(archive, "",
+                                       make_encoder(ctx.encoder, ctx.spec));
+     }},
+    {"lut",
+     [](const SurrogateContext& ctx) -> Surrogate {
+       ESM_REQUIRE(ctx.device != nullptr,
+                   "the 'lut' surrogate needs a device to profile on");
+       auto lut = std::make_unique<LutSurrogate>(ctx.spec, *ctx.device);
+       lut->set_encoder_key(lut_encoder_key(ctx.encoder));
+       return lut;
+     },
+     [](const ArchiveReader& archive, const SurrogateContext& ctx)
+         -> Surrogate {
+       auto lut =
+           std::make_unique<LutSurrogate>(ctx.spec, read_lut_table(archive));
+       lut->set_encoder_key(lut_encoder_key(ctx.encoder));
+       if (archive.get_int("lut.bias_corrected") != 0) {
+         lut->set_bias_state(archive.get_doubles("lut.bias.weights"),
+                             archive.get_double("lut.bias.intercept"));
+       }
+       return lut;
+     }},
+    {"gbdt",
+     [](const SurrogateContext& ctx) -> Surrogate {
+       return std::make_unique<GbdtSurrogate>(
+           make_encoder(ctx.encoder, ctx.spec));
+     },
+     [](const ArchiveReader& archive, const SurrogateContext& ctx)
+         -> Surrogate {
+       return GbdtSurrogate::load_state(archive,
+                                        make_encoder(ctx.encoder, ctx.spec));
+     }},
+    {"ensemble",
+     [](const SurrogateContext& ctx) -> Surrogate {
+       return std::make_unique<EnsembleSurrogate>(
+           ctx.encoder, ctx.spec, ctx.train, ctx.ensemble_members, ctx.seed);
+     },
+     [](const ArchiveReader& archive, const SurrogateContext& ctx)
+         -> Surrogate {
+       return EnsembleSurrogate::load_state(archive, ctx.encoder, ctx.spec);
+     }},
+};
+
+const Family* find_family(const std::string& key) {
+  const std::string lower = to_lower(key);
+  for (const Family& family : kFamilies) {
+    if (lower == family.key) return &family;
+  }
+  return nullptr;
+}
+
+const Family& lookup(const std::string& key) {
+  const Family* found = find_family(key);
+  if (found == nullptr) {
+    throw ConfigError("unknown surrogate key '" + key + "' (registered: " +
+                      join(SurrogateRegistry::instance().keys(), ", ") + ")");
+  }
+  return *found;
+}
+
+}  // namespace
+
+const SurrogateRegistry& SurrogateRegistry::instance() {
+  static const SurrogateRegistry registry;
+  return registry;
 }
 
 bool SurrogateRegistry::has(const std::string& key) const {
-  return entries_.count(to_lower(key)) > 0;
-}
-
-const SurrogateRegistry::Entry& SurrogateRegistry::entry(
-    const std::string& key) const {
-  const auto it = entries_.find(to_lower(key));
-  if (it == entries_.end()) {
-    throw ConfigError("unknown surrogate key '" + key +
-                      "' (registered: " + join(keys(), ", ") + ")");
-  }
-  return it->second;
+  return find_family(key) != nullptr;
 }
 
 std::unique_ptr<TrainableSurrogate> SurrogateRegistry::create(
     const std::string& key, const SurrogateContext& context) const {
-  return entry(key).factory(context);
+  return lookup(key).create(context);
 }
 
 std::unique_ptr<TrainableSurrogate> SurrogateRegistry::load(
     const std::string& key, const ArchiveReader& archive,
     const SurrogateContext& context) const {
-  return entry(key).loader(archive, context);
+  return lookup(key).load(archive, context);
 }
 
-std::vector<std::string> SurrogateRegistry::keys() const { return order_; }
+std::vector<std::string> SurrogateRegistry::keys() const {
+  std::vector<std::string> keys;
+  for (const Family& family : kFamilies) keys.emplace_back(family.key);
+  return keys;
+}
 
 namespace {
 

@@ -1,14 +1,12 @@
-// Registry of trainable surrogates keyed by short stable strings, plus the
-// uniform artifact format. The ESM loop, the CLI, and the benches select
-// surrogates by key from EsmConfig; save_surrogate/load_surrogate round-trip
-// any registered kind through a self-describing archive (header: esm.format,
-// esm.kind, esm.encoder, spec.*), so a surrogate trained in one process can
-// serve predictions in another.
+// The fixed table of trainable surrogate families ("mlp", "lut", "gbdt",
+// "ensemble"), plus the uniform artifact format. The ESM loop, the CLI, and
+// the benches select surrogates by key from EsmConfig; save_surrogate/
+// load_surrogate round-trip any family through a self-describing archive
+// (header: esm.format, esm.kind, esm.encoder, spec.*), so a surrogate
+// trained in one process can serve predictions in another.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -29,56 +27,37 @@ inline constexpr long long kSurrogateFormatVersion = 1;
 /// `train`; the MLP ignores `device`).
 struct SurrogateContext {
   SupernetSpec spec;
-  std::string encoder = "fcc";  ///< encoder-registry key
+  std::string encoder = "fcc";  ///< encoding key, name or alias
   TrainConfig train;
   std::uint64_t seed = 0;
   SimulatedDevice* device = nullptr;  ///< required by "lut" for training
   std::size_t ensemble_members = 4;   ///< used by "ensemble"
 };
 
-/// Maps surrogate keys ("mlp", "lut", "gbdt", "ensemble") to a factory
+/// Read-only view of the fixed family table: each key maps to a factory
 /// (fresh trainable instance) and a loader (instance restored from an
-/// artifact archive).
+/// artifact archive). Keys match case-insensitively.
 class SurrogateRegistry {
  public:
-  using Factory = std::function<std::unique_ptr<TrainableSurrogate>(
-      const SurrogateContext& context)>;
-  using Loader = std::function<std::unique_ptr<TrainableSurrogate>(
-      const ArchiveReader& archive, const SurrogateContext& context)>;
-
-  /// Process-wide registry with the built-in families pre-registered.
-  static SurrogateRegistry& instance();
-
-  /// Registers a family under a key; rejects duplicates.
-  void add(const std::string& key, Factory factory, Loader loader);
+  static const SurrogateRegistry& instance();
 
   bool has(const std::string& key) const;
 
-  /// Builds a fresh, unfitted surrogate of the registered kind; throws
-  /// ConfigError listing the registered keys when the key is unknown.
+  /// Builds a fresh, unfitted surrogate of the family; throws ConfigError
+  /// listing the keys when the key is unknown.
   std::unique_ptr<TrainableSurrogate> create(
       const std::string& key, const SurrogateContext& context) const;
 
-  /// Restores a surrogate of the registered kind from an artifact archive.
+  /// Restores a surrogate of the family from an artifact archive.
   std::unique_ptr<TrainableSurrogate> load(
       const std::string& key, const ArchiveReader& archive,
       const SurrogateContext& context) const;
 
-  /// Keys in registration order.
+  /// Keys in table order.
   std::vector<std::string> keys() const;
 
  private:
   SurrogateRegistry() = default;
-
-  struct Entry {
-    Factory factory;
-    Loader loader;
-  };
-
-  const Entry& entry(const std::string& key) const;
-
-  std::vector<std::string> order_;
-  std::map<std::string, Entry> entries_;
 };
 
 /// Writes `surrogate` to `path` with the self-describing artifact header.
@@ -92,7 +71,7 @@ void save_surrogate(const TrainableSurrogate& surrogate,
 std::string save_surrogate_atomic(const TrainableSurrogate& surrogate,
                                   const std::string& path);
 
-/// Reads the artifact header at `path` and dispatches to the registered
+/// Reads the artifact header at `path` and dispatches to the family table's
 /// loader for its kind. The result predicts immediately; fitting again
 /// requires family-specific context (device, encoder) and is not restored.
 std::unique_ptr<TrainableSurrogate> load_surrogate(const std::string& path);

@@ -1,8 +1,8 @@
 // Trainable surrogate interface: the contract between the ESM loop and any
 // concrete surrogate family. A TrainableSurrogate can be fit on an
 // arch/latency dataset, queried like any LatencyPredictor, and persisted to
-// the uniform artifact format (see SurrogateRegistry::save_surrogate for the
-// self-describing header that wraps the state written by save()).
+// the uniform artifact format (see save_surrogate in surrogate/registry.hpp
+// for the self-describing header that wraps the state written by save()).
 #pragma once
 
 #include <span>
@@ -33,11 +33,11 @@ class TrainableSurrogate : public LatencyPredictor {
   /// True once fit() has run (or the state was loaded from an artifact).
   virtual bool fitted() const = 0;
 
-  /// Stable registry key ("mlp", "lut", "gbdt", "ensemble"); artifacts store
+  /// Stable family key ("mlp", "lut", "gbdt", "ensemble"); artifacts store
   /// this in their header so load_surrogate can dispatch.
   virtual std::string kind() const = 0;
 
-  /// Canonical encoder registry key this surrogate was built with ("fcc",
+  /// Canonical encoding key this surrogate was built with ("fcc",
   /// "onehot", ...); "none" for table-based surrogates that do not encode.
   virtual std::string encoder_key() const = 0;
 

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cstring>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -277,10 +279,54 @@ TEST(EncodingInvariantTest, SparsityOrdering) {
 TEST(EncodingFactoryTest, NamesRoundTrip) {
   for (EncodingKind kind : all_encoding_kinds()) {
     EXPECT_EQ(encoding_kind_from_name(encoding_kind_name(kind)), kind);
+    EXPECT_EQ(encoding_kind_from_name(encoder_registry_key(kind)), kind);
   }
   EXPECT_EQ(encoding_kind_from_name("FCC"), EncodingKind::kFcc);
   EXPECT_EQ(encoding_kind_from_name("stat"), EncodingKind::kStatistical);
   EXPECT_THROW(encoding_kind_from_name("gcn"), ConfigError);
+}
+
+TEST(EncodingTableTest, ListsKeysAndNamesBaselineFirst) {
+  EXPECT_EQ(encoder_keys(), (std::vector<std::string>{"onehot", "feature",
+                                                      "stat", "fc", "fcc"}));
+  std::vector<std::string> names;
+  for (EncodingKind kind : all_encoding_kinds()) {
+    names.emplace_back(encoding_kind_name(kind));
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"one-hot", "feature",
+                                             "statistical", "fc", "fcc"}));
+}
+
+TEST(EncodingTableTest, ResolvesAliasesCaseInsensitively) {
+  EXPECT_EQ(encoding_kind_from_name("one-hot"), EncodingKind::kOneHot);
+  EXPECT_EQ(encoding_kind_from_name("Statistical"),
+            EncodingKind::kStatistical);
+  EXPECT_EQ(encoding_kind_from_name("feature-count"),
+            EncodingKind::kFeatureCount);
+  EXPECT_EQ(encoding_kind_from_name("Feature-Combination-Count"),
+            EncodingKind::kFcc);
+  EXPECT_EQ(encoder_registry_key(encoding_kind_from_name("FCC")), "fcc");
+  EXPECT_TRUE(find_encoding_kind("stat").has_value());
+  EXPECT_FALSE(find_encoding_kind("gloop").has_value());
+  EXPECT_FALSE(find_encoding_kind("").has_value());
+}
+
+TEST(EncodingTableTest, UnknownNameErrorListsTheKeys) {
+  try {
+    (void)encoding_kind_from_name("gloop");
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("onehot, feature, stat, fc, fcc"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(make_encoder("gloop", resnet_spec()), ConfigError);
+}
+
+TEST(EncodingTableTest, KeyFactoryBuildsTheNamedKind) {
+  const auto encoder = make_encoder("statistical", resnet_spec());
+  EXPECT_EQ(encoder->kind(), EncodingKind::kStatistical);
+  EXPECT_EQ(encoder->name(), "statistical");
 }
 
 TEST(EncodingFactoryTest, FactoryProducesMatchingKind) {

@@ -25,7 +25,7 @@
 #include "common/error.hpp"
 #include "common/fsio.hpp"
 #include "common/rng.hpp"
-#include "encoding/registry.hpp"
+#include "encoding/encoder.hpp"
 #include "esm/pipeline.hpp"
 #include "hwsim/device.hpp"
 #include "ml/gbdt.hpp"

@@ -1,4 +1,4 @@
-// Unit tests for src/ml: datasets, metrics, the MLP + Adam trainer, linear
+// Unit tests for src/ml: metrics, the MLP + Adam trainer, linear
 // regression, decision trees, and gradient boosting.
 #include <gtest/gtest.h>
 
@@ -8,11 +8,11 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "common/archive.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "ml/dataset.hpp"
 #include "ml/gbdt.hpp"
 #include "ml/gcn.hpp"
 #include "ml/linreg.hpp"
@@ -34,81 +34,6 @@ void make_data(F f, std::size_t n, std::size_t d, Rng& rng, Matrix& x,
     for (std::size_t j = 0; j < d; ++j) x(i, j) = rng.uniform(-1.0, 1.0);
     y[i] = f(x.row(i));
   }
-}
-
-// -------------------------------------------------------------- dataset
-
-TEST(DatasetTest, AddAndAccess) {
-  RegressionDataset ds;
-  ds.add(std::vector<double>{1.0, 2.0}, 10.0);
-  ds.add(std::vector<double>{3.0, 4.0}, 20.0);
-  EXPECT_EQ(ds.size(), 2u);
-  EXPECT_EQ(ds.dimension(), 2u);
-  EXPECT_DOUBLE_EQ(ds.row(1)[0], 3.0);
-  EXPECT_DOUBLE_EQ(ds.target(1), 20.0);
-  EXPECT_DOUBLE_EQ(ds.features()(0, 1), 2.0);
-}
-
-TEST(DatasetTest, RejectsDimensionMismatch) {
-  RegressionDataset ds;
-  ds.add(std::vector<double>{1.0, 2.0}, 1.0);
-  EXPECT_THROW(ds.add(std::vector<double>{1.0}, 2.0), ConfigError);
-}
-
-TEST(DatasetTest, AppendMergesRows) {
-  RegressionDataset a, b;
-  a.add(std::vector<double>{1.0}, 1.0);
-  b.add(std::vector<double>{2.0}, 2.0);
-  b.add(std::vector<double>{3.0}, 3.0);
-  a.append(b);
-  EXPECT_EQ(a.size(), 3u);
-  EXPECT_DOUBLE_EQ(a.target(2), 3.0);
-  EXPECT_DOUBLE_EQ(a.features()(1, 0), 2.0);
-}
-
-TEST(DatasetTest, AppendRejectsMismatch) {
-  RegressionDataset a, b;
-  a.add(std::vector<double>{1.0}, 1.0);
-  b.add(std::vector<double>{1.0, 2.0}, 1.0);
-  EXPECT_THROW(a.append(b), ConfigError);
-}
-
-TEST(DatasetTest, SplitPartitions) {
-  RegressionDataset ds;
-  for (int i = 0; i < 10; ++i) {
-    ds.add(std::vector<double>{static_cast<double>(i)}, i);
-  }
-  const auto [head, tail] = ds.split(3);
-  EXPECT_EQ(head.size(), 3u);
-  EXPECT_EQ(tail.size(), 7u);
-  EXPECT_DOUBLE_EQ(head.target(2), 2.0);
-  EXPECT_DOUBLE_EQ(tail.target(0), 3.0);
-  EXPECT_THROW(ds.split(11), ConfigError);
-}
-
-TEST(DatasetTest, ShuffleKeepsPairsAligned) {
-  RegressionDataset ds;
-  for (int i = 0; i < 50; ++i) {
-    ds.add(std::vector<double>{static_cast<double>(i)}, i * 2.0);
-  }
-  Rng rng(1);
-  ds.shuffle(rng);
-  EXPECT_EQ(ds.size(), 50u);
-  for (std::size_t i = 0; i < ds.size(); ++i) {
-    EXPECT_DOUBLE_EQ(ds.target(i), ds.row(i)[0] * 2.0);
-  }
-}
-
-TEST(DatasetTest, SubsetSelectsByIndex) {
-  RegressionDataset ds;
-  for (int i = 0; i < 5; ++i) {
-    ds.add(std::vector<double>{static_cast<double>(i)}, i);
-  }
-  const RegressionDataset sub = ds.subset({4, 0});
-  EXPECT_EQ(sub.size(), 2u);
-  EXPECT_DOUBLE_EQ(sub.target(0), 4.0);
-  EXPECT_DOUBLE_EQ(sub.target(1), 0.0);
-  EXPECT_THROW(ds.subset({7}), ConfigError);
 }
 
 // -------------------------------------------------------------- metrics

@@ -16,12 +16,15 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/fsio.hpp"
 #include "common/parallel.hpp"
+#include "common/rng.hpp"
+#include "fuzz_mutator.hpp"
 #include "hwsim/latency_model.hpp"
 #include "nas/accuracy_proxy.hpp"
 #include "nas/search/engine.hpp"
@@ -628,7 +631,7 @@ TEST(SearchWireTest, RequestRoundTripsThroughFormat) {
   request.config.generations = 7;
   request.config.min_quality = 0.25;
   request.config.front_bias = 0.125;
-  request.config.seed = 99;
+  request.config.seed = 18446744073709551615ull;
   request.models = {"edge", "cloud"};
   request.limits_ms = {8.0, 40.0};
   const search::SearchRequest parsed =
@@ -673,6 +676,9 @@ TEST(SearchWireTest, RejectsMalformedRequests) {
       {"budget_ms=5 limits_ms=5", "mutually exclusive"},
       {"models=a,b limits_ms=5", "limits_ms"},
       {"limits_ms=5,6", "limits_ms"},
+      {"seed=-1", "seed"},
+      {"seed=18446744073709551616", "seed"},
+      {"seed=99999999999999999999", "seed"},
   };
   for (const auto& [payload, needle] : matrix) {
     try {
@@ -683,6 +689,94 @@ TEST(SearchWireTest, RejectsMalformedRequests) {
           << "for '" << payload << "' got: " << e.what();
     }
   }
+}
+
+bool same_request(const search::SearchRequest& a,
+                  const search::SearchRequest& b) {
+  return a.config.mode == b.config.mode &&
+         a.config.algorithm == b.config.algorithm &&
+         a.config.population == b.config.population &&
+         a.config.generations == b.config.generations &&
+         a.config.seed == b.config.seed &&
+         a.config.min_quality == b.config.min_quality &&
+         a.config.front_bias == b.config.front_bias && a.models == b.models &&
+         a.limits_ms == b.limits_ms;
+}
+
+/// One random edit of a k=v search payload.
+void mutate_search(std::string& s, const std::vector<std::string>& seeds,
+                   Rng& rng) {
+  static constexpr std::string_view kFragments[] = {
+      " ",      "\t",      "=",       ",",          "-",          "+",
+      "seed=",  "seed=-1", "models=", "limits_ms=", "budget_ms=", "bias=",
+      "min_quality=",      "mode=fastest",          "algo=random",
+      "nan",    "inf",     "-0",      "0x1p3",      "1e999",
+      "18446744073709551615",         "18446744073709551616",
+      "9223372036854775808",          std::string_view("\0", 1)};
+  static const char* const kNumbers[] = {
+      "0",   "1",    "2",   "-1",  "+2",  "007", "99999999999999999999",
+      "18446744073709551615", "18446744073709551616", "-9223372036854775809",
+      "1e3", "nan",  "0x10", "0.5", "-0"};
+  switch (rng.uniform_int(0, 7)) {
+    case 0: fuzz::flip_bit(s, rng); break;
+    case 1: fuzz::splice(s, seeds, rng); break;
+    case 2: fuzz::truncate(s, rng); break;
+    case 3: fuzz::duplicate_field(s, ' ', rng); break;
+    case 4: fuzz::erase_byte(s, rng); break;
+    case 5: fuzz::insert_fragment(s, kFragments, rng); break;
+    case 6: fuzz::replace_number(s, kNumbers, rng); break;
+    default: fuzz::insert_random_byte(s, rng); break;
+  }
+}
+
+TEST(SearchRequestFuzzTest, MutatedPayloadsRejectOrRoundTrip) {
+  // Every mutated payload either throws ConfigError or parses to a request
+  // that, once the engine accepts its config, survives format -> parse
+  // unchanged (the served path rejects the rest inline as bad_request).
+  const std::vector<std::string> seeds = {
+      "",
+      "mode=pareto algo=random population=32 generations=7 seed=99 "
+      "min_quality=0.25 bias=0.125 models=edge,cloud limits_ms=8,40",
+      "mode=best population=64 generations=25 seed=42 budget_ms=8",
+      "mode=fastest min_quality=0.4 seed=18446744073709551615",
+      "models=a,b budget_ms=5 seed=7",
+      "algo=evolutionary seed=0 limits_ms=12.5",
+  };
+  const SupernetSpec spec = resnet_spec();
+  Rng rng(2024);
+  int rejected = 0;
+  int round_tripped = 0;
+  for (int i = 0; i < 20000; ++i) {
+    std::string payload = seeds[rng.uniform_u64(seeds.size())];
+    const int edits = rng.uniform_int(1, 3);
+    for (int e = 0; e < edits; ++e) mutate_search(payload, seeds, rng);
+    search::SearchRequest request;
+    try {
+      request = search::parse_search_request(payload);
+      SearchEngine engine(spec, request.config);
+    } catch (const ConfigError&) {
+      ++rejected;
+      continue;
+    }
+    const std::string text = search::format_search_request(request);
+    search::SearchRequest again;
+    try {
+      again = search::parse_search_request(text);
+    } catch (const ConfigError& e) {
+      ADD_FAILURE() << "'" << payload << "' formats to '" << text
+                    << "', which fails to parse: " << e.what();
+      continue;
+    }
+    if (!same_request(again, request)) {
+      ADD_FAILURE() << "'" << payload << "' -> '" << text << "' -> '"
+                    << search::format_search_request(again) << "'";
+      continue;
+    }
+    ++round_tripped;
+  }
+  // Both outcomes must be common, or the mutator tests nothing.
+  EXPECT_GT(rejected, 2000);
+  EXPECT_GT(round_tripped, 2000);
 }
 
 TEST(SearchWireTest, ArchRequestRoundTripsThroughServeParser) {
@@ -805,6 +899,11 @@ TEST(ServedSearchTest, RejectsBadRequestsAndOversizedBudgets) {
   serve::MetricsSnapshot before = server.metrics();
   const std::string bad = served_line(server, "search frobnicate=1");
   EXPECT_EQ(bad.rfind("esm1 err bad_request ", 0), 0u) << bad;
+  expect_one_error(before, server.metrics(), "bad_request", "_unrouted");
+  // A negative seed is rejected, not wrapped to 2^64 - 1.
+  before = server.metrics();
+  const std::string negative = served_line(server, "search seed=-1");
+  EXPECT_EQ(negative.rfind("esm1 err bad_request ", 0), 0u) << negative;
   expect_one_error(before, server.metrics(), "bad_request", "_unrouted");
   before = server.metrics();
   const std::string huge =

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "encoding/registry.hpp"
+#include "encoding/encoder.hpp"
 #include "hwsim/device.hpp"
 #include "ml/gbdt.hpp"
 #include "nets/builder.hpp"

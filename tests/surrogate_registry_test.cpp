@@ -1,8 +1,8 @@
-// Tests for the surrogate/encoder registries and the uniform artifact
-// format: key lookup and error reporting, and the property-style guarantee
-// that every registered surrogate x encoder combination round-trips through
-// save_surrogate/load_surrogate with bit-identical predictions on every
-// space.
+// Tests for the surrogate family table and the uniform artifact format: key
+// lookup and error reporting, the artifact-bytes golden, and the
+// property-style guarantee that every surrogate x encoder combination
+// round-trips through save_surrogate/load_surrogate with bit-identical
+// predictions on every space.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -15,8 +15,8 @@
 
 #include "common/archive.hpp"
 #include "common/error.hpp"
+#include "common/fsio.hpp"
 #include "common/rng.hpp"
-#include "encoding/registry.hpp"
 #include "hwsim/device.hpp"
 #include "hwsim/measurement.hpp"
 #include "nets/builder.hpp"
@@ -66,42 +66,6 @@ Fitted fit_combo(const std::string& kind, const std::string& encoder_key,
   return out;
 }
 
-// ------------------------------------------------------- encoder registry
-
-TEST(EncoderRegistryTest, ListsBuiltinKeysInOrder) {
-  const std::vector<std::string> keys = EncoderRegistry::instance().keys();
-  EXPECT_EQ(keys, (std::vector<std::string>{"onehot", "feature", "stat", "fc",
-                                            "fcc"}));
-}
-
-TEST(EncoderRegistryTest, ResolvesAliasesToCanonicalKeys) {
-  EncoderRegistry& registry = EncoderRegistry::instance();
-  EXPECT_EQ(registry.canonical_key("one-hot"), "onehot");
-  EXPECT_EQ(registry.canonical_key("statistical"), "stat");
-  EXPECT_EQ(registry.canonical_key("Feature-Combination-Count"), "fcc");
-  EXPECT_EQ(registry.canonical_key("FCC"), "fcc");
-  EXPECT_TRUE(registry.has("stat"));
-  EXPECT_FALSE(registry.has("gloop"));
-}
-
-TEST(EncoderRegistryTest, UnknownKeyErrorListsRegisteredKeys) {
-  try {
-    (void)EncoderRegistry::instance().canonical_key("gloop");
-    FAIL() << "expected ConfigError";
-  } catch (const ConfigError& e) {
-    EXPECT_NE(std::string(e.what()).find("onehot, feature, stat, fc, fcc"),
-              std::string::npos)
-        << e.what();
-  }
-}
-
-TEST(EncoderRegistryTest, CreatesMatchingEncoderKind) {
-  const SupernetSpec spec = resnet_spec();
-  const auto encoder = EncoderRegistry::instance().create("stat", spec);
-  EXPECT_EQ(encoder->kind(), EncodingKind::kStatistical);
-  EXPECT_EQ(encoder_registry_key(encoder->kind()), "stat");
-}
-
 // ------------------------------------------------------ surrogate registry
 
 TEST(SurrogateRegistryTest, ListsBuiltinKeysInOrder) {
@@ -121,6 +85,22 @@ TEST(SurrogateRegistryTest, UnknownKeyErrorListsRegisteredKeys) {
               std::string::npos)
         << e.what();
   }
+}
+
+TEST(SurrogateRegistryTest, LutStoresTheCanonicalEncoderKey) {
+  // The LUT never encodes, but its header names the run's encoding in the
+  // same canonical spelling the MLP stores, however the flag was typed.
+  std::vector<std::string> bytes;
+  for (const char* spelling : {"Statistical", "stat"}) {
+    SimulatedDevice device(rtx4090_spec(), 5);
+    const Fitted lut = fit_combo("lut", spelling, resnet_spec(), device);
+    EXPECT_EQ(lut.surrogate->encoder_key(), "stat") << spelling;
+    const std::string path = testing::TempDir() + "/esm_lut_alias.esm";
+    save_surrogate(*lut.surrogate, path);
+    bytes.push_back(read_file(path, "artifact"));
+    std::remove(path.c_str());
+  }
+  EXPECT_EQ(bytes[0], bytes[1]);
 }
 
 TEST(SurrogateRegistryTest, LutCreationWithoutDeviceThrows) {
@@ -212,6 +192,35 @@ TEST(SurrogateArtifactTest, LoadedLutServesTableOnlyAndThrowsOnUnseen) {
     }
   }
   EXPECT_TRUE(threw);
+}
+
+// ------------------------------------------------- artifact-bytes golden
+
+/// CRC32 of the artifact bytes `save_surrogate_atomic` writes for `kind` x
+/// `encoder` fitted on one fixed tiny ResNet dataset.
+std::string artifact_crc(const std::string& kind, const std::string& encoder) {
+  SimulatedDevice device(rtx4090_spec(), 77);
+  const Fitted fitted = fit_combo(kind, encoder, resnet_spec(), device);
+  const std::string path =
+      testing::TempDir() + "/esm_golden_" + kind + "_" + encoder + ".esm";
+  const std::string crc = save_surrogate_atomic(*fitted.surrogate, path);
+  std::remove(path.c_str());
+  return crc;
+}
+
+TEST(ArtifactGoldenTest, SavedBytesMatchRecordedCrc32) {
+  // Recorded before the encodings and surrogate families moved into fixed
+  // tables; a change to any of these bytes breaks every published artifact.
+  const std::vector<std::tuple<std::string, std::string, std::string>>
+      golden = {
+          {"mlp", "onehot", "7fc1e759"},   {"mlp", "feature", "72411400"},
+          {"mlp", "stat", "843d049d"},     {"mlp", "fc", "dfd0a245"},
+          {"mlp", "fcc", "e98b2c6e"},      {"lut", "fcc", "132de052"},
+          {"gbdt", "fcc", "bfe41312"},     {"ensemble", "fcc", "d92ab46e"},
+      };
+  for (const auto& [kind, encoder, crc] : golden) {
+    EXPECT_EQ(artifact_crc(kind, encoder), crc) << kind << " x " << encoder;
+  }
 }
 
 // ---------------------------------------------- property: full round-trip
