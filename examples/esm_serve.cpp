@@ -20,11 +20,12 @@
 //   request already on the wire is answered before exit; a final stats
 //   summary goes to stderr.
 //
-//   Overload safety: --max-queue caps the predictions admitted but not
-//   yet answered, queued plus dispatching (excess requests are shed
-//   immediately with the retryable `overloaded` error), --deadline-ms stamps a default
-//   per-request deadline onto requests that carry none (expired requests
-//   answer `deadline_exceeded` without spending a predict slot), and
+//   Overload safety: --max-queue caps the miss architectures admitted but
+//   not yet answered, queued plus dispatching (a request that would cross
+//   it is shed whole, immediately, with the retryable `overloaded`
+//   error, unless nothing else is admitted), --deadline-ms stamps a default per-request deadline onto
+//   requests that carry none (expired requests answer
+//   `deadline_exceeded` without spending a predict slot), and
 //   --chaos wraps the listener in the deterministic fault-injection
 //   decorator of src/serve/chaos.hpp (a preset name like "mild"/"harsh"
 //   or key=value rates, seeded by --chaos-seed) for soak testing.
@@ -76,6 +77,13 @@ void handle_signal(int) {
   if (loop != nullptr) loop->notify_external();
 }
 
+/// A size flag's value: a negative one would wrap to a huge size_t.
+std::size_t size_flag(const esm::ArgParser& args, const std::string& name) {
+  const long long value = args.get_int(name);
+  ESM_REQUIRE(value >= 0, "--" << name << " must be >= 0, got " << value);
+  return static_cast<std::size_t>(value);
+}
+
 int run_server(const esm::ArgParser& args) {
   const int threads = static_cast<int>(args.get_int("threads"));
   if (threads > 0) esm::set_thread_count(threads);
@@ -84,14 +92,13 @@ int run_server(const esm::ArgParser& args) {
   config.artifact_path = args.get_string("model").empty()
                              ? args.get_string("manifest")
                              : args.get_string("model");
-  config.cache_capacity = static_cast<std::size_t>(args.get_int("cache"));
-  config.max_batch = static_cast<std::size_t>(args.get_int("max-batch"));
+  config.cache_capacity = size_flag(args, "cache");
+  config.max_batch = size_flag(args, "max-batch");
   config.summary_period_s = args.get_double("summary-s");
-  config.max_queue = static_cast<std::size_t>(args.get_int("max-queue"));
+  config.max_queue = size_flag(args, "max-queue");
   config.default_deadline_ms =
       static_cast<std::uint32_t>(args.get_int("deadline-ms"));
-  config.max_search_queue =
-      static_cast<std::size_t>(args.get_int("max-searches"));
+  config.max_search_queue = size_flag(args, "max-searches");
   esm::serve::PredictionServer server(config);
   const std::shared_ptr<const esm::serve::ModelFleet> fleet = server.fleet();
   if (fleet->from_manifest()) {
@@ -256,7 +263,9 @@ int main(int argc, char** argv) {
   args.add_string("port-file", "",
                   "write the bound port number to this file once listening");
   args.add_int("cache", 4096, "prediction cache capacity (0 disables)");
-  args.add_int("max-batch", 64, "max architectures per coalesced dispatch");
+  args.add_int("max-batch", 64,
+               "architectures one dispatch round gathers, in whole request "
+               "lines, and the most one predict_all call prices (>= 1)");
   args.add_double("summary-s", 10.0,
                   "seconds between stderr stats summaries (0 disables)");
   args.add_int("threads", 0,
@@ -264,9 +273,9 @@ int main(int argc, char** argv) {
   args.add_double("idle-timeout-s", 0.0,
                   "drop connections idle this long (0 = never)");
   args.add_int("max-queue", 0,
-               "cap on queued + dispatching predictions; excess requests "
-               "are shed with the retryable `overloaded` error "
-               "(0 = unbounded)");
+               "cap on queued + dispatching miss architectures; a request "
+               "that would cross it is shed whole with the retryable "
+               "`overloaded` error (0 = unbounded)");
   args.add_int("deadline-ms", 0,
                "default per-request deadline in ms for requests that carry "
                "none; expired requests answer `deadline_exceeded` "

@@ -7,7 +7,8 @@
 #                         --journal/--resume`, then a loopback smoke test of
 #                         the esm_serve server binary (both wire protocols
 #                         on one port: newline esm1 and binary esm2, same
-#                         prediction bytes), then the event-loop C10K smoke
+#                         prediction bytes; --max-batch 0 must be
+#                         refused at startup), then the event-loop C10K smoke
 #                         (10k concurrent connections on one reactor
 #                         thread, zero drops, stats reconciled), then the
 #                         overload + chaos smoke (the PR-9 headline pin:
@@ -139,6 +140,17 @@ grep -qF "esm2 ok predict $ESM1_VALUE" "$SMOKE_DIR/serve2.out" \
 wait "$SERVE_PID" \
   || { echo "esm_serve exited non-zero after shutdown"; exit 1; }
 echo "loopback serve smoke test passed (esm1 + esm2)"
+# A round of 0 archs would never drain the batcher's queue: the server
+# must refuse --max-batch 0 at startup (exit non-zero) instead of serving
+# requests it can never answer. timeout's 124 means it started serving.
+ZERO_BATCH_STATUS=0
+timeout 10 build/examples/esm_serve "$SMOKE_DIR/serve.esm" --port 0 \
+  --summary-s 0 --max-batch 0 >/dev/null 2>&1 || ZERO_BATCH_STATUS=$?
+if [ "$ZERO_BATCH_STATUS" -eq 0 ] || [ "$ZERO_BATCH_STATUS" -eq 124 ]; then
+  echo "esm_serve --max-batch 0 was not refused (exit $ZERO_BATCH_STATUS)"
+  exit 1
+fi
+echo "esm_serve refuses --max-batch 0"
 
 echo "== event-loop C10K smoke test =="
 # The reactor's headline pin, straight from the suite: 10k concurrent

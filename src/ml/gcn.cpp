@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "common/error.hpp"
+#include "ml/mlp.hpp"
 
 namespace esm {
 
@@ -70,21 +71,6 @@ Matrix GcnRegressor::propagate_chain_transpose(const Matrix& grad) {
   return out;
 }
 
-void GcnRegressor::adam_step(Matrix& param, const Matrix& grad,
-                             AdamState& state, double lr) {
-  constexpr double kBeta1 = 0.9, kBeta2 = 0.999, kEps = 1e-8;
-  const double bias1 = 1.0 - std::pow(kBeta1, static_cast<double>(step_));
-  const double bias2 = 1.0 - std::pow(kBeta2, static_cast<double>(step_));
-  for (std::size_t i = 0; i < param.size(); ++i) {
-    const double g = grad.data()[i] + config_.weight_decay * param.data()[i];
-    double& m = state.m.data()[i];
-    double& v = state.v.data()[i];
-    m = kBeta1 * m + (1.0 - kBeta1) * g;
-    v = kBeta2 * v + (1.0 - kBeta2) * g * g;
-    param.data()[i] -= lr * (m / bias1) / (std::sqrt(v / bias2) + kEps);
-  }
-}
-
 double GcnRegressor::train_one(const Matrix& nodes, double target,
                                double lr) {
   const std::size_t n = nodes.rows();
@@ -144,17 +130,19 @@ double GcnRegressor::train_one(const Matrix& nodes, double target,
   Matrix w1_grad;
   gemm_at_b(m0, dz1, w1_grad);
 
-  adam_step(w1_, w1_grad, w1_state_, lr);
-  adam_step(w2_, w2_grad, w2_state_, lr);
-  adam_step(head_, head_grad, head_state_, lr);
-  {
-    constexpr double kBeta1 = 0.9, kBeta2 = 0.999, kEps = 1e-8;
-    const double bias1 = 1.0 - std::pow(kBeta1, static_cast<double>(step_));
-    const double bias2 = 1.0 - std::pow(kBeta2, static_cast<double>(step_));
-    bias_m_ = kBeta1 * bias_m_ + (1.0 - kBeta1) * dy;
-    bias_v_ = kBeta2 * bias_v_ + (1.0 - kBeta2) * dy * dy;
-    head_bias_ -= lr * (bias_m_ / bias1) / (std::sqrt(bias_v_ / bias2) + kEps);
-  }
+  AdamConfig adam;
+  adam.weight_decay = config_.weight_decay;
+  const double bias1 = 1.0 - std::pow(adam.beta1, static_cast<double>(step_));
+  const double bias2 = 1.0 - std::pow(adam.beta2, static_cast<double>(step_));
+  const auto step = [&](Matrix& param, const Matrix& grad, AdamState& state) {
+    adam_update<true>(param.data(), grad.data(), state.m.data(),
+                      state.v.data(), param.size(), adam, lr, bias1, bias2);
+  };
+  step(w1_, w1_grad, w1_state_);
+  step(w2_, w2_grad, w2_state_);
+  step(head_, head_grad, head_state_);
+  adam_update<false>(&head_bias_, &dy, &bias_m_, &bias_v_, 1, adam, lr, bias1,
+                     bias2);
   return loss;
 }
 

@@ -56,8 +56,6 @@ class GcnRegressor {
   struct AdamState {
     Matrix m, v;
   };
-  void adam_step(Matrix& param, const Matrix& grad, AdamState& state,
-                 double lr);
 
   std::size_t input_dim_;
   GcnConfig config_;

@@ -80,26 +80,6 @@ void relu_mask(Matrix& delta, const Matrix& act) {
   }
 }
 
-/// Adam over n parameters. With kDecay the coupled weight decay is folded
-/// into the gradient first (grad + wd * param, PyTorch Adam). Per element
-/// this is the same expression, in the same order, as the one-at-a-time
-/// update: no reciprocal multiply, no reassociation.
-template <bool kDecay>
-void adam_update(double* __restrict param, const double* __restrict grad,
-                 double* __restrict m, double* __restrict v, std::size_t n,
-                 const AdamConfig& cfg, double lr, double bias1,
-                 double bias2) {
-  for (std::size_t i = 0; i < n; ++i) {
-    double g = grad[i];
-    if constexpr (kDecay) g += cfg.weight_decay * param[i];
-    m[i] = cfg.beta1 * m[i] + (1.0 - cfg.beta1) * g;
-    v[i] = cfg.beta2 * v[i] + (1.0 - cfg.beta2) * g * g;
-    const double m_hat = m[i] / bias1;
-    const double v_hat = v[i] / bias2;
-    param[i] -= lr * m_hat / (std::sqrt(v_hat) + cfg.epsilon);
-  }
-}
-
 }  // namespace
 
 Matrix Mlp::forward(const Matrix& x) const {

@@ -59,11 +59,4 @@ struct ArchConfig {
   bool operator==(const ArchConfig&) const = default;
 };
 
-/// Strict weak ordering for use in ordered containers (by string key).
-struct ArchConfigLess {
-  bool operator()(const ArchConfig& a, const ArchConfig& b) const {
-    return a.to_string() < b.to_string();
-  }
-};
-
 }  // namespace esm

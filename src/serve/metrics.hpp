@@ -10,19 +10,21 @@
 // entirely from cache), `misses` (at least one prediction computed), or
 // `errors` (structured error reply) — so requests == hits + misses + errors
 // always. Per-architecture accounting runs alongside: archs == arch_hits +
-// arch_misses, and an arch miss is counted by the dispatched batch that
-// prices it, so batched_archs == arch_misses even while the server sheds
-// or expires queued misses. Control verbs (info, stats, reload, shutdown,
-// unknown) are tallied separately in control_requests / control_errors
-// and never disturb the prediction identity.
+// arch_misses. A line's hits count when it is answered from cache or
+// handed to the queue; its misses count in the predict_all batches that
+// price them. The server queues, sheds and expires whole lines, and a
+// shed or expired line prices none of its misses, so batched_archs ==
+// arch_misses holds under overload too. Control verbs (info, stats,
+// reload, shutdown, unknown) are tallied separately in control_requests /
+// control_errors and never disturb the prediction identity.
 //
 // Errors are counted from their wire code, in one place (count_error):
 // `shed` counts the error lines answered `overloaded` (admission control
 // turned them away) and `expired` those answered `deadline_exceeded`, so
 // shed + expired <= errors and the requests identity is untouched.
 // `degraded` is a 0/1 gauge (the batcher is currently shrinking its batch
-// cap while queued plus dispatching entries stay above half of max_queue)
-// and `degraded_entries` counts transitions into that mode.
+// cap while the queued plus dispatching miss archs stay above half of
+// max_queue) and `degraded_entries` counts transitions into that mode.
 //
 // Fleet extension of the contract: every prediction-line counter lives in
 // exactly one per-model section — the model the request routed to, or the
@@ -187,9 +189,9 @@ class ServerMetrics {
   void count_control_line();
 
   /// Records one dispatched predict_all batch of `n` architectures, all
-  /// routed to `model`, as that model's arch misses: a miss shed at
-  /// admission or expired at dequeue is priced by no batch and counts in
-  /// neither counter.
+  /// routed to `model`, as that model's arch misses: the misses of a line
+  /// shed at admission or expired at dequeue are priced by no batch and
+  /// count in neither counter.
   void count_batch(std::size_t n, ModelMetrics* model);
 
   void count_reload();

@@ -1,9 +1,10 @@
 #include "serve/server.hpp"
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <sstream>
+#include <thread>
 #include <utility>
 
 #include "common/checksum.hpp"
@@ -62,8 +63,11 @@ std::string batch_payload(const std::vector<double>& values) {
 
 PredictionServer::PredictionServer(ServeConfig config)
     : config_(std::move(config)) {
-  // Throws before any thread starts when the fleet cannot be loaded, so a
-  // failed construction needs no teardown.
+  // Throws before any thread starts when the config or the fleet cannot
+  // be loaded, so a failed construction needs no teardown.
+  ESM_REQUIRE(config_.max_batch >= 1,
+              "max_batch must be at least 1: a round of 0 archs never "
+              "drains the queue");
   install_source(config_.artifact_path);
   batcher_thread_ = std::thread([this] { batcher_loop(); });
   search_thread_ = std::thread([this] { search_loop(); });
@@ -81,7 +85,7 @@ void PredictionServer::install_source(const std::string& path) {
   // Serialized: concurrent reloads must not interleave their generation
   // assignment or race the carry-over inspection of the previous fleet.
   std::lock_guard<std::mutex> install_lock(install_mutex_);
-  std::shared_ptr<const ModelFleet> previous = current_fleet();
+  std::shared_ptr<const ModelFleet> previous = fleet();
 
   // One read serves both routing and parsing: the content decides whether
   // this is a fleet manifest or a bare artifact, and single-artifact loads
@@ -112,17 +116,13 @@ void PredictionServer::install_source(const std::string& path) {
                         def.model->spec().name);
 }
 
-std::shared_ptr<const ModelFleet> PredictionServer::current_fleet() const {
+std::shared_ptr<const ModelFleet> PredictionServer::fleet() const {
   std::lock_guard<std::mutex> lock(fleet_mutex_);
   return fleet_;
 }
 
-std::shared_ptr<const ModelFleet> PredictionServer::fleet() const {
-  return current_fleet();
-}
-
 std::shared_ptr<const TrainableSurrogate> PredictionServer::model() const {
-  return current_fleet()->default_model().model;
+  return fleet()->default_model().model;
 }
 
 Reply PredictionServer::fail(ModelMetrics* section, ErrorCode code,
@@ -135,15 +135,10 @@ Reply PredictionServer::fail(ModelMetrics* section, ErrorCode code,
   return reply;
 }
 
-Reply PredictionServer::fail(ModelMetrics* section, const Failure& failure,
+Reply PredictionServer::fail(ModelMetrics* section, std::exception_ptr error,
                              ErrorCode config_code) {
-  if (failure.error == nullptr) {
-    return fail(section, failure.code,
-                failure.code == ErrorCode::overloaded ? kShedDetail
-                                                      : kExpiredDetail);
-  }
   try {
-    std::rethrow_exception(failure.error);
+    std::rethrow_exception(error);
   } catch (const ConfigError& e) {
     return fail(section, config_code, e.what());
   } catch (const search::SearchCancelled&) {
@@ -164,10 +159,10 @@ void PredictionServer::handle_request(const ParsedRequest& request,
   } catch (const std::exception&) {
     // Backstop: no request, however malformed, may take down its
     // transport. While `done` is set nobody answered or counted the line,
-    // and it counts on the section it routed to; once a completion took
-    // `done` over, the completion answers.
+    // and it counts on the section it routed to; once a queued line or
+    // search took `done` over, its worker answers.
     if (!done) return;
-    reply = fail(section, Failure{std::current_exception()},
+    reply = fail(section, std::current_exception(),
                  ErrorCode::server_error);
   }
   // Invoked outside the try, so a callback that throws is never answered a
@@ -219,9 +214,8 @@ std::optional<Reply> PredictionServer::dispatch_request(
                       ? "predict needs an architecture"
                       : "predict_batch needs ';'-separated architectures");
     }
-    return request.verb == "predict"
-               ? handle_predict(payload, deadline, section, done)
-               : handle_predict_batch(payload, deadline, section, done);
+    return handle_predict(payload, request.verb == "predict_batch",
+                          deadline, section, done);
   }
   if (request.verb == "info") {
     // `info` takes an optional model key; validation happens inside.
@@ -272,196 +266,74 @@ Reply PredictionServer::unknown_model(ModelMetrics* section,
 }
 
 std::optional<Reply> PredictionServer::handle_predict(
-    std::string_view payload, std::chrono::steady_clock::time_point deadline,
-    ModelMetrics*& section, ReplyCallback& done) {
-  // A hit goes payload -> packed key -> cache -> reply: no ArchConfig and
-  // no string beyond the reply's own payload.
+    std::string_view payload, bool batch,
+    std::chrono::steady_clock::time_point deadline, ModelMetrics*& section,
+    ReplyCallback& done) {
   const RoutedPayload routed = split_model_key(payload);
-  const std::shared_ptr<const ModelFleet> fleet = current_fleet();
+  std::shared_ptr<const ModelFleet> fleet = this->fleet();
   const FleetModel* model = route(*fleet, routed.model);
   if (model == nullptr) return unknown_model(section, routed.model);
   section = model->metrics;
+  const SupernetSpec& spec = model->model->spec();
   std::string key;
+  std::vector<KeyedArch> keys;
   try {
-    key = arch_cache_key(model->model->spec(), model->generation, routed.rest);
+    if (batch) {
+      keys = arch_cache_keys(spec, model->generation, routed.rest,
+                             config_.max_batch_archs);
+    } else {
+      key = arch_cache_key(spec, model->generation, routed.rest);
+    }
   } catch (...) {
-    return fail(section, Failure{std::current_exception()},
-                ErrorCode::bad_arch);
+    return fail(section, std::current_exception(), ErrorCode::bad_arch);
   }
   // Admission-time expiry: a dead-on-arrival request must not take a cache
   // or batch slot from live ones.
   if (deadline_passed(deadline, Clock::now())) {
     return fail(section, ErrorCode::deadline_exceeded, kExpiredDetail);
   }
-  if (const std::optional<double> hit = model->cache->get(key)) {
-    Reply reply = ok_reply("predict", format_latency(*hit));
-    metrics_.count_arch_hits(1, section);
-    metrics_.count_predict_line(true, section);
-    return reply;
-  }
-  // Only a miss builds the ArchConfig, from the same text, for the batcher.
-  ArchConfig arch = parse_arch_request(model->model->spec(), routed.rest);
-  auto completion = [this, section, key, cache = model->cache,
-                     done = std::move(done)](double value,
-                                             const Failure* failure) {
-    // The reply is decided in full before `done` runs, exactly once; a
-    // failure to cache or format the value answers server_error.
-    Reply reply;
-    try {
-      if (failure != nullptr) {
-        reply = fail(section, *failure, ErrorCode::bad_arch);
+
+  // Hits are read and every miss's ArchConfig is built from the same text
+  // here, so the batcher only prices. A single predict's hit goes payload
+  // -> packed key -> cache -> reply: no ArchConfig and no string beyond
+  // the reply's own payload.
+  Pending line;
+  line.batch = batch;
+  if (!batch) {
+    if (const std::optional<double> hit = model->cache->get(key)) {
+      Reply reply = ok_reply("predict", format_latency(*hit));
+      metrics_.count_arch_hits(1, section);
+      metrics_.count_predict_line(true, section);
+      return reply;
+    }
+    line.values.assign(1, 0.0);
+    line.misses.push_back(
+        Miss{0, std::move(key), parse_arch_request(spec, routed.rest)});
+  } else {
+    line.values.assign(keys.size(), 0.0);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      if (const std::optional<double> hit = model->cache->get(keys[i].key)) {
+        line.values[i] = *hit;
       } else {
-        cache->put(key, value);
-        reply = ok_reply("predict", format_latency(value));
-        metrics_.count_predict_line(false, section);
+        line.misses.push_back(
+            Miss{i, std::move(keys[i].key),
+                 parse_arch_request(spec, keys[i].text)});
       }
-    } catch (...) {
-      reply = fail(section, Failure{std::current_exception()},
-                   ErrorCode::bad_arch);
     }
-    done(std::move(reply));
-  };
-  try {
-    enqueue(std::move(arch), std::shared_ptr<const FleetModel>(fleet, model),
-            deadline, std::move(completion));
-  } catch (const std::exception&) {
-    // Wrapping the completion allocates before it moves from it, so a
-    // failed wrap leaves `completion` (and the reply it owns) intact;
-    // enqueue itself answers every failure once it holds the completion.
-    const Failure failure{std::current_exception()};
-    answer(completion, 0.0, &failure);
-  }
-  return std::nullopt;
-}
-
-std::optional<Reply> PredictionServer::handle_predict_batch(
-    std::string_view payload, std::chrono::steady_clock::time_point deadline,
-    ModelMetrics*& section, ReplyCallback& done) {
-  const RoutedPayload routed = split_model_key(payload);
-  const std::shared_ptr<const ModelFleet> fleet = current_fleet();
-  const FleetModel* model = route(*fleet, routed.model);
-  if (model == nullptr) return unknown_model(section, routed.model);
-  section = model->metrics;
-  std::vector<KeyedArch> keys;
-  try {
-    keys = arch_cache_keys(model->model->spec(), model->generation,
-                           routed.rest, config_.max_batch_archs);
-  } catch (...) {
-    return fail(section, Failure{std::current_exception()},
-                ErrorCode::bad_arch);
-  }
-  if (deadline_passed(deadline, Clock::now())) {
-    return fail(section, ErrorCode::deadline_exceeded, kExpiredDetail);
-  }
-
-  // Hits are read and every miss's ArchConfig is built up front, so once
-  // `remaining` is set the loop below does nothing but enqueue.
-  struct Miss {
-    std::size_t index;
-    std::string key;
-    ArchConfig arch;
-  };
-  std::vector<double> values(keys.size(), 0.0);
-  std::vector<Miss> misses;
-  std::uint64_t hit_count = 0;
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    if (const std::optional<double> hit = model->cache->get(keys[i].key)) {
-      values[i] = *hit;
-      ++hit_count;
-    } else {
-      misses.push_back(
-          Miss{i, std::move(keys[i].key),
-               parse_arch_request(model->model->spec(), keys[i].text)});
+    const std::uint64_t hits = keys.size() - line.misses.size();
+    if (line.misses.empty()) {
+      Reply reply = ok_reply("predict_batch", batch_payload(line.values));
+      metrics_.count_arch_hits(hits, section);
+      metrics_.count_predict_line(true, section);
+      return reply;
     }
+    // The line's hits count now; each miss counts in the batch that
+    // prices it, and a shed line's misses in none.
+    metrics_.count_arch_hits(hits, section);
   }
-
-  // Join state shared by the per-miss completions. Each completion writes
-  // its own slot, so the only cross-thread coordination is the remaining
-  // counter (acq_rel: the finalizing thread observes every slot write) and
-  // the failure mutex.
-  struct BatchJoin {
-    std::vector<double> values;
-    ModelMetrics* section = nullptr;
-    std::shared_ptr<PredictionCache> cache;
-    ReplyCallback done;
-    std::atomic<std::size_t> remaining{0};
-    std::mutex failure_mutex;
-    std::optional<Failure> first_failure;
-  };
-
-  if (misses.empty()) {
-    Reply reply = ok_reply("predict_batch", batch_payload(values));
-    metrics_.count_arch_hits(hit_count, section);
-    metrics_.count_predict_line(true, section);
-    return reply;
-  }
-  auto join = std::make_shared<BatchJoin>();
-  join->values = std::move(values);
-  join->section = section;
-  join->cache = model->cache;
-
-  auto finalize = [this](BatchJoin& state) {
-    Reply reply;
-    try {
-      if (state.first_failure) {
-        reply = fail(state.section, *state.first_failure, ErrorCode::bad_arch);
-      } else {
-        reply = ok_reply("predict_batch", batch_payload(state.values));
-        metrics_.count_predict_line(false, state.section);
-      }
-    } catch (...) {
-      reply = fail(state.section, Failure{std::current_exception()},
-                   ErrorCode::bad_arch);
-    }
-    state.done(std::move(reply));
-  };
-
-  // From here on the join owns the reply, so the hits count only now (each
-  // miss counts in the batch that prices it). The counter must reach its
-  // full value before any completion can fire, so every miss is enqueued
-  // only after `remaining` is set.
-  metrics_.count_arch_hits(hit_count, section);
-  join->done = std::move(done);
-  join->remaining.store(misses.size(), std::memory_order_relaxed);
-  const auto settle = [finalize](BatchJoin& state, std::size_t count,
-                                 const Failure* failure) {
-    if (failure != nullptr) {
-      std::lock_guard<std::mutex> lock(state.failure_mutex);
-      if (!state.first_failure) state.first_failure = *failure;
-    }
-    if (state.remaining.fetch_sub(count, std::memory_order_acq_rel) ==
-        count) {
-      finalize(state);
-    }
-  };
-  std::size_t enqueued = 0;
-  try {
-    for (Miss& miss : misses) {
-      enqueue(std::move(miss.arch),
-              std::shared_ptr<const FleetModel>(fleet, model), deadline,
-              [join, settle, index = miss.index, key = std::move(miss.key)](
-                  double value, const Failure* failure) {
-                Failure put_failure;
-                if (failure == nullptr) {
-                  join->values[index] = value;
-                  try {
-                    join->cache->put(key, value);
-                  } catch (...) {
-                    put_failure.error = std::current_exception();
-                    failure = &put_failure;
-                  }
-                }
-                settle(*join, 1, failure);
-              });
-      ++enqueued;
-    }
-  } catch (const std::exception&) {
-    // A completion that could not be wrapped never reached the batcher,
-    // nor did the misses after it: they settle here, as one failure.
-    const Failure failure{std::current_exception()};
-    answer(settle, *join, misses.size() - enqueued, &failure);
-  }
-  return std::nullopt;
+  line.model = std::shared_ptr<const FleetModel>(std::move(fleet), model);
+  line.deadline = deadline;
+  return enqueue(line, done);
 }
 
 std::optional<Reply> PredictionServer::handle_search(
@@ -474,10 +346,10 @@ std::optional<Reply> PredictionServer::handle_search(
   try {
     request = search::parse_search_request(payload);
   } catch (...) {
-    return fail(section, Failure{std::current_exception()},
+    return fail(section, std::current_exception(),
                 ErrorCode::bad_request);
   }
-  const std::shared_ptr<const ModelFleet> fleet = current_fleet();
+  const std::shared_ptr<const ModelFleet> fleet = this->fleet();
   SearchJob job;
   job.config = request.config;
   job.limits_ms = request.limits_ms;
@@ -520,7 +392,7 @@ std::optional<Reply> PredictionServer::handle_search(
     // server_error from the worker.
     search::SearchEngine(job.models.front()->model->spec(), request.config);
   } catch (...) {
-    return fail(job.section, Failure{std::current_exception()},
+    return fail(job.section, std::current_exception(),
                 ErrorCode::bad_request);
   }
   // Admission-time expiry, same rule as predictions.
@@ -540,7 +412,7 @@ std::optional<Reply> PredictionServer::handle_search(
       search_queue_.back() = std::move(job);
     }
   } catch (...) {
-    return fail(job.section, Failure{std::current_exception()},
+    return fail(job.section, std::current_exception(),
                 ErrorCode::bad_request);
   }
   if (shed) {
@@ -599,7 +471,7 @@ void PredictionServer::search_loop() {
         metrics_.count_predict_line(false, job.section);
       }
     } catch (...) {
-      reply = fail(job.section, Failure{std::current_exception()},
+      reply = fail(job.section, std::current_exception(),
                    ErrorCode::bad_request);
     }
     answer(job.done, std::move(reply));
@@ -611,7 +483,7 @@ void PredictionServer::search_loop() {
 }
 
 Reply PredictionServer::handle_info(const std::string& payload) {
-  const std::shared_ptr<const ModelFleet> fleet = current_fleet();
+  const std::shared_ptr<const ModelFleet> fleet = this->fleet();
   const FleetModel* model =
       payload.empty() ? &fleet->default_model() : fleet->find(payload);
   if (model == nullptr) return unknown_model(nullptr, payload);
@@ -637,7 +509,7 @@ Reply PredictionServer::handle_info(const std::string& payload) {
 }
 
 Reply PredictionServer::handle_models() {
-  const std::shared_ptr<const ModelFleet> fleet = current_fleet();
+  const std::shared_ptr<const ModelFleet> fleet = this->fleet();
   std::ostringstream os;
   for (std::size_t i = 0; i < fleet->models().size(); ++i) {
     if (i > 0) os << ' ';
@@ -647,7 +519,7 @@ Reply PredictionServer::handle_models() {
 }
 
 Reply PredictionServer::handle_stats() {
-  const std::shared_ptr<const ModelFleet> fleet = current_fleet();
+  const std::shared_ptr<const ModelFleet> fleet = this->fleet();
   std::size_t cache_size = 0;
   for (const FleetModel& model : fleet->models()) {
     cache_size += model.cache->size();
@@ -674,7 +546,7 @@ Reply PredictionServer::handle_reload(const std::string& path) {
     return fail(nullptr, ErrorCode::reload_failed, e.what());
   }
   metrics_.count_reload();
-  const std::shared_ptr<const ModelFleet> fleet = current_fleet();
+  const std::shared_ptr<const ModelFleet> fleet = this->fleet();
   const FleetModel& def = fleet->default_model();
   Reply reply =
       ok_reply("reload", "models=" + std::to_string(fleet->models().size()) +
@@ -685,43 +557,41 @@ Reply PredictionServer::handle_reload(const std::string& path) {
   return reply;
 }
 
-void PredictionServer::enqueue(ArchConfig arch,
-                               std::shared_ptr<const FleetModel> model,
-                               std::chrono::steady_clock::time_point deadline,
-                               PendingDone done) {
-  Pending pending;
-  pending.arch = std::move(arch);
-  pending.model = std::move(model);
-  pending.deadline = deadline;
-  pending.done = std::move(done);
-  Failure rejected{nullptr, ErrorCode::overloaded};
-  bool admitted = false;
+std::optional<Reply> PredictionServer::enqueue(Pending& line,
+                                               ReplyCallback& done) {
+  ModelMetrics* section = line.model->metrics;
+  const std::size_t archs = line.misses.size();
+  bool shed = false;
   try {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     // Admission control: shed instead of queueing unboundedly. The cap
-    // counts queued plus dispatching entries; the caller gets the
-    // rejection inline (never a stall), and nothing was admitted, so the
-    // drain guarantee ("every admitted entry is answered") holds.
-    if (config_.max_queue == 0 ||
-        queue_.size() + inflight_ < config_.max_queue) {
-      queue_.push_back(std::move(pending));  // strong guarantee
-      admitted = true;
+    // counts the miss archs queued plus dispatching; a line is admitted or
+    // shed whole, inline (never a stall), and one larger than the cap is
+    // admitted when nothing else is. Nothing shed was admitted, so the
+    // drain guarantee ("every admitted line is answered") holds.
+    const std::size_t load = queued_archs_ + inflight_;
+    shed = config_.max_queue != 0 && load != 0 &&
+           load + archs > config_.max_queue;
+    if (!shed) {
+      // The line takes `done` over only once the queue has grown.
+      queue_.emplace_back();
+      line.done = std::move(done);
+      queue_.back() = std::move(line);
+      queued_archs_ += archs;
     }
-  } catch (const std::exception&) {
-    rejected.error = std::current_exception();  // the queue could not grow
+  } catch (...) {
+    return fail(section, std::current_exception(), ErrorCode::bad_arch);
   }
-  if (!admitted) {
-    answer(pending.done, 0.0, &rejected);
-    return;
-  }
+  if (shed) return fail(section, ErrorCode::overloaded, kShedDetail);
   queue_cv_.notify_one();
+  return std::nullopt;
 }
 
 void PredictionServer::batcher_loop() {
   // Degraded mode: under sustained pressure the dispatch cap halves, so
   // rounds turn around faster and deadline checks run more often; the mode
   // lifts once the load falls well below the pressure threshold. The load
-  // is what admission counts against max_queue: the entries queued now
+  // is what admission counts against max_queue: the miss archs queued now
   // plus the round that just finished, which held its slots while they
   // arrived.
   const std::size_t pressure_threshold =
@@ -733,7 +603,8 @@ void PredictionServer::batcher_loop() {
   bool degraded = false;
   std::size_t last_round = 0;
   for (;;) {
-    std::vector<Pending> drained;
+    std::vector<Pending> round;
+    std::size_t cap = 0;
     {
       std::unique_lock<std::mutex> lock(queue_mutex_);
       // A batcher that goes idle has no round holding slots any more.
@@ -745,7 +616,7 @@ void PredictionServer::batcher_loop() {
         if (degraded) metrics_.set_degraded(false);
         return;
       }
-      const std::size_t load = queue_.size() + last_round;
+      const std::size_t load = queued_archs_ + last_round;
       if (load >= pressure_threshold) {
         if (++pressure_rounds >= kPressureRoundsToDegrade && !degraded) {
           degraded = true;
@@ -758,111 +629,171 @@ void PredictionServer::batcher_loop() {
           metrics_.set_degraded(false);
         }
       }
-      const std::size_t batch_cap =
-          degraded ? std::max<std::size_t>(1, config_.max_batch / 2)
-                   : config_.max_batch;
-      // Everything that accumulated while the previous round was in
-      // flight coalesces into this round (bounded by the round's cap).
-      const std::size_t n = std::min(queue_.size(), batch_cap);
+      cap = degraded ? std::max<std::size_t>(1, config_.max_batch / 2)
+                     : config_.max_batch;
+      // Whole lines, oldest first, while they fit in `cap` archs:
+      // everything that accumulated while the previous round was in flight
+      // coalesces into this one, and a line larger than the cap rides alone.
+      std::size_t lines = 0;
+      std::size_t archs = 0;
+      while (lines < queue_.size() &&
+             (lines == 0 || archs + queue_[lines].misses.size() <= cap)) {
+        archs += queue_[lines++].misses.size();
+      }
       try {
-        drained.reserve(n);
+        round.reserve(lines);
       } catch (...) {
-        // No room for the round: the oldest entry takes the failure, so
-        // the batcher still makes progress.
+        // No room for the round: the oldest line takes the failure, so the
+        // batcher still makes progress.
         Pending oldest = std::move(queue_.front());
         queue_.pop_front();
+        queued_archs_ -= oldest.misses.size();
+        inflight_ += oldest.misses.size();
         lock.unlock();
-        const Failure failure{std::current_exception()};
-        answer(oldest.done, 0.0, &failure);
+        oldest.error = std::current_exception();
+        finish(oldest);
         continue;
       }
-      for (std::size_t i = 0; i < n; ++i) {
-        drained.push_back(std::move(queue_.front()));
+      for (std::size_t i = 0; i < lines; ++i) {
+        round.push_back(std::move(queue_.front()));
         queue_.pop_front();
       }
-      inflight_ += n;
-      last_round = n;
+      queued_archs_ -= archs;
+      inflight_ += archs;
+      last_round = archs;
     }
-    dispatch_round(drained);
-    {
-      std::lock_guard<std::mutex> lock(queue_mutex_);
-      inflight_ -= drained.size();
-    }
+    // Dequeue-time expiry: a line whose deadline passed while queued is
+    // answered before anything is priced, and spends no predict_all slot.
+    const Clock::time_point now = Clock::now();
+    const auto expired = std::stable_partition(
+        round.begin(), round.end(), [now](const Pending& line) {
+          return !deadline_passed(line.deadline, now);
+        });
+    for (auto line = expired; line != round.end(); ++line) finish(*line, true);
+    round.erase(expired, round.end());
+    dispatch_round(round, cap);
   }
 }
 
-void PredictionServer::dispatch_round(std::vector<Pending>& drained) {
-  // Every entry is answered exactly once, through answer(), after its
-  // value or error is known. Each step that can fail (the bookkeeping
-  // vectors, the batch copy, predict_all) falls back to predicting the
-  // entries it covers one at a time.
-  const auto answer_alone = [](Pending& p) noexcept {
-    double value = 0.0;
-    Failure failure;
+void PredictionServer::dispatch_round(std::vector<Pending>& round,
+                                      std::size_t cap) {
+  // The fallback of every step that can fail: one miss priced alone. Its
+  // line keeps the first failure.
+  const auto price_alone = [](Pending& line, const Miss& miss,
+                              const ArchConfig& arch) noexcept {
     try {
-      value = p.model->model->predict_ms(p.arch);
+      line.values[miss.index] = line.model->model->predict_ms(arch);
     } catch (...) {
-      failure.error = std::current_exception();
+      if (!line.error) line.error = std::current_exception();
     }
-    answer(p.done, value, failure.error ? &failure : nullptr);
   };
-  // Dequeue-time expiry: entries whose deadline passed while queued are
-  // answered without spending a predict_all slot on them. Group by model:
-  // each group is one predict_all dispatch against the model instance the
-  // requests were routed to. Entries keep their fleet snapshot alive, so a
-  // concurrent reload never invalidates a group.
-  const Clock::time_point now = Clock::now();
-  std::vector<char> expired;
-  std::vector<std::pair<const FleetModel*, std::vector<std::size_t>>> groups;
+  struct Slot {
+    Pending* line;
+    Miss* miss;
+  };
+  std::vector<Slot> slots;
+  std::vector<ArchConfig> archs;
+  std::size_t misses = 0;
+  for (const Pending& line : round) misses += line.misses.size();
   try {
-    expired.assign(drained.size(), 0);
-    for (std::size_t i = 0; i < drained.size(); ++i) {
-      if (deadline_passed(drained[i].deadline, now)) {
-        expired[i] = 1;
-        continue;
-      }
-      const FleetModel* key = drained[i].model.get();
-      bool found = false;
-      for (auto& group : groups) {
-        if (group.first == key) {
-          group.second.push_back(i);
-          found = true;
-          break;
-        }
-      }
-      if (!found) groups.emplace_back(key, std::vector<std::size_t>{i});
-    }
+    slots.reserve(misses);
+    archs.reserve(std::min(misses, cap));
   } catch (...) {
-    // No room to group the round; nothing has been answered yet. Each
-    // entry is priced alone, as a batch of one.
-    for (Pending& p : drained) {
-      metrics_.count_batch(1, p.model->metrics);
-      answer_alone(p);
+    // No room to group the round: each miss is priced alone, as a batch
+    // of one.
+    for (Pending& line : round) {
+      for (const Miss& miss : line.misses) {
+        metrics_.count_batch(1, line.model->metrics);
+        price_alone(line, miss, miss.arch);
+      }
+      finish(line);
     }
     return;
   }
-  const Failure expiry{nullptr, ErrorCode::deadline_exceeded};
-  for (std::size_t i = 0; i < drained.size(); ++i) {
-    if (expired[i]) answer(drained[i].done, 0.0, &expiry);
+  // Group the misses by model, models in the order the round first names
+  // them and each model's misses in line order: a group is priced against
+  // the model instance its lines were routed to, which their fleet
+  // snapshot keeps alive through a concurrent reload.
+  for (auto first = round.begin(); first != round.end(); ++first) {
+    const auto routed_alike = [&first](const Pending& line) {
+      return line.model.get() == first->model.get();
+    };
+    if (std::any_of(round.begin(), first, routed_alike)) continue;
+    for (auto line = first; line != round.end(); ++line) {
+      if (!routed_alike(*line)) continue;
+      for (Miss& miss : line->misses) slots.push_back(Slot{&*line, &miss});
+    }
   }
-  for (const auto& [model, indices] : groups) {
-    metrics_.count_batch(indices.size(), model->metrics);
+  // Each group goes to predict_all in chunks of at most `cap` archs,
+  // moved in, not copied, and its lines are answered once it is priced.
+  for (std::size_t begin = 0; begin < slots.size();) {
+    const FleetModel& model = *slots[begin].line->model;
+    std::size_t end = begin + 1;
+    while (end < slots.size() && end - begin < cap &&
+           slots[end].line->model.get() == &model) {
+      ++end;
+    }
+    metrics_.count_batch(end - begin, model.metrics);
+    archs.clear();
+    for (std::size_t k = begin; k < end; ++k) {
+      archs.push_back(std::move(slots[k].miss->arch));
+    }
     std::vector<double> values;  // stays empty when the batch fails
     try {
-      std::vector<ArchConfig> archs;
-      archs.reserve(indices.size());
-      for (std::size_t i : indices) archs.push_back(drained[i].arch);
-      values = model->model->predict_all(archs);
+      values = model.model->predict_all(archs);
     } catch (...) {
       // Per-arch fallback below: one failing architecture (e.g. a layer a
       // device-less LUT never profiled) must not poison the coalesced
-      // requests of other clients.
+      // lines of other clients.
     }
-    for (std::size_t k = 0; k < indices.size(); ++k) {
-      Pending& p = drained[indices[k]];
-      values.empty() ? answer_alone(p) : answer(p.done, values[k], nullptr);
+    for (std::size_t k = begin; k < end; ++k) {
+      Pending& line = *slots[k].line;
+      const Miss& miss = *slots[k].miss;
+      if (values.empty()) {
+        price_alone(line, miss, archs[k - begin]);
+      } else {
+        line.values[miss.index] = values[k - begin];
+      }
     }
+    begin = end;
+    if (begin == slots.size() || slots[begin].line->model.get() != &model) {
+      for (Pending& line : round) {
+        if (line.model.get() == &model) finish(line);
+      }
+    }
+    // The batcher offers its CPU between calls: a front end whose wake-up
+    // put the batcher on its CPU waits out one predict_all call, not a
+    // whole round.
+    if (begin < slots.size()) std::this_thread::yield();
   }
+}
+
+void PredictionServer::finish(Pending& line, bool expired) noexcept {
+  // The reply is decided in full before `done` runs, exactly once; a
+  // failure to cache or format the values answers server_error.
+  ModelMetrics* section = line.model->metrics;
+  Reply reply;
+  try {
+    if (expired) {
+      reply = fail(section, ErrorCode::deadline_exceeded, kExpiredDetail);
+    } else if (line.error) {
+      reply = fail(section, line.error, ErrorCode::bad_arch);
+    } else {
+      for (const Miss& miss : line.misses) {
+        line.model->cache->put(miss.key, line.values[miss.index]);
+      }
+      reply = line.batch ? ok_reply("predict_batch", batch_payload(line.values))
+                         : ok_reply("predict", format_latency(line.values[0]));
+      metrics_.count_predict_line(false, section);
+    }
+  } catch (...) {
+    reply = fail(section, std::current_exception(), ErrorCode::bad_arch);
+  }
+  answer(line.done, std::move(reply));
+  // A line holds its admission slots until it is answered, and no longer:
+  // a client that sends again on its reply finds them free.
+  std::lock_guard<std::mutex> lock(queue_mutex_);
+  inflight_ -= line.misses.size();
 }
 
 void PredictionServer::summary_loop() {

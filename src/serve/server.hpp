@@ -11,15 +11,19 @@
 // Threading model:
 //   - handle_request() is the transport-agnostic core: the front end hands
 //     it a split request plus a completion callback. Cache hits, control
-//     verbs, and errors complete inline on the calling thread; predictions
-//     that miss park on the shared pending queue and complete from the
-//     batcher thread. The event loop posts completions back to its
-//     reactor, so thousands of connections share one I/O thread.
-//   - one batcher thread drains the pending queue: whatever accumulated
-//     while the previous dispatch was in flight is grouped by model and
-//     each group becomes one predict_all dispatch (the drain is capped at
-//     ServeConfig::max_batch), so concurrent singles from different
-//     clients coalesce automatically with no timer.
+//     verbs, and errors complete inline on the calling thread; a predict
+//     or predict_batch line with any miss parks on the shared pending
+//     queue as ONE entry (its hits filled in, its misses listed) and
+//     completes from the batcher thread. The event loop posts completions
+//     back to its reactor, so thousands of connections share one I/O
+//     thread.
+//   - one batcher thread drains the pending queue in whole lines: whatever
+//     accumulated while the previous round was in flight, while it fits in
+//     ServeConfig::max_batch miss archs (always at least one line). Its
+//     misses are grouped by model into predict_all calls of at most
+//     max_batch archs, so concurrent singles from different clients
+//     coalesce automatically with no timer. Each line is answered exactly
+//     once (finish()), as soon as its model's misses are priced.
 //   - one search worker thread runs admitted `search` requests (whole NAS
 //     queries, nas/search/engine.hpp) to completion one at a time, so a
 //     long search never blocks point predictions. Admission control
@@ -79,15 +83,18 @@ struct ServeConfig {
   std::size_t cache_capacity = 4096;    ///< per model; 0 disables caching
   std::size_t cache_shards = 8;
   std::size_t max_line_bytes = 64 * 1024;  ///< longer request lines error
-  std::size_t max_batch = 64;           ///< pending drained per dispatch round
+  /// Miss archs a dispatch round gathers in whole lines (a larger line
+  /// rides alone) and the most one predict_all call prices. >= 1.
+  std::size_t max_batch = 64;
   std::size_t max_batch_archs = 1024;   ///< archs per predict_batch request
   double summary_period_s = 0.0;        ///< >0: periodic stderr summary
 
   // Overload protection. Both default off, which keeps the pre-overload
   // behaviour (and wire bytes) exactly.
-  /// Cap on predictions admitted but not yet answered: queued plus the
-  /// round currently dispatching. A miss arriving at the cap is answered
-  /// `overloaded` immediately instead of waiting. 0 = unbounded.
+  /// Cap on miss archs admitted but not yet answered: those of the queued
+  /// lines plus the dispatching round's until each is answered. A line that
+  /// would cross it is answered `overloaded` at once, whole, unless nothing
+  /// else is admitted. 0 = unbounded.
   std::size_t max_queue = 0;
   /// Deadline applied to prediction requests that carry none of their own
   /// (esm2 v2 header field or esm1 "deadline=<ms>" token). 0 = none.
@@ -109,7 +116,7 @@ class PredictionServer {
  public:
   /// Loads the fleet (each artifact read once: identity CRC32 + parse
   /// share the buffer) and starts the batcher. Throws esm::ConfigError
-  /// when the manifest or any artifact cannot be loaded.
+  /// when max_batch is 0 or the manifest or any artifact cannot be loaded.
   explicit PredictionServer(ServeConfig config);
 
   /// Stops and joins everything (equivalent to request_stop() + wait()).
@@ -154,29 +161,30 @@ class PredictionServer {
                       ReplyCallback done);
 
  private:
-  /// Why a queued prediction has no value: `error` when an exception
-  /// failed it, else the queue's own verdict in `code` (overloaded when
-  /// admission shed it, deadline_exceeded when it expired while queued).
-  struct Failure {
-    std::exception_ptr error;
-    ErrorCode code = ErrorCode::server_error;
-  };
-  /// Invoked once per queued prediction: with its value, or with the
-  /// failure that took its place (null on success).
-  using PendingDone =
-      std::function<void(double value, const Failure* failure)>;
-
-  /// One prediction waiting for the batcher.
-  struct Pending {
+  /// One architecture of a line that missed the cache: its slot in the
+  /// line's values, its cache key, and the config the batcher prices.
+  struct Miss {
+    std::size_t index = 0;
+    std::string key;
     ArchConfig arch;
-    /// Aliased into the fleet snapshot the request was routed against;
-    /// keeps that fleet (and its caches) alive until `done` resolves.
+  };
+
+  /// One predict or predict_batch line waiting for (or being priced by)
+  /// the batcher: the batcher's one entry per request line.
+  struct Pending {
+    /// Aliased into the fleet snapshot the line was routed against; keeps
+    /// that fleet (its cache and stats section) alive until it is answered.
     std::shared_ptr<const FleetModel> model;
-    /// Absolute deadline; max() = none. The batcher answers entries whose
-    /// deadline passed with deadline_exceeded instead of predicting them.
+    /// Absolute deadline; max() = none. A line whose deadline passed while
+    /// queued is answered deadline_exceeded instead of being priced.
     std::chrono::steady_clock::time_point deadline =
         std::chrono::steady_clock::time_point::max();
-    PendingDone done;
+    bool batch = false;  ///< answers predict_batch, else predict
+    /// One value per arch of the line, its cache hits filled at admission.
+    std::vector<double> values;
+    std::vector<Miss> misses;
+    std::exception_ptr error;  ///< the first failure while pricing
+    ReplyCallback done;
   };
 
   /// One admitted NAS search waiting for (or running on) the search
@@ -192,8 +200,6 @@ class PredictionServer {
     ReplyCallback done;
   };
 
-  std::shared_ptr<const ModelFleet> current_fleet() const;
-
   /// The one failure path: counts a failed request line once, from its
   /// code, on `section` (a prediction line; "_unrouted" when routing
   /// failed) or as a control line when `section` is null, and returns its
@@ -203,15 +209,15 @@ class PredictionServer {
   /// The one exception -> code map, then fail(): a ConfigError is the
   /// request's own fault and answers the verb's `config_code` (bad_arch for
   /// predictions, bad_request for search), a cancelled search
-  /// deadline_exceeded, anything else server_error. A failure without an
-  /// exception answers its own code.
-  Reply fail(ModelMetrics* section, const Failure& failure,
+  /// deadline_exceeded, anything else server_error.
+  Reply fail(ModelMetrics* section, std::exception_ptr error,
              ErrorCode config_code);
 
   /// Routes one request. It and the handlers below return the reply to
-  /// answer inline, or nullopt once they moved `done` into the completion
-  /// that took the request over. They never move it before a step that can
-  /// throw, so while `done` is set, nobody answered or counted the line.
+  /// answer inline, or nullopt once they moved `done` into the queued line
+  /// or search that took the request over. They never move it before a
+  /// step that can throw, so while `done` is set, nobody answered or
+  /// counted the line.
   /// `section` is where the line counts: "_unrouted" for a prediction verb
   /// (null for a control verb) until a handler routes it to its model.
   std::optional<Reply> dispatch_request(const ParsedRequest& request,
@@ -227,8 +233,11 @@ class PredictionServer {
   /// The unknown_model reply for `key`, counted on `section`.
   Reply unknown_model(ModelMetrics* section, std::string_view key);
 
+  /// Handles one predict (`batch` false) or predict_batch line: answers
+  /// it inline when every arch hits the cache, else queues it whole as one
+  /// Pending whose misses the batcher prices.
   std::optional<Reply> handle_predict(
-      std::string_view payload,
+      std::string_view payload, bool batch,
       std::chrono::steady_clock::time_point deadline, ModelMetrics*& section,
       ReplyCallback& done);
   /// Validates and admits one `search` request; the reply completes from
@@ -239,28 +248,26 @@ class PredictionServer {
       const std::string& payload,
       std::chrono::steady_clock::time_point deadline, ModelMetrics*& section,
       ReplyCallback& done);
-  std::optional<Reply> handle_predict_batch(
-      std::string_view payload,
-      std::chrono::steady_clock::time_point deadline, ModelMetrics*& section,
-      ReplyCallback& done);
   Reply handle_info(const std::string& payload);
   Reply handle_models();
   Reply handle_stats();
   Reply handle_reload(const std::string& path);
 
-  /// Queues one architecture for the batcher against `model`; `done` is
-  /// invoked from the batcher thread — or inline with an `overloaded`
-  /// failure when admission control sheds the entry (queued plus
-  /// dispatching at max_queue), or with the exception when the queue
-  /// cannot grow. Only wrapping `done` into the parameter can throw out of
-  /// this call.
-  void enqueue(ArchConfig arch, std::shared_ptr<const FleetModel> model,
-               std::chrono::steady_clock::time_point deadline,
-               PendingDone done);
+  /// Admits `line` whole and moves `done` into it, or returns the reply
+  /// that answers it inline: `overloaded` when its misses would take the
+  /// archs queued plus dispatching, if any, past max_queue, server_error
+  /// when the queue cannot grow.
+  std::optional<Reply> enqueue(Pending& line, ReplyCallback& done);
 
   void batcher_loop();
-  /// Predicts and answers one drained batcher round.
-  void dispatch_round(std::vector<Pending>& drained);
+  /// Prices every miss of the round into its line's values, in predict_all
+  /// calls of at most `cap` archs per model, and finishes each model's
+  /// lines once that model's misses are priced.
+  void dispatch_round(std::vector<Pending>& round, std::size_t cap);
+  /// Answers one line exactly once and releases its admission slots:
+  /// caches its priced values and replies, or replies its expiry or first
+  /// failure through fail().
+  void finish(Pending& line, bool expired = false) noexcept;
   void search_loop();
   void summary_loop();
 
@@ -292,9 +299,10 @@ class PredictionServer {
   std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
   std::deque<Pending> queue_;
-  /// Entries drained into the dispatch round currently running; together
-  /// with queue_.size() this is the admitted-but-unanswered total that
+  /// Miss archs of the queued lines, and of the dispatching round's lines
+  /// not yet answered: their sum is the admitted-but-unanswered total that
   /// max_queue caps. Guarded by queue_mutex_.
+  std::size_t queued_archs_ = 0;
   std::size_t inflight_ = 0;
   bool batcher_stop_ = false;
 

@@ -270,19 +270,18 @@ TEST(FastPathTest, ServedPredictAllocatesOnlyItsReplyAndCompletion) {
   EXPECT_EQ(serve_one(routed(archs[std::size(archs) - 1])), 2u);
 
   // Five misses in a row, each waited for, so the pending deque crosses
-  // exactly one of its 5-entry blocks. Per miss:
+  // exactly one of its 4-entry blocks. Per miss:
   //   1 the completion std::function
-  //   5 the ArchConfig re-parsed from the request for the batcher (units
+  //   5 the ArchConfig parsed from the request for the batcher (units
   //     vector plus one block vector per unit)
-  //   1 the pending entry's std::function (its capture holds the key,
-  //     the cache and the completion)
-  //   1 the batcher's drained vector, 1 its expiry flags, 1 its group
-  //     list, 1 the group's index vector
-  //   1 the batch vector plus 5 for copying the ArchConfig into it
+  //   1 the line's values, 1 its miss list (the miss holds the key, which
+  //     fits std::string's inline buffer, and the ArchConfig)
+  //   1 the batcher's round vector, 1 its slot list, 1 the batch vector
+  //     (the ArchConfig moves into it, uncopied)
   //   predict_all at batch 1, warm (its result vector among them)
   //   2 the cache insert (LRU node and index node; the evicted pair frees)
   //   1 the reply payload
-  // = 20 + predict_all per miss, plus 1 deque block per 5 misses.
+  // = 14 + predict_all per miss, plus 1 deque block per 4 misses.
   const std::vector<ArchConfig> one = {
       serve::parse_arch_request(spec, archs[0])};
   (void)server.model()->predict_all(one);
@@ -290,7 +289,7 @@ TEST(FastPathTest, ServedPredictAllocatesOnlyItsReplyAndCompletion) {
       allocs_during([&] { (void)server.model()->predict_all(one); });
   std::uint64_t miss_allocs = 0;
   for (int i = 0; i < 5; ++i) miss_allocs += serve_one(routed(archs[i]));
-  EXPECT_EQ(miss_allocs, 5u * (20u + predict_allocs) + 1u);
+  EXPECT_EQ(miss_allocs, 5u * (14u + predict_allocs) + 1u);
   EXPECT_EQ(serve_one(routed(archs[0])), 2u);
 }
 

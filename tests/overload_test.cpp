@@ -50,8 +50,11 @@ const std::string& slow_artifact() {
   return path;
 }
 
-/// Queue-pressure setup: the slow model, no cache, one entry per dispatch
-/// round. A 1000-arch batch pins the batcher for tens of milliseconds.
+/// Queue-pressure setup: the slow model, no cache, one arch per
+/// predict_all call. A 1000-arch batch is one batcher entry (the server
+/// queues one per request line) and one dispatch round, but it holds 1000
+/// admission slots against max_queue and pins the batcher for tens of
+/// milliseconds.
 ServeConfig slow_config() {
   ServeConfig config = serve_config(slow_artifact());
   config.cache_capacity = 0;
@@ -59,17 +62,9 @@ ServeConfig slow_config() {
   return config;
 }
 
-/// A slow request: one predict_batch over `archs` distinct architectures
-/// with the cache off keeps the batcher busy for a full dispatch round.
-/// Note the server enqueues one batcher entry PER MISS ARCH, so a payload
-/// of N archs occupies N admission slots against max_queue.
-std::string batch_payload(std::size_t archs) {
-  return join_batch(arch_pool(archs));
-}
-
-/// Like batch_payload but built from the deepest archs in the space (28
-/// blocks each), so every uncached entry costs a full encode plus tree
-/// walk — the slowest per-round pin available to the tests.
+/// A slow request: one predict_batch over `archs` of the deepest archs in
+/// the space (28 blocks each), so with the cache off every arch costs a
+/// full encode plus tree walk — the slowest pin available to the tests.
 std::string heavy_batch_payload(std::size_t archs) {
   static const char* kVariants[] = {"7:k7e1,7:k5e1,7:k7e1,7:k3e1",
                                     "7:k5e1,7:k7e1,7:k5e1,7:k7e1",
@@ -166,7 +161,7 @@ Flood pin_then_flood(ClientChannel& channel, const std::string& pin_payload,
 
 TEST(OverloadTest, Esm1DeadlineTokenExpiresInQueue) {
   // A fat batch against the slow model pins the batcher for tens of
-  // milliseconds (1000 per-arch entries, one per dispatch round); a 1 ms
+  // milliseconds (one round of 1000 one-arch predict_all calls); a 1 ms
   // deadline queued behind it must expire at dequeue and answer
   // deadline_exceeded without spending a predict_all slot.
   Harness harness(slow_config());
@@ -286,15 +281,14 @@ TEST(OverloadTest, DefaultDeadlineAppliesWhenRequestCarriesNone) {
 // -- admission control -----------------------------------------------------
 
 TEST(OverloadTest, FullQueueShedsWithOverloaded) {
-  // The admission cap counts queued plus dispatching entries. A 999-arch
-  // batch against the slow model fills it to one slot under the cap, and
-  // it stays near-full for tens of milliseconds whether the batcher takes
-  // one entry per round (max_batch 1: the pin waits queued) or most of the
-  // pin in a few multi-millisecond predict_all rounds (max_batch 1024: the
-  // pin waits dispatching). Either way a pipelined flood of 1000 predicts
-  // must be answered — a few served into freed slots, the rest shed
-  // immediately with `overloaded` — and the metrics identity must
-  // reconcile exactly.
+  // The admission cap counts the miss archs queued plus dispatching. A
+  // 999-arch batch against the slow model fills it to one slot under the
+  // cap, and it stays near-full for tens of milliseconds while the batcher
+  // prices the pin in one round, whether as 999 one-arch predict_all calls
+  // (max_batch 1) or as one call (max_batch 1024). Either way a pipelined
+  // flood of 1000 predicts must be answered — a few served into freed
+  // slots, the rest shed immediately with `overloaded` — and the metrics
+  // identity must reconcile exactly.
   for (const std::size_t max_batch : {std::size_t{1}, std::size_t{1024}}) {
     SCOPED_TRACE("max_batch " + std::to_string(max_batch));
     ServeConfig config = slow_config();
@@ -391,30 +385,191 @@ TEST(OverloadTest, AdmissionCapCountsTheDispatchingRound) {
   EXPECT_EQ(after.archs, after.arch_hits + after.arch_misses);
 }
 
+TEST(OverloadTest, ShedBatchPricesNothing) {
+  // A line is admitted or shed whole. A gate miss holds the batcher inside
+  // its dispatch round and one of max_queue's 4 slots, so a batch of 4
+  // fresh misses does not fit: it answers `overloaded` at once, and none
+  // of its archs is priced or cached, then or after the gate opens.
+  ServeConfig config = serve_config(artifact());
+  config.max_queue = 4;
+  config.max_batch = 1;
+  Harness harness(config);
+  EsmClient client = harness.client(Protocol::esm1);
+  const std::vector<std::string> pool = arch_pool(6);
+
+  Gate gate;
+  submit_line(harness.server, "predict", pool[0], 0, gate.callback());
+  ASSERT_TRUE(gate.wait_entered());
+  const serve::MetricsSnapshot before = harness.server.metrics();
+  const std::uint64_t cached = stat(client.stats(), "cache_size");
+  const auto shed = std::make_shared<std::promise<serve::Reply>>();
+  std::future<serve::Reply> reply = shed->get_future();
+  submit_line(harness.server, "predict_batch",
+              join_batch({pool[1], pool[2], pool[3], pool[4]}), 0,
+              [shed](serve::Reply&& r) { shed->set_value(std::move(r)); });
+  const bool answered_at_once =
+      reply.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+  const serve::MetricsSnapshot at_shed = harness.server.metrics();
+
+  // A miss queued after the gate opens is answered after every entry the
+  // batcher held before it: only it is priced and cached.
+  gate.open.set_value();
+  ASSERT_TRUE(answered_at_once) << "the shed batch waited for the batcher";
+  EXPECT_EQ(reply.get().code, serve::ErrorCode::overloaded);
+  expect_one_error(before, at_shed, "overloaded", "default");
+  EXPECT_GT(client.predict(pool[5]), 0.0);
+  const serve::MetricsSnapshot after = harness.server.metrics();
+  EXPECT_EQ(after.arch_misses, before.arch_misses + 1);
+  EXPECT_EQ(after.batched_archs, before.batched_archs + 1);
+  EXPECT_EQ(after.batched_archs, after.arch_misses);
+  EXPECT_EQ(after.archs, after.arch_hits + after.arch_misses);
+  EXPECT_EQ(after.requests, after.hits + after.misses + after.errors);
+  EXPECT_EQ(stat(client.stats(), "cache_size"), cached + 1);
+}
+
+TEST(OverloadTest, IdleServerServesABatchLargerThanTheQueueCap) {
+  // A line is admitted or shed whole, so one with more misses than
+  // max_queue never fits under the cap; an idle server admits it anyway
+  // (nothing else is admitted) and prices it in predict_all calls of at
+  // most max_batch archs, bit-identical to offline.
+  ServeConfig config = serve_config(artifact());
+  config.max_queue = 4;
+  config.max_batch = 3;
+  Harness harness(config);
+  EsmClient client = harness.client(Protocol::esm1);
+  const std::vector<std::string> pool = arch_pool(10);
+  const std::map<std::string, double> expected =
+      offline_predictions(artifact(), pool);
+
+  const std::vector<double> values = client.predict_batch(pool);
+  ASSERT_EQ(values.size(), pool.size());
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    EXPECT_EQ(values[i], expected.at(pool[i])) << pool[i];
+  }
+  const serve::MetricsSnapshot snap = harness.server.metrics();
+  EXPECT_EQ(snap.shed, 0u);
+  EXPECT_EQ(snap.arch_misses, 10u);
+  EXPECT_EQ(snap.batched_archs, snap.arch_misses);
+  EXPECT_EQ(snap.batches, 4u);  // 3 + 3 + 3 + 1
+  EXPECT_EQ(snap.max_batch, 3u);
+}
+
+TEST(OverloadTest, RoundTakesLinesOnlyWhileTheyFitTheBatchCap) {
+  // A round takes whole lines only while they fit in max_batch archs, so
+  // a single queued ahead of a larger batch is answered without waiting
+  // for it: a gate miss holds the batcher while both queue, and when the
+  // single is answered only the gate's arch and its own are priced.
+  ServeConfig config = serve_config(artifact());
+  config.max_batch = 4;
+  serve::PredictionServer server(config);
+  const std::vector<std::string> pool = arch_pool(7);
+  Gate gate;
+  Gate single;
+  submit_line(server, "predict", pool[0], 0, gate.callback());
+  ASSERT_TRUE(gate.wait_entered());
+  submit_line(server, "predict", pool[1], 0, single.callback());
+  std::promise<serve::Reply> batch;
+  submit_line(server, "predict_batch",
+              join_batch({pool[2], pool[3], pool[4], pool[5], pool[6]}), 0,
+              [&batch](serve::Reply&& reply) {
+                batch.set_value(std::move(reply));
+              });
+  gate.open.set_value();
+  ASSERT_TRUE(single.wait_entered());
+  EXPECT_EQ(server.metrics().batched_archs, 2u)
+      << "the single waited for the batch behind it";
+  single.open.set_value();
+  EXPECT_TRUE(batch.get_future().get().ok);
+  const serve::MetricsSnapshot snap = server.metrics();
+  EXPECT_EQ(snap.batches, 4u);  // the gate's 1, the single's 1, then 4 + 1
+  EXPECT_EQ(snap.max_batch, 4u);
+  EXPECT_EQ(snap.batched_archs, snap.arch_misses);
+}
+
+TEST(OverloadTest, ExpiredLineIsAnsweredBeforeItsRoundIsPriced) {
+  // A line whose deadline passed while queued is answered at dequeue,
+  // before the live lines of its round are priced: a gate miss holds the
+  // batcher while a live batch and a short-deadline single queue behind
+  // it in one round's worth of archs.
+  ServeConfig config = serve_config(artifact());
+  config.max_batch = 4;
+  serve::PredictionServer server(config);
+  const std::vector<std::string> pool = arch_pool(5);
+  Gate gate;
+  submit_line(server, "predict", pool[0], 0, gate.callback());
+  ASSERT_TRUE(gate.wait_entered());
+  std::promise<serve::Reply> live;
+  submit_line(server, "predict_batch",
+              join_batch({pool[1], pool[2], pool[3]}), 0,
+              [&live](serve::Reply&& reply) {
+                live.set_value(std::move(reply));
+              });
+  std::promise<std::uint64_t> priced_at_expiry;
+  serve::ErrorCode code = serve::ErrorCode::server_error;
+  submit_line(server, "predict", pool[4], 20,
+              [&](serve::Reply&& reply) {
+                code = reply.code;
+                priced_at_expiry.set_value(server.metrics().batched_archs);
+              });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  gate.open.set_value();
+  EXPECT_EQ(priced_at_expiry.get_future().get(), 1u)
+      << "the expired line waited for its round to be priced";
+  EXPECT_EQ(code, serve::ErrorCode::deadline_exceeded);
+  EXPECT_TRUE(live.get_future().get().ok);
+  const serve::MetricsSnapshot snap = server.metrics();
+  EXPECT_EQ(snap.expired, 1u);
+  EXPECT_EQ(snap.batched_archs, 4u);
+  EXPECT_EQ(snap.batched_archs, snap.arch_misses);
+}
+
 TEST(OverloadTest, SustainedPressureEntersDegradedMode) {
-  // Queue cap 8 -> pressure threshold 4. A pinned batcher plus a full
-  // queue holds the load >= 4 across many rounds, so the server must record
-  // at least one degraded-mode entry, then recover (gauge back to 0).
+  // Queue cap 8 -> pressure threshold 4, one line per round (max_batch 1).
+  // A round's load is the miss archs queued plus the round before it, so
+  // back-to-back rounds of 4-arch batches start at a load of 8.
+  // Deterministic through the core: each batch's completion holds the
+  // batcher while the test queues the next line behind it, so four rounds
+  // in a row start under pressure and the server enters degraded mode; a
+  // lone request after the drain lifts it (the gauge returns to 0).
   ServeConfig config = serve_config(artifact());
   config.cache_capacity = 0;
   config.max_batch = 1;
   config.max_queue = 8;
-  Harness harness(config);
-  EsmClient client = harness.client(Protocol::esm1);
+  serve::PredictionServer server(config);
+  const std::vector<std::string> pool = arch_pool(18);
+  Gate gates[5];
+  // Rounds 1 to 4 take a 4-arch batch each (loads 4, 8, 8, 8); round 5 a
+  // single predict, so the round before the lone request holds one arch.
+  for (std::size_t g = 0; g < 5; ++g) {
+    const std::string payload =
+        g < 4 ? join_batch({pool[4 * g], pool[4 * g + 1], pool[4 * g + 2],
+                            pool[4 * g + 3]})
+              : pool[16];
+    submit_line(server, g < 4 ? "predict_batch" : "predict", payload, 0,
+                gates[g].callback());
+    if (g > 0) gates[g - 1].open.set_value();
+    ASSERT_TRUE(gates[g].wait_entered()) << "gate " << g;
+  }
+  EXPECT_EQ(server.metrics().degraded, 1u);
+  EXPECT_EQ(server.metrics().degraded_entries, 1u);
+  EXPECT_EQ(server.metrics().shed, 0u);
+  gates[4].open.set_value();
 
-  const std::string slow = batch_payload(600);
-  std::vector<std::uint64_t> ids;
-  for (int i = 0; i < 6; ++i) ids.push_back(client.submit("predict_batch", slow));
-  const std::vector<std::string> pool = arch_pool(64);
-  for (const std::string& spec : pool) ids.push_back(client.submit("predict", spec));
-  for (const std::uint64_t id : ids) client.await(id);
-
-  const std::map<std::string, std::string> stats = client.stats();
-  EXPECT_GE(stat(stats, "degraded_entries"), 1u);
-  EXPECT_EQ(stat(stats, "degraded"), 0u) << "gauge must clear after drain";
-  EXPECT_EQ(stat(stats, "requests"),
-            stat(stats, "hits") + stat(stats, "misses") +
-                stat(stats, "errors"));
+  // The lone request starts a round at a load of at most 2, a quarter of
+  // the cap, and the mode lifts before it is answered.
+  std::promise<serve::Reply> last;
+  submit_line(server, "predict", pool[17], 0,
+              [&last](serve::Reply&& reply) {
+                last.set_value(std::move(reply));
+              });
+  EXPECT_TRUE(last.get_future().get().ok);
+  const serve::MetricsSnapshot snap = server.metrics();
+  EXPECT_EQ(snap.degraded, 0u) << "gauge must clear after drain";
+  EXPECT_EQ(snap.degraded_entries, 1u);
+  EXPECT_EQ(snap.requests, snap.hits + snap.misses + snap.errors);
+  EXPECT_EQ(snap.errors, 0u);
+  EXPECT_EQ(snap.batched_archs, snap.arch_misses);
+  EXPECT_EQ(snap.arch_misses, 18u);
 }
 
 TEST(OverloadTest, SustainedPressureEntersDegradedModeAtFullBatches) {
@@ -647,7 +802,7 @@ TEST(ClientRetryTest, EndToEndRetryRidesOutShedding) {
   std::atomic<bool> stop{false};
   std::thread background([&harness, &stop] {
     EsmClient flood = harness.client(Protocol::esm1);
-    const std::string slow = batch_payload(400);
+    const std::string slow = join_batch(arch_pool(400));
     while (!stop.load()) {
       try {
         flood.call("predict_batch", slow);

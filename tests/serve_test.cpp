@@ -492,6 +492,13 @@ TEST(ServeTest, ConstructorRejectsMissingArtifact) {
                ConfigError);
 }
 
+TEST(ServeTest, ConstructorRejectsZeroMaxBatch) {
+  // A round of 0 archs would never drain the queue: every miss would hang.
+  serve::ServeConfig config = serve_config(artifact_a());
+  config.max_batch = 0;
+  EXPECT_THROW(PredictionServer{config}, ConfigError);
+}
+
 // -------------------------------------------------------------- fleet mode
 
 // Headline fleet pin (acceptance criterion): a three-model fleet answers

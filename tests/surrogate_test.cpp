@@ -2,6 +2,7 @@
 // table (with bias correction).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 
@@ -9,6 +10,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "hwsim/measurement.hpp"
+#include "linalg/matrix.hpp"
 #include "ml/metrics.hpp"
 #include "nets/builder.hpp"
 #include "nets/sampler.hpp"
@@ -336,6 +338,27 @@ TEST(GcnSurrogateTest, LearnsLatencyReasonably) {
   const double acc =
       mean_accuracy(gcn.predict_all(data.test_archs), data.test_y);
   EXPECT_GT(acc, 0.8);
+}
+
+// Pins the bits a seeded GCN fit predicts: every step of its Adam update
+// (weights with coupled decay, the head bias without) must keep the same
+// expression in the same order. ESM_FMA=ON contracts mul+add in the GEMM
+// kernel, so there the digest is not compared.
+TEST(GcnSurrogateTest, GoldenPredictionDigest) {
+  const SupernetSpec spec = resnet_spec();
+  const TestData data = make_data(spec, rtx4090_spec(), 120, 40, 47);
+  GcnSurrogate gcn(spec, {.hidden = 12, .epochs = 8, .seed = 11});
+  gcn.fit(data.train_archs, data.train_y);
+  std::uint64_t digest = 14695981039346656037ull;  // 64-bit FNV-1a
+  for (const double value : gcn.predict_all(data.test_archs)) {
+    const std::uint64_t bits = std::bit_cast<std::uint64_t>(value);
+    for (int byte = 0; byte < 8; ++byte) {
+      digest ^= (bits >> (8 * byte)) & 0xff;
+      digest *= 1099511628211ull;
+    }
+  }
+  if (gemm_fma_enabled()) return;
+  EXPECT_EQ(digest, 0xd8918c7b21f33d36ull) << std::hex << "digest 0x" << digest;
 }
 
 TEST(GcnSurrogateTest, PredictBeforeFitThrows) {
