@@ -275,7 +275,7 @@ ScenarioResult run_event_loop_scenario(const std::string& artifact,
 /// quarter of the offered concurrency, so roughly 4x capacity is offered
 /// and the admission gate sheds the excess with the retryable
 /// `overloaded` error. Cold cache: every admitted request really spends a
-/// batcher slot. The driver resubmits every shed request until it
+/// pricing slot. The driver resubmits every shed request until it
 /// succeeds — the client-side retry story — so goodput converges to 100%
 /// of the unique workload; reported are the shed rate over all admission
 /// attempts and the goodput (ok responses per second). Self-checks that

@@ -2,8 +2,8 @@
 //
 // Server mode:
 //   esm_serve model.esm [--port N] [--port-file PATH] [--cache N]
-//             [--max-batch N] [--summary-s SEC] [--threads N]
-//             [--idle-timeout-s SEC] [--max-queue N] [--deadline-ms N]
+//             [--max-batch N] [--summary-s SEC] [--idle-timeout-s SEC]
+//             [--max-queue N] [--deadline-ms N]
 //             [--max-searches N] [--chaos PROFILE] [--chaos-seed N]
 //   esm_serve --manifest fleet/manifest.esmf [...]
 //   Serves a single `.esm` artifact or a whole fleet manifest (`esm_cli
@@ -11,9 +11,11 @@
 //   the positional form works for both. Binds 127.0.0.1:N (N = 0 lets the
 //   kernel pick; the chosen port is printed as "listening on
 //   127.0.0.1:<port>" and written to --port-file when given). All
-//   connections are multiplexed on one epoll reactor thread —
-//   see src/serve/event_loop.hpp — speaking both wire protocols on the
-//   same port: the newline-delimited esm1 protocol of
+//   connections are multiplexed on one epoll reactor thread, which also
+//   prices cache misses: one round of at most --max-batch architectures
+//   per wakeup (see src/serve/event_loop.hpp). Searches run on their own
+//   worker, and ESM_THREADS sizes the GEMM pool. Both wire protocols share
+//   the port: the newline-delimited esm1 protocol of
 //   src/serve/protocol.hpp and the length-prefixed binary esm2 protocol
 //   of src/serve/frame.hpp, told apart by the first byte (0xE5 = esm2).
 //   SIGINT and SIGTERM (and the protocol's `shutdown` verb) drain: every
@@ -21,9 +23,9 @@
 //   summary goes to stderr.
 //
 //   Overload safety: --max-queue caps the miss architectures admitted but
-//   not yet answered, queued plus dispatching (a request that would cross
-//   it is shed whole, immediately, with the retryable `overloaded`
-//   error, unless nothing else is admitted), --deadline-ms stamps a default per-request deadline onto
+//   not yet answered (a request that would cross it is shed whole,
+//   immediately, with the retryable `overloaded` error, unless nothing
+//   else is admitted), --deadline-ms stamps a default deadline onto
 //   requests that carry none (expired requests answer
 //   `deadline_exceeded` without spending a predict slot), and
 //   --chaos wraps the listener in the deterministic fault-injection
@@ -54,7 +56,6 @@
 
 #include "common/argparse.hpp"
 #include "common/error.hpp"
-#include "common/parallel.hpp"
 #include "common/retry.hpp"
 #include "serve/chaos.hpp"
 #include "serve/client.hpp"
@@ -85,9 +86,6 @@ std::size_t size_flag(const esm::ArgParser& args, const std::string& name) {
 }
 
 int run_server(const esm::ArgParser& args) {
-  const int threads = static_cast<int>(args.get_int("threads"));
-  if (threads > 0) esm::set_thread_count(threads);
-
   esm::serve::ServeConfig config;
   config.artifact_path = args.get_string("model").empty()
                              ? args.get_string("manifest")
@@ -264,16 +262,15 @@ int main(int argc, char** argv) {
                   "write the bound port number to this file once listening");
   args.add_int("cache", 4096, "prediction cache capacity (0 disables)");
   args.add_int("max-batch", 64,
-               "architectures one dispatch round gathers, in whole request "
-               "lines, and the most one predict_all call prices (>= 1)");
+               "most miss architectures the reactor prices per wakeup, in "
+               "one predict_all call per model; a larger request is priced "
+               "across wakeups (>= 1)");
   args.add_double("summary-s", 10.0,
                   "seconds between stderr stats summaries (0 disables)");
-  args.add_int("threads", 0,
-               "prediction threads (0 = ESM_THREADS / serial default)");
   args.add_double("idle-timeout-s", 0.0,
                   "drop connections idle this long (0 = never)");
   args.add_int("max-queue", 0,
-               "cap on queued + dispatching miss architectures; a request "
+               "cap on admitted but unanswered miss architectures; a request "
                "that would cross it is shed whole with the retryable "
                "`overloaded` error (0 = unbounded)");
   args.add_int("deadline-ms", 0,

@@ -46,18 +46,20 @@
 #                         lowering into either sink, the accuracy proxy, the
 #                         constrained rank sort, the training step, the
 #                         in-place scanners of untrusted request bytes, the
-#                         epoll reactor, and the batcher's expiry and shed
+#                         epoll reactor, and flush()'s expiry and shed
 #                         paths), then a TSan build
 #                         running the linalg + fault + parallel + journal +
 #                         serve + fleet + frame + event-loop + overload +
 #                         chaos suites (journal writes sit on the ordered
 #                         reduction path of the thread pool; serve
-#                         drives the reactor, batcher, routing, and cache
-#                         concurrently from many clients; the event loop
+#                         drives the reactor, its flush(), routing, and
+#                         cache concurrently from many clients; the event loop
 #                         adds backpressure, drain, and the 10k-connection
 #                         pin; overload adds shedding and
 #                         deadline expiry races; chaos adds the seeded
-#                         fault decorators under the 10k-connection pin)
+#                         fault decorators under the 10k-connection pin;
+#                         serve and overload run five times each, so a
+#                         schedule-dependent failure fails the tier)
 #
 # Thread-count invariance is covered inside the suites themselves
 # (parallel_test pins 1-thread vs 8-thread bit-identity), so CI only needs
@@ -140,7 +142,7 @@ grep -qF "esm2 ok predict $ESM1_VALUE" "$SMOKE_DIR/serve2.out" \
 wait "$SERVE_PID" \
   || { echo "esm_serve exited non-zero after shutdown"; exit 1; }
 echo "loopback serve smoke test passed (esm1 + esm2)"
-# A round of 0 archs would never drain the batcher's queue: the server
+# A round of 0 archs would never drain the pending queue: the server
 # must refuse --max-batch 0 at startup (exit non-zero) instead of serving
 # requests it can never answer. timeout's 124 means it started serving.
 ZERO_BATCH_STATUS=0
@@ -359,7 +361,7 @@ echo "== asan+ubsan tier (common + journal + linalg + encoding + surrogate + esm
 # and the training step indexes its workspace and the kernel's
 # row-interleaved column tail.
 # event_loop_test drives the epoll reactor's connection lifetimes, and
-# overload_test the batcher's dequeue-time expiry and admission shedding,
+# overload_test flush()'s dequeue-time expiry and admission shedding,
 # where every request is answered once. UBSan aborts on its first report
 # here (-fno-sanitize-recover), so any finding fails the tier.
 cmake -B build-asan-ubsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -373,14 +375,18 @@ ctest --test-dir build-asan-ubsan --output-on-failure \
   -R '^(common_test|journal_test|linalg_test|encoding_test|surrogate_test|surrogate_registry_test|esm_test|corruption_test|nets_test|nn_test|nas_test|search_test|ml_test|serve_test|frame_test|arch_fuzz_test|event_loop_test|overload_test)$'
 
 echo "== tsan tier (linalg + fault + parallel + journal + serve + fleet + event loop + overload + chaos + search) =="
-# event_loop_test puts the reactor thread, the batcher threads, and the
-# client driver threads under TSan at once — including the 10k-connection
-# headline test, which is the strongest cross-thread interleaving we have.
-# serve_test drives the same reactor from eight concurrent clients, hot
-# reloads under traffic, and routed fleet requests. overload_test adds
-# admission shedding and dequeue-time deadline expiry racing the batcher;
-# chaos_test adds the seeded fault decorators under the 10k chaos+overload
-# pin, the widest interleaving in the repo.
+# event_loop_test puts the reactor thread, which also prices every miss in
+# its flush(), the search worker, and the client driver threads under TSan
+# at once — including the 10k-connection headline test, which is the
+# strongest cross-thread interleaving we have. serve_test drives the same
+# reactor from eight concurrent clients, hot reloads under traffic, and
+# routed fleet requests. overload_test adds admission shedding and
+# dequeue-time deadline expiry, with Gate tests holding a round in a helper
+# thread's flush() while the test thread admits and sheds; chaos_test adds
+# the seeded fault decorators under the 10k chaos+overload pin, the widest
+# interleaving in the repo. serve_test and overload_test run five times
+# each (--repeat until-fail:5), so a failure that depends on the schedule
+# fails the tier rather than one run in several.
 # search_test runs long searches through predict_all on the pool while the
 # server sheds and expires concurrent search requests.
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -389,6 +395,8 @@ cmake --build build-tsan -j "$JOBS" \
   --target linalg_test fault_test parallel_test journal_test serve_test \
   fleet_test frame_test event_loop_test overload_test chaos_test search_test
 ctest --test-dir build-tsan --output-on-failure \
-  -R '^(linalg_test|fault_test|parallel_test|journal_test|serve_test|fleet_test|frame_test|event_loop_test|overload_test|chaos_test|search_test)$'
+  -R '^(linalg_test|fault_test|parallel_test|journal_test|fleet_test|frame_test|event_loop_test|chaos_test|search_test)$'
+ctest --test-dir build-tsan --output-on-failure --repeat until-fail:5 \
+  -R '^(serve_test|overload_test)$'
 
 echo "CI full tier passed."

@@ -4,8 +4,9 @@
 // buffer, so a lookup allocates nothing); any string works as a key.
 // Values are the exact predicted doubles, so a cache hit returns the same
 // bits the miss path computed. Sharding keeps lock contention bounded when
-// the reactor and the batcher look up concurrently: each key hashes to one
-// shard with its own mutex and LRU list.
+// several threads (in-process callers beside the reactor) look up
+// concurrently: each key hashes to one shard with its own mutex and LRU
+// list.
 #pragma once
 
 #include <cstddef>

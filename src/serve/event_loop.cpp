@@ -139,6 +139,9 @@ struct EventLoop::Impl {
   Poller poller;
   int wake_read_fd = -1;
   int wake_write_fd = -1;
+  /// Set while a wake is already due: a byte sits in the pipe, or the
+  /// reactor is awake between a poll's return and its next check of the
+  /// pending lists, so completions it produces itself write nothing.
   std::atomic<bool> wake_pending{false};
 
   std::vector<std::shared_ptr<Listener>> listeners;
@@ -155,6 +158,10 @@ struct EventLoop::Impl {
   bool draining = false;
   bool drain_swept = false;
   std::size_t outstanding = 0;  ///< completions not yet delivered
+  /// Lines may wait for flush(): a request was handed to the server since
+  /// the last flush(), or that flush() left lines unpriced. The next poll
+  /// must not sleep.
+  bool flush_due = false;
   /// pending_completions' capacity, reserved on the reactor ahead of
   /// `outstanding` so a completion callback queues without allocating.
   std::size_t completion_slots = 0;
@@ -191,7 +198,6 @@ struct EventLoop::Impl {
   }
 
   void drain_wake_pipe() {
-    wake_pending.store(false, std::memory_order_release);
     char buf[256];
     while (::read(wake_read_fd, buf, sizeof(buf)) > 0) {
     }
@@ -349,11 +355,12 @@ struct EventLoop::Impl {
   }
 
   /// Hands one parsed request to the server core. The completion callback
-  /// may fire inline (cache hit, control verb) or later from the batcher
-  /// thread; either way it renders the response for this connection's
-  /// protocol and queues it back to the reactor. It never throws: its
-  /// queue slot is reserved here, and a response it cannot render drops
-  /// the connection instead, so `outstanding` always falls back to zero.
+  /// fires inline (cache hit, control verb), from the reactor's flush()
+  /// (a miss), or from the search worker; either way it renders the
+  /// response for this connection's protocol and queues it back to the
+  /// reactor. It never throws: its queue slot is reserved here, and a
+  /// response it cannot render drops the connection instead, so
+  /// `outstanding` always falls back to zero.
   void submit(Conn& conn, const ParsedRequest& request, std::size_t wire_bytes,
               std::uint8_t verb_byte, std::uint64_t request_id = 0) {
     if (outstanding >= completion_slots) {
@@ -366,6 +373,7 @@ struct EventLoop::Impl {
     const Proto proto = conn.proto;
     ++conn.inflight;
     ++outstanding;
+    flush_due = true;
     owner.requests_.fetch_add(1, std::memory_order_relaxed);
     const Clock::time_point start = Clock::now();
     server.handle_request(
@@ -603,7 +611,10 @@ struct EventLoop::Impl {
     std::vector<Completion> completions;
     std::vector<std::uint64_t> ready;
     for (;;) {
-      // Work queued by other threads skips the poll sleep entirely.
+      // From here until the poll returns, a completion from another thread
+      // (the search worker, a notifier) writes the wake pipe. Work already
+      // queued, or lines due for flush(), skip the poll sleep entirely.
+      wake_pending.store(false, std::memory_order_release);
       bool have_pending;
       {
         std::lock_guard<std::mutex> lock(pending_mutex);
@@ -611,12 +622,15 @@ struct EventLoop::Impl {
                        !pending_ready.empty() || pending_accept;
       }
       events.clear();
-      poller.wait(events, have_pending ? 0 : config.tick_ms);
-      drain_wake_pipe();
+      poller.wait(events, have_pending || flush_due ? 0 : config.tick_ms);
+      wake_pending.store(true, std::memory_order_release);
 
       // Fd events: listeners accept, connections read/flush.
       for (const Poller::Event& event : events) {
-        if (event.fd == wake_read_fd) continue;
+        if (event.fd == wake_read_fd) {
+          drain_wake_pipe();
+          continue;
+        }
         bool was_listener = false;
         for (const std::shared_ptr<Listener>& listener : listeners) {
           if (listener->poll_fd() == event.fd) {
@@ -642,16 +656,10 @@ struct EventLoop::Impl {
       }
 
       // Fd-less work signalled through the wake pipe.
-      completions.clear();
       ready.clear();
       bool check_accept = false;
       {
         std::lock_guard<std::mutex> lock(pending_mutex);
-        // Moved out, not swapped: pending_completions keeps the capacity
-        // submit() reserved for the completions still outstanding.
-        completions.assign(std::make_move_iterator(pending_completions.begin()),
-                           std::make_move_iterator(pending_completions.end()));
-        pending_completions.clear();
         ready.swap(pending_ready);
         check_accept = pending_accept;
         pending_accept = false;
@@ -667,6 +675,21 @@ struct EventLoop::Impl {
         read_conn(*conn);
         conn = find_conn(id);
         if (conn != nullptr) flush_conn(*conn);
+      }
+
+      // Every ready connection has been read: the misses of this wakeup
+      // form one round, priced here, and their completions (like every
+      // inline one) are written below, in this same pass.
+      flush_due = server.flush();
+
+      completions.clear();
+      {
+        std::lock_guard<std::mutex> lock(pending_mutex);
+        // Moved out, not swapped: pending_completions keeps the capacity
+        // submit() reserved for the completions still outstanding.
+        completions.assign(std::make_move_iterator(pending_completions.begin()),
+                           std::make_move_iterator(pending_completions.end()));
+        pending_completions.clear();
       }
       for (Completion& completion : completions) {
         apply_completion(completion);

@@ -13,10 +13,15 @@
 //   - Requests are handed to PredictionServer::handle_request, the
 //     transport-agnostic core, so both protocols answer bit-identically
 //     and share one metrics sink. Cache hits and control verbs complete
-//     inline; prediction misses complete from the batcher thread.
-//     Completions are queued back to the reactor (self-pipe wake) and
-//     written from the loop thread — handlers never block the loop and
-//     never touch a connection from another thread.
+//     inline. Each wakeup reads every ready connection, then calls
+//     PredictionServer::flush() once, which prices the wakeup's misses as
+//     one round (at most max_batch archs; a larger predict_batch is priced
+//     across wakeups, the poll not sleeping in between), then writes the
+//     pass's completions. A miss never leaves the loop thread, and a
+//     completion produced on it writes no wake byte. Only searches
+//     complete on another thread (the search worker); their completions
+//     are queued back through the self-pipe, so nothing touches a
+//     connection from another thread.
 //   - esm1 responses are released strictly in request order per connection
 //     (a per-connection sequence holds completed-out-of-order responses
 //     until their turn); esm2 responses are written the moment they

@@ -122,7 +122,7 @@ struct FleetModel {
 };
 
 /// An immutable fleet snapshot: the server swaps a shared_ptr<const
-/// ModelFleet> on reload, so the front end and the batcher always see one
+/// ModelFleet> on reload, so the front end and flush() always see one
 /// coherent fleet (requests already routed finish on the fleet they were
 /// routed against).
 class ModelFleet {

@@ -22,9 +22,9 @@
 // `shed` counts the error lines answered `overloaded` (admission control
 // turned them away) and `expired` those answered `deadline_exceeded`, so
 // shed + expired <= errors and the requests identity is untouched.
-// `degraded` is a 0/1 gauge (the batcher is currently shrinking its batch
-// cap while the queued plus dispatching miss archs stay above half of
-// max_queue) and `degraded_entries` counts transitions into that mode.
+// `degraded` is a 0/1 gauge (flush() is currently halving its round cap
+// while the admitted miss archs stay at half of max_queue or more) and
+// `degraded_entries` counts transitions into that mode.
 //
 // Fleet extension of the contract: every prediction-line counter lives in
 // exactly one per-model section — the model the request routed to, or the
@@ -126,7 +126,7 @@ struct MetricsSnapshot {
   std::uint64_t errors = 0;    ///< lines answered with a structured error
   std::uint64_t shed = 0;      ///< of errors: admission control (overloaded)
   std::uint64_t expired = 0;   ///< of errors: deadline_exceeded
-  std::uint64_t degraded = 0;  ///< 0/1: batcher currently in degraded mode
+  std::uint64_t degraded = 0;  ///< 0/1: flush() currently in degraded mode
   std::uint64_t degraded_entries = 0;  ///< transitions into degraded mode
   std::uint64_t archs = 0;     ///< individual architectures priced
   std::uint64_t arch_hits = 0;
@@ -154,8 +154,8 @@ struct MetricsSnapshot {
   std::vector<std::pair<std::string, ModelCounters>> per_model;
 };
 
-/// Thread-safe metrics sink owned by the server; the front end and the
-/// batcher record into it concurrently.
+/// Thread-safe metrics sink owned by the server; the reactor, in-process
+/// flush() callers and the search worker record into it concurrently.
 class ServerMetrics {
  public:
   ServerMetrics();
@@ -201,10 +201,10 @@ class ServerMetrics {
   /// count_predict_line/count_error like any prediction line (so
   /// the requests identity holds); search evaluations deliberately stay
   /// out of the arch counters (archs == arch_hits + arch_misses ==
-  /// batched_archs tracks the batcher only).
+  /// batched_archs tracks flush() only).
   void count_search(std::uint64_t evaluations);
 
-  /// Tracks the batcher's degraded mode: set_degraded(true) on entry (also
+  /// Tracks flush()'s degraded mode: set_degraded(true) on entry (also
   /// counts the transition), set_degraded(false) on recovery. Idempotent.
   void set_degraded(bool degraded);
 

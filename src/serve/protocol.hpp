@@ -33,7 +33,7 @@
 // that unit; omitted features take the space's first option). This is the
 // exact grammar `esm_cli measure --archs` files and `predict --stdin` use.
 // One scanner in protocol.cpp walks it in place; parse_arch_request() (an
-// ArchConfig, for the CLI and the batcher) and arch_cache_key() (the
+// ArchConfig, for the CLI and flush()) and arch_cache_key() (the
 // packed key a served predict looks up) are thin layers over it.
 //
 // Response grammar (one line per request, in request order):

@@ -39,8 +39,8 @@ bool is_prediction_verb(const std::string& verb) {
 }
 
 /// Hands a callback its one answer. A callback that throws has nowhere
-/// left to report to; swallowing it keeps the caller (the batcher or
-/// search thread, the reactor) alive, and nothing answers it again.
+/// left to report to; swallowing it keeps the caller (the reactor or the
+/// search thread) alive, and nothing answers it again.
 template <typename Callback, typename... Args>
 void answer(Callback& done, Args&&... args) noexcept {
   try {
@@ -69,7 +69,6 @@ PredictionServer::PredictionServer(ServeConfig config)
               "max_batch must be at least 1: a round of 0 archs never "
               "drains the queue");
   install_source(config_.artifact_path);
-  batcher_thread_ = std::thread([this] { batcher_loop(); });
   search_thread_ = std::thread([this] { search_loop(); });
   if (config_.summary_period_s > 0.0) {
     summary_thread_ = std::thread([this] { summary_loop(); });
@@ -294,7 +293,7 @@ std::optional<Reply> PredictionServer::handle_predict(
   }
 
   // Hits are read and every miss's ArchConfig is built from the same text
-  // here, so the batcher only prices. A single predict's hit goes payload
+  // here, so flush() only prices. A single predict's hit goes payload
   // -> packed key -> cache -> reply: no ArchConfig and no string beyond
   // the reply's own payload.
   Pending line;
@@ -565,11 +564,11 @@ std::optional<Reply> PredictionServer::enqueue(Pending& line,
   try {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     // Admission control: shed instead of queueing unboundedly. The cap
-    // counts the miss archs queued plus dispatching; a line is admitted or
-    // shed whole, inline (never a stall), and one larger than the cap is
-    // admitted when nothing else is. Nothing shed was admitted, so the
-    // drain guarantee ("every admitted line is answered") holds.
-    const std::size_t load = queued_archs_ + inflight_;
+    // counts the miss archs admitted but not yet answered; a line is
+    // admitted or shed whole, inline (never a stall), and one larger than
+    // the cap is admitted when nothing else is. Nothing shed was admitted,
+    // so the drain guarantee ("every admitted line is answered") holds.
+    const std::size_t load = admitted_archs_.load(std::memory_order_relaxed);
     shed = config_.max_queue != 0 && load != 0 &&
            load + archs > config_.max_queue;
     if (!shed) {
@@ -577,195 +576,144 @@ std::optional<Reply> PredictionServer::enqueue(Pending& line,
       queue_.emplace_back();
       line.done = std::move(done);
       queue_.back() = std::move(line);
-      queued_archs_ += archs;
+      admitted_archs_.fetch_add(archs, std::memory_order_release);
     }
   } catch (...) {
     return fail(section, std::current_exception(), ErrorCode::bad_arch);
   }
   if (shed) return fail(section, ErrorCode::overloaded, kShedDetail);
-  queue_cv_.notify_one();
   return std::nullopt;
 }
 
-void PredictionServer::batcher_loop() {
-  // Degraded mode: under sustained pressure the dispatch cap halves, so
-  // rounds turn around faster and deadline checks run more often; the mode
-  // lifts once the load falls well below the pressure threshold. The load
-  // is what admission counts against max_queue: the miss archs queued now
-  // plus the round that just finished, which held its slots while they
-  // arrived.
-  const std::size_t pressure_threshold =
-      config_.max_queue > 0
-          ? std::max<std::size_t>(1, config_.max_queue / 2)
-          : config_.max_batch * 2;
-  constexpr std::size_t kPressureRoundsToDegrade = 4;
-  std::size_t pressure_rounds = 0;
-  bool degraded = false;
-  std::size_t last_round = 0;
-  for (;;) {
-    std::vector<Pending> round;
-    std::size_t cap = 0;
-    {
-      std::unique_lock<std::mutex> lock(queue_mutex_);
-      // A batcher that goes idle has no round holding slots any more.
-      if (queue_.empty()) last_round = 0;
-      queue_cv_.wait(lock,
-                     [this] { return !queue_.empty() || batcher_stop_; });
-      if (queue_.empty()) {
-        // Stop requested and queue drained.
-        if (degraded) metrics_.set_degraded(false);
-        return;
-      }
-      const std::size_t load = queued_archs_ + last_round;
-      if (load >= pressure_threshold) {
-        if (++pressure_rounds >= kPressureRoundsToDegrade && !degraded) {
-          degraded = true;
-          metrics_.set_degraded(true);
-        }
-      } else {
-        pressure_rounds = 0;
-        if (degraded && load <= pressure_threshold / 2) {
-          degraded = false;
-          metrics_.set_degraded(false);
-        }
-      }
-      cap = degraded ? std::max<std::size_t>(1, config_.max_batch / 2)
-                     : config_.max_batch;
-      // Whole lines, oldest first, while they fit in `cap` archs:
-      // everything that accumulated while the previous round was in flight
-      // coalesces into this one, and a line larger than the cap rides alone.
-      std::size_t lines = 0;
-      std::size_t archs = 0;
-      while (lines < queue_.size() &&
-             (lines == 0 || archs + queue_[lines].misses.size() <= cap)) {
-        archs += queue_[lines++].misses.size();
-      }
-      try {
-        round.reserve(lines);
-      } catch (...) {
-        // No room for the round: the oldest line takes the failure, so the
-        // batcher still makes progress.
-        Pending oldest = std::move(queue_.front());
-        queue_.pop_front();
-        queued_archs_ -= oldest.misses.size();
-        inflight_ += oldest.misses.size();
-        lock.unlock();
-        oldest.error = std::current_exception();
-        finish(oldest);
-        continue;
-      }
-      for (std::size_t i = 0; i < lines; ++i) {
-        round.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-      queued_archs_ -= archs;
-      inflight_ += archs;
-      last_round = archs;
+bool PredictionServer::flush() {
+  // A wakeup with nothing admitted reads one atomic: no lock, no syscall.
+  if (admitted_archs_.load(std::memory_order_acquire) == 0) return false;
+  std::lock_guard<std::mutex> flush_lock(flush_mutex_);
+  // Degraded mode, under admission control: once four rounds in a row
+  // start with the admitted misses at half of max_queue or more, the round
+  // cap halves, so the reactor returns to its sockets sooner and admission
+  // frees slots in smaller steps (DESIGN.md §6j measured the goodput this
+  // buys); the mode lifts once the load falls to a quarter of the cap.
+  if (config_.max_queue != 0) {
+    const std::size_t half = std::max<std::size_t>(1, config_.max_queue / 2);
+    const std::size_t load = admitted_archs_.load(std::memory_order_relaxed);
+    pressure_rounds_ = load >= half ? pressure_rounds_ + 1 : 0;
+    if (!degraded_ && pressure_rounds_ >= 4) {
+      degraded_ = true;
+      metrics_.set_degraded(true);
+    } else if (degraded_ && load <= half / 2) {
+      degraded_ = false;
+      metrics_.set_degraded(false);
     }
-    // Dequeue-time expiry: a line whose deadline passed while queued is
-    // answered before anything is priced, and spends no predict_all slot.
-    const Clock::time_point now = Clock::now();
-    const auto expired = std::stable_partition(
-        round.begin(), round.end(), [now](const Pending& line) {
-          return !deadline_passed(line.deadline, now);
-        });
-    for (auto line = expired; line != round.end(); ++line) finish(*line, true);
-    round.erase(expired, round.end());
-    dispatch_round(round, cap);
   }
+  const std::size_t cap =
+      degraded_ ? std::max<std::size_t>(1, config_.max_batch / 2)
+                : config_.max_batch;
+  // Whole lines, oldest first, until the round holds `cap` unpriced archs:
+  // everything admitted since the last call coalesces into this one, and
+  // only the last line may be priced in part.
+  std::size_t archs = 0;
+  for (const Pending& line : round_) archs += line.misses.size() - line.priced;
+  {
+    std::lock_guard<std::mutex> lock(queue_mutex_);
+    try {
+      for (; !queue_.empty() && archs < cap; queue_.pop_front()) {
+        round_.push_back(std::move(queue_.front()));
+        archs += round_.back().misses.size();
+      }
+    } catch (...) {
+      // No room in the round: the lines left wait for the next call.
+    }
+  }
+  // Dequeue-time expiry: a line whose deadline passed while it waited is
+  // answered before anything is priced, and spends no predict_all slot.
+  const Clock::time_point now = Clock::now();
+  std::size_t live = 0;
+  for (std::size_t i = 0; i < round_.size(); ++i) {
+    if (round_[i].priced == 0 && deadline_passed(round_[i].deadline, now)) {
+      finish(round_[i], true);
+    } else if (live++ != i) {
+      round_[live - 1] = std::move(round_[i]);
+    }
+  }
+  round_.resize(live);
+  price_round(cap);
+  // Every fully priced line is answered; a partly priced last one stays
+  // for the next call.
+  for (Pending& line : round_) {
+    if (line.priced == line.misses.size()) finish(line);
+  }
+  if (!round_.empty() && round_.back().priced < round_.back().misses.size()) {
+    round_.erase(round_.begin(), round_.end() - 1);
+  } else {
+    round_.clear();
+  }
+  return admitted_archs_.load(std::memory_order_acquire) != 0;
 }
 
-void PredictionServer::dispatch_round(std::vector<Pending>& round,
-                                      std::size_t cap) {
-  // The fallback of every step that can fail: one miss priced alone. Its
-  // line keeps the first failure.
-  const auto price_alone = [](Pending& line, const Miss& miss,
-                              const ArchConfig& arch) noexcept {
-    try {
-      line.values[miss.index] = line.model->model->predict_ms(arch);
-    } catch (...) {
-      if (!line.error) line.error = std::current_exception();
-    }
+void PredictionServer::price_round(std::size_t cap) {
+  // Every line but the last is priced whole: lines join a round only while
+  // it holds fewer than `cap` archs. The last leaves `over` for later.
+  std::size_t archs = 0;
+  for (const Pending& line : round_) archs += line.misses.size() - line.priced;
+  const std::size_t over = archs > cap ? archs - cap : 0;
+  const auto end_of = [this, over](const Pending& line) {
+    return line.misses.size() - (&line == &round_.back() ? over : 0);
   };
-  struct Slot {
-    Pending* line;
-    Miss* miss;
-  };
-  std::vector<Slot> slots;
-  std::vector<ArchConfig> archs;
-  std::size_t misses = 0;
-  for (const Pending& line : round) misses += line.misses.size();
   try {
-    slots.reserve(misses);
-    archs.reserve(std::min(misses, cap));
+    batch_.reserve(archs - over);
   } catch (...) {
-    // No room to group the round: each miss is priced alone, as a batch
-    // of one.
-    for (Pending& line : round) {
-      for (const Miss& miss : line.misses) {
-        metrics_.count_batch(1, line.model->metrics);
-        price_alone(line, miss, miss.arch);
-      }
-      finish(line);
+    // No room to batch the round: its lines take the failure, and none of
+    // their misses counts as priced.
+    for (Pending& line : round_) {
+      if (!line.error) line.error = std::current_exception();
+      line.priced = end_of(line);
     }
     return;
   }
-  // Group the misses by model, models in the order the round first names
-  // them and each model's misses in line order: a group is priced against
-  // the model instance its lines were routed to, which their fleet
+  // One predict_all call per model, models in the order the round first
+  // names them and each model's misses in line order: a group is priced
+  // against the model instance its lines were routed to, which their fleet
   // snapshot keeps alive through a concurrent reload.
-  for (auto first = round.begin(); first != round.end(); ++first) {
-    const auto routed_alike = [&first](const Pending& line) {
-      return line.model.get() == first->model.get();
+  for (auto first = round_.begin(); first != round_.end(); ++first) {
+    const FleetModel* model = first->model.get();
+    const auto routed_here = [model](const Pending& line) {
+      return line.model.get() == model;
     };
-    if (std::any_of(round.begin(), first, routed_alike)) continue;
-    for (auto line = first; line != round.end(); ++line) {
-      if (!routed_alike(*line)) continue;
-      for (Miss& miss : line->misses) slots.push_back(Slot{&*line, &miss});
+    if (std::any_of(round_.begin(), first, routed_here)) continue;
+    // The group's archs move into the batch, uncopied.
+    batch_.clear();
+    for (auto line = first; line != round_.end(); ++line) {
+      if (!routed_here(*line)) continue;
+      for (std::size_t m = line->priced; m < end_of(*line); ++m) {
+        batch_.push_back(std::move(line->misses[m].arch));
+      }
     }
-  }
-  // Each group goes to predict_all in chunks of at most `cap` archs,
-  // moved in, not copied, and its lines are answered once it is priced.
-  for (std::size_t begin = 0; begin < slots.size();) {
-    const FleetModel& model = *slots[begin].line->model;
-    std::size_t end = begin + 1;
-    while (end < slots.size() && end - begin < cap &&
-           slots[end].line->model.get() == &model) {
-      ++end;
-    }
-    metrics_.count_batch(end - begin, model.metrics);
-    archs.clear();
-    for (std::size_t k = begin; k < end; ++k) {
-      archs.push_back(std::move(slots[k].miss->arch));
-    }
+    metrics_.count_batch(batch_.size(), model->metrics);
     std::vector<double> values;  // stays empty when the batch fails
     try {
-      values = model.model->predict_all(archs);
+      values = model->model->predict_all(batch_);
     } catch (...) {
       // Per-arch fallback below: one failing architecture (e.g. a layer a
       // device-less LUT never profiled) must not poison the coalesced
       // lines of other clients.
     }
-    for (std::size_t k = begin; k < end; ++k) {
-      Pending& line = *slots[k].line;
-      const Miss& miss = *slots[k].miss;
-      if (values.empty()) {
-        price_alone(line, miss, archs[k - begin]);
-      } else {
-        line.values[miss.index] = values[k - begin];
+    std::size_t k = 0;
+    for (auto line = first; line != round_.end(); ++line) {
+      if (!routed_here(*line)) continue;
+      for (const std::size_t end = end_of(*line); line->priced < end; ++k) {
+        const Miss& miss = line->misses[line->priced++];
+        try {
+          line->values[miss.index] =
+              values.empty() ? model->model->predict_ms(batch_[k]) : values[k];
+        } catch (...) {
+          // Priced alone, the arch failed: its line keeps the first failure.
+          if (!line->error) line->error = std::current_exception();
+        }
       }
     }
-    begin = end;
-    if (begin == slots.size() || slots[begin].line->model.get() != &model) {
-      for (Pending& line : round) {
-        if (line.model.get() == &model) finish(line);
-      }
-    }
-    // The batcher offers its CPU between calls: a front end whose wake-up
-    // put the batcher on its CPU waits out one predict_all call, not a
-    // whole round.
-    if (begin < slots.size()) std::this_thread::yield();
   }
+  batch_.clear();
 }
 
 void PredictionServer::finish(Pending& line, bool expired) noexcept {
@@ -792,8 +740,7 @@ void PredictionServer::finish(Pending& line, bool expired) noexcept {
   answer(line.done, std::move(reply));
   // A line holds its admission slots until it is answered, and no longer:
   // a client that sends again on its reply finds them free.
-  std::lock_guard<std::mutex> lock(queue_mutex_);
-  inflight_ -= line.misses.size();
+  admitted_archs_.fetch_sub(line.misses.size(), std::memory_order_acq_rel);
 }
 
 void PredictionServer::summary_loop() {
@@ -828,16 +775,12 @@ void PredictionServer::wait() {
     }
     joining_ = true;
   }
-  // The batcher finishes every queued prediction before exiting, so
+  // Every queued prediction is answered before the workers stop, so
   // completions a front end is still waiting on all fire.
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    batcher_stop_ = true;
+  while (flush()) {
   }
-  queue_cv_.notify_all();
-  if (batcher_thread_.joinable()) batcher_thread_.join();
   // The search worker finishes every admitted search before exiting, same
-  // drain guarantee as the batcher.
+  // drain guarantee as the queue.
   {
     std::lock_guard<std::mutex> lock(search_mutex_);
     search_stop_ = true;

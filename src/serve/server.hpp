@@ -1,29 +1,28 @@
 // Long-running prediction server over a fleet of named models: loads a
 // fleet manifest (or a single `.esm` artifact, served as a one-model fleet
 // named "default"), routes each request to a model by its optional key,
-// coalesces pending predictions into per-model batches dispatched through
-// predict_all (and so the shared thread pool), answers repeats from each
-// model's own sharded LRU cache, hot-swaps the whole fleet on `reload`
-// between batches, and drains in-flight requests before stopping. The
-// server owns no transport: the epoll event loop (serve/event_loop.hpp)
-// is its front end.
+// coalesces pending predictions into per-model predict_all calls, answers
+// repeats from each model's own sharded LRU cache, hot-swaps the whole
+// fleet on `reload` between rounds, and drains in-flight requests before
+// stopping. The server owns no transport: the epoll event loop
+// (serve/event_loop.hpp) is its front end.
 //
 // Threading model:
 //   - handle_request() is the transport-agnostic core: the front end hands
 //     it a split request plus a completion callback. Cache hits, control
 //     verbs, and errors complete inline on the calling thread; a predict
-//     or predict_batch line with any miss parks on the shared pending
-//     queue as ONE entry (its hits filled in, its misses listed) and
-//     completes from the batcher thread. The event loop posts completions
-//     back to its reactor, so thousands of connections share one I/O
-//     thread.
-//   - one batcher thread drains the pending queue in whole lines: whatever
-//     accumulated while the previous round was in flight, while it fits in
-//     ServeConfig::max_batch miss archs (always at least one line). Its
-//     misses are grouped by model into predict_all calls of at most
-//     max_batch archs, so concurrent singles from different clients
-//     coalesce automatically with no timer. Each line is answered exactly
-//     once (finish()), as soon as its model's misses are priced.
+//     or predict_batch line with any miss parks on the pending queue as
+//     ONE entry (its hits filled in, its misses listed) and completes from
+//     flush().
+//   - flush() prices one round on the calling thread: the queue's oldest
+//     ServeConfig::max_batch miss archs, in one predict_all call per
+//     model, and answers each line exactly once (finish()) as soon as its
+//     last miss is priced. A line with more misses than max_batch is
+//     priced across successive calls. The event loop calls flush() once
+//     per wakeup, after reading every ready connection, so the misses of
+//     one wakeup coalesce with no timer and no second thread, and the
+//     completion never leaves the reactor. One mutex serializes flush()
+//     for in-process callers.
 //   - one search worker thread runs admitted `search` requests (whole NAS
 //     queries, nas/search/engine.hpp) to completion one at a time, so a
 //     long search never blocks point predictions. Admission control
@@ -39,13 +38,14 @@
 //     cache travels with it: an unchanged entry (same name, same artifact
 //     CRC) keeps its warm cache across the swap, while replaced models get
 //     a fresh generation and an empty cache.
-//   - request_stop()/wait() drain: the batcher finishes the queue and the
-//     search worker every admitted search, then every thread is joined. No
-//     admitted request is dropped. The front end drains first (the event
-//     loop answers every request already on the wire), then stops the
-//     server.
+//   - request_stop()/wait() drain: wait() flushes until the queue is
+//     empty, the search worker finishes every admitted search, then every
+//     thread is joined. No admitted request is dropped. The front end
+//     drains first (the event loop answers every request already on the
+//     wire), then stops the server.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -70,10 +70,11 @@ namespace esm::serve {
 
 /// Invoked exactly once with the outcome of one request handled through
 /// PredictionServer::handle_request — inline on the calling thread for
-/// cache hits, control verbs, and errors, or from the batcher thread for
-/// predictions that had to be computed. Must not throw: the server gives
-/// the callback up before invoking it and swallows a throw, so a callback
-/// that throws is still invoked only once, but its reply is lost.
+/// cache hits, control verbs, and errors, from flush() for predictions
+/// that had to be computed, or from the search worker. Must not throw:
+/// the server gives the callback up before invoking it and swallows a
+/// throw, so a callback that throws is still invoked only once, but its
+/// reply is lost.
 using ReplyCallback = std::function<void(Reply&&)>;
 
 struct ServeConfig {
@@ -83,26 +84,24 @@ struct ServeConfig {
   std::size_t cache_capacity = 4096;    ///< per model; 0 disables caching
   std::size_t cache_shards = 8;
   std::size_t max_line_bytes = 64 * 1024;  ///< longer request lines error
-  /// Miss archs a dispatch round gathers in whole lines (a larger line
-  /// rides alone) and the most one predict_all call prices. >= 1.
+  /// Miss archs one flush() prices, oldest first, in one predict_all call
+  /// per model; a line with more is priced across calls. >= 1.
   std::size_t max_batch = 64;
   std::size_t max_batch_archs = 1024;   ///< archs per predict_batch request
   double summary_period_s = 0.0;        ///< >0: periodic stderr summary
 
   // Overload protection. Both default off, which keeps the pre-overload
   // behaviour (and wire bytes) exactly.
-  /// Cap on miss archs admitted but not yet answered: those of the queued
-  /// lines plus the dispatching round's until each is answered. A line that
-  /// would cross it is answered `overloaded` at once, whole, unless nothing
-  /// else is admitted. 0 = unbounded.
+  /// Cap on miss archs admitted but not yet answered. A line that would
+  /// cross it is answered `overloaded` at once, whole, unless nothing else
+  /// is admitted. 0 = unbounded.
   std::size_t max_queue = 0;
   /// Deadline applied to prediction requests that carry none of their own
   /// (esm2 v2 header field or esm1 "deadline=<ms>" token). 0 = none.
   std::uint32_t default_deadline_ms = 0;
 
-  // NAS search serving (PR 10). Searches run on one dedicated worker
-  // thread so a long-running NAS query can never stall the prediction
-  // batcher or the reactor.
+  // NAS search serving. Searches run on one dedicated worker thread so a
+  // long-running NAS query can never stall the reactor's predictions.
   /// Cap on searches admitted but not yet answered (queued plus running);
   /// one beyond it is answered `overloaded` immediately. 0 = unbounded.
   std::size_t max_search_queue = 0;
@@ -115,7 +114,7 @@ struct ServeConfig {
 class PredictionServer {
  public:
   /// Loads the fleet (each artifact read once: identity CRC32 + parse
-  /// share the buffer) and starts the batcher. Throws esm::ConfigError
+  /// share the buffer) and starts the search worker. Throws esm::ConfigError
   /// when max_batch is 0 or the manifest or any artifact cannot be loaded.
   explicit PredictionServer(ServeConfig config);
 
@@ -129,9 +128,16 @@ class PredictionServer {
   /// answered. Idempotent, callable from any thread.
   void request_stop();
 
-  /// Blocks until a stop was requested and the batcher, the search worker,
-  /// and the summary thread have been joined.
+  /// Blocks until a stop was requested, then flushes until no line is
+  /// left and joins the search worker and the summary thread.
   void wait();
+
+  /// Prices one round on the calling thread: the oldest max_batch miss
+  /// archs queued (half that in degraded mode), in one predict_all call
+  /// per model, answering each line whose last miss is priced. Returns whether admitted lines remain
+  /// unanswered (call again). With nothing queued it takes no lock.
+  /// Callable from any thread; one mutex serializes concurrent calls.
+  bool flush();
 
   MetricsSnapshot metrics() const { return metrics_.snapshot(); }
 
@@ -153,8 +159,8 @@ class PredictionServer {
   /// both wire protocols of the event loop route here.
   /// `wire_bytes` is the request's on-the-wire size (line or frame payload
   /// length), used for the oversized check. `done` fires exactly once —
-  /// inline for cache hits, control verbs, and errors; from the batcher
-  /// thread for predictions that miss — and nothing throws out of this
+  /// inline for cache hits, control verbs, and errors; from a later
+  /// flush() for predictions that miss — and nothing throws out of this
   /// call: unexpected handler exceptions become server_error replies, and
   /// every error reply is counted once, from its code (fail()).
   void handle_request(const ParsedRequest& request, std::size_t wire_bytes,
@@ -162,7 +168,7 @@ class PredictionServer {
 
  private:
   /// One architecture of a line that missed the cache: its slot in the
-  /// line's values, its cache key, and the config the batcher prices.
+  /// line's values, its cache key, and the config flush() prices.
   struct Miss {
     std::size_t index = 0;
     std::string key;
@@ -170,7 +176,7 @@ class PredictionServer {
   };
 
   /// One predict or predict_batch line waiting for (or being priced by)
-  /// the batcher: the batcher's one entry per request line.
+  /// flush(): the queue's one entry per request line.
   struct Pending {
     /// Aliased into the fleet snapshot the line was routed against; keeps
     /// that fleet (its cache and stats section) alive until it is answered.
@@ -183,6 +189,7 @@ class PredictionServer {
     /// One value per arch of the line, its cache hits filled at admission.
     std::vector<double> values;
     std::vector<Miss> misses;
+    std::size_t priced = 0;  ///< misses priced by earlier rounds
     std::exception_ptr error;  ///< the first failure while pricing
     ReplyCallback done;
   };
@@ -235,7 +242,7 @@ class PredictionServer {
 
   /// Handles one predict (`batch` false) or predict_batch line: answers
   /// it inline when every arch hits the cache, else queues it whole as one
-  /// Pending whose misses the batcher prices.
+  /// Pending whose misses flush() prices.
   std::optional<Reply> handle_predict(
       std::string_view payload, bool batch,
       std::chrono::steady_clock::time_point deadline, ModelMetrics*& section,
@@ -255,15 +262,14 @@ class PredictionServer {
 
   /// Admits `line` whole and moves `done` into it, or returns the reply
   /// that answers it inline: `overloaded` when its misses would take the
-  /// archs queued plus dispatching, if any, past max_queue, server_error
-  /// when the queue cannot grow.
+  /// admitted archs, if any, past max_queue, server_error when the queue
+  /// cannot grow.
   std::optional<Reply> enqueue(Pending& line, ReplyCallback& done);
 
-  void batcher_loop();
-  /// Prices every miss of the round into its line's values, in predict_all
-  /// calls of at most `cap` archs per model, and finishes each model's
-  /// lines once that model's misses are priced.
-  void dispatch_round(std::vector<Pending>& round, std::size_t cap);
+  /// Prices the round's next `cap` unpriced misses, in line order, into
+  /// their lines' values: one predict_all call per model, each miss priced
+  /// alone when its call fails.
+  void price_round(std::size_t cap);
   /// Answers one line exactly once and releases its admission slots:
   /// caches its priced values and replies, or replies its expiry or first
   /// failure through fail().
@@ -297,14 +303,21 @@ class PredictionServer {
   bool search_stop_ = false;
 
   std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
   std::deque<Pending> queue_;
-  /// Miss archs of the queued lines, and of the dispatching round's lines
-  /// not yet answered: their sum is the admitted-but-unanswered total that
-  /// max_queue caps. Guarded by queue_mutex_.
-  std::size_t queued_archs_ = 0;
-  std::size_t inflight_ = 0;
-  bool batcher_stop_ = false;
+  /// Miss archs of the admitted lines not yet answered, the total that
+  /// max_queue caps; 0 exactly when no line is. Raised under queue_mutex_
+  /// as a line is queued, lowered once it is answered.
+  std::atomic<std::size_t> admitted_archs_{0};
+
+  /// flush()'s state, guarded by flush_mutex_: the lines of the round
+  /// being priced (the last may be carried, partly priced, into the next
+  /// call) and its predict_all batch, both keeping their capacity, and
+  /// degraded mode with the rounds in a row that started under pressure.
+  std::mutex flush_mutex_;
+  std::vector<Pending> round_;
+  std::vector<ArchConfig> batch_;
+  std::size_t pressure_rounds_ = 0;
+  bool degraded_ = false;
 
   std::mutex stop_mutex_;
   std::condition_variable stop_cv_;
@@ -312,7 +325,6 @@ class PredictionServer {
   bool joining_ = false;
   bool joined_ = false;
 
-  std::thread batcher_thread_;
   std::thread search_thread_;
   std::thread summary_thread_;
 };

@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "encoding/encoder.hpp"
 
@@ -56,30 +55,22 @@ std::vector<double> MlpSurrogate::predict_all(
   if (archs.empty()) return out;
 
   // Per-thread workspace reused across calls: once warmed to the largest
-  // batch seen, the serve batcher's steady state performs zero
-  // per-architecture heap allocations (fastpath_test pins this).
+  // batch seen, the server's steady state performs zero per-architecture
+  // heap allocations (fastpath_test pins this). Each row is written in
+  // place: encode_into fills it, then standardization runs over the same
+  // span — the exact operation sequence predict_ms applies to its own
+  // vector.
   struct FusedWorkspace {
     Matrix x;
     Mlp::Workspace mlp;
   };
-  static thread_local FusedWorkspace tl_ws;
-  // Bind through a local reference: a thread_local named inside the lambda
-  // below would resolve to each pool worker's own (empty) instance.
-  FusedWorkspace& ws = tl_ws;
+  static thread_local FusedWorkspace ws;
   ws.x.reshape(archs.size(), encoder_->dimension());
-  // Rows are independent, so encoding fans out over the pool; the grain
-  // keeps serving-size batches on the caller (the batched forward below
-  // dominates there anyway). Each row is written in place: encode_into
-  // fills it, then standardization runs over the same span — the exact
-  // operation sequence predict_ms applies to its own vector.
-  parallel_for(/*grain=*/64, archs.size(),
-               [&](std::size_t r0, std::size_t r1) {
-                 for (std::size_t r = r0; r < r1; ++r) {
-                   auto row = ws.x.row(r);
-                   encoder_->encode_into(archs[r], row);
-                   input_standardizer_.transform_row(row);
-                 }
-               });
+  for (std::size_t r = 0; r < archs.size(); ++r) {
+    auto row = ws.x.row(r);
+    encoder_->encode_into(archs[r], row);
+    input_standardizer_.transform_row(row);
+  }
   mlp_->predict_into(ws.x, out, ws.mlp);
   for (double& v : out) v = target_scaler_.inverse(v);
   return out;

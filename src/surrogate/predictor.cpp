@@ -1,17 +1,15 @@
 #include "surrogate/predictor.hpp"
 
-#include "common/parallel.hpp"
-
 namespace esm {
 
 std::vector<double> LatencyPredictor::predict_all(
     std::span<const ArchConfig> archs) const {
-  // Ordered parallel_map keeps output order and bit-identity at every
-  // thread count; a grain of a few archs amortizes the pool hand-off for
-  // cheap per-arch models.
-  return parallel_map(
-      archs.size(), [&](std::size_t i) { return predict_ms(archs[i]); },
-      /*grain=*/4);
+  // Serial on the caller's thread: the server prices misses on its
+  // reactor, where a pool fan-out would park the reactor on pool workers.
+  std::vector<double> out;
+  out.reserve(archs.size());
+  for (const ArchConfig& arch : archs) out.push_back(predict_ms(arch));
+  return out;
 }
 
 }  // namespace esm

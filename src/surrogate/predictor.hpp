@@ -21,10 +21,10 @@ class LatencyPredictor {
   /// Human-readable model name for tables ("MLP+fcc", "LUT+BC", ...).
   virtual std::string name() const = 0;
 
-  /// Batch prediction. The default fans out over the deterministic thread
-  /// pool (results in input order, bit-identical at any thread count);
-  /// surrogates whose predict_ms is not const-pure (e.g. the lazily
-  /// profiling LUT) override this with a serial loop, and the MLP-backed
+  /// Batch prediction on the caller's thread. The default is a serial
+  /// loop over predict_ms (results in input order); surrogates whose
+  /// predict_ms is not const-pure (e.g. the lazily profiling LUT) override
+  /// it with their own serial loop, and the MLP-backed
   /// surrogates override it with the fused encode->standardize->batched
   /// GEMM fast path (allocation-free once warm, still bit-identical to
   /// per-arch predict_ms).

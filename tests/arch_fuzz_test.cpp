@@ -341,7 +341,7 @@ TEST(ArchFuzzTest, ScannerMatchesTheReferenceTokenizer) {
     if (!want_batch.value) continue;
     ASSERT_EQ(keys.value->size(), want_batch.value->size());
     for (std::size_t i = 0; i < want_batch.value->size(); ++i) {
-      // A miss re-parses the element's text for the batcher.
+      // A miss re-parses the element's text for flush().
       ASSERT_TRUE(same_arch(
           serve::parse_arch_request(spec, (*keys.value)[i].text),
           (*want_batch.value)[i]));

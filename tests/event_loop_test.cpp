@@ -135,12 +135,12 @@ TEST(EventLoopTest, MixedProtocolsShareOneListenerConcurrently) {
 }
 
 TEST(EventLoopTest, Esm2CompletesOutOfOrderMatchedById) {
-  // Request 1 is a 64-arch batch routed through the batcher thread;
-  // request 2 is a control verb answered inline during the same parse
-  // pass, so over esm2 the inline answer normally overtakes the slow one
-  // on the wire. The scheduler can still let the batcher win a round
-  // (this box has one core), so the overtake is asserted across
-  // attempts, while the id<->verb matching must hold on every one.
+  // Request 1 is a 64-arch batch, priced by the reactor's flush() once the
+  // wakeup's reads are done; request 2 is a control verb answered inline
+  // during the parse pass, so over esm2 the inline answer normally
+  // overtakes the slow one on the wire. A read that splits the two frames
+  // across wakeups lets the batch go first, so the overtake is asserted
+  // across attempts, while the id<->verb matching must hold on every one.
   ServeConfig config = serve_config(artifact());
   config.cache_capacity = 0;  // keep the batch a miss on every attempt
   Harness harness(config);
@@ -167,7 +167,7 @@ TEST(EventLoopTest, Esm2CompletesOutOfOrderMatchedById) {
     overtook = first.request_id == 2u;
     channel->close();
   }
-  EXPECT_TRUE(overtook) << "inline response never overtook the batcher";
+  EXPECT_TRUE(overtook) << "inline response never overtook the batch";
 }
 
 TEST(EventLoopTest, Esm1ResponsesStayInRequestOrder) {
@@ -248,7 +248,7 @@ TEST(EventLoopTest, MalformedFrameMatrixAnswersThenCloses) {
     ASSERT_TRUE(channel->send(valid + "garbage that is not a frame"));
     // Both frames must arrive (the valid request answered, the garbage
     // closed out), but esm2 completion order is intentionally unordered:
-    // the inline bad_frame error may overtake the batcher-path predict.
+    // the inline bad_frame error may overtake the flushed predict.
     std::string buffer;
     std::map<std::uint64_t, Frame> frames;
     for (int i = 0; i < 2; ++i) {
@@ -474,8 +474,8 @@ TEST(EventLoopTest, DrainAnswersEverythingOnTheWire) {
   Harness harness(serve_config(artifact()));
   constexpr std::size_t kClients = 16;
   constexpr std::size_t kPerClient = 25;
-  // Distinct archs everywhere, so every request is a miss that is still
-  // queued in the batcher when the drain begins.
+  // Distinct archs everywhere, so every request is a miss that may still
+  // be queued for flush() when the drain begins.
   const std::vector<std::string> pool = arch_pool(kClients * kPerClient);
   std::vector<std::shared_ptr<ClientChannel>> channels;
   for (std::size_t c = 0; c < kClients; ++c) {

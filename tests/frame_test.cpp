@@ -3,14 +3,20 @@
 // with the wire strings pinned, frame encode/decode round trips for every
 // shape, the truncation matrix (every proper prefix parses as need_more),
 // the corruption matrix (a flipped byte in any section is rejected), the
-// hostile-length bound, and pipelined multi-frame decoding.
+// hostile-length bound, pipelined multi-frame decoding, and seeded
+// generated input for the two decoders the reactor runs: esm2 streams fed
+// in two chunks at every split point and mutated, and mutated esm1 lines
+// through split_request, the deadline token and the model key.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/rng.hpp"
+#include "fuzz_mutator.hpp"
 #include "serve/error.hpp"
 #include "serve/frame.hpp"
 #include "serve/protocol.hpp"
@@ -384,6 +390,234 @@ TEST(FrameTest, GarbageAfterValidFrameIsRejectedNotSkipped) {
   ASSERT_EQ(parse_frame(buffer, frame, error, kCap), FrameParse::ok);
   EXPECT_EQ(frame.request_id, 5u);
   EXPECT_EQ(parse_frame(buffer, frame, error, kCap), FrameParse::bad);
+}
+
+// -- generated input -------------------------------------------------------
+
+/// A seeded pipelined stream of v1 and v2 request frames: random verb
+/// bytes, ids, deadlines and payloads. `frames` receives each frame.
+std::string random_stream(Rng& rng, std::vector<Frame>& frames) {
+  static constexpr std::string_view kAlphabet = "0123456789,:;ke. _adxyz";
+  std::string stream;
+  const int count = rng.uniform_int(1, 6);
+  for (int f = 0; f < count; ++f) {
+    Frame frame;
+    frame.request_id = rng();
+    frame.verb = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    frame.deadline_ms =
+        rng.uniform_int(0, 1) == 0 ? 0 : static_cast<std::uint32_t>(rng());
+    const int length = rng.uniform_int(0, 40);
+    for (int i = 0; i < length; ++i) {
+      frame.payload += kAlphabet[rng.uniform_u64(kAlphabet.size())];
+    }
+    stream += encode_frame(frame.request_id, frame.verb, frame.payload,
+                           frame.deadline_ms);
+    frames.push_back(std::move(frame));
+  }
+  return stream;
+}
+
+void expect_same_frame(const Frame& got, const Frame& want) {
+  EXPECT_EQ(got.request_id, want.request_id);
+  EXPECT_EQ(got.verb, want.verb);
+  EXPECT_EQ(got.deadline_ms, want.deadline_ms);
+  EXPECT_EQ(got.payload, want.payload);
+}
+
+TEST(FrameFuzzTest, TwoChunksSplitAtEveryOffsetDecodeLikeTheWholeStream) {
+  Rng rng(0xf7a3e);
+  for (int c = 0; c < 300; ++c) {
+    std::vector<Frame> sent;
+    const std::string stream = random_stream(rng, sent);
+    for (std::size_t split = 0; split <= stream.size(); ++split) {
+      std::string buffer = stream.substr(0, split);
+      std::vector<Frame> got;
+      Frame frame;
+      std::string error;
+      for (const std::string_view rest :
+           {std::string_view(), std::string_view(stream).substr(split)}) {
+        buffer.append(rest);
+        FrameParse r;
+        while ((r = parse_frame(buffer, frame, error, kCap)) ==
+               FrameParse::ok) {
+          got.push_back(frame);
+        }
+        ASSERT_EQ(r, FrameParse::need_more)
+            << "case " << c << " split " << split << ": " << error;
+      }
+      EXPECT_TRUE(buffer.empty()) << "case " << c << " split " << split;
+      ASSERT_EQ(got.size(), sent.size()) << "case " << c << " split " << split;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        expect_same_frame(got[i], sent[i]);
+      }
+    }
+  }
+}
+
+TEST(FrameFuzzTest, MutatedStreamsReencodeExactlyOrAreRejected) {
+  // Every frame a mutated stream yields re-encodes to exactly the bytes it
+  // consumed (so its CRC held), every rejection says why, and a damaged
+  // CRC is never accepted.
+  Rng rng(0xbadf7a);
+  static constexpr std::string_view kFragments[] = {
+      "\xE5", "\xE5\x32", "\xE5\x32\x01", "\xE5\x32\x02", "\x03",
+      std::string_view("\0\0\0\0", 4), "\xFF\xFF\xFF\xFF"};
+  int accepted = 0;
+  int rejected = 0;
+  for (int c = 0; c < 20000; ++c) {
+    std::vector<Frame> sent;
+    const std::string seed = random_stream(rng, sent);
+
+    // One flipped bit in the first frame's CRC field.
+    std::string damaged = seed;
+    const std::size_t crc_at = sent[0].deadline_ms != 0
+                                   ? kFrameHeaderBytesV2 - 4
+                                   : kFrameHeaderBytes - 4;
+    damaged[crc_at + rng.uniform_u64(4)] ^=
+        static_cast<char>(1 << rng.uniform_int(0, 7));
+    Frame frame;
+    std::string error;
+    ASSERT_EQ(parse_frame(damaged, frame, error, kCap), FrameParse::bad)
+        << "case " << c;
+    EXPECT_EQ(error, "frame CRC mismatch");
+
+    std::string stream = seed;
+    for (int edits = rng.uniform_int(1, 3); edits > 0; --edits) {
+      switch (rng.uniform_int(0, 5)) {
+        case 0: fuzz::flip_bit(stream, rng); break;
+        case 1: fuzz::splice(stream, {seed}, rng); break;
+        case 2: fuzz::truncate(stream, rng); break;
+        case 3: fuzz::erase_byte(stream, rng); break;
+        case 4: fuzz::insert_fragment(stream, kFragments, rng); break;
+        default: fuzz::insert_random_byte(stream, rng); break;
+      }
+    }
+    std::string buffer = stream;
+    for (;;) {
+      const std::size_t before = buffer.size();
+      error.clear();
+      const FrameParse r = parse_frame(buffer, frame, error, kCap);
+      if (r == FrameParse::ok) {
+        ++accepted;
+        const std::string_view consumed =
+            std::string_view(stream).substr(stream.size() - before,
+                                            before - buffer.size());
+        ASSERT_EQ(encode_frame(frame.request_id, frame.verb, frame.payload,
+                               frame.deadline_ms),
+                  consumed)
+            << "case " << c;
+        continue;
+      }
+      if (r == FrameParse::bad) {
+        ++rejected;
+        EXPECT_FALSE(error.empty()) << "case " << c;
+        EXPECT_EQ(buffer.size(), before) << "a rejection consumed bytes";
+      }
+      break;
+    }
+  }
+  // Both outcomes are exercised, not just one.
+  EXPECT_GT(accepted, 1000);
+  EXPECT_GT(rejected, 1000);
+}
+
+TEST(Esm1FuzzTest, MutatedLinesKeepTheSplitDeadlineAndKeyContracts) {
+  Rng rng(0xe5a1);
+  const std::vector<std::string> seeds = {
+      "predict 3,5,2,7",
+      "predict deadline=50 rpi4 3,5,2,7",
+      "predict_batch deadline=1 1,1,1,1;2:k5,2,2,2",
+      "predict deadline=4294967295 gpu_a 7:k7e1,7,7,7",
+      "predict default 3:k5,5:k7e0.667,2,7:k3e1",
+      "search deadline=100 population=8 generations=1",
+      "info gpu",
+      "stats",
+      "predict deadline=0 3,5,2,7\r",
+  };
+  static constexpr std::string_view kFragments[] = {
+      "deadline=", " ", "  ", "\r", "\t", "0", "1", "-1", "+7",
+      "4294967295", "4294967296", "99999999999999999999", "=", "_m", "a"};
+  static const char* const kNumbers[] = {
+      "0", "1", "65535", "4294967295", "4294967296", "-5", "007", ""};
+  int with_deadline = 0;
+  for (int c = 0; c < 20000; ++c) {
+    std::string line = seeds[rng.uniform_u64(seeds.size())];
+    for (int edits = rng.uniform_int(0, 3); edits > 0; --edits) {
+      switch (rng.uniform_int(0, 6)) {
+        case 0: fuzz::flip_bit(line, rng); break;
+        case 1: fuzz::splice(line, seeds, rng); break;
+        case 2: fuzz::truncate(line, rng); break;
+        case 3: fuzz::erase_byte(line, rng); break;
+        case 4: fuzz::insert_fragment(line, kFragments, rng); break;
+        case 5: fuzz::replace_number(line, kNumbers, rng); break;
+        default: fuzz::duplicate_field(line, ' ', rng); break;
+      }
+    }
+    // split_request: the verb runs to the first space, the payload is the
+    // rest, and a trailing '\r' goes.
+    const ParsedRequest request = split_request(line);
+    std::string trimmed = line;
+    if (!trimmed.empty() && trimmed.back() == '\r') trimmed.pop_back();
+    const std::size_t space = trimmed.find(' ');
+    EXPECT_EQ(request.verb, trimmed.substr(0, space)) << line;
+    EXPECT_EQ(request.payload,
+              space == std::string::npos ? "" : trimmed.substr(space + 1))
+        << line;
+
+    // extract_deadline_token: accepted only with a value in [1, 2^32 - 1],
+    // leaving exactly what follows the token; rejected with a reason and
+    // the payload untouched; absent, a no-op.
+    std::string payload = request.payload;
+    std::uint32_t deadline_ms = 0;
+    std::string error;
+    const bool ok = extract_deadline_token(payload, deadline_ms, error);
+    const bool has_token = request.payload.starts_with("deadline=");
+    if (!has_token) {
+      EXPECT_TRUE(ok) << line;
+      EXPECT_EQ(payload, request.payload) << line;
+      EXPECT_EQ(deadline_ms, 0u) << line;
+    } else if (ok) {
+      ++with_deadline;
+      const std::size_t end = request.payload.find(' ');
+      const std::string token = request.payload.substr(9, end - 9);
+      EXPECT_GE(deadline_ms, 1u) << line;
+      EXPECT_EQ(token.substr(token.find_first_not_of(" \t\n\v\f\r+0")),
+                std::to_string(deadline_ms))
+          << line;
+      EXPECT_EQ(payload, end == std::string::npos
+                             ? ""
+                             : request.payload.substr(end + 1))
+          << line;
+    } else {
+      EXPECT_FALSE(error.empty()) << line;
+      EXPECT_EQ(payload, request.payload) << line;
+    }
+    // A plain run of digits in range is always accepted.
+    const std::string digits = std::to_string(1 + rng.uniform_u64(0xFFFFFFFFull));
+    std::string plain = "deadline=" + digits + " 3,5,2,7";
+    ASSERT_TRUE(extract_deadline_token(plain, deadline_ms, error)) << digits;
+    EXPECT_EQ(std::to_string(deadline_ms), digits);
+    EXPECT_EQ(plain, "3,5,2,7");
+
+    // split_model_key: a key starts with a letter or '_' and runs to the
+    // first space; key, space and rest rebuild the payload.
+    const RoutedPayload routed = split_model_key(payload);
+    if (routed.model.empty()) {
+      EXPECT_EQ(routed.rest, payload) << line;
+    } else {
+      const char first = routed.model.front();
+      EXPECT_TRUE((first >= 'a' && first <= 'z') ||
+                  (first >= 'A' && first <= 'Z') || first == '_')
+          << line;
+      EXPECT_EQ(routed.model.find(' '), std::string_view::npos) << line;
+      const std::string rebuilt =
+          std::string(routed.model) +
+          (payload.size() > routed.model.size() ? " " + std::string(routed.rest)
+                                                : "");
+      EXPECT_EQ(rebuilt, payload) << line;
+    }
+  }
+  EXPECT_GT(with_deadline, 1000);
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
-// Tests for overload-safe serving (PR 9): per-request deadlines on both
-// wire protocols (the esm1 `deadline=` token and the esm2 v2 frame field)
-// enforced at admission and at batcher dequeue, bounded admission queues
-// answering `overloaded` instead of stalling, degraded mode under
-// sustained pressure, the shed/expired/degraded metrics reconciling with
-// the accounting identity, and the client side: RetryPolicy-driven
-// retries of retryable errors and per-request timeouts with reconnect.
+// Tests for overload-safe serving: per-request deadlines on both wire
+// protocols (the esm1 `deadline=` token and the esm2 v2 frame field)
+// enforced at admission and when flush() takes a line into its round,
+// bounded admission answering `overloaded` instead of stalling, rounds of
+// at most max_batch archs, degraded mode under sustained pressure, the
+// shed/expired/degraded metrics reconciling with the accounting
+// identities, and the client side: RetryPolicy-driven retries of
+// retryable errors and per-request timeouts with reconnect.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,6 +23,7 @@
 
 #include "common/error.hpp"
 #include "common/retry.hpp"
+#include "common/strings.hpp"
 #include "serve/error.hpp"
 #include "serve_harness.hpp"
 
@@ -41,7 +43,7 @@ const std::string& artifact() {
 }
 
 /// A deliberately slow model (50x the trees) for the queue-pressure
-/// tests: with this artifact the batcher drains far slower than the
+/// tests: with this artifact pricing drains the queue far slower than the
 /// reactor parses, so a pinned queue stays deep for tens of milliseconds
 /// instead of evaporating while later requests are still being read.
 const std::string& slow_artifact() {
@@ -50,11 +52,10 @@ const std::string& slow_artifact() {
   return path;
 }
 
-/// Queue-pressure setup: the slow model, no cache, one arch per
-/// predict_all call. A 1000-arch batch is one batcher entry (the server
-/// queues one per request line) and one dispatch round, but it holds 1000
-/// admission slots against max_queue and pins the batcher for tens of
-/// milliseconds.
+/// Queue-pressure setup: the slow model, no cache, one arch per round. A
+/// 1000-arch batch is one queue entry (the server queues one per request
+/// line) priced over 1000 reactor wakeups; it holds 1000 admission slots
+/// against max_queue and stays queued for tens of milliseconds.
 ServeConfig slow_config() {
   ServeConfig config = serve_config(slow_artifact());
   config.cache_capacity = 0;
@@ -89,8 +90,8 @@ void submit_line(serve::PredictionServer& server, const std::string& verb,
   server.handle_request(request, payload.size(), std::move(done));
 }
 
-/// A completion that holds the batcher inside its dispatch round until
-/// the test opens it.
+/// A completion that holds the flush() that answers it (and so that
+/// flush's round) until the test opens it.
 struct Gate {
   std::promise<void> open;
   std::shared_future<void> opened = open.get_future().share();
@@ -102,7 +103,7 @@ struct Gate {
       opened.wait();
     };
   }
-  /// Spins until the batcher reached this completion (10 s at most).
+  /// Spins until a flush() reached this completion (10 s at most).
   bool wait_entered() const {
     const auto give_up =
         std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -113,6 +114,12 @@ struct Gate {
   }
 };
 
+/// Runs one flush() on a helper thread, so a Gate completion can hold its
+/// round while the test thread admits and sheds through handle_request.
+std::future<bool> flush_async(serve::PredictionServer& server) {
+  return std::async(std::launch::async, [&server] { return server.flush(); });
+}
+
 /// Outcome of pin_then_flood: how the flood requests were answered.
 struct Flood {
   std::size_t served = 0;
@@ -121,9 +128,9 @@ struct Flood {
 
 /// Writes a predict_batch pin and a predict flood as esm1 lines in ONE
 /// send, so the reactor parses the flood right behind the pin instead of
-/// racing separate writes. A flood as large as the pin is admitted whole
-/// only if the batcher computes the entire pin while the reactor parses a
-/// few lines, which no scheduling of a loaded host comes near. esm1
+/// racing separate writes. The pin holds its slots until its last arch is
+/// priced, over many reactor wakeups, so most of a flood as large as the
+/// pin finds the cap full. esm1
 /// answers a connection in request order; the pin must serve and every
 /// flood request must serve or shed.
 Flood pin_then_flood(ClientChannel& channel, const std::string& pin_payload,
@@ -160,10 +167,10 @@ Flood pin_then_flood(ClientChannel& channel, const std::string& pin_payload,
 // -- deadlines -------------------------------------------------------------
 
 TEST(OverloadTest, Esm1DeadlineTokenExpiresInQueue) {
-  // A fat batch against the slow model pins the batcher for tens of
-  // milliseconds (one round of 1000 one-arch predict_all calls); a 1 ms
-  // deadline queued behind it must expire at dequeue and answer
-  // deadline_exceeded without spending a predict_all slot.
+  // Fat batches against the slow model take 1000 one-arch rounds each,
+  // tens of milliseconds; a 1 ms deadline queued behind them must expire
+  // when its round takes it and answer deadline_exceeded without spending
+  // a predict_all slot.
   Harness harness(slow_config());
   EsmClient client = harness.client(Protocol::esm1);
 
@@ -193,6 +200,7 @@ TEST(OverloadTest, Esm1DeadlineTokenExpiresInQueue) {
                 stat(stats, "errors"));
   expect_one_error(serve::MetricsSnapshot{}, harness.server.metrics(),
                    "deadline_exceeded", "default");
+  expect_identities(harness.server.metrics());
 }
 
 TEST(OverloadTest, Esm2DeadlineFrameExpiresInQueue) {
@@ -224,6 +232,7 @@ TEST(OverloadTest, Esm2DeadlineFrameExpiresInQueue) {
   EXPECT_EQ(static_cast<serve::ErrorCode>(code),
             serve::ErrorCode::deadline_exceeded);
   channel->close();
+  expect_identities(harness.server.metrics());
 }
 
 TEST(OverloadTest, GenerousDeadlineDoesNotPerturbServing) {
@@ -237,6 +246,7 @@ TEST(OverloadTest, GenerousDeadlineDoesNotPerturbServing) {
   ASSERT_TRUE(budgeted.ok);
   EXPECT_EQ(plain.payload, budgeted.payload);
   EXPECT_EQ(stat(client.stats(), "expired"), 0u);
+  expect_identities(harness.server.metrics());
 }
 
 TEST(OverloadTest, MalformedDeadlineTokenIsBadRequest) {
@@ -248,10 +258,11 @@ TEST(OverloadTest, MalformedDeadlineTokenIsBadRequest) {
   EXPECT_EQ(bad.verb_or_code, "bad_request");
   expect_one_error(before, harness.server.metrics(), "bad_request",
                    "_unrouted");
+  expect_identities(harness.server.metrics());
 }
 
 TEST(OverloadTest, DefaultDeadlineAppliesWhenRequestCarriesNone) {
-  // With a 1 ms server-wide default and the batcher pinned, even plain
+  // With a 1 ms server-wide default and the queue pinned, even plain
   // requests expire; a per-request deadline overrides the default.
   ServeConfig config = slow_config();
   config.default_deadline_ms = 1;
@@ -259,8 +270,8 @@ TEST(OverloadTest, DefaultDeadlineAppliesWhenRequestCarriesNone) {
   EsmClient client = harness.client(Protocol::esm1);
 
   // The pinning batches carry explicit roomy deadlines so the server
-  // default never expires them — they keep the batcher at full compute
-  // cost while `plain` (inheriting the 1 ms default) waits behind them.
+  // default never expires them — they are priced at full compute cost
+  // while `plain` (inheriting the 1 ms default) waits behind them.
   const std::string slow = "deadline=60000 " + heavy_batch_payload(1000);
   std::vector<std::uint64_t> pins;
   for (int i = 0; i < 2; ++i) {
@@ -276,19 +287,19 @@ TEST(OverloadTest, DefaultDeadlineAppliesWhenRequestCarriesNone) {
   EXPECT_FALSE(expired.ok);
   EXPECT_EQ(expired.verb_or_code, "deadline_exceeded");
   EXPECT_TRUE(client.await(roomy).ok);
+  expect_identities(harness.server.metrics());
 }
 
 // -- admission control -----------------------------------------------------
 
 TEST(OverloadTest, FullQueueShedsWithOverloaded) {
-  // The admission cap counts the miss archs queued plus dispatching. A
-  // 999-arch batch against the slow model fills it to one slot under the
-  // cap, and it stays near-full for tens of milliseconds while the batcher
-  // prices the pin in one round, whether as 999 one-arch predict_all calls
-  // (max_batch 1) or as one call (max_batch 1024). Either way a pipelined
-  // flood of 1000 predicts must be answered — a few served into freed
-  // slots, the rest shed immediately with `overloaded` — and the metrics
-  // identity must reconcile exactly.
+  // The admission cap counts the miss archs admitted but not yet answered.
+  // A 999-arch batch against the slow model fills it to one slot under the
+  // cap, and holds them until its last arch is priced, whether over 999
+  // one-arch rounds (max_batch 1) or in one (max_batch 1024). Either way a
+  // pipelined flood of 1000 predicts must be answered — a few served into
+  // free slots, the rest shed immediately with `overloaded` — and the
+  // metrics identities must reconcile exactly.
   for (const std::size_t max_batch : {std::size_t{1}, std::size_t{1024}}) {
     SCOPED_TRACE("max_batch " + std::to_string(max_batch));
     ServeConfig config = slow_config();
@@ -310,25 +321,27 @@ TEST(OverloadTest, FullQueueShedsWithOverloaded) {
     EXPECT_EQ(stat(stats, "requests"),
               stat(stats, "hits") + stat(stats, "misses") +
                   stat(stats, "errors"));
-    // Shed requests never reach the batcher: every batched arch came from
-    // a request that was actually admitted.
+    // Shed requests are never priced: every batched arch came from a
+    // request that was actually admitted.
     EXPECT_EQ(stat(stats, "model.default.shed"), flood.shed);
     EXPECT_EQ(stat(stats, "model.default.errors"), flood.shed);
     EXPECT_EQ(stat(stats, "expired"), 0u);
 
     // The server recovered: a fresh request serves normally.
     EXPECT_GT(client.predict("3,5,2,7"), 0.0);
+    expect_identities(harness.server.metrics());
   }
 }
 
 TEST(OverloadTest, AdmissionCapCountsTheDispatchingRound) {
   // Deterministic shed and expiry, straight through the server core. A
-  // gate miss holds the batcher inside its dispatch round, so with
+  // gate miss holds a helper thread's flush() inside its round, so with
   // max_queue 2 one more miss queues and the next is shed: the cap counts
-  // the dispatching entry too. The queued miss's deadline lapses behind
-  // the gate and it expires at dequeue. Each failed line moves the stats
-  // by one error, on the model it routed to, and only the gate's miss is
-  // priced: batched_archs == arch_misses holds while the server sheds.
+  // the line being answered too. The queued miss's deadline lapses behind
+  // the gate and it expires when the next flush() takes it. Each failed
+  // line moves the stats by one error, on the model it routed to, and only
+  // the gate's miss is priced: batched_archs == arch_misses holds while the
+  // server sheds.
   ServeConfig config = serve_config(artifact());
   config.max_queue = 2;
   config.max_batch = 1;
@@ -355,13 +368,11 @@ TEST(OverloadTest, AdmissionCapCountsTheDispatchingRound) {
   const std::vector<std::string> pool = arch_pool(3);
   Gate gate;
   submit_line(server, "predict", pool[0], 0, gate.callback());
+  std::future<bool> round = flush_async(server);
   ASSERT_TRUE(gate.wait_entered());
 
-  std::promise<serve::Reply> queued;
-  submit_line(server, "predict", pool[1], 100,
-              [&queued](serve::Reply&& reply) {
-                queued.set_value(std::move(reply));
-              });
+  std::optional<serve::Reply> queued;
+  submit_line(server, "predict", pool[1], 100, store(queued));
   before = server.metrics();
   std::optional<serve::Reply> shed;
   submit_line(server, "predict", pool[2], 0, store(shed));
@@ -374,57 +385,64 @@ TEST(OverloadTest, AdmissionCapCountsTheDispatchingRound) {
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
   before = server.metrics();
   gate.open.set_value();
-  const serve::Reply expired = queued.get_future().get();
-  EXPECT_EQ(expired.code, serve::ErrorCode::deadline_exceeded);
-  EXPECT_EQ(expired.payload, "deadline passed before the request was served");
+  EXPECT_TRUE(round.get()) << "the queued miss was left for the next call";
+  EXPECT_FALSE(queued.has_value());
+  EXPECT_FALSE(server.flush());
+  ASSERT_TRUE(queued.has_value());
+  EXPECT_EQ(queued->code, serve::ErrorCode::deadline_exceeded);
+  EXPECT_EQ(queued->payload, "deadline passed before the request was served");
   const serve::MetricsSnapshot after = server.metrics();
   expect_one_error(before, after, "deadline_exceeded", "default");
   EXPECT_EQ(after.arch_misses, 1u);
   EXPECT_EQ(section_counters(after, "default").arch_misses, 1u);
-  EXPECT_EQ(after.batched_archs, after.arch_misses);
-  EXPECT_EQ(after.archs, after.arch_hits + after.arch_misses);
+  expect_identities(after);
 }
 
 TEST(OverloadTest, ShedBatchPricesNothing) {
-  // A line is admitted or shed whole. A gate miss holds the batcher inside
-  // its dispatch round and one of max_queue's 4 slots, so a batch of 4
-  // fresh misses does not fit: it answers `overloaded` at once, and none
+  // A line is admitted or shed whole. A gate miss holds a helper thread's
+  // flush() inside its round and one of max_queue's 4 slots, so a batch of
+  // 4 fresh misses does not fit: it answers `overloaded` at once, and none
   // of its archs is priced or cached, then or after the gate opens.
   ServeConfig config = serve_config(artifact());
   config.max_queue = 4;
   config.max_batch = 1;
-  Harness harness(config);
-  EsmClient client = harness.client(Protocol::esm1);
+  serve::PredictionServer server(config);
+  const auto cache_size = [&server] {
+    return server.fleet()->default_model().cache->size();
+  };
   const std::vector<std::string> pool = arch_pool(6);
 
   Gate gate;
-  submit_line(harness.server, "predict", pool[0], 0, gate.callback());
+  submit_line(server, "predict", pool[0], 0, gate.callback());
+  std::future<bool> round = flush_async(server);
   ASSERT_TRUE(gate.wait_entered());
-  const serve::MetricsSnapshot before = harness.server.metrics();
-  const std::uint64_t cached = stat(client.stats(), "cache_size");
-  const auto shed = std::make_shared<std::promise<serve::Reply>>();
-  std::future<serve::Reply> reply = shed->get_future();
-  submit_line(harness.server, "predict_batch",
+  const serve::MetricsSnapshot before = server.metrics();
+  const std::size_t cached = cache_size();
+  std::optional<serve::Reply> shed;
+  submit_line(server, "predict_batch",
               join_batch({pool[1], pool[2], pool[3], pool[4]}), 0,
-              [shed](serve::Reply&& r) { shed->set_value(std::move(r)); });
-  const bool answered_at_once =
-      reply.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
-  const serve::MetricsSnapshot at_shed = harness.server.metrics();
+              [&shed](serve::Reply&& r) { shed = std::move(r); });
+  const bool answered_at_once = shed.has_value();
+  const serve::MetricsSnapshot at_shed = server.metrics();
 
-  // A miss queued after the gate opens is answered after every entry the
-  // batcher held before it: only it is priced and cached.
+  // A miss queued after the gate opens is priced by the next flush(): only
+  // it is priced and cached.
   gate.open.set_value();
-  ASSERT_TRUE(answered_at_once) << "the shed batch waited for the batcher";
-  EXPECT_EQ(reply.get().code, serve::ErrorCode::overloaded);
+  EXPECT_FALSE(round.get());
+  ASSERT_TRUE(answered_at_once) << "the shed batch waited for the round";
+  EXPECT_EQ(shed->code, serve::ErrorCode::overloaded);
   expect_one_error(before, at_shed, "overloaded", "default");
-  EXPECT_GT(client.predict(pool[5]), 0.0);
-  const serve::MetricsSnapshot after = harness.server.metrics();
+  std::optional<serve::Reply> fresh;
+  submit_line(server, "predict", pool[5], 0,
+              [&fresh](serve::Reply&& r) { fresh = std::move(r); });
+  EXPECT_FALSE(server.flush());
+  ASSERT_TRUE(fresh.has_value());
+  EXPECT_TRUE(fresh->ok);
+  const serve::MetricsSnapshot after = server.metrics();
   EXPECT_EQ(after.arch_misses, before.arch_misses + 1);
   EXPECT_EQ(after.batched_archs, before.batched_archs + 1);
-  EXPECT_EQ(after.batched_archs, after.arch_misses);
-  EXPECT_EQ(after.archs, after.arch_hits + after.arch_misses);
-  EXPECT_EQ(after.requests, after.hits + after.misses + after.errors);
-  EXPECT_EQ(stat(client.stats(), "cache_size"), cached + 1);
+  expect_identities(after);
+  EXPECT_EQ(cache_size(), cached + 1);
 }
 
 TEST(OverloadTest, IdleServerServesABatchLargerThanTheQueueCap) {
@@ -452,181 +470,194 @@ TEST(OverloadTest, IdleServerServesABatchLargerThanTheQueueCap) {
   EXPECT_EQ(snap.batched_archs, snap.arch_misses);
   EXPECT_EQ(snap.batches, 4u);  // 3 + 3 + 3 + 1
   EXPECT_EQ(snap.max_batch, 3u);
+  expect_identities(snap);
 }
 
-TEST(OverloadTest, RoundTakesLinesOnlyWhileTheyFitTheBatchCap) {
-  // A round takes whole lines only while they fit in max_batch archs, so
-  // a single queued ahead of a larger batch is answered without waiting
-  // for it: a gate miss holds the batcher while both queue, and when the
-  // single is answered only the gate's arch and its own are priced.
+TEST(OverloadTest, FlushPricesAtMostMaxBatchArchsPerCall) {
+  // One flush() prices one round of at most max_batch archs, so a large
+  // predict_batch stalls the reactor for one max_batch call at most: a
+  // 1000-arch line at max_batch 64 is priced over 16 calls and answered by
+  // the last, bit-identical to an offline predict_all.
   ServeConfig config = serve_config(artifact());
-  config.max_batch = 4;
+  ASSERT_EQ(config.max_batch, 64u);
   serve::PredictionServer server(config);
-  const std::vector<std::string> pool = arch_pool(7);
-  Gate gate;
-  Gate single;
-  submit_line(server, "predict", pool[0], 0, gate.callback());
-  ASSERT_TRUE(gate.wait_entered());
-  submit_line(server, "predict", pool[1], 0, single.callback());
-  std::promise<serve::Reply> batch;
+  const std::vector<std::string> pool = arch_pool(1000);
+  std::optional<serve::Reply> reply;
+  submit_line(server, "predict_batch", join_batch(pool), 0,
+              [&reply](serve::Reply&& r) { reply = std::move(r); });
+
+  EXPECT_TRUE(server.flush());
+  EXPECT_FALSE(reply.has_value()) << "the line was answered half priced";
+  serve::MetricsSnapshot snap = server.metrics();
+  EXPECT_EQ(snap.batches, 1u);
+  EXPECT_EQ(snap.batched_archs, 64u);
+  int calls = 1;
+  while (server.flush()) ++calls;
+  EXPECT_EQ(calls, 15);  // the 16th call answered the line
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_TRUE(reply->ok) << reply->payload;
+
+  const std::unique_ptr<TrainableSurrogate> offline = load_surrogate(artifact());
+  std::vector<ArchConfig> archs;
+  for (const std::string& spec : pool) {
+    archs.push_back(serve::parse_arch_request(offline->spec(), spec));
+  }
+  const std::vector<double> expected = offline->predict_all(archs);
+  std::string payload = std::to_string(expected.size());
+  for (const double value : expected) {
+    payload += ' ';
+    append_g17(payload, value);
+  }
+  EXPECT_EQ(reply->payload, payload);
+  snap = server.metrics();
+  EXPECT_EQ(snap.batches, 16u);  // 15 x 64 + 40
+  EXPECT_EQ(snap.max_batch, 64u);
+  EXPECT_EQ(snap.degraded_entries, 0u) << "no max_queue, no degraded mode";
+  expect_identities(snap);
+
+  // A line never waits for a larger one queued behind it: a single ahead
+  // of a 100-arch batch is answered by the first round.
+  const std::vector<std::string> fresh = arch_pool(1101);
+  std::optional<serve::Reply> single;
+  std::optional<serve::Reply> batch;
+  submit_line(server, "predict", fresh[1000], 0,
+              [&single](serve::Reply&& r) { single = std::move(r); });
   submit_line(server, "predict_batch",
-              join_batch({pool[2], pool[3], pool[4], pool[5], pool[6]}), 0,
-              [&batch](serve::Reply&& reply) {
-                batch.set_value(std::move(reply));
-              });
-  gate.open.set_value();
-  ASSERT_TRUE(single.wait_entered());
-  EXPECT_EQ(server.metrics().batched_archs, 2u)
-      << "the single waited for the batch behind it";
-  single.open.set_value();
-  EXPECT_TRUE(batch.get_future().get().ok);
-  const serve::MetricsSnapshot snap = server.metrics();
-  EXPECT_EQ(snap.batches, 4u);  // the gate's 1, the single's 1, then 4 + 1
-  EXPECT_EQ(snap.max_batch, 4u);
-  EXPECT_EQ(snap.batched_archs, snap.arch_misses);
+              join_batch({fresh.begin() + 1001, fresh.end()}), 0,
+              [&batch](serve::Reply&& r) { batch = std::move(r); });
+  EXPECT_TRUE(server.flush());
+  ASSERT_TRUE(single.has_value());
+  EXPECT_TRUE(single->ok);
+  EXPECT_FALSE(batch.has_value());
+  while (server.flush()) {
+  }
+  ASSERT_TRUE(batch.has_value());
+  EXPECT_TRUE(batch->ok);
+  expect_identities(server.metrics());
 }
 
 TEST(OverloadTest, ExpiredLineIsAnsweredBeforeItsRoundIsPriced) {
-  // A line whose deadline passed while queued is answered at dequeue,
-  // before the live lines of its round are priced: a gate miss holds the
-  // batcher while a live batch and a short-deadline single queue behind
-  // it in one round's worth of archs.
+  // A line whose deadline passed while queued is answered when a round
+  // takes it, before the live lines of that round are priced: a gate miss
+  // holds a helper thread's flush() while a live batch and a
+  // short-deadline single queue behind it in one round's worth of archs.
   ServeConfig config = serve_config(artifact());
   config.max_batch = 4;
   serve::PredictionServer server(config);
   const std::vector<std::string> pool = arch_pool(5);
   Gate gate;
   submit_line(server, "predict", pool[0], 0, gate.callback());
+  std::future<bool> round = flush_async(server);
   ASSERT_TRUE(gate.wait_entered());
-  std::promise<serve::Reply> live;
+  std::optional<serve::Reply> live;
   submit_line(server, "predict_batch",
               join_batch({pool[1], pool[2], pool[3]}), 0,
-              [&live](serve::Reply&& reply) {
-                live.set_value(std::move(reply));
-              });
-  std::promise<std::uint64_t> priced_at_expiry;
+              [&live](serve::Reply&& reply) { live = std::move(reply); });
+  std::optional<std::uint64_t> priced_at_expiry;
   serve::ErrorCode code = serve::ErrorCode::server_error;
   submit_line(server, "predict", pool[4], 20,
               [&](serve::Reply&& reply) {
                 code = reply.code;
-                priced_at_expiry.set_value(server.metrics().batched_archs);
+                priced_at_expiry = server.metrics().batched_archs;
               });
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   gate.open.set_value();
-  EXPECT_EQ(priced_at_expiry.get_future().get(), 1u)
+  EXPECT_TRUE(round.get());
+  EXPECT_FALSE(server.flush());
+  ASSERT_TRUE(priced_at_expiry.has_value());
+  EXPECT_EQ(*priced_at_expiry, 1u)
       << "the expired line waited for its round to be priced";
   EXPECT_EQ(code, serve::ErrorCode::deadline_exceeded);
-  EXPECT_TRUE(live.get_future().get().ok);
+  ASSERT_TRUE(live.has_value());
+  EXPECT_TRUE(live->ok);
   const serve::MetricsSnapshot snap = server.metrics();
   EXPECT_EQ(snap.expired, 1u);
   EXPECT_EQ(snap.batched_archs, 4u);
-  EXPECT_EQ(snap.batched_archs, snap.arch_misses);
+  expect_identities(snap);
 }
 
 TEST(OverloadTest, SustainedPressureEntersDegradedMode) {
-  // Queue cap 8 -> pressure threshold 4, one line per round (max_batch 1).
-  // A round's load is the miss archs queued plus the round before it, so
-  // back-to-back rounds of 4-arch batches start at a load of 8.
-  // Deterministic through the core: each batch's completion holds the
-  // batcher while the test queues the next line behind it, so four rounds
-  // in a row start under pressure and the server enters degraded mode; a
-  // lone request after the drain lifts it (the gauge returns to 0).
+  // Queue cap 8 -> pressure threshold 4, one arch per round (max_batch 1).
+  // A round's load is the miss archs admitted and not yet answered, so a
+  // 4-arch batch starts each of the four rounds that price it at a load of
+  // 4: the fourth round in a row under pressure enters degraded mode, and
+  // a lone request after it starts a round at a load of 1, a quarter of
+  // the cap, which lifts the mode (the gauge returns to 0).
   ServeConfig config = serve_config(artifact());
   config.cache_capacity = 0;
   config.max_batch = 1;
   config.max_queue = 8;
   serve::PredictionServer server(config);
-  const std::vector<std::string> pool = arch_pool(18);
-  Gate gates[5];
-  // Rounds 1 to 4 take a 4-arch batch each (loads 4, 8, 8, 8); round 5 a
-  // single predict, so the round before the lone request holds one arch.
-  for (std::size_t g = 0; g < 5; ++g) {
-    const std::string payload =
-        g < 4 ? join_batch({pool[4 * g], pool[4 * g + 1], pool[4 * g + 2],
-                            pool[4 * g + 3]})
-              : pool[16];
-    submit_line(server, g < 4 ? "predict_batch" : "predict", payload, 0,
-                gates[g].callback());
-    if (g > 0) gates[g - 1].open.set_value();
-    ASSERT_TRUE(gates[g].wait_entered()) << "gate " << g;
+  const std::vector<std::string> pool = arch_pool(5);
+  std::size_t answered = 0;
+  const auto count = [&answered](serve::Reply&& reply) {
+    EXPECT_TRUE(reply.ok) << reply.payload;
+    ++answered;
+  };
+  submit_line(server, "predict_batch",
+              join_batch({pool[0], pool[1], pool[2], pool[3]}), 0, count);
+  for (int round = 1; round <= 3; ++round) {
+    EXPECT_TRUE(server.flush());
+    EXPECT_EQ(server.metrics().degraded, 0u) << "round " << round;
   }
+  EXPECT_FALSE(server.flush());
+  EXPECT_EQ(answered, 1u);
   EXPECT_EQ(server.metrics().degraded, 1u);
   EXPECT_EQ(server.metrics().degraded_entries, 1u);
-  EXPECT_EQ(server.metrics().shed, 0u);
-  gates[4].open.set_value();
 
-  // The lone request starts a round at a load of at most 2, a quarter of
-  // the cap, and the mode lifts before it is answered.
-  std::promise<serve::Reply> last;
-  submit_line(server, "predict", pool[17], 0,
-              [&last](serve::Reply&& reply) {
-                last.set_value(std::move(reply));
-              });
-  EXPECT_TRUE(last.get_future().get().ok);
+  submit_line(server, "predict", pool[4], 0, count);
+  EXPECT_FALSE(server.flush());
+  EXPECT_EQ(answered, 2u);
   const serve::MetricsSnapshot snap = server.metrics();
-  EXPECT_EQ(snap.degraded, 0u) << "gauge must clear after drain";
+  EXPECT_EQ(snap.degraded, 0u) << "gauge must clear once pressure lifts";
   EXPECT_EQ(snap.degraded_entries, 1u);
-  EXPECT_EQ(snap.requests, snap.hits + snap.misses + snap.errors);
   EXPECT_EQ(snap.errors, 0u);
-  EXPECT_EQ(snap.batched_archs, snap.arch_misses);
-  EXPECT_EQ(snap.arch_misses, 18u);
+  EXPECT_EQ(snap.arch_misses, 5u);
+  expect_identities(snap);
 }
 
 TEST(OverloadTest, SustainedPressureEntersDegradedModeAtFullBatches) {
-  // The same cap of 8 at the default max_batch: a round swallows the
-  // whole queue, so the queue alone never stays deep while the round
-  // holds its slots; the pressure has to count the dispatching round, as
-  // admission does. Deterministic through the core: gate completions hold
-  // the batcher inside rounds of 1 and 7 entries while the test fills the
-  // cap behind each, so four rounds in a row start at a load of 8.
+  // The same cap of 8 at the default max_batch: each round prices all that
+  // is queued, so it is the eight singles admitted before each of four
+  // rounds that keep the load at 8. Degraded mode then halves the round:
+  // a 40-arch batch, admitted alone past the cap, is priced 32 + 8, and a
+  // lone request after it lifts the mode.
   ServeConfig config = serve_config(artifact());
   config.cache_capacity = 0;
   config.max_queue = 8;
   ASSERT_EQ(config.max_batch, 64u);
-  Gate gates[5];
-  std::atomic<std::size_t> answered{0};
-  std::atomic<std::size_t> ok{0};
-  const auto count = [&answered, &ok](serve::Reply&& reply) {
-    if (reply.ok) ok.fetch_add(1);
-    answered.fetch_add(1);
-  };
-  const std::vector<std::string> pool = arch_pool(32);
-  std::size_t next = 0;
   serve::PredictionServer server(config);
-  // Round 1 holds gate 0 alone; behind it go gate 1 and six more misses,
-  // which round 2 takes whole; behind that only gate 2 fits, and so on.
-  for (std::size_t g = 0; g < 5; ++g) {
-    submit_line(server, "predict", pool[next++], 0, gates[g].callback());
-    if (g % 2 == 1) {
-      for (int i = 0; i < 6; ++i) {
-        submit_line(server, "predict", pool[next++], 0, count);
-      }
+  const std::vector<std::string> pool = arch_pool(73);
+  std::size_t next = 0;
+  std::size_t ok = 0;
+  const auto count = [&ok](serve::Reply&& reply) { ok += reply.ok ? 1 : 0; };
+  for (int round = 1; round <= 4; ++round) {
+    for (int i = 0; i < 8; ++i) {
+      submit_line(server, "predict", pool[next++], 0, count);
     }
-    if (g > 0) gates[g - 1].open.set_value();
-    ASSERT_TRUE(gates[g].wait_entered()) << "gate " << g;
+    EXPECT_FALSE(server.flush());
+    EXPECT_EQ(server.metrics().degraded, round == 4 ? 1u : 0u)
+        << "round " << round;
   }
-  // Rounds 2 to 5 started at a load of 8 >= 4 (half the cap).
-  EXPECT_EQ(server.metrics().degraded, 1u);
-  EXPECT_EQ(server.metrics().degraded_entries, 1u);
+  EXPECT_EQ(ok, 32u);
   EXPECT_EQ(server.metrics().shed, 0u);
-  gates[4].open.set_value();
-  const auto give_up =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (answered.load() < 12 && std::chrono::steady_clock::now() < give_up) {
-    std::this_thread::yield();
-  }
-  EXPECT_EQ(ok.load(), 12u);
 
-  // A lone request after the flood starts a round at a load of at most
-  // 2, a quarter of the cap, and the mode lifts before it is answered.
-  std::promise<serve::Reply> last;
-  submit_line(server, "predict", pool[next++], 0,
-              [&last](serve::Reply&& reply) {
-                last.set_value(std::move(reply));
-              });
-  EXPECT_TRUE(last.get_future().get().ok);
-  EXPECT_EQ(server.metrics().degraded, 0u);
-  EXPECT_EQ(server.metrics().degraded_entries, 1u);
+  std::vector<std::string> batch(pool.begin() + 32, pool.begin() + 72);
+  submit_line(server, "predict_batch", join_batch(batch), 0, count);
+  const std::uint64_t priced = server.metrics().batched_archs;
+  EXPECT_TRUE(server.flush());
+  EXPECT_EQ(server.metrics().batched_archs - priced, 32u);
+  EXPECT_FALSE(server.flush());
+  EXPECT_EQ(ok, 33u);
+  EXPECT_EQ(server.metrics().degraded, 1u);
+
+  submit_line(server, "predict", pool[72], 0, count);
+  EXPECT_FALSE(server.flush());
+  const serve::MetricsSnapshot snap = server.metrics();
+  EXPECT_EQ(ok, 34u);
+  EXPECT_EQ(snap.degraded, 0u);
+  EXPECT_EQ(snap.degraded_entries, 1u);
+  expect_identities(snap);
 }
 
 // -- client retry / timeout -----------------------------------------------
@@ -790,7 +821,7 @@ TEST(ClientRetryTest, RequestTimeoutWithoutRetryThrows) {
 }
 
 TEST(ClientRetryTest, EndToEndRetryRidesOutShedding) {
-  // Against a real overloaded server: queue cap 1 plus a pinned batcher
+  // Against a real overloaded server: queue cap 1 plus a pinned queue
   // sheds most of a burst, but a retrying client converges to the answer.
   ServeConfig config = serve_config(artifact());
   config.cache_capacity = 0;
@@ -825,10 +856,8 @@ TEST(ClientRetryTest, EndToEndRetryRidesOutShedding) {
   background.join();
 
   const std::map<std::string, std::string> stats = client.stats();
-  EXPECT_EQ(stat(stats, "requests"),
-            stat(stats, "hits") + stat(stats, "misses") +
-                stat(stats, "errors"));
   EXPECT_EQ(stat(stats, "errors"), stat(stats, "shed"));
+  expect_identities(harness.server.metrics());
 }
 
 }  // namespace

@@ -823,13 +823,15 @@ TEST(SearchWireTest, FrontPayloadListsFrontInOrder) {
 
 // ------------------------------------------------------------- served verb
 
-/// One request line through the server core, rendered as its esm1 reply.
+/// One request line through the server core, rendered as its esm1 reply:
+/// a miss is priced by the flush() that follows, a search by its worker.
 std::string served_line(PredictionServer& server, const std::string& line) {
   std::promise<serve::Reply> reply;
   server.handle_request(serve::split_request(line), line.size(),
                         [&reply](serve::Reply&& r) {
                           reply.set_value(std::move(r));
                         });
+  server.flush();
   return serve::format_reply_esm1(reply.get_future().get());
 }
 
@@ -1005,7 +1007,7 @@ TEST(ServedSearchTest, MetricsIdentityHoldsWithSearchesInTheMix) {
   EXPECT_EQ(m.searches, 2u);
   // 8*(2+1) + 8*(3+1) architectures scored inside the engine.
   EXPECT_EQ(m.search_evals, 24u + 32u);
-  // Search evaluations stay out of the arch counters: the batcher identity
+  // Search evaluations stay out of the arch counters: the pricing identity
   // is untouched.
   EXPECT_EQ(m.batched_archs, m.arch_misses);
   EXPECT_EQ(m.archs, 2u);

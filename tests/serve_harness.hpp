@@ -168,6 +168,15 @@ inline void expect_one_error(const serve::MetricsSnapshot& before,
       << code << " on model." << section;
 }
 
+/// The three accounting identities every snapshot keeps: each prediction
+/// line is one hit, miss or error, each arch one hit or miss, and every
+/// missed arch was priced in exactly one predict_all batch.
+inline void expect_identities(const serve::MetricsSnapshot& snap) {
+  EXPECT_EQ(snap.requests, snap.hits + snap.misses + snap.errors);
+  EXPECT_EQ(snap.archs, snap.arch_hits + snap.arch_misses);
+  EXPECT_EQ(snap.batched_archs, snap.arch_misses);
+}
+
 /// Wraps the loopback listener before the loop registers it (the chaos
 /// suite installs its seeded fault decorators here).
 using ListenerDecorator = std::function<std::shared_ptr<serve::Listener>(

@@ -535,7 +535,7 @@ TEST(FleetServeTest, ThreeModelRoutedPredictionsBitIdenticalToOffline) {
   threads.reserve(kClients);
   for (int c = 0; c < kClients; ++c) {
     threads.emplace_back([&, c] {
-      // Every client rotates through all three models, so each batcher
+      // Every client rotates through all three models, so each flush()
       // round mixes routes and the per-model group dispatch is exercised.
       for (int i = 0; i < kPerClient; ++i) {
         const std::string model = kNames[(c + i) % 3];
@@ -798,9 +798,9 @@ bool await_first_call(const CompletionProbe& probe) {
 }
 
 TEST(ServeTest, ThrowingCompletionIsInvokedExactlyOnce) {
-  // A ReplyCallback that throws must not make the batcher answer its
-  // entry, or the entries coalesced with it, a second time, nor take the
-  // batcher thread down; likewise for the search worker.
+  // A ReplyCallback that throws must not make flush() answer its entry,
+  // or the entries coalesced with it, a second time, nor leave a later
+  // line of its round unanswered; likewise for the search worker.
   PredictionServer server(serve_config(artifact_a()));
   const std::vector<std::string> pool = arch_pool(16);  // distinct misses
   std::size_t next = 0;
@@ -814,32 +814,24 @@ TEST(ServeTest, ThrowingCompletionIsInvokedExactlyOnce) {
   // Alone: one miss whose completion throws.
   const auto lone = std::make_shared<CompletionProbe>();
   submit(probe_callback(lone, true));
+  EXPECT_FALSE(server.flush());
   ASSERT_TRUE(await_first_call(*lone));
 
-  // Coalesced: a gate miss holds the batcher inside its completion while
-  // three plain misses and then a throwing one queue behind it, so all
-  // four drain into one round and the throw comes after the others were
-  // answered.
-  std::promise<void> open;
-  const std::shared_future<void> opened = open.get_future().share();
-  const auto gate = std::make_shared<CompletionProbe>();
-  submit([gate, opened](serve::Reply&&) {
-    gate->calls.fetch_add(1);
-    opened.wait();
-  });
-  ASSERT_TRUE(await_first_call(*gate));
+  // Coalesced: four misses drain into one round, and the second one's
+  // completion throws before the last two are answered.
   std::vector<std::shared_ptr<CompletionProbe>> round;
   for (int i = 0; i < 4; ++i) {
     round.push_back(std::make_shared<CompletionProbe>());
-    submit(probe_callback(round.back(), i == 3));
+    submit(probe_callback(round.back(), i == 1));
   }
-  open.set_value();
+  EXPECT_FALSE(server.flush());
   for (const auto& probe : round) ASSERT_TRUE(await_first_call(*probe));
 
-  // The batcher is alive: a later miss is served. Its round runs after
-  // every earlier one, so a second invocation would have landed by now.
+  // A later miss is served. Its round runs after every earlier one, so a
+  // second invocation would have landed by now.
   const auto after = std::make_shared<CompletionProbe>();
   submit(probe_callback(after, false));
+  EXPECT_FALSE(server.flush());
   ASSERT_TRUE(await_first_call(*after));
   EXPECT_TRUE(after->ok.load());
 
@@ -861,14 +853,13 @@ TEST(ServeTest, ThrowingCompletionIsInvokedExactlyOnce) {
   }
 
   EXPECT_EQ(lone->calls.load(), 1);
-  EXPECT_EQ(gate->calls.load(), 1);
   for (const auto& probe : round) {
     EXPECT_EQ(probe->calls.load(), 1);
     EXPECT_TRUE(probe->ok.load());
   }
   const serve::MetricsSnapshot snap = server.metrics();
-  EXPECT_GE(snap.max_batch, 4u) << "the four misses did not coalesce";
-  EXPECT_EQ(snap.requests, 9u);
+  EXPECT_EQ(snap.max_batch, 4u) << "the four misses did not coalesce";
+  EXPECT_EQ(snap.requests, 8u);
   EXPECT_EQ(snap.errors, 0u);
   EXPECT_EQ(snap.requests, snap.hits + snap.misses + snap.errors);
 
