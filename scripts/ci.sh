@@ -38,16 +38,17 @@
 #                         one ASan + UBSan build running the common +
 #                         journal + linalg + encoding + surrogate + esm +
 #                         corruption-matrix + nets + nn + nas + search + ml +
-#                         serve + frame + arch-fuzz + event-loop + overload
-#                         suites (the archive codec and the journal records
-#                         it decodes under seeded generated input, the
+#                         serve + frame + arch-fuzz + event-loop + overload +
+#                         chaos suites (the archive codec and the journal
+#                         records it decodes under seeded generated input, the
 #                         encoding table that resolves every loaded
 #                         artifact's esm.encoder string, graph
 #                         lowering into either sink, the accuracy proxy, the
 #                         constrained rank sort, the training step, the
 #                         in-place scanners of untrusted request bytes, the
-#                         epoll reactor, and flush()'s expiry and shed
-#                         paths), then a TSan build
+#                         epoll reactor, flush()'s expiry and shed
+#                         paths, and the chaos decorator's offset
+#                         arithmetic over gather writes), then a TSan build
 #                         running the linalg + fault + parallel + journal +
 #                         serve + fleet + frame + event-loop + overload +
 #                         chaos suites (journal writes sit on the ordered
@@ -348,7 +349,7 @@ cmake --build build-fma -j "$JOBS" --target linalg_test ml_test fastpath_test
 ctest --test-dir build-fma --output-on-failure \
   -R '^(linalg_test|ml_test|fastpath_test)$'
 
-echo "== asan+ubsan tier (common + journal + linalg + encoding + surrogate + esm + corruption + nets + nn + nas + search + ml + serve + frame + arch fuzz + event loop + overload suites) =="
+echo "== asan+ubsan tier (common + journal + linalg + encoding + surrogate + esm + corruption + nets + nn + nas + search + ml + serve + frame + arch fuzz + event loop + overload + chaos suites) =="
 # One build carries both sanitizers. The wire arch scanner walks untrusted
 # request bytes in place and the frame decoder slices them; serve_test and
 # frame_test drive both, and arch_fuzz_test feeds the scanner 120k mutated
@@ -362,17 +363,20 @@ echo "== asan+ubsan tier (common + journal + linalg + encoding + surrogate + esm
 # row-interleaved column tail.
 # event_loop_test drives the epoll reactor's connection lifetimes, and
 # overload_test flush()'s dequeue-time expiry and admission shedding,
-# where every request is answered once. UBSan aborts on its first report
-# here (-fno-sanitize-recover), so any finding fails the tier.
+# where every request is answered once. chaos_test drives the chaos
+# decorator, which locates the buffer holding a gather write's offset and
+# slices it, under its golden schedule and the 10k-connection pin. UBSan
+# aborts on its first report here (-fno-sanitize-recover), so any finding
+# fails the tier.
 cmake -B build-asan-ubsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DESM_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan-ubsan -j "$JOBS" \
   --target common_test journal_test linalg_test encoding_test surrogate_test \
   surrogate_registry_test esm_test corruption_test nets_test nn_test \
   nas_test search_test ml_test serve_test frame_test arch_fuzz_test \
-  event_loop_test overload_test
+  event_loop_test overload_test chaos_test
 ctest --test-dir build-asan-ubsan --output-on-failure \
-  -R '^(common_test|journal_test|linalg_test|encoding_test|surrogate_test|surrogate_registry_test|esm_test|corruption_test|nets_test|nn_test|nas_test|search_test|ml_test|serve_test|frame_test|arch_fuzz_test|event_loop_test|overload_test)$'
+  -R '^(common_test|journal_test|linalg_test|encoding_test|surrogate_test|surrogate_registry_test|esm_test|corruption_test|nets_test|nn_test|nas_test|search_test|ml_test|serve_test|frame_test|arch_fuzz_test|event_loop_test|overload_test|chaos_test)$'
 
 echo "== tsan tier (linalg + fault + parallel + journal + serve + fleet + event loop + overload + chaos + search) =="
 # event_loop_test puts the reactor thread, which also prices every miss in

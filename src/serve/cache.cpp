@@ -47,14 +47,6 @@ void PredictionCache::put(const std::string& key, double value) {
   }
 }
 
-void PredictionCache::clear() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.lru.clear();
-    shard.index.clear();
-  }
-}
-
 std::size_t PredictionCache::size() const {
   std::size_t total = 0;
   for (const Shard& shard : shards_) {

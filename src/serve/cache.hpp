@@ -6,7 +6,9 @@
 // bits the miss path computed. Sharding keeps lock contention bounded when
 // several threads (in-process callers beside the reactor) look up
 // concurrently: each key hashes to one shard with its own mutex and LRU
-// list.
+// list. A cache is never emptied in place: hot reload gives every
+// reloaded model a fresh one (serve/fleet.hpp), so no stale value can
+// outlive its model.
 #pragma once
 
 #include <cstddef>
@@ -34,10 +36,6 @@ class PredictionCache {
   /// Inserts or refreshes `key`, evicting the shard's least-recently-used
   /// entry when the shard is full.
   void put(const std::string& key, double value);
-
-  /// Drops every entry (used by hot reload: a new model invalidates all
-  /// cached predictions).
-  void clear();
 
   /// Current number of cached entries over all shards.
   std::size_t size() const;

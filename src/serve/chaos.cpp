@@ -40,9 +40,18 @@ class ChaosConnection final : public Connection {
     return IoResult::ok;
   }
 
-  IoResult write_some(std::string_view data, std::size_t* offset) override {
+  IoResult write_some(const std::string_view* bufs, std::size_t count,
+                      std::size_t* offset) override {
+    // Chaos acts on the buffer holding *offset and hands the inner
+    // connection that buffer alone, so a seeded schedule draws the same
+    // however many buffers the caller gathers.
+    std::size_t start = 0;
+    std::size_t i = 0;
+    for (; i < count && start + bufs[i].size() <= *offset; ++i) {
+      start += bufs[i].size();
+    }
+    if (i == count) return IoResult::ok;
     if (dead_) return IoResult::error;
-    if (*offset >= data.size()) return inner_->write_some(data, offset);
     if (profile_.reset_p > 0.0 && rng_.bernoulli(profile_.reset_p)) {
       dead_ = true;
       inner_->close();
@@ -54,20 +63,16 @@ class ChaosConnection final : public Connection {
       if (inner_->poll_fd() < 0 && notify_) notify_();
       return IoResult::would_block;
     }
-    if (profile_.short_write_p > 0.0 && data.size() - *offset > 1 &&
+    std::string_view data = bufs[i];
+    std::size_t local = *offset - start;
+    if (profile_.short_write_p > 0.0 && data.size() - local > 1 &&
         rng_.bernoulli(profile_.short_write_p)) {
-      const std::string_view one(data.data() + *offset, 1);
-      std::size_t local = 0;
-      const IoResult result = inner_->write_some(one, &local);
-      *offset += local;
-      return result;
+      data = data.substr(0, local + 1);  // accept exactly one byte
     }
-    return inner_->write_some(data, offset);
+    const IoResult result = inner_->write_some(&data, 1, &local);
+    *offset = start + local;
+    return result;
   }
-
-  // write_some_vec intentionally not overridden: the base implementation
-  // forwards one buffer per call through write_some above, so gather
-  // flushes see exactly the same chaos as plain writes.
 
   void close() override { inner_->close(); }
 

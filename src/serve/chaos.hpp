@@ -8,7 +8,9 @@
 // is byte-identical to no decorator at all); every decision is drawn from
 // Rng substreams derived per accepted connection via Rng::split(accept
 // index) without advancing the parent, so a chaos schedule replays
-// bit-identically from one seed regardless of thread timing.
+// bit-identically from one seed regardless of thread timing. A gather
+// write draws for, and hands on, only the buffer holding its offset, so
+// the schedule does not depend on how many buffers a flush gathers.
 //
 // Liveness contract — chaos must never hang the reactor:
 //   * A fake stall leaves the data inside the inner transport. Fd-backed

@@ -59,7 +59,23 @@ class TcpChannel final : public ClientChannel {
     return true;
   }
 
-  bool receive_some(std::string& out) override {
+  bool receive_some(std::string& out, int timeout_ms,
+                    bool* timed_out) override {
+    if (timed_out != nullptr) *timed_out = false;
+    // A bounded wait polls first; an unbounded one is a single blocking
+    // recv, with no poll in front of it.
+    if (timeout_ms >= 0) {
+      pollfd pfd{};
+      pfd.fd = fd_;
+      pfd.events = POLLIN;
+      int ready;
+      while ((ready = ::poll(&pfd, 1, timeout_ms)) < 0 && errno == EINTR) {
+      }
+      if (ready <= 0) {
+        if (ready == 0 && timed_out != nullptr) *timed_out = true;
+        return false;
+      }
+    }
     char chunk[16 * 1024];
     for (;;) {
       const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
@@ -67,28 +83,7 @@ class TcpChannel final : public ClientChannel {
         out.append(chunk, static_cast<std::size_t>(n));
         return true;
       }
-      if (n == 0) return false;
-      if (errno != EINTR) return false;
-    }
-  }
-
-  bool receive_some_for(std::string& out, int timeout_ms,
-                        bool* timed_out) override {
-    if (timed_out) *timed_out = false;
-    pollfd pfd{};
-    pfd.fd = fd_;
-    pfd.events = POLLIN;
-    for (;;) {
-      const int ready = ::poll(&pfd, 1, timeout_ms);
-      if (ready < 0) {
-        if (errno == EINTR) continue;
-        return false;
-      }
-      if (ready == 0) {
-        if (timed_out) *timed_out = true;
-        return false;
-      }
-      return receive_some(out);
+      if (n == 0 || errno != EINTR) return false;
     }
   }
 
@@ -222,38 +217,29 @@ bool EsmClient::pump(int timeout_ms) {
     // Decode everything already buffered first.
     decode_buffered();
     if (completed_.size() != before) return true;
-    if (timeout_ms < 0) {
-      if (!channel_->receive_some(in_)) {
-        throw TransportError("server stream ended before a response arrived");
-      }
-    } else {
-      bool timed_out = false;
-      if (!channel_->receive_some_for(in_, timeout_ms, &timed_out)) {
-        if (timed_out) return false;
-        throw TransportError("server stream ended before a response arrived");
-      }
+    bool timed_out = false;
+    if (!channel_->receive_some(in_, timeout_ms, &timed_out)) {
+      if (timed_out) return false;
+      throw TransportError("server stream ended before a response arrived");
     }
   }
 }
 
 EsmClient::Response EsmClient::await(std::uint64_t id) {
-  for (;;) {
-    const auto it = completed_.find(id);
-    if (it != completed_.end()) {
-      Response response = std::move(it->second);
-      completed_.erase(it);
-      if (outstanding_ > 0) --outstanding_;
-      return response;
-    }
-    pump();
-  }
+  Response response;
+  await_for(id, -1.0, response);
+  return response;
 }
 
 bool EsmClient::await_for(std::uint64_t id, double timeout_s, Response& out) {
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(timeout_s));
+  // Without a deadline the clock is never read.
+  const bool bounded = timeout_s >= 0.0;
+  std::chrono::steady_clock::time_point deadline;
+  if (bounded) {
+    deadline = std::chrono::steady_clock::now() +
+               std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                   std::chrono::duration<double>(timeout_s));
+  }
   for (;;) {
     const auto it = completed_.find(id);
     if (it != completed_.end()) {
@@ -262,11 +248,15 @@ bool EsmClient::await_for(std::uint64_t id, double timeout_s, Response& out) {
       if (outstanding_ > 0) --outstanding_;
       return true;
     }
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) return false;
-    const auto remaining =
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now);
-    pump(static_cast<int>(remaining.count()) + 1);
+    int timeout_ms = -1;
+    if (bounded) {
+      const auto now = std::chrono::steady_clock::now();
+      if (now >= deadline) return false;
+      const auto left =
+          std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now);
+      timeout_ms = static_cast<int>(left.count()) + 1;
+    }
+    pump(timeout_ms);
   }
 }
 

@@ -15,7 +15,9 @@
 //     of order and the id match is native; over esm1 responses arrive in
 //     request order and the client re-associates them FIFO — the API is
 //     identical, only the concurrency the wire permits differs, which is
-//     exactly what bench/serve_throughput.cpp measures.
+//     exactly what bench/serve_throughput.cpp measures. await is await_for
+//     without a deadline: one loop, reading through the channel's one
+//     receive_some (blocking, or bounded by the time left).
 //
 // Overload behavior (PR 9): set_retry installs an esm::RetryPolicy-driven
 // retry loop around the sync verbs — only idempotent verbs are retried,
@@ -75,15 +77,14 @@ class EsmClient {
   std::uint64_t submit(const std::string& verb, const std::string& payload);
 
   /// Blocks until the response for `id` arrived (responses for other
-  /// pipelined requests are buffered as they pass by). Throws
-  /// esm::ConfigError when the connection ends first.
+  /// pipelined requests are buffered as they pass by): await_for with no
+  /// deadline. Throws esm::ConfigError when the connection ends first.
   Response await(std::uint64_t id);
 
-  /// Like await but gives up after `timeout_s` wall-clock seconds,
-  /// returning false with `out` untouched (the request stays outstanding —
-  /// its response, if it ever arrives, is buffered for a later await).
-  /// Requires a channel whose receive_some_for honors timeouts; over a
-  /// purely blocking channel this degrades to await.
+  /// Like await but gives up after `timeout_s` wall-clock seconds (a
+  /// negative value never gives up), returning false with `out` untouched
+  /// (the request stays outstanding — its response, if it ever arrives, is
+  /// buffered for a later await).
   bool await_for(std::uint64_t id, double timeout_s, Response& out);
 
   // -- overload handling ---------------------------------------------------
@@ -146,7 +147,7 @@ class EsmClient {
   /// Reads until at least one more response is decoded into completed_.
   /// timeout_ms < 0 blocks indefinitely; otherwise returns false when the
   /// channel timed out first. Throws on end-of-stream.
-  bool pump(int timeout_ms = -1);
+  bool pump(int timeout_ms);
 
   /// Replaces the channel via reconnect_ and discards pipeline state.
   void reconnect();

@@ -466,15 +466,13 @@ struct EventLoop::Impl {
       // fd-backed connections instead of one send per response).
       // out_offset indexes into the concatenation and stays within
       // out.front() because fully written fronts pop immediately.
-      constexpr std::size_t kMaxFlushBufs = 64;
-      std::string_view bufs[kMaxFlushBufs];
+      std::string_view bufs[kMaxWriteBufs];
       std::size_t count = 0;
       for (const std::string& buffered : conn.out) {
-        if (count == kMaxFlushBufs) break;
+        if (count == kMaxWriteBufs) break;
         bufs[count++] = buffered;
       }
-      const IoResult r = conn.io->write_some_vec(bufs, count,
-                                                 &conn.out_offset);
+      const IoResult r = conn.io->write_some(bufs, count, &conn.out_offset);
       if (r == IoResult::ok) {
         while (!conn.out.empty() &&
                conn.out_offset >= conn.out.front().size()) {

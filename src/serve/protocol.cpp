@@ -202,9 +202,15 @@ bool extract_deadline_token(std::string& payload, std::uint32_t& deadline_ms,
   const std::string token = payload.substr(
       kPrefixLen, space == std::string::npos ? std::string::npos
                                              : space - kPrefixLen);
-  long value = 0;
-  if (!parse_int_token(token, value) || value <= 0 ||
-      value > 0xFFFFFFFFl) {
+  // 1 to 10 ASCII digits, no leading zero, at most 2^32 - 1: no sign, no
+  // whitespace, one spelling per value.
+  const bool canonical =
+      !token.empty() && token.size() <= 10 && token[0] != '0' &&
+      std::all_of(token.begin(), token.end(),
+                  [](char c) { return c >= '0' && c <= '9'; });
+  const unsigned long long value =
+      canonical ? std::strtoull(token.c_str(), nullptr, 10) : 0;
+  if (!canonical || value > 0xFFFFFFFFull) {
     error = "deadline token '" + token +
             "' is not a positive millisecond count";
     return false;

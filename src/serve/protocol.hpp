@@ -96,10 +96,11 @@ RoutedPayload split_model_key(std::string_view payload);
 /// "predict deadline=50 rpi4 3,5,2,7"). When present and valid, the token
 /// plus one separating space are removed from `payload` and `deadline_ms`
 /// is set. Returns false — with `error` describing the violation and the
-/// payload untouched — when the token is present but malformed (empty,
-/// non-numeric, zero, or out of u32 range); payloads without the token
-/// succeed unchanged. Model names may not contain '=', so no routing key
-/// can collide with the token.
+/// payload untouched — when the token is present but is not 1–10 ASCII
+/// digits without a leading zero (no sign, no whitespace, no zero) or is
+/// out of u32 range; payloads without the token succeed unchanged. Model
+/// names may not contain '=', so no routing key can collide with the
+/// token.
 bool extract_deadline_token(std::string& payload, std::uint32_t& deadline_ms,
                             std::string& error);
 

@@ -586,29 +586,37 @@ std::optional<Reply> PredictionServer::enqueue(Pending& line,
 }
 
 bool PredictionServer::flush() {
-  // A wakeup with nothing admitted reads one atomic: no lock, no syscall.
-  if (admitted_archs_.load(std::memory_order_acquire) == 0) return false;
+  // A wakeup with nothing admitted reads two atomics: no lock, no syscall.
+  // Only a degraded gauge left set takes the lock when idle, so the lift
+  // rule below can clear it at a load of 0.
+  if (admitted_archs_.load(std::memory_order_acquire) == 0 &&
+      !degraded_.load(std::memory_order_relaxed)) {
+    return false;
+  }
   std::lock_guard<std::mutex> flush_lock(flush_mutex_);
   // Degraded mode, under admission control: once four rounds in a row
   // start with the admitted misses at half of max_queue or more, the round
   // cap halves, so the reactor returns to its sockets sooner and admission
   // frees slots in smaller steps (DESIGN.md §6j measured the goodput this
   // buys); the mode lifts once the load falls to a quarter of the cap.
+  bool degraded = degraded_.load(std::memory_order_relaxed);
   if (config_.max_queue != 0) {
     const std::size_t half = std::max<std::size_t>(1, config_.max_queue / 2);
     const std::size_t load = admitted_archs_.load(std::memory_order_relaxed);
     pressure_rounds_ = load >= half ? pressure_rounds_ + 1 : 0;
-    if (!degraded_ && pressure_rounds_ >= 4) {
-      degraded_ = true;
+    if (!degraded && pressure_rounds_ >= 4) {
+      degraded = true;
+      degraded_.store(true, std::memory_order_relaxed);
       metrics_.set_degraded(true);
-    } else if (degraded_ && load <= half / 2) {
-      degraded_ = false;
+    } else if (degraded && load <= half / 2) {
+      degraded = false;
+      degraded_.store(false, std::memory_order_relaxed);
       metrics_.set_degraded(false);
     }
   }
   const std::size_t cap =
-      degraded_ ? std::max<std::size_t>(1, config_.max_batch / 2)
-                : config_.max_batch;
+      degraded ? std::max<std::size_t>(1, config_.max_batch / 2)
+               : config_.max_batch;
   // Whole lines, oldest first, until the round holds `cap` unpriced archs:
   // everything admitted since the last call coalesces into this one, and
   // only the last line may be priced in part.

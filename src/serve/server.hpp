@@ -313,11 +313,13 @@ class PredictionServer {
   /// being priced (the last may be carried, partly priced, into the next
   /// call) and its predict_all batch, both keeping their capacity, and
   /// degraded mode with the rounds in a row that started under pressure.
+  /// degraded_ is written under the lock and atomic only so an idle
+  /// flush() can read it without one.
   std::mutex flush_mutex_;
   std::vector<Pending> round_;
   std::vector<ArchConfig> batch_;
   std::size_t pressure_rounds_ = 0;
-  bool degraded_ = false;
+  std::atomic<bool> degraded_{false};
 
   std::mutex stop_mutex_;
   std::condition_variable stop_cv_;

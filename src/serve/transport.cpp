@@ -19,31 +19,6 @@
 
 namespace esm::serve {
 
-IoResult Connection::write_some_vec(const std::string_view* bufs,
-                                    std::size_t count, std::size_t* offset) {
-  // One buffer per call: locate the buffer containing *offset and forward
-  // to write_some with a buffer-local offset. Progress still spans the
-  // whole sequence across calls, just without the gather syscall.
-  std::size_t consumed = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t end = consumed + bufs[i].size();
-    if (end > *offset) {
-      std::size_t local = *offset - consumed;
-      const IoResult result = write_some(bufs[i], &local);
-      *offset = consumed + local;
-      return result;
-    }
-    consumed = end;
-  }
-  return IoResult::ok;
-}
-
-bool ClientChannel::receive_some_for(std::string& out, int /*timeout_ms*/,
-                                     bool* timed_out) {
-  if (timed_out != nullptr) *timed_out = false;
-  return receive_some(out);
-}
-
 namespace {
 
 void set_nonblocking(int fd) {
@@ -78,32 +53,15 @@ class FdConnection final : public Connection {
     }
   }
 
-  IoResult write_some(std::string_view data, std::size_t* offset) override {
+  IoResult write_some(const std::string_view* bufs, std::size_t count,
+                      std::size_t* offset) override {
     if (fd_ < 0) return IoResult::error;
-    if (*offset >= data.size()) return IoResult::ok;
-    for (;;) {
-      const ssize_t n = ::send(fd_, data.data() + *offset,
-                               data.size() - *offset, MSG_NOSIGNAL);
-      if (n >= 0) {
-        *offset += static_cast<std::size_t>(n);
-        return IoResult::ok;
-      }
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return IoResult::would_block;
-      return IoResult::error;
-    }
-  }
-
-  IoResult write_some_vec(const std::string_view* bufs, std::size_t count,
-                          std::size_t* offset) override {
-    if (fd_ < 0) return IoResult::error;
-    // Gather up to kMaxIov unwritten tails into one sendmsg (writev with
-    // MSG_NOSIGNAL, matching write_some's SIGPIPE suppression).
-    constexpr std::size_t kMaxIov = 64;
-    struct iovec iov[kMaxIov];
+    // Gather the unwritten tails into one sendmsg: writev with
+    // MSG_NOSIGNAL, so a vanished peer is an error, not a SIGPIPE.
+    struct iovec iov[kMaxWriteBufs];
     std::size_t iov_count = 0;
     std::size_t consumed = 0;
-    for (std::size_t i = 0; i < count && iov_count < kMaxIov; ++i) {
+    for (std::size_t i = 0; i < count && iov_count < kMaxWriteBufs; ++i) {
       const std::size_t end = consumed + bufs[i].size();
       if (end > *offset && !bufs[i].empty()) {
         const std::size_t local = *offset > consumed ? *offset - consumed : 0;
@@ -204,26 +162,8 @@ class LoopbackConnection final : public Connection {
     return IoResult::ok;
   }
 
-  IoResult write_some(std::string_view data, std::size_t* offset) override {
-    std::lock_guard<std::mutex> lock(state_->mutex);
-    if (state_->client_closed) return IoResult::error;
-    if (*offset >= data.size()) return IoResult::ok;
-    std::size_t room = data.size() - *offset;
-    if (state_->response_cap > 0) {
-      if (state_->to_client.size() >= state_->response_cap) {
-        return IoResult::would_block;
-      }
-      room = std::min(room,
-                      state_->response_cap - state_->to_client.size());
-    }
-    state_->to_client.append(data.data() + *offset, room);
-    *offset += room;
-    state_->client_cv.notify_all();
-    return IoResult::ok;
-  }
-
-  IoResult write_some_vec(const std::string_view* bufs, std::size_t count,
-                          std::size_t* offset) override {
+  IoResult write_some(const std::string_view* bufs, std::size_t count,
+                      std::size_t* offset) override {
     std::lock_guard<std::mutex> lock(state_->mutex);
     if (state_->client_closed) return IoResult::error;
     std::size_t total = 0;
@@ -238,7 +178,7 @@ class LoopbackConnection final : public Connection {
                       state_->response_cap - state_->to_client.size());
     }
     // Append `room` bytes of the concatenation starting at *offset,
-    // spanning buffers — the gather equivalent of the loop above.
+    // spanning buffers.
     std::size_t pos = *offset;
     std::size_t consumed = 0;
     std::size_t remaining = room;
@@ -293,14 +233,23 @@ class LoopbackClient final : public ClientChannel {
     return true;
   }
 
-  bool receive_some(std::string& out) override {
+  bool receive_some(std::string& out, int timeout_ms,
+                    bool* timed_out) override {
+    if (timed_out != nullptr) *timed_out = false;
     ReadyNotifier notify;
     bool drained_cap = false;
     {
       std::unique_lock<std::mutex> lock(state_->mutex);
-      state_->client_cv.wait(lock, [this] {
+      const auto arrived = [this] {
         return !state_->to_client.empty() || state_->server_closed;
-      });
+      };
+      if (timeout_ms < 0) {
+        state_->client_cv.wait(lock, arrived);
+      } else if (!state_->client_cv.wait_for(
+                     lock, std::chrono::milliseconds(timeout_ms), arrived)) {
+        if (timed_out != nullptr) *timed_out = true;
+        return false;
+      }
       if (state_->to_client.empty()) return false;
       drained_cap = state_->response_cap > 0 &&
                     state_->to_client.size() >= state_->response_cap;
@@ -310,32 +259,6 @@ class LoopbackClient final : public ClientChannel {
     }
     // Draining a full capped buffer makes the server writable again; the
     // reactor must hear about it to retry the blocked flush.
-    if (drained_cap && notify) notify();
-    return true;
-  }
-
-  bool receive_some_for(std::string& out, int timeout_ms,
-                        bool* timed_out) override {
-    ReadyNotifier notify;
-    bool drained_cap = false;
-    {
-      std::unique_lock<std::mutex> lock(state_->mutex);
-      const bool ready = state_->client_cv.wait_for(
-          lock, std::chrono::milliseconds(timeout_ms), [this] {
-            return !state_->to_client.empty() || state_->server_closed;
-          });
-      if (!ready) {
-        if (timed_out != nullptr) *timed_out = true;
-        return false;
-      }
-      if (timed_out != nullptr) *timed_out = false;
-      if (state_->to_client.empty()) return false;
-      drained_cap = state_->response_cap > 0 &&
-                    state_->to_client.size() >= state_->response_cap;
-      out.append(state_->to_client);
-      state_->to_client.clear();
-      notify = state_->notify;
-    }
     if (drained_cap && notify) notify();
     return true;
   }
@@ -429,10 +352,6 @@ std::unique_ptr<Listener> make_tcp_listener(int port, int* bound_port) {
   ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &addr_len);
   if (bound_port != nullptr) *bound_port = ntohs(addr.sin_port);
   return std::make_unique<TcpListener>(fd);
-}
-
-std::shared_ptr<Connection> adopt_fd_connection(int fd) {
-  return std::make_shared<FdConnection>(fd);
 }
 
 std::shared_ptr<LoopbackListener> make_loopback_listener() {

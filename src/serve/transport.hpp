@@ -1,9 +1,9 @@
 // Byte-stream transport behind the event loop: non-blocking connections
 // and listeners with one uniform readiness model, implemented twice —
 //
-//   * TCP (make_tcp_listener / adopt_fd_connection): real sockets with
-//     O_NONBLOCK fds. poll_fd() exposes the fd so the event loop registers
-//     it with epoll and readiness arrives from the kernel.
+//   * TCP (make_tcp_listener): real sockets with O_NONBLOCK fds.
+//     poll_fd() exposes the fd so the event loop registers it with epoll
+//     and readiness arrives from the kernel.
 //
 //   * loopback (make_loopback_listener): fd-less in-process connections
 //     over plain byte buffers. poll_fd() is -1; readiness arrives through
@@ -13,8 +13,10 @@
 //     connections deterministically under any ulimit, with the exact same
 //     event-loop code paths the TCP transport exercises.
 //
-// All I/O is non-blocking from the event loop's point of view: read_some
-// and write_some never wait, they report would_block and the loop retries
+// One contract per direction: a Connection has one read and one gather
+// write, a ClientChannel one send and one receive (blocking, or bounded by
+// a timeout). All server-side I/O is non-blocking: read_some and
+// write_some never wait, they report would_block and the loop retries
 // when the transport signals readiness again.
 #pragma once
 
@@ -38,6 +40,10 @@ enum class IoResult {
 /// writable again; must be cheap and non-blocking (it wakes the reactor).
 using ReadyNotifier = std::function<void()>;
 
+/// Most buffers one Connection::write_some call gathers: the event loop's
+/// flush window and the iovec array of fd-backed connections.
+inline constexpr std::size_t kMaxWriteBufs = 64;
+
 /// One accepted server-side connection. Not thread-safe: the event loop is
 /// the only caller of read_some/write_some; close() may race only with the
 /// peer, never with the loop.
@@ -49,20 +55,13 @@ class Connection {
   /// `ok` guarantees at least one byte was appended.
   virtual IoResult read_some(std::string& out) = 0;
 
-  /// Writes bytes of `data` starting at `*offset`, advancing `*offset` by
-  /// what was accepted. `ok` guarantees progress; would_block means the
-  /// peer must drain first.
-  virtual IoResult write_some(std::string_view data, std::size_t* offset) = 0;
-
-  /// Scatter-gather write: the `count` buffers are one logical byte
-  /// sequence and `*offset` indexes into that concatenation, advancing by
-  /// what was accepted (possibly spanning several buffers). The base
-  /// implementation forwards to write_some on the buffer holding `*offset`
-  /// — one buffer per call, so decorators that only override write_some
-  /// still see every byte. Fd-backed connections override this with a
-  /// gather syscall, flushing many small responses in one call.
-  virtual IoResult write_some_vec(const std::string_view* bufs,
-                                  std::size_t count, std::size_t* offset);
+  /// Gather write: the `count` buffers (at most kMaxWriteBufs) are one
+  /// logical byte sequence and `*offset` indexes into their concatenation,
+  /// advancing by what was accepted, possibly across several buffers. `ok`
+  /// guarantees progress unless `*offset` was already at the end;
+  /// would_block means the peer must drain first.
+  virtual IoResult write_some(const std::string_view* bufs, std::size_t count,
+                              std::size_t* offset) = 0;
 
   /// Ends the connection in both directions. Idempotent.
   virtual void close() = 0;
@@ -98,10 +97,6 @@ class Listener {
 /// are O_NONBLOCK | FD_CLOEXEC. Throws esm::ConfigError on bind failure.
 std::unique_ptr<Listener> make_tcp_listener(int port, int* bound_port);
 
-/// Wraps an already-connected socket fd as a Connection (sets O_NONBLOCK;
-/// takes ownership of the fd).
-std::shared_ptr<Connection> adopt_fd_connection(int fd);
-
 /// Blocking byte channel from a client to a server: a TCP socket
 /// (connect_tcp, serve/client.hpp) or the client end of one loopback
 /// connection (LoopbackListener::connect). Blocking calls are for driver
@@ -113,20 +108,13 @@ class ClientChannel {
   /// Writes all of `bytes`; false once the server side closed.
   virtual bool send(std::string_view bytes) = 0;
 
-  /// Blocks until response bytes are available or the server side closed,
-  /// then appends what arrived to `out`. False on end-of-stream with
-  /// nothing buffered.
-  virtual bool receive_some(std::string& out) = 0;
-
-  /// Like receive_some, but gives up after `timeout_ms` milliseconds:
-  /// returns false with `*timed_out` (when non-null) set when nothing
-  /// arrived in time. On data or end-of-stream behaves exactly like
-  /// receive_some (with `*timed_out` false). The base implementation
-  /// ignores the timeout and blocks; TCP (poll(2)) and loopback (its
-  /// condition variable) override it with a bounded wait, which is what
-  /// gives the client its per-request timeouts.
-  virtual bool receive_some_for(std::string& out, int timeout_ms,
-                                bool* timed_out);
+  /// Waits until response bytes are available, the server side closed,
+  /// or `timeout_ms` milliseconds passed (-1 waits without limit), then
+  /// appends what arrived to `out`. Returns false on end-of-stream with
+  /// nothing buffered and on timeout; `*timed_out` (when non-null) tells
+  /// the two apart.
+  virtual bool receive_some(std::string& out, int timeout_ms = -1,
+                            bool* timed_out = nullptr) = 0;
 
   /// Closes the client end; the server reads end-of-stream. Idempotent.
   virtual void close() = 0;

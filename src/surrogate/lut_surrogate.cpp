@@ -105,17 +105,6 @@ std::string LutSurrogate::name() const {
   return bias_corrected() ? "LUT+BC" : "LUT";
 }
 
-std::vector<double> LutSurrogate::predict_all(
-    std::span<const ArchConfig> archs) const {
-  // Serial on purpose: lazy profiling mutates table_ and charges the
-  // device's measurement-cost account, neither of which tolerates
-  // concurrent callers.
-  std::vector<double> out;
-  out.reserve(archs.size());
-  for (const ArchConfig& arch : archs) out.push_back(predict_ms(arch));
-  return out;
-}
-
 void LutSurrogate::save(ArchiveWriter& archive) const {
   ESM_REQUIRE(fitted(), "cannot save an empty LUT surrogate");
   // Signatures are whitespace-free by construction, so they store directly

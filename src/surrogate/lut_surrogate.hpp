@@ -73,11 +73,6 @@ class LutSurrogate final : public TrainableSurrogate {
   const SupernetSpec& spec() const override { return spec_; }
   bool fitted() const override { return !table_.empty(); }
 
-  /// Lazy profiling mutates the memo table and charges device measurement
-  /// cost, so batch prediction must stay serial.
-  std::vector<double> predict_all(
-      std::span<const ArchConfig> archs) const override;
-
   /// Persists the profiled table and bias correction.
   void save(ArchiveWriter& archive) const override;
 

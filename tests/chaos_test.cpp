@@ -112,21 +112,26 @@ TEST(ChaosTest, MildChaosServesBitIdentically) {
 }
 
 /// Scripted inner connection for decorator-level determinism tests:
-/// canned read chunks, writes recorded verbatim.
+/// canned read chunks, writes recorded verbatim, at most `write_cap`
+/// bytes accepted per write.
 struct ScriptedConn final : serve::Connection {
   std::vector<std::string> chunks;
   std::size_t next = 0;
   std::string written;
+  std::size_t write_cap = std::string::npos;
 
   serve::IoResult read_some(std::string& out) override {
     if (next >= chunks.size()) return serve::IoResult::would_block;
     out += chunks[next++];
     return serve::IoResult::ok;
   }
-  serve::IoResult write_some(std::string_view data,
+  serve::IoResult write_some(const std::string_view* bufs, std::size_t count,
                              std::size_t* offset) override {
-    written.append(data.substr(*offset));
-    *offset = data.size();
+    // The decorator hands on the one buffer holding the offset.
+    EXPECT_EQ(count, 1u);
+    const std::string_view tail = bufs[0].substr(*offset, write_cap);
+    written.append(tail);
+    *offset += tail.size();
     return serve::IoResult::ok;
   }
   void close() override {}
@@ -163,7 +168,7 @@ TEST(ChaosTest, SameSeedReplaysTheSameSchedule) {
     const std::string_view payload = "0123456789";
     std::size_t offset = 0;
     for (int i = 0; i < 64 && offset < payload.size(); ++i) {
-      if (conn->write_some(payload, &offset) == serve::IoResult::error) {
+      if (conn->write_some(&payload, 1, &offset) == serve::IoResult::error) {
         log += "werr|";
         break;
       }
@@ -178,6 +183,74 @@ TEST(ChaosTest, SameSeedReplaysTheSameSchedule) {
   const std::string first = run();
   EXPECT_EQ(first, run());
   EXPECT_FALSE(first.empty());
+}
+
+/// Appends "<tag><outcome><detail>|" to `log`; ok's outcome is empty.
+void note(std::string& log, char tag, serve::IoResult r,
+          const std::string& detail) {
+  log += tag;
+  log += r == serve::IoResult::ok            ? ""
+         : r == serve::IoResult::would_block ? "wb"
+                                             : "err";
+  log += detail;
+  log += '|';
+}
+
+TEST(ChaosTest, HarshGatherScheduleGolden) {
+  // Six seeded harsh schedules over a scripted inner connection that
+  // accepts at most 7 bytes per write, driven by reads and by gather
+  // writes of several buffers (empty ones included) until each sequence
+  // is written or the connection dies. Every read outcome and fragment,
+  // every write outcome and offset, and every byte the inner connection
+  // took is logged; the log was recorded when gather writes still went
+  // through a per-buffer forwarder, and must never change.
+  const ChaosProfile harsh = serve::chaos_profile_by_name("harsh");
+  const std::vector<std::vector<std::string_view>> writes = {
+      {"alpha-", "", "bravo-charlie-", "d", "echo-foxtrot;"},
+      {"x", "y", "z", "golf-hotel-india;"},
+      {"", "juliet-kilo-lima-mike;", ""},
+  };
+  std::string log;
+  for (std::uint64_t stream = 0; stream < 6; ++stream) {
+    auto inner = std::make_shared<ScriptedConn>();
+    inner->write_cap = 7;
+    for (char i = '0'; i < '6'; ++i) {
+      inner->chunks.push_back(std::string("r") + i + "-data;");
+    }
+    const std::shared_ptr<serve::Connection> conn =
+        serve::make_chaos_connection(inner, harsh, Rng(0xfeed).split(stream));
+    log += "#" + std::to_string(stream) + ":";
+    for (const std::vector<std::string_view>& bufs : writes) {
+      for (int i = 0; i < 3; ++i) {
+        std::string out;
+        const serve::IoResult r = conn->read_some(out);
+        note(log, 'R', r, out);
+      }
+      std::size_t total = 0;
+      for (const std::string_view buf : bufs) total += buf.size();
+      std::size_t offset = 0;
+      for (int i = 0; i < 64; ++i) {
+        const serve::IoResult r =
+            conn->write_some(bufs.data(), bufs.size(), &offset);
+        note(log, 'W', r, std::to_string(offset));
+        if (r == serve::IoResult::error || offset == total) break;
+      }
+      if (offset == total) {
+        // A call with nothing left to write draws nothing.
+        const serve::IoResult r =
+            conn->write_some(bufs.data(), bufs.size(), &offset);
+        note(log, 'E', r, "");
+      }
+    }
+    log += "written=" + inner->written + "\n";
+  }
+  EXPECT_EQ(log,
+      "#0:Rr0-data;|Rwb|Rr1-data;|W6|W7|Werr7|Rerr|Rerr|Rerr|Werr0|Rerr|Rerr|Rerr|Werr0|written=alpha-b\n"
+      "#1:Rr|R0|R-data;|W6|W7|W14|W20|Werr20|Rerr|Rerr|Rerr|Werr0|Rerr|Rerr|Rerr|Werr0|written=alpha-bravo-charlie-\n"
+      "#2:Rr0-data;|Rr1-data;|Rr2-data;|W6|W7|W14|W20|W21|W28|Wwb28|Wwb28|W34|E|Rr3-data;|Rwb|Rr|W1|W2|W3|Wwb3|W4|W11|W12|W13|W20|E|R4|R-|Rd|Werr0|written=alpha-bravo-charlie-decho-foxtrot;xyzgolf-hotel-india;\n"
+      "#3:Rr|R0|R-data;|W1|W2|W6|W13|Werr13|Rerr|Rerr|Rerr|Werr0|Rerr|Rerr|Rerr|Werr0|written=alpha-bravo-c\n"
+      "#4:Rr|R0-data;|Rr|W1|W2|W6|W13|W20|W21|W22|W23|Wwb23|W24|W25|W26|W27|Wwb27|W34|E|R1-data;|Rr|R2|W1|W2|W3|W4|W5|Wwb5|W12|W13|W20|E|R-data;|Rr3-data;|Rr4-data;|W7|W8|W15|W22|E|written=alpha-bravo-charlie-decho-foxtrot;xyzgolf-hotel-india;juliet-kilo-lima-mike;\n"
+      "#5:Rr|R0|R-|Wwb0|Wwb0|W6|W13|W14|W15|W20|W21|Wwb21|W28|W34|E|Rd|Rata;|Rr1-data;|W1|W2|W3|W10|Werr10|Rerr|Rerr|Rerr|Werr0|written=alpha-bravo-charlie-decho-foxtrot;xyzgolf-ho\n");
 }
 
 TEST(ChaosTest, RetryRidesOutHarshChaos) {

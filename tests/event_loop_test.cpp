@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "serve/chaos.hpp"
 #include "serve/error.hpp"
 #include "serve_harness.hpp"
 
@@ -376,7 +377,7 @@ TEST(EventLoopTest, Esm1HoldBackQueueIsCapped) {
 }
 
 TEST(EventLoopTest, GatherFlushSurvivesTinyWriteWindows) {
-  // A 64-byte client window makes every flush a partial write_some_vec:
+  // A 64-byte client window makes every flush a partial write_some:
   // the gather path must resume mid-buffer without corrupting or
   // reordering any pipelined esm2 response.
   const std::vector<std::string> pool = arch_pool(32);
@@ -401,9 +402,10 @@ TEST(EventLoopTest, GatherFlushSurvivesTinyWriteWindows) {
 }
 
 TEST(EventLoopTest, TcpAndLoopbackFlushByteIdentically) {
-  // The same pipelined esm1 workload over both transports: the gather
-  // flush (sendmsg iovecs for TCP, write_some_vec for loopback) must
-  // yield byte-identical response streams.
+  // The same pipelined esm1 workload over both transports, and over
+  // loopback under the mild chaos profile: the gather flush (sendmsg
+  // iovecs for TCP, buffer appends for loopback, one buffer per call
+  // under chaos) must yield byte-identical response streams.
   const std::vector<std::string> pool = arch_pool(16);
   std::string burst;
   constexpr int kRequests = 40;
@@ -434,6 +436,19 @@ TEST(EventLoopTest, TcpAndLoopbackFlushByteIdentically) {
         collect(harness.listener->connect(48));
   }
 
+  std::string chaos_bytes;
+  {
+    // Mild chaos fragments reads and writes and stalls, but every byte
+    // survives.
+    Harness harness(serve_config(artifact()), {},
+                    [](std::shared_ptr<serve::Listener> listener) {
+                      return serve::make_chaos_listener(
+                          std::move(listener),
+                          serve::chaos_profile_by_name("mild"), 0x5eed);
+                    });
+    chaos_bytes = collect(harness.listener->connect(48));
+  }
+
   std::string tcp_bytes;
   {
     PredictionServer server(serve_config(artifact()));
@@ -451,6 +466,7 @@ TEST(EventLoopTest, TcpAndLoopbackFlushByteIdentically) {
   }
 
   EXPECT_EQ(loopback_bytes, tcp_bytes);
+  EXPECT_EQ(loopback_bytes, chaos_bytes);
 }
 
 TEST(EventLoopTest, IdleConnectionIsReaped) {

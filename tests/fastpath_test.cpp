@@ -546,7 +546,7 @@ TEST(FastPathTest, EventLoopAnswersOrDropsWhenAFlushAllocationFails) {
     ASSERT_TRUE(client->send("predict " + fresh_arch() + "\n"));
     std::string bytes;
     bool timed_out = false;
-    if (client->receive_some_for(bytes, 10000, &timed_out)) {
+    if (client->receive_some(bytes, 10000, &timed_out)) {
       EXPECT_EQ(bytes.rfind("esm1 ", 0), 0u)
           << "allocation " << k << ": " << bytes;
     }

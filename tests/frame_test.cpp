@@ -317,7 +317,9 @@ TEST(FrameTest, MalformedDeadlineTokenRejected) {
   std::string error;
   for (const char* bad : {"deadline= 3,5,2,7", "deadline=abc 3,5,2,7",
                           "deadline=-5 3,5,2,7", "deadline=1e3 3,5,2,7",
-                          "deadline=99999999999 3,5,2,7"}) {
+                          "deadline=99999999999 3,5,2,7",
+                          "deadline=+5 3,5,2,7", "deadline=\t5 3,5,2,7",
+                          "deadline=007 3,5,2,7"}) {
     std::string payload = bad;
     error.clear();
     EXPECT_FALSE(extract_deadline_token(payload, deadline_ms, error)) << bad;
@@ -564,9 +566,10 @@ TEST(Esm1FuzzTest, MutatedLinesKeepTheSplitDeadlineAndKeyContracts) {
               space == std::string::npos ? "" : trimmed.substr(space + 1))
         << line;
 
-    // extract_deadline_token: accepted only with a value in [1, 2^32 - 1],
-    // leaving exactly what follows the token; rejected with a reason and
-    // the payload untouched; absent, a no-op.
+    // extract_deadline_token: accepted only when the token is the value's
+    // one spelling (plain digits, no leading zero) and the value lies in
+    // [1, 2^32 - 1], leaving exactly what follows the token; rejected with
+    // a reason and the payload untouched; absent, a no-op.
     std::string payload = request.payload;
     std::uint32_t deadline_ms = 0;
     std::string error;
@@ -581,9 +584,7 @@ TEST(Esm1FuzzTest, MutatedLinesKeepTheSplitDeadlineAndKeyContracts) {
       const std::size_t end = request.payload.find(' ');
       const std::string token = request.payload.substr(9, end - 9);
       EXPECT_GE(deadline_ms, 1u) << line;
-      EXPECT_EQ(token.substr(token.find_first_not_of(" \t\n\v\f\r+0")),
-                std::to_string(deadline_ms))
-          << line;
+      EXPECT_EQ(token, std::to_string(deadline_ms)) << line;
       EXPECT_EQ(payload, end == std::string::npos
                              ? ""
                              : request.payload.substr(end + 1))

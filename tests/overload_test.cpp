@@ -660,6 +660,28 @@ TEST(OverloadTest, SustainedPressureEntersDegradedModeAtFullBatches) {
   expect_identities(snap);
 }
 
+TEST(OverloadTest, IdleFlushLiftsDegradedMode) {
+  // The first test's schedule enters degraded mode on the round that
+  // drains the queue. The next flush() finds nothing admitted, a load of
+  // 0, under a quarter of the cap: it lifts the mode, so an idle server's
+  // stats stop reporting degraded=1, and no second entry is counted.
+  ServeConfig config = serve_config(artifact());
+  config.cache_capacity = 0;
+  config.max_batch = 1;
+  config.max_queue = 8;
+  serve::PredictionServer server(config);
+  submit_line(server, "predict_batch", join_batch(arch_pool(4)), 0,
+              [](serve::Reply&& reply) { EXPECT_TRUE(reply.ok); });
+  while (server.flush()) {
+  }
+  ASSERT_EQ(server.metrics().degraded, 1u);
+  EXPECT_FALSE(server.flush());
+  const serve::MetricsSnapshot snap = server.metrics();
+  EXPECT_EQ(snap.degraded, 0u) << "an idle flush() must lift the gauge";
+  EXPECT_EQ(snap.degraded_entries, 1u);
+  expect_identities(snap);
+}
+
 // -- client retry / timeout -----------------------------------------------
 
 /// Scripted channel: replays canned esm1 responses, one per send.
@@ -674,13 +696,8 @@ class ScriptedChannel final : public ClientChannel {
     return true;
   }
 
-  bool receive_some(std::string& out) override {
-    bool timed_out = false;
-    return receive_some_for(out, -1, &timed_out);
-  }
-
-  bool receive_some_for(std::string& out, int /*timeout_ms*/,
-                        bool* timed_out) override {
+  bool receive_some(std::string& out, int /*timeout_ms*/,
+                    bool* timed_out) override {
     if (timed_out) *timed_out = false;
     if (closed_ || next_ >= responses_.size()) {
       if (hang_when_exhausted_ && timed_out) {

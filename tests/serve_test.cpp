@@ -184,9 +184,6 @@ TEST(PredictionCacheTest, EvictsLeastRecentlyUsedPerShard) {
   EXPECT_EQ(cache.get("c"), 3.0);
   EXPECT_FALSE(cache.get("b").has_value());
   EXPECT_EQ(cache.size(), 2u);
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.get("a").has_value());
 }
 
 TEST(PredictionCacheTest, ZeroCapacityDisablesCaching) {
