@@ -29,18 +29,21 @@
 #                         meet its budget on the ground-truth simulator),
 #                         then a scalar-fallback build (-DESM_SIMD=off) running
 #                         the linalg + ml + encoding + parallel + fastpath +
-#                         serve suites (the portable GEMM and training-step
-#                         paths must stay green and bit-identical, trained
-#                         golden digests included), then an FMA build
+#                         serve + surrogate-registry suites (the portable
+#                         GEMM and training-step paths must stay green and
+#                         bit-identical, trained golden digests and artifact
+#                         CRCs through the MLP's save/load transpose
+#                         included), then an FMA build
 #                         (-DESM_FMA=ON) running the linalg + ml + fastpath
 #                         suites (exact-equality pins switch to tight
 #                         relative tolerances via gemm_fma_enabled()), then
 #                         one ASan + UBSan build running the common +
 #                         journal + linalg + encoding + surrogate + esm +
 #                         corruption-matrix + nets + nn + nas + search + ml +
-#                         serve + frame + arch-fuzz + event-loop + overload +
-#                         chaos suites (the archive codec and the journal
-#                         records it decodes under seeded generated input, the
+#                         serve + frame + fleet + arch-fuzz + event-loop +
+#                         overload + chaos suites (the archive codec and the
+#                         journal records it decodes under seeded generated
+#                         input, the fleet manifest parser under the same, the
 #                         encoding table that resolves every loaded
 #                         artifact's esm.encoder string, graph
 #                         lowering into either sink, the accuracy proxy, the
@@ -327,7 +330,9 @@ echo "== scalar tier (ESM_SIMD=off: portable GEMM path) =="
 # The vector microkernel and the scalar fallback must agree bit-for-bit;
 # run the math-heavy suites against the fallback so it can never rot.
 # ml_test's trained-bit digests were recorded on the vector build, so they
-# also pin the vectorized training step to the portable one.
+# also pin the vectorized training step to the portable one, and
+# surrogate_registry_test's artifact CRC goldens and fit -> save -> load
+# round trips pin the MLP's archive-boundary transpose on the portable path.
 # (fastpath_test replaces operator new, so it runs here and in the plain
 # build but stays out of the sanitizer tiers, which bring their own
 # allocators.)
@@ -335,9 +340,9 @@ cmake -B build-scalar -S . -DCMAKE_BUILD_TYPE=Release \
   -DESM_SIMD=off >/dev/null
 cmake --build build-scalar -j "$JOBS" \
   --target linalg_test ml_test encoding_test parallel_test fastpath_test \
-  serve_test
+  serve_test surrogate_registry_test
 ctest --test-dir build-scalar --output-on-failure \
-  -R '^(linalg_test|ml_test|encoding_test|parallel_test|fastpath_test|serve_test)$'
+  -R '^(linalg_test|ml_test|encoding_test|parallel_test|fastpath_test|serve_test|surrogate_registry_test)$'
 
 echo "== fma tier (ESM_FMA=ON: contracted microkernel) =="
 # FMA contraction changes mul+add rounding, in the GEMM kernel and in the
@@ -349,12 +354,14 @@ cmake --build build-fma -j "$JOBS" --target linalg_test ml_test fastpath_test
 ctest --test-dir build-fma --output-on-failure \
   -R '^(linalg_test|ml_test|fastpath_test)$'
 
-echo "== asan+ubsan tier (common + journal + linalg + encoding + surrogate + esm + corruption + nets + nn + nas + search + ml + serve + frame + arch fuzz + event loop + overload + chaos suites) =="
+echo "== asan+ubsan tier (common + journal + linalg + encoding + surrogate + esm + corruption + nets + nn + nas + search + ml + serve + frame + fleet + arch fuzz + event loop + overload + chaos suites) =="
 # One build carries both sanitizers. The wire arch scanner walks untrusted
 # request bytes in place and the frame decoder slices them; serve_test and
 # frame_test drive both, and arch_fuzz_test feeds the scanner 120k mutated
 # requests. common_test and journal_test feed the one token-group codec
-# mutated archive files and journal record bodies. encoding_test drives the
+# mutated archive files and journal record bodies, and fleet_test feeds the
+# manifest parser mutated manifests. ml_test hands Mlp::load damaged dims,
+# which must be refused before anything is allocated. encoding_test drives the
 # encoding table, which resolves the esm.encoder string of every loaded
 # artifact (untrusted bytes) to a kind. The builders lower each
 # space into a LayerGraph or a FLOPs accumulator, the accuracy proxy prices
@@ -373,10 +380,10 @@ cmake -B build-asan-ubsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build build-asan-ubsan -j "$JOBS" \
   --target common_test journal_test linalg_test encoding_test surrogate_test \
   surrogate_registry_test esm_test corruption_test nets_test nn_test \
-  nas_test search_test ml_test serve_test frame_test arch_fuzz_test \
-  event_loop_test overload_test chaos_test
+  nas_test search_test ml_test serve_test frame_test fleet_test \
+  arch_fuzz_test event_loop_test overload_test chaos_test
 ctest --test-dir build-asan-ubsan --output-on-failure \
-  -R '^(common_test|journal_test|linalg_test|encoding_test|surrogate_test|surrogate_registry_test|esm_test|corruption_test|nets_test|nn_test|nas_test|search_test|ml_test|serve_test|frame_test|arch_fuzz_test|event_loop_test|overload_test|chaos_test)$'
+  -R '^(common_test|journal_test|linalg_test|encoding_test|surrogate_test|surrogate_registry_test|esm_test|corruption_test|nets_test|nn_test|nas_test|search_test|ml_test|serve_test|frame_test|fleet_test|arch_fuzz_test|event_loop_test|overload_test|chaos_test)$'
 
 echo "== tsan tier (linalg + fault + parallel + journal + serve + fleet + event loop + overload + chaos + search) =="
 # event_loop_test puts the reactor thread, which also prices every miss in

@@ -337,9 +337,10 @@ void gemm_a_bt(const Matrix& a, const Matrix& b, Matrix& out) {
   const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
   // Transpose b once into a per-thread scratch panel and run the plain
   // kernel: O(n*k) copies buy back the contiguous, vectorizable b-rows the
-  // dot-product formulation lacks. This is the MLP inference multiply
-  // (x * w^T), so the scratch is wT — batch-independent and reused across
-  // calls, which keeps the serving path allocation-free once warm.
+  // dot-product formulation lacks. This is the training step's delta
+  // multiply (delta * w^T, MLP and GCN); inference stores weights the way
+  // gemm reads them and never comes here. The scratch is sized by the
+  // weights, not the batch, so a warm training step allocates nothing.
   static thread_local Matrix bt_scratch;
   bt_scratch.reshape(k, n);
   for (std::size_t p = 0; p < k; ++p) {

@@ -17,16 +17,17 @@ Mlp::Mlp(std::vector<std::size_t> dims, Rng& rng) : dims_(std::move(dims)) {
     const std::size_t fan_in = dims_[i];
     const std::size_t fan_out = dims_[i + 1];
     Dense layer;
-    layer.w = Matrix(fan_out, fan_in);
+    layer.w = Matrix(fan_in, fan_out);
+    // Drawn unit by unit (out, then in), the order the archive lists them.
     const double he_std = std::sqrt(2.0 / static_cast<double>(fan_in));
     for (std::size_t r = 0; r < fan_out; ++r) {
       for (std::size_t c = 0; c < fan_in; ++c) {
-        layer.w(r, c) = rng.normal(0.0, he_std);
+        layer.w(c, r) = rng.normal(0.0, he_std);
       }
     }
     layer.b.assign(fan_out, 0.0);
-    layer.m_w = Matrix(fan_out, fan_in);
-    layer.v_w = Matrix(fan_out, fan_in);
+    layer.m_w = Matrix(fan_in, fan_out);
+    layer.v_w = Matrix(fan_in, fan_out);
     layer.m_b.assign(fan_out, 0.0);
     layer.v_b.assign(fan_out, 0.0);
     layers_.push_back(std::move(layer));
@@ -51,10 +52,10 @@ namespace {
 // operation sequence — a select picks between the same two values the old
 // branch did, including -0.0 and NaN — so vectorizing changes no bits.
 
-/// h = x * w^T + b, then optional ReLU (`v < 0 ? 0 : v` keeps -0.0 and NaN).
+/// h = x * w + b, then optional ReLU (`v < 0 ? 0 : v` keeps -0.0 and NaN).
 void dense_forward(const Matrix& x, const Matrix& w,
                    const std::vector<double>& b, bool relu, Matrix& out) {
-  gemm_a_bt(x, w, out);
+  gemm(x, w, out);
   const std::size_t cols = out.cols();
   const double* bias = b.data();
   for (std::size_t r = 0; r < out.rows(); ++r) {
@@ -132,35 +133,55 @@ void Mlp::save(ArchiveWriter& archive, const std::string& prefix) const {
   std::vector<double> dims;
   for (std::size_t d : dims_) dims.push_back(static_cast<double>(d));
   archive.put_doubles(prefix + ".dims", dims);
+  // The archive lists each layer's weights out x in, one unit's fan-in at a
+  // time; memory holds them in x out, so they are transposed on the way out.
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     const Dense& layer = layers_[i];
-    std::vector<double> w(layer.w.data(), layer.w.data() + layer.w.size());
-    archive.put_doubles(prefix + ".w" + std::to_string(i), w);
+    const Matrix wt = layer.w.transposed();
+    archive.put_doubles(prefix + ".w" + std::to_string(i),
+                        std::vector<double>(wt.data(), wt.data() + wt.size()));
     archive.put_doubles(prefix + ".b" + std::to_string(i), layer.b);
   }
 }
 
 Mlp Mlp::load(const ArchiveReader& archive, const std::string& prefix) {
+  // Every dim and size is checked against the archived data before the
+  // network is built, so damaged dims cannot ask for gigabytes of weights.
+  constexpr double kMaxWidth = 1 << 20;
   const std::vector<double> raw_dims = archive.get_doubles(prefix + ".dims");
+  ESM_REQUIRE(raw_dims.size() >= 2, "archived MLP needs at least two dims");
   std::vector<std::size_t> dims;
   for (double d : raw_dims) {
-    ESM_REQUIRE(d >= 1.0, "archived MLP has invalid dims");
+    ESM_REQUIRE(d >= 1.0 && d <= kMaxWidth && d == std::floor(d),
+                "archived MLP dim " << d << " is not an integer in [1, 2^20]");
     dims.push_back(static_cast<std::size_t>(d));
+  }
+  std::vector<std::vector<double>> weights, biases;
+  for (std::size_t i = 0; i + 1 < dims.size(); ++i) {
+    const std::size_t in = dims[i], out = dims[i + 1];
+    std::vector<double> w =
+        archive.get_doubles(prefix + ".w" + std::to_string(i));
+    // w.size() == out * in, without forming the product.
+    ESM_REQUIRE(w.size() % out == 0 && w.size() / out == in,
+                "archived MLP layer " << i << " weight size mismatch");
+    std::vector<double> b =
+        archive.get_doubles(prefix + ".b" + std::to_string(i));
+    ESM_REQUIRE(b.size() == out,
+                "archived MLP layer " << i << " bias size mismatch");
+    weights.push_back(std::move(w));
+    biases.push_back(std::move(b));
   }
   Rng init_rng(0);  // weights are overwritten below
   Mlp mlp(dims, init_rng);
   for (std::size_t i = 0; i < mlp.layers_.size(); ++i) {
     Dense& layer = mlp.layers_[i];
-    const std::vector<double> w =
-        archive.get_doubles(prefix + ".w" + std::to_string(i));
-    ESM_REQUIRE(w.size() == layer.w.size(),
-                "archived MLP layer " << i << " weight size mismatch");
-    for (std::size_t j = 0; j < w.size(); ++j) layer.w.data()[j] = w[j];
-    const std::vector<double> b =
-        archive.get_doubles(prefix + ".b" + std::to_string(i));
-    ESM_REQUIRE(b.size() == layer.b.size(),
-                "archived MLP layer " << i << " bias size mismatch");
-    layer.b = b;
+    const std::size_t in = layer.w.rows(), out = layer.w.cols();
+    for (std::size_t r = 0; r < out; ++r) {
+      for (std::size_t c = 0; c < in; ++c) {
+        layer.w(c, r) = weights[i][r * in + c];
+      }
+    }
+    layer.b = std::move(biases[i]);
   }
   return mlp;
 }
@@ -205,8 +226,9 @@ double Mlp::train_batch(const Matrix& x, std::span<const double> y,
     Dense& layer = layers_[ii];
     const Matrix& input = ii == 0 ? x : ws.acts[ii - 1];
 
-    // Gradients: dW = delta^T * input, db = column sums of delta.
-    gemm_at_b(ws.delta, input, ws.grad_w);
+    // Gradients: dW = input^T * delta (in x out, like w), db = column sums
+    // of delta.
+    gemm_at_b(input, ws.delta, ws.grad_w);
     ws.grad_b.assign(layer.b.size(), 0.0);
     double* grad_b = ws.grad_b.data();
     for (std::size_t r = 0; r < batch; ++r) {
@@ -217,7 +239,7 @@ double Mlp::train_batch(const Matrix& x, std::span<const double> y,
     // Propagate delta to the previous layer through the weights as they
     // were before this step, masked by that layer's ReLU.
     if (ii > 0) {
-      gemm(ws.delta, layer.w, ws.prev_delta);  // (B x out) * (out x in)
+      gemm_a_bt(ws.delta, layer.w, ws.prev_delta);  // (B x out) * w^T
       relu_mask(ws.prev_delta, input);
     }
 

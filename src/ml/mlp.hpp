@@ -112,10 +112,14 @@ class Mlp {
   static Mlp load(const ArchiveReader& archive, const std::string& prefix);
 
  private:
+  // w is in x out, the layout gemm(x, w) reads, so the forward multiplies
+  // it in place; the training step transposes it only to carry the delta
+  // down a layer. save() and load() transpose at the archive boundary,
+  // which lists weights out x in.
   struct Dense {
-    Matrix w;  // out x in
+    Matrix w;  // in x out
     std::vector<double> b;
-    Matrix m_w, v_w;  // Adam moments
+    Matrix m_w, v_w;  // Adam moments, laid out like w
     std::vector<double> m_b, v_b;
   };
 

@@ -22,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/checksum.hpp"
 #include "common/error.hpp"
 #include "common/fsio.hpp"
 #include "common/rng.hpp"
@@ -37,6 +38,8 @@
 #include "serve/protocol.hpp"
 #include "surrogate/gbdt_surrogate.hpp"
 #include "surrogate/registry.hpp"
+
+#include "fuzz_mutator.hpp"
 
 namespace esm {
 namespace {
@@ -189,6 +192,123 @@ TEST(FleetManifestTest, WriteManifestAtomicRoundTripsThroughLoad) {
   serve::FleetManifest bad;
   EXPECT_THROW(serve::write_manifest_atomic(bad, path), ConfigError);
   EXPECT_EQ(serve::FleetManifest::load(path).to_string(), m.to_string());
+}
+
+// ------------------------------------------------- manifest generated input
+
+const std::vector<std::string>& manifest_seeds() {
+  static const std::vector<std::string> seeds = {
+      "esm-fleet v1\ndefault a\nmodel a 0a1b2c3d a.esm\n",
+      "esm-fleet v1\r\n# two models\r\ndefault gpu\r\n"
+      "model rpi4 deadbeef models/rpi4.esm\r\n"
+      "model gpu 00c0ffee /abs/gpu.esm  # pinned\r\n",
+      "esm-fleet v1\n\nmodel Edge-v2.1_b 12345678 dir with spaces/e.esm\n"
+      "\t\n  default Edge-v2.1_b  \nmodel x ffffffff x.esm",
+      "esm-fleet v1\nmodel a 00000000 a.esm\nmodel b 00000001 b.esm\n"
+      "model c 99999999 c.esm\ndefault c\n",
+  };
+  return seeds;
+}
+
+/// The CRC tokens of `text`'s model lines, as offsets of their first digit.
+std::vector<std::size_t> crc_offsets(const std::string& text) {
+  std::vector<std::size_t> offsets;
+  for (std::size_t at = text.find("model "); at != std::string::npos;
+       at = text.find("model ", at + 1)) {
+    const std::size_t name = text.find_first_not_of(' ', at + 6);
+    const std::size_t crc = text.find_first_not_of(' ', text.find(' ', name));
+    offsets.push_back(crc);
+  }
+  return offsets;
+}
+
+// Seeded mutations of valid manifests: each must be rejected with a
+// ConfigError, or parse to a manifest that validates and whose canonical
+// text re-parses to the same canonical text.
+TEST(FleetManifestFuzzTest, MutatedManifestsRoundTripOrAreRejected) {
+  Rng rng(0xf1ee7);
+  const std::vector<std::string>& seeds = manifest_seeds();
+  static constexpr std::string_view kFragments[] = {
+      "model ", "default ", "model a 0a1b2c3d a.esm\n", "default a\n",
+      "#", " ", "\t", "\r", "\n", "\r\n", "\v", "esm-fleet v1\n",
+      "esm-fleet v2\n", "_unrouted", "4bad", "a b", "/", "DEADBEEF",
+      "0a1b2c3", "0a1b2c3d0", std::string_view("\0", 1)};
+  static const char* const kNumbers[] = {"0", "1", "00000000", "ffffffff",
+                                         "1234567", "123456789", "-1"};
+  int accepted = 0;
+  for (int c = 0; c < 20000; ++c) {
+    std::string text = seeds[rng.uniform_u64(seeds.size())];
+    for (int edits = rng.uniform_int(1, 3); edits > 0; --edits) {
+      switch (rng.uniform_int(0, 6)) {
+        case 0: fuzz::flip_bit(text, rng); break;
+        case 1: fuzz::splice(text, seeds, rng); break;
+        case 2: fuzz::truncate(text, rng); break;
+        case 3: fuzz::duplicate_field(text, '\n', rng); break;  // a line
+        case 4: fuzz::erase_byte(text, rng); break;
+        case 5: fuzz::insert_fragment(text, kFragments, rng); break;
+        default: fuzz::replace_number(text, kNumbers, rng); break;
+      }
+    }
+    serve::FleetManifest m;
+    try {
+      m = serve::FleetManifest::parse(text, "fuzz.esmf");
+    } catch (const ConfigError&) {
+      continue;
+    }
+    ++accepted;
+    EXPECT_NO_THROW(m.validate("fuzz.esmf")) << text;
+    for (const serve::ManifestEntry& entry : m.entries) {
+      std::uint32_t crc = 0;
+      EXPECT_TRUE(parse_crc32_hex(entry.crc32_hex, crc)) << text;
+      EXPECT_EQ(crc32_hex(crc), entry.crc32_hex) << text;
+      EXPECT_FALSE(entry.path.empty()) << text;
+    }
+    const std::string canonical = m.to_string();
+    std::string again;
+    EXPECT_NO_THROW(
+        again = serve::FleetManifest::parse(canonical, "canon").to_string())
+        << text;
+    EXPECT_EQ(again, canonical) << text;
+  }
+  // Enough mutants survive for the round trip to be exercised.
+  EXPECT_GT(accepted, 1000);
+}
+
+// Replacing any one CRC digit with any other byte either fails the parse or
+// yields an entry whose CRC differs from the original: damage to the
+// identity an artifact is pinned to is never read as the original.
+TEST(FleetManifestFuzzTest, AFlippedCrcDigitIsNeverReadAsTheOriginal) {
+  int checked = 0, entries = 0;
+  for (const std::string& seed : manifest_seeds()) {
+    const serve::FleetManifest original =
+        serve::FleetManifest::parse(seed, "seed");
+    const std::vector<std::size_t> offsets = crc_offsets(seed);
+    ASSERT_EQ(offsets.size(), original.entries.size()) << seed;
+    entries += static_cast<int>(offsets.size());
+    for (std::size_t e = 0; e < offsets.size(); ++e) {
+      const std::string& want = original.entries[e].crc32_hex;
+      ASSERT_EQ(seed.substr(offsets[e], 8), want);
+      for (std::size_t d = 0; d < 8; ++d) {
+        for (int byte = 0; byte < 256; ++byte) {
+          std::string text = seed;
+          const char to = static_cast<char>(byte);
+          if (text[offsets[e] + d] == to) continue;
+          text[offsets[e] + d] = to;
+          try {
+            const serve::FleetManifest m =
+                serve::FleetManifest::parse(text, "flip");
+            ++checked;
+            ASSERT_EQ(m.entries.size(), original.entries.size()) << text;
+            EXPECT_NE(m.entries[e].crc32_hex, want) << text;
+          } catch (const ConfigError&) {
+          }
+        }
+      }
+    }
+  }
+  // Only the 15 other lowercase hex digits parse at each position: an
+  // upper-case digit, a space or any other byte is a ConfigError.
+  EXPECT_EQ(checked, 15 * 8 * entries);
 }
 
 // ----------------------------------------------------------- durable I/O

@@ -543,6 +543,92 @@ TEST(MlpTest, TrainBatchMatchesReferenceWhenNanReachesTheMask) {
   expect_step_matches_reference(mlp, x, y, 2);
 }
 
+// The forward multiplies the in x out weights in place; the archive lists
+// them out x in. At each batch size, whose rows the kernel tiles
+// differently (4-row micro tiles and their 1..3-row remainders, the 8-row
+// column tail of the n = 1 output layer and its 4-, 2- and 1-row pieces),
+// forward_into must equal gemm_a_bt over the archived layout plus bias and
+// ReLU. Both sides run the same kernel on the same transposed values, so
+// this holds bit for bit on every backend, FMA included.
+TEST(MlpTest, ForwardMatchesArchivedLayoutAtEveryBatchSize) {
+  Rng rng(33);
+  const Mlp mlp = Mlp::paper_predictor(36, rng);
+  const std::vector<std::size_t> dims{36, 64, 64, 1};
+  const auto params = mlp_parameters(mlp, 3);
+  std::vector<Matrix> w;
+  for (std::size_t i = 0; i < 3; ++i) {
+    ASSERT_EQ(params[2 * i].size(), dims[i + 1] * dims[i]);
+    w.emplace_back(dims[i + 1], dims[i]);  // out x in, as archived
+    std::copy(params[2 * i].begin(), params[2 * i].end(), w[i].data());
+  }
+  Mlp::Workspace ws;
+  for (std::size_t m : {1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 127, 128}) {
+    Matrix x(m, 36);
+    for (std::size_t j = 0; j < x.size(); ++j) {
+      x.data()[j] = rng.uniform(-2.0, 2.0);
+    }
+    const Matrix& got = mlp.forward_into(x, ws);
+    Matrix h = x, next;
+    for (std::size_t i = 0; i < 3; ++i) {
+      gemm_a_bt(h, w[i], next);
+      const std::vector<double>& b = params[2 * i + 1];
+      for (std::size_t r = 0; r < next.rows(); ++r) {
+        for (std::size_t c = 0; c < next.cols(); ++c) {
+          const double v = next(r, c) + b[c];
+          next(r, c) = i + 1 < 3 && v < 0.0 ? 0.0 : v;
+        }
+      }
+      std::swap(h, next);
+    }
+    ASSERT_EQ(got.rows(), m);
+    ASSERT_EQ(got.cols(), 1u);
+    for (std::size_t r = 0; r < m; ++r) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got(r, 0)),
+                std::bit_cast<std::uint64_t>(h(r, 0)))
+          << "batch " << m << " row " << r;
+    }
+  }
+  const std::string text = mlp_archive_text(mlp);
+  EXPECT_EQ(mlp_archive_text(Mlp::load(ArchiveReader::from_string(text), "m")),
+            text);
+}
+
+// Archived dims are checked before the network is built: a cast of 1e300
+// to size_t is undefined, 2.5 would truncate, and {36, 40000, 40000, 1}
+// would allocate and He-initialize ~12.8 GB per weight matrix before its
+// short weight vector was noticed. Each must be a ConfigError.
+TEST(MlpTest, LoadRejectsDamagedDims) {
+  // One bias per layer, so only a layer with out == 1 is whole.
+  const auto archive = [](const std::vector<double>& dims,
+                          const std::vector<std::size_t>& weights) {
+    ArchiveWriter a;
+    a.put_doubles("m.dims", dims);
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+      a.put_doubles("m.w" + std::to_string(i),
+                    std::vector<double>(weights[i], 0.5));
+      a.put_doubles("m.b" + std::to_string(i), std::vector<double>(1, 0.0));
+    }
+    return ArchiveReader::from_string(a.to_string());
+  };
+  EXPECT_NO_THROW(Mlp::load(archive({3.0, 1.0, 1.0}, {3, 1}), "m")
+                      .predict_one(std::vector<double>{1.0, 2.0, 3.0}));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // 1.5 would truncate to a width the weight sizes agree with.
+  for (double bad :
+       {0.0, -1.0, 1.5, 2.5, nan, 1e300, inf, -inf, 1048577.0}) {
+    EXPECT_THROW(Mlp::load(archive({3.0, bad, 1.0}, {3, 1}), "m"),
+                 ConfigError)
+        << "dim " << bad;
+  }
+  EXPECT_THROW(
+      Mlp::load(archive({36.0, 40000.0, 40000.0, 1.0}, {36, 36, 36}), "m"),
+      ConfigError);
+  EXPECT_THROW(Mlp::load(archive({3.0}, {}), "m"), ConfigError);
+  // A weight count other than out x in.
+  EXPECT_THROW(Mlp::load(archive({3.0, 1.0, 1.0}, {4, 1}), "m"), ConfigError);
+}
+
 // ------------------------------------------------------- linear regression
 
 TEST(LinRegTest, RecoversAffineModel) {

@@ -200,13 +200,14 @@ TEST_F(ParallelTest, SmallGemmStaysOffThePool) {
   shutdown_pool();
   set_thread_count(8);
   const Matrix x = random_matrix(64, 36, 21);
-  const Matrix w1 = random_matrix(64, 36, 22);
+  const Matrix w1 = random_matrix(36, 64, 22);
   const Matrix w2 = random_matrix(64, 64, 23);
-  const Matrix w3 = random_matrix(1, 64, 24);
+  const Matrix w3 = random_matrix(64, 1, 24);
   Matrix h1, h2, y, out;
-  gemm_a_bt(x, w1, h1);   // the 3-layer/hidden-64 inference stack
-  gemm_a_bt(h1, w2, h2);
-  gemm_a_bt(h2, w3, y);
+  gemm(x, w1, h1);  // the 3-layer/hidden-64 inference stack (in x out)
+  gemm(h1, w2, h2);
+  gemm(h2, w3, y);
+  gemm_a_bt(h2, w2, h1);  // a training step's delta multiply
   const Matrix a = random_matrix(64, 64, 25);
   const Matrix b = random_matrix(64, 64, 26);
   gemm(a, b, out);
