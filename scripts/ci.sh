@@ -24,7 +24,8 @@
 #                         a search determinism smoke (`esm_cli search
 #                         --format serve` must print byte-identical front
 #                         payloads to the served `search` verb for the same
-#                         artifact and seed), then an hw_nas_search example
+#                         artifact and seed, at 16 x 4 and 64 x 10), then an
+#                         hw_nas_search example
 #                         smoke (every Pareto-front member it prints must
 #                         meet its budget on the ground-truth simulator),
 #                         then a scalar-fallback build (-DESM_SIMD=off) running
@@ -280,11 +281,16 @@ echo "== search CLI vs served-verb smoke test =="
 # same seeded search must produce byte-identical front payloads whether it
 # runs offline (`esm_cli search --format serve`) or through the served
 # `search` verb. --budget-ms 0 lifts the CLI's default latency limit so
-# both sides run the same unconstrained query.
-build/examples/esm_cli search "$SMOKE_DIR/serve.esm" --budget-ms 0 \
-  --population 16 --generations 4 --seed 42 --format serve \
-  > "$SMOKE_DIR/search_cli.out" 2>/dev/null \
-  || { echo "esm_cli search reported an error"; exit 1; }
+# both sides run the same unconstrained query. The 64 x 10 search ranks
+# 128-row tables and reprices nothing it has seen, so the per-search memo
+# and the sorted rank path run in both binaries too.
+SEARCH_SIZES="16:4 64:10"
+for size in $SEARCH_SIZES; do
+  build/examples/esm_cli search "$SMOKE_DIR/serve.esm" --budget-ms 0 \
+    --population "${size%:*}" --generations "${size#*:}" --seed 42 \
+    --format serve > "$SMOKE_DIR/search_cli_$size.out" 2>/dev/null \
+    || { echo "esm_cli search $size reported an error"; exit 1; }
+done
 build/examples/esm_serve "$SMOKE_DIR/serve.esm" --port 0 \
   --port-file "$SMOKE_DIR/search_port" --summary-s 0 >/dev/null 2>&1 &
 SEARCH_PID=$!
@@ -294,19 +300,26 @@ for _ in $(seq 1 100); do
 done
 [ -s "$SMOKE_DIR/search_port" ] \
   || { echo "search esm_serve never published its port"; exit 1; }
-printf 'search population=16 generations=4 seed=42\nshutdown\n' \
-  | build/examples/esm_serve --connect "$(cat "$SMOKE_DIR/search_port")" \
+{
+  for size in $SEARCH_SIZES; do
+    echo "search population=${size%:*} generations=${size#*:} seed=42"
+  done
+  echo shutdown
+} | build/examples/esm_serve --connect "$(cat "$SMOKE_DIR/search_port")" \
   > "$SMOKE_DIR/search_served.out" \
   || { echo "search client reported an error"; exit 1; }
-sed -n 's/^esm1 ok search //p' "$SMOKE_DIR/search_served.out" \
-  > "$SMOKE_DIR/search_served.payload"
-[ -s "$SMOKE_DIR/search_served.payload" ] \
-  || { echo "served search verb failed"; cat "$SMOKE_DIR/search_served.out"; exit 1; }
-cmp "$SMOKE_DIR/search_cli.out" "$SMOKE_DIR/search_served.payload" \
-  || { echo "search smoke FAILED: CLI and served payloads differ"; exit 1; }
+for size in $SEARCH_SIZES; do
+  grep "^esm1 ok search .* population=${size%:*} generations=${size#*:} " \
+    "$SMOKE_DIR/search_served.out" | sed 's/^esm1 ok search //' \
+    > "$SMOKE_DIR/search_served_$size.payload"
+  [ -s "$SMOKE_DIR/search_served_$size.payload" ] \
+    || { echo "served search verb failed ($size)"; cat "$SMOKE_DIR/search_served.out"; exit 1; }
+  cmp "$SMOKE_DIR/search_cli_$size.out" "$SMOKE_DIR/search_served_$size.payload" \
+    || { echo "search smoke FAILED: CLI and served payloads differ ($size)"; exit 1; }
+done
 wait "$SEARCH_PID" \
   || { echo "search esm_serve exited non-zero after shutdown"; exit 1; }
-echo "search smoke test passed (CLI front bytes == served front bytes)"
+echo "search smoke test passed (CLI front bytes == served front bytes, 16x4 and 64x10)"
 
 echo "== hw_nas_search example smoke test =="
 # The NAS example end to end: build an MLP predictor with ESM, search the
@@ -365,8 +378,10 @@ echo "== asan+ubsan tier (common + journal + linalg + encoding + surrogate + esm
 # encoding table, which resolves the esm.encoder string of every loaded
 # artifact (untrusted bytes) to a kind. The builders lower each
 # space into a LayerGraph or a FLOPs accumulator, the accuracy proxy prices
-# through the latter, the search engine ranks from a flat dominance table,
-# and the training step indexes its workspace and the kernel's
+# through the latter, the search engine ranks fronts by a presorted scan
+# (the pairwise table for NaN scores), sorts crowding keys with NaN among
+# them, and indexes its flat memo, and the training step indexes its
+# workspace and the kernel's
 # row-interleaved column tail.
 # event_loop_test drives the epoll reactor's connection lifetimes, and
 # overload_test flush()'s dequeue-time expiry and admission shedding,

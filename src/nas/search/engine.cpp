@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
+#include <unordered_map>
 #include <utility>
 
 #include "common/error.hpp"
@@ -14,6 +16,107 @@
 
 namespace esm::search {
 namespace detail {
+namespace {
+
+/// True iff row x Pareto-dominates row y: no worse anywhere and better
+/// somewhere. Comparisons with NaN are false both ways, so a NaN coordinate
+/// neither helps nor hurts.
+bool row_dominates(const double* x, const double* y, std::size_t dims) {
+  bool better = false;
+  for (std::size_t k = 0; k < dims; ++k) {
+    if (x[k] > y[k]) return false;
+    better |= x[k] < y[k];
+  }
+  return better;
+}
+
+/// Front of each row of `table` (rows of `dims` minimized coordinates) by
+/// peeling the all-pairs dominance relation: front f is what remains
+/// undominated once fronts < f are removed. Returns the number of fronts,
+/// or nullopt when a dominance cycle (only NaN can make one) leaves rows
+/// unranked; those stay at front 0.
+std::optional<std::size_t> peel_fronts(const std::vector<double>& table,
+                                       std::size_t dims,
+                                       std::vector<std::size_t>& front_of) {
+  const std::size_t m = front_of.size();
+  // dominates[a * m + b] != 0 iff row a dominates row b.
+  std::vector<std::uint8_t> dominates(m * m, 0);
+  std::vector<std::size_t> dominated_by(m, 0);
+  for (std::size_t a = 0; a < m; ++a) {
+    for (std::size_t b = a + 1; b < m; ++b) {
+      const bool a_wins =
+          row_dominates(&table[a * dims], &table[b * dims], dims);
+      const bool b_wins =
+          row_dominates(&table[b * dims], &table[a * dims], dims);
+      dominates[a * m + b] = a_wins;
+      dominates[b * m + a] = b_wins;
+      dominated_by[b] += a_wins;
+      dominated_by[a] += b_wins;
+    }
+  }
+  // Ranks depend only on the relation, not on visit order.
+  std::vector<std::size_t> current;
+  std::vector<std::size_t> next;
+  for (std::size_t a = 0; a < m; ++a) {
+    if (dominated_by[a] == 0) current.push_back(a);
+  }
+  std::size_t fronts = 0;
+  std::size_t ranked = 0;
+  while (!current.empty()) {
+    next.clear();
+    for (std::size_t a : current) {
+      front_of[a] = fronts;
+      ++ranked;
+      const std::uint8_t* row = &dominates[a * m];
+      for (std::size_t b = 0; b < m; ++b) {
+        if (row[b] != 0 && --dominated_by[b] == 0) next.push_back(b);
+      }
+    }
+    current.swap(next);
+    ++fronts;
+  }
+  if (ranked < m) return std::nullopt;
+  return fronts;
+}
+
+/// The same fronts by efficient non-dominated sort (ENS-SS; Zhang, Tian,
+/// Cheng and Jin, IEEE TEVC 19(2), 2015) for a NaN-free table. After a
+/// lexicographic presort every dominator of a row precedes it, so each row
+/// in turn joins the first front holding no member that dominates it.
+/// Returns the number of fronts.
+std::size_t sorted_fronts(const std::vector<double>& table, std::size_t dims,
+                          std::vector<std::size_t>& front_of) {
+  const std::size_t m = front_of.size();
+  std::vector<std::size_t> order(m);
+  for (std::size_t i = 0; i < m; ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const double* x = &table[a * dims];
+    const double* y = &table[b * dims];
+    for (std::size_t k = 0; k < dims; ++k) {
+      if (x[k] != y[k]) return x[k] < y[k];
+    }
+    return a < b;
+  });
+  std::vector<std::vector<std::size_t>> fronts;
+  for (std::size_t row : order) {
+    const double* y = &table[row * dims];
+    std::size_t f = 0;
+    // The latest members are the likeliest dominators, so scan backwards.
+    while (f < fronts.size() &&
+           std::any_of(fronts[f].rbegin(), fronts[f].rend(),
+                       [&](std::size_t a) {
+                         return row_dominates(&table[a * dims], y, dims);
+                       })) {
+      ++f;
+    }
+    if (f == fronts.size()) fronts.emplace_back();
+    fronts[f].push_back(row);
+    front_of[row] = f;
+  }
+  return fronts.size();
+}
+
+}  // namespace
 
 std::vector<std::size_t> non_dominated_ranks(
     const std::vector<ScoredArch>& pop) {
@@ -41,56 +144,21 @@ std::vector<std::size_t> non_dominated_ranks(
                  pop[i].latency_ms.end());
     table.push_back(-pop[i].quality);
   }
-  // dominates[a * m + b] != 0 iff row a Pareto-dominates row b: no worse
-  // anywhere and better somewhere. Comparisons with NaN are false both
-  // ways, so a NaN coordinate neither helps nor hurts.
-  std::vector<std::uint8_t> dominates(m * m, 0);
-  std::vector<std::size_t> dominated_by(m, 0);
-  for (std::size_t a = 0; a < m; ++a) {
-    const double* x = &table[a * dims];
-    for (std::size_t b = a + 1; b < m; ++b) {
-      const double* y = &table[b * dims];
-      bool a_better = false;
-      bool b_better = false;
-      for (std::size_t k = 0; k < dims; ++k) {
-        a_better |= x[k] < y[k];
-        b_better |= x[k] > y[k];
-      }
-      const bool a_wins = a_better && !b_better;
-      const bool b_wins = b_better && !a_better;
-      dominates[a * m + b] = a_wins;
-      dominates[b * m + a] = b_wins;
-      dominated_by[b] += a_wins;
-      dominated_by[a] += b_wins;
-    }
+  // A NaN coordinate makes the relation non-transitive, so no presort
+  // exists; such a table keeps the all-pairs peel.
+  std::vector<std::size_t> front_of(m, 0);
+  std::optional<std::size_t> fronts;
+  if (std::any_of(table.begin(), table.end(),
+                  [](double v) { return std::isnan(v); })) {
+    fronts = peel_fronts(table, dims, front_of);
+  } else {
+    fronts = sorted_fronts(table, dims, front_of);
   }
-
-  // Peel the fronts: rank r is what remains undominated once ranks < r
-  // are removed. Ranks depend only on the relation, not on visit order.
-  std::vector<std::size_t> current;
-  std::vector<std::size_t> next;
-  for (std::size_t a = 0; a < m; ++a) {
-    if (dominated_by[a] == 0) current.push_back(a);
-  }
-  std::size_t fronts = 0;
-  std::size_t ranked = 0;
-  while (!current.empty()) {
-    next.clear();
-    for (std::size_t a : current) {
-      ranks[feasible[a]] = fronts;
-      ++ranked;
-      const std::uint8_t* row = &dominates[a * m];
-      for (std::size_t b = 0; b < m; ++b) {
-        if (row[b] != 0 && --dominated_by[b] == 0) next.push_back(b);
-      }
-    }
-    current.swap(next);
-    ++fronts;
-  }
-  // A dominance cycle (only NaN scores can make one) leaves its members
-  // unranked at 0; they still dominate every infeasible candidate, which
-  // then never surfaces either and stays at 0 too.
-  if (ranked < m) return ranks;
+  for (std::size_t a = 0; a < m; ++a) ranks[feasible[a]] = front_of[a];
+  // A dominance cycle leaves its members unranked at 0; they still
+  // dominate every infeasible candidate, which then never surfaces either
+  // and stays at 0 too.
+  if (!fronts) return ranks;
 
   // A NaN violation is incomparable with every other violation: dense
   // rank 0.
@@ -102,7 +170,7 @@ std::vector<std::size_t> non_dominated_ranks(
   levels.erase(std::unique(levels.begin(), levels.end()), levels.end());
   for (std::size_t i : infeasible) {
     const double v = pop[i].violation;
-    ranks[i] = fronts;
+    ranks[i] = *fronts;
     if (!std::isnan(v)) {
       ranks[i] += static_cast<std::size_t>(
           std::lower_bound(levels.begin(), levels.end(), v) - levels.begin());
@@ -111,14 +179,6 @@ std::vector<std::size_t> non_dominated_ranks(
   return ranks;
 }
 
-}  // namespace detail
-
-namespace {
-
-/// NSGA-II crowding distance per candidate, computed within each rank.
-/// Boundary points get +inf; interior points accumulate normalized gaps
-/// over every objective dimension (latencies and quality). Ties sort by
-/// index, and accumulation order is fixed, so distances are bit-stable.
 std::vector<double> crowding_distances(const std::vector<ScoredArch>& pop,
                                        const std::vector<std::size_t>& ranks) {
   const std::size_t n = pop.size();
@@ -142,17 +202,29 @@ std::vector<double> crowding_distances(const std::vector<ScoredArch>& pop,
         return d < pop[i].latency_ms.size() ? pop[i].latency_ms[d]
                                             : pop[i].quality;
       };
+      // Numbers ascending, then NaN; ties by index.
       std::vector<std::size_t> order = front;
       std::sort(order.begin(), order.end(),
                 [&](std::size_t a, std::size_t b) {
-                  if (key(a) != key(b)) return key(a) < key(b);
+                  const double ka = key(a);
+                  const double kb = key(b);
+                  if (std::isnan(ka) || std::isnan(kb)) {
+                    if (std::isnan(ka) != std::isnan(kb)) return std::isnan(kb);
+                    return a < b;
+                  }
+                  if (ka != kb) return ka < kb;
                   return a < b;
                 });
-      const double range = key(order.back()) - key(order.front());
+      std::size_t numbered = order.size();
+      while (numbered > 0 && std::isnan(key(order[numbered - 1]))) {
+        distance[order[--numbered]] = inf;
+      }
+      if (numbered == 0) continue;
+      const double range = key(order[numbered - 1]) - key(order.front());
       distance[order.front()] = inf;
-      distance[order.back()] = inf;
-      if (range <= 0.0) continue;
-      for (std::size_t k = 1; k + 1 < order.size(); ++k) {
+      distance[order[numbered - 1]] = inf;
+      if (!(range > 0.0)) continue;
+      for (std::size_t k = 1; k + 1 < numbered; ++k) {
         distance[order[k]] += (key(order[k + 1]) - key(order[k - 1])) / range;
       }
     }
@@ -160,17 +232,18 @@ std::vector<double> crowding_distances(const std::vector<ScoredArch>& pop,
   return distance;
 }
 
-/// Selection order: lower rank first, then larger crowding distance, then
-/// lower index — a total order, so every sort and tournament is stable.
 bool selection_before(std::size_t a, std::size_t b,
                       const std::vector<std::size_t>& ranks,
                       const std::vector<double>& crowding) {
   if (ranks[a] != ranks[b]) return ranks[a] < ranks[b];
-  if (crowding[a] != crowding[b]) return crowding[a] > crowding[b];
+  const double ca = crowding[a];
+  const double cb = crowding[b];
+  if (std::isnan(ca) != std::isnan(cb)) return std::isnan(cb);
+  if (ca != cb && !std::isnan(ca)) return ca > cb;
   return a < b;
 }
 
-}  // namespace
+}  // namespace detail
 
 Mode parse_mode(const std::string& text) {
   if (text == "pareto") return Mode::pareto;
@@ -221,6 +294,9 @@ SearchEngine::SearchEngine(SupernetSpec spec, EngineConfig config)
   ESM_REQUIRE(config_.mode != Mode::fastest || config_.min_quality > 0.0,
               "fastest mode needs min_quality > 0 (otherwise the trivial "
               "minimum wins)");
+  ESM_REQUIRE(uniform_arch_code_fits(spec_),
+              "space " << spec_.name << " has more architectures than a "
+                       << "64-bit arch code can name");
 }
 
 ArchConfig SearchEngine::sample(Rng& rng) const {
@@ -281,30 +357,61 @@ SearchOutcome SearchEngine::run(const std::vector<Objective>& objectives,
   }
 
   SearchOutcome outcome;
+  const std::size_t budget =
+      config_.population * (static_cast<std::size_t>(config_.generations) + 1);
 
-  // Scores pop[first..) — one predict_all batch per objective, so the
-  // surrogate's thread-count-independent fast path does all the work and
-  // no randomness is consumed (the RNG draw order stays plan-only).
+  // Per-search memo of everything priced so far, keyed by the packed arch
+  // code: slot s holds the objectives' latencies, then the quality, at
+  // priced[s * width]. Both are pure functions of the arch, and
+  // predict_all's values do not depend on the batch around an arch, so a
+  // repeat copies what its first pricing returned.
+  const std::size_t width = objectives.size() + 1;
+  std::unordered_map<std::uint64_t, std::size_t> slot_of;
+  slot_of.reserve(budget);
+  std::vector<double> priced;
+  priced.reserve(budget * width);
+  std::vector<std::size_t> slots;
+  std::vector<std::size_t> fresh;
+  std::vector<ArchConfig> archs;
+
+  // Scores pop[first..): one predict_all batch per objective over the archs
+  // this search has not priced yet, so the surrogate's thread-count-
+  // independent fast path does all the work and no randomness is consumed
+  // (the RNG draw order stays plan-only).
   auto score_tail = [&](std::vector<ScoredArch>& pop, std::size_t first) {
-    if (first >= pop.size()) return;
-    std::vector<ArchConfig> archs;
-    archs.reserve(pop.size() - first);
+    slots.clear();
+    fresh.clear();
     for (std::size_t i = first; i < pop.size(); ++i) {
-      archs.push_back(pop[i].arch);
+      const auto [it, inserted] = slot_of.try_emplace(
+          uniform_arch_code(spec_, pop[i].arch), slot_of.size());
+      if (inserted) fresh.push_back(i);
+      slots.push_back(it->second);
     }
-    for (std::size_t i = first; i < pop.size(); ++i) {
-      pop[i].latency_ms.assign(objectives.size(), 0.0);
-    }
-    for (std::size_t k = 0; k < objectives.size(); ++k) {
-      const std::vector<double> latencies =
-          objectives[k].predictor->predict_all(archs);
-      for (std::size_t i = first; i < pop.size(); ++i) {
-        pop[i].latency_ms[k] = latencies[i - first];
+    if (!fresh.empty()) {
+      // Fresh archs hold the newest slots, in order. The batch borrows
+      // their ArchConfigs and hands them back.
+      const std::size_t base = slot_of.size() - fresh.size();
+      priced.resize(slot_of.size() * width);
+      archs.clear();
+      for (std::size_t i : fresh) archs.push_back(std::move(pop[i].arch));
+      for (std::size_t k = 0; k < objectives.size(); ++k) {
+        const std::vector<double> latencies =
+            objectives[k].predictor->predict_all(archs);
+        for (std::size_t j = 0; j < fresh.size(); ++j) {
+          priced[(base + j) * width + k] = latencies[j];
+        }
+      }
+      for (std::size_t j = 0; j < fresh.size(); ++j) {
+        pop[fresh[j]].arch = std::move(archs[j]);
+        priced[(base + j) * width + objectives.size()] =
+            proxy.top5_accuracy(pop[fresh[j]].arch);
       }
     }
     for (std::size_t i = first; i < pop.size(); ++i) {
       ScoredArch& c = pop[i];
-      c.quality = proxy.top5_accuracy(c.arch);
+      const double* values = &priced[slots[i - first] * width];
+      c.latency_ms.assign(values, values + objectives.size());
+      c.quality = values[objectives.size()];
       c.violation = 0.0;
       for (std::size_t k = 0; k < objectives.size(); ++k) {
         if (objectives[k].limit_ms > 0.0 &&
@@ -319,7 +426,7 @@ SearchOutcome SearchEngine::run(const std::vector<Objective>& objectives,
         c.violation += config_.min_quality - c.quality;
       }
     }
-    outcome.evaluations += archs.size();
+    outcome.evaluations += pop.size() - first;
   };
 
   auto check_cancel = [&] {
@@ -332,9 +439,6 @@ SearchOutcome SearchEngine::run(const std::vector<Objective>& objectives,
   if (config_.algorithm == Algorithm::random_search) {
     // Same evaluation budget as the evolutionary run: the initial
     // population plus one cohort per generation.
-    const std::size_t budget =
-        config_.population *
-        (static_cast<std::size_t>(config_.generations) + 1);
     check_cancel();
     population.reserve(budget);
     for (std::size_t i = 0; i < budget; ++i) {
@@ -357,7 +461,7 @@ SearchOutcome SearchEngine::run(const std::vector<Objective>& objectives,
       const std::vector<std::size_t> ranks =
           detail::non_dominated_ranks(population);
       const std::vector<double> crowding =
-          crowding_distances(population, ranks);
+          detail::crowding_distances(population, ranks);
       std::vector<std::size_t> rank0;
       for (std::size_t i = 0; i < population.size(); ++i) {
         if (ranks[i] == 0) rank0.push_back(i);
@@ -372,7 +476,7 @@ SearchOutcome SearchEngine::run(const std::vector<Objective>& objectives,
             rng.uniform_int(0, static_cast<int>(parents_end) - 1));
         const std::size_t b = static_cast<std::size_t>(
             rng.uniform_int(0, static_cast<int>(parents_end) - 1));
-        return selection_before(a, b, ranks, crowding) ? a : b;
+        return detail::selection_before(a, b, ranks, crowding) ? a : b;
       };
       for (std::size_t i = 0; i < config_.population; ++i) {
         ScoredArch child;
@@ -394,12 +498,13 @@ SearchOutcome SearchEngine::run(const std::vector<Objective>& objectives,
       const std::vector<std::size_t> all_ranks =
           detail::non_dominated_ranks(population);
       const std::vector<double> all_crowding =
-          crowding_distances(population, all_ranks);
+          detail::crowding_distances(population, all_ranks);
       std::vector<std::size_t> order(population.size());
       for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
       std::sort(order.begin(), order.end(),
                 [&](std::size_t a, std::size_t b) {
-                  return selection_before(a, b, all_ranks, all_crowding);
+                  return detail::selection_before(a, b, all_ranks,
+                                                  all_crowding);
                 });
       std::vector<ScoredArch> next;
       next.reserve(config_.population * 2);

@@ -16,9 +16,13 @@
 //
 // Determinism is a hard contract, same idiom as PR-1/PR-3 plan-then-
 // execute: every RNG draw happens serially on one generator, and scoring
-// consumes no randomness — each generation's cohort is evaluated through
-// one predict_all call per objective (bit-identical at any thread count),
-// so a seeded search returns bit-identical results at 1 or 8 threads.
+// consumes no randomness — each generation makes one predict_all call per
+// objective (bit-identical at any thread count) over the cohort's archs
+// this search has not priced before, so a seeded search returns
+// bit-identical results at 1 or 8 threads. A repeat arch (about one
+// evaluation in six) copies its first pricing from a per-search memo keyed
+// by the packed arch code (nets/arch.hpp); it still counts as an
+// evaluation.
 //
 // The engine searches the wire-expressible subspace: every unit carries
 // one (kernel, expansion) applied to all of its blocks, exactly the shape
@@ -108,7 +112,8 @@ struct SearchOutcome {
   /// feasible, the least-violating candidate.
   std::size_t best = 0;
   bool found_feasible = false;
-  std::size_t evaluations = 0;  ///< architectures scored (once each)
+  /// Candidates scored, a repeat arch each time it is drawn.
+  std::size_t evaluations = 0;
 };
 
 /// Thrown out of run() when the cancel callback fired; the server maps it
@@ -124,7 +129,8 @@ class SearchEngine {
  public:
   /// Validates the configuration; throws esm::ConfigError when out of
   /// range (population < 2, generations < 1, probabilities outside [0,1],
-  /// fastest mode without a quality floor).
+  /// fastest mode without a quality floor) or when the space is too large
+  /// for a 64-bit arch code.
   SearchEngine(SupernetSpec spec, EngineConfig config);
 
   /// Runs the configured search. `objectives` must be non-empty with every
@@ -155,11 +161,29 @@ class SearchEngine {
 
 namespace detail {
 
+// Internal to SearchEngine::run; declared here so tests can pin them.
+
 /// Constrained non-dominated sort (Deb's rule) of `pop`: rank 0 is the
-/// non-dominated set. Internal to SearchEngine::run; declared here so
-/// tests can compare it against a reference sort.
+/// non-dominated set. Matches the all-pairs reference sort, NaN scores
+/// included.
 std::vector<std::size_t> non_dominated_ranks(
     const std::vector<ScoredArch>& pop);
+
+/// NSGA-II crowding distance per candidate, computed within each rank.
+/// Boundary points get +inf; interior points accumulate normalized gaps
+/// over every objective dimension (latencies and quality). A NaN score
+/// gets +inf in its dimension, and the range and gaps span the other
+/// members only. Ties sort by index and accumulation order is fixed, so
+/// distances are bit-stable.
+std::vector<double> crowding_distances(const std::vector<ScoredArch>& pop,
+                                       const std::vector<std::size_t>& ranks);
+
+/// Selection order: lower rank first, then larger crowding distance (NaN
+/// after every number), then lower index — a strict total order, so every
+/// sort and tournament is well defined and stable.
+bool selection_before(std::size_t a, std::size_t b,
+                      const std::vector<std::size_t>& ranks,
+                      const std::vector<double>& crowding);
 
 }  // namespace detail
 

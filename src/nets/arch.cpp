@@ -1,7 +1,12 @@
 #include "nets/arch.hpp"
 
+#include <bit>
 #include <charconv>
+#include <limits>
 #include <string_view>
+
+#include "common/error.hpp"
+#include "nets/supernet.hpp"
 
 namespace esm {
 
@@ -60,6 +65,10 @@ std::string ArchConfig::to_string() const {
   }
   std::string out;
   out.reserve(length);
+  // Sign, 309 integer digits, point and 3 decimals bound any double.
+  char expansion_text[314];
+  std::size_t expansion_length = 0;
+  std::uint64_t expansion_bits = 0;
   out.append(name);
   out += '[';
   for (std::size_t ui = 0; ui < units.size(); ++ui) {
@@ -73,16 +82,104 @@ std::string ArchConfig::to_string() const {
       out += 'k';
       append_int(out, u.blocks[bi].kernel);
       out += 'e';
-      // Sign, 309 integer digits, point and 3 decimals bound any double.
-      char buf[314];
-      out.append(buf, std::to_chars(buf, buf + sizeof(buf),
-                                    u.blocks[bi].expansion,
-                                    std::chars_format::fixed, 3)
-                          .ptr);
+      // Archs repeat a handful of expansions, so format each run of
+      // bitwise-equal ones once (bitwise, so -0.0 and NaN keep their own
+      // text).
+      const std::uint64_t bits =
+          std::bit_cast<std::uint64_t>(u.blocks[bi].expansion);
+      if (expansion_length == 0 || bits != expansion_bits) {
+        expansion_bits = bits;
+        char* const end = expansion_text + sizeof(expansion_text);
+        expansion_length = static_cast<std::size_t>(
+            std::to_chars(expansion_text, end, u.blocks[bi].expansion,
+                          std::chars_format::fixed, 3)
+                .ptr -
+            expansion_text);
+      }
+      out.append(expansion_text, expansion_length);
     }
   }
   out += ']';
   return out;
+}
+
+std::uint64_t unit_code_radix(const SupernetSpec& spec) {
+  const std::uint64_t depths = static_cast<std::uint64_t>(
+      spec.max_blocks_per_unit - spec.min_blocks_per_unit + 1);
+  const std::uint64_t expansions =
+      spec.expansion_options.empty() ? 1 : spec.expansion_options.size();
+  return depths * spec.kernel_options.size() * expansions;
+}
+
+std::uint64_t unit_code_digit(const SupernetSpec& spec, int depth,
+                              int kernel_index, int expansion_index) {
+  const std::size_t expansions =
+      spec.expansion_options.empty() ? 1 : spec.expansion_options.size();
+  ESM_REQUIRE(depth >= spec.min_blocks_per_unit &&
+                  depth <= spec.max_blocks_per_unit,
+              "unit depth " << depth << " outside [" << spec.min_blocks_per_unit
+                            << ", " << spec.max_blocks_per_unit << "]");
+  ESM_REQUIRE(kernel_index >= 0 && static_cast<std::size_t>(kernel_index) <
+                                       spec.kernel_options.size(),
+              "kernel index " << kernel_index << " outside the space");
+  ESM_REQUIRE(expansion_index >= 0 &&
+                  static_cast<std::size_t>(expansion_index) < expansions,
+              "expansion index " << expansion_index << " outside the space");
+  return (static_cast<std::uint64_t>(depth - spec.min_blocks_per_unit) *
+              spec.kernel_options.size() +
+          static_cast<std::uint64_t>(kernel_index)) *
+             expansions +
+         static_cast<std::uint64_t>(expansion_index);
+}
+
+bool uniform_arch_code_fits(const SupernetSpec& spec) {
+  const std::uint64_t radix = unit_code_radix(spec);
+  std::uint64_t span = 1;
+  for (int u = 0; u < spec.num_units; ++u) {
+    if (radix != 0 &&
+        span > std::numeric_limits<std::uint64_t>::max() / radix) {
+      return false;
+    }
+    span *= radix;
+  }
+  return true;
+}
+
+std::uint64_t uniform_arch_code(const SupernetSpec& spec,
+                                const ArchConfig& arch) {
+  ESM_REQUIRE(arch.kind == spec.kind &&
+                  arch.units.size() == static_cast<std::size_t>(spec.num_units),
+              "architecture is not a " << spec.name << " architecture");
+  const std::uint64_t radix = unit_code_radix(spec);
+  std::uint64_t code = 0;
+  for (std::size_t ui = 0; ui < arch.units.size(); ++ui) {
+    const std::vector<BlockConfig>& blocks = arch.units[ui].blocks;
+    ESM_REQUIRE(!blocks.empty(), "unit " << ui << " has no blocks");
+    const BlockConfig& block = blocks.front();
+    for (const BlockConfig& b : blocks) {
+      ESM_REQUIRE(b == block, "unit " << ui << " mixes block features");
+    }
+    int kernel_index = -1;
+    for (std::size_t i = 0; i < spec.kernel_options.size(); ++i) {
+      if (spec.kernel_options[i] == block.kernel) {
+        kernel_index = static_cast<int>(i);
+      }
+    }
+    int expansion_index =
+        spec.expansion_options.empty() && block.expansion == 1.0 ? 0 : -1;
+    for (std::size_t i = 0; i < spec.expansion_options.size(); ++i) {
+      if (spec.expansion_options[i] == block.expansion) {
+        expansion_index = static_cast<int>(i);
+      }
+    }
+    ESM_REQUIRE(kernel_index >= 0 && expansion_index >= 0,
+                "unit " << ui << " kernel " << block.kernel << " expansion "
+                        << block.expansion << " is not an option of "
+                        << spec.name);
+    code = code * radix + unit_code_digit(spec, arch.units[ui].depth(),
+                                          kernel_index, expansion_index);
+  }
+  return code;
 }
 
 }  // namespace esm

@@ -14,6 +14,8 @@
 
 namespace esm {
 
+struct SupernetSpec;
+
 /// Which supernet family a configuration belongs to.
 enum class SupernetKind {
   kResNet,
@@ -58,5 +60,35 @@ struct ArchConfig {
 
   bool operator==(const ArchConfig&) const = default;
 };
+
+// Packed arch code: one mixed-radix digit per unit of a per-unit-uniform
+// architecture (every block of a unit alike), the shape the search engine
+// explores and the wire grammar spells. Unit 0 is the most significant
+// digit. It is the arch's identity for the served cache key and the
+// search's per-run memo.
+
+/// Radix of one unit digit: depths x kernels x expansions (1 when the space
+/// has no expansion options).
+std::uint64_t unit_code_radix(const SupernetSpec& spec);
+
+/// One unit's digit, ((depth - min_depth) * |kernels| + kernel_index) *
+/// |expansions| + expansion_index, from the indices of its kernel and
+/// expansion options (expansion_index 0 when the space has none). Throws
+/// esm::ConfigError when a value is outside the space.
+std::uint64_t unit_code_digit(const SupernetSpec& spec, int depth,
+                              int kernel_index, int expansion_index);
+
+/// True when every architecture of the space has a 64-bit code:
+/// unit_code_radix(spec) ^ num_units <= 2^64 - 1.
+bool uniform_arch_code_fits(const SupernetSpec& spec);
+
+/// The packed code of `arch`. Kernels and expansions must equal an option
+/// exactly, and in a space without expansion options the expansion must be
+/// 1.0, so two archs share a code exactly when they share to_string().
+/// Throws esm::ConfigError for a unit whose blocks differ and for a kind,
+/// unit count, depth, kernel or expansion outside the space; the caller
+/// checks uniform_arch_code_fits once.
+std::uint64_t uniform_arch_code(const SupernetSpec& spec,
+                                const ArchConfig& arch);
 
 }  // namespace esm

@@ -281,9 +281,6 @@ ArchConfig parse_arch_request(const SupernetSpec& spec,
 
 std::string arch_cache_key(const SupernetSpec& spec, std::uint64_t generation,
                            std::string_view text) {
-  const std::uint64_t kernels = spec.kernel_options.size();
-  const std::uint64_t expansions =
-      spec.expansion_options.empty() ? 1 : spec.expansion_options.size();
   std::string key;
   append_varint(key, generation);
   int units = 0;
@@ -296,13 +293,8 @@ std::string arch_cache_key(const SupernetSpec& spec, std::uint64_t generation,
              wire.depth >= spec.min_blocks_per_unit &&
              wire.depth <= spec.max_blocks_per_unit && wire.kernel_index >= 0;
     if (!member) return;
-    append_varint(
-        key,
-        (static_cast<std::uint64_t>(wire.depth - spec.min_blocks_per_unit) *
-             kernels +
-         static_cast<std::uint64_t>(wire.kernel_index)) *
-                expansions +
-            static_cast<std::uint64_t>(wire.expansion_index));
+    append_varint(key, unit_code_digit(spec, wire.depth, wire.kernel_index,
+                                       wire.expansion_index));
   });
   if (!member || units != spec.num_units) {
     // Every token parsed but the arch is outside the space: the ArchConfig

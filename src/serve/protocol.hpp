@@ -157,9 +157,8 @@ ArchConfig parse_arch_request(const SupernetSpec& spec, std::string_view text);
 
 /// Parses one architecture request straight into its packed prediction
 /// cache key, without building an ArchConfig: a LEB128 varint of
-/// `generation`, then one LEB128 mixed-radix code per unit,
-/// ((depth - min_depth) * |kernels| + kernel_index) * |expansions| +
-/// expansion_index. Every shipped space fits in 15 bytes, so the key lives
+/// `generation`, then one LEB128 varint per unit of its unit_code_digit
+/// (nets/arch.hpp). Every shipped space fits in 15 bytes, so the key lives
 /// in std::string's inline buffer and costs no allocation. The key is
 /// canonical: two spellings share it exactly when their parsed ArchConfigs
 /// share to_string(), except that a space without expansion options (whose

@@ -1,11 +1,14 @@
-// Unit tests for src/nets: supernet specs (Table I), architecture configs,
-// bounded-composition sampling, depth bins, samplers, and graph builders.
+// Unit tests for src/nets: supernet specs (Table I), architecture configs
+// and their packed codes, bounded-composition sampling, depth bins,
+// samplers, and graph builders.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -13,12 +16,16 @@
 #include <utility>
 #include <vector>
 
+#include "common/checksum.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
+#include "nas/search/engine.hpp"
 #include "nets/builder.hpp"
 #include "nets/composition.hpp"
 #include "nets/depth_bins.hpp"
 #include "nets/sampler.hpp"
 #include "nets/supernet.hpp"
+#include "serve/protocol.hpp"
 
 namespace esm {
 namespace {
@@ -248,6 +255,49 @@ TEST(ArchConfigTest, ToStringMatchesStreamFormatter) {
       SupernetKind::kDenseNet,
       {{{11, 0.0005}, {-3, 9.9996}, {100, 1234.5678}}, {}, {{0, -0.25}}});
   EXPECT_EQ(odd.to_string(), stream_formatted(odd));
+}
+
+TEST(ArchConfigTest, ToStringFormatsEveryExpansionItself) {
+  // to_string formats an expansion once and reuses the text for the bitwise
+  // identical expansions after it; these pin the bytes around that reuse.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // -0.0 compares equal to 0.0 but prints its sign.
+  EXPECT_EQ(arch_of(SupernetKind::kResNet, {{{3, 0.0}, {3, -0.0}, {3, 0.0}}})
+                .to_string(),
+            "ResNet[d=3:k3e0.000,k3e-0.000,k3e0.000]");
+  // NaN compares unequal to itself but formats the same every time.
+  EXPECT_EQ(arch_of(SupernetKind::kResNet, {{{3, nan}, {5, nan}}, {{7, 0.5}}})
+                .to_string(),
+            "ResNet[d=2:k3enan,k5enan|d=1:k7e0.500]");
+  // Mixed expansions within one unit, and back to an earlier one.
+  EXPECT_EQ(arch_of(SupernetKind::kMobileNetV3,
+                    {{{3, 0.5}, {3, 1.0}, {3, 0.5}, {5, 0.5}}})
+                .to_string(),
+            "MobileNetV3[d=4:k3e0.500,k3e1.000,k3e0.500,k5e0.500]");
+  // 2/3 rounds to three decimals; a neighbour one ulp away prints the same.
+  const double two_thirds = 2.0 / 3.0;
+  EXPECT_EQ(arch_of(SupernetKind::kResNet,
+                    {{{3, two_thirds}, {3, std::nextafter(two_thirds, 1.0)}},
+                     {{5, two_thirds}}})
+                .to_string(),
+            "ResNet[d=2:k3e0.667,k3e0.667|d=1:k5e0.667]");
+  // DenseNet carries the unused expansion as 1.000 on every block.
+  const ArchConfig dense = arch_of(
+      SupernetKind::kDenseNet,
+      {std::vector<BlockConfig>(3, BlockConfig{5, 1.0}), {{1, 1.0}}});
+  EXPECT_EQ(dense.to_string(), "DenseNet[d=3:k5e1.000,k5e1.000,k5e1.000|"
+                               "d=1:k1e1.000]");
+  EXPECT_EQ(ArchConfig{}.to_string(), "ResNet[]");
+  EXPECT_EQ(arch_of(SupernetKind::kDenseNet, {{}, {}}).to_string(),
+            "DenseNet[d=0:|d=0:]");
+  // Every case agrees with the reference formatter, NaN aside (printf may
+  // spell a NaN's sign differently from to_chars).
+  for (const ArchConfig& arch :
+       {arch_of(SupernetKind::kResNet, {{{3, 0.0}, {3, -0.0}}}),
+        arch_of(SupernetKind::kResNet, {{{3, 0.5}, {3, 1.0}, {3, 0.5}}}),
+        dense}) {
+    EXPECT_EQ(arch.to_string(), stream_formatted(arch));
+  }
 }
 
 TEST(ArchConfigTest, Equality) {
@@ -863,6 +913,163 @@ TEST(BuilderTest, GraphFlopsThrowsTheSameConfigError) {
     ASSERT_FALSE(built.empty()) << spec.name << " " << arch.to_string();
     EXPECT_EQ(config_error_of([&] { (void)graph_flops(spec, arch); }), built);
   }
+}
+
+// ------------------------------------------------------ packed arch code
+
+/// A seeded wire spelling of one arch of `spec`: bare depths, explicit
+/// kernels, exact and typed expansions, padding, and (in a space without
+/// expansion options) an expansion the key ignores.
+std::string wire_arch(const SupernetSpec& spec, Rng& rng) {
+  std::string text;
+  for (int u = 0; u < spec.num_units; ++u) {
+    if (u > 0) text += rng.bernoulli(0.1) ? ", " : ",";
+    text += std::to_string(
+        rng.uniform_int(spec.min_blocks_per_unit, spec.max_blocks_per_unit));
+    const int form = rng.uniform_int(0, 3);
+    if (form == 0) continue;
+    text += ":k" + std::to_string(spec.kernel_options[static_cast<std::size_t>(
+                       rng.uniform_int(0, static_cast<int>(
+                                              spec.kernel_options.size()) -
+                                              1))]);
+    if (form == 1) continue;
+    const double e =
+        spec.expansion_options.empty()
+            ? rng.uniform(0.25, 4.0)
+            : spec.expansion_options[static_cast<std::size_t>(rng.uniform_int(
+                  0, static_cast<int>(spec.expansion_options.size()) - 1))];
+    char buffer[32];
+    std::snprintf(buffer, sizeof(buffer), form == 2 ? "e%.3f" : "e%.6g", e);
+    text += buffer;
+  }
+  return text;
+}
+
+/// A per-unit-uniform arch of `spec` drawn from `rng`.
+ArchConfig uniform_sample(const SupernetSpec& spec, Rng& rng) {
+  ArchConfig arch;
+  arch.kind = spec.kind;
+  for (int u = 0; u < spec.num_units; ++u) {
+    UnitConfig unit;
+    unit.blocks.assign(
+        static_cast<std::size_t>(rng.uniform_int(spec.min_blocks_per_unit,
+                                                 spec.max_blocks_per_unit)),
+        random_block(spec, rng));
+    arch.units.push_back(std::move(unit));
+  }
+  return arch;
+}
+
+TEST(ArchCodeTest, CodeIsInjectiveOnEverySpace) {
+  for (const SupernetSpec& spec :
+       {resnet_spec(), mobilenet_v3_spec(), densenet_spec()}) {
+    ASSERT_TRUE(uniform_arch_code_fits(spec)) << spec.name;
+    // Every unit choice has its own digit, and the digits fill the radix.
+    const std::uint64_t radix = unit_code_radix(spec);
+    std::set<std::uint64_t> digits;
+    const std::vector<double> expansions =
+        spec.expansion_options.empty() ? std::vector<double>{1.0}
+                                       : spec.expansion_options;
+    for (int depth = spec.min_blocks_per_unit;
+         depth <= spec.max_blocks_per_unit; ++depth) {
+      for (int kernel : spec.kernel_options) {
+        for (double expansion : expansions) {
+          ArchConfig arch = uniform_arch(spec, spec.min_blocks_per_unit,
+                                         spec.kernel_options.front(),
+                                         expansions.front());
+          arch.units.back().blocks.assign(static_cast<std::size_t>(depth),
+                                          {kernel, expansion});
+          const std::uint64_t code = uniform_arch_code(spec, arch);
+          EXPECT_LT(code, radix) << spec.name;
+          digits.insert(code);
+        }
+      }
+    }
+    EXPECT_EQ(digits.size(), radix) << spec.name;
+
+    // Over seeded archs, one code per distinct to_string().
+    Rng rng(4242);
+    std::map<std::uint64_t, std::string> named;
+    std::set<std::string> distinct;
+    for (int i = 0; i < 100000 / 3; ++i) {
+      const ArchConfig arch = uniform_sample(spec, rng);
+      const std::string text = arch.to_string();
+      const auto [it, inserted] =
+          named.emplace(uniform_arch_code(spec, arch), text);
+      ASSERT_EQ(it->second, text) << spec.name;
+      distinct.insert(text);
+    }
+    EXPECT_EQ(named.size(), distinct.size()) << spec.name;
+    EXPECT_GT(named.size(), 1000u) << spec.name;
+  }
+}
+
+TEST(ArchCodeTest, RejectsNonUniformAndOffSpaceArchs) {
+  const SupernetSpec spec = resnet_spec();
+  ArchConfig mixed = uniform_arch(spec, 3, 5, 0.5);
+  mixed.units[1].blocks[2].expansion = 1.0;
+  EXPECT_THROW(uniform_arch_code(spec, mixed), ConfigError);
+  mixed = uniform_arch(spec, 3, 5, 0.5);
+  mixed.units[0].blocks[0].kernel = 3;
+  EXPECT_THROW(uniform_arch_code(spec, mixed), ConfigError);
+  EXPECT_THROW(uniform_arch_code(spec, uniform_arch(spec, 8, 3, 0.5)),
+               ConfigError);
+  EXPECT_THROW(uniform_arch_code(spec, uniform_arch(spec, 2, 4, 0.5)),
+               ConfigError);
+  // Options match exactly: an expansion 1e-12 off 0.5 prints as 0.500 but
+  // prices differently, so it gets no code.
+  EXPECT_THROW(uniform_arch_code(spec, uniform_arch(spec, 2, 3, 0.5 + 1e-12)),
+               ConfigError);
+  ArchConfig short_arch = uniform_arch(spec, 2, 3, 0.5);
+  short_arch.units.pop_back();
+  EXPECT_THROW(uniform_arch_code(spec, short_arch), ConfigError);
+  ArchConfig empty_unit = uniform_arch(spec, 2, 3, 0.5);
+  empty_unit.units[0].blocks.clear();
+  EXPECT_THROW(uniform_arch_code(spec, empty_unit), ConfigError);
+  EXPECT_THROW(
+      uniform_arch_code(densenet_spec(), uniform_arch(resnet_spec(), 2, 3)),
+      ConfigError);
+  // A space without expansion options fixes the expansion at 1.
+  EXPECT_NO_THROW(
+      uniform_arch_code(densenet_spec(), uniform_arch(densenet_spec(), 2, 3)));
+  EXPECT_THROW(uniform_arch_code(densenet_spec(),
+                                 uniform_arch(densenet_spec(), 2, 3, 0.5)),
+               ConfigError);
+  EXPECT_THROW(unit_code_digit(spec, 1, 3, 0), ConfigError);
+  EXPECT_THROW(unit_code_digit(spec, 1, 0, 3), ConfigError);
+  EXPECT_EQ(unit_code_digit(spec, 7, 2, 2), unit_code_radix(spec) - 1);
+}
+
+TEST(ArchCodeTest, SearchEngineRejectsSpacesTooLargeForTheCode) {
+  SupernetSpec wide = resnet_spec();
+  wide.num_units = 30;  // 63^30 codes
+  wide.stage_widths.assign(30, 64);
+  EXPECT_FALSE(uniform_arch_code_fits(wide));
+  EXPECT_THROW(search::SearchEngine(wide, search::EngineConfig{}),
+               ConfigError);
+  wide.num_units = 10;  // 63^10 < 2^64
+  EXPECT_TRUE(uniform_arch_code_fits(wide));
+  EXPECT_NO_THROW(search::SearchEngine(wide, search::EngineConfig{}));
+}
+
+TEST(ArchCodeTest, ServeCacheKeyBytesMatchRecordedCrc) {
+  // Recorded before the unit digit moved into nets: the served cache key is
+  // a generation varint plus one varint per unit, and these bytes must not
+  // change with where the digit is computed.
+  Rng rng(31337);
+  const std::vector<SupernetSpec> specs{resnet_spec(), mobilenet_v3_spec(),
+                                        densenet_spec()};
+  std::uint32_t crc = 0;
+  for (int i = 0; i < 1000; ++i) {
+    const SupernetSpec& spec = specs[static_cast<std::size_t>(i % 3)];
+    const std::uint64_t generation =
+        rng.bernoulli(0.5) ? rng.uniform_u64(200) : rng();
+    const std::string key =
+        serve::arch_cache_key(spec, generation, wire_arch(spec, rng));
+    crc = crc32(std::string(1, static_cast<char>(key.size())), crc);
+    crc = crc32(key, crc);
+  }
+  EXPECT_EQ(crc32_hex(crc), "816ce9ca");
 }
 
 TEST(BuilderTest, AllShapesChainWithinBlocks) {

@@ -10,8 +10,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <future>
 #include <limits>
 #include <memory>
@@ -20,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/checksum.hpp"
 #include "common/error.hpp"
 #include "common/fsio.hpp"
 #include "common/parallel.hpp"
@@ -591,6 +594,123 @@ TEST(NonDominatedRanksTest, MatchesPairwiseReferenceSort) {
     }
   }
   EXPECT_EQ(populations, 3u * 4u * 2u * 7u * 4u);
+
+  // Larger and flatter tables: n = 512, four latencies, and populations of
+  // one repeated row, where every candidate ties with every other.
+  Rng wide(2025);
+  std::size_t wide_populations = 0;
+  for (std::size_t latencies : {2u, 4u}) {
+    for (double feasible_share : {1.0, 0.7}) {
+      for (double nan_share : {0.0, 0.1}) {
+        for (std::size_t n : {1u, 40u, 512u}) {
+          std::vector<ScoredArch> pop = grid_population(
+              wide, n, latencies, feasible_share, nan_share);
+          ASSERT_EQ(search::detail::non_dominated_ranks(pop),
+                    reference_ranks(pop))
+              << "latencies " << latencies << " feasible " << feasible_share
+              << " nan " << nan_share << " n " << n;
+          pop.assign(n, pop.front());
+          ASSERT_EQ(search::detail::non_dominated_ranks(pop),
+                    reference_ranks(pop))
+              << "all-duplicate latencies " << latencies << " feasible "
+              << feasible_share << " nan " << nan_share << " n " << n;
+          wide_populations += 2;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(wide_populations, 2u * 2u * 2u * 3u * 2u);
+}
+
+// ------------------------------------------------------- NaN predictions
+
+/// The hwsim oracle, except that about one arch in ten prices as NaN.
+class NanInjectingPredictor final : public LatencyPredictor {
+ public:
+  explicit NanInjectingPredictor(const LatencyPredictor& inner)
+      : inner_(inner) {}
+  std::string name() const override { return "nan-injecting"; }
+  double predict_ms(const ArchConfig& arch) const override {
+    if (crc32(arch.to_string()) % 10 == 0) {
+      return std::numeric_limits<double>::quiet_NaN();
+    }
+    return inner_.predict_ms(arch);
+  }
+
+ private:
+  const LatencyPredictor& inner_;
+};
+
+/// Asserts that `before` is a strict total order on [0, n).
+void expect_strict_total_order(
+    std::size_t n, const std::function<bool(std::size_t, std::size_t)>& before,
+    const std::string& label) {
+  for (std::size_t a = 0; a < n; ++a) {
+    ASSERT_FALSE(before(a, a)) << label << " irreflexive at " << a;
+    for (std::size_t b = 0; b < n; ++b) {
+      if (a != b) {
+        ASSERT_NE(before(a, b), before(b, a))
+            << label << " total/asymmetric at " << a << ", " << b;
+      }
+      if (!before(a, b)) continue;
+      for (std::size_t c = 0; c < n; ++c) {
+        if (before(b, c)) {
+          ASSERT_TRUE(before(a, c))
+              << label << " transitive at " << a << ", " << b << ", " << c;
+        }
+      }
+    }
+  }
+}
+
+TEST(SearchEngineTest, NanPredictionsKeepSelectionOrderTotal) {
+  Rng rng(77);
+  for (std::size_t latencies = 1; latencies <= 3; ++latencies) {
+    for (double feasible_share : {1.0, 0.7}) {
+      for (int draw = 0; draw < 8; ++draw) {
+        const std::vector<ScoredArch> pop =
+            grid_population(rng, 40, latencies, feasible_share, 0.1);
+        const std::vector<std::size_t> ranks =
+            search::detail::non_dominated_ranks(pop);
+        std::vector<double> crowding =
+            search::detail::crowding_distances(pop, ranks);
+        const std::string label = "latencies " + std::to_string(latencies) +
+                                  " draw " + std::to_string(draw);
+        for (std::size_t i = 0; i < pop.size(); ++i) {
+          ASSERT_FALSE(std::isnan(crowding[i])) << label << " candidate " << i;
+        }
+        const auto before = [&](std::size_t a, std::size_t b) {
+          return search::detail::selection_before(a, b, ranks, crowding);
+        };
+        expect_strict_total_order(pop.size(), before, label);
+        // The order stays total even over NaN crowding distances.
+        for (std::size_t i = 0; i < crowding.size(); i += 3) {
+          crowding[i] = std::numeric_limits<double>::quiet_NaN();
+        }
+        expect_strict_total_order(pop.size(), before, label + " nan crowding");
+      }
+    }
+  }
+
+  // A whole search over NaN-laced predictions stays deterministic.
+  const SupernetSpec spec = resnet_spec();
+  const OraclePredictor oracle(spec, rtx4090_spec());
+  const NanInjectingPredictor nan_gpu(oracle);
+  EngineConfig config = small_config();
+  config.mode = Mode::pareto;
+  config.population = 32;
+  config.generations = 6;
+  const SearchEngine engine(spec, config);
+  const AccuracyProxy proxy(spec);
+  const std::vector<Objective> objectives{{"gpu", &nan_gpu, 0.0}};
+  const SearchOutcome a = engine.run(objectives, proxy);
+  const SearchOutcome b = engine.run(objectives, proxy);
+  EXPECT_EQ(outcome_fingerprint(spec, config, a),
+            outcome_fingerprint(spec, config, b));
+  const bool priced_nan = std::any_of(
+      a.candidates.begin(), a.candidates.end(),
+      [](const ScoredArch& c) { return std::isnan(c.latency_ms.front()); });
+  EXPECT_TRUE(priced_nan);
 }
 
 // ---------------------------------------------------------- verify_front

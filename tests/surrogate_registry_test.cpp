@@ -5,10 +5,13 @@
 // predictions on every space.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -109,6 +112,56 @@ TEST(SurrogateRegistryTest, LutCreationWithoutDeviceThrows) {
   context.device = nullptr;
   EXPECT_THROW(SurrogateRegistry::instance().create("lut", context),
                ConfigError);
+}
+
+TEST(SurrogateRegistryTest, PredictAllIsBatchCompositionIndependent) {
+  // The search engine prices each arch once per search and reuses the
+  // value wherever the arch reappears, in whatever batch: predict_all must
+  // give every arch the same bits whatever batch surrounds it.
+  std::size_t combos = 0;
+  for (const std::string& space : {"resnet", "mobilenetv3", "densenet"}) {
+    const SupernetSpec spec = spec_by_name(space);
+    for (const std::string& kind : SurrogateRegistry::instance().keys()) {
+      for (const char* encoder : {"onehot", "feature", "stat", "fc", "fcc"}) {
+        SimulatedDevice device(rtx4090_spec(), 77);
+        const Fitted fitted = fit_combo(kind, encoder, spec, device);
+        const TrainableSurrogate& model = *fitted.surrogate;
+        const std::string label = kind + " x " + encoder + " on " + space;
+        // The training archs plus fresh ones, with repeats inside the
+        // batch.
+        std::vector<ArchConfig> archs = fitted.archs;
+        RandomSampler sampler(spec);
+        Rng rng(909);
+        for (const ArchConfig& arch : sampler.sample_n(40, rng)) {
+          archs.push_back(arch);
+        }
+        archs.push_back(archs[3]);
+        archs.push_back(archs.back());
+        const std::vector<double> whole = model.predict_all(archs);
+        std::vector<ArchConfig> reversed(archs.rbegin(), archs.rend());
+        const std::vector<double> backwards = model.predict_all(reversed);
+        ASSERT_EQ(whole.size(), archs.size()) << label;
+        ASSERT_EQ(backwards.size(), archs.size()) << label;
+        for (std::size_t i = 0; i < archs.size(); ++i) {
+          const double alone =
+              model.predict_all(std::span<const ArchConfig>(&archs[i], 1))
+                  .front();
+          const std::uint64_t bits = std::bit_cast<std::uint64_t>(whole[i]);
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(
+                        backwards[archs.size() - 1 - i]),
+                    bits)
+              << label << ", reversed, arch " << i;
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(alone), bits)
+              << label << ", batch of one, arch " << i;
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(model.predict_ms(archs[i])),
+                    bits)
+              << label << ", predict_ms, arch " << i;
+        }
+        ++combos;
+      }
+    }
+  }
+  EXPECT_EQ(combos, 60u);
 }
 
 // ------------------------------------------------------- artifact format
