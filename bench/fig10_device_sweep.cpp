@@ -10,7 +10,6 @@
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "common/parallel.hpp"
 #include "common/strings.hpp"
 
 using namespace esm;
@@ -21,16 +20,12 @@ int main(int argc, char** argv) {
   args.add_int("test", 1500, "test-set size per (device, space)");
   args.add_int("epochs", 150, "training epochs");
   args.add_int("seed", 10, "experiment seed");
-  args.add_int("threads", 0, "pool threads (0 = ESM_THREADS env)");
   args.add_bool("resnet-only", "run only the ResNet space (faster)");
   if (!args.parse(argc, argv)) return 0;
 
   const auto n_test = static_cast<std::size_t>(args.get_int("test"));
   const int epochs = static_cast<int>(args.get_int("epochs"));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
-  if (args.get_int("threads") > 0) {
-    set_thread_count(static_cast<int>(args.get_int("threads")));
-  }
 
   // Paper training sizes per device.
   auto train_size = [](const DeviceSpec& d) -> std::size_t {
@@ -49,12 +44,9 @@ int main(int argc, char** argv) {
     print_banner(std::cout, "Fig. 10: " + spec.name +
                                 " across devices (FCC vs FC vs statistical)");
     TablePrinter table({"Device", "train", "FCC", "FC", "statistical"});
-    // Devices are independent experiments (own device instance, own
-    // dataset, own fits) — fan them out over the pool and emit the rows
-    // in device order afterwards.
-    const std::vector<DeviceSpec> devices = all_device_specs();
-    const auto rows = parallel_map(devices.size(), [&](std::size_t d) {
-      const DeviceSpec& dspec = devices[d];
+    // Devices are independent experiments: own device instance, own
+    // dataset, own fits.
+    for (const DeviceSpec& dspec : all_device_specs()) {
       SimulatedDevice device(dspec, seed * 1009 + 13);
       const std::size_t n_train = train_size(dspec);
       const LabeledSet pool =
@@ -75,9 +67,8 @@ int main(int argc, char** argv) {
             run_mlp_experiment(kind, spec, train, test, seed + 4, epochs);
         row.push_back(format_percent(r.accuracy, 1));
       }
-      return row;
-    });
-    for (const auto& row : rows) table.add_row(row);
+      table.add_row(row);
+    }
     table.print(std::cout);
   }
   std::cout << "Expected shape (paper): FCC >= FC >= statistical on most "

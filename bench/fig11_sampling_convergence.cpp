@@ -16,7 +16,6 @@
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "common/parallel.hpp"
 #include "common/stats.hpp"
 #include "common/strings.hpp"
 #include "esm/framework.hpp"
@@ -34,11 +33,7 @@ int main(int argc, char** argv) {
   args.add_int("seeds", 3, "seeds to average");
   args.add_int("epochs", 150, "training epochs per iteration");
   args.add_int("seed", 11, "base experiment seed");
-  args.add_int("threads", 0, "pool threads (0 = ESM_THREADS env)");
   if (!args.parse(argc, argv)) return 0;
-  if (args.get_int("threads") > 0) {
-    set_thread_count(static_cast<int>(args.get_int("threads")));
-  }
 
   EsmConfig base;
   base.spec = resnet_spec();
@@ -71,44 +66,25 @@ int main(int argc, char** argv) {
   strategies[1].overall.resize(static_cast<std::size_t>(base.max_iterations));
 
   // Every (seed, strategy) pair is an independent end-to-end ESM run with
-  // its own device — the sweep's outermost and best-scaling axis. Fan the
-  // runs out over the pool and fold them into the strategy accumulators in
-  // run order, so the aggregated tables are identical at any thread count.
-  struct RunOutcome {
-    std::vector<std::pair<double, double>> per_iter;  // (min_bin, overall)
-    bool converged = false;
-    std::size_t final_size = 0;
-  };
-  const std::size_t n_runs = static_cast<std::size_t>(n_seeds) * 2;
-  const auto outcomes = parallel_map(n_runs, [&](std::size_t r) {
-    const int s = static_cast<int>(r / 2);
-    const std::size_t which = r % 2;
-    EsmConfig cfg = base;
-    cfg.strategy = which == 0 ? SamplingStrategy::kBalanced
-                              : SamplingStrategy::kRandom;
-    cfg.seed = base_seed + static_cast<std::uint64_t>(s) * 101;
-    SimulatedDevice device(rtx4090_spec(), cfg.seed * 53 + 1);
-    const EsmResult result = EsmFramework(cfg, device).run();
-    RunOutcome outcome;
-    outcome.per_iter.reserve(result.iterations.size());
-    for (const IterationReport& it : result.iterations) {
-      outcome.per_iter.emplace_back(it.eval.min_bin_accuracy,
-                                    it.eval.overall_accuracy);
-    }
-    outcome.converged = result.converged;
-    outcome.final_size = result.final_train_set_size;
-    return outcome;
-  });
-  for (std::size_t r = 0; r < outcomes.size(); ++r) {
-    StrategyStats& stats = strategies[r % 2];
-    for (std::size_t i = 0; i < outcomes[r].per_iter.size(); ++i) {
-      stats.min_bin[i].add(outcomes[r].per_iter[i].first);
-      stats.overall[i].add(outcomes[r].per_iter[i].second);
-    }
-    if (outcomes[r].converged) {
-      ++stats.converged_runs;
-      stats.samples_to_converge.add(
-          static_cast<double>(outcomes[r].final_size));
+  // its own device, folded into its strategy's accumulators in run order.
+  for (int s = 0; s < n_seeds; ++s) {
+    for (std::size_t which = 0; which < strategies.size(); ++which) {
+      EsmConfig cfg = base;
+      cfg.strategy = which == 0 ? SamplingStrategy::kBalanced
+                                : SamplingStrategy::kRandom;
+      cfg.seed = base_seed + static_cast<std::uint64_t>(s) * 101;
+      SimulatedDevice device(rtx4090_spec(), cfg.seed * 53 + 1);
+      const EsmResult result = EsmFramework(cfg, device).run();
+      StrategyStats& stats = strategies[which];
+      for (std::size_t i = 0; i < result.iterations.size(); ++i) {
+        stats.min_bin[i].add(result.iterations[i].eval.min_bin_accuracy);
+        stats.overall[i].add(result.iterations[i].eval.overall_accuracy);
+      }
+      if (result.converged) {
+        ++stats.converged_runs;
+        stats.samples_to_converge.add(
+            static_cast<double>(result.final_train_set_size));
+      }
     }
   }
 

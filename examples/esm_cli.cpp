@@ -542,7 +542,6 @@ int run_measure(const esm::ArgParser& args) {
   config.seed = seed;
   config.faults = esm::parse_fault_profile(args.get_string("fault-profile"));
   config.retry.max_attempts = static_cast<int>(args.get_int("retries"));
-  config.threads = static_cast<int>(args.get_int("threads"));
   config.journal.path = args.get_string("journal");
   config.journal.resume = args.get_bool("resume");
   config.validate();
@@ -700,7 +699,6 @@ int run_pipeline_cmd(const esm::ArgParser& args) {
   config.esm.faults =
       esm::parse_fault_profile(args.get_string("fault-profile"));
   config.esm.retry.max_attempts = static_cast<int>(args.get_int("retries"));
-  config.esm.threads = static_cast<int>(args.get_int("threads"));
   config.esm.seed = static_cast<std::uint64_t>(args.get_int("seed"));
   config.device = args.get_string("device");
   config.model_name = args.get_string("name");
@@ -847,9 +845,6 @@ int main(int argc, char** argv) {
                 "predict: read arch requests one per line from stdin (same "
                 "grammar as the serve protocol) and emit full-precision "
                 "CSV on stdout");
-  args.add_int("threads", 0,
-               "worker threads (measure/pipeline); 0 = the ESM_THREADS "
-               "environment variable (default serial)");
   args.add_string("name", "default",
                   "model name to publish under (pipeline)");
   args.add_string("manifest-dir", "/tmp/esm_fleet",

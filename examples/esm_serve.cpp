@@ -14,10 +14,10 @@
 //   connections are multiplexed on one epoll reactor thread, which also
 //   prices cache misses: one round of at most --max-batch architectures
 //   per wakeup (see src/serve/event_loop.hpp). Searches run on their own
-//   worker, and ESM_THREADS sizes the GEMM pool. Both wire protocols share
-//   the port: the newline-delimited esm1 protocol of
-//   src/serve/protocol.hpp and the length-prefixed binary esm2 protocol
-//   of src/serve/frame.hpp, told apart by the first byte (0xE5 = esm2).
+//   worker. Both wire protocols share the port: the newline-delimited esm1
+//   protocol of src/serve/protocol.hpp and the length-prefixed binary esm2
+//   protocol of src/serve/frame.hpp, told apart by the first byte
+//   (0xE5 = esm2).
 //   SIGINT and SIGTERM (and the protocol's `shutdown` verb) drain: every
 //   request already on the wire is answered before exit; a final stats
 //   summary goes to stderr.

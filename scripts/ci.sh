@@ -29,8 +29,8 @@
 #                         smoke (every Pareto-front member it prints must
 #                         meet its budget on the ground-truth simulator),
 #                         then a scalar-fallback build (-DESM_SIMD=off) running
-#                         the linalg + ml + encoding + parallel + fastpath +
-#                         serve + surrogate-registry suites (the portable
+#                         the linalg + ml + encoding + fastpath + serve +
+#                         surrogate-registry suites (the portable
 #                         GEMM and training-step paths must stay green and
 #                         bit-identical, trained golden digests and artifact
 #                         CRCs through the MLP's save/load transpose
@@ -53,10 +53,9 @@
 #                         epoll reactor, flush()'s expiry and shed
 #                         paths, and the chaos decorator's offset
 #                         arithmetic over gather writes), then a TSan build
-#                         running the linalg + fault + parallel + journal +
-#                         serve + fleet + frame + event-loop + overload +
-#                         chaos suites (journal writes sit on the ordered
-#                         reduction path of the thread pool; serve
+#                         running the linalg + fault + journal + serve +
+#                         fleet + frame + event-loop + overload + chaos +
+#                         search suites (serve
 #                         drives the reactor, its flush(), routing, and
 #                         cache concurrently from many clients; the event loop
 #                         adds backpressure, drain, and the 10k-connection
@@ -66,9 +65,9 @@
 #                         serve and overload run five times each, so a
 #                         schedule-dependent failure fails the tier)
 #
-# Thread-count invariance is covered inside the suites themselves
-# (parallel_test pins 1-thread vs 8-thread bit-identity), so CI only needs
-# to run them once.
+# Every computation outside the server runs serially on its caller, so
+# each suite runs once per tier; the TSan tier covers the server's reactor,
+# search worker and client threads.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -94,16 +93,30 @@ echo "== kill -9 resume smoke test =="
 # A journaled campaign killed at an arbitrary point and resumed must write
 # the exact same dataset CSV as an uninterrupted run. Whatever the kill
 # hits — before the header, mid-record, after completion — resume recovers:
-# journaled batches replay, the rest re-measure, bit-identically.
+# journaled batches replay, the rest re-measure, bit-identically. The
+# uninterrupted run must exit 0 (or 2: some archs were quarantined) and
+# the resumed run the same code, where its 3 (complete, some batches
+# replayed) stands for 0; any other exit means a run itself failed.
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 MEASURE="build/examples/esm_cli measure --device rpi4 --count 48
-  --batch-size 4 --fault-profile flaky --threads 8"
-$MEASURE --out "$SMOKE_DIR/golden.csv" >/dev/null 2>&1 || true
+  --batch-size 4 --fault-profile flaky"
+GOLDEN_STATUS=0
+$MEASURE --out "$SMOKE_DIR/golden.csv" >/dev/null 2>&1 || GOLDEN_STATUS=$?
 timeout -s KILL 0.05 $MEASURE --journal "$SMOKE_DIR/campaign.journal" \
   >/dev/null 2>&1 || true
+RESUMED_STATUS=0
 $MEASURE --journal "$SMOKE_DIR/campaign.journal" --resume \
-  --out "$SMOKE_DIR/resumed.csv" >/dev/null 2>&1 || true
+  --out "$SMOKE_DIR/resumed.csv" >/dev/null 2>&1 || RESUMED_STATUS=$?
+case "$GOLDEN_STATUS" in
+  0|2) ;;
+  *) echo "kill -9 resume smoke test FAILED: golden run exited $GOLDEN_STATUS"
+     exit 1 ;;
+esac
+[ "$RESUMED_STATUS" -eq 3 ] && RESUMED_STATUS=0
+[ "$RESUMED_STATUS" -eq "$GOLDEN_STATUS" ] \
+  || { echo "kill -9 resume smoke test FAILED: resumed run exited" \
+       "$RESUMED_STATUS, golden run $GOLDEN_STATUS"; exit 1; }
 cmp "$SMOKE_DIR/golden.csv" "$SMOKE_DIR/resumed.csv" \
   || { echo "kill -9 resume smoke test FAILED: dataset differs"; exit 1; }
 echo "resumed dataset is byte-identical to the uninterrupted run"
@@ -352,10 +365,10 @@ echo "== scalar tier (ESM_SIMD=off: portable GEMM path) =="
 cmake -B build-scalar -S . -DCMAKE_BUILD_TYPE=Release \
   -DESM_SIMD=off >/dev/null
 cmake --build build-scalar -j "$JOBS" \
-  --target linalg_test ml_test encoding_test parallel_test fastpath_test \
-  serve_test surrogate_registry_test
+  --target linalg_test ml_test encoding_test fastpath_test serve_test \
+  surrogate_registry_test
 ctest --test-dir build-scalar --output-on-failure \
-  -R '^(linalg_test|ml_test|encoding_test|parallel_test|fastpath_test|serve_test|surrogate_registry_test)$'
+  -R '^(linalg_test|ml_test|encoding_test|fastpath_test|serve_test|surrogate_registry_test)$'
 
 echo "== fma tier (ESM_FMA=ON: contracted microkernel) =="
 # FMA contraction changes mul+add rounding, in the GEMM kernel and in the
@@ -400,7 +413,7 @@ cmake --build build-asan-ubsan -j "$JOBS" \
 ctest --test-dir build-asan-ubsan --output-on-failure \
   -R '^(common_test|journal_test|linalg_test|encoding_test|surrogate_test|surrogate_registry_test|esm_test|corruption_test|nets_test|nn_test|nas_test|search_test|ml_test|serve_test|frame_test|fleet_test|arch_fuzz_test|event_loop_test|overload_test|chaos_test)$'
 
-echo "== tsan tier (linalg + fault + parallel + journal + serve + fleet + event loop + overload + chaos + search) =="
+echo "== tsan tier (linalg + fault + journal + serve + fleet + event loop + overload + chaos + search) =="
 # event_loop_test puts the reactor thread, which also prices every miss in
 # its flush(), the search worker, and the client driver threads under TSan
 # at once — including the 10k-connection headline test, which is the
@@ -413,15 +426,15 @@ echo "== tsan tier (linalg + fault + parallel + journal + serve + fleet + event 
 # interleaving in the repo. serve_test and overload_test run five times
 # each (--repeat until-fail:5), so a failure that depends on the schedule
 # fails the tier rather than one run in several.
-# search_test runs long searches through predict_all on the pool while the
+# search_test runs long searches on the server's search worker while the
 # server sheds and expires concurrent search requests.
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DESM_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" \
-  --target linalg_test fault_test parallel_test journal_test serve_test \
-  fleet_test frame_test event_loop_test overload_test chaos_test search_test
+  --target linalg_test fault_test journal_test serve_test fleet_test \
+  frame_test event_loop_test overload_test chaos_test search_test
 ctest --test-dir build-tsan --output-on-failure \
-  -R '^(linalg_test|fault_test|parallel_test|journal_test|fleet_test|frame_test|event_loop_test|chaos_test|search_test)$'
+  -R '^(linalg_test|fault_test|journal_test|fleet_test|frame_test|event_loop_test|chaos_test|search_test)$'
 ctest --test-dir build-tsan --output-on-failure --repeat until-fail:5 \
   -R '^(serve_test|overload_test)$'
 

@@ -1,75 +1,12 @@
-// Deterministic parallel execution layer: a lazily started, globally shared
-// thread pool with chunked `parallel_for` and an ordered `parallel_map`.
-//
-// Contract: parallelism never changes results. Chunks cover [0, n) in
-// disjoint index ranges and write only to their own slots, so any function
-// that is deterministic per index yields bit-identical output at every
-// thread count — including 1, where everything runs inline on the caller
-// with no pool involvement. Stochastic work stays deterministic by giving
-// each index its own Rng substream (Rng::split(stream_id)) and reducing in
-// index order on the caller.
-//
-// Sizing: the ESM_THREADS environment variable (1 = fully serial, the
-// default; 0 = one thread per hardware core), overridable at runtime with
-// set_thread_count() (the EsmConfig::threads knob routes through it).
-//
-// Nested calls are safe: a parallel_for issued from inside a worker (or
-// from inside a chunk the caller is executing) runs inline and serially,
-// so parallel code can freely call other parallel code.
+// No-op stand-in for the retired thread pool. Every path in the project
+// runs serially; this header exists only because perfbench's harness still
+// includes it and calls set_thread_count(). The next benchmark change
+// deletes that caller and this header together. Nothing under src/, tests/,
+// bench/ or examples/ may include it.
 #pragma once
-
-#include <cstddef>
-#include <functional>
-#include <vector>
 
 namespace esm {
 
-/// Threads a parallel region would use right now: the set_thread_count()
-/// override if one is active, else ESM_THREADS (re-read on every call so
-/// tests can change it), else 1. 0 in either source means "all hardware
-/// cores". Always >= 1.
-int thread_count();
-
-/// Overrides ESM_THREADS for subsequent parallel regions. n = 1 forces
-/// fully serial execution; n = 0 clears the override (back to the
-/// environment). Workers are (re)started lazily on the next region.
-void set_thread_count(int n);
-
-/// True while the calling thread is executing a chunk of a parallel
-/// region (worker or participating caller). Used for nested-call safety
-/// and exposed for tests/diagnostics.
-bool in_parallel_region();
-
-/// Stops and joins all pool workers. The pool restarts lazily on the next
-/// parallel region; mainly useful in tests and before fork/exec.
-void shutdown_pool();
-
-/// Number of worker threads currently alive in the shared pool (excludes
-/// the caller, which always participates). 0 until a region has run with
-/// thread_count() > 1.
-int pool_workers();
-
-/// Runs fn(begin, end) over disjoint chunks covering [0, n), each at least
-/// `grain` indices (the last may be shorter). Serial inline when
-/// thread_count() == 1, when n <= grain, or when nested inside another
-/// region. The first exception thrown by any chunk is rethrown on the
-/// caller after the region completes; remaining unstarted chunks are
-/// skipped once an exception is recorded.
-void parallel_for(std::size_t grain, std::size_t n,
-                  const std::function<void(std::size_t, std::size_t)>& fn);
-
-/// Ordered map: returns {fn(0), fn(1), ..., fn(n-1)} with elements
-/// computed in parallel but stored at their own index, so the result is
-/// identical at every thread count. T must be default-constructible.
-template <typename Fn>
-auto parallel_map(std::size_t n, Fn&& fn, std::size_t grain = 1)
-    -> std::vector<decltype(fn(std::size_t{}))> {
-  using T = decltype(fn(std::size_t{}));
-  std::vector<T> out(n);
-  parallel_for(grain, n, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) out[i] = fn(i);
-  });
-  return out;
-}
+inline void set_thread_count(int /*n*/) {}
 
 }  // namespace esm

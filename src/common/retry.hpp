@@ -7,8 +7,7 @@
 // exactly like it sees measurement time. The serving client
 // (serve/client.hpp) reuses the same policy shape with wall-clock backoff
 // for retrying overloaded/timed-out requests. Jitter is drawn from seeded
-// Rng substreams, keeping retry schedules bit-identical at any thread
-// count.
+// Rng substreams, so a seed always yields the same retry schedule.
 #pragma once
 
 #include "common/rng.hpp"

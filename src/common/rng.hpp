@@ -70,8 +70,9 @@ class Rng {
   /// Derives the `stream_id`-th substream of the current state WITHOUT
   /// advancing the parent (splitmix64 rekeying). Substreams with distinct
   /// ids are decorrelated, and because the parent is untouched, any set of
-  /// substreams can be drawn in any order — the foundation of the
-  /// deterministic parallel-measurement contract (see common/parallel.hpp).
+  /// substreams can be drawn in any order: each measurement of a session
+  /// draws its noise from the substream of its slot (esm/dataset_gen.hpp),
+  /// so its bytes depend on the slot, not on what ran before it.
   Rng split(std::uint64_t stream_id) const;
 
  private:

@@ -57,7 +57,6 @@ void EsmConfig::validate() const {
   faults.validate();
   retry.validate();
   journal.validate();
-  ESM_REQUIRE(threads >= 0, "config: threads must be >= 0 (0 = ESM_THREADS)");
 }
 
 }  // namespace esm

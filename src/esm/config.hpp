@@ -75,13 +75,6 @@ struct EsmConfig {
   // --- predictor training ---
   TrainConfig train;             ///< paper defaults: 3x64 MLP, Adam 0.01/1e-4
 
-  // --- execution ---
-  /// Worker threads for the shared pool (measurement fan-out, GEMM bands,
-  /// tree split scans), set by each DatasetGenerator. 0 = ESM_THREADS
-  /// (default: serial); 1 = force serial; N = pool of N. Results are
-  /// bit-identical at every setting (see common/parallel.hpp).
-  int threads = 0;
-
   std::uint64_t seed = 42;
 
   /// Throws esm::ConfigError if any field is inconsistent.

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/parallel.hpp"
 #include "common/stats.hpp"
 #include "esm/journal.hpp"
 #include "common/retry.hpp"
@@ -32,8 +31,6 @@ DatasetGenerator::DatasetGenerator(const EsmConfig& config,
                                    SimulatedDevice& device, Rng rng)
     : config_(config), device_(&device), rng_(rng) {
   config_.validate();
-  // 0 leaves whatever ESM_THREADS (or set_thread_count) set in place.
-  if (config_.threads > 0) set_thread_count(config_.threads);
 
   // The config's fault profile (if any) governs the device from the first
   // baseline session on; a config without faults leaves whatever profile
@@ -103,11 +100,11 @@ void DatasetGenerator::init_journal() {
 
 void DatasetGenerator::establish_baselines() {
   // Establish per-reference baselines as the median over several sessions,
-  // so a single bad session cannot poison the baseline. References within
-  // a session are measured concurrently, each on its own noise substream;
-  // failed attempts are retried like batch measurements, and a reference
-  // that never yields a value falls back to its noise-free latency rather
-  // than blocking construction.
+  // so a single bad session cannot poison the baseline. Each reference in a
+  // session is measured on its own noise substream; failed attempts are
+  // retried like batch measurements, and a reference that never yields a
+  // value falls back to its noise-free latency rather than blocking
+  // construction.
   const std::size_t n_refs = reference_graphs_.size();
   std::vector<std::vector<double>> sessions(n_refs);
   for (int s = 0; s < config_.qc_baseline_sessions; ++s) {
@@ -119,11 +116,10 @@ void DatasetGenerator::establish_baselines() {
     for (std::size_t i = 0; i < n_refs; ++i) {
       plans.push_back(plan_task(session_rng, i, n_refs, budget));
     }
-    const auto results = parallel_map(n_refs, [&](std::size_t i) {
-      return run_task(reference_graphs_[i], plans[i], i, n_refs);
-    });
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      device_->add_measurement_cost(results[i].attempt_cost_s);
+    for (std::size_t i = 0; i < n_refs; ++i) {
+      const TaskResult result =
+          run_task(reference_graphs_[i], plans[i], i, n_refs);
+      device_->add_measurement_cost(result.attempt_cost_s);
       const Rng task_rng =
           session_rng.split(static_cast<std::uint64_t>(i));
       for (std::size_t a = 1; a < plans[i].attempt_noise.size(); ++a) {
@@ -131,9 +127,7 @@ void DatasetGenerator::establish_baselines() {
             config_.retry, static_cast<int>(a),
             task_rng.split(kBackoffStream + a)));
       }
-      if (results[i].final.ok()) {
-        sessions[i].push_back(results[i].final.value);
-      }
+      if (result.final.ok()) sessions[i].push_back(result.final.value);
     }
   }
   baselines_.reserve(n_refs);
@@ -202,10 +196,9 @@ DatasetGenerator::SessionOutcome DatasetGenerator::run_session(
     const std::vector<ArchConfig>& archs, int& budget) {
   device_->begin_session();
 
-  // All measurements of the session fan out concurrently, each on a noise
-  // substream keyed by its position in the session — so the session's
-  // results depend only on (device session state, session stream), never
-  // on thread count or completion order. The reference models are
+  // Every measurement of the session runs on a noise substream keyed by
+  // its position in the session, so the session's results depend only on
+  // (device session state, session stream). The reference models are
   // scheduled twice (the paper's canary-before/canary-after pattern);
   // because session drift is a per-session regime here, both passes probe
   // the same regime on independent substreams, doubling the QC evidence.
@@ -213,28 +206,29 @@ DatasetGenerator::SessionOutcome DatasetGenerator::run_session(
   const std::size_t n_tasks = 2 * n_refs + archs.size();
   const Rng session_rng = rng_.split();
 
-  // Retry planning is serial and happens before the fan-out: fault
-  // outcomes depend only on session state and substreams, so the plan is
-  // the same at every thread count, and the shared retry budget is drawn
-  // down in deterministic task order.
+  // Retry planning happens before any measurement: fault outcomes depend
+  // only on session state and substreams, and the shared retry budget is
+  // drawn down in task order.
   std::vector<TaskPlan> plans;
   plans.reserve(n_tasks);
   for (std::size_t t = 0; t < n_tasks; ++t) {
     plans.push_back(plan_task(session_rng, t, n_tasks, budget));
   }
 
-  const auto measured = parallel_map(n_tasks, [&](std::size_t t) {
+  std::vector<TaskResult> measured;
+  measured.reserve(n_tasks);
+  for (std::size_t t = 0; t < n_tasks; ++t) {
     if (t < n_refs) {
-      return run_task(reference_graphs_[t], plans[t], t, n_tasks);
+      measured.push_back(
+          run_task(reference_graphs_[t], plans[t], t, n_tasks));
+    } else if (t < n_refs + archs.size()) {
+      const LayerGraph graph = build_graph(config_.spec, archs[t - n_refs]);
+      measured.push_back(run_task(graph, plans[t], t, n_tasks));
+    } else {
+      measured.push_back(run_task(reference_graphs_[t - n_refs - archs.size()],
+                                  plans[t], t, n_tasks));
     }
-    if (t < n_refs + archs.size()) {
-      const LayerGraph graph =
-          build_graph(config_.spec, archs[t - n_refs]);
-      return run_task(graph, plans[t], t, n_tasks);
-    }
-    return run_task(reference_graphs_[t - n_refs - archs.size()], plans[t],
-                    t, n_tasks);
-  });
+  }
 
   // Deterministic reductions, all in task-index order: cost accounting
   // (attempts, then backoff), fault tallies, reference deviations, then

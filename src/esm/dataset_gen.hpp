@@ -18,9 +18,8 @@
 // often to the QC re-measure loop, and quarantines architectures that still
 // fail in the final session. measure_batch() therefore ALWAYS completes,
 // returning whatever was measured plus a DatasetReport accounting of what
-// happened. Retry schedules are planned serially from fault substreams
-// before the parallel fan-out, so seeded runs stay bit-identical at any
-// thread count (the PR-1 invariant).
+// happened. Retry schedules are planned from fault substreams before any
+// task is measured, so the same seed always yields the same bytes.
 //
 // With EsmConfig::journal configured, the generator additionally writes
 // every accepted batch through a CampaignJournal (esm/journal.hpp) and, on
@@ -100,8 +99,7 @@ class DatasetGenerator {
  public:
   /// Draws the reference models and establishes their baseline latencies
   /// over several sessions (median per reference). Installs the config's
-  /// fault profile on the device if the config declares one, and applies
-  /// config.threads (when > 0) to the shared pool. With
+  /// fault profile on the device if the config declares one. With
   /// config.journal set, opens (and on resume, replays the header of) the
   /// campaign journal; a resumed construction restores the journaled
   /// baselines without re-measuring them.
@@ -137,11 +135,10 @@ class DatasetGenerator {
   bool journaling() const { return journal_ != nullptr; }
 
  private:
-  /// Planned attempts for one measurement task of a session fan-out: the
-  /// first attempt plus budget-bounded retries, each on its own noise
-  /// substream. Planned serially (fault outcomes depend only on session
-  /// state and substreams, never on measured values), then replayed
-  /// identically by the parallel execution.
+  /// Planned attempts for one measurement task of a session: the first
+  /// attempt plus budget-bounded retries, each on its own noise substream.
+  /// Planned for every task before any runs (fault outcomes depend only on
+  /// session state and substreams, never on measured values).
   struct TaskPlan {
     std::vector<Rng> attempt_noise;
   };
@@ -172,8 +169,8 @@ class DatasetGenerator {
   TaskResult run_task(const LayerGraph& graph, const TaskPlan& plan,
                       std::size_t slot, std::size_t n_tasks) const;
 
-  /// Runs one session over `archs` (plan, parallel fan-out, deterministic
-  /// reductions, QC verdict), drawing retries from `budget`.
+  /// Runs one session over `archs` (plan, measure in task order, reduce,
+  /// QC verdict), drawing retries from `budget`.
   SessionOutcome run_session(const std::vector<ArchConfig>& archs,
                              int& budget);
 

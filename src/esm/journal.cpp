@@ -144,8 +144,7 @@ std::uint32_t campaign_config_crc(const EsmConfig& c) {
   // Canonical identity string over every knob that shapes the measurement
   // stream. Sampling/training knobs are excluded on purpose: the journal
   // pins the *measurement* campaign, and the caller decides which batches
-  // to request; execution knobs (threads, journal options) must never
-  // matter (bit-identity at any thread count).
+  // to request; the journal options must never matter.
   std::ostringstream os;
   os << c.spec.name << '|' << supernet_kind_name(c.spec.kind) << '|'
      << c.spec.num_units << '|' << c.spec.min_blocks_per_unit << '|'

@@ -39,7 +39,7 @@
 // recorded number of session begins, (b) consuming one generator-RNG split
 // per session, and (c) restoring the journaled cost/quarantine/QC state —
 // no measurement runs, and the campaign continues bit-identically to an
-// uninterrupted run at any thread count. The RNG fingerprints pin that
+// uninterrupted run. The RNG fingerprints pin that
 // invariant: replay refuses to continue if the restored stream diverges.
 #pragma once
 
@@ -92,9 +92,9 @@ struct BatchRecord {
 };
 
 /// Digest of the campaign-identity fields of a config (space, seed, QC,
-/// fault and retry knobs). Deliberately excludes execution knobs (threads,
-/// journal options): a campaign may be resumed at a different thread count
-/// and must still produce bit-identical results (the PR-1 invariant).
+/// fault and retry knobs). Deliberately excludes the journal options: a
+/// campaign may be resumed with different ones and must still produce
+/// bit-identical results.
 std::uint32_t campaign_config_crc(const EsmConfig& config);
 
 /// CRC32 over the stable keys of a requested batch, used to verify that a

@@ -13,7 +13,7 @@
 // the device's seeded streams WITHOUT advancing them, so (a) an all-zero
 // profile leaves every existing output bit-identical, (b) enabling faults
 // does not perturb the values of measurements that survive, and (c) fault
-// schedules are identical at any thread count (the PR-1 invariant).
+// schedules do not depend on the order in which attempts execute.
 #pragma once
 
 #include <cstdint>
@@ -72,7 +72,7 @@ struct SessionFaults {
 
 /// The decision for one measurement attempt. Outcomes depend only on the
 /// session regime and the attempt's noise substream — never on measured
-/// values, execution order, or thread count — so a retry planner can
+/// values or execution order — so a retry planner can
 /// precompute the schedule without running any measurement.
 struct FaultDecision {
   MeasureOutcome outcome = MeasureOutcome::kOk;

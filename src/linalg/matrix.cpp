@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "common/error.hpp"
-#include "common/parallel.hpp"
 
 namespace esm {
 
@@ -66,23 +65,6 @@ constexpr std::size_t kMicroCols = kMicroVecs * kVecLanes;
 // traversal; each output element still sees ascending k (the partial tile
 // sums are carried through the output itself), so values are unchanged.
 constexpr std::size_t kBlockK = 256;
-
-// Parallel granularity, retuned for the microkernel (the PR-1 thresholds
-// let the pool engage on multiplies that finish in ~100 µs serially, which
-// is why BENCH_parallel.json showed threaded GEMM *slower* than serial).
-// A band must amortize one pool hand-off, so require ~2M multiply-adds per
-// band and ~8M in the whole multiply before engaging the pool at all: at
-// the measured crossover the MLP serving shapes (<=1M madds) and 64³-class
-// multiplies always take the serial path, while 512³ and up still fan out.
-constexpr std::size_t kMinFlopsPerBand = std::size_t{1} << 21;
-constexpr std::size_t kMinFlopsForPool = std::size_t{1} << 23;
-
-std::size_t band_grain(std::size_t rows, std::size_t flops_per_row) {
-  const std::size_t rows_per_band =
-      flops_per_row == 0 ? rows : kMinFlopsPerBand / (flops_per_row + 1) + 1;
-  return std::clamp<std::size_t>(rows_per_band, 1,
-                                 std::max<std::size_t>(rows, 1));
-}
 
 // ---------------------------------------------------------------------------
 // The microkernel.
@@ -243,9 +225,8 @@ void gemm_band(AView a, const double* b, std::size_t ldb, double* c,
   }
 }
 
-// Shared driver: sizes the output, then either runs the whole multiply on
-// the caller (the small-matrix fast path — every MLP serving shape lands
-// here) or fans row bands out over the pool.
+// Shared driver: sizes the output, then runs the whole multiply as one
+// band on the caller.
 void gemm_dispatch(AView a, const double* b, std::size_t ldb, Matrix& out,
                    std::size_t m, std::size_t n, std::size_t k) {
   out.reshape(m, n);
@@ -254,16 +235,7 @@ void gemm_dispatch(AView a, const double* b, std::size_t ldb, Matrix& out,
     out.fill(0.0);
     return;
   }
-  double* c = out.data();
-  const std::size_t flops_per_row = n * k;
-  if (m * flops_per_row < kMinFlopsForPool) {
-    gemm_band(a, b, ldb, c, n, 0, m, n, k);
-    return;
-  }
-  parallel_for(band_grain(m, flops_per_row), m,
-               [&](std::size_t r0, std::size_t r1) {
-                 gemm_band(a, b, ldb, c, n, r0, r1, n, k);
-               });
+  gemm_band(a, b, ldb, out.data(), n, 0, m, n, k);
 }
 
 }  // namespace

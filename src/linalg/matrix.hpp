@@ -79,16 +79,11 @@ class Matrix {
 };
 
 // The GEMM variants below share one cache-blocked, register-tiled,
-// vectorized microkernel (see DESIGN.md §6g). Outputs of 8M multiply-adds
-// and up are parallelized over row bands via esm::parallel_for
-// (common/parallel.hpp); of the shipped binaries only the benches' large
-// full-batch passes reach that (16-58M in fig9 and ablation_encodings).
-// Every serving and esm_cli training multiply stays on the caller thread.
+// vectorized microkernel (see DESIGN.md §6g), run on the caller thread.
 // Each output element accumulates its k-products in ascending-k order with
 // separate multiply and add (no FMA contraction unless the ESM_FMA build
-// option is on), no matter the SIMD width, tiling, or thread count — so
-// results are bit-identical at every ESM_THREADS setting, on every
-// backend, and to the historical serial kernels.
+// option is on), no matter the SIMD width or tiling — so results are
+// bit-identical on every backend and to the historical serial kernels.
 // `out` must not alias `a` or `b` (checked); a and b may alias each other.
 
 /// out = a * b. Shapes: (m x k) * (k x n) -> (m x n). `out` is resized.

@@ -6,7 +6,6 @@
 #include <numeric>
 
 #include "common/error.hpp"
-#include "common/parallel.hpp"
 
 namespace esm {
 
@@ -25,16 +24,6 @@ double subset_mean(std::span<const double> y,
   return indices.empty() ? 0.0 : acc / static_cast<double>(indices.size());
 }
 
-/// Best admissible split of one feature (infinite score when none).
-struct SplitCandidate {
-  double score = std::numeric_limits<double>::infinity();
-  double threshold = 0.0;
-};
-
-// Only fan the per-feature scan out when a node is big enough for a chunk
-// of features to amortize the pool hand-off.
-constexpr std::size_t kMinSplitWorkPerChunk = 1u << 14;
-
 }  // namespace
 
 int DecisionTreeRegressor::build(const Matrix& x, std::span<const double> y,
@@ -51,62 +40,47 @@ int DecisionTreeRegressor::build(const Matrix& x, std::span<const double> y,
   }
 
   // Find the split minimizing weighted child variance (equivalently,
-  // maximizing variance reduction) across all features. Each feature scan
-  // is independent, so features fan out over the pool; the winner is then
-  // reduced in ascending feature order with a strict `<`, which keeps the
-  // serial tie-break (lowest feature index) — the chosen split is
-  // invariant to thread count.
-  std::vector<SplitCandidate> candidates(x.cols());
-  const std::size_t feature_grain =
-      std::max<std::size_t>(1, kMinSplitWorkPerChunk / indices.size());
-  parallel_for(feature_grain, x.cols(), [&](std::size_t f0, std::size_t f1) {
-    std::vector<std::pair<double, double>> column(indices.size());
-    for (std::size_t f = f0; f < f1; ++f) {
-      for (std::size_t i = 0; i < indices.size(); ++i) {
-        column[i] = {x(indices[i], f), y[indices[i]]};
-      }
-      std::sort(column.begin(), column.end());
-      // Prefix sums for O(1) variance of each prefix/suffix.
-      double sum_left = 0.0, sumsq_left = 0.0;
-      double sum_total = 0.0, sumsq_total = 0.0;
-      for (const auto& [xv, yv] : column) {
-        sum_total += yv;
-        sumsq_total += yv * yv;
-      }
-      const auto n = static_cast<double>(column.size());
-      SplitCandidate& best = candidates[f];
-      for (std::size_t i = 0; i + 1 < column.size(); ++i) {
-        sum_left += column[i].second;
-        sumsq_left += column[i].second * column[i].second;
-        // Can't split between equal feature values.
-        if (column[i].first == column[i + 1].first) continue;
-        const double n_left = static_cast<double>(i + 1);
-        const double n_right = n - n_left;
-        if (n_left < static_cast<double>(config_.min_samples_leaf) ||
-            n_right < static_cast<double>(config_.min_samples_leaf)) {
-          continue;
-        }
-        const double sum_right = sum_total - sum_left;
-        const double sumsq_right = sumsq_total - sumsq_left;
-        const double sse_left = sumsq_left - sum_left * sum_left / n_left;
-        const double sse_right = sumsq_right - sum_right * sum_right / n_right;
-        const double score = sse_left + sse_right;
-        if (score < best.score) {
-          best.score = score;
-          best.threshold = 0.5 * (column[i].first + column[i + 1].first);
-        }
-      }
-    }
-  });
-
+  // maximizing variance reduction) across all features. Features are
+  // scanned in ascending order and a candidate wins only with a strict `<`,
+  // so ties go to the lowest feature index, then the lowest threshold.
   double best_score = std::numeric_limits<double>::infinity();
   int best_feature = -1;
   double best_threshold = 0.0;
-  for (std::size_t f = 0; f < candidates.size(); ++f) {
-    if (candidates[f].score < best_score) {
-      best_score = candidates[f].score;
-      best_feature = static_cast<int>(f);
-      best_threshold = candidates[f].threshold;
+  std::vector<std::pair<double, double>> column(indices.size());
+  for (std::size_t f = 0; f < x.cols(); ++f) {
+    for (std::size_t i = 0; i < indices.size(); ++i) {
+      column[i] = {x(indices[i], f), y[indices[i]]};
+    }
+    std::sort(column.begin(), column.end());
+    // Prefix sums for O(1) variance of each prefix/suffix.
+    double sum_left = 0.0, sumsq_left = 0.0;
+    double sum_total = 0.0, sumsq_total = 0.0;
+    for (const auto& [xv, yv] : column) {
+      sum_total += yv;
+      sumsq_total += yv * yv;
+    }
+    const auto n = static_cast<double>(column.size());
+    for (std::size_t i = 0; i + 1 < column.size(); ++i) {
+      sum_left += column[i].second;
+      sumsq_left += column[i].second * column[i].second;
+      // Can't split between equal feature values.
+      if (column[i].first == column[i + 1].first) continue;
+      const double n_left = static_cast<double>(i + 1);
+      const double n_right = n - n_left;
+      if (n_left < static_cast<double>(config_.min_samples_leaf) ||
+          n_right < static_cast<double>(config_.min_samples_leaf)) {
+        continue;
+      }
+      const double sum_right = sum_total - sum_left;
+      const double sumsq_right = sumsq_total - sumsq_left;
+      const double sse_left = sumsq_left - sum_left * sum_left / n_left;
+      const double sse_right = sumsq_right - sum_right * sum_right / n_right;
+      const double score = sse_left + sse_right;
+      if (score < best_score) {
+        best_score = score;
+        best_feature = static_cast<int>(f);
+        best_threshold = 0.5 * (column[i].first + column[i + 1].first);
+      }
     }
   }
 

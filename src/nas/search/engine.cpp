@@ -375,9 +375,9 @@ SearchOutcome SearchEngine::run(const std::vector<Objective>& objectives,
   std::vector<ArchConfig> archs;
 
   // Scores pop[first..): one predict_all batch per objective over the archs
-  // this search has not priced yet, so the surrogate's thread-count-
-  // independent fast path does all the work and no randomness is consumed
-  // (the RNG draw order stays plan-only).
+  // this search has not priced yet, so the surrogate's batched fast path
+  // does all the work and no randomness is consumed (the RNG draw order
+  // stays plan-only).
   auto score_tail = [&](std::vector<ScoredArch>& pop, std::size_t first) {
     slots.clear();
     fresh.clear();

@@ -14,12 +14,11 @@
 //   - random_search: the same evaluation budget spent on i.i.d. samples —
 //     the baseline the evolutionary engine must beat (search_test pins it).
 //
-// Determinism is a hard contract, same idiom as PR-1/PR-3 plan-then-
-// execute: every RNG draw happens serially on one generator, and scoring
-// consumes no randomness — each generation makes one predict_all call per
-// objective (bit-identical at any thread count) over the cohort's archs
-// this search has not priced before, so a seeded search returns
-// bit-identical results at 1 or 8 threads. A repeat arch (about one
+// Determinism is a hard contract: every RNG draw happens on one generator,
+// and scoring consumes no randomness — each generation makes one
+// predict_all call per objective (bit-identical whatever the batch's
+// composition) over the cohort's archs this search has not priced before,
+// so a seeded search returns bit-identical results. A repeat arch (about one
 // evaluation in six) copies its first pricing from a per-search memo keyed
 // by the packed arch code (nets/arch.hpp); it still counts as an
 // evaluation.

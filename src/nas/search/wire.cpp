@@ -1,8 +1,8 @@
 #include "nas/search/wire.hpp"
 
 #include <cerrno>
+#include <charconv>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
@@ -48,6 +48,54 @@ std::vector<std::string> split_comma(const std::string& text) {
   std::string part;
   while (std::getline(is, part, ',')) parts.push_back(part);
   return parts;
+}
+
+template <typename Int>
+void append_int(std::string& out, Int value) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
+
+void append_arch_request(std::string& out, const SupernetSpec& spec,
+                         const ArchConfig& arch) {
+  for (std::size_t u = 0; u < arch.units.size(); ++u) {
+    const UnitConfig& unit = arch.units[u];
+    ESM_REQUIRE(!unit.blocks.empty(), "unit " << u << " has no blocks");
+    const BlockConfig& first = unit.blocks.front();
+    for (const BlockConfig& block : unit.blocks) {
+      ESM_REQUIRE(block.kernel == first.kernel &&
+                      block.expansion == first.expansion,
+                  "unit " << u << " mixes block features; only per-unit-"
+                          "uniform architectures have a request form");
+    }
+    if (u > 0) out += ',';
+    append_int(out, unit.blocks.size());
+    out += ":k";
+    append_int(out, first.kernel);
+    if (!spec.expansion_options.empty()) {
+      // %.6g (to_chars' general format at precision 6) lands within the
+      // parser's 1e-2 snap of the exact option ("0.666667" selects 2/3)
+      // while staying nearest to it.
+      char buf[32];
+      out += 'e';
+      out.append(buf, std::to_chars(buf, buf + sizeof(buf), first.expansion,
+                                    std::chars_format::general, 6)
+                          .ptr);
+    }
+  }
+}
+
+/// One front entry: "<arch>|<quality>|<latency>[,<latency>...]".
+void append_entry(std::string& out, const SupernetSpec& spec,
+                  const ScoredArch& c) {
+  append_arch_request(out, spec, c.arch);
+  out += '|';
+  append_g17(out, c.quality);
+  out += '|';
+  for (std::size_t k = 0; k < c.latency_ms.size(); ++k) {
+    if (k > 0) out += ',';
+    append_g17(out, c.latency_ms[k]);
+  }
 }
 
 }  // namespace
@@ -154,64 +202,38 @@ std::string format_search_request(const SearchRequest& request) {
 
 std::string format_arch_request(const SupernetSpec& spec,
                                 const ArchConfig& arch) {
-  std::ostringstream os;
-  for (std::size_t u = 0; u < arch.units.size(); ++u) {
-    const UnitConfig& unit = arch.units[u];
-    ESM_REQUIRE(!unit.blocks.empty(), "unit " << u << " has no blocks");
-    const BlockConfig& first = unit.blocks.front();
-    for (const BlockConfig& block : unit.blocks) {
-      ESM_REQUIRE(block.kernel == first.kernel &&
-                      block.expansion == first.expansion,
-                  "unit " << u << " mixes block features; only per-unit-"
-                          "uniform architectures have a request form");
-    }
-    if (u > 0) os << ',';
-    os << unit.blocks.size() << ":k" << first.kernel;
-    if (!spec.expansion_options.empty()) {
-      // %.6g lands within the parser's 1e-2 snap of the exact option
-      // ("0.666667" selects 2/3) while staying nearest to it.
-      char buffer[32];
-      std::snprintf(buffer, sizeof(buffer), "%.6g", first.expansion);
-      os << 'e' << buffer;
-    }
-  }
-  return os.str();
+  std::string out;
+  append_arch_request(out, spec, arch);
+  return out;
 }
 
 std::string format_front_payload(const SupernetSpec& spec,
                                  const EngineConfig& config,
                                  const SearchOutcome& outcome) {
-  auto entry = [&](const ScoredArch& c) {
-    std::string text = format_arch_request(spec, c.arch);
-    text += '|';
-    text += format_g17(c.quality);
-    text += '|';
-    for (std::size_t k = 0; k < c.latency_ms.size(); ++k) {
-      if (k > 0) text += ',';
-      text += format_g17(c.latency_ms[k]);
-    }
-    return text;
-  };
-
-  std::ostringstream os;
-  os << "mode=" << mode_name(config.mode)
-     << " algo=" << algorithm_name(config.algorithm)
-     << " population=" << config.population
-     << " generations=" << config.generations << " seed=" << config.seed
-     << " evaluations=" << outcome.evaluations
-     << " feasible=" << (outcome.found_feasible ? 1 : 0)
-     << " front=" << outcome.front.size();
+  std::string out = "mode=";
+  out += mode_name(config.mode);
+  out += " algo=";
+  out += algorithm_name(config.algorithm);
+  out += " population=";
+  append_int(out, config.population);
+  out += " generations=";
+  append_int(out, config.generations);
+  out += " seed=";
+  append_int(out, config.seed);
+  out += " evaluations=";
+  append_int(out, outcome.evaluations);
+  out += outcome.found_feasible ? " feasible=1" : " feasible=0";
+  out += " front=";
+  append_int(out, outcome.front.size());
   if (!outcome.candidates.empty()) {
-    os << " best=" << entry(outcome.candidates[outcome.best]);
+    out += " best=";
+    append_entry(out, spec, outcome.candidates[outcome.best]);
   }
-  if (!outcome.front.empty()) {
-    os << ' ';
-    for (std::size_t i = 0; i < outcome.front.size(); ++i) {
-      if (i > 0) os << ';';
-      os << entry(outcome.candidates[outcome.front[i]]);
-    }
+  for (std::size_t i = 0; i < outcome.front.size(); ++i) {
+    out += i == 0 ? ' ' : ';';
+    append_entry(out, spec, outcome.candidates[outcome.front[i]]);
   }
-  return os.str();
+  return out;
 }
 
 }  // namespace esm::search

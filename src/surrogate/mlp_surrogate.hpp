@@ -39,7 +39,7 @@ class MlpSurrogate final : public TrainableSurrogate {
   /// in place, and runs a single batched MLP forward through per-thread
   /// workspaces — zero per-architecture heap allocations once warm
   /// (tests/fastpath_test.cpp pins this). Bit-identical to calling
-  /// predict_ms per arch, at every thread count.
+  /// predict_ms per arch.
   std::vector<double> predict_all(
       std::span<const ArchConfig> archs) const override;
 

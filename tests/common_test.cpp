@@ -165,6 +165,19 @@ TEST(RngTest, SplitProducesIndependentStream) {
   EXPECT_LT(equal, 3);
 }
 
+TEST(RngTest, SplitStreamsAreStableAndIndependent) {
+  const Rng parent(123);
+  Rng a1 = parent.split(0), a2 = parent.split(0), b = parent.split(1);
+  // Same id -> same stream; different id -> different stream.
+  EXPECT_EQ(a1(), a2());
+  Rng a3 = parent.split(0);
+  EXPECT_NE(a3(), b());
+  // Substream derivation must not advance the parent.
+  Rng p1(123), p2(123);
+  (void)p1.split(7);
+  EXPECT_EQ(p1(), p2());
+}
+
 // --------------------------------------------------------------- stats
 
 TEST(StatsTest, RunningStatsBasics) {

@@ -30,7 +30,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/parallel.hpp"
 #include "linalg/matrix.hpp"
 #include "common/rng.hpp"
 #include "encoding/encoder.hpp"
@@ -85,9 +84,6 @@ std::uint64_t allocs_during(F&& f) {
 }
 
 TEST(FastPathTest, PredictAllAllocationCountIsBatchSizeIndependent) {
-  // Serial execution keeps the count deterministic (no pool hand-off).
-  set_thread_count(1);
-
   const SupernetSpec spec = resnet_spec();
   TrainConfig train;
   train.epochs = 30;
@@ -142,7 +138,6 @@ TEST(FastPathTest, WarmTrainBatchAllocatesNothing) {
   // caller's workspace and reads the batch in place: once one step has
   // warmed the workspace, further steps at the same batch size allocate
   // nothing, for the paper predictor and for a batch of one.
-  set_thread_count(1);
   for (const std::size_t batch : {std::size_t{256}, std::size_t{1}}) {
     Rng rng(17);
     Mlp mlp = Mlp::paper_predictor(36, rng);
@@ -229,7 +224,6 @@ serve::ServeConfig small_served_config() {
 }
 
 TEST(FastPathTest, ServedPredictAllocatesOnlyItsReplyAndCompletion) {
-  set_thread_count(1);
   const SupernetSpec spec = resnet_spec();
   serve::PredictionServer server(small_served_config());
 
@@ -320,7 +314,6 @@ bool await_reply(const CountingSlot& slot) {
 }
 
 TEST(FastPathTest, EveryRequestIsAnsweredOnceWhenAnAllocationFails) {
-  set_thread_count(1);
   serve::PredictionServer server(small_served_config());
   std::uint64_t next_id = 1;
   // Distinct archs, none served before, so each one misses the cache.
@@ -419,7 +412,6 @@ TEST(FastPathTest, EveryRoundLineIsAnsweredOnceWhenAFlushAllocationFails) {
   // that prices them fails. Wherever the failure lands (the round's
   // bookkeeping, the batch, predict_all, a cache insert, a reply), every
   // line is answered exactly once.
-  set_thread_count(1);
   serve::PredictionServer server(small_served_config());
   std::uint64_t next_id = 1;
   int next_fresh = 0;
@@ -489,7 +481,6 @@ TEST(FastPathTest, EventLoopAnswersOrDropsWhenAFlushAllocationFails) {
   // (when its response could not be rendered) the end of its stream, and
   // the loop still drains. Over TCP the reactor's own writes allocate
   // nothing, so every injected failure lands inside the round.
-  set_thread_count(1);
   serve::PredictionServer server(small_served_config());
   // 0/1: whether the armed injection fired; 2: the armed miss was priced
   // before the client's miss arrived, so this k runs again.

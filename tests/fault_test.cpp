@@ -1,14 +1,13 @@
 // Tests for the fault-injection and fault-tolerance subsystem: profile
 // parsing, the unified measure() API and the session-replay hooks, the
-// determinism invariants (zero-profile bit-identity, unperturbed survivors,
-// 1-vs-N-thread invariance), retry/backoff accounting, and quarantine.
+// determinism invariants (zero-profile bit-identity, unperturbed
+// survivors), retry/backoff accounting, and quarantine.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/parallel.hpp"
 #include "esm/dataset_gen.hpp"
 #include "esm/framework.hpp"
 #include "common/retry.hpp"
@@ -261,46 +260,6 @@ TEST(UnifiedMeasureTest, TimeoutChargesDeadlineCost) {
 }
 
 // ------------------------------------------------ dataset gen under faults
-
-TEST(FaultToleranceTest, ThreadCountInvarianceUnderFaults) {
-  // Same seed => identical fault schedule, surviving samples, report, and
-  // simulated cost at 1 vs 8 threads.
-  auto run_with = [](int threads) {
-    set_thread_count(1);
-    EsmConfig cfg = small_config();
-    cfg.faults = fault_profile_by_name("harsh");
-    SimulatedDevice device(rtx3080_maxq_spec(), 51);
-    DatasetGenerator gen(cfg, device, Rng(13));
-    set_thread_count(threads);
-    const BatchResult batch =
-        gen.measure_batch(sample_archs(cfg.spec, 30, 14));
-    set_thread_count(1);
-    return std::tuple<BatchResult, double, std::set<std::string>>(
-        batch, device.measurement_cost_seconds(), gen.quarantined());
-  };
-  const auto [b1, cost1, q1] = run_with(1);
-  const auto [b8, cost8, q8] = run_with(8);
-  ASSERT_EQ(b1.samples.size(), b8.samples.size());
-  for (std::size_t i = 0; i < b1.samples.size(); ++i) {
-    EXPECT_EQ(b1.samples[i].arch, b8.samples[i].arch);
-    EXPECT_DOUBLE_EQ(b1.samples[i].latency_ms, b8.samples[i].latency_ms);
-  }
-  EXPECT_EQ(b1.report.measured, b8.report.measured);
-  EXPECT_EQ(b1.report.quarantined, b8.report.quarantined);
-  EXPECT_EQ(b1.report.sessions, b8.report.sessions);
-  EXPECT_EQ(b1.report.retries, b8.report.retries);
-  EXPECT_EQ(b1.report.timeouts, b8.report.timeouts);
-  EXPECT_EQ(b1.report.device_losses, b8.report.device_losses);
-  EXPECT_EQ(b1.report.read_errors, b8.report.read_errors);
-  EXPECT_DOUBLE_EQ(b1.report.cost_seconds, b8.report.cost_seconds);
-  EXPECT_DOUBLE_EQ(b1.report.backoff_seconds, b8.report.backoff_seconds);
-  EXPECT_EQ(b1.qc.attempts, b8.qc.attempts);
-  EXPECT_EQ(b1.qc.passed, b8.qc.passed);
-  EXPECT_EQ(b1.qc.outliers, b8.qc.outliers);
-  EXPECT_EQ(b1.qc.failed_measurements, b8.qc.failed_measurements);
-  EXPECT_DOUBLE_EQ(cost1, cost8);
-  EXPECT_EQ(q1, q8);
-}
 
 TEST(FaultToleranceTest, ZeroProfileGeneratorMatchesDefault) {
   EsmConfig cfg = small_config();

@@ -4,7 +4,7 @@
 // hard corruption), torn writes injected through a failing JournalSink,
 // a seeded fuzz of the record bodies, and the headline determinism pin —
 // killing a journaled campaign after any batch and resuming produces
-// results bit-identical to an uninterrupted run, at 1 and 8 threads.
+// results bit-identical to an uninterrupted run.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,7 +19,6 @@
 
 #include "common/checksum.hpp"
 #include "common/error.hpp"
-#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "esm/dataset_gen.hpp"
 #include "esm/framework.hpp"
@@ -403,13 +402,12 @@ TEST(JournalFuzzTest, MutatedRecordBodiesRejectOrRoundTrip) {
 
 // ------------------------------------- the headline determinism pin
 
-EsmConfig campaign_config(int threads) {
+EsmConfig campaign_config() {
   EsmConfig cfg;
   cfg.spec = resnet_spec();
   cfg.n_reference_models = 3;
   cfg.qc_baseline_sessions = 2;
   cfg.seed = 21;
-  cfg.threads = threads;
   // A harsh profile with few attempts exercises retries, QC re-measures,
   // AND quarantine on the replay path.
   cfg.faults = parse_fault_profile("harsh");
@@ -449,11 +447,6 @@ CampaignRun run_campaign(EsmConfig cfg,
   const std::size_t limit = std::min(stop_after, batches.size());
   for (std::size_t b = 0; b < limit; ++b) {
     const BatchResult result = generator.measure_batch(batches[b]);
-    // The generator applied cfg.threads: the batch really ran at that
-    // thread count.
-    if (cfg.threads > 0) {
-      EXPECT_EQ(thread_count(), cfg.threads);
-    }
     for (const MeasuredSample& s : result.samples) {
       os << s.arch.to_string() << ',' << full_double(s.latency_ms) << '\n';
     }
@@ -489,8 +482,8 @@ std::string line_prefix(const std::string& text, std::size_t lines) {
   return pos == std::string::npos ? text : text.substr(0, pos);
 }
 
-void expect_kill_resume_identical(int threads) {
-  const EsmConfig base = campaign_config(threads);
+TEST(JournalDeterminismTest, KillAtAnyBatchThenResumeIsIdentical) {
+  const EsmConfig base = campaign_config();
   const std::vector<std::vector<ArchConfig>> batches =
       campaign_batches(base.spec, 4, 5);
 
@@ -500,8 +493,7 @@ void expect_kill_resume_identical(int threads) {
 
   // A complete journaled run must be output-identical and leave a journal
   // with one header and one record per batch.
-  const std::string journal = temp_path(
-      "determinism_t" + std::to_string(threads) + ".journal");
+  const std::string journal = temp_path("determinism.journal");
   std::remove(journal.c_str());
   EsmConfig journaled = base;
   journaled.journal.path = journal;
@@ -518,7 +510,7 @@ void expect_kill_resume_identical(int threads) {
     write_file(journal, line_prefix(full, lines));
     const CampaignRun rerun = run_campaign(resumed, batches);
     EXPECT_EQ(rerun.fingerprint, golden.fingerprint)
-        << "killed after batch " << k << " at " << threads << " thread(s)";
+        << "killed after batch " << k;
     EXPECT_EQ(rerun.replayed, k);
     // The resumed run must have rebuilt the journal to the full campaign.
     EXPECT_EQ(read_file(journal), full);
@@ -535,42 +527,12 @@ void expect_kill_resume_identical(int threads) {
   std::remove(journal.c_str());
 }
 
-TEST(JournalDeterminismTest, KillAtAnyBatchThenResumeIsIdentical1Thread) {
-  expect_kill_resume_identical(1);
-}
-
-TEST(JournalDeterminismTest, KillAtAnyBatchThenResumeIsIdentical8Threads) {
-  expect_kill_resume_identical(8);
-}
-
-TEST(JournalDeterminismTest, CrossThreadCountResumeIsIdentical) {
-  // A campaign journaled at 8 threads may resume at 1 thread (and vice
-  // versa): the campaign digest deliberately excludes execution knobs.
-  const std::vector<std::vector<ArchConfig>> batches =
-      campaign_batches(resnet_spec(), 3, 5);
-  const CampaignRun golden = run_campaign(campaign_config(1), batches);
-
-  const std::string journal = temp_path("cross_thread.journal");
-  std::remove(journal.c_str());
-  EsmConfig eight = campaign_config(8);
-  eight.journal.path = journal;
-  run_campaign(eight, batches, /*stop_after=*/1);
-
-  EsmConfig one = campaign_config(1);
-  one.journal.path = journal;
-  one.journal.resume = true;
-  const CampaignRun resumed = run_campaign(one, batches);
-  EXPECT_EQ(resumed.fingerprint, golden.fingerprint);
-  EXPECT_EQ(resumed.replayed, 1u);
-  std::remove(journal.c_str());
-}
-
 TEST(JournalDeterminismTest, ResumeRejectsDifferentCampaign) {
   const std::vector<std::vector<ArchConfig>> batches =
       campaign_batches(resnet_spec(), 2, 4);
   const std::string journal = temp_path("mismatch.journal");
   std::remove(journal.c_str());
-  EsmConfig cfg = campaign_config(1);
+  EsmConfig cfg = campaign_config();
   cfg.journal.path = journal;
   run_campaign(cfg, batches, /*stop_after=*/1);
 

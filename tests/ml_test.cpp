@@ -290,7 +290,7 @@ std::uint64_t golden_fit_digest(const GoldenFit& g) {
 // coupled weight decay on and off. The training step must keep every
 // element's operation sequence (ascending-k products, separate multiply
 // and add, the same Adam expression), so these digests hold on every SIMD
-// backend and thread count. ESM_FMA=ON contracts mul+add in the training
+// backend. ESM_FMA=ON contracts mul+add in the training
 // step too, so there the digests are not compared; the reference-step
 // tests below bound the drift instead.
 TEST(MlpTest, GoldenTrainedBitsDigest) {

@@ -1,11 +1,10 @@
 // Tests for the NAS search subsystem (PR 10): the seeded multi-objective
 // evolutionary engine (NSGA-II non-dominated sort + crowding over
 // predicted latency x AccuracyProxy quality) and its random baseline,
-// constrained modes, bit-identity at every thread count, the shared
-// request/response wire grammar, the served `search` verb on both wire
-// protocols (byte-identical to an offline engine run on the same
-// artifact + seed), and the metrics accounting identity with searches in
-// the mix.
+// constrained modes, the shared request/response wire grammar, the served
+// `search` verb on both wire protocols (byte-identical to an offline engine
+// run on the same artifact + seed), and the metrics accounting identity
+// with searches in the mix.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,7 +24,6 @@
 #include "common/checksum.hpp"
 #include "common/error.hpp"
 #include "common/fsio.hpp"
-#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "fuzz_mutator.hpp"
 #include "hwsim/latency_model.hpp"
@@ -194,16 +192,6 @@ TEST(SearchEngineTest, SeededRunsAreIdentical) {
         engine.run({Objective{"oracle", &oracle, 10.0}}, proxy));
   };
   EXPECT_EQ(run(), run());
-}
-
-TEST(SearchEngineTest, BitIdenticalAtOneVsEightThreads) {
-  set_thread_count(1);
-  const SearchOutcome serial = run_small(gpu_model(), small_config());
-  set_thread_count(8);
-  const SearchOutcome threaded = run_small(gpu_model(), small_config());
-  set_thread_count(1);
-  EXPECT_EQ(outcome_fingerprint(gpu_model().spec(), small_config(), serial),
-            outcome_fingerprint(gpu_model().spec(), small_config(), threaded));
 }
 
 TEST(SearchEngineTest, FrontIsFeasibleSortedAndNonDominated) {
@@ -407,23 +395,23 @@ std::uint64_t outcome_digest(const SearchOutcome& outcome) {
   return f.h;
 }
 
-TEST(SearchEngineTest, GoldenOutcomeDigest) {
-  // Recorded before the constrained sort and the proxy's FLOPs path were
-  // rewritten: any change to candidates, scores, ranks or selection moves
-  // a digest. Priced by the hwsim oracle, so no trained model is involved;
-  // std::hash inside the accuracy proxy makes the values libstdc++-specific.
-  struct Case {
-    const char* label;
-    SupernetSpec spec;
-    Mode mode;
-    Algorithm algorithm;
-    double gpu_limit_ms;  ///< 0 = unconstrained
-    double edge_limit_ms; ///< < 0 = no second objective; 0 = unconstrained
-    double min_quality;
-    bool mixed;  ///< the first cohort straddles the limits
-    std::uint64_t expected;
-  };
-  const std::vector<Case> cases{
+/// One GoldenOutcomeDigest case. Priced by the hwsim oracle, so no trained
+/// model is involved; std::hash inside the accuracy proxy makes the
+/// outcomes libstdc++-specific.
+struct GoldenCase {
+  const char* label;
+  SupernetSpec spec;
+  Mode mode;
+  Algorithm algorithm;
+  double gpu_limit_ms;  ///< 0 = unconstrained
+  double edge_limit_ms; ///< < 0 = no second objective; 0 = unconstrained
+  double min_quality;
+  bool mixed;  ///< the first cohort straddles the limits
+  std::uint64_t expected;
+};
+
+const std::vector<GoldenCase>& golden_cases() {
+  static const std::vector<GoldenCase> cases{
       {"resnet pareto", resnet_spec(), Mode::pareto,
        Algorithm::evolutionary, 0.0, -1.0, 0.0, false,
        0xdc570df2320efe75ull},
@@ -446,41 +434,78 @@ TEST(SearchEngineTest, GoldenOutcomeDigest) {
        Algorithm::evolutionary, 0.0, 0.0, 0.0, false,
        0x06218292211a9275ull},
   };
-  for (const Case& c : cases) {
-    EngineConfig config;
-    config.mode = c.mode;
-    config.algorithm = c.algorithm;
-    config.population = 24;
-    config.generations = 5;
-    config.min_quality = c.min_quality;
-    config.seed = 17;
-    const OraclePredictor gpu(c.spec, rtx4090_spec());
-    const OraclePredictor edge(c.spec, raspberry_pi4_spec());
-    std::vector<Objective> objectives{{"gpu", &gpu, c.gpu_limit_ms}};
-    if (c.edge_limit_ms >= 0.0) {
-      objectives.push_back({"edge", &edge, c.edge_limit_ms});
-    }
-    const SearchEngine engine(c.spec, config);
-    if (c.mixed) {
-      // The first cohort is the seed's first `population` samples; it must
-      // hold feasible and infeasible archs, so selection ranks both.
-      Rng rng(config.seed);
-      std::size_t feasible = 0;
-      for (std::size_t i = 0; i < config.population; ++i) {
-        const ArchConfig arch = engine.sample(rng);
-        if (gpu.predict_ms(arch) <= c.gpu_limit_ms &&
-            (c.edge_limit_ms <= 0.0 ||
-             edge.predict_ms(arch) <= c.edge_limit_ms)) {
-          ++feasible;
-        }
-      }
-      EXPECT_GT(feasible, 0u) << c.label;
-      EXPECT_LT(feasible, config.population) << c.label;
-    }
-    const SearchOutcome outcome =
-        engine.run(objectives, AccuracyProxy(c.spec));
-    EXPECT_EQ(outcome_digest(outcome), c.expected) << c.label;
+  return cases;
+}
+
+EngineConfig golden_config(const GoldenCase& c) {
+  EngineConfig config;
+  config.mode = c.mode;
+  config.algorithm = c.algorithm;
+  config.population = 24;
+  config.generations = 5;
+  config.min_quality = c.min_quality;
+  config.seed = 17;
+  return config;
+}
+
+SearchOutcome run_golden_case(const GoldenCase& c) {
+  const EngineConfig config = golden_config(c);
+  const OraclePredictor gpu(c.spec, rtx4090_spec());
+  const OraclePredictor edge(c.spec, raspberry_pi4_spec());
+  std::vector<Objective> objectives{{"gpu", &gpu, c.gpu_limit_ms}};
+  if (c.edge_limit_ms >= 0.0) {
+    objectives.push_back({"edge", &edge, c.edge_limit_ms});
   }
+  const SearchEngine engine(c.spec, config);
+  if (c.mixed) {
+    // The first cohort is the seed's first `population` samples; it must
+    // hold feasible and infeasible archs, so selection ranks both.
+    Rng rng(config.seed);
+    std::size_t feasible = 0;
+    for (std::size_t i = 0; i < config.population; ++i) {
+      const ArchConfig arch = engine.sample(rng);
+      if (gpu.predict_ms(arch) <= c.gpu_limit_ms &&
+          (c.edge_limit_ms <= 0.0 ||
+           edge.predict_ms(arch) <= c.edge_limit_ms)) {
+        ++feasible;
+      }
+    }
+    EXPECT_GT(feasible, 0u) << c.label;
+    EXPECT_LT(feasible, config.population) << c.label;
+  }
+  return engine.run(objectives, AccuracyProxy(c.spec));
+}
+
+TEST(SearchEngineTest, GoldenOutcomeDigest) {
+  // Recorded before the constrained sort and the proxy's FLOPs path were
+  // rewritten: any change to candidates, scores, ranks or selection moves
+  // a digest.
+  for (const GoldenCase& c : golden_cases()) {
+    EXPECT_EQ(outcome_digest(run_golden_case(c)), c.expected) << c.label;
+  }
+}
+
+TEST(SearchEngineTest, FrontPayloadBytesMatchRecordedCrc) {
+  // Recorded while both formatters still went through std::ostringstream:
+  // the wire text of every golden front, plus every candidate's request
+  // form (ResNet, MobileNetV3 with its 2/3 expansion, DenseNet with none),
+  // must stay byte for byte what servers and clients already exchange.
+  std::uint32_t crc = 0;
+  bool saw_two_thirds = false;
+  for (const GoldenCase& c : golden_cases()) {
+    const SearchOutcome outcome = run_golden_case(c);
+    crc = crc32(search::format_front_payload(c.spec, golden_config(c),
+                                             outcome),
+                crc);
+    for (const ScoredArch& candidate : outcome.candidates) {
+      const std::string text =
+          search::format_arch_request(c.spec, candidate.arch);
+      saw_two_thirds |= text.find("e0.666667") != std::string::npos;
+      crc = crc32("\n" + text, crc);
+    }
+  }
+  EXPECT_TRUE(saw_two_thirds);
+  EXPECT_EQ(crc32_hex(crc), "7dc83cbe");
 }
 
 // ------------------------------------------ constrained non-dominated sort
