@@ -40,9 +40,10 @@
 #                         relative tolerances via gemm_fma_enabled()), then
 #                         one ASan + UBSan build running the common +
 #                         journal + linalg + encoding + surrogate + esm +
-#                         corruption-matrix + nets + nn + nas + search + ml +
-#                         serve + frame + fleet + arch-fuzz + event-loop +
-#                         overload + chaos suites (the archive codec and the
+#                         fault + corruption-matrix + nets + nn + nas +
+#                         search + ml + serve + frame + fleet + arch-fuzz +
+#                         event-loop + overload + chaos suites (the
+#                         measurement retry loop, the archive codec and the
 #                         journal records it decodes under seeded generated
 #                         input, the fleet manifest parser under the same, the
 #                         encoding table that resolves every loaded
@@ -53,9 +54,8 @@
 #                         epoll reactor, flush()'s expiry and shed
 #                         paths, and the chaos decorator's offset
 #                         arithmetic over gather writes), then a TSan build
-#                         running the linalg + fault + journal + serve +
-#                         fleet + frame + event-loop + overload + chaos +
-#                         search suites (serve
+#                         running the serve + fleet + frame + event-loop +
+#                         overload + chaos + search suites (serve
 #                         drives the reactor, its flush(), routing, and
 #                         cache concurrently from many clients; the event loop
 #                         adds backpressure, drain, and the 10k-connection
@@ -380,14 +380,19 @@ cmake --build build-fma -j "$JOBS" --target linalg_test ml_test fastpath_test
 ctest --test-dir build-fma --output-on-failure \
   -R '^(linalg_test|ml_test|fastpath_test)$'
 
-echo "== asan+ubsan tier (common + journal + linalg + encoding + surrogate + esm + corruption + nets + nn + nas + search + ml + serve + frame + fleet + arch fuzz + event loop + overload + chaos suites) =="
+echo "== asan+ubsan tier (common + journal + linalg + encoding + surrogate + esm + fault + corruption + nets + nn + nas + search + ml + serve + frame + fleet + arch fuzz + event loop + overload + chaos suites) =="
 # One build carries both sanitizers. The wire arch scanner walks untrusted
 # request bytes in place and the frame decoder slices them; serve_test and
 # frame_test drive both, and arch_fuzz_test feeds the scanner 120k mutated
 # requests. common_test and journal_test feed the one token-group codec
 # mutated archive files and journal record bodies, and fleet_test feeds the
 # manifest parser mutated manifests. ml_test hands Mlp::load damaged dims,
-# which must be refused before anything is allocated. encoding_test drives the
+# which must be refused before anything is allocated, and
+# DecisionTreeRegressor::load damaged node tables (a child that points back
+# at its parent, a feature that is no index), which must be refused before
+# a walk can cycle or read past its input. fault_test drives the
+# measurement retry loop through every fault kind, an exhausted retry
+# budget and the faulted-campaign golden. encoding_test drives the
 # encoding table, which resolves the esm.encoder string of every loaded
 # artifact (untrusted bytes) to a kind. The builders lower each
 # space into a LayerGraph or a FLOPs accumulator, the accuracy proxy prices
@@ -407,13 +412,14 @@ cmake -B build-asan-ubsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DESM_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan-ubsan -j "$JOBS" \
   --target common_test journal_test linalg_test encoding_test surrogate_test \
-  surrogate_registry_test esm_test corruption_test nets_test nn_test \
+  surrogate_registry_test esm_test fault_test corruption_test nets_test \
+  nn_test \
   nas_test search_test ml_test serve_test frame_test fleet_test \
   arch_fuzz_test event_loop_test overload_test chaos_test
 ctest --test-dir build-asan-ubsan --output-on-failure \
-  -R '^(common_test|journal_test|linalg_test|encoding_test|surrogate_test|surrogate_registry_test|esm_test|corruption_test|nets_test|nn_test|nas_test|search_test|ml_test|serve_test|frame_test|fleet_test|arch_fuzz_test|event_loop_test|overload_test|chaos_test)$'
+  -R '^(common_test|journal_test|linalg_test|encoding_test|surrogate_test|surrogate_registry_test|esm_test|fault_test|corruption_test|nets_test|nn_test|nas_test|search_test|ml_test|serve_test|frame_test|fleet_test|arch_fuzz_test|event_loop_test|overload_test|chaos_test)$'
 
-echo "== tsan tier (linalg + fault + journal + serve + fleet + event loop + overload + chaos + search) =="
+echo "== tsan tier (serve + fleet + frame + event loop + overload + chaos + search) =="
 # event_loop_test puts the reactor thread, which also prices every miss in
 # its flush(), the search worker, and the client driver threads under TSan
 # at once — including the 10k-connection headline test, which is the
@@ -431,10 +437,10 @@ echo "== tsan tier (linalg + fault + journal + serve + fleet + event loop + over
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DESM_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" \
-  --target linalg_test fault_test journal_test serve_test fleet_test \
-  frame_test event_loop_test overload_test chaos_test search_test
+  --target serve_test fleet_test frame_test event_loop_test overload_test \
+  chaos_test search_test
 ctest --test-dir build-tsan --output-on-failure \
-  -R '^(linalg_test|fault_test|journal_test|fleet_test|frame_test|event_loop_test|chaos_test|search_test)$'
+  -R '^(fleet_test|frame_test|event_loop_test|chaos_test|search_test)$'
 ctest --test-dir build-tsan --output-on-failure --repeat until-fail:5 \
   -R '^(serve_test|overload_test)$'
 

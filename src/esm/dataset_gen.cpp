@@ -107,27 +107,15 @@ void DatasetGenerator::establish_baselines() {
   // construction.
   const std::size_t n_refs = reference_graphs_.size();
   std::vector<std::vector<double>> sessions(n_refs);
+  FaultTally unreported;
   for (int s = 0; s < config_.qc_baseline_sessions; ++s) {
     device_->begin_session();
     const Rng session_rng = rng_.split();
     int budget = config_.retry.batch_retry_budget;
-    std::vector<TaskPlan> plans;
-    plans.reserve(n_refs);
     for (std::size_t i = 0; i < n_refs; ++i) {
-      plans.push_back(plan_task(session_rng, i, n_refs, budget));
-    }
-    for (std::size_t i = 0; i < n_refs; ++i) {
-      const TaskResult result =
-          run_task(reference_graphs_[i], plans[i], i, n_refs);
-      device_->add_measurement_cost(result.attempt_cost_s);
-      const Rng task_rng =
-          session_rng.split(static_cast<std::uint64_t>(i));
-      for (std::size_t a = 1; a < plans[i].attempt_noise.size(); ++a) {
-        device_->add_measurement_cost(retry_backoff_seconds(
-            config_.retry, static_cast<int>(a),
-            task_rng.split(kBackoffStream + a)));
-      }
-      if (result.final.ok()) sessions[i].push_back(result.final.value);
+      const MeasureResult result = measure_task(
+          reference_graphs_[i], session_rng, i, n_refs, budget, unreported);
+      if (result.ok()) sessions[i].push_back(result.value);
     }
   }
   baselines_.reserve(n_refs);
@@ -138,57 +126,52 @@ void DatasetGenerator::establish_baselines() {
   }
 }
 
-DatasetGenerator::TaskPlan DatasetGenerator::plan_task(const Rng& session_rng,
-                                                       std::size_t slot,
-                                                       std::size_t n_tasks,
-                                                       int& budget) const {
-  TaskPlan plan;
+MeasureResult DatasetGenerator::measure_task(const LayerGraph& graph,
+                                             const Rng& session_rng,
+                                             std::size_t slot,
+                                             std::size_t n_tasks, int& budget,
+                                             FaultTally& tally) {
   const Rng task_rng = session_rng.split(static_cast<std::uint64_t>(slot));
-  plan.attempt_noise.push_back(task_rng);
-
   MeasureOptions options;
   options.session_slot = static_cast<int>(slot);
   options.session_tasks = static_cast<int>(n_tasks);
   options.noise = task_rng;
-  MeasureOutcome outcome = device_->fault_outcome(options);
-  // Timeouts and read errors are transient; a lost device stays lost for
-  // the rest of the session, so retrying it in-session is pointless — the
-  // failure escalates to the QC re-measure loop instead.
-  int retry = 1;
-  while (outcome != MeasureOutcome::kOk &&
-         outcome != MeasureOutcome::kDeviceLost &&
-         retry < config_.retry.max_attempts && budget > 0) {
-    --budget;
-    const Rng retry_noise =
-        task_rng.split(kRetryNoiseStream + static_cast<std::uint64_t>(retry));
-    plan.attempt_noise.push_back(retry_noise);
-    options.noise = retry_noise;
-    outcome = device_->fault_outcome(options);
-    ++retry;
-  }
-  return plan;
-}
-
-DatasetGenerator::TaskResult DatasetGenerator::run_task(
-    const LayerGraph& graph, const TaskPlan& plan, std::size_t slot,
-    std::size_t n_tasks) const {
-  TaskResult result;
-  for (const Rng& noise : plan.attempt_noise) {
-    MeasureOptions options;
-    options.session_slot = static_cast<int>(slot);
-    options.session_tasks = static_cast<int>(n_tasks);
-    options.noise = noise;
-    MeasureResult attempt = device_->measure(graph, options);
-    result.attempt_cost_s += attempt.cost_seconds;
-    switch (attempt.outcome) {
-      case MeasureOutcome::kTimeout: ++result.timeouts; break;
-      case MeasureOutcome::kDeviceLost: ++result.device_losses; break;
-      case MeasureOutcome::kReadError: ++result.read_errors; break;
+  MeasureResult result;
+  double attempt_cost_s = 0.0;
+  int attempts = 0;
+  while (true) {
+    result = device_->measure(graph, options);
+    ++attempts;
+    attempt_cost_s += result.cost_seconds;
+    switch (result.outcome) {
+      case MeasureOutcome::kTimeout: ++tally.timeouts; break;
+      case MeasureOutcome::kDeviceLost: ++tally.device_losses; break;
+      case MeasureOutcome::kReadError: ++tally.read_errors; break;
       case MeasureOutcome::kOk: break;
     }
-    result.final = std::move(attempt);
-    if (result.final.ok()) break;
+    // Timeouts and read errors are transient; a lost device stays lost for
+    // the rest of the session, so retrying it in-session is pointless — the
+    // failure escalates to the QC re-measure loop instead.
+    if (result.ok() || result.outcome == MeasureOutcome::kDeviceLost ||
+        attempts >= config_.retry.max_attempts || budget <= 0) {
+      break;
+    }
+    --budget;
+    options.noise = task_rng.split(kRetryNoiseStream +
+                                   static_cast<std::uint64_t>(attempts));
   }
+
+  // The attempts' summed cost reaches the device first, then each retry's
+  // backoff in retry order.
+  device_->add_measurement_cost(attempt_cost_s);
+  for (int retry = 1; retry < attempts; ++retry) {
+    const double backoff = retry_backoff_seconds(
+        config_.retry, retry,
+        task_rng.split(kBackoffStream + static_cast<std::uint64_t>(retry)));
+    device_->add_measurement_cost(backoff);
+    tally.backoff_seconds += backoff;
+  }
+  tally.retries += attempts - 1;
   return result;
 }
 
@@ -202,110 +185,59 @@ DatasetGenerator::SessionOutcome DatasetGenerator::run_session(
   // scheduled twice (the paper's canary-before/canary-after pattern);
   // because session drift is a per-session regime here, both passes probe
   // the same regime on independent substreams, doubling the QC evidence.
+  // Tasks run in slot order and draw retries from the shared budget.
   const std::size_t n_refs = reference_graphs_.size();
   const std::size_t n_tasks = 2 * n_refs + archs.size();
   const Rng session_rng = rng_.split();
 
-  // Retry planning happens before any measurement: fault outcomes depend
-  // only on session state and substreams, and the shared retry budget is
-  // drawn down in task order.
-  std::vector<TaskPlan> plans;
-  plans.reserve(n_tasks);
-  for (std::size_t t = 0; t < n_tasks; ++t) {
-    plans.push_back(plan_task(session_rng, t, n_tasks, budget));
-  }
-
-  std::vector<TaskResult> measured;
-  measured.reserve(n_tasks);
-  for (std::size_t t = 0; t < n_tasks; ++t) {
-    if (t < n_refs) {
-      measured.push_back(
-          run_task(reference_graphs_[t], plans[t], t, n_tasks));
-    } else if (t < n_refs + archs.size()) {
-      const LayerGraph graph = build_graph(config_.spec, archs[t - n_refs]);
-      measured.push_back(run_task(graph, plans[t], t, n_tasks));
-    } else {
-      measured.push_back(run_task(reference_graphs_[t - n_refs - archs.size()],
-                                  plans[t], t, n_tasks));
-    }
-  }
-
-  // Deterministic reductions, all in task-index order: cost accounting
-  // (attempts, then backoff), fault tallies, reference deviations, then
-  // the batch samples.
-  SessionOutcome outcome;
-  for (std::size_t t = 0; t < n_tasks; ++t) {
-    const TaskResult& r = measured[t];
-    device_->add_measurement_cost(r.attempt_cost_s);
-    const Rng task_rng = session_rng.split(static_cast<std::uint64_t>(t));
-    for (std::size_t a = 1; a < plans[t].attempt_noise.size(); ++a) {
-      const double backoff = retry_backoff_seconds(
-          config_.retry, static_cast<int>(a),
-          task_rng.split(kBackoffStream + a));
-      device_->add_measurement_cost(backoff);
-      outcome.backoff_seconds += backoff;
-    }
-    outcome.retries +=
-        static_cast<int>(plans[t].attempt_noise.size()) - 1;
-    outcome.timeouts += r.timeouts;
-    outcome.device_losses += r.device_losses;
-    outcome.read_errors += r.read_errors;
-    if (!r.final.ok()) ++outcome.report.failed_measurements;
-  }
-
-  QcReport& report = outcome.report;
-  std::vector<double>& deviations = report.reference_deviation;
-  deviations.reserve(2 * n_refs);
-  // A reference that failed to measure is QC evidence of the worst kind:
-  // it cannot confirm the session, so it counts as an outlier.
-  auto push_reference = [&](std::size_t task, std::size_t ref) {
-    if (!measured[task].final.ok()) {
-      ++report.outliers;
-      return;
-    }
-    deviations.push_back(
-        std::abs(measured[task].final.value - baselines_[ref]) /
-        baselines_[ref]);
-  };
-  for (std::size_t i = 0; i < n_refs; ++i) push_reference(i, i);
-  for (std::size_t i = 0; i < n_refs; ++i) {
-    push_reference(n_refs + archs.size() + i, i);
-  }
-
-  outcome.samples.reserve(archs.size());
-  for (std::size_t i = 0; i < archs.size(); ++i) {
-    const TaskResult& r = measured[n_refs + i];
-    if (r.final.ok()) {
-      outcome.samples.push_back({archs[i], r.final.value});
-    } else {
-      outcome.failed.push_back(archs[i]);
-    }
-  }
-
   // Outliers (Fig. 6): individual readings outside the boundary. They are
-  // excluded from the aggregate; QC fails when too many occur, when the
-  // remaining aggregate still exceeds the boundary, or when too many of
-  // the batch's own measurements failed outright.
+  // excluded from the aggregate. A reference that failed to measure is QC
+  // evidence of the worst kind: it cannot confirm the session, so it counts
+  // as an outlier too.
+  SessionOutcome outcome;
+  QcReport& report = outcome.report;
   std::vector<double> in_tolerance;
-  for (double d : deviations) {
+  for (std::size_t t = 0; t < n_tasks; ++t) {
+    if (t >= n_refs && t < n_refs + archs.size()) {
+      const ArchConfig& arch = archs[t - n_refs];
+      const MeasureResult r =
+          measure_task(build_graph(config_.spec, arch), session_rng, t,
+                       n_tasks, budget, outcome.faults);
+      if (r.ok()) {
+        outcome.samples.push_back({arch, r.value});
+      } else {
+        ++report.failed_measurements;
+        outcome.failed.push_back(arch);
+      }
+      continue;
+    }
+    const std::size_t ref = t < n_refs ? t : t - n_refs - archs.size();
+    const MeasureResult r = measure_task(reference_graphs_[ref], session_rng,
+                                         t, n_tasks, budget, outcome.faults);
+    if (!r.ok()) {
+      ++report.failed_measurements;
+      ++report.outliers;
+      continue;
+    }
+    const double d = std::abs(r.value - baselines_[ref]) / baselines_[ref];
+    report.reference_deviation.push_back(d);
     if (d <= config_.qc_variance_limit) {
       in_tolerance.push_back(d);
     } else {
       ++report.outliers;
     }
   }
-  const std::size_t n_checks = 2 * n_refs;
-  const double outlier_fraction =
-      n_checks == 0 ? 0.0
-                    : static_cast<double>(report.outliers) /
-                          static_cast<double>(n_checks);
-  report.reference_cv = in_tolerance.empty()
-                            ? (n_checks == 0 ? 0.0 : 1.0)
-                            : mean(in_tolerance);
-  const double failed_fraction =
-      archs.empty() ? 0.0
-                    : static_cast<double>(outcome.failed.size()) /
-                          static_cast<double>(archs.size());
+
+  // QC fails when too many outliers occur, when the in-tolerance aggregate
+  // still exceeds the boundary, or when too many of the batch's own
+  // measurements failed outright. The config asks for at least one
+  // reference and measure_batch() never runs an empty session, so neither
+  // fraction divides by zero.
+  const double outlier_fraction = static_cast<double>(report.outliers) /
+                                  static_cast<double>(2 * n_refs);
+  report.reference_cv = in_tolerance.empty() ? 1.0 : mean(in_tolerance);
+  const double failed_fraction = static_cast<double>(outcome.failed.size()) /
+                                 static_cast<double>(archs.size());
   report.passed = outlier_fraction <= 0.25 &&
                   report.reference_cv <= config_.qc_variance_limit &&
                   failed_fraction <= 0.25;
@@ -333,9 +265,7 @@ BatchResult DatasetGenerator::measure_batch(
     return replay_batch(archs, todo, std::move(out));
   }
 
-  bool measured_live = false;
   if (!todo.empty()) {
-    measured_live = true;
     const double cost_before = device_->measurement_cost_seconds();
     int budget = config_.retry.batch_retry_budget;
     SessionOutcome kept;
@@ -343,11 +273,11 @@ BatchResult DatasetGenerator::measure_batch(
       kept = run_session(todo, budget);
       kept.report.attempts = attempt;
       ++out.report.sessions;
-      out.report.retries += kept.retries;
-      out.report.timeouts += kept.timeouts;
-      out.report.device_losses += kept.device_losses;
-      out.report.read_errors += kept.read_errors;
-      out.report.backoff_seconds += kept.backoff_seconds;
+      out.report.retries += kept.faults.retries;
+      out.report.timeouts += kept.faults.timeouts;
+      out.report.device_losses += kept.faults.device_losses;
+      out.report.read_errors += kept.faults.read_errors;
+      out.report.backoff_seconds += kept.faults.backoff_seconds;
       if (kept.report.passed) break;
     }
     qc_history_.push_back(kept.report);
@@ -379,7 +309,7 @@ BatchResult DatasetGenerator::measure_batch(
     record.requested = archs.size();
     record.request_crc = batch_request_crc(archs);
     record.sessions = out.report.sessions;
-    record.has_qc = measured_live;
+    record.has_qc = !todo.empty();
     record.qc = out.qc;
     record.report = out.report;
     record.quarantined = out.report.quarantined_archs;

@@ -18,8 +18,9 @@
 // often to the QC re-measure loop, and quarantines architectures that still
 // fail in the final session. measure_batch() therefore ALWAYS completes,
 // returning whatever was measured plus a DatasetReport accounting of what
-// happened. Retry schedules are planned from fault substreams before any
-// task is measured, so the same seed always yields the same bytes.
+// happened. Each task is measured and retried to completion before the
+// next starts, every attempt on a seeded substream, so the same seed
+// always yields the same bytes.
 //
 // With EsmConfig::journal configured, the generator additionally writes
 // every accepted batch through a CampaignJournal (esm/journal.hpp) and, on
@@ -126,37 +127,13 @@ class DatasetGenerator {
   /// Stable keys (ArchConfig::to_string()) of quarantined architectures.
   const std::set<std::string>& quarantined() const { return quarantine_; }
 
-  SimulatedDevice& device() { return *device_; }
-
   /// Batches answered from the journal instead of being measured (resume).
   std::size_t replayed_batches() const { return replayed_batches_; }
 
-  /// True when a campaign journal is attached (config.journal.path set).
-  bool journaling() const { return journal_ != nullptr; }
-
  private:
-  /// Planned attempts for one measurement task of a session: the first
-  /// attempt plus budget-bounded retries, each on its own noise substream.
-  /// Planned for every task before any runs (fault outcomes depend only on
-  /// session state and substreams, never on measured values).
-  struct TaskPlan {
-    std::vector<Rng> attempt_noise;
-  };
-
-  /// Outcome of executing one task's plan.
-  struct TaskResult {
-    MeasureResult final;         ///< last attempt (first success, if any)
-    double attempt_cost_s = 0.0; ///< simulated cost of all attempts
-    int timeouts = 0;
-    int device_losses = 0;
-    int read_errors = 0;
-  };
-
-  /// Everything one session produced, before QC acceptance is decided.
-  struct SessionOutcome {
-    std::vector<MeasuredSample> samples;  ///< archs that measured OK
-    std::vector<ArchConfig> failed;       ///< archs with no surviving value
-    QcReport report;
+  /// Fault-tolerance ledger of one session, summed into the batch's
+  /// DatasetReport.
+  struct FaultTally {
     int retries = 0;
     int timeouts = 0;
     int device_losses = 0;
@@ -164,13 +141,25 @@ class DatasetGenerator {
     double backoff_seconds = 0.0;
   };
 
-  TaskPlan plan_task(const Rng& session_rng, std::size_t slot,
-                     std::size_t n_tasks, int& budget) const;
-  TaskResult run_task(const LayerGraph& graph, const TaskPlan& plan,
-                      std::size_t slot, std::size_t n_tasks) const;
+  /// Everything one session produced, before QC acceptance is decided.
+  struct SessionOutcome {
+    std::vector<MeasuredSample> samples;  ///< archs that measured OK
+    std::vector<ArchConfig> failed;       ///< archs with no surviving value
+    QcReport report;
+    FaultTally faults;
+  };
 
-  /// Runs one session over `archs` (plan, measure in task order, reduce,
-  /// QC verdict), drawing retries from `budget`.
+  /// Measures task `slot` of an `n_tasks`-task session on its own noise
+  /// substream, retrying transient faults from `budget` until an attempt
+  /// succeeds, the device is lost, or max_attempts or the budget run out.
+  /// Charges the device the summed attempt cost, then each retry's
+  /// backoff; adds the faults to `tally` and returns the final attempt.
+  MeasureResult measure_task(const LayerGraph& graph, const Rng& session_rng,
+                             std::size_t slot, std::size_t n_tasks,
+                             int& budget, FaultTally& tally);
+
+  /// Runs one session over `archs` (every task in slot order, then the QC
+  /// verdict), drawing retries from `budget`.
   SessionOutcome run_session(const std::vector<ArchConfig>& archs,
                              int& budget);
 

@@ -65,15 +65,14 @@ FaultProfile parse_fault_profile(const std::string& text);
 /// The fault regime of one device session, drawn once at begin_session().
 struct SessionFaults {
   bool dropped = false;     ///< the device drops out during this session
-  double drop_point = 1.0;  ///< fan-out fraction after which attempts fail
+  double drop_point = 1.0;  ///< task-list fraction after which attempts fail
   bool stuck = false;       ///< sustained stuck-clock/throttle regime
   double throttle_factor = 1.0;  ///< latency multiplier while stuck
 };
 
 /// The decision for one measurement attempt. Outcomes depend only on the
 /// session regime and the attempt's noise substream — never on measured
-/// values or execution order — so a retry planner can
-/// precompute the schedule without running any measurement.
+/// values or on which attempts ran before it.
 struct FaultDecision {
   MeasureOutcome outcome = MeasureOutcome::kOk;
   double progress = 1.0;  ///< fraction of timed runs completed before failing
@@ -94,7 +93,7 @@ class FaultInjector {
   SessionFaults begin_session(Rng session_rng) const;
 
   /// Decides one measurement attempt. `slot`/`tasks` locate the attempt in
-  /// the session fan-out (slot < 0: not part of a fan-out; dropouts do not
+  /// the session's task list (slot < 0: not part of one; dropouts do not
   /// apply). The fault substream is derived from `noise` without advancing
   /// it, so the attempt's measurement noise is unaffected.
   FaultDecision decide(const SessionFaults& session, int slot, int tasks,

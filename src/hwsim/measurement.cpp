@@ -151,32 +151,19 @@ MeasureResult SimulatedDevice::run_protocol(const LayerGraph& graph,
   return result;
 }
 
-MeasureResult SimulatedDevice::measure_with_stream(
-    const LayerGraph& graph, const MeasureOptions& options) const {
-  // The clock walk starts at the session set point for every substream:
-  // the measurement depends only on the session state and the stream.
-  Rng noise = *options.noise;
-  double walk_deviation = 0.0;
-  return run_protocol(graph, options, noise, walk_deviation);
-}
-
 MeasureResult SimulatedDevice::measure(const LayerGraph& graph,
                                        const MeasureOptions& options) {
   if (options.noise.has_value()) {
-    return measure_with_stream(graph, options);
+    // The clock walk starts at the session set point for every substream:
+    // the measurement depends only on the session state and the stream,
+    // and its cost is only returned.
+    Rng noise = *options.noise;
+    double walk_deviation = 0.0;
+    return run_protocol(graph, options, noise, walk_deviation);
   }
   MeasureResult result = run_protocol(graph, options, rng_, walk_deviation_);
   cost_seconds_ += result.cost_seconds;
   return result;
-}
-
-MeasureOutcome SimulatedDevice::fault_outcome(
-    const MeasureOptions& options) const {
-  const Rng& noise = options.noise.has_value() ? *options.noise : rng_;
-  return injector_
-      .decide(session_faults_, options.session_slot, options.session_tasks,
-              noise)
-      .outcome;
 }
 
 double SimulatedDevice::summarize(const std::vector<double>& trace,

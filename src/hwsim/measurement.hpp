@@ -51,17 +51,15 @@ struct MeasureOptions {
   bool keep_trace = false;
 
   /// Explicit noise substream. When set, the measurement depends only on
-  /// (session state, noise) — not on how many other measurements run
-  /// concurrently — the call is thread-safe with respect to other
-  /// substream measurements in the same session, and its cost is only
-  /// RETURNED: the caller adds it via add_measurement_cost() in
-  /// deterministic index order. When unset, the measurement draws from the
+  /// (session state, noise) — not on what else the session measured
+  /// before it — and its cost is only RETURNED: the caller adds it via
+  /// add_measurement_cost(). When unset, the measurement draws from the
   /// device's own sequential stream and its cost is accumulated directly.
   std::optional<Rng> noise;
 
-  /// Position of this measurement in the session fan-out and the fan-out
-  /// width; used by the fault model to place mid-session dropouts. Leave at
-  /// the defaults for measurements outside a session fan-out.
+  /// Position of this measurement in the session's task list and the
+  /// list's length; used by the fault model to place mid-session dropouts.
+  /// Leave at the defaults for measurements outside a session task list.
   int session_slot = -1;
   int session_tasks = 0;
 };
@@ -141,16 +139,8 @@ class SimulatedDevice {
   MeasureResult measure(const LayerGraph& graph,
                         const MeasureOptions& options = {});
 
-  /// The fault decision measure() would make for `options`, without running
-  /// anything. Lets a retry planner precompute the attempt schedule (and
-  /// charge retry budgets) in deterministic task order before fanning the
-  /// actual measurements out in parallel. Requires options.noise for
-  /// attempts that will run on a substream.
-  MeasureOutcome fault_outcome(const MeasureOptions& options) const;
-
   /// Adds externally accounted measuring time (substream measurements and
-  /// retry backoff are reduced onto the device by the caller in
-  /// deterministic order).
+  /// retry backoff are charged to the device by the caller).
   void add_measurement_cost(double seconds) { cost_seconds_ += seconds; }
 
   /// Simulated seconds spent measuring so far (device + host overhead).
@@ -175,10 +165,6 @@ class SimulatedDevice {
   MeasureResult run_protocol(const LayerGraph& graph,
                              const MeasureOptions& options, Rng& rng,
                              double& walk_deviation) const;
-
-  /// Substream path: const and thread-safe; cost only returned.
-  MeasureResult measure_with_stream(const LayerGraph& graph,
-                                    const MeasureOptions& options) const;
 
   LatencyModel model_;
   EnergyModel energy_;

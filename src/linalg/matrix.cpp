@@ -166,42 +166,41 @@ inline void tail_tile(AView a, const double* b, std::size_t ldb, double* c,
 
 template <bool kAccumulate>
 void tail_cols(AView a, const double* b, std::size_t ldb, double* c,
-               std::size_t ldc, std::size_t m0, std::size_t m1,
-               std::size_t j0, std::size_t n, std::size_t p0,
-               std::size_t p1) {
+               std::size_t ldc, std::size_t m, std::size_t j0, std::size_t n,
+               std::size_t p0, std::size_t p1) {
   for (std::size_t j = j0; j < n; ++j) {
-    std::size_t i = m0;
-    for (; i + kTailRows <= m1; i += kTailRows) {
+    std::size_t i = 0;
+    for (; i + kTailRows <= m; i += kTailRows) {
       tail_tile<kAccumulate, kTailRows>(a, b, ldb, c, ldc, i, j, p0, p1);
     }
     // The remaining 0..7 rows as at most one 4-, one 2- and one 1-row tile.
-    if ((m1 - i) & 4) {
+    if ((m - i) & 4) {
       tail_tile<kAccumulate, 4>(a, b, ldb, c, ldc, i, j, p0, p1);
       i += 4;
     }
-    if ((m1 - i) & 2) {
+    if ((m - i) & 2) {
       tail_tile<kAccumulate, 2>(a, b, ldb, c, ldc, i, j, p0, p1);
       i += 2;
     }
-    if ((m1 - i) & 1) {
+    if ((m - i) & 1) {
       tail_tile<kAccumulate, 1>(a, b, ldb, c, ldc, i, j, p0, p1);
     }
   }
 }
 
-// One k-block over output rows [m0, m1) and all n columns: j-tiles outer so
-// each b panel is swept by every micro-tile row before moving on.
+// One k-block over all m output rows and n columns: j-tiles outer so each
+// b panel is swept by every micro-tile row before moving on.
 template <bool kAccumulate>
 void gemm_block(AView a, const double* b, std::size_t ldb, double* c,
-                std::size_t ldc, std::size_t m0, std::size_t m1,
-                std::size_t n, std::size_t p0, std::size_t p1) {
+                std::size_t ldc, std::size_t m, std::size_t n,
+                std::size_t p0, std::size_t p1) {
   const std::size_t j_end = n - n % kMicroCols;
   for (std::size_t j = 0; j < j_end; j += kMicroCols) {
-    std::size_t i = m0;
-    for (; i + kMicroRows <= m1; i += kMicroRows) {
+    std::size_t i = 0;
+    for (; i + kMicroRows <= m; i += kMicroRows) {
       micro_tile<kAccumulate, kMicroRows>(a, b, ldb, c, ldc, i, j, p0, p1);
     }
-    switch (m1 - i) {
+    switch (m - i) {
       case 3: micro_tile<kAccumulate, 3>(a, b, ldb, c, ldc, i, j, p0, p1); break;
       case 2: micro_tile<kAccumulate, 2>(a, b, ldb, c, ldc, i, j, p0, p1); break;
       case 1: micro_tile<kAccumulate, 1>(a, b, ldb, c, ldc, i, j, p0, p1); break;
@@ -209,24 +208,13 @@ void gemm_block(AView a, const double* b, std::size_t ldb, double* c,
     }
   }
   if (j_end < n) {
-    tail_cols<kAccumulate>(a, b, ldb, c, ldc, m0, m1, j_end, n, p0, p1);
+    tail_cols<kAccumulate>(a, b, ldb, c, ldc, m, j_end, n, p0, p1);
   }
 }
 
-// Full multiply of output rows [m0, m1): store-mode first k-block defines
-// the output, accumulate-mode blocks fold in the rest.
-void gemm_band(AView a, const double* b, std::size_t ldb, double* c,
-               std::size_t ldc, std::size_t m0, std::size_t m1,
-               std::size_t n, std::size_t k) {
-  gemm_block<false>(a, b, ldb, c, ldc, m0, m1, n, 0, std::min(k, kBlockK));
-  for (std::size_t p0 = kBlockK; p0 < k; p0 += kBlockK) {
-    gemm_block<true>(a, b, ldb, c, ldc, m0, m1, n, p0,
-                     std::min(k, p0 + kBlockK));
-  }
-}
-
-// Shared driver: sizes the output, then runs the whole multiply as one
-// band on the caller.
+// Shared driver: sizes the output, then runs the whole multiply on the
+// caller. The store-mode first k-block defines the output, accumulate-mode
+// blocks fold in the rest.
 void gemm_dispatch(AView a, const double* b, std::size_t ldb, Matrix& out,
                    std::size_t m, std::size_t n, std::size_t k) {
   out.reshape(m, n);
@@ -235,7 +223,11 @@ void gemm_dispatch(AView a, const double* b, std::size_t ldb, Matrix& out,
     out.fill(0.0);
     return;
   }
-  gemm_band(a, b, ldb, out.data(), n, 0, m, n, k);
+  double* c = out.data();
+  gemm_block<false>(a, b, ldb, c, n, m, n, 0, std::min(k, kBlockK));
+  for (std::size_t p0 = kBlockK; p0 < k; p0 += kBlockK) {
+    gemm_block<true>(a, b, ldb, c, n, m, n, p0, std::min(k, p0 + kBlockK));
+  }
 }
 
 }  // namespace

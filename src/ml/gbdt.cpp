@@ -1,5 +1,7 @@
 #include "ml/gbdt.hpp"
 
+#include <limits>
+
 #include "common/error.hpp"
 #include "common/stats.hpp"
 
@@ -63,18 +65,22 @@ void GradientBoostingRegressor::save(ArchiveWriter& archive,
 }
 
 GradientBoostingRegressor GradientBoostingRegressor::load(
-    const ArchiveReader& archive, const std::string& prefix) {
+    const ArchiveReader& archive, const std::string& prefix,
+    std::size_t n_features) {
+  // The count must fit n_estimators. Nothing is reserved by it: stages are
+  // appended as they load, so a count past the archived stages fails on
+  // the first missing one instead of asking for memory up front.
   const long long stages = archive.get_int(prefix + "stages");
-  ESM_REQUIRE(stages >= 1, "GBDT archive '" << prefix << "' has no stages");
+  ESM_REQUIRE(stages >= 1 && stages <= std::numeric_limits<int>::max(),
+              "GBDT archive '" << prefix << "' has " << stages << " stages");
   GbdtConfig config;
   config.n_estimators = static_cast<int>(stages);
   config.learning_rate = archive.get_double(prefix + "learning_rate");
   GradientBoostingRegressor model(config);
   model.base_prediction_ = archive.get_double(prefix + "base_prediction");
-  model.stages_.reserve(static_cast<std::size_t>(stages));
   for (long long i = 0; i < stages; ++i) {
     model.stages_.push_back(DecisionTreeRegressor::load(
-        archive, prefix + "s" + std::to_string(i) + "."));
+        archive, prefix + "s" + std::to_string(i) + ".", n_features));
   }
   model.fitted_ = true;
   return model;

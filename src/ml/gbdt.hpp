@@ -36,9 +36,11 @@ class GradientBoostingRegressor {
   /// Persists the fitted ensemble (base prediction, shrinkage, stage trees).
   void save(ArchiveWriter& archive, const std::string& prefix) const;
 
-  /// Restores an ensemble saved with save().
+  /// Restores an ensemble saved with save() for inputs of `n_features`
+  /// features (see DecisionTreeRegressor::load).
   static GradientBoostingRegressor load(const ArchiveReader& archive,
-                                        const std::string& prefix);
+                                        const std::string& prefix,
+                                        std::size_t n_features);
 
  private:
   GbdtConfig config_;

@@ -178,7 +178,8 @@ void DecisionTreeRegressor::save(ArchiveWriter& archive,
 }
 
 DecisionTreeRegressor DecisionTreeRegressor::load(const ArchiveReader& archive,
-                                                  const std::string& prefix) {
+                                                  const std::string& prefix,
+                                                  std::size_t n_features) {
   const std::vector<double> feature = archive.get_doubles(prefix + "feature");
   const std::vector<double> threshold =
       archive.get_doubles(prefix + "threshold");
@@ -190,20 +191,32 @@ DecisionTreeRegressor DecisionTreeRegressor::load(const ArchiveReader& archive,
   ESM_REQUIRE(threshold.size() == n && value.size() == n &&
                   left.size() == n && right.size() == n,
               "tree archive '" << prefix << "' has mismatched columns");
+  // Every column is checked before it is cast. build() stores a node's
+  // children after it, so a split whose child index is not above its own
+  // would let predict_one() walk in a cycle, and a feature outside
+  // [0, n_features) would read past the encoding.
+  const auto in_range = [](double v, std::size_t lo, std::size_t end) {
+    return v >= static_cast<double>(lo) && v < static_cast<double>(end) &&
+           v == std::floor(v);
+  };
   DecisionTreeRegressor tree;
   tree.nodes_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     Node& node = tree.nodes_[i];
-    node.feature = static_cast<int>(feature[i]);
     node.threshold = threshold[i];
     node.value = value[i];
+    if (feature[i] == -1.0) continue;  // a leaf: its children are never read
+    ESM_REQUIRE(in_range(feature[i], 0, n_features),
+                "tree archive '" << prefix << "' node " << i
+                                 << " splits on feature " << feature[i]
+                                 << ", not one of " << n_features);
+    ESM_REQUIRE(in_range(left[i], i + 1, n) && in_range(right[i], i + 1, n),
+                "tree archive '" << prefix << "' node " << i
+                                 << " has a child index that is not a later "
+                                    "node");
+    node.feature = static_cast<int>(feature[i]);
     node.left = static_cast<int>(left[i]);
     node.right = static_cast<int>(right[i]);
-    const bool is_leaf = node.feature < 0;
-    ESM_REQUIRE(is_leaf || (node.left >= 0 && node.right >= 0 &&
-                            static_cast<std::size_t>(node.left) < n &&
-                            static_cast<std::size_t>(node.right) < n),
-                "tree archive '" << prefix << "' has dangling child index");
   }
   return tree;
 }

@@ -38,9 +38,13 @@ class DecisionTreeRegressor {
   /// loaded tree predicts but refits under default config).
   void save(ArchiveWriter& archive, const std::string& prefix) const;
 
-  /// Restores a tree saved with save().
+  /// Restores a tree saved with save() for inputs of `n_features`
+  /// features. Throws esm::ConfigError on a damaged node table: a split
+  /// feature outside [0, n_features), or a child index that is not a later
+  /// node (so a walk could cycle or leave the table).
   static DecisionTreeRegressor load(const ArchiveReader& archive,
-                                    const std::string& prefix);
+                                    const std::string& prefix,
+                                    std::size_t n_features);
 
  private:
   struct Node {

@@ -44,8 +44,10 @@ void GbdtSurrogate::save(ArchiveWriter& archive) const {
 std::unique_ptr<GbdtSurrogate> GbdtSurrogate::load_state(
     const ArchiveReader& archive, std::unique_ptr<Encoder> encoder) {
   auto surrogate = std::make_unique<GbdtSurrogate>(std::move(encoder));
-  surrogate->model_.emplace(
-      GradientBoostingRegressor::load(archive, "gbdt."));
+  // A split on a feature at or past the encoder's width is refused here,
+  // before predict_one() could read past an encoding.
+  surrogate->model_.emplace(GradientBoostingRegressor::load(
+      archive, "gbdt.", surrogate->encoder_->dimension()));
   return surrogate;
 }
 

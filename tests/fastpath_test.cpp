@@ -217,7 +217,9 @@ serve::ServeConfig small_served_config() {
   surrogate.fit(train_archs, latencies);
   serve::ServeConfig config;
   config.artifact_path = testing::TempDir() + "/fastpath_served.esm";
-  save_surrogate(surrogate, config.artifact_path);
+  // Every copy of this binary writes the same bytes here; an atomic
+  // replace keeps a concurrent copy from loading a half-written file.
+  save_surrogate_atomic(surrogate, config.artifact_path);
   config.cache_capacity = 8;
   config.cache_shards = 1;
   return config;
@@ -481,20 +483,34 @@ TEST(FastPathTest, EventLoopAnswersOrDropsWhenAFlushAllocationFails) {
   // (when its response could not be rendered) the end of its stream, and
   // the loop still drains. Over TCP the reactor's own writes allocate
   // nothing, so every injected failure lands inside the round.
+  //
+  // The in-process miss must share the client's round. It is submitted
+  // only once the reactor has ended the pass that accepted the client and
+  // has closed the previous client, so the reactor sleeps until the
+  // client's line arrives. Submitted any earlier, it can be priced alone by
+  // the rest of the accept pass or by the previous client's hangup, and
+  // under load that schedule can repeat on every retry of a k.
   serve::PredictionServer server(small_served_config());
   // 0/1: whether the armed injection fired; 2: the armed miss was priced
-  // before the client's miss arrived, so this k runs again.
+  // in a round without the client's miss, so this k runs again.
   std::atomic<int> outcome{-1};
+  // The accepted count as of the end of the reactor's latest pass.
+  std::atomic<std::uint64_t> accepted_at_pass_end{0};
+  const serve::EventLoop* loop_view = nullptr;
   serve::EventLoopConfig loop_config;
   loop_config.tick_ms = 60000;  // the reactor wakes only for work
-  loop_config.external_stop_check = [&outcome] {
+  loop_config.external_stop_check = [&] {
+    accepted_at_pass_end.store(loop_view->stats().accepted);
     if (t_fail_at != 0) {
-      outcome.store(t_seen >= t_fail_at ? 1 : 0);
+      // A round that allocated nothing after the arming could not fail
+      // any allocation, whatever k is: the same schedule as outcome 2.
+      outcome.store(t_seen >= t_fail_at ? 1 : t_seen == 0 ? 2 : 0);
       t_fail_at = 0;
     }
     return false;
   };
   serve::EventLoop loop(server, loop_config);
+  loop_view = &loop;
   int port = 0;
   loop.add_listener(serve::make_tcp_listener(0, &port));
   std::thread reactor([&loop] { loop.run(); });
@@ -517,7 +533,8 @@ TEST(FastPathTest, EventLoopAnswersOrDropsWhenAFlushAllocationFails) {
     const std::uint64_t accepted = loop.stats().accepted;
     const std::shared_ptr<serve::ClientChannel> client =
         serve::connect_tcp("127.0.0.1", port);
-    ASSERT_TRUE(within_10s([&] { return loop.stats().accepted > accepted; }));
+    ASSERT_TRUE(
+        within_10s([&] { return accepted_at_pass_end.load() > accepted; }));
     outcome.store(k == 0 ? 0 : -1);
     const std::uint64_t submitted = loop.stats().requests;
     serve::ParsedRequest request;
@@ -543,6 +560,7 @@ TEST(FastPathTest, EventLoopAnswersOrDropsWhenAFlushAllocationFails) {
     }
     ASSERT_FALSE(timed_out) << "allocation " << k << ": never answered";
     client->close();
+    ASSERT_TRUE(within_10s([&] { return loop.stats().active == 0; }));
     ASSERT_TRUE(within_10s([&] { return outcome.load() >= 0; }));
     if (outcome.load() == 2) {
       ++retries;
@@ -553,7 +571,12 @@ TEST(FastPathTest, EventLoopAnswersOrDropsWhenAFlushAllocationFails) {
   }
   EXPECT_GT(k, 1u) << "the round made no allocation to fail";
   EXPECT_LT(k, 256u);
+  // request_stop() skips the wake pipe while a pass is running, and the
+  // last client's close has already been handled, so a stop requested
+  // after that pass's stop check would sleep out the tick;
+  // notify_external() always writes the pipe.
   loop.request_stop();
+  loop.notify_external();
   reactor.join();
   const serve::MetricsSnapshot snap = server.metrics();
   EXPECT_EQ(snap.requests, snap.hits + snap.misses + snap.errors);

@@ -1,12 +1,17 @@
 // Tests for the fault-injection and fault-tolerance subsystem: profile
 // parsing, the unified measure() API and the session-replay hooks, the
 // determinism invariants (zero-profile bit-identity, unperturbed
-// survivors), retry/backoff accounting, and quarantine.
+// survivors), retry/backoff accounting, quarantine, and golden digests of
+// whole faulted campaigns.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
+#include "common/checksum.hpp"
 #include "common/error.hpp"
 #include "esm/dataset_gen.hpp"
 #include "esm/framework.hpp"
@@ -353,6 +358,87 @@ TEST(FaultToleranceTest, FrameworkCompletesUnderFaults) {
   EXPECT_FALSE(result.train_set.empty());
   EXPECT_FALSE(result.iterations.empty());
   EXPECT_GT(result.total_measurement_seconds, 0.0);
+}
+
+/// CRC of everything a faulted campaign produces: the reference
+/// baselines, then per batch every sample, every DatasetReport and QcReport
+/// field and the device cost, then the final quarantine keys. Doubles
+/// enter as their bit patterns. The fourth batch re-requests the first, so
+/// the quarantine skip path is pinned as well.
+std::string faulted_campaign_digest(const std::string& profile, int budget,
+                                    int max_attempts) {
+  EsmConfig cfg = small_config();
+  cfg.faults = parse_fault_profile(profile);
+  cfg.retry.batch_retry_budget = budget;
+  cfg.retry.max_attempts = max_attempts;
+  SimulatedDevice device(rtx4090_spec(), 101);
+  DatasetGenerator gen(cfg, device, Rng(103));
+  std::string text;
+  const auto put = [&](double v) {
+    text += std::to_string(std::bit_cast<std::uint64_t>(v));
+    text += ' ';
+  };
+  const auto put_int = [&](auto v) { text += std::to_string(v) + ' '; };
+  for (double b : gen.reference_baselines()) put(b);
+  text += '\n';
+  const auto first = sample_archs(cfg.spec, 25, 200);
+  for (std::uint64_t b = 0; b < 4; ++b) {
+    const BatchResult batch =
+        gen.measure_batch(b == 3 ? first : sample_archs(cfg.spec, 25, 200 + b));
+    for (const MeasuredSample& s : batch.samples) {
+      text += s.arch.to_string() + ' ';
+      put(s.latency_ms);
+    }
+    const DatasetReport& r = batch.report;
+    put_int(r.requested);
+    put_int(r.measured);
+    put_int(r.quarantined);
+    put_int(r.skipped_quarantined);
+    put_int(r.sessions);
+    put_int(r.retries);
+    put_int(r.timeouts);
+    put_int(r.device_losses);
+    put_int(r.read_errors);
+    put_int(r.qc_passed);
+    put(r.cost_seconds);
+    put(r.backoff_seconds);
+    for (const std::string& key : r.quarantined_archs) text += key + ' ';
+    const QcReport& qc = batch.qc;
+    put_int(qc.attempts);
+    put_int(qc.passed);
+    put(qc.reference_cv);
+    for (double d : qc.reference_deviation) put(d);
+    put_int(qc.outliers);
+    put_int(qc.failed_measurements);
+    put(device.measurement_cost_seconds());
+    text += '\n';
+  }
+  for (const std::string& key : gen.quarantined()) text += key + ' ';
+  return crc32_hex(crc32(text));
+}
+
+// Golden digests of faulted campaigns, which pin how retries draw on the
+// batch budget, the order attempt costs and backoff reach the device, the
+// QC verdicts and the quarantine. Restructuring the measurement loop must
+// not change them.
+TEST(FaultToleranceTest, FaultedCampaignDigestMatchesRecordedCrc) {
+  const RetryPolicy defaults;
+  EXPECT_EQ(faulted_campaign_digest("none", defaults.batch_retry_budget,
+                                    defaults.max_attempts),
+            "c2e8eb98");
+  EXPECT_EQ(faulted_campaign_digest("flaky", defaults.batch_retry_budget,
+                                    defaults.max_attempts),
+            "e37daf25");
+  EXPECT_EQ(faulted_campaign_digest("harsh", defaults.batch_retry_budget,
+                                    defaults.max_attempts),
+            "3ec9307d");
+  // A budget this tight runs dry partway through a session.
+  EXPECT_EQ(faulted_campaign_digest("read_error_prob=0.4,timeout_prob=0.1",
+                                    7, 4),
+            "c7dd3ab8");
+  EXPECT_EQ(faulted_campaign_digest("dropout_prob=0.6,read_error_prob=0.2",
+                                    30, defaults.max_attempts),
+            "75746cd5");
 }
 
 }  // namespace

@@ -723,6 +723,95 @@ TEST(TreeTest, ReducesErrorOnSmoothFunction) {
   EXPECT_LT(rmse(tree.predict(x), y), 0.05);
 }
 
+// Archived node tables are checked before they are walked: a split whose
+// child is not a later node can cycle (a one-node tree whose children are
+// node 0 never returned from predict_one), and a feature that is not an
+// index into the input reads past it. Each must be a ConfigError, and so
+// must a stage count no ensemble could have.
+TEST(TreeTest, LoadRejectsDamagedNodes) {
+  // A stump on feature 0: node 0 splits at 0.5 into leaves 1 (value 1) and
+  // 2 (value 2).
+  struct Table {
+    std::vector<double> feature{0.0, -1.0, -1.0};
+    std::vector<double> left{1.0, -1.0, -1.0};
+    std::vector<double> right{2.0, -1.0, -1.0};
+  };
+  const auto archive = [](const Table& t) {
+    ArchiveWriter a;
+    std::vector<double> value(t.feature.size());
+    for (std::size_t i = 0; i < value.size(); ++i) {
+      value[i] = static_cast<double>(i);
+    }
+    a.put_doubles("t.feature", t.feature);
+    a.put_doubles("t.threshold", std::vector<double>(t.feature.size(), 0.5));
+    a.put_doubles("t.value", value);
+    a.put_doubles("t.left", t.left);
+    a.put_doubles("t.right", t.right);
+    return ArchiveReader::from_string(a.to_string());
+  };
+  const DecisionTreeRegressor stump =
+      DecisionTreeRegressor::load(archive(Table{}), "t.", 2);
+  EXPECT_DOUBLE_EQ(stump.predict_one(std::vector<double>{0.0, 9.0}), 1.0);
+  EXPECT_DOUBLE_EQ(stump.predict_one(std::vector<double>{1.0, 9.0}), 2.0);
+
+  EXPECT_THROW(DecisionTreeRegressor::load(
+                   archive({.feature = {0.0}, .left = {0.0}, .right = {0.0}}),
+                   "t.", 1),
+               ConfigError);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {-2.0, -0.5, 0.5, 2.0, nan, 1e300, -inf}) {
+    Table t;
+    t.feature[0] = bad;
+    EXPECT_THROW(DecisionTreeRegressor::load(archive(t), "t.", 2),
+                 ConfigError)
+        << "feature " << bad;
+  }
+  for (double bad : {0.0, -1.0, 1.5, 3.0, nan, 1e300}) {
+    Table t;
+    t.left[0] = bad;
+    EXPECT_THROW(DecisionTreeRegressor::load(archive(t), "t.", 2),
+                 ConfigError)
+        << "left child " << bad;
+    t = Table{};
+    t.right[0] = bad;
+    EXPECT_THROW(DecisionTreeRegressor::load(archive(t), "t.", 2),
+                 ConfigError)
+        << "right child " << bad;
+  }
+  // A split below a split must point past itself too: node 1 -> node 1.
+  EXPECT_THROW(DecisionTreeRegressor::load(
+                   archive({.feature = {0.0, 0.0, -1.0},
+                            .left = {1.0, 1.0, -1.0},
+                            .right = {2.0, 2.0, -1.0}}),
+                   "t.", 1),
+               ConfigError);
+
+  // The ensemble refuses a stage count that is not a positive int or
+  // names stages the archive lacks, and hands the feature width down to
+  // every stage.
+  const auto ensemble = [](long long stages) {
+    ArchiveWriter a;
+    a.put_double("g.learning_rate", 0.1);
+    a.put_double("g.base_prediction", 0.0);
+    a.put_int("g.stages", stages);
+    a.put_doubles("g.s0.feature", {0.0, -1.0, -1.0});
+    a.put_doubles("g.s0.threshold", {0.5, 0.0, 0.0});
+    a.put_doubles("g.s0.value", {0.0, 1.0, 2.0});
+    a.put_doubles("g.s0.left", {1.0, -1.0, -1.0});
+    a.put_doubles("g.s0.right", {2.0, -1.0, -1.0});
+    return ArchiveReader::from_string(a.to_string());
+  };
+  EXPECT_NO_THROW(GradientBoostingRegressor::load(ensemble(1), "g.", 1));
+  EXPECT_THROW(GradientBoostingRegressor::load(ensemble(1), "g.", 0),
+               ConfigError);
+  for (long long bad : {0LL, -1LL, (1LL << 16) + 1, 1LL << 40}) {
+    EXPECT_THROW(GradientBoostingRegressor::load(ensemble(bad), "g.", 1),
+                 ConfigError)
+        << "stages " << bad;
+  }
+}
+
 // ----------------------------------------------------------------- GBDT
 
 TEST(GbdtTest, BeatsSingleShallowTree) {

@@ -15,6 +15,7 @@
 #include "nets/builder.hpp"
 #include "nets/sampler.hpp"
 #include "surrogate/ensemble_surrogate.hpp"
+#include "surrogate/gbdt_surrogate.hpp"
 #include "surrogate/gcn_surrogate.hpp"
 #include "surrogate/lut_surrogate.hpp"
 #include "surrogate/mlp_surrogate.hpp"
@@ -158,6 +159,34 @@ TEST(MlpSurrogateTest, LoadRejectsForeignArchive) {
   }
   EXPECT_THROW(load_surrogate(path), ConfigError);
   std::remove(path.c_str());
+}
+
+// ----------------------------------------------------------------- GBDT
+
+// A GBDT artifact whose split names a feature at or past its encoder's
+// width would read past every encoding it predicts on; loading refuses it.
+TEST(GbdtSurrogateTest, LoadRejectsFeaturePastEncoderWidth) {
+  const auto archive = [](double feature) {
+    ArchiveWriter a;
+    a.put_double("gbdt.learning_rate", 0.1);
+    a.put_double("gbdt.base_prediction", 1.0);
+    a.put_int("gbdt.stages", 1);
+    a.put_doubles("gbdt.s0.feature", {feature, -1.0, -1.0});
+    a.put_doubles("gbdt.s0.threshold", {0.5, 0.0, 0.0});
+    a.put_doubles("gbdt.s0.value", {0.0, 1.0, 2.0});
+    a.put_doubles("gbdt.s0.left", {1.0, -1.0, -1.0});
+    a.put_doubles("gbdt.s0.right", {2.0, -1.0, -1.0});
+    return ArchiveReader::from_string(a.to_string());
+  };
+  const SupernetSpec spec = resnet_spec();
+  const double width = static_cast<double>(
+      make_encoder(EncodingKind::kFcc, spec)->dimension());
+  const auto loaded = GbdtSurrogate::load_state(
+      archive(width - 1.0), make_encoder(EncodingKind::kFcc, spec));
+  EXPECT_TRUE(loaded->fitted());
+  EXPECT_THROW(GbdtSurrogate::load_state(
+                   archive(width), make_encoder(EncodingKind::kFcc, spec)),
+               ConfigError);
 }
 
 // ------------------------------------------------------------------ LUT
